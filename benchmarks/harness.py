@@ -269,9 +269,12 @@ def claim_kleene() -> None:
 def claim_memo() -> None:
     """Footnote 3 revisited: the packrat memo engine vs the backtracker.
 
-    Measures matcher steps and wall time, memo off vs on, over the two
-    workloads CI gates on: the CLAIM-KLEENE closure ladder and the
-    FIG4 family-tree split.
+    Measures matcher steps and wall time (min of 5), memo off vs on,
+    over the three workloads CI gates on: the CLAIM-KLEENE closure
+    ladder (tables engage everywhere), the FIG4 family-tree split
+    (closure-free, narrow child lists: tables stay out of the way), and
+    a closure-free dead-end over one 80-child node (the fan-out gate
+    engages the child-sequence tables).
     """
     from repro.core import AquaTree
 
@@ -283,6 +286,8 @@ def claim_memo() -> None:
         )
     structure = random_rna_structure(1500, seed=7)
     family = random_family_tree(2000, seed=8, planted_matches=8)
+    dead_end = parse_tree_pattern("a(?* b ?* c ?* b ?* z ?*)")
+    wide = AquaTree.build("a", [AquaTree.leaf("bcx"[i % 3]) for i in range(80)])
 
     def kleene_run():
         return (
@@ -296,9 +301,13 @@ def claim_memo() -> None:
         )
         return len(pieces)
 
+    def wide_run():
+        return [m.key() for m in find_tree_matches(dead_end, wide)]
+
     for workload, run in (
         ("bench_claim_kleene", kleene_run),
         ("bench_fig4_split", fig4_run),
+        ("wide_dead_end", wide_run),
     ):
         measured: dict[str, dict[str, float]] = {}
         answers = {}
@@ -307,7 +316,7 @@ def claim_memo() -> None:
                 stats = Instrumentation()
                 with stats.activated():
                     answers[engine] = run()
-                elapsed, _ = timed(run)
+                elapsed, _ = timed(run, repeat=5)
             measured[engine] = {
                 "steps": stats["backtrack_steps"],
                 "ms": elapsed * 1e3,

@@ -121,6 +121,9 @@ def closure_penalty_base() -> float:
     probe cost; with memoization on, closure-heavy patterns are much
     cheaper to re-match, so the optimizer must not overestimate them or
     it keeps choosing probe-heavy plans the memo engine makes pointless.
+    The discount follows the engine, not the pattern: the memo engine
+    still tables every vertical closure, and a sibling closure as soon
+    as the child list is wide enough for its re-derivations to matter.
     """
     from ..patterns.tree_match import tree_engine
 

@@ -397,6 +397,24 @@ class TreePattern:
     def contains_prune(self) -> bool:
         return any(isinstance(n, TreePrune) for n in self.body.walk())
 
+    def has_vertical_closure(self) -> bool:
+        """Can matching recurse downward through a concatenation point?
+
+        True for ``tp*α`` / ``tp+α`` anywhere in the body, and for a
+        ``∘α`` whose continuation itself mentions a point (the binding
+        can then reach itself through the environment).  Without one,
+        every sub-term is tried at a bounded distance below the match
+        root — the case footnote 3 calls cheap.
+        """
+        for term in self.body.walk():
+            if isinstance(term, (TreeStar, TreePlus)):
+                return True
+            if isinstance(term, TreeConcat) and any(
+                isinstance(inner, PointAtom) for inner in term.right.walk()
+            ):
+                return True
+        return False
+
     def atom_predicates(self) -> list[AlphabetPredicate]:
         """All alphabet-predicates mentioned, in preorder (with repeats)."""
         result: list[AlphabetPredicate] = []

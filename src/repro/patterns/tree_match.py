@@ -28,9 +28,12 @@ Two engines implement the same enumeration, selected by the
 ``AQUA_TREE_ENGINE`` environment knob (or per call via ``engine=``):
 
 * ``memo`` (the default) — the packrat engine of
-  :mod:`repro.patterns.tree_memo`: sub-derivations are cached per
-  ``(node, subpattern, environment)`` and alphabet predicates are
-  evaluated at most once per node through a predicate-outcome bitmap;
+  :mod:`repro.patterns.tree_memo`: where a second request for the same
+  key can occur (everywhere under a vertical closure; otherwise only in
+  child-sequence derivations over wide child lists) sub-derivations are
+  cached per ``(node, subpattern, environment)`` and alphabet
+  predicates answered at most once per node through a
+  predicate-outcome bitmap;
 * ``backtrack`` — the plain backtracker below, kept as the reference
   semantics the memo engine is property-tested against.
 
@@ -558,9 +561,10 @@ def _make_matcher(
 ) -> _TreeMatcher:
     if context is None:
         return _TreeMatcher(leaf_anchor=pattern.leaf_anchor)
-    from .tree_memo import MemoTreeMatcher
+    from .tree_memo import ClosureFreeMemoMatcher, MemoTreeMatcher
 
-    return MemoTreeMatcher(context, leaf_anchor=pattern.leaf_anchor)
+    cls = MemoTreeMatcher if context.closure else ClosureFreeMemoMatcher
+    return cls(context, leaf_anchor=pattern.leaf_anchor)
 
 
 def find_tree_matches(

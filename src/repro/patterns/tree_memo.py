@@ -22,6 +22,16 @@ paper concedes the worst case is exponential; this module removes the
   to exhaustion, so early-exit consumers (``limit``, tripped budgets)
   never pay for unrequested matches and never poison the table with a
   truncated entry.
+* :class:`ClosureFreeMemoMatcher` — the same engine narrowed to where a
+  hit is possible.  Footnote 3's blowup needs a *vertical* closure;
+  without one in the pattern, node-level derivations and nullability
+  fall through to the backtracker's own code, child-sequence
+  derivations are tabled only over child lists of at least
+  :data:`WIDE_CHILD_LIST` nodes, declarative predicates are called
+  directly, and the context builds its position maps and bitmap only
+  if a table or an opaque predicate is ever consulted.
+  ``tree_match._make_matcher`` picks between the two from the compiled
+  pattern.
 * :class:`MatchContextRegistry` + :func:`match_scope` — per-query,
   thread-local sharing: the interpreter arms a registry around each
   evaluation so *every* operator matching the same pattern against the
@@ -45,7 +55,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..core.aqua_tree import AquaTree, TreeNode
 from ..storage.tree_index import PredicateBitmap
@@ -67,6 +77,15 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Distinguishes "cached False" from "not cached" in the nullable table.
 _MISSING = object()
 
+#: The fan-out gate: under a closure-free pattern a child-sequence
+#: derivation is tabled only over a child list at least
+#: this long.  Sibling closures (``?* b ?* c ?*``) re-derive the same
+#: suffix once per way of placing the earlier parts — polynomial in the
+#: list length, so on a short list the key building and table traffic
+#: cost more than the re-derivation (README "Pattern-engine knobs" has
+#: the measured crossover).
+WIDE_CHILD_LIST = 16
+
 
 class TreeMatchContext:
     """Shared memo state for matching one pattern against one tree.
@@ -84,11 +103,23 @@ class TreeMatchContext:
         pattern: TreePattern,
         tree: AquaTree,
         bitmap: PredicateBitmap | None = None,
-        column_source: "Any | None" = None,
         position_maps: tuple[dict[int, int], dict[int, int]] | None = None,
+        db: "Database | None" = None,
     ) -> None:
         self.pattern = pattern
         self.tree = tree
+        self._db = db
+        #: The shape gate: only a vertical closure can ask for
+        #: the same ``(node, subpattern, environment)`` twice from
+        #: different places, so only then is every derivation tabled.
+        self.closure = pattern.has_vertical_closure()
+        #: The declarative predicates, which the closure-free
+        #: matcher calls directly — cheaper to run than to look up in
+        #: the outcome bitmap.  (The pattern pins the predicate objects,
+        #: so the ids are stable.)
+        self.direct_predicates = frozenset(
+            id(p) for p in pattern.atom_predicates() if not p.opaque
+        )
         # -- pattern-term interning: id() → small int.  The keepalive
         # list pins every registered object so ids cannot be recycled.
         self._nums: dict[int, int] = {}
@@ -105,29 +136,12 @@ class TreeMatchContext:
         #: ``_TreeMatcher.plus_star``) still hits one table entry.
         self._plus_nums: dict[int, int] = {}
         # -- data-node interning: preorder position per node and per
-        # child list (child-sequence memo keys need the owning node).
-        # A columnar extent already interned the same preorder during
-        # its build; ``position_maps`` shares those dicts (read-only
-        # here) instead of repeating the O(n) walk per evaluation.
-        if position_maps is not None:
-            self._pre, self._children_pre = position_maps
-        else:
-            self._pre = {}
-            self._children_pre = {}
-            for position, node in enumerate(tree.nodes()):
-                self._pre[id(node)] = position
-                self._children_pre[id(node.children)] = position
-        if bitmap is None:
-            pre = self._pre
-            # column_source (a ColumnarExtent) lets the TreeAtom
-            # fast-fail serve outcomes from shared predicate columns:
-            # one batch evaluation per extent instead of one bitmap
-            # fill per (predicate, node).
-            bitmap = PredicateBitmap(
-                max(1, len(pre)),
-                lambda node: pre.get(id(node)),
-                source=column_source,
-            )
+        # child list (child-sequence memo keys need the owning node),
+        # and the predicate-outcome bitmap keyed by those positions.
+        # Both stay unbuilt until :meth:`engage`: a match that never
+        # consults a table never walks the tree for them.  An index
+        # probe that already labeled the tree donates its own.
+        self._pre, self._children_pre = position_maps or (None, None)
         self.bitmap = bitmap
         # -- environment fingerprinting.
         self._cont_fps: dict[int, tuple] = {}
@@ -145,6 +159,45 @@ class TreeMatchContext:
         #: Retained memo cells (entries plus stored fragments) — the
         #: quantity charged against the step budget at store time.
         self.memo_cells = 0
+        if self.closure:
+            self.engage()  # every derivation keys on the positions
+
+    # -- built when tables first engage --------------------------------------
+
+    def engage(self) -> None:
+        """Build the position maps and the bitmap, whichever is missing.
+
+        Idempotent; the matcher calls it before its first table or
+        bitmap consultation (at once for a closure pattern, at the first
+        wide child list or opaque predicate otherwise).
+        """
+        if self.bitmap is not None and self._pre is not None:
+            return
+        source = None
+        if self._db is not None:
+            from ..storage.columnar import columnar_source_for
+
+            source = columnar_source_for(self._db, self.tree)
+        if self._pre is None:
+            if source is not None:
+                # The columnar extent interned the same preorder during
+                # its build; its dicts are shared (read-only here).
+                self._pre, self._children_pre = source.position_maps()
+            else:
+                self._pre, self._children_pre = {}, {}
+                for position, node in enumerate(self.tree.nodes()):
+                    self._pre[id(node)] = position
+                    self._children_pre[id(node.children)] = position
+        if self.bitmap is None:
+            pre = self._pre
+            # The column source (a ColumnarExtent) lets outcomes come
+            # from shared predicate columns: one batch evaluation per
+            # extent instead of one bitmap fill per (predicate, node).
+            self.bitmap = PredicateBitmap(
+                max(1, len(pre)),
+                lambda node: pre.get(id(node)),
+                source=source,
+            )
 
     # -- interning -----------------------------------------------------------
 
@@ -259,6 +312,11 @@ class TreeMatchContext:
 class MemoTreeMatcher(_TreeMatcher):
     """The packrat engine: a backtracker whose derivations hit tables.
 
+    This is the default engine on a pattern with a vertical closure,
+    where unfoldings reach the same ``(node, subpattern, environment)``
+    triple along many paths and from many candidate roots (footnote 3's
+    exponential); :class:`ClosureFreeMemoMatcher` narrows it for the rest.
+
     Overrides exactly the seams :class:`_TreeMatcher` exposes — predicate
     tests route through the outcome bitmap, plus-expansion stars register
     stable memo numbers, and every derivation entry point consults its
@@ -305,7 +363,7 @@ class MemoTreeMatcher(_TreeMatcher):
             return self
         if self._companion is None:
             # Shares the context (tables, bitmap) under the ⊥-free flag.
-            self._companion = MemoTreeMatcher(self.context, leaf_anchor=False)
+            self._companion = type(self)(self.context, leaf_anchor=False)
             self._companion.guard = self.guard
         return self._companion
 
@@ -437,6 +495,61 @@ class MemoTreeMatcher(_TreeMatcher):
         return result
 
 
+class ClosureFreeMemoMatcher(MemoTreeMatcher):
+    """The default engine on a closure-free pattern: tables only where a
+    second request for the same key can occur.
+
+    Without a vertical closure every sub-term is tried at a fixed place
+    below each match root, so node-level derivations and nullability are
+    the backtracker's own code, untabled.  What can repeat is a suffix
+    of a child-sequence derivation (once per way of placing the earlier
+    parts): those seams stay tabled over child lists of at least
+    :data:`WIDE_CHILD_LIST` nodes.  Declarative predicates are called
+    directly; ``opaque`` ones (arbitrary callables, possibly dear) keep
+    the at-most-once-per-node outcome bitmap.
+    """
+
+    match_node = _TreeMatcher.match_node
+    nullable = _TreeMatcher.nullable
+
+    def __init__(self, context: TreeMatchContext, leaf_anchor: bool) -> None:
+        super().__init__(context, leaf_anchor)
+        self._direct = context.direct_predicates
+
+    def eval_predicate(self, predicate: "AlphabetPredicate", node: TreeNode) -> bool:
+        if id(predicate) in self._direct:
+            self.predicate_evals += 1
+            return predicate(node.value)
+        self.context.engage()
+        return MemoTreeMatcher.eval_predicate(self, predicate, node)
+
+    def match_children(self, cp, children, index, env, depth=0):
+        if len(children) < WIDE_CHILD_LIST:
+            return _TreeMatcher.match_children(self, cp, children, index, env, depth)
+        self.context.engage()
+        return MemoTreeMatcher.match_children(self, cp, children, index, env, depth)
+
+    def _match_seq(self, parts, part_index, children, index, env, depth=0):
+        if len(children) < WIDE_CHILD_LIST:
+            return _TreeMatcher._match_seq(
+                self, parts, part_index, children, index, env, depth
+            )
+        self.context.engage()
+        return MemoTreeMatcher._match_seq(
+            self, parts, part_index, children, index, env, depth
+        )
+
+    def _match_child_star(self, inner, children, index, env, depth=0):
+        if len(children) < WIDE_CHILD_LIST:
+            return _TreeMatcher._match_child_star(
+                self, inner, children, index, env, depth
+            )
+        self.context.engage()
+        return MemoTreeMatcher._match_child_star(
+            self, inner, children, index, env, depth
+        )
+
+
 class MatchContextRegistry:
     """Per-query context sharing: one memo table per (pattern, tree) pair.
 
@@ -466,19 +579,14 @@ class MatchContextRegistry:
         )
         context = self._contexts.get(key)
         if context is None or context.tree is not tree:
-            column_source = None
-            if bitmap is None and self.db is not None:
-                from ..storage.columnar import columnar_source_for
-
-                column_source = columnar_source_for(self.db, tree)
-                if column_source is not None and position_maps is None:
-                    position_maps = column_source.position_maps()
             context = TreeMatchContext(
                 pattern,
                 tree,
                 bitmap=bitmap,
-                column_source=column_source,
                 position_maps=position_maps,
+                # A donated bitmap already carries the index's column
+                # source; only a context-owned one resolves the db's.
+                db=self.db if bitmap is None else None,
             )
             self._contexts[key] = context
         return context

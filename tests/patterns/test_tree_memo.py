@@ -15,13 +15,23 @@ from repro.patterns import (
     tree_engine,
     tree_in_language,
 )
-from repro.predicates import pred
+from repro.patterns.tree_memo import WIDE_CHILD_LIST
+from repro.predicates import pred, sym
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
 from repro.storage.tree_index import PredicateBitmap
 from repro.workloads import by_element, element
 
 LADDER = "[[S(B(@))]]+@ .@ S(H)"
+#: Closure-free, four sibling closures, and ``z`` never occurs: the
+#: backtracker re-derives each suffix once per placement of the earlier
+#: parts — O(k⁴) over k children — before failing.
+DEAD_END = "a(?* b ?* c ?* b ?* z ?*)"
+
+
+def fan(width: int) -> AquaTree:
+    """``a`` over ``width`` leaves cycling b, c, x."""
+    return AquaTree.build("a", [AquaTree.leaf("bcx"[i % 3]) for i in range(width)])
 
 
 def chain(depth: int) -> AquaTree:
@@ -108,6 +118,71 @@ class TestEquivalenceAndSpeedup:
             assert tree_in_language(pattern, tree, engine="memo") == tree_in_language(
                 pattern, tree, engine="backtrack"
             )
+
+
+class TestMemoGate:
+    """Tables are consulted only where a second request can occur."""
+
+    def test_closure_free_narrow_match_touches_no_table(self):
+        pattern = parse_tree_pattern(DEAD_END)
+        tree = fan(WIDE_CHILD_LIST - 1)
+        context = TreeMatchContext(pattern, tree)
+        assert not context.closure
+        stats = Instrumentation()
+        with stats.activated():
+            keys = [m.key() for m in find_tree_matches(pattern, tree, context=context)]
+        assert keys == match_keys(pattern, tree, "backtrack")
+        assert stats["backtrack_steps"] > 0
+        assert stats["memo_hits"] == stats["memo_misses"] == 0
+        assert stats["bitmap_fills"] == stats["bitmap_hits"] == 0
+        # Neither the position maps nor the bitmap were ever built.
+        assert context._pre is None and context.bitmap is None
+
+    def test_wide_child_list_engages_the_sequence_tables(self):
+        pattern = parse_tree_pattern(DEAD_END)
+        tree = fan(WIDE_CHILD_LIST)
+        stats = Instrumentation()
+        with stats.activated():
+            assert match_keys(pattern, tree, "memo") == []
+        assert stats["memo_misses"] > 0 and stats["memo_hits"] > 0
+        assert stats["bitmap_fills"] == 0  # declarative predicates: direct
+
+    def test_wide_dead_end_stays_inside_a_memo_sized_budget(self):
+        """80 children: ~22k budget steps tabled, ~314k untabled — the
+        fan-out gate cannot go without this tripping."""
+        pattern = parse_tree_pattern(DEAD_END)
+        tree = fan(80)
+        with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
+            assert find_tree_matches(pattern, tree, engine="memo") == []
+        with pytest.raises(ResourceExhaustedError):
+            with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
+                find_tree_matches(pattern, tree, engine="backtrack")
+
+    def test_closure_pattern_tables_narrow_lists_too(self):
+        pattern = parse_tree_pattern(LADDER, resolver=by_element)
+        context = TreeMatchContext(pattern, chain(4))
+        assert context.closure
+        stats = Instrumentation()
+        with stats.activated():
+            find_tree_matches(pattern, context.tree, context=context)
+        assert stats["memo_misses"] > 0 and stats["bitmap_fills"] > 0
+
+    def test_opaque_predicate_still_runs_at_most_once_per_node(self):
+        calls: list[str] = []
+        opaque = {
+            symbol: pred(lambda v, s=symbol: not calls.append(v) and v == s, symbol)
+            for symbol in "bc"
+        }
+        pattern = parse_tree_pattern(
+            "a(?* b ?* c ?* b ?*)", resolver=lambda s: opaque.get(s) or sym(s)
+        )
+        tree = fan(9)  # narrow: the sequence tables stay out of it
+        memo = match_keys(pattern, tree, "memo")
+        evaluated = len(calls)
+        assert evaluated <= 2 * 9  # two opaque predicates × nine children
+        calls.clear()
+        assert match_keys(pattern, tree, "backtrack") == memo
+        assert len(calls) > evaluated  # the saved work
 
 
 class TestPredicateBitmap:

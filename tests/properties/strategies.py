@@ -67,6 +67,46 @@ def list_patterns(draw, with_anchors: bool = True):
     return ListPattern(body, anchor_start=anchor_start, anchor_end=anchor_end)
 
 
+@st.composite
+def matchable_list_patterns(draw, with_anchors: bool = True):
+    """Patterns that consume at least one element and never nest a
+    closure inside a closure — built that way, not filtered, so a
+    property over them never starves hypothesis of valid examples."""
+
+    def combine(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(Concat),
+            st.lists(children, min_size=2, max_size=3).map(Union),
+        )
+
+    # No closure at all, hence non-nullable: leaves, concats, unions.
+    flat = st.recursive(_leaf_patterns(), combine, max_leaves=3)
+
+    def around_a_solid_part(solid):
+        # A concat is non-nullable as soon as one part is; the others
+        # may be (single-level) stars.
+        others = st.lists(st.one_of(solid, flat.map(Star)), min_size=1, max_size=2)
+        return st.tuples(others, solid, st.integers(0, 2)).map(
+            lambda drawn: Concat(
+                drawn[0][: drawn[2]] + [drawn[1]] + drawn[0][drawn[2] :]
+            )
+        )
+
+    body = draw(
+        st.recursive(
+            st.one_of(flat, flat.map(Plus)),
+            lambda solid: st.one_of(
+                st.lists(solid, min_size=2, max_size=3).map(Union),
+                around_a_solid_part(solid),
+            ),
+            max_leaves=3,
+        )
+    )
+    anchor_start = draw(st.booleans()) if with_anchors else False
+    anchor_end = draw(st.booleans()) if with_anchors else False
+    return ListPattern(body, anchor_start=anchor_start, anchor_end=anchor_end)
+
+
 def nested_closure(node) -> bool:
     """True when a closure (Star/Plus) occurs inside another closure —
     the shape that makes derivation enumeration (and Python's ``re``)
@@ -121,6 +161,30 @@ def labeled_trees(draw, max_size: int = 16):
     size = draw(st.integers(min_value=1, max_value=max_size))
     seed = draw(st.integers(min_value=0, max_value=10_000))
     return random_labeled_tree(size, SYMBOLS, seed=seed, max_arity=3)
+
+
+@st.composite
+def wide_labeled_trees(draw, min_children: int = 20, max_children: int = 40):
+    """A root over 20–40 children, each a leaf or a one-level subtree:
+    child lists on the far side of the memo engine's fan-out gate
+    (``WIDE_CHILD_LIST``), which ``labeled_trees`` (arity ≤ 3) never
+    reaches.  Children draw from two symbols so sibling runs recur."""
+    from repro.core.aqua_tree import AquaTree
+
+    children = draw(
+        st.lists(
+            st.tuples(st.sampled_from(SYMBOLS[:2]), st.lists(symbols, max_size=2)),
+            min_size=min_children,
+            max_size=max_children,
+        )
+    )
+    return AquaTree.build(
+        draw(symbols),
+        [
+            AquaTree.build(label, [AquaTree.leaf(g) for g in grandchildren])
+            for label, grandchildren in children
+        ],
+    )
 
 
 @st.composite

@@ -35,6 +35,7 @@ from .strategies import (
     labeled_trees,
     tree_patterns,
     tree_patterns_with_prunes,
+    wide_labeled_trees,
 )
 
 SETTINGS = settings(max_examples=50, deadline=None)
@@ -104,8 +105,16 @@ def test_same_shape_stream_on_identity_trees(tree, pattern):
     assert_matchers_agree(pattern, tree)
 
 
+# Arity ≤ 3 trees stay below the default engine's fan-out gate, the wide
+# ones sit above it, so default ≡ backtrack is checked on both sides.
+# Wide trees pair with the prune patterns only: their sibling closures
+# are unambiguous, where a random ``[[x | y]]*`` over 40 siblings has
+# exponentially many derivations under either engine.
 @SETTINGS
-@given(tree=labeled_trees(max_size=12), pattern=tree_patterns_with_prunes())
+@given(
+    tree=st.one_of(labeled_trees(max_size=12), wide_labeled_trees()),
+    pattern=tree_patterns_with_prunes(),
+)
 def test_same_shape_stream_with_prunes(tree, pattern):
     assert_matchers_agree(pattern, tree)
 
@@ -122,7 +131,10 @@ def test_sub_select_agrees_across_engines_and_executors(tree, pattern):
 
 
 @SETTINGS
-@given(tree=labeled_trees(max_size=10), pattern=tree_patterns_with_prunes())
+@given(
+    tree=st.one_of(labeled_trees(max_size=10), wide_labeled_trees()),
+    pattern=tree_patterns_with_prunes(),
+)
 def test_split_agrees_across_engines_and_executors(tree, pattern):
     db = Database()
     db.bind_root("T", tree)

@@ -114,8 +114,7 @@ class TestRendering:
         text = render_analysis(query, db, metrics, timings=False)
         assert text == (
             "sub_select[d(e(h i) j)]  (est rows≈2, cost≈75 | act rows=1, units=39)\n"
-            "  · backtrack_steps=24, bitmap_fills=24, bitmap_hits=11, memo_hits=5,"
-            " memo_misses=31, nodes_scanned=15, predicate_evals=24\n"
+            "  · backtrack_steps=24, nodes_scanned=15, predicate_evals=24\n"
             "  root(T)  (est rows≈15, cost≈1 | act rows=15, units=0)"
         )
 

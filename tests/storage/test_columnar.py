@@ -300,14 +300,16 @@ def test_bitmap_serves_column_outcomes_as_hits():
     db = Database()
     tree = labeled_tree()
     db.bind_root("T", tree)
-    query = Q.root("T").sub_select("b(?*)").build()
+    # A closure pattern: the matcher consults the outcome bitmap (a
+    # closure-free one calls declarative predicates directly).
+    query = Q.root("T").sub_select("[[b(d @)]]+@ .@ b").build()
     with config.columnar_threshold_scope(0):
         evaluate(query, db)  # build the shared column
         with db.stats.scope():
             result = evaluate(query, db)
             assert db.stats["column_hits"] > 0
             assert db.stats["column_builds"] == 0
-    assert len(result) == 2
+    assert len(result) == 1
 
 
 def test_columnar_counters_reach_stats():
