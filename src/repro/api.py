@@ -5,12 +5,12 @@ Every way of running a query — ``evaluate()``, ``Q.run()``,
 :class:`Session`, which is the *single* place the execution knobs are
 resolved.  Precedence, highest first:
 
-1. a per-call keyword (``session.query(q, executor="eager")``);
-2. the Session's own keyword (``Session(db, executor="eager")``);
-3. the ``AQUA_*`` environment variable (``AQUA_EXECUTOR``,
-   ``AQUA_TREE_ENGINE``, budget knobs via
+1. a per-call keyword (``session.query(q, engine="backtrack")``);
+2. the Session's own keyword (``Session(db, engine="backtrack")``);
+3. the ``AQUA_*`` environment variable (``AQUA_TREE_ENGINE``,
+   ``AQUA_PARALLEL``, budget knobs via
    :meth:`repro.guardrails.Budget.from_env`);
-4. the built-in default (``streaming`` / ``memo`` / unlimited).
+4. the built-in default (``memo`` / ``on`` / unlimited).
 
 Values are validated on first read by :mod:`repro.config`; a typo
 raises a one-line :class:`~repro.errors.QueryError` naming the knob and
@@ -66,7 +66,6 @@ class ResolvedKnobs(NamedTuple):
 
     optimize: bool
     budget: Budget | None
-    executor: str | None
     engine: str | None
     parallel: str | None
     parallel_workers: int | str | None
@@ -76,7 +75,6 @@ class ResolvedKnobs(NamedTuple):
         """The keywords :meth:`PreparedQuery.run` accepts, ready to splat."""
         return dict(
             budget=self.budget,
-            executor=self.executor,
             engine=self.engine,
             parallel=self.parallel,
             parallel_workers=self.parallel_workers,
@@ -86,13 +84,13 @@ class ResolvedKnobs(NamedTuple):
 class Session:
     """A database handle with resolved execution knobs and a plan cache.
 
-    Parameters mirror the knobs: ``executor`` (``streaming`` |
-    ``eager``), ``engine`` (tree-pattern engine, ``memo`` |
-    ``backtrack``), ``budget`` (a :class:`~repro.guardrails.Budget`),
-    ``parallel`` (``on`` | ``off`` — sharded exchange execution),
-    ``parallel_workers`` (``auto`` or a worker count; all of a
-    process's Sessions draw from one shared worker budget, so pooled
-    serving and per-query fan-out compose without multiplying),
+    Parameters mirror the knobs: ``engine`` (tree-pattern engine,
+    ``memo`` | ``backtrack``), ``budget`` (a
+    :class:`~repro.guardrails.Budget`), ``parallel`` (``on`` | ``off``
+    — sharded exchange execution), ``parallel_workers`` (``auto`` or a
+    worker count; all of a process's Sessions draw from one shared
+    worker budget, so pooled serving and per-query fan-out compose
+    without multiplying),
     ``plan_cache`` (a :class:`~repro.query.plan_cache.PlanCache`; the
     process-wide default when omitted; ``plan_cache=None`` is replaced
     by that default — pass ``cache=None`` per call via :meth:`prepare`
@@ -104,15 +102,12 @@ class Session:
         self,
         db: Database,
         *,
-        executor: str | None = None,
         engine: str | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if executor is not None:
-            config.validated_executor(executor)
         if engine is not None:
             config.validated_tree_engine(engine)
         if parallel is not None:
@@ -120,7 +115,6 @@ class Session:
         if parallel_workers is not None:
             config.validated_parallel_workers(parallel_workers)
         self.db = db
-        self.executor = executor
         self.engine = engine
         self.budget = budget
         self.parallel = parallel
@@ -143,7 +137,6 @@ class Session:
         *,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -160,7 +153,6 @@ class Session:
         return ResolvedKnobs(
             optimize=self._default_optimize(source, optimize),
             budget=budget if budget is not None else self.budget,
-            executor=executor if executor is not None else self.executor,
             engine=engine if engine is not None else self.engine,
             parallel=parallel if parallel is not None else self.parallel,
             parallel_workers=(
@@ -195,7 +187,6 @@ class Session:
         *,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -206,7 +197,6 @@ class Session:
             source,
             optimize=optimize,
             budget=budget,
-            executor=executor,
             engine=engine,
             parallel=parallel,
             parallel_workers=parallel_workers,
@@ -228,7 +218,6 @@ class Session:
         *,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -239,7 +228,6 @@ class Session:
             source,
             optimize=optimize,
             budget=budget,
-            executor=executor,
             engine=engine,
             parallel=parallel,
             parallel_workers=parallel_workers,
@@ -259,7 +247,6 @@ class Session:
         optimize: bool | None = None,
         analyze: bool = True,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
     ) -> str:
         """EXPLAIN (ANALYZE) with the planning footer.
@@ -276,7 +263,7 @@ class Session:
         from .storage.stats import Instrumentation
 
         knobs = self.resolve_knobs(
-            source, optimize=optimize, budget=budget, executor=executor, engine=engine
+            source, optimize=optimize, budget=budget, engine=engine
         )
         planning = Instrumentation()
         with planning.activated():
@@ -303,7 +290,6 @@ class Session:
         """
         return Session(
             self.db.snapshot(),
-            executor=self.executor,
             engine=self.engine,
             budget=self.budget,
             parallel=self.parallel,
@@ -313,8 +299,6 @@ class Session:
 
     def __repr__(self) -> str:
         knobs = []
-        if self.executor is not None:
-            knobs.append(f"executor={self.executor}")
         if self.engine is not None:
             knobs.append(f"engine={self.engine}")
         if self.budget is not None:
@@ -379,7 +363,6 @@ class SessionPool:
         db: Database,
         *,
         workers: int = 4,
-        executor: str | None = None,
         engine: str | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
@@ -399,7 +382,6 @@ class SessionPool:
         self.db = db
         self.workers = workers
         self._session_knobs = dict(
-            executor=executor,
             engine=engine,
             budget=budget,
             parallel=parallel,
@@ -468,7 +450,6 @@ class SessionPool:
         snapshot: Database | None = None,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -477,8 +458,8 @@ class SessionPool:
     ):
         """Schedule ``source`` on a worker; returns a Future.
 
-        The knob keywords (``optimize`` / ``budget`` / ``executor`` /
-        ``engine`` / ``parallel`` / ``parallel_workers`` / ``cache``)
+        The knob keywords (``optimize`` / ``budget`` / ``engine`` /
+        ``parallel`` / ``parallel_workers`` / ``cache``)
         are :meth:`Session.query`'s, with identical precedence — a
         per-call value beats the pool's, which beats the environment.
 
@@ -509,7 +490,6 @@ class SessionPool:
             effective_budget,
             dict(
                 optimize=optimize,
-                executor=executor,
                 engine=engine,
                 parallel=parallel,
                 parallel_workers=parallel_workers,
@@ -561,7 +541,6 @@ class SessionPool:
             step: DegradationStep | None, attempt_budget: Budget | None
         ) -> Any:
             optimize = knobs["optimize"]
-            executor = knobs["executor"]
             engine = knobs["engine"]
             cache: Any = knobs["cache"]
             if step is not None:
@@ -569,8 +548,6 @@ class SessionPool:
                     cache = None
                 if step.engine is not None:
                     engine = step.engine
-                if step.executor is not None:
-                    executor = step.executor
                 if step.optimize is not None:
                     optimize = step.optimize
             session = self._session(holder["view"])
@@ -579,7 +556,6 @@ class SessionPool:
                 params,
                 optimize=optimize,
                 budget=attempt_budget if attempt_budget is not None else budget,
-                executor=executor,
                 engine=engine,
                 parallel=knobs["parallel"],
                 parallel_workers=knobs["parallel_workers"],

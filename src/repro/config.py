@@ -1,17 +1,17 @@
 """Configuration knobs: one validation point for the ``AQUA_*`` environment.
 
-Three knobs steer execution, and historically each was parsed at its
+The knobs that steer execution were historically each parsed at their
 point of use — a typo either crashed deep in the stack or silently fell
-back to a default.  This module is now the single place a knob value is
+back to a default.  This module is the single place a knob value is
 read and validated; a bad value raises a one-line
 :class:`~repro.errors.QueryError` naming the knob and the accepted
 values, whether it arrived via the environment or an explicit argument.
 
 Precedence (resolved here and documented in the README table):
 
-1. an explicit per-call argument (``executor=``, ``engine=``, ...);
+1. an explicit per-call argument (``engine=``, ``parallel=``, ...);
 2. a :class:`~repro.api.Session`-scoped override (thread-local,
-   armed by :func:`tree_engine_scope` / :func:`executor_scope`);
+   armed by :func:`tree_engine_scope` / :func:`parallel_scope`);
 3. the ``AQUA_*`` environment variable;
 4. the built-in default.
 """
@@ -24,11 +24,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from .errors import QueryError
-
-#: Environment knob selecting the default executor.
-EXECUTOR_ENV = "AQUA_EXECUTOR"
-EXECUTORS = ("streaming", "eager")
-DEFAULT_EXECUTOR = "streaming"
 
 #: Environment knob selecting the default tree-matching engine.
 TREE_ENGINE_ENV = "AQUA_TREE_ENGINE"
@@ -110,47 +105,17 @@ def invalid_knob(knob: str, value: object, accepted: str) -> QueryError:
     return QueryError(f"{knob}: invalid value {value!r} (accepted: {accepted})")
 
 
-_bad_knob = invalid_knob
-
-
-@contextmanager
-def executor_scope(executor: str | None) -> Iterator[None]:
-    """Arm a thread-local executor default (a Session's ``executor=``)."""
-    if executor is not None and executor not in EXECUTORS:
-        raise _bad_knob(EXECUTOR_ENV, executor, " | ".join(EXECUTORS))
-    previous = getattr(_local, "executor", None)
-    _local.executor = executor if executor is not None else previous
-    try:
-        yield
-    finally:
-        _local.executor = previous
-
-
 @contextmanager
 def tree_engine_scope(engine: str | None) -> Iterator[None]:
     """Arm a thread-local tree-engine default (a Session's ``engine=``)."""
     if engine is not None and engine not in TREE_ENGINES:
-        raise _bad_knob(TREE_ENGINE_ENV, engine, " | ".join(TREE_ENGINES))
+        raise invalid_knob(TREE_ENGINE_ENV, engine, " | ".join(TREE_ENGINES))
     previous = getattr(_local, "tree_engine", None)
     _local.tree_engine = engine if engine is not None else previous
     try:
         yield
     finally:
         _local.tree_engine = previous
-
-
-def validated_executor(executor: str | None = None) -> str:
-    """Resolve the executor: argument > session scope > env > default."""
-    chosen = executor
-    if chosen is None:
-        chosen = getattr(_local, "executor", None)
-    if chosen is None:
-        chosen = os.environ.get(EXECUTOR_ENV)
-    if chosen is None:
-        return DEFAULT_EXECUTOR
-    if chosen not in EXECUTORS:
-        raise _bad_knob(EXECUTOR_ENV, chosen, " | ".join(EXECUTORS))
-    return chosen
 
 
 def validated_tree_engine(engine: str | None = None) -> str:
@@ -163,7 +128,7 @@ def validated_tree_engine(engine: str | None = None) -> str:
     if chosen is None:
         return DEFAULT_TREE_ENGINE
     if chosen not in TREE_ENGINES:
-        raise _bad_knob(TREE_ENGINE_ENV, chosen, " | ".join(TREE_ENGINES))
+        raise invalid_knob(TREE_ENGINE_ENV, chosen, " | ".join(TREE_ENGINES))
     return chosen
 
 
@@ -171,7 +136,7 @@ def validated_tree_engine(engine: str | None = None) -> str:
 def columnar_scope(mode: str | None) -> Iterator[None]:
     """Arm a thread-local columnar on/off default (tests, benchmarks)."""
     if mode is not None and mode not in COLUMNAR_MODES:
-        raise _bad_knob(COLUMNAR_ENV, mode, " | ".join(COLUMNAR_MODES))
+        raise invalid_knob(COLUMNAR_ENV, mode, " | ".join(COLUMNAR_MODES))
     previous = getattr(_local, "columnar", None)
     _local.columnar = mode if mode is not None else previous
     try:
@@ -190,7 +155,7 @@ def validated_columnar(mode: str | None = None) -> str:
     if chosen is None:
         return DEFAULT_COLUMNAR
     if chosen not in COLUMNAR_MODES:
-        raise _bad_knob(COLUMNAR_ENV, chosen, " | ".join(COLUMNAR_MODES))
+        raise invalid_knob(COLUMNAR_ENV, chosen, " | ".join(COLUMNAR_MODES))
     return chosen
 
 
@@ -202,7 +167,7 @@ def columnar_enabled(mode: str | None = None) -> bool:
 def columnar_backend_scope(backend: str | None) -> Iterator[None]:
     """Arm a thread-local column-backend default (tests, benchmarks)."""
     if backend is not None and backend not in COLUMNAR_BACKENDS:
-        raise _bad_knob(COLUMNAR_BACKEND_ENV, backend, " | ".join(COLUMNAR_BACKENDS))
+        raise invalid_knob(COLUMNAR_BACKEND_ENV, backend, " | ".join(COLUMNAR_BACKENDS))
     previous = getattr(_local, "columnar_backend", None)
     _local.columnar_backend = backend if backend is not None else previous
     try:
@@ -227,7 +192,7 @@ def validated_columnar_backend(backend: str | None = None) -> str:
     if chosen is None:
         return DEFAULT_COLUMNAR_BACKEND
     if chosen not in COLUMNAR_BACKENDS:
-        raise _bad_knob(COLUMNAR_BACKEND_ENV, chosen, " | ".join(COLUMNAR_BACKENDS))
+        raise invalid_knob(COLUMNAR_BACKEND_ENV, chosen, " | ".join(COLUMNAR_BACKENDS))
     return chosen
 
 
@@ -235,7 +200,7 @@ def validated_columnar_backend(backend: str | None = None) -> str:
 def columnar_threshold_scope(threshold: int | None) -> Iterator[None]:
     """Arm a thread-local threshold default (tests force 0 to engage)."""
     if threshold is not None and threshold < 0:
-        raise _bad_knob(COLUMNAR_THRESHOLD_ENV, threshold, "an integer >= 0")
+        raise invalid_knob(COLUMNAR_THRESHOLD_ENV, threshold, "an integer >= 0")
     previous = getattr(_local, "columnar_threshold", None)
     _local.columnar_threshold = threshold if threshold is not None else previous
     try:
@@ -256,11 +221,11 @@ def validated_columnar_threshold(threshold: int | None = None) -> int:
         try:
             chosen = int(raw)
         except ValueError:
-            raise _bad_knob(
+            raise invalid_knob(
                 COLUMNAR_THRESHOLD_ENV, raw, "an integer >= 0"
             ) from None
     if chosen < 0:
-        raise _bad_knob(COLUMNAR_THRESHOLD_ENV, chosen, "an integer >= 0")
+        raise invalid_knob(COLUMNAR_THRESHOLD_ENV, chosen, "an integer >= 0")
     return chosen
 
 
@@ -268,7 +233,7 @@ def validated_columnar_threshold(threshold: int | None = None) -> int:
 def parallel_scope(mode: str | None) -> Iterator[None]:
     """Arm a thread-local parallel on/off default (a Session's ``parallel=``)."""
     if mode is not None and mode not in PARALLEL_MODES:
-        raise _bad_knob(PARALLEL_ENV, mode, " | ".join(PARALLEL_MODES))
+        raise invalid_knob(PARALLEL_ENV, mode, " | ".join(PARALLEL_MODES))
     previous = getattr(_local, "parallel", None)
     _local.parallel = mode if mode is not None else previous
     try:
@@ -287,7 +252,7 @@ def validated_parallel(mode: str | None = None) -> str:
     if chosen is None:
         return DEFAULT_PARALLEL
     if chosen not in PARALLEL_MODES:
-        raise _bad_knob(PARALLEL_ENV, chosen, " | ".join(PARALLEL_MODES))
+        raise invalid_knob(PARALLEL_ENV, chosen, " | ".join(PARALLEL_MODES))
     return chosen
 
 
@@ -302,11 +267,11 @@ def _coerce_workers(knob_value: object) -> int | None:
     try:
         workers = int(knob_value)  # type: ignore[arg-type]
     except (TypeError, ValueError):
-        raise _bad_knob(
+        raise invalid_knob(
             PARALLEL_WORKERS_ENV, knob_value, "auto | an integer >= 1"
         ) from None
     if workers < 1:
-        raise _bad_knob(PARALLEL_WORKERS_ENV, workers, "auto | an integer >= 1")
+        raise invalid_knob(PARALLEL_WORKERS_ENV, workers, "auto | an integer >= 1")
     return workers
 
 
@@ -347,7 +312,7 @@ def validated_parallel_workers(workers: int | str | None = None) -> int:
 def parallel_min_rows_scope(min_rows: int | None) -> Iterator[None]:
     """Arm a thread-local sharding threshold (tests force 0 to engage)."""
     if min_rows is not None and min_rows < 0:
-        raise _bad_knob(PARALLEL_MIN_ROWS_ENV, min_rows, "an integer >= 0")
+        raise invalid_knob(PARALLEL_MIN_ROWS_ENV, min_rows, "an integer >= 0")
     previous = getattr(_local, "parallel_min_rows", None)
     _local.parallel_min_rows = min_rows if min_rows is not None else previous
     try:
@@ -368,11 +333,11 @@ def validated_parallel_min_rows(min_rows: int | None = None) -> int:
         try:
             chosen = int(raw)
         except ValueError:
-            raise _bad_knob(
+            raise invalid_knob(
                 PARALLEL_MIN_ROWS_ENV, raw, "an integer >= 0"
             ) from None
     if chosen < 0:
-        raise _bad_knob(PARALLEL_MIN_ROWS_ENV, chosen, "an integer >= 0")
+        raise invalid_knob(PARALLEL_MIN_ROWS_ENV, chosen, "an integer >= 0")
     return chosen
 
 
@@ -380,7 +345,7 @@ def validated_parallel_min_rows(min_rows: int | None = None) -> int:
 def parallel_worker_kind_scope(kind: str | None) -> Iterator[None]:
     """Arm a thread-local worker-kind default (``threads``/``processes``)."""
     if kind is not None and kind not in PARALLEL_WORKER_KINDS:
-        raise _bad_knob(PARALLEL_MODE_ENV, kind, " | ".join(PARALLEL_WORKER_KINDS))
+        raise invalid_knob(PARALLEL_MODE_ENV, kind, " | ".join(PARALLEL_WORKER_KINDS))
     previous = getattr(_local, "parallel_worker_kind", None)
     _local.parallel_worker_kind = kind if kind is not None else previous
     try:
@@ -399,7 +364,7 @@ def validated_parallel_worker_kind(kind: str | None = None) -> str:
     if chosen is None:
         return DEFAULT_PARALLEL_WORKER_KIND
     if chosen not in PARALLEL_WORKER_KINDS:
-        raise _bad_knob(PARALLEL_MODE_ENV, chosen, " | ".join(PARALLEL_WORKER_KINDS))
+        raise invalid_knob(PARALLEL_MODE_ENV, chosen, " | ".join(PARALLEL_WORKER_KINDS))
     return chosen
 
 
@@ -407,7 +372,7 @@ def validated_dfa_cache_limit(limit: int | None = None) -> int:
     """Resolve the DFA cache bound: argument > env > default (≥ 1)."""
     if limit is not None:
         if limit < 1:
-            raise _bad_knob(DFA_CACHE_LIMIT_ENV, limit, "an integer >= 1")
+            raise invalid_knob(DFA_CACHE_LIMIT_ENV, limit, "an integer >= 1")
         return limit
     raw = os.environ.get(DFA_CACHE_LIMIT_ENV)
     if raw is None:
@@ -415,7 +380,7 @@ def validated_dfa_cache_limit(limit: int | None = None) -> int:
     try:
         parsed = int(raw)
     except ValueError:
-        raise _bad_knob(DFA_CACHE_LIMIT_ENV, raw, "an integer >= 1") from None
+        raise invalid_knob(DFA_CACHE_LIMIT_ENV, raw, "an integer >= 1") from None
     if parsed < 1:
-        raise _bad_knob(DFA_CACHE_LIMIT_ENV, parsed, "an integer >= 1")
+        raise invalid_knob(DFA_CACHE_LIMIT_ENV, parsed, "an integer >= 1")
     return parsed

@@ -8,7 +8,7 @@ documents"; this package takes it at its word.  Ingestion
 the existing ``split`` / ``apply`` / ``flatten`` algebra, and
 :class:`~repro.docstore.store.Document` wires both into the standard
 Session pipeline (plan cache, optimizer, cost-gated index lowering,
-both executors).  Nothing downstream of parsing is document-specific.
+the streaming operators).  Nothing downstream of parsing is document-specific.
 """
 
 from .ingest import from_html, from_json, from_xml, to_html, to_json, to_xml

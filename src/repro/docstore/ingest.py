@@ -14,8 +14,8 @@ input — but re-ingesting canonical output reproduces it *bit for bit*::
     canonical = to_xml(from_xml(text))
     assert to_xml(from_xml(canonical)) == canonical
 
-(the property the hypothesis suite drives across executors × engines ×
-columnar backends).  Information outside the canonical form — comments,
+(the property the hypothesis suite drives across engines × columnar
+backends).  Information outside the canonical form — comments,
 doctypes, insignificant attribute quoting — is dropped at ingestion;
 element order, text (whitespace included), attributes, and JSON member
 order are preserved exactly.

@@ -12,7 +12,7 @@ element, ``text()`` matches character data, and ``[@a='v']`` /
 ``[@a]`` test document attributes.  ``//article[@lang='en']//p`` reads
 exactly as it would in XPath.
 
-There is **no new executor** behind this syntax.  ``compile_path``
+There is **no new operator** behind this syntax.  ``compile_path``
 translates a path into the existing logical algebra:
 
 * the leading ``//tag[preds]`` step becomes ``split(tp, reattach)`` with
@@ -25,8 +25,8 @@ translates a path into the existing logical algebra:
   with its pruned descendants put back, i.e. the full subtree rooted at
   each match;
 * every later step is ``flatten(apply(step_fn))`` over those subtrees —
-  set algebra the executors (eager *and* streaming), the budget guard,
-  and the parallel exchange already understand.
+  set algebra the physical operators, the budget guard, and the
+  parallel exchange already understand.
 
 A leading child-axis step anchors at the synthetic ``document`` wrapper
 root with a root-anchored (``⊤``) pattern instead, then proceeds with
@@ -227,11 +227,11 @@ def reattach_subtree(
     return match.concat_many(list(zip(match.concat_points(), pruned.values())))
 
 
-# The context x is never read, so both executors skip its per-match
+# The context x is never read, so ``split`` skips its per-match
 # full-tree rebuild; and because the reassembly is the §4 *identity*
 # (the full subtree at the match root, which the source already holds),
-# both executors serve it by structure sharing without the prune/rebuild
-# machinery at all (see algebra.tree_ops.invoke_split_function).
+# it is served by structure sharing without the prune/rebuild machinery
+# at all (see algebra.tree_ops.invoke_split_function and SplitPipe).
 reattach_subtree.needs_context = False  # type: ignore[attr-defined]
 reattach_subtree.returns_match_subtree = True  # type: ignore[attr-defined]
 
@@ -291,8 +291,8 @@ def compile_path(input_expr: E.Expr, text: str) -> E.Expr:
 
     The result is ordinary algebra: a ``split`` head (pattern-driven,
     optimizer-visible, index-servable) followed by
-    ``flatten(apply(...))`` stages — no operator the executors don't
-    already know.
+    ``flatten(apply(...))`` stages — no operator the physical layer
+    doesn't already know.
     """
     steps = parse_path(text)
     first = steps[0]

@@ -103,7 +103,7 @@ class Document:
         """Run a path query; returns the set of matching subtrees.
 
         Accepts every :meth:`repro.api.Session.query` knob keyword
-        (``executor=``, ``engine=``, ``budget=``, ``parallel=``, ...).
+        (``engine=``, ``budget=``, ``parallel=``, ...).
         """
         return self.session.query(self._aql(path_text), params, **knobs)
 

@@ -4,15 +4,13 @@ The split/index rewrites all hinge on the same question: *which cheap
 predicate must every match satisfy, and can an index serve it?*  This
 module holds that analysis in one place so the rewrite rules
 (:mod:`repro.optimizer.rules`) and the logical→physical lowering pass
-(:mod:`repro.physical.lower`) answer it identically — the ``Indexed*``
-expression nodes are now just deprecated serializations of these
-decisions, not where the decisions live.
+(:mod:`repro.physical.lower`) answer it identically.
 
 * :func:`tree_split_anchors` — the root predicates of a tree pattern,
   when each is index-servable (the §4 "index on d" precondition);
 * :func:`probe_anchor_roots` — the runtime half of the same decision:
-  probe those anchors' node indexes for candidate match roots (shared
-  verbatim by the eager interpreter and the streaming operators);
+  probe those anchors' node indexes for candidate match roots (used by
+  the index-probing physical operators);
 * :func:`list_anchor_choice` — a required atom of a list pattern at a
   bounded offset from the match start, plus the possible offsets;
 * :func:`extent_conjunct_split` — the indexed/residual decomposition of
@@ -150,9 +148,10 @@ def probe_anchor_roots(
 ) -> "tuple[list[TreeNode] | None, TreeIndex]":
     """Index-probed candidate match roots: ``(roots, index)``.
 
-    The runtime companion of :func:`tree_split_anchors`, shared by the
-    eager interpreter and the streaming probing operators so both sides
-    charge identical work.  ``roots`` is ``None`` when some anchor had
+    The runtime companion of :func:`tree_split_anchors`, shared by
+    :class:`~repro.physical.operators.IndexAnchorScan` and
+    :class:`~repro.physical.operators.IndexAnchorSplit` so both charge
+    identical work.  ``roots`` is ``None`` when some anchor had
     no servable term — the caller should fall back to the full scan
     rather than probe twice.
 

@@ -105,7 +105,7 @@ class _Matcher:
         )
 
     def flush_stats(self) -> None:
-        """Emit accumulated counters and reset them (streaming executor)."""
+        """Emit accumulated counters and reset them (per-start flushes)."""
         self.emit_stats()
         self.backtrack_steps = 0
         self.predicate_evals = 0
@@ -247,7 +247,7 @@ def iter_list_matches(
     only one start's matches are ever buffered at a time.
 
     ``on_start`` is invoked once per candidate start before matching
-    there (the streaming executor's position-charging hook);
+    there (the scan operators' position-charging hook);
     ``flush_per_start`` flushes matcher counters after every start so
     they land in the operator scope attributed at pull time.
     """

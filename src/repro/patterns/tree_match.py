@@ -239,9 +239,9 @@ class _TreeMatcher:
     def flush_stats(self) -> None:
         """Emit the accumulated counters and reset them to zero.
 
-        The streaming executor flushes after every candidate so the
+        The physical operators flush after every candidate so the
         counts land inside the *currently attributed* operator scope;
-        the eager entry points flush once at the end instead.
+        the whole-result entry points flush once at the end instead.
         """
         self.emit_stats()
         for name in self.counter_snapshot():
@@ -597,8 +597,8 @@ def _columnar_candidates(
 ) -> "list[TreeNode] | None":
     """Engine-level candidate-root filter via shared predicate columns.
 
-    When a db-armed match scope is active (the interpreter opens one per
-    evaluation, for either executor), the pattern's root predicates are
+    When a db-armed match scope is active (``PreparedQuery.run`` opens
+    one per evaluation), the pattern's root predicates are
     column-servable and non-trivial, and the tree clears the columnar
     gate (``AQUA_COLUMNAR`` + size threshold), the full pre-order
     candidate walk collapses to the nodes whose predicate-column bits
@@ -637,11 +637,11 @@ def iter_tree_matches(
     produced one at a time, so a consumer that stops early (a tripped
     budget, a ``limit``) never pays for the remaining candidates.  With
     no ``roots`` restriction the candidates are walked in preorder
-    directly — the eager path's O(n) position map is only built when an
-    index handed us roots out of order.
+    directly — an O(n) position map is only built when an index handed
+    us roots out of order.
 
     ``on_candidate`` is invoked once per candidate node before it is
-    matched (the executor's per-node scan-charging hook), and
+    matched (the scan operators' per-node charging hook), and
     ``flush_per_candidate`` flushes matcher counters after every
     candidate so they are credited to whichever operator scope is
     attributed at pull time.

@@ -1,9 +1,9 @@
 """Volcano-style streaming physical layer (logical → physical split).
 
 ``lower()`` turns a logical expression into a :class:`PhysicalPlan` of
-``open()/next()/close()`` operators; the interpreter's streaming mode
-drives that plan instead of recursing eagerly.  See
-:mod:`repro.physical.base` for the execution model and parity rules.
+``open()/next()/close()`` operators; every query runs by driving that
+plan.  See :mod:`repro.physical.base` for the execution model and the
+accounting contract.
 """
 
 from .base import ExecutionContext, PhysicalOp, PhysicalPlan

@@ -14,20 +14,22 @@ truly buffers" (the final result sink, plus the explicit buffers of
 :class:`~repro.physical.operators.DiffPipe` /
 :class:`~repro.physical.operators.Materialize`).
 
-Execution semantics are **bit-identical** to the eager interpreter:
+Execution semantics are those of the :mod:`repro.algebra` operator
+definitions, which ``tests/reference.py`` composes into the reference
+evaluator the pipeline is property-tested against:
 
 * row order and deduplication follow the AQUA collection types exactly —
   set-shaped streams are deduplicated *at the producer* under the same
-  :class:`~repro.core.equality.Equality` notion the eager operator's
-  ``AquaSet`` would use, and the notion is threaded through
+  :class:`~repro.core.equality.Equality` notion the algebra function's
+  ``AquaSet`` result carries, and the notion is threaded through
   select/apply/union/… with the same inheritance rules;
-* instrumentation counters land on the same operators in the same
-  totals (the matchers flush their counters per candidate so mid-stream
+* instrumentation counters are credited to the operator that did the
+  work (the matchers flush their counters per candidate so mid-stream
   attribution credits the pulling operator);
 * the active :class:`~repro.guardrails.Guard` is ticked on every
   ``next()`` pull and storage scans charge it row by row, so budgets
-  trip *mid-stream* — before the eager executor would even have finished
-  materializing the operator's input.
+  trip *mid-stream* — before an operator-at-a-time evaluation would even
+  have finished materializing the operator's input.
 
 Shapes: every operator declares how its rows relate to its AQUA value —
 ``"set"`` streams members (reassembled as ``AquaSet(rows, equality)``),
@@ -67,10 +69,9 @@ _EXHAUSTED = object()
 class ExecutionContext:
     """Everything one plan execution shares across its operators.
 
-    Armed once by the driver (:func:`repro.query.interpreter.evaluate`)
-    and handed to every operator at ``open()`` — the fix for the old
-    per-node re-entry of ``guarded()`` / ``stats.activated()`` on every
-    recursive dispatch.
+    Armed once by the driver (:meth:`repro.query.prepare.PreparedQuery.run`)
+    and handed to every operator at ``open()``, so ``guarded()`` /
+    ``stats.activated()`` are entered once per query, not per node.
     """
 
     db: "Database"
@@ -91,13 +92,13 @@ class PhysicalOp:
     wraps each generator resume with the per-pull bookkeeping: guard
     ticks, counter-attribution frames, wall-time and ``rows_out``
     accumulation, incremental ``max_results`` checks, and budget-trip
-    annotation (innermost operator wins, like the eager interpreter).
+    annotation (innermost operator wins).
 
     **Contract for set-shaped subclasses**: ``rows()`` must assign
     ``self.result_equality`` before its first ``yield`` (and before
     returning when it yields nothing), and must deduplicate its own
     output under that notion — consumers rely on set streams being
-    duplicate-free, exactly as eager consumers rely on ``AquaSet``.
+    duplicate-free, exactly as callers of the algebra rely on ``AquaSet``.
     """
 
     #: Physical operator name (rendered in the lowered-pipeline view).
@@ -218,7 +219,7 @@ class PhysicalOp:
         A set-shaped child streams directly (its first row is primed so
         the equality notion — assigned by the child's setup — is known
         even for empty streams).  A value- or list-shaped child is fully
-        collected and coerced, reproducing the eager ``_as_set`` check.
+        collected and coerced (a non-set raises the plan-path error).
         """
         if child.shape == "set":
             rows = child.stream()
@@ -298,7 +299,7 @@ def dedup(rows: Iterator[Any], equality: Equality) -> Iterator[Any]:
 
     This is ``AquaSet.add`` as a pipeline stage: set-shaped producers run
     their output through it so consumers see exactly the members the
-    eager operator's result set would hold, in the same order.
+    algebra function's result set would hold, in the same order.
     """
     seen: set[Any] = set()
     for row in rows:

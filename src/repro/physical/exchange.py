@@ -449,7 +449,7 @@ class ExchangeOp:
             # second trip raised from a finally block.
             checked = sys.exc_info()[0] is None
             self._write_back_spend(shared, parent_guard, checked=checked)
-            self._record_shards(merge.registries, merge.summaries, "threads")
+            self._record_shards(merge.registries, merge.summaries)
 
     def _thread_worker(
         self,
@@ -546,10 +546,7 @@ class ExchangeOp:
             parent_guard.nodes_scanned += shared.nodes
 
     def _record_shards(
-        self,
-        registries: list[PlanMetrics],
-        summaries: list[dict[str, Any]],
-        mode: str,
+        self, registries: list[PlanMetrics], summaries: list[dict[str, Any]]
     ) -> None:
         """Aggregate per-shard metrics into this operator's record.
 
@@ -558,7 +555,6 @@ class ExchangeOp:
         is the slowest shard — and the per-shard summaries are kept for
         EXPLAIN ANALYZE's shard rows.
         """
-        del mode
         if self.op_metrics is None or not registries:
             if self.op_metrics is not None and summaries:
                 self.op_metrics.shards = summaries

@@ -5,7 +5,7 @@ produces a :class:`~repro.physical.base.PhysicalPlan` of
 :mod:`~repro.physical.operators`.  The default mapping is structure
 preserving — one physical operator per logical node, at the same plan
 path, so EXPLAIN ANALYZE metrics line up position-for-position with the
-logical tree and with the eager interpreter's scopes.
+logical tree.
 
 Access-path choice lives here, not in the expression tree.
 ``choose_access_paths=True`` runs the anchor analysis
@@ -41,7 +41,6 @@ from ..optimizer.anchors import (
     extent_conjunct_split,
     list_anchor_choice,
     list_columnar_choice,
-    tree_columnar_anchors,
     tree_split_anchors,
 )
 from ..optimizer.cost import CostModel, anchor_scan_profitable, exchange_profitable
@@ -133,13 +132,13 @@ def lower(
     With ``choose_access_paths`` the lowering consults the optimizer's
     anchor analysis and upgrades plain ``sub_select`` / ``split`` /
     extent-``select`` nodes to their index-probing operators on its own;
-    without it (the default) the plan mirrors the logical tree,
-    which keeps plan-path metrics and work counters bit-compatible with
-    the eager interpreter for the same expression.  The columnar
-    operators are the one exception in both modes: they gate themselves
-    per execution (falling back to the plain full scan when the kernel
-    is off or the tree is under the size threshold), so column-servable
-    nodes always lower to them.
+    without it (the default) the plan mirrors the logical tree, one
+    plain operator per node.  Two choices are made in both modes because
+    they gate themselves per execution: a column-servable list
+    ``sub_select`` lowers to the columnar shift-AND scan (falling back
+    to the plain scan when the kernel is off or the list is under the
+    size threshold), and tree scans get their columnar root filter
+    inside the matcher, with no operator of their own.
     """
     return lower_factory(
         expr, db, choose_access_paths=choose_access_paths
@@ -206,16 +205,6 @@ def _lower_sub_select(node: E.SubSelect, db, choose) -> Thunk:
         if anchors is not None and anchor_scan_profitable(db, node.input, anchors, tp):
             choose.note(*anchors)
             return lambda: P.IndexAnchorScan(node, child(), tp, anchors)
-    # Index upgrades are the planner's call (``choose_access_paths``
-    # above), but the columnar operators gate themselves at execution
-    # time — knob off or an undersized tree falls back to the inherited
-    # full scan bit-identically — so any column-servable anchor set
-    # takes the batch operator unconditionally.  That also covers
-    # anchors an index can never serve (ordering comparisons, OR
-    # combinations).
-    columnar = tree_columnar_anchors(tp)
-    if columnar is not None:
-        return lambda: P.ColumnarAnchorScan(node, child(), tp, columnar)
     return lambda: P.SubSelectPipe(node, child(), tp)
 
 
@@ -227,9 +216,6 @@ def _lower_split(node: E.Split, db, choose) -> Thunk:
         if anchors is not None and anchor_scan_profitable(db, node.input, anchors, tp):
             choose.note(*anchors)
             return lambda: P.IndexAnchorSplit(node, child(), tp, node.function, anchors)
-    columnar = tree_columnar_anchors(tp)
-    if columnar is not None:
-        return lambda: P.ColumnarAnchorSplit(node, child(), tp, node.function, columnar)
     return lambda: P.SplitPipe(node, child(), tp, node.function)
 
 
@@ -273,6 +259,11 @@ def _lower_list_sub_select(node: E.ListSubSelect, db, choose) -> Thunk:
             anchor, offsets = chosen
             choose.note(anchor)
             return lambda: P.ListAnchorScan(node, child(), lp, anchor, offsets)
+    # Index upgrades are the planner's call (``choose_access_paths``
+    # above), but the columnar scan gates itself at execution time —
+    # knob off or an undersized list falls back to the inherited full
+    # scan bit-identically — so any column-servable atom set takes it
+    # unconditionally.
     choices = list_columnar_choice(lp)
     if choices is not None:
         return lambda: P.ColumnarListScan(node, child(), lp, choices)
@@ -295,7 +286,7 @@ def _lower_set_select(node: E.SetSelect, db, choose) -> Thunk:
             choose.note(indexed)
             return lambda: P.IndexedSelectFilter(node, None, extent, indexed, residual)
     child = _child(node, db, choose)
-    # Like the columnar operators, the exchange gates itself per
+    # Like the columnar list scan, the exchange gates itself per
     # execution (``AQUA_PARALLEL`` off or an undersized input runs the
     # inherited sequential loop bit-identically), so the static cost
     # gate only filters out inputs *known* to be too small to ever

@@ -5,22 +5,22 @@ as a generator over rows (see :class:`~repro.physical.base.PhysicalOp`
 for the pull protocol).  The mapping is chosen by
 :func:`repro.physical.lower.lower`; operators that need more than the
 logical node carries (anchors, conjunct splits) take it as constructor
-configuration, so the same classes serve both the deprecated ``Indexed*``
-shim nodes and lowering-time access-path selection.
+configuration, decided at lowering time.
 
-Parity notes, because they are the whole game:
+The accounting contract every operator here keeps:
 
-* scan charging mirrors the eager interpreter *exactly* — ``sub_select``
+* a full scan is charged in full, but incrementally — ``sub_select``
   charges one node per match candidate and tops up to ``tree.size()`` at
-  exhaustion (the eager path charges the full size up front), list
-  ``sub_select`` does the same against ``len + 1`` start positions, and
-  the indexed variants charge nothing beyond their probes;
+  exhaustion, list ``sub_select`` does the same against ``len + 1``
+  start positions, and the indexed variants charge nothing beyond their
+  probes — so a budget trips mid-scan while a completed scan's totals
+  do not depend on how many candidates a filter skipped;
 * matcher counters are flushed per candidate
   (``flush_per_candidate`` / ``flush_per_start``) so they are credited
-  to this operator's attribution frame at pull time, landing in the same
-  per-operator totals the eager scopes produce;
-* set-shaped streams are deduplicated at the producer under the same
-  equality their eager ``AquaSet`` would use, in first-seen order.
+  to this operator's attribution frame at pull time;
+* set-shaped streams are deduplicated at the producer
+  (:func:`~repro.physical.base.dedup`) under the equality the
+  operator's ``AquaSet`` result carries, in first-seen order.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ from ..core.aqua_tree import TreeNode, subtree_at
 from ..core.equality import DEFAULT
 from ..core.identity import as_cell
 from ..errors import QueryError
-from ..optimizer.anchors import probe_anchor_roots
-from ..storage.columnar import columnar_candidate_roots, columnar_list_for
+from ..optimizer.anchors import probe_anchor_roots, tree_columnar_anchors
+from ..storage.columnar import columnar_list_for
 from ..patterns.list_match import iter_list_matches
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_match import iter_tree_matches
@@ -142,13 +142,35 @@ class TreeApplyOp(PhysicalOp):
         yield result
 
 
+def _closed_match(match) -> Any:
+    """A match as ``sub_select`` returns it: the matched tree, points closed."""
+    y, points = match.match_tree()
+    return y.close_points(points)
+
+
+def _scan_access_path(pattern) -> str:
+    """The full-scan access path, naming the root filter when one applies.
+
+    Inside a query the matcher narrows an unrestricted candidate walk to
+    the nodes whose root-predicate column bits are set whenever the
+    columnar kernel engages (``AQUA_COLUMNAR`` on, tree at or above the
+    size threshold); say so when the pattern's root predicates are
+    column-servable.
+    """
+    anchors = tree_columnar_anchors(tree_pattern(pattern))
+    if anchors is None:
+        return "full tree scan"
+    columns = ", ".join(anchor.describe() for anchor in anchors)
+    return f"full tree scan; columnar bitset filter on {columns} when the kernel engages"
+
+
 class SubSelectPipe(PhysicalOp):
     """``sub_select(tp)(T)`` streamed match by match (full tree scan).
 
     Charges one node per match candidate as candidates are tried — so a
     ``max_nodes_scanned`` budget trips mid-scan — and tops up to the
-    tree's full size at exhaustion, matching the eager interpreter's
-    up-front charge to the node.
+    tree's full size at exhaustion: a completed scan costs ``tree.size()``
+    nodes whether or not the matcher's columnar root filter skipped some.
     """
 
     name = "sub_select_pipe"
@@ -157,12 +179,6 @@ class SubSelectPipe(PhysicalOp):
     def __init__(self, logical, child: PhysicalOp, pattern) -> None:
         super().__init__(logical, (child,))
         self.pattern = pattern
-
-    def _candidate_roots(self, tree, tp) -> "list[TreeNode] | None":
-        """Access-path hook: restricted candidate roots, or ``None`` (scan
-        everything).  Overridden by :class:`ColumnarAnchorScan`."""
-        del tree, tp
-        return None
 
     def rows(self) -> Iterator[Any]:
         ctx = self.ctx
@@ -173,7 +189,6 @@ class SubSelectPipe(PhysicalOp):
         stats = ctx.stats
         guard = ctx.guard
         charged = 0
-        roots = self._candidate_roots(tree, tp)
 
         def on_candidate(node: TreeNode) -> None:
             nonlocal charged
@@ -184,32 +199,18 @@ class SubSelectPipe(PhysicalOp):
             if guard is not None:
                 guard.charge_nodes(1, "tree scan")
 
-        seen: set[Any] = set()
-        for match in iter_tree_matches(
-            tp,
-            tree,
-            roots=roots,
-            roots_in_preorder=roots is not None,
-            on_candidate=on_candidate,
-            flush_per_candidate=True,
-        ):
-            y, points = match.match_tree()
-            row = y.close_points(points)
-            key = DEFAULT.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+        matches = iter_tree_matches(
+            tp, tree, on_candidate=on_candidate, flush_per_candidate=True
+        )
+        yield from dedup(map(_closed_match, matches), DEFAULT)
         remainder = size - charged
         if remainder > 0:
-            # Anchored patterns visit fewer candidates than the eager
-            # executor charges for; keep the totals bit-identical.
             stats.bump("nodes_scanned", remainder)
             if guard is not None:
                 guard.charge_nodes(remainder, "tree scan")
 
     def access_path(self) -> str:
-        return "full tree scan"
+        return _scan_access_path(self.pattern)
 
 
 class IndexAnchorScan(PhysicalOp):
@@ -240,56 +241,18 @@ class IndexAnchorScan(PhysicalOp):
         # index also donates its preorder position maps, so the context
         # skips its own O(n) interning walk.
         prime_match_context(tp, tree, index.bitmap, index.position_maps())
-        seen: set[Any] = set()
-        for match in iter_tree_matches(
+        matches = iter_tree_matches(
             tp,
             tree,
             roots=roots,
             roots_in_preorder=roots is not None,
             flush_per_candidate=True,
-        ):
-            y, points = match.match_tree()
-            row = y.close_points(points)
-            key = DEFAULT.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+        )
+        yield from dedup(map(_closed_match, matches), DEFAULT)
 
     def access_path(self) -> str:
         probes = ", ".join(anchor.describe() for anchor in self.anchors)
         return f"node-index probe on {probes}"
-
-
-class ColumnarAnchorScan(SubSelectPipe):
-    """``sub_select`` served by shared predicate columns (batch mode).
-
-    The columnar kernel's scan operator: each root-predicate anchor is
-    evaluated once over the whole extent as a bitset column, the columns
-    are OR-ed, and the matcher runs only where bits are set — covering
-    anchors a node index cannot serve (ordering comparisons, ``OR``
-    combinations) and skipping the per-candidate dispatch entirely.
-    Charging is identical to :class:`SubSelectPipe` (one node per
-    surviving candidate, topped up to the tree size), so budgets and
-    EXPLAIN totals stay bit-identical with the eager interpreter.
-    Falls back to the inherited full scan when the kernel is gated off
-    (``AQUA_COLUMNAR=off``, an undersized tree, or a bare snapshot-less
-    context).
-    """
-
-    name = "columnar_anchor_scan"
-
-    def __init__(self, logical, child: PhysicalOp, pattern, anchors) -> None:
-        super().__init__(logical, child, pattern)
-        self.anchors = tuple(anchors)
-
-    def _candidate_roots(self, tree, tp) -> "list[TreeNode] | None":
-        del tp
-        return columnar_candidate_roots(self.ctx.db, self.anchors, tree)
-
-    def access_path(self) -> str:
-        columns = ", ".join(anchor.describe() for anchor in self.anchors)
-        return f"columnar bitset filter on {columns}"
 
 
 class SplitPipe(PhysicalOp):
@@ -310,35 +273,25 @@ class SplitPipe(PhysicalOp):
         self.function = function
 
     def _piece_rows(self, tree, matches) -> Iterator[Any]:
-        seen: set[Any] = set()
         # ``returns_match_subtree = True`` functions are the §4 identity
         # reassembly ``y ∘α1..αn z`` — the full subtree at the match
         # root, which the source tree already holds.  Serve it by
         # structure sharing (value-identical to the rebuilt form) and
         # skip the prune/rebuild machinery entirely.
         if getattr(self.function, "returns_match_subtree", False):
-            for match in matches:
-                row = subtree_at(match.root)
-                key = DEFAULT.key(row)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield row
-            return
+            return dedup((subtree_at(match.root) for match in matches), DEFAULT)
         # ``needs_context = False`` functions never read x, so the
         # per-match full-tree context rebuild is skipped (the same
         # contract as algebra.tree_ops.invoke_split_function).
         wants_context = getattr(self.function, "needs_context", True)
-        for match in matches:
-            y, points = match.match_tree()
+
+        def piece(match) -> Any:
+            y, _points = match.match_tree()
             z = match.pruned_subtrees()
             x = _context_tree(tree, match.root) if wants_context else None
-            row = self.function(x, y, AquaList.from_values(z))
-            key = DEFAULT.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+            return self.function(x, y, AquaList.from_values(z))
+
+        return dedup(map(piece, matches), DEFAULT)
 
     def rows(self) -> Iterator[Any]:
         tree = self.input_tree()
@@ -349,7 +302,7 @@ class SplitPipe(PhysicalOp):
         )
 
     def access_path(self) -> str:
-        return "full tree scan"
+        return _scan_access_path(self.pattern)
 
 
 class IndexAnchorSplit(SplitPipe):
@@ -384,38 +337,6 @@ class IndexAnchorSplit(SplitPipe):
     def access_path(self) -> str:
         probes = ", ".join(anchor.describe() for anchor in self.anchors)
         return f"node-index probe on {probes}"
-
-
-class ColumnarAnchorSplit(SplitPipe):
-    """``split`` with column-filtered candidate roots — the batch-mode
-    counterpart of :class:`IndexAnchorSplit` for anchors only the
-    predicate columns can serve."""
-
-    name = "columnar_anchor_split"
-
-    def __init__(self, logical, child: PhysicalOp, pattern, function, anchors) -> None:
-        super().__init__(logical, child, pattern, function)
-        self.anchors = tuple(anchors)
-
-    def rows(self) -> Iterator[Any]:
-        tree = self.input_tree()
-        tp = tree_pattern(self.pattern)
-        self.result_equality = DEFAULT
-        roots = columnar_candidate_roots(self.ctx.db, self.anchors, tree)
-        yield from self._piece_rows(
-            tree,
-            iter_tree_matches(
-                tp,
-                tree,
-                roots=roots,
-                roots_in_preorder=roots is not None,
-                flush_per_candidate=True,
-            ),
-        )
-
-    def access_path(self) -> str:
-        columns = ", ".join(anchor.describe() for anchor in self.anchors)
-        return f"columnar bitset filter on {columns}"
 
 
 class MaterializeOp(PhysicalOp):
@@ -484,11 +405,17 @@ class ListApplyPipe(PhysicalOp):
             yield as_cell(function(cell.contents))
 
 
+def _kept_rows(aqua_list: AquaList, matches) -> Iterator[Any]:
+    """Each list match as the ``AquaList`` of its kept cells, deduplicated."""
+    cells = list(aqua_list.cells())
+    return dedup((AquaList([cells[i] for i in match.kept]) for match in matches), DEFAULT)
+
+
 class ListSubSelectPipe(PhysicalOp):
     """List ``sub_select`` streamed match by match (all start positions).
 
     Charges one position per candidate start and tops up to ``len + 1``
-    at exhaustion — the eager interpreter's up-front charge.
+    at exhaustion, so a completed scan costs every start position.
     """
 
     name = "list_sub_select_pipe"
@@ -505,7 +432,6 @@ class ListSubSelectPipe(PhysicalOp):
         ctx = self.ctx
         lp = list_pattern(self.pattern)
         self.result_equality = DEFAULT
-        cells = list(aqua_list.cells())
         values = aqua_list.values()
         total = len(values) + 1
         stats = ctx.stats
@@ -520,16 +446,10 @@ class ListSubSelectPipe(PhysicalOp):
             if guard is not None:
                 guard.charge_nodes(1, "list scan")
 
-        seen: set[Any] = set()
-        for match in iter_list_matches(
-            lp, values, on_start=on_start, flush_per_start=True
-        ):
-            row = AquaList([cells[i] for i in match.kept])
-            key = DEFAULT.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+        yield from _kept_rows(
+            aqua_list,
+            iter_list_matches(lp, values, on_start=on_start, flush_per_start=True),
+        )
         remainder = total - charged
         if remainder > 0:
             stats.bump("positions_scanned", remainder)
@@ -575,18 +495,12 @@ class ColumnarListScan(ListSubSelectPipe):
         ctx.stats.bump("positions_scanned", len(starts))
         if ctx.guard is not None:
             ctx.guard.charge_nodes(len(starts), "columnar candidates")
-        cells = list(aqua_list.cells())
-        values = aqua_list.values()
-        seen: set[Any] = set()
-        for match in iter_list_matches(
-            lp, values, starts=starts, flush_per_start=True
-        ):
-            row = AquaList([cells[i] for i in match.kept])
-            key = DEFAULT.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+        yield from _kept_rows(
+            aqua_list,
+            iter_list_matches(
+                lp, aqua_list.values(), starts=starts, flush_per_start=True
+            ),
+        )
 
     def access_path(self) -> str:
         passes = ", ".join(
@@ -621,7 +535,6 @@ class ListAnchorScan(PhysicalOp):
         db = ctx.db
         index = db.list_index(aqua_list, self.anchor.attributes())
         positions, used = index.positions_for(self.anchor, db.stats)
-        cells = list(aqua_list.cells())
         values = aqua_list.values()
         if used:
             starts = sorted(
@@ -636,14 +549,7 @@ class ListAnchorScan(PhysicalOp):
             matches = iter_list_matches(lp, values, starts=starts, flush_per_start=True)
         else:
             matches = iter_list_matches(lp, values, flush_per_start=True)
-        seen: set[Any] = set()
-        for match in matches:
-            row = AquaList([cells[i] for i in match.kept])
-            key = DEFAULT.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+        yield from _kept_rows(aqua_list, matches)
 
     def access_path(self) -> str:
         offsets = ",".join(str(offset) for offset in self.offsets)

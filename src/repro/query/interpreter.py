@@ -1,63 +1,35 @@
-"""Query evaluation: a thin driver over two executors.
+"""Query evaluation: the function-style entry points.
 
 Gives semantics to :mod:`repro.query.expr` nodes against a
-:class:`~repro.storage.Database` through two interchangeable executors:
+:class:`~repro.storage.Database`.  There is one execution path: the
+expression is lowered to a Volcano-style physical plan
+(:mod:`repro.physical`) and rows are pulled through
+``open()/next()/close()`` pipelines.  Budgets are ticked on every pull,
+so a ``max_nodes_scanned`` or ``max_results`` limit trips mid-stream
+instead of after an operator materialized its whole output, and all
+predicate evaluations run through the database's
+:class:`~repro.storage.Instrumentation` counters, so plans can be
+compared by work as well as by wall-clock.
 
-* **streaming** (the default) — the expression is lowered to a
-  Volcano-style physical plan (:mod:`repro.physical`) and rows are
-  pulled through ``open()/next()/close()`` pipelines.  Budgets are
-  ticked on every pull, so a ``max_nodes_scanned`` or ``max_results``
-  limit trips mid-stream instead of after an operator materialized its
-  whole output;
-* **eager** — the original recursive interpreter, kept as the reference
-  semantics the streaming executor is property-tested against.
-
-Both run all predicate evaluations through the database's
-:class:`~repro.storage.Instrumentation` counters, produce identical
-values (order, deduplication, equality notions included) and identical
-per-operator counter totals, so plans can be compared by work as well as
-by wall-clock under either executor.
-
-The executor is chosen per call (``executor=``) or process-wide via the
-``AQUA_EXECUTOR`` environment knob (``streaming`` | ``eager``).
+The reference semantics the pipeline is property-tested against is the
+paper's own operator definitions in :mod:`repro.algebra`, composed by
+the plain recursive evaluator in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 from typing import Any, Mapping
 
-from .. import config, params as params_mod
-from ..algebra import (
-    all_anc,
-    all_desc,
-    apply_list,
-    apply_tree,
-    select,
-    select_list,
-    split,
-    split_list,
-    sub_select,
-    sub_select_list,
-)
-from ..core.aqua_list import AquaList
-from ..core.aqua_set import AquaSet
-from ..core.aqua_tree import AquaTree
-from ..errors import QueryError, ResourceExhaustedError
-from ..guardrails import Budget, Guard
+from ..guardrails import Budget
 from ..storage.database import Database
 from . import expr as E
-from .metrics import PlanMetrics, cardinality
-
-#: Environment knob selecting the default executor (see repro.config).
-EXECUTOR_ENV = config.EXECUTOR_ENV
-_EXECUTORS = config.EXECUTORS
+from .metrics import PlanMetrics
 
 
 def evaluate(
     node: E.Expr,
     db: Database,
     budget: Budget | None = None,
-    executor: str | None = None,
     params: "Mapping[str, Any] | None" = None,
 ) -> Any:
     """Evaluate a query expression against ``db``.
@@ -67,17 +39,15 @@ def evaluate(
     roots, extents and indexes through the view at runtime, so a snapshot
     evaluates exactly as the base did at pin time.
 
-    Now a thin wrapper over the default :class:`repro.api.Session`: the
+    A thin wrapper over the default :class:`repro.api.Session`: the
     expression is prepared (planned once, served from the process-wide
     plan cache on repeats — lazily invalidated when any of the plan's
-    per-resource version counters move) and executed with semantics
-    identical to the historical direct path.  The guard, the instrumentation sink and the tree-match
-    registry are armed **once** per run and threaded through the chosen
-    executor; when a :class:`~repro.query.metrics.PlanMetrics` collector
-    is installed (see :func:`evaluate_with_metrics`), per-operator
-    metrics are collected by attribution scopes in the eager executor
-    and per-pull accounting in the streaming one — same paths, same
-    totals.
+    per-resource version counters move) and executed.  The guard, the
+    instrumentation sink and the tree-match registry are armed **once**
+    per run and threaded through the pipeline; when a
+    :class:`~repro.query.metrics.PlanMetrics` collector is installed
+    (see :func:`evaluate_with_metrics`), per-operator metrics are
+    collected by per-pull accounting in ``PhysicalOp.next()``.
 
     A tripped limit raises
     :class:`~repro.errors.ResourceExhaustedError` annotated with the
@@ -86,21 +56,7 @@ def evaluate(
     """
     from ..api import default_session
 
-    return default_session(db).query(node, params, budget=budget, executor=executor)
-
-
-def _annotate_trip(exc: ResourceExhaustedError, collector: PlanMetrics, op) -> None:
-    """Attach the partial metrics and the tripping operator to ``exc``.
-
-    Only the innermost operator annotates (the one actually running when
-    the budget tripped); outer frames see the fields already set and
-    leave them alone.
-    """
-    if exc.metrics is None:
-        exc.metrics = collector
-    if exc.plan_path is None and op is not None:
-        exc.plan_path = op.path
-        exc.operator = op.head
+    return default_session(db).query(node, params, budget=budget)
 
 
 def evaluate_with_metrics(
@@ -108,13 +64,12 @@ def evaluate_with_metrics(
     db: Database,
     metrics: PlanMetrics | None = None,
     budget: Budget | None = None,
-    executor: str | None = None,
     params: "Mapping[str, Any] | None" = None,
 ) -> tuple[Any, PlanMetrics]:
     """Evaluate ``expr`` collecting per-operator runtime metrics.
 
     Returns ``(result, metrics)`` where ``metrics`` holds one
-    :class:`~repro.query.metrics.OperatorMetrics` scope per plan node:
+    :class:`~repro.query.metrics.OperatorMetrics` record per plan node:
     output cardinality, wall time, and the counters (index probes,
     predicate evaluations, pattern-engine work) attributable to that
     operator alone.  On a budget trip the raised
@@ -123,222 +78,5 @@ def evaluate_with_metrics(
     """
     metrics = metrics if metrics is not None else PlanMetrics()
     with db.stats.collecting(metrics):
-        result = evaluate(expr, db, budget=budget, executor=executor, params=params)
+        result = evaluate(expr, db, budget=budget, params=params)
     return result, metrics
-
-
-# -- the eager (reference) executor --------------------------------------------
-
-
-def _eval(
-    node: E.Expr, db: Database, guard: Guard | None, trail: tuple[str, ...]
-) -> Any:
-    """Recursively evaluate ``node`` with the already-armed ``guard``.
-
-    ``trail`` is the chain of ancestor operator heads (root first); it
-    rides along so input-coercion errors can say *where* in the plan the
-    ill-shaped value showed up.
-    """
-    method = _DISPATCH.get(type(node))
-    if method is None:
-        raise QueryError(f"no evaluation rule for {type(node).__name__}")
-    trail = (*trail, node.head())
-    stats = db.stats
-    collector = stats.collector
-    if guard is not None:
-        guard.tick(1, "interpreter dispatch")
-    if collector is None:
-        result = method(node, db, guard, trail)
-    else:
-        op = None
-        try:
-            with collector.operator(node, stats) as op:
-                result = method(node, db, guard, trail)
-        except ResourceExhaustedError as exc:
-            _annotate_trip(exc, collector, op)
-            raise
-        collector.record_output(op, result)
-    if guard is not None and guard.budget.max_results is not None:
-        guard.check_results(cardinality(result), node.head())
-    return result
-
-
-def _coerce_message(
-    node: E.Expr, expected: str, value: Any, trail: tuple[str, ...]
-) -> str:
-    message = (
-        f"{node.describe()} expects a {expected} input, got {type(value).__name__}"
-    )
-    if trail:
-        message += f" (plan path: {' → '.join(trail)})"
-    return message
-
-
-def _as_tree(value: Any, node: E.Expr, trail: tuple[str, ...] = ()) -> AquaTree:
-    if not isinstance(value, AquaTree):
-        raise QueryError(_coerce_message(node, "tree", value, trail))
-    return value
-
-
-def _as_list(value: Any, node: E.Expr, trail: tuple[str, ...] = ()) -> AquaList:
-    if not isinstance(value, AquaList):
-        raise QueryError(_coerce_message(node, "list", value, trail))
-    return value
-
-
-def _as_set(value: Any, node: E.Expr, trail: tuple[str, ...] = ()) -> AquaSet:
-    if not isinstance(value, AquaSet):
-        raise QueryError(_coerce_message(node, "set", value, trail))
-    return value
-
-
-# -- sources -------------------------------------------------------------------
-
-
-def _eval_root(node: E.Root, db: Database, guard, trail) -> Any:
-    del guard, trail
-    return db.root(node.name)
-
-
-def _eval_extent(node: E.Extent, db: Database, guard, trail) -> AquaSet:
-    del guard, trail
-    return db.extent(node.name)
-
-
-def _eval_literal(node: E.Literal, db: Database, guard, trail) -> Any:
-    del db, guard, trail
-    return node.value
-
-
-def _eval_param(node: E.Param, db: Database, guard, trail) -> Any:
-    del db, guard, trail
-    return params_mod.resolve(params_mod.Param(node.name))
-
-
-# -- tree operators ---------------------------------------------------------------
-
-
-def _eval_tree_select(node: E.TreeSelect, db: Database, guard, trail) -> AquaSet:
-    tree = _as_tree(_eval(node.input, db, guard, trail), node, trail)
-    return select(db.stats.counting(node.predicate), tree)
-
-
-def _eval_tree_apply(node: E.TreeApply, db: Database, guard, trail) -> AquaTree:
-    tree = _as_tree(_eval(node.input, db, guard, trail), node, trail)
-    return apply_tree(node.function, tree)
-
-
-def _eval_sub_select(node: E.SubSelect, db: Database, guard, trail) -> AquaSet:
-    tree = _as_tree(_eval(node.input, db, guard, trail), node, trail)
-    size = tree.size()
-    db.stats.bump("nodes_scanned", size)
-    if guard is not None:
-        guard.charge_nodes(size, "tree scan")
-    return sub_select(node.pattern, tree)
-
-
-def _eval_split(node: E.Split, db: Database, guard, trail) -> AquaSet:
-    tree = _as_tree(_eval(node.input, db, guard, trail), node, trail)
-    return split(node.pattern, node.function, tree)
-
-
-def _eval_all_anc(node: E.AllAnc, db: Database, guard, trail) -> AquaSet:
-    tree = _as_tree(_eval(node.input, db, guard, trail), node, trail)
-    return all_anc(node.pattern, node.function, tree)
-
-
-def _eval_all_desc(node: E.AllDesc, db: Database, guard, trail) -> AquaSet:
-    tree = _as_tree(_eval(node.input, db, guard, trail), node, trail)
-    return all_desc(node.pattern, node.function, tree)
-
-
-# -- list operators ------------------------------------------------------------------
-
-
-def _eval_list_select(node: E.ListSelect, db: Database, guard, trail) -> AquaList:
-    values = _as_list(_eval(node.input, db, guard, trail), node, trail)
-    return select_list(db.stats.counting(node.predicate), values)
-
-
-def _eval_list_apply(node: E.ListApply, db: Database, guard, trail) -> AquaList:
-    values = _as_list(_eval(node.input, db, guard, trail), node, trail)
-    return apply_list(node.function, values)
-
-
-def _eval_list_sub_select(node: E.ListSubSelect, db: Database, guard, trail) -> AquaSet:
-    values = _as_list(_eval(node.input, db, guard, trail), node, trail)
-    db.stats.bump("positions_scanned", len(values) + 1)
-    if guard is not None:
-        guard.charge_nodes(len(values) + 1, "list scan")
-    return sub_select_list(node.pattern, values)
-
-
-def _eval_list_split(node: E.ListSplit, db: Database, guard, trail) -> AquaSet:
-    values = _as_list(_eval(node.input, db, guard, trail), node, trail)
-    return split_list(node.pattern, node.function, values)
-
-
-# -- set operators --------------------------------------------------------------------
-
-
-def _eval_set_select(node: E.SetSelect, db: Database, guard, trail) -> AquaSet:
-    collection = _as_set(_eval(node.input, db, guard, trail), node, trail)
-    return collection.select(db.stats.counting(node.predicate))
-
-
-def _eval_set_apply(node: E.SetApply, db: Database, guard, trail) -> AquaSet:
-    collection = _as_set(_eval(node.input, db, guard, trail), node, trail)
-    return collection.apply(node.function)
-
-
-def _eval_set_flatten(node: E.SetFlatten, db: Database, guard, trail) -> AquaSet:
-    collection = _as_set(_eval(node.input, db, guard, trail), node, trail)
-    result: AquaSet = AquaSet()
-    for member in collection:
-        if not isinstance(member, AquaSet):
-            raise QueryError("flatten expects a set of sets")
-        for item in member:
-            result.add(item)
-    return result
-
-
-def _eval_union(node: E.SetUnion, db: Database, guard, trail) -> AquaSet:
-    return _as_set(_eval(node.left, db, guard, trail), node, trail).union(
-        _as_set(_eval(node.right, db, guard, trail), node, trail)
-    )
-
-
-def _eval_intersection(node: E.SetIntersection, db: Database, guard, trail) -> AquaSet:
-    return _as_set(_eval(node.left, db, guard, trail), node, trail).intersection(
-        _as_set(_eval(node.right, db, guard, trail), node, trail)
-    )
-
-
-def _eval_difference(node: E.SetDifference, db: Database, guard, trail) -> AquaSet:
-    return _as_set(_eval(node.left, db, guard, trail), node, trail).difference(
-        _as_set(_eval(node.right, db, guard, trail), node, trail)
-    )
-
-
-_DISPATCH = {
-    E.Root: _eval_root,
-    E.Extent: _eval_extent,
-    E.Literal: _eval_literal,
-    E.Param: _eval_param,
-    E.TreeSelect: _eval_tree_select,
-    E.TreeApply: _eval_tree_apply,
-    E.SubSelect: _eval_sub_select,
-    E.Split: _eval_split,
-    E.AllAnc: _eval_all_anc,
-    E.AllDesc: _eval_all_desc,
-    E.ListSelect: _eval_list_select,
-    E.ListApply: _eval_list_apply,
-    E.ListSubSelect: _eval_list_sub_select,
-    E.ListSplit: _eval_list_split,
-    E.SetSelect: _eval_set_select,
-    E.SetApply: _eval_set_apply,
-    E.SetFlatten: _eval_set_flatten,
-    E.SetUnion: _eval_union,
-    E.SetIntersection: _eval_intersection,
-    E.SetDifference: _eval_difference,
-}

@@ -6,36 +6,31 @@ the plan root (``()`` is the root, ``(0,)`` its first child, …).  Paths
 identify operators positionally, so two structurally equal nodes at
 different places in the plan get separate metrics.
 
-The interpreter opens one :meth:`PlanMetrics.operator` scope around each
-node it evaluates.  While the scope is active:
+Each physical operator gets its record from :meth:`PlanMetrics.register`
+at ``open()`` and feeds it per pull (``PhysicalOp.next()``):
 
 * counter bumps on the database's
   :class:`~repro.storage.stats.Instrumentation` (index probes, predicate
   evaluations, engine counters flushed via
-  :func:`~repro.storage.stats.emit_many`) are credited to that
-  operator — exclusively, i.e. a parent does not re-count its
-  children's work;
+  :func:`~repro.storage.stats.emit_many`) are credited to the operator
+  whose generator is running — exclusively, i.e. a parent does not
+  re-count its children's work;
 * wall time is measured (inclusive of children; :meth:`self_seconds`
   subtracts them back out);
-* the operator's output cardinality is recorded when the scope closes.
+* the operator's output cardinality grows with every row it yields.
 
-The registry is thread-safe: the registration table is lock-guarded and
-the evaluation stack is thread-local, so concurrent evaluations against
-one database do not corrupt each other's attribution.
+The registration table is lock-guarded; attribution frames live on the
+:class:`~repro.storage.stats.Instrumentation` (thread-local there), so
+concurrent evaluations against one database do not corrupt each other's
+attribution.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..storage.stats import Instrumentation
-    from . import expr as E
+from typing import Any
 
 #: Path of a plan node: child indexes from the root (root = ``()``).
 Path = tuple[int, ...]
@@ -68,11 +63,10 @@ class OperatorMetrics:
     rows_out: int | None = None
     wall_seconds: float = 0.0  # inclusive of children
     calls: int = 0
-    #: Largest number of rows this operator held materialized at once.
-    #: The eager executor materializes every operator's full output
-    #: before its parent runs, so there this equals ``rows_out``; the
-    #: streaming executor only records buffers it actually accumulates
-    #: (materialize/intersect/difference buffers and the result sink).
+    #: Largest number of rows this operator held materialized at once:
+    #: only buffers it actually accumulates (materialize / intersect /
+    #: difference buffers and the result sink), never rows streamed
+    #: straight through to the parent.
     peak_buffered: int = 0
     #: Durable observations about this operator ("misestimate" when
     #: EXPLAIN ANALYZE flagged its row estimate).  OR-ed by :meth:`
@@ -109,63 +103,15 @@ class PlanMetrics:
     def __init__(self) -> None:
         self.operators: dict[Path, OperatorMetrics] = {}
         self._lock = threading.Lock()
-        self._local = threading.local()
 
-    # -- collection (interpreter side) -------------------------------------
-
-    def _stack(self) -> list[list[Any]]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    @contextmanager
-    def operator(
-        self, node: "E.Expr", stats: "Instrumentation"
-    ) -> Iterator[OperatorMetrics]:
-        """Scope one plan node's evaluation.
-
-        The node's path is derived from the evaluation order, which the
-        interpreter guarantees matches ``children()`` order; re-entering
-        the same path (a re-evaluated plan) accumulates into the same
-        record.
-        """
-        stack = self._stack()
-        if stack:
-            parent_frame = stack[-1]
-            path: Path = (*parent_frame[0].path, parent_frame[1])
-            parent_frame[1] += 1
-        else:
-            path = ()
-        with self._lock:
-            op = self.operators.get(path)
-            if op is None:
-                op = self.operators[path] = OperatorMetrics(path, node.head())
-        op.calls += 1
-        frame = [op, 0]
-        stack.append(frame)
-        started = time.perf_counter()
-        try:
-            with stats.attribute_to(op):
-                yield op
-        finally:
-            op.wall_seconds += time.perf_counter() - started
-            stack.pop()
-
-    def record_output(self, op: OperatorMetrics, value: Any) -> None:
-        op.rows_out = cardinality(value)
-        # The eager executor hands its parent a fully materialized
-        # value, so the output cardinality *is* a resident buffer.
-        op.peak_buffered = max(op.peak_buffered, op.rows_out)
-
-    # -- collection (streaming executor side) -------------------------------
+    # -- collection ---------------------------------------------------------
 
     def register(self, path: Path, head: str) -> OperatorMetrics:
         """Get-or-create the record for a physical operator at ``path``.
 
-        The streaming executor calls this once per ``open()`` (each call
-        counts as one ``calls``); counters and wall time are then fed
-        through :meth:`~repro.storage.stats.Instrumentation.attribute_to`
+        Operators call this once per ``open()`` (each call counts as
+        one ``calls``); counters and wall time are then fed through
+        :meth:`~repro.storage.stats.Instrumentation.attribute_to`
         frames and explicit accumulation in ``PhysicalOp.next()``.
         """
         with self._lock:
@@ -227,10 +173,11 @@ class PlanMetrics:
     def peak_intermediate(self) -> int:
         """The largest per-operator resident buffer seen during the run.
 
-        This is the quantity the §4 pipelining argument is about: the
-        eager executor's peak is the largest operator output anywhere in
-        the plan, while the streaming executor's is only what it truly
-        accumulated (typically just the final result sink).
+        This is the quantity the §4 pipelining argument is about:
+        evaluating operator by operator would make the peak the largest
+        operator output anywhere in the plan, while the pipeline's is
+        only what it truly accumulated (typically just the final result
+        sink).
         """
         return max(
             (op.peak_buffered for op in self.operators.values()), default=0

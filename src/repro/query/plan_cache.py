@@ -30,8 +30,8 @@ entry can still be returned.
 Counters (``hits`` / ``misses`` / ``invalidations`` / ``replans`` /
 ``evictions``) are kept on the cache object and additionally emitted
 through :func:`repro.storage.stats.emit`, which credits **only sinks the
-caller activated** — never ``db.stats`` implicitly — so executor-parity
-tests comparing full instrumentation snapshots stay unaffected while
+caller activated** — never ``db.stats`` implicitly — so parity tests
+comparing full instrumentation snapshots stay unaffected while
 ``EXPLAIN ANALYZE`` can activate a private sink and render the planning
 footer.
 """

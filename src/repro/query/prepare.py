@@ -25,9 +25,10 @@ armed bindings so the binding-aware analysis picks the safe full-scan
 shape instead.
 
 Execution semantics are identical to
-:func:`repro.query.interpreter.evaluate` — same guard, instrumentation,
-match-scope and executor arming, bit-identical results and counters —
-which the plan-cache property suite asserts across executors × engines.
+:func:`repro.query.interpreter.evaluate` (which is a wrapper over this
+path) — a cached plan and a freshly planned one give bit-identical
+results and counters, which the plan-cache property suite asserts
+across engines.
 """
 
 from __future__ import annotations
@@ -141,18 +142,16 @@ class PreparedQuery:
             for name in self.anchor_params
         )
 
-    def _plan_for_bindings(
-        self, view: Database
-    ) -> tuple[E.Expr, "PipelineFactory"]:
+    def _factory_for_bindings(self, view: Database) -> "PipelineFactory":
         if not self._needs_replan():
-            return self.plan, self.factory
+            return self.factory
         # Re-plan under the armed bindings: the binding-aware anchor
         # analysis now sees the unhashable constant and keeps the scan
         # shape.  The result serves this run only — the cached entry
         # stays correct for bindings that honour the assumption.
         if self.cache is not None:
             self.cache.note_replan()
-        return _plan(self.expr, view, self.optimize)
+        return _plan(self.expr, view, self.optimize)[1]
 
     # -- execution -------------------------------------------------------------
 
@@ -161,7 +160,6 @@ class PreparedQuery:
         params: Mapping[str, Any] | None = None,
         *,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -171,9 +169,9 @@ class PreparedQuery:
 
         The knob keywords are the same set :meth:`repro.api.Session.query`
         and :meth:`repro.api.SessionPool.submit` take — ``budget`` /
-        ``executor`` / ``engine`` / ``parallel`` / ``parallel_workers``
-        override the session/env/default resolution for this run only
-        (see :mod:`repro.config`).  ``db`` overrides the execution
+        ``engine`` / ``parallel`` / ``parallel_workers`` override the
+        session/env/default resolution for this run only (see
+        :mod:`repro.config`).  ``db`` overrides the execution
         *view*: operators resolve roots, extents and indexes at runtime
         through the context database, so a plan prepared against one
         view (and served from the shared cache) executes correctly
@@ -182,20 +180,16 @@ class PreparedQuery:
         base database.
         """
         from ..physical import ExecutionContext
-        from .interpreter import _eval
 
-        executor = config.validated_executor(executor)
         view = db if db is not None else self.db
         stats = view.stats
         with bound_params(params):
-            plan, factory = self._plan_for_bindings(view)
+            factory = self._factory_for_bindings(view)
             with config.tree_engine_scope(engine), config.parallel_scope(
                 parallel
             ), config.parallel_workers_scope(parallel_workers), guardrails.guarded(
                 budget
             ) as guard, stats.activated(), match_scope(view):
-                if executor == "eager":
-                    return _eval(plan, view, guard, ())
                 ctx = ExecutionContext(
                     db=view, guard=guard, metrics=stats.collector, stats=stats
                 )
@@ -207,7 +201,6 @@ class PreparedQuery:
         *,
         metrics: PlanMetrics | None = None,
         budget: Budget | None = None,
-        executor: str | None = None,
         engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -220,7 +213,6 @@ class PreparedQuery:
             result = self.run(
                 params,
                 budget=budget,
-                executor=executor,
                 engine=engine,
                 parallel=parallel,
                 parallel_workers=parallel_workers,

@@ -2,13 +2,12 @@
 
 Every rung of this ladder trades performance for robustness *without
 changing any answer* — the engine's own property suites guarantee that
-streaming ≡ eager, memo ≡ backtrack, optimized ≡ unoptimized, and that
-a cache-bypassed prepare plans the same semantics from scratch.  That
-is what makes the ladder safe to walk blindly on retry: a fault that
-happened to live in a cached plan, the memo tables, the streaming
-pipeline, or an optimizer-chosen index path is dodged by the next rung,
-and a fault that lives in the data path itself simply fails again and
-escalates.
+memo ≡ backtrack, optimized ≡ unoptimized, and that a cache-bypassed
+prepare plans the same semantics from scratch.  That is what makes the
+ladder safe to walk blindly on retry: a fault that happened to live in
+a cached plan, the memo tables, or an optimizer-chosen index path is
+dodged by the next rung, and a fault that lives in the data path itself
+simply fails again and escalates.
 
 The default ladder, in order (each rung keeps the previous rungs'
 downgrades):
@@ -19,9 +18,7 @@ downgrades):
    anchor analysis against the *current* snapshot);
 2. **backtrack-engine** — drop the memoized tree engine for the plain
    backtracker (no memo tables, no predicate bitmaps);
-3. **eager-executor** — drop the streaming operator pipeline for the
-   eager interpreter (no generator plumbing, simplest execution path);
-4. **unoptimized-plan** — run the logical plan exactly as written (no
+3. **unoptimized-plan** — run the logical plan exactly as written (no
    optimizer rewrites, no index access paths: the full-scan shape
    touches the fewest distinct storage seams).
 
@@ -46,7 +43,6 @@ class DegradationStep:
     """
 
     name: str
-    executor: str | None = None
     engine: str | None = None
     optimize: bool | None = None
     bypass_cache: bool = False
@@ -83,16 +79,9 @@ DEFAULT_LADDER = DegradationLadder(
             "backtrack-engine", bypass_cache=True, engine="backtrack"
         ),
         DegradationStep(
-            "eager-executor",
-            bypass_cache=True,
-            engine="backtrack",
-            executor="eager",
-        ),
-        DegradationStep(
             "unoptimized-plan",
             bypass_cache=True,
             engine="backtrack",
-            executor="eager",
             optimize=False,
         ),
     ]

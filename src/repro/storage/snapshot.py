@@ -24,7 +24,7 @@ a :class:`DatabaseSnapshot` pins
 The snapshot duck-types the read surface of
 :class:`~repro.storage.database.Database` — ``extent`` / ``iter_extent``
 / ``root`` / ``candidates`` / ``tree_index`` / … — so sessions, the
-interpreter, both executors and the optimizer run against it unchanged.
+physical operators and the optimizer run against it unchanged.
 Mutators raise :class:`~repro.errors.StorageError`.
 """
 

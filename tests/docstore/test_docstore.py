@@ -171,11 +171,11 @@ class TestPathQueries:
 
     def test_knobs_pass_through(self):
         doc = Document.from_text(XML, "xml")
-        eager = sorted(to_xml(t) for t in doc.path("//book", executor="eager"))
-        streaming = sorted(
-            to_xml(t) for t in doc.path("//book", executor="streaming")
-        )
-        assert eager == streaming
+        backtrack = sorted(to_xml(t) for t in doc.path("//book", engine="backtrack"))
+        memo = sorted(to_xml(t) for t in doc.path("//book", engine="memo"))
+        assert backtrack == memo
+        with pytest.raises(TypeError):
+            doc.path("//book", executor="eager")
 
     def test_double_quote_rejected_in_path(self):
         doc = Document.from_text(XML, "xml")

@@ -169,19 +169,9 @@ class TestInterpreterBudgets:
             evaluate(E.Extent("Nums"), db, budget=Budget(max_results=3))
         exc = info.value
         assert exc.limit_name == "max_results"
-        # The streaming executor checks the result count row by row, so
-        # it trips at limit+1 — without pulling the other 6 rows the
-        # eager executor would have materialized first.
+        # The result count is checked row by row, so it trips at
+        # limit+1 — without pulling the extent's other 6 rows.
         assert exc.spent == 4
-
-    def test_max_results_eager_counts_the_full_output(self, db):
-        with pytest.raises(ResourceExhaustedError) as info:
-            evaluate(
-                E.Extent("Nums"), db, budget=Budget(max_results=3), executor="eager"
-            )
-        exc = info.value
-        assert exc.limit_name == "max_results"
-        assert exc.spent == 10
 
     def test_trip_carries_partial_metrics(self, db):
         plan = parse_aql('root T | sub_select "b"')

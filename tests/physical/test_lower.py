@@ -110,15 +110,15 @@ class TestStructure:
         assert by_path[()].trail == (query.head(),)
         assert by_path[(0,)].trail == (query.head(), query.input.head())
 
-    def test_default_lowering_takes_the_self_gating_columnar_scan(self):
-        # Anchored patterns lower to the columnar scan even without
-        # choose_access_paths: the operator re-resolves the kernel knobs
-        # per execution and degrades to the inherited full scan when the
-        # kernel is off or the tree is under the threshold.
+    def test_default_lowering_of_column_servable_pattern_is_the_plain_pipe(self):
+        # The columnar root filter lives in the matcher (gated per
+        # execution by the kernel knobs), not in an operator of its own;
+        # the plain pipe's access path still names the filter predicates.
         db = labeled_tree_db()
         plan = lower(Q.root("T").sub_select("d(e(h i) j ?*)").build(), db)
-        assert type(plan.root) is P.ColumnarAnchorScan
+        assert type(plan.root) is P.SubSelectPipe
         assert type(plan.root.children[0]) is P.ScanRoot
+        assert "columnar bitset filter on x = 'd'" in plan.render()
 
     def test_default_lowering_of_unanchored_pattern_is_full_scan(self):
         # A bare-? root predicate selects every node — no column to
@@ -127,6 +127,7 @@ class TestStructure:
         plan = lower(Q.root("T").sub_select("?(e ?*)").build(), db)
         assert type(plan.root) is P.SubSelectPipe
         assert type(plan.root.children[0]) is P.ScanRoot
+        assert "columnar" not in plan.render()
 
     def test_render_names_operators_and_access_paths(self):
         db = labeled_tree_db()
@@ -197,11 +198,12 @@ class TestAccessPathChoice:
 
 
 class TestColumnarLowering:
-    """The columnar operators are chosen in *both* lowering modes —
-    they gate themselves per execution, so the upgrade is always safe —
-    and their answers match the plain pipes bit for bit."""
+    """Tree scans keep the plain pipes (the matcher applies the columnar
+    root filter, gated per execution); the list scan has its own
+    self-gating operator, chosen in *both* lowering modes.  Kernel on
+    and kernel off answer bit for bit alike."""
 
-    def test_split_lowers_to_columnar_anchor_split(self):
+    def test_column_servable_split_lowers_to_the_plain_pipe(self):
         db = Database()
         db.bind_root("family", figure3_family_tree())
         query = Q.root("family").split(
@@ -210,8 +212,9 @@ class TestColumnarLowering:
             resolver=by_citizen_or_name,
         ).build()
         plan = lower(query, db)
-        assert type(plan.root) is P.ColumnarAnchorSplit
-        assert "columnar bitset filter" in plan.render()
+        assert type(plan.root) is P.SplitPipe
+        assert "columnar bitset filter on" in plan.render()
+        assert "citizen" in plan.render()
 
     def test_list_sub_select_lowers_to_columnar_list_scan(self):
         db = Database()
@@ -229,17 +232,22 @@ class TestColumnarLowering:
 
     @pytest.mark.parametrize("mode", ["on", "off"])
     def test_columnar_operators_match_plain_pipes(self, mode):
-        from repro import config
+        """Kernel on ≡ kernel off through the same operator."""
+        from repro import Session, config
 
         db = labeled_tree_db()
         query = Q.root("T").sub_select("d(e(h i) j ?*)").build()
-        plan = lower(query, db)
-        assert type(plan.root) is P.ColumnarAnchorScan
+        assert type(lower(query, db).root) is P.SubSelectPipe
+        session = Session(db)
         with config.columnar_scope(mode), config.columnar_threshold_scope(0):
-            served = run(plan, db)
+            served, metrics = session.query_with_metrics(query)
         with config.columnar_scope("off"):
-            baseline = run(lower(query, db), db)
+            baseline = session.query(query)
         assert served == baseline
+        assert list(served) == list(baseline)
+        # The matcher-level root filter must actually engage when on.
+        assert (metrics.total("columnar_roots") > 0) == (mode == "on")
+        assert metrics.total("nodes_scanned") == db.root("T").size()
 
 
 class TestAnchorParamRecording:

@@ -1,11 +1,11 @@
 """The payoff tests: pipelining shrinks buffers and trips budgets early.
 
 Acceptance criteria for the physical layer (ISSUE 3): on the fig4-style
-indexed-split benchmark the streaming executor's peak intermediate
-cardinality is *strictly below* the eager executor's with identical
-results, and a ``max_nodes_scanned`` budget trips mid-stream — after
-charging only the candidates actually tried, not the whole input the
-eager interpreter bills up front.
+indexed-split benchmark the pipeline's peak intermediate cardinality is
+exactly its result sink — never the input tree an operator-at-a-time
+evaluation would hold — with results identical to the reference
+evaluator, and a ``max_nodes_scanned`` budget trips mid-stream — after
+charging only the candidates actually tried, not the whole input.
 """
 
 import pytest
@@ -20,6 +20,8 @@ from repro.query.interpreter import evaluate_with_metrics
 from repro.storage import Database
 from repro.workloads import random_labeled_tree
 
+from ..reference import reference_eval
+
 
 def indexed_tree_db() -> tuple[Database, int]:
     """The CLAIM-SPLIT setup at test scale: rare anchor, node index."""
@@ -33,48 +35,35 @@ def indexed_tree_db() -> tuple[Database, int]:
 
 
 class TestPeakIntermediateCardinality:
-    def test_indexed_sub_select_streams_below_eager_peak(self):
+    def test_indexed_sub_select_buffers_only_its_result(self):
         db, size = indexed_tree_db()
         query = Q.root("T").sub_select("d(e(h i) j ?*)").build()
         # Optimized execution serves this through the index anchor scan.
         assert type(lower(query, db, choose_access_paths=True).root) is P.IndexAnchorScan
 
-        session = Session(db)
-        eager_result, eager = session.query_with_metrics(
-            query, optimize=True, executor="eager"
-        )
-        streaming_result, streaming = session.query_with_metrics(
-            query, optimize=True, executor="streaming"
-        )
-        assert streaming_result == eager_result
-        assert list(streaming_result) == list(eager_result)
-        # Eager hands the whole root tree to sub_select as one buffer;
-        # the pipeline's only resident buffer is the final result sink.
-        assert eager.peak_intermediate() >= size
-        assert streaming.peak_intermediate() == len(streaming_result)
-        assert streaming.peak_intermediate() < eager.peak_intermediate()
+        result, metrics = Session(db).query_with_metrics(query, optimize=True)
+        reference = reference_eval(query, db)
+        assert result == reference
+        assert list(result) == list(reference)
+        # The whole root tree is never held as an operator's buffer; the
+        # pipeline's only resident buffer is the final result sink.
+        assert metrics.peak_intermediate() == len(result) < size
 
-    def test_indexed_split_streams_below_eager_peak(self):
+    def test_indexed_split_buffers_only_its_result(self):
         db, size = indexed_tree_db()
         query = Q.root("T").split("d(e(h i) j ?*)", make_tuple).build()
         assert (
             type(lower(query, db, choose_access_paths=True).root) is P.IndexAnchorSplit
         )
 
-        session = Session(db)
-        eager_result, eager = session.query_with_metrics(
-            query, optimize=True, executor="eager"
-        )
-        streaming_result, streaming = session.query_with_metrics(
-            query, optimize=True, executor="streaming"
-        )
-        assert streaming_result == eager_result
-        assert streaming.peak_intermediate() < eager.peak_intermediate()
+        result, metrics = Session(db).query_with_metrics(query, optimize=True)
+        assert result == reference_eval(query, db)
+        assert metrics.peak_intermediate() == len(result) < size
 
     def test_source_scans_are_not_counted_as_buffers(self):
         db, _ = indexed_tree_db()
         query = Q.root("T").sub_select("d(e(h i) j ?*)").build()
-        _, streaming = evaluate_with_metrics(query, db, executor="streaming")
+        _, streaming = evaluate_with_metrics(query, db)
         # scan_root yields a stored reference, not a materialized copy.
         assert streaming[(0,)].peak_buffered == 0
 
@@ -85,20 +74,12 @@ class TestMidStreamBudgetTrips:
         db = Database()
         db.bind_root("T", tree)
         query = Q.root("T").sub_select("z").build()
-        budget = Budget(max_nodes_scanned=2)
-
-        with pytest.raises(ResourceExhaustedError) as streaming_info:
-            evaluate(query, db, budget=budget, executor="streaming")
-        with pytest.raises(ResourceExhaustedError) as eager_info:
-            evaluate(query, db, budget=budget, executor="eager")
-
-        streaming_exc, eager_exc = streaming_info.value, eager_info.value
-        assert streaming_exc.limit_name == eager_exc.limit_name == "max_nodes_scanned"
-        # Streaming charges candidate by candidate: the trip fires on the
-        # third node tried.  Eager bills the full 5-node tree up front.
-        assert streaming_exc.spent == 3
-        assert eager_exc.spent == tree.size() == 5
-        assert streaming_exc.spent < eager_exc.spent
+        with pytest.raises(ResourceExhaustedError) as info:
+            evaluate(query, db, budget=Budget(max_nodes_scanned=2))
+        assert info.value.limit_name == "max_nodes_scanned"
+        # Charged candidate by candidate: the trip fires on the third
+        # node tried, before the 5-node tree has been scanned.
+        assert info.value.spent == 3 < tree.size()
 
     def test_trip_is_annotated_with_the_pulling_operator(self):
         tree = parse_tree("a(b(c d) e)")
@@ -116,12 +97,7 @@ class TestMidStreamBudgetTrips:
         db = Database()
         db.insert_many([Record(name=f"p{i}") for i in range(10)], "Person")
         query = Q.extent("Person").build()
-        budget = Budget(max_results=3)
-
-        with pytest.raises(ResourceExhaustedError) as streaming_info:
-            evaluate(query, db, budget=budget, executor="streaming")
-        with pytest.raises(ResourceExhaustedError) as eager_info:
-            evaluate(query, db, budget=budget, executor="eager")
-        # Row-by-row counting stops at limit+1; eager sees all 10 first.
-        assert streaming_info.value.spent == 4
-        assert eager_info.value.spent == 10
+        with pytest.raises(ResourceExhaustedError) as info:
+            evaluate(query, db, budget=Budget(max_results=3))
+        # Row-by-row counting stops at limit+1, not at all 10 members.
+        assert info.value.spent == 4

@@ -1,10 +1,12 @@
-"""Streaming executor ≡ eager interpreter, bit for bit.
+"""Streaming pipeline ≡ reference evaluator, bit for bit.
 
-The refactor's contract: lowering a logical plan to the Volcano-style
-pipeline changes *when* work happens, never *what* comes out — same
-members in the same order under the same equality notion, same
-per-operator metrics paths and totals, same instrumentation counters,
-same coercion diagnostics.
+The physical layer's contract: lowering a logical plan to the
+Volcano-style pipeline changes *when* work happens, never *what* comes
+out — same members in the same order under the same equality notion as
+the plain recursion over the algebra definitions (``tests/reference.py``),
+per-operator metrics at the logical plan's paths with the reference's
+cardinalities, full scans charged in full, coercion errors naming the
+plan path.
 """
 
 import pytest
@@ -17,6 +19,7 @@ from repro.errors import QueryError
 from repro.predicates import attr
 from repro.query import Q, evaluate
 from repro.query.interpreter import evaluate_with_metrics
+from repro.query.metrics import cardinality
 from repro.storage import Database
 from repro.workloads import (
     BRAZIL,
@@ -28,6 +31,8 @@ from repro.workloads import (
     random_rna_structure,
     song_with_melody,
 )
+
+from ..reference import reference_eval
 
 
 def ordered(value):
@@ -158,72 +163,71 @@ CASES = {
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_results_identical_including_member_order(case):
     db, query = CASES[case]()
-    streaming = evaluate(query, db, executor="streaming")
-    eager = evaluate(query, db, executor="eager")
-    assert streaming == eager
-    assert ordered(streaming) == ordered(eager)
+    streamed = evaluate(query, db)
+    reference = reference_eval(query, db)
+    assert streamed == reference
+    assert ordered(streamed) == ordered(reference)
+
+
+def plan_nodes(node, path=()):
+    """Every logical node of a plan, keyed by its path from the root."""
+    yield path, node
+    for index, child in enumerate(node.children()):
+        yield from plan_nodes(child, (*path, index))
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_metrics_agree_per_operator(case):
+def test_metrics_line_up_with_the_logical_plan(case):
     db, query = CASES[case]()
-    _, streaming = evaluate_with_metrics(query, db, executor="streaming")
-    _, eager = evaluate_with_metrics(query, db, executor="eager")
-    assert set(streaming.operators) == set(eager.operators)
-    for path, op in streaming.operators.items():
-        reference = eager.operators[path]
-        assert op.head == reference.head
-        assert op.calls == reference.calls == 1
-        assert op.rows_out == reference.rows_out, path
-    assert streaming.totals() == eager.totals()
+    _, metrics = evaluate_with_metrics(query, db)
+    nodes = dict(plan_nodes(query))
+    assert set(metrics.operators) == set(nodes)
+    for path, op in metrics.operators.items():
+        assert op.head == nodes[path].head()
+        assert op.calls == 1
+        assert op.rows_out == cardinality(reference_eval(nodes[path], db)), path
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_global_counters_agree(case):
+@pytest.mark.parametrize(
+    "case, counter, scanned",
+    [
+        ("sub-select", "nodes_scanned", lambda db: db.root("big").size()),
+        ("rna-motif", "nodes_scanned", lambda db: db.root("rna").size()),
+        ("list-sub-select", "positions_scanned", lambda db: len(db.root("song")) + 1),
+    ],
+)
+def test_completed_full_scans_are_charged_in_full(case, counter, scanned):
+    """One charge per candidate, topped up at exhaustion to the whole input."""
     db, query = CASES[case]()
-    with db.stats.scope() as streaming:
-        evaluate(query, db, executor="streaming")
-    with db.stats.scope() as eager:
-        evaluate(query, db, executor="eager")
-    assert streaming.snapshot() == eager.snapshot()
+    with db.stats.scope() as counters:
+        evaluate(query, db)
+        charged = counters.snapshot()[counter]
+    assert charged == scanned(db)
 
 
 class TestEqualityNotions:
     def test_set_results_preserve_the_producer_equality(self):
         db, query = CASES["tree-select"]()
-        streaming = evaluate(query, db, executor="streaming")
-        eager = evaluate(query, db, executor="eager")
-        assert streaming.equality is eager.equality
+        assert evaluate(query, db).equality is reference_eval(query, db).equality
 
     def test_apply_deduplicates_under_source_equality(self):
         db, query = CASES["extent-apply"]()
-        streaming = evaluate(query, db, executor="streaming")
-        eager = evaluate(query, db, executor="eager")
-        assert len(streaming) == len(eager)
-        assert ordered(streaming) == ordered(eager)
+        streamed = evaluate(query, db)
+        reference = reference_eval(query, db)
+        assert len(streamed) == len(reference)
+        assert ordered(streamed) == ordered(reference)
 
 
 class TestCoercionDiagnostics:
     """Satellite: type errors name the offending plan path (head chain)."""
 
-    @pytest.mark.parametrize("executor", ["streaming", "eager"])
-    def test_tree_operator_over_a_list_names_the_head_chain(self, executor):
+    def test_tree_operator_over_a_list_names_the_head_chain(self):
         db, _ = CASES["list-select"]()
         query = Q.root("song").sub_select("a").sapply(lambda t: t).build()
         with pytest.raises(QueryError) as info:
-            evaluate(query, db, executor=executor)
+            evaluate(query, db)
         message = str(info.value)
         assert "plan path:" in message
         # The chain runs from the plan root down to the offending operator.
         assert "sapply" in message
         assert "sub_select[a]" in message
-
-    def test_messages_are_identical_across_executors(self):
-        db, _ = CASES["list-select"]()
-        query = Q.root("song").sub_select("a").sapply(lambda t: t).build()
-        messages = []
-        for which in ("streaming", "eager"):
-            with pytest.raises(QueryError) as info:
-                evaluate(query, db, executor=which)
-            messages.append(str(info.value))
-        assert messages[0] == messages[1]

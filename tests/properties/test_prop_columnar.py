@@ -3,8 +3,8 @@
 The kernel's contract: with the columnar kernel forced on (threshold
 0), every query returns a match stream bit-identical to the kernel
 pinned off — across the three workload families (labeled trees /
-Figure-4 family splits / melody lists), both executors, both tree
-engines, and every available bitset backend.  Snapshot pins keep
+Figure-4 family splits / melody lists), both tree engines, and every
+available bitset backend.  Snapshot pins keep
 serving the pinned tree's columnar cut after the live root moves on,
 and rebinding a root between queries invalidates its extent.
 """
@@ -30,21 +30,16 @@ SETTINGS = settings(max_examples=12, deadline=None)
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
-MODES = [
-    (executor, engine, backend)
-    for executor in ("streaming", "eager")
-    for engine in ("memo", "backtrack")
-    for backend in BACKENDS
-]
+MODES = [(engine, backend) for engine in ("memo", "backtrack") for backend in BACKENDS]
 
 LABELS = ["d", "e", "h", "i", "j", "u", "v"]
 
 TREE_PATTERNS = ["d(e ?*)", "d(?*)", "e(h i ?*)", "d(e(h i) j ?*)"]
 
 
-def both_legs(query, db, executor, engine, backend):
+def both_legs(query, db, engine, backend):
     """Evaluate ``query`` kernel-off and kernel-on under one mode."""
-    with config.executor_scope(executor), config.tree_engine_scope(engine):
+    with config.tree_engine_scope(engine):
         with config.columnar_scope("off"):
             off = evaluate(query, db)
         with (
@@ -56,22 +51,22 @@ def both_legs(query, db, executor, engine, backend):
     return off, on
 
 
-@pytest.mark.parametrize("executor,engine,backend", MODES)
+@pytest.mark.parametrize("engine,backend", MODES)
 @SETTINGS
 @given(seed=st.integers(0, 10_000), pattern=st.sampled_from(TREE_PATTERNS))
-def test_labeled_sub_select_bit_identical(executor, engine, backend, seed, pattern):
+def test_labeled_sub_select_bit_identical(engine, backend, seed, pattern):
     tree = random_labeled_tree(60, LABELS, seed=seed)
     db = Database()
     db.bind_root("T", tree)
     query = Q.root("T").sub_select(pattern).build()
-    off, on = both_legs(query, db, executor, engine, backend)
+    off, on = both_legs(query, db, engine, backend)
     assert off == on
 
 
-@pytest.mark.parametrize("executor,engine,backend", MODES)
+@pytest.mark.parametrize("engine,backend", MODES)
 @SETTINGS
 @given(seed=st.integers(0, 10_000), planted=st.integers(0, 4))
-def test_family_split_bit_identical(executor, engine, backend, seed, planted):
+def test_family_split_bit_identical(engine, backend, seed, planted):
     family = random_family_tree(40, seed=seed, planted_matches=planted)
     db = Database()
     db.bind_root("family", family)
@@ -80,22 +75,22 @@ def test_family_split_bit_identical(executor, engine, backend, seed, planted):
         .split("Brazil(!?* USA !?*)", make_tuple, resolver=by_citizen_or_name)
         .build()
     )
-    off, on = both_legs(query, db, executor, engine, backend)
+    off, on = both_legs(query, db, engine, backend)
     assert off == on
     assert len(off) >= planted
 
 
-@pytest.mark.parametrize("executor,engine,backend", MODES)
+@pytest.mark.parametrize("engine,backend", MODES)
 @SETTINGS
 @given(seed=st.integers(0, 10_000), occurrences=st.integers(0, 3))
-def test_melody_list_bit_identical(executor, engine, backend, seed, occurrences):
+def test_melody_list_bit_identical(engine, backend, seed, occurrences):
     song = song_with_melody(
         48, ["A", "C", "D", "F"], occurrences=occurrences, seed=seed
     )
     db = Database()
     db.bind_root("song", song)
     query = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
-    off, on = both_legs(query, db, executor, engine, backend)
+    off, on = both_legs(query, db, engine, backend)
     assert off == on
     assert len(on) >= occurrences
 

@@ -1,4 +1,4 @@
-"""Document-store properties: round-trip fidelity and executor agreement.
+"""Document-store properties: round-trip fidelity and mode agreement.
 
 Two families:
 
@@ -8,9 +8,9 @@ Two families:
   whitespace/adjacent-text normalization — and the parsed tree is
   value-identical after one round trip.
 
-* **Path queries are executor-independent.**  A random document queried
+* **Path queries are mode-independent.**  A random document queried
   with a random path yields bit-identical serialized results across
-  executors × tree engines × columnar backends, all agreeing with the
+  tree engines × columnar backends, all agreeing with the
   ``naive_path`` reference walk — and querying never mutates the
   document (it re-serializes identically afterwards).
 """
@@ -42,12 +42,7 @@ SETTINGS = settings(max_examples=40, deadline=None)
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
-MODES = [
-    (executor, engine, backend)
-    for executor in ("streaming", "eager")
-    for engine in ("memo", "backtrack")
-    for backend in BACKENDS
-]
+MODES = [(engine, backend) for engine in ("memo", "backtrack") for backend in BACKENDS]
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +172,7 @@ def test_formats_cross_agree_on_reparse(tree):
 
 
 # ---------------------------------------------------------------------------
-# Path queries: executor independence + document immutability
+# Path queries: mode independence + document immutability
 # ---------------------------------------------------------------------------
 
 
@@ -185,12 +180,10 @@ def _rendered(results) -> list[str]:
     return sorted(to_xml(member) for member in results)
 
 
-@pytest.mark.parametrize("executor,engine,backend", MODES)
+@pytest.mark.parametrize("engine,backend", MODES)
 @settings(max_examples=8, deadline=None)
 @given(tree=documents(), path=paths())
-def test_path_results_bit_identical_across_modes(
-    executor, engine, backend, tree, path
-):
+def test_path_results_bit_identical_across_modes(engine, backend, tree, path):
     doc = Document(tree, "xml", name="propdoc")
     before = to_xml(doc.tree)
     reference = _rendered(naive_path(doc.tree, path))
@@ -199,7 +192,7 @@ def test_path_results_bit_identical_across_modes(
         config.columnar_backend_scope(backend),
         config.columnar_threshold_scope(0),
     ):
-        got = _rendered(doc.path(path, executor=executor, engine=engine))
+        got = _rendered(doc.path(path, engine=engine))
     assert got == reference
     # Querying is read-only: the document re-serializes identically.
     assert to_xml(doc.tree) == before

@@ -4,8 +4,8 @@ Hypothesis drives random patterns and workloads — labeled/identity
 trees, family trees, songs routed through the §6 list-as-tree bridge,
 RNA structures — and asserts the packrat ``memo`` engine enumerates
 exactly the backtracker's ``Shape`` stream: same match multiset, same
-member order, both directly at the matcher and through the eager and
-streaming executors.
+member order, both directly at the matcher and through the query
+pipeline (with the backtracker-driven reference evaluator as baseline).
 """
 
 import os
@@ -30,6 +30,7 @@ from repro.workloads import (
     random_song,
 )
 
+from ..reference import reference_eval
 from .strategies import (
     identity_trees,
     labeled_trees,
@@ -41,7 +42,6 @@ from .strategies import (
 SETTINGS = settings(max_examples=50, deadline=None)
 
 ENGINES = ("memo", "backtrack")
-EXECUTORS = ("eager", "streaming")
 
 
 @contextmanager
@@ -74,20 +74,15 @@ def assert_matchers_agree(pattern, tree):
     assert keys["memo"] == keys["backtrack"]
 
 
-def assert_engines_and_executors_agree(query, db):
-    results = {}
-    members = {}
+def assert_engines_agree(query, db):
+    with engine_env("backtrack"):
+        baseline = reference_eval(query, db)
     for engine in ENGINES:
         with engine_env(engine):
-            for executor in EXECUTORS:
-                value = evaluate(query, db, executor=executor)
-                results[(engine, executor)] = value
-                members[(engine, executor)] = ordered(value)
-    baseline = ("backtrack", "eager")
-    for key in results:
-        assert results[key] == results[baseline]
-        assert members[key] == members[baseline]
-    return results[baseline]
+            value = evaluate(query, db)
+        assert value == baseline
+        assert ordered(value) == ordered(baseline)
+    return baseline
 
 
 # -- matcher-level equivalence on random trees --------------------------------
@@ -119,15 +114,15 @@ def test_same_shape_stream_with_prunes(tree, pattern):
     assert_matchers_agree(pattern, tree)
 
 
-# -- through both executors, over the workload families -----------------------
+# -- through the query pipeline, over the workload families -------------------
 
 
 @SETTINGS
 @given(tree=labeled_trees(max_size=12), pattern=tree_patterns())
-def test_sub_select_agrees_across_engines_and_executors(tree, pattern):
+def test_sub_select_agrees_across_engines(tree, pattern):
     db = Database()
     db.bind_root("T", tree)
-    assert_engines_and_executors_agree(Q.root("T").sub_select(pattern).build(), db)
+    assert_engines_agree(Q.root("T").sub_select(pattern).build(), db)
 
 
 @SETTINGS
@@ -135,11 +130,11 @@ def test_sub_select_agrees_across_engines_and_executors(tree, pattern):
     tree=st.one_of(labeled_trees(max_size=10), wide_labeled_trees()),
     pattern=tree_patterns_with_prunes(),
 )
-def test_split_agrees_across_engines_and_executors(tree, pattern):
+def test_split_agrees_across_engines(tree, pattern):
     db = Database()
     db.bind_root("T", tree)
     query = Q.root("T").split(pattern, make_tuple).build()
-    assert_engines_and_executors_agree(query, db)
+    assert_engines_agree(query, db)
 
 
 @SETTINGS
@@ -157,7 +152,7 @@ def test_family_split_agrees(size, seed, planted):
         .split("Brazil(!?* USA !?*)", make_tuple, resolver=by_citizen_or_name)
         .build()
     )
-    result = assert_engines_and_executors_agree(query, db)
+    result = assert_engines_agree(query, db)
     assert len(result) >= planted
 
 
@@ -188,4 +183,4 @@ def test_rna_motif_agrees(size, seed):
     db = Database()
     db.bind_root("rna", random_rna_structure(size, seed=seed))
     query = Q.root("rna").sub_select("S(H)", resolver=by_element).build()
-    assert_engines_and_executors_agree(query, db)
+    assert_engines_agree(query, db)

@@ -4,7 +4,7 @@ Hypothesis drives the three workload families — family trees, songs,
 RNA structures — through interleaved queries and ``algebra.update``
 mutations, asserting that a **cache-hit execution is bit-identical to a
 cold prepare+run**: same values, same member order, same runtime counter
-totals, under both executors and both tree-pattern engines.  Mutations
+totals, under both tree-pattern engines.  Mutations
 route through :func:`repro.algebra.update.apply_update`, whose root
 rebind bumps ``Database.epoch`` — the next prepare must observe exactly
 one lazy invalidation and re-plan exactly once.
@@ -31,7 +31,6 @@ from repro.workloads import (
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
-EXECUTORS = ("streaming", "eager")
 ENGINES = ("memo", "backtrack")
 
 DOMAINS = {
@@ -80,11 +79,11 @@ def ordered(value):
     return repr(value)
 
 
-def run_measured(prepared, executor, engine):
+def run_measured(prepared, engine):
     """Execute and return ``(result, runtime-counter delta)``."""
     db = prepared.db
     before = dict(db.stats.snapshot())
-    result = prepared.run(executor=executor, engine=engine)
+    result = prepared.run(engine=engine)
     after = db.stats.snapshot()
     delta = {
         key: after[key] - before.get(key, 0)
@@ -94,20 +93,19 @@ def run_measured(prepared, executor, engine):
     return result, delta
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("engine", ENGINES)
 @SETTINGS
 @given(
     domain=st.sampled_from(sorted(DOMAINS)),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_cache_hit_is_bit_identical_to_cold_run(executor, engine, domain, seed):
+def test_cache_hit_is_bit_identical_to_cold_run(engine, domain, seed):
     query = DOMAINS[domain]["query"]
 
     # Cold: a fresh database, no cache — the reference execution.
     db_cold = build_db(domain, seed)
     cold_prepared = prepare(query, db_cold, cache=None)
-    cold, cold_counters = run_measured(cold_prepared, executor, engine)
+    cold, cold_counters = run_measured(cold_prepared, engine)
 
     # Warm: an identical database; first prepare populates the cache,
     # the second is a pure hit with zero planning work.
@@ -125,21 +123,18 @@ def test_cache_hit_is_bit_identical_to_cold_run(executor, engine, domain, seed):
     # Values and member order compare via repr: payload records carry
     # identity-based equality, and cold/warm live in separate (but
     # identically seeded) databases.
-    warm, warm_counters = run_measured(warm_prepared, executor, engine)
+    warm, warm_counters = run_measured(warm_prepared, engine)
     assert ordered(warm) == ordered(cold)
     assert warm_counters == cold_counters
 
 
-@pytest.mark.parametrize("executor", EXECUTORS)
 @pytest.mark.parametrize("engine", ENGINES)
 @SETTINGS
 @given(
     domain=st.sampled_from(sorted(DOMAINS)),
     seed=st.integers(min_value=0, max_value=10_000),
 )
-def test_update_bumps_epoch_and_forces_exactly_one_replan(
-    executor, engine, domain, seed
-):
+def test_update_bumps_epoch_and_forces_exactly_one_replan(engine, domain, seed):
     query = DOMAINS[domain]["query"]
     db = build_db(domain, seed)
     cache = PlanCache()
@@ -162,6 +157,6 @@ def test_update_bumps_epoch_and_forces_exactly_one_replan(
     db_ref = build_db(domain, seed)
     DOMAINS[domain]["mutate"](db_ref)
     reference = prepare(query, db_ref, cache=None)
-    warm, _ = run_measured(replanned, executor, engine)
-    cold, _ = run_measured(reference, executor, engine)
+    warm, _ = run_measured(replanned, engine)
+    cold, _ = run_measured(reference, engine)
     assert ordered(warm) == ordered(cold)

@@ -1,11 +1,13 @@
-"""Randomized streaming ≡ eager equivalence (ISSUE 3 satellite).
+"""Randomized pipeline ≡ reference-evaluator equivalence.
 
 Hypothesis drives random plans over the three workload families —
-labeled/identity trees, songs, RNA structures — and asserts the
-Volcano-style executor returns exactly what the eager interpreter
-returns, member order included.  The split cases additionally check the
-§4 reassembly identity ``x ∘α (y ∘α1 z1 ... ∘αn zn) = T`` *through the
-executors*: a split whose function reassembles must yield ``{T}``.
+labeled/identity trees, songs, RNA structures — and asserts
+``Session.query`` (the Volcano-style pipeline) returns exactly what the
+plain recursive evaluator over the algebra definitions
+(``tests/reference.py``) returns: values, member order and equality
+notion.  The split cases additionally check the §4 reassembly identity
+``x ∘α (y ∘α1 z1 ... ∘αn zn) = T`` *through the pipeline*: a split
+whose function reassembles must yield ``{T}``.
 """
 
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from repro.core import make_tuple
 from repro.core.aqua_list import AquaList
 from repro.core.aqua_set import AquaSet
 from repro.core.concat import ALPHA
-from repro.query import Q, evaluate
+from repro import Session
+from repro.query import Q
 from repro.storage import Database
 from repro.workloads import (
     by_citizen_or_name,
@@ -26,6 +29,7 @@ from repro.workloads import (
     random_song,
 )
 
+from ..reference import reference_eval
 from .strategies import (
     aqua_lists,
     identity_trees,
@@ -46,12 +50,14 @@ def ordered(value):
     return value
 
 
-def assert_executors_agree(query, db):
-    streaming = evaluate(query, db, executor="streaming")
-    eager = evaluate(query, db, executor="eager")
-    assert streaming == eager
-    assert ordered(streaming) == ordered(eager)
-    return streaming
+def assert_matches_reference(query, db):
+    streamed = Session(db).query(query)
+    reference = reference_eval(query, db)
+    assert streamed == reference
+    assert ordered(streamed) == ordered(reference)
+    if isinstance(reference, AquaSet):
+        assert streamed.equality is reference.equality
+    return streamed
 
 
 def reassemble(x, y, z):
@@ -70,32 +76,30 @@ def reassemble(x, y, z):
 def test_sub_select_agrees_on_labeled_trees(tree, pattern):
     db = Database()
     db.bind_root("T", tree)
-    assert_executors_agree(Q.root("T").sub_select(pattern).build(), db)
+    assert_matches_reference(Q.root("T").sub_select(pattern).build(), db)
 
 
 @SETTINGS
 @given(tree=identity_trees(max_size=12), pattern=tree_patterns())
 def test_identity_payload_results_never_collapse(tree, pattern):
     """OODB setting: payloads compare by identity, so wildcard matches
-    over structurally-equal subtrees must stay distinct members under
-    both executors (the producer-side dedup must use the same notion)."""
+    over structurally-equal subtrees must stay distinct members (the
+    producer-side dedup must use the reference's equality notion)."""
     db = Database()
     db.bind_root("T", tree)
-    assert_executors_agree(Q.root("T").sub_select(pattern).build(), db)
+    assert_matches_reference(Q.root("T").sub_select(pattern).build(), db)
     query = Q.root("T").split(pattern, make_tuple).build()
-    assert_executors_agree(query, db)
+    assert_matches_reference(query, db)
 
 
 @SETTINGS
 @given(tree=labeled_trees(max_size=12), pattern=tree_patterns_with_prunes())
-def test_split_reassembly_identity_through_both_executors(tree, pattern):
+def test_split_reassembly_identity_through_the_pipeline(tree, pattern):
     db = Database()
     db.bind_root("T", tree)
     query = Q.root("T").split(pattern, reassemble).build()
-    for executor in ("streaming", "eager"):
-        result = evaluate(query, db, executor=executor)
-        for rebuilt in result:
-            assert rebuilt == tree
+    for rebuilt in assert_matches_reference(query, db):
+        assert rebuilt == tree
 
 
 # -- workload families ---------------------------------------------------------
@@ -116,7 +120,7 @@ def test_family_split_agrees(size, seed, planted):
         .split("Brazil(!?* USA !?*)", make_tuple, resolver=by_citizen_or_name)
         .build()
     )
-    result = assert_executors_agree(query, db)
+    result = assert_matches_reference(query, db)
     assert len(result) >= planted
 
 
@@ -129,7 +133,7 @@ def test_melody_sub_select_agrees(length, seed):
     db = Database()
     db.bind_root("song", random_song(length, seed=seed))
     query = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
-    assert_executors_agree(query, db)
+    assert_matches_reference(query, db)
 
 
 @SETTINGS
@@ -138,7 +142,7 @@ def test_random_list_sub_select_agrees(values, pattern):
     db = Database()
     db.bind_root("L", values)
     query = Q.root("L").lsub_select(pattern).build()
-    assert_executors_agree(query, db)
+    assert_matches_reference(query, db)
 
 
 @SETTINGS
@@ -150,4 +154,4 @@ def test_rna_motif_sub_select_agrees(size, seed):
     db = Database()
     db.bind_root("rna", random_rna_structure(size, seed=seed))
     query = Q.root("rna").sub_select("S(H)", resolver=by_element).build()
-    assert_executors_agree(query, db)
+    assert_matches_reference(query, db)

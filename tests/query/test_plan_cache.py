@@ -11,6 +11,8 @@ from repro.query import expr as E
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
 
+from ..reference import reference_eval
+
 
 @pytest.fixture()
 def db():
@@ -239,11 +241,11 @@ class TestPreparedQuery:
         cold = evaluate(anchor_query(), db, params={"limit": 25})
         assert set(warm) == set(cold) == {p for p in warm}
 
-    def test_executor_parity(self, db):
+    def test_reference_parity(self, db):
         prepared = prepare(anchor_query(), db)
-        streaming = prepared.run({"limit": 27}, executor="streaming")
-        eager = prepared.run({"limit": 27}, executor="eager")
-        assert streaming == eager
+        assert prepared.run({"limit": 27}) == reference_eval(
+            anchor_query(), db, {"limit": 27}
+        )
 
     def test_records_param_slots(self, db):
         prepared = prepare(anchor_query(), db)

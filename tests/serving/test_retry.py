@@ -148,9 +148,9 @@ class TestRunWithPolicy:
             None,
             "bypass-plan-cache",
             "backtrack-engine",
-            "eager-executor",
             "unoptimized-plan",
             "unoptimized-plan",  # clamps at the last rung
+            "unoptimized-plan",  # ... for as long as the policy retries
         ]
 
     def test_degrade_false_never_walks_the_ladder(self, no_sleep):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session, default_session
-from repro.config import EXECUTOR_ENV, TREE_ENGINE_ENV
+from repro.config import TREE_ENGINE_ENV
 from repro.core import parse_tree
 from repro.core.identity import Record
 from repro.errors import QueryError
@@ -22,36 +22,39 @@ def db():
 
 
 class TestKnobValidation:
-    def test_bad_executor_rejected_at_construction(self, db):
-        with pytest.raises(QueryError, match=EXECUTOR_ENV):
-            Session(db, executor="vectorized")
+    def test_retired_executor_keyword_is_a_type_error(self, db):
+        with pytest.raises(TypeError):
+            Session(db, executor="eager")
+        with pytest.raises(TypeError):
+            Session(db).query(Q.extent("Person").node, executor="eager")
+
+    def test_retired_executor_env_var_is_ignored(self, db, monkeypatch):
+        monkeypatch.setenv("AQUA_EXECUTOR", "turbo")
+        assert len(Session(db).query(Q.extent("Person").node)) == 12
 
     def test_bad_engine_rejected_at_construction(self, db):
         with pytest.raises(QueryError, match=TREE_ENGINE_ENV):
             Session(db, engine="packrat")
 
     def test_bad_env_value_rejected_on_first_read(self, db, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "turbo")
+        monkeypatch.setenv(TREE_ENGINE_ENV, "turbo")
         session = Session(db)  # env not read yet
-        with pytest.raises(QueryError, match=EXECUTOR_ENV):
-            session.query(Q.extent("Person").node)
+        with pytest.raises(QueryError, match=TREE_ENGINE_ENV):
+            session.query(Q.root("T").sub_select("d(e j)").node)
 
     def test_bad_per_call_value_rejected(self, db):
         session = Session(db)
-        with pytest.raises(QueryError, match=EXECUTOR_ENV):
-            session.query(Q.extent("Person").node, executor="nope")
+        with pytest.raises(QueryError, match=TREE_ENGINE_ENV):
+            session.query(Q.root("T").sub_select("d(e j)").node, engine="nope")
 
 
 class TestPrecedence:
     def test_call_kwarg_beats_session_kwarg(self, db, monkeypatch):
-        # the session says eager; the call says streaming; both beat env
-        monkeypatch.setenv(EXECUTOR_ENV, "bogus-but-never-read")
-        session = Session(db, executor="eager")
-        result = session.query(
-            Q.extent("Person").sselect(attr("age") == 25).node,
-            executor="streaming",
-        )
-        assert {p.name for p in result} == {"p5"}
+        # the session says backtrack; the call says memo; both beat env
+        monkeypatch.setenv(TREE_ENGINE_ENV, "bogus-but-never-read")
+        session = Session(db, engine="backtrack")
+        result = session.query(Q.root("T").sub_select("d(e j)").node, engine="memo")
+        assert len(result) == 1
 
     def test_session_kwarg_beats_env(self, db, monkeypatch):
         monkeypatch.setenv(TREE_ENGINE_ENV, "bogus-but-never-read")
@@ -60,10 +63,10 @@ class TestPrecedence:
         assert len(result) == 1
 
     def test_env_beats_default(self, db, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "eager")
+        monkeypatch.setenv(TREE_ENGINE_ENV, "backtrack")
         session = Session(db)
-        result = session.query(Q.extent("Person").sselect(attr("age") == 25).node)
-        assert {p.name for p in result} == {"p5"}
+        result = session.query(Q.root("T").sub_select("d(e j)").node)
+        assert len(result) == 1
 
 
 class TestSessionBehavior:
@@ -105,7 +108,7 @@ class TestKnobAlignment:
     """One knob surface: Session.query / SessionPool.submit /
     PreparedQuery.run spell every knob the same way."""
 
-    KNOBS = {"budget", "executor", "engine", "parallel", "parallel_workers"}
+    KNOBS = {"budget", "engine", "parallel", "parallel_workers"}
 
     @staticmethod
     def _keywords(fn):
@@ -137,9 +140,9 @@ class TestKnobAlignment:
             assert "params" in inspect.signature(fn).parameters
 
     def test_resolver_applies_call_over_session_precedence(self, db):
-        session = Session(db, executor="eager", parallel="off")
-        knobs = session.resolve_knobs(Q.extent("Person").node, executor="streaming")
-        assert knobs.executor == "streaming"  # per-call wins
+        session = Session(db, engine="backtrack", parallel="off")
+        knobs = session.resolve_knobs(Q.extent("Person").node, engine="memo")
+        assert knobs.engine == "memo"  # per-call wins
         assert knobs.parallel == "off"  # session value survives
         assert knobs.optimize is False  # Expr default
 
@@ -147,7 +150,7 @@ class TestKnobAlignment:
         result = (
             Q.extent("Person")
             .sselect(attr("age") == 25)
-            .run(db, executor="eager", engine="backtrack")
+            .run(db, parallel="off", engine="backtrack")
         )
         assert {p.name for p in result} == {"p5"}
 
@@ -157,7 +160,7 @@ class TestKnobAlignment:
         result = run_aql(
             "extent Person | sselect {age = 25} | project name",
             db,
-            executor="eager",
+            engine="backtrack",
         )
         assert set(result) == {"p5"}
 

@@ -6,29 +6,6 @@ from repro import config
 from repro.errors import QueryError
 
 
-class TestExecutorKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(config.EXECUTOR_ENV, raising=False)
-        assert config.validated_executor() == "streaming"
-
-    def test_env(self, monkeypatch):
-        monkeypatch.setenv(config.EXECUTOR_ENV, "eager")
-        assert config.validated_executor() == "eager"
-
-    def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv(config.EXECUTOR_ENV, "eager")
-        assert config.validated_executor("streaming") == "streaming"
-
-    @pytest.mark.parametrize("bogus", ["turbo", "", "EAGER"])
-    def test_rejects_bad_values_naming_the_knob(self, monkeypatch, bogus):
-        monkeypatch.setenv(config.EXECUTOR_ENV, bogus)
-        with pytest.raises(QueryError) as excinfo:
-            config.validated_executor()
-        message = str(excinfo.value)
-        assert config.EXECUTOR_ENV in message
-        assert "streaming" in message and "eager" in message
-
-
 class TestTreeEngineKnob:
     def test_default(self, monkeypatch):
         monkeypatch.delenv(config.TREE_ENGINE_ENV, raising=False)

@@ -68,3 +68,15 @@ def test_docstore_group_is_complete() -> None:
     }
     assert root_group <= set(docstore.__all__)
     assert root_group <= set(repro.__all__)
+
+
+def test_readme_names_exactly_the_env_knobs_the_source_reads() -> None:
+    """Every ``AQUA_*`` variable in ``src/repro`` is documented, and the
+    README documents none that the source no longer knows."""
+    knob = re.compile(r"AQUA_[A-Z_]+")
+    in_source: set[str] = set()
+    for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
+        in_source.update(knob.findall(path.read_text(encoding="utf-8")))
+    in_readme = set(knob.findall(README.read_text(encoding="utf-8")))
+    assert in_source == in_readme
+    assert len(in_source) == 16
