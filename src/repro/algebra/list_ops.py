@@ -58,16 +58,18 @@ class ListSplitPiece:
     def reassembled(self) -> AquaList:
         """``x ∘α (y ∘α1 z1 ... ∘αn zn)`` — the reassembly invariant."""
         rebuilt = self.match
-        for point, run in zip(self.points, self.descendants.values()):
+        for point, run in zip(self.points, self.descendants):
             rebuilt = rebuilt.concat_at(point, run)
         return self.context.concat_at(ALPHA, rebuilt)
 
 
-def _build_pieces(
-    aqua_list: AquaList, match: ListMatch
-) -> ListSplitPiece:
-    cells = list(aqua_list.cells())
-    prefix = AquaList([*cells[: match.start], ALPHA])
+def build_pieces(aqua_list: AquaList, match: ListMatch) -> ListSplitPiece:
+    """The ``(x, y, z)`` decomposition of ``aqua_list`` at one ``match``."""
+    cells = aqua_list.cell_array
+    # The three big pieces are cuts of an already-validated array, adopted
+    # unchecked: a piece costs the same wherever the match sits.
+    before = cells[: match.start]
+    prefix = AquaList._adopt((*before, ALPHA), before)
 
     # Walk the matched span once, emitting kept cells and one fresh point
     # per pruned run, then a final point for a non-empty suffix.
@@ -88,7 +90,8 @@ def _build_pieces(
             point = ConcatPoint(str(counter))
             points.append(point)
             match_entries.append(point)
-            descendant_lists.append(AquaList([cells[i] for i in run]))
+            pruned = cells[run[0] : run[-1] + 1]
+            descendant_lists.append(AquaList._adopt(pruned, pruned))
             position = run[-1] + 1
         else:  # pragma: no cover - the match structure covers the span
             position += 1
@@ -99,7 +102,7 @@ def _build_pieces(
         point = ConcatPoint(str(counter))
         points.append(point)
         match_entries.append(point)
-        descendant_lists.append(AquaList(suffix_cells))
+        descendant_lists.append(AquaList._adopt(suffix_cells, suffix_cells))
 
     return ListSplitPiece(
         context=prefix,
@@ -122,10 +125,9 @@ def split_list_pieces(
     position-index hook).
     """
     lp = list_pattern(pattern, resolver)
-    values = aqua_list.values()
     return [
-        _build_pieces(aqua_list, match)
-        for match in find_list_matches(lp, values, starts=starts)
+        build_pieces(aqua_list, match)
+        for match in find_list_matches(lp, aqua_list.value_array, starts=starts)
     ]
 
 
@@ -155,11 +157,11 @@ def sub_select_list(
     exactly ``split(lp, λ(a,b,c) b ∘α1..αn [])``.
     """
     lp = list_pattern(pattern, resolver)
-    cells = list(aqua_list.cells())
-    results = []
-    for match in find_list_matches(lp, aqua_list.values(), starts=starts):
-        results.append(AquaList([cells[i] for i in match.kept]))
-    return AquaSet(results)
+    cells = aqua_list.cell_array
+    return AquaSet(
+        AquaList([cells[i] for i in match.kept])
+        for match in find_list_matches(lp, aqua_list.value_array, starts=starts)
+    )
 
 
 def all_anc_list(

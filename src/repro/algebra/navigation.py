@@ -34,17 +34,15 @@ Path = tuple[int, ...]
 
 def head(aqua_list: AquaList) -> Any:
     """The first element value; raises on an empty list."""
-    values = aqua_list.values()
-    if not values:
+    if aqua_list.is_empty:
         raise QueryError("head of an empty list")
-    return values[0]
+    return aqua_list[0]
 
 
 def last(aqua_list: AquaList) -> Any:
-    values = aqua_list.values()
-    if not values:
+    if aqua_list.is_empty:
         raise QueryError("last of an empty list")
-    return values[-1]
+    return aqua_list[-1]
 
 
 def tail(aqua_list: AquaList) -> AquaList:
@@ -54,36 +52,32 @@ def tail(aqua_list: AquaList) -> AquaList:
 
 def at(aqua_list: AquaList, position: int) -> Any:
     """The element value at ``position`` (0-based; negative allowed)."""
-    values = aqua_list.values()
     try:
-        return values[position]
+        return aqua_list[position]
     except IndexError:
-        raise QueryError(f"position {position} out of range for length {len(values)}")
+        raise QueryError(f"position {position} out of range for length {len(aqua_list)}")
 
 
 def positions(aqua_list: AquaList, predicate: Callable[[Any], bool]) -> list[int]:
     """Element positions satisfying ``predicate`` — MDM-style queries."""
-    return [i for i, value in enumerate(aqua_list.values()) if predicate(value)]
+    return [i for i, value in enumerate(aqua_list) if predicate(value)]
 
 
 def reverse(aqua_list: AquaList) -> AquaList:
     """A reversed copy (labeled NULLs keep their relative reversal too)."""
-    return AquaList(list(aqua_list.entries)[::-1])
+    return AquaList(aqua_list.entries[::-1])
 
 
 def zip_lists(left: AquaList, right: AquaList) -> AquaList:
     """Pairwise zip into a list of 2-tuples (shorter length wins)."""
     from ..core.aqua_tuple import make_tuple
 
-    pairs = [
-        make_tuple(a, b) for a, b in zip(left.values(), right.values())
-    ]
-    return AquaList.from_values(pairs)
+    return AquaList.from_values(make_tuple(a, b) for a, b in zip(left, right))
 
 
 def take_while(aqua_list: AquaList, predicate: Callable[[Any], bool]) -> AquaList:
     kept = []
-    for value in aqua_list.values():
+    for value in aqua_list:
         if not predicate(value):
             break
         kept.append(value)
@@ -91,7 +85,7 @@ def take_while(aqua_list: AquaList, predicate: Callable[[Any], bool]) -> AquaLis
 
 
 def drop_while(aqua_list: AquaList, predicate: Callable[[Any], bool]) -> AquaList:
-    values = aqua_list.values()
+    values = aqua_list.value_array
     index = 0
     while index < len(values) and predicate(values[index]):
         index += 1

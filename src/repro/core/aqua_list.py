@@ -10,6 +10,13 @@ that the equivalence properties and the §6 translation rely on.
 Entries are either :class:`~repro.core.identity.Cell` (elements) or
 :class:`~repro.core.concat.ConcatPoint` (labeled NULLs, visible only to
 concatenation).
+
+A list is immutable once built (mutators return new lists), so its
+element sequence is position-addressable once, not per query:
+:attr:`AquaList.cell_array` is fixed by the constructor and
+:attr:`AquaList.value_array` is derived on first use; the position
+index, the columnar kernel, the list scan operators and ``split`` all
+read those two tuples instead of re-deriving them.
 """
 
 from __future__ import annotations
@@ -25,22 +32,25 @@ from .identity import Cell, as_cell, deref
 class AquaList:
     """An ordered sequence of cells, possibly containing labeled NULLs."""
 
-    __slots__ = ("_entries", "_element_count")
+    __slots__ = ("_entries", "_cells", "_values")
 
     def __init__(self, entries: Iterable[Cell | ConcatPoint] = ()) -> None:
-        self._entries: list[Cell | ConcatPoint] = list(entries)
-        # Lists are immutable once built (mutators return new lists), so
-        # the element count can be fixed here and ``len()`` stays O(1).
-        count = 0
-        for entry in self._entries:
-            if isinstance(entry, Cell):
-                count += 1
-            elif not isinstance(entry, ConcatPoint):
-                raise TypeMismatchError(
-                    f"list entries must be cells or concatenation points, got {entry!r};"
-                    " use AquaList.of(...) to wrap raw payloads"
-                )
-        self._element_count = count
+        self._entries: tuple[Cell | ConcatPoint, ...] = tuple(entries)
+        # Validation visits every entry anyway, so it also fixes the
+        # element-cell array: the entries themselves unless labeled NULLs
+        # are interleaved.
+        cells = [e for e in self._entries if isinstance(e, Cell)]
+        if len(cells) == len(self._entries):
+            self._cells: tuple[Cell, ...] = self._entries
+        else:
+            for entry in self._entries:
+                if not isinstance(entry, (Cell, ConcatPoint)):
+                    raise TypeMismatchError(
+                        f"list entries must be cells or concatenation points, got {entry!r};"
+                        " use AquaList.of(...) to wrap raw payloads"
+                    )
+            self._cells = tuple(cells)
+        self._values: tuple[Any, ...] | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -66,35 +76,77 @@ class AquaList:
     def empty(cls) -> "AquaList":
         return cls(())
 
+    @classmethod
+    def _adopt(
+        cls, entries: tuple[Cell | ConcatPoint, ...], cells: tuple[Cell, ...]
+    ) -> "AquaList":
+        """Wrap arrays cut from already-validated lists, unchecked.
+
+        ``cells`` must be ``entries`` minus its labeled NULLs (the same
+        tuple when there are none).  No per-entry pass, so what a slice
+        or a ``split`` piece costs does not depend on whether, or where,
+        it carries a labeled NULL.
+        """
+        adopted = cls.__new__(cls)
+        adopted._entries = entries
+        adopted._cells = cells
+        adopted._values = None
+        return adopted
+
     # -- inspection --------------------------------------------------------
 
     @property
     def entries(self) -> Sequence[Cell | ConcatPoint]:
         """Raw entries, labeled NULLs included (read-only view)."""
-        return tuple(self._entries)
+        return self._entries
+
+    @property
+    def cell_array(self) -> tuple[Cell, ...]:
+        """Element cells by position — shared, fixed at construction."""
+        return self._cells
+
+    @property
+    def value_array(self) -> tuple[Any, ...]:
+        """Dereferenced element values by position — shared, derived once.
+
+        Racing first readers compute equal tuples and one wins, so no
+        lock is needed.
+        """
+        values = self._values
+        if values is None:
+            values = self._values = tuple([cell.contents for cell in self._cells])
+        return values
 
     def cells(self) -> Iterator[Cell]:
         """Element cells only — what the query operators see."""
-        return (e for e in self._entries if isinstance(e, Cell))
+        return iter(self._cells)
 
     def values(self) -> list[Any]:
-        """Dereferenced element values in order (NULLs skipped)."""
-        return [deref(e) for e in self._entries if isinstance(e, Cell)]
+        """Dereferenced element values in order (NULLs skipped).
+
+        A fresh list the caller may mutate; readers that only index or
+        iterate use :attr:`value_array`.
+        """
+        return list(self.value_array)
 
     def concat_points(self) -> list[ConcatPoint]:
+        if self._cells is self._entries:
+            return []
         return [e for e in self._entries if is_concat_point(e)]
 
     def __len__(self) -> int:
         """Number of *elements* (labeled NULLs are not elements)."""
-        return self._element_count
+        return len(self._cells)
 
     def __iter__(self) -> Iterator[Any]:
         """Iterate over dereferenced element values."""
-        return iter(self.values())
+        return iter(self.value_array)
 
     def __getitem__(self, index: int | slice) -> Any:
         """Index/slice over *element values*; slices return lists of values."""
-        return self.values()[index]
+        if isinstance(index, slice):
+            return list(self.value_array[index])
+        return self.value_array[index]
 
     @property
     def is_empty(self) -> bool:
@@ -108,14 +160,20 @@ class AquaList:
         Positions count elements only; embedded labeled NULLs within the
         window are preserved.
         """
+        if self._cells is self._entries:
+            start = max(start, 0)
+            window = self._entries[start : max(stop, start)]
+            return AquaList._adopt(window, window)
         result: list[Cell | ConcatPoint] = []
         position = 0
         for entry in self._entries:
+            if position >= stop:
+                break
             if isinstance(entry, Cell):
-                if start <= position < stop:
+                if start <= position:
                     result.append(entry)
                 position += 1
-            elif start <= position < stop:
+            elif start <= position:
                 result.append(entry)
         return AquaList(result)
 
@@ -138,9 +196,9 @@ class AquaList:
         fresh cells (node sets are sets).
         """
         if isinstance(other, Nil):
-            other_entries: list[Cell | ConcatPoint] = []
+            other_entries: Sequence[Cell | ConcatPoint] = ()
         elif isinstance(other, AquaList):
-            other_entries = list(other._entries)
+            other_entries = other._entries
         else:
             raise ConcatenationError(f"cannot concatenate {type(other).__name__} into a list")
 

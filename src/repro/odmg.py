@@ -158,7 +158,7 @@ class OdmgArray:
 
     def retrieve_element_at(self, index: int) -> Any:
         self._check(index)
-        return self._list.values()[index]
+        return self._list[index]
 
     def replace_element_at(self, element: Any, index: int) -> None:
         self._check(index)
@@ -209,7 +209,7 @@ class OdmgArray:
         return sub_select_list(pattern, self._list, resolver=resolver)
 
     def __iter__(self) -> Iterator[Any]:
-        return iter(self._list.values())
+        return iter(self._list)
 
     def __len__(self) -> int:
         return len(self._list)

@@ -315,11 +315,14 @@ class CostModel:
             if columnar is not None:
                 return columnar
             return size * tree_pattern_cost(node.pattern)
-        if isinstance(node, E.ListSubSelect):
-            columnar = self._columnar_list_cost(size, node.pattern)
+        if isinstance(node, (E.ListSubSelect, E.ListSplit)):
+            # One access-path ladder serves both (see ``_lower_list_scan``);
+            # split additionally builds the three pieces per match.
+            factor = 2.0 if isinstance(node, E.ListSplit) else 1.0
+            columnar = self._columnar_list_cost(size, node.pattern, factor)
             if columnar is not None:
                 return columnar
-            return size * list_pattern_cost(node.pattern)
+            return size * list_pattern_cost(node.pattern) * factor
         if isinstance(node, (E.TreeSelect, E.ListSelect, E.SetSelect)):
             return size
         if isinstance(node, E.Split):
@@ -329,8 +332,6 @@ class CostModel:
             return size * tree_pattern_cost(node.pattern) * 2.0
         if isinstance(node, (E.AllAnc, E.AllDesc)):
             return size * tree_pattern_cost(node.pattern) * 2.0
-        if isinstance(node, E.ListSplit):
-            return size * list_pattern_cost(node.pattern) * 2.0
         if isinstance(node, (E.TreeApply, E.ListApply, E.SetApply)):
             return size
         if isinstance(node, (E.SetUnion, E.SetIntersection, E.SetDifference)):

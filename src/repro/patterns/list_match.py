@@ -21,7 +21,7 @@ A match is reported as a :class:`ListMatch`:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .. import guardrails
 from ..errors import PatternError
@@ -235,7 +235,7 @@ def _find_list_matches(
 def iter_list_matches(
     pattern: ListPattern,
     values: Sequence[Any],
-    starts: Sequence[int] | None = None,
+    starts: Iterable[int] | None = None,
     on_start: "Callable[[int], None] | None" = None,
     flush_per_start: bool = False,
 ) -> Iterator[ListMatch]:
@@ -246,10 +246,12 @@ def iter_list_matches(
     ``(start, end)`` ordering without materializing the full result —
     only one start's matches are ever buffered at a time.
 
-    ``on_start`` is invoked once per candidate start before matching
-    there (the scan operators' position-charging hook);
-    ``flush_per_start`` flushes matcher counters after every start so
-    they land in the operator scope attributed at pull time.
+    ``starts`` may come in any order, duplicates included (they are
+    sorted and deduplicated here, once).  ``on_start`` is invoked once
+    per candidate start before matching there (the scan operators'
+    position-charging hook); ``flush_per_start`` flushes matcher
+    counters after every start so they land in the operator scope
+    attributed at pull time.
     """
     with guardrails.guarded():
         matcher = _Matcher(values)

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..algebra.list_ops import split_list
 from ..algebra.tree_ops import all_anc, all_desc
 from ..errors import QueryError
 from ..optimizer.anchors import (
@@ -135,10 +134,10 @@ def lower(
     without it (the default) the plan mirrors the logical tree, one
     plain operator per node.  Two choices are made in both modes because
     they gate themselves per execution: a column-servable list
-    ``sub_select`` lowers to the columnar shift-AND scan (falling back
-    to the plain scan when the kernel is off or the list is under the
-    size threshold), and tree scans get their columnar root filter
-    inside the matcher, with no operator of their own.
+    ``sub_select`` / ``split`` lowers to the columnar shift-AND scan
+    (falling back to the plain scan when the kernel is off or the list
+    is under the size threshold), and tree scans get their columnar root
+    filter inside the matcher, with no operator of their own.
     """
     return lower_factory(
         expr, db, choose_access_paths=choose_access_paths
@@ -219,25 +218,23 @@ def _lower_split(node: E.Split, db, choose) -> Thunk:
     return lambda: P.SplitPipe(node, child(), tp, node.function)
 
 
-def _materializer(
-    node: E.Expr, db, choose, producer: Callable, input_shape: str, kind: str
-) -> Thunk:
+def _materializer(node: E.Expr, db, choose, producer: Callable, kind: str) -> Thunk:
     child = _child(node, db, choose)
-    return lambda: P.MaterializeOp(node, child(), producer, input_shape, kind)
+    return lambda: P.MaterializeOp(node, child(), producer, kind)
 
 
 def _lower_all_anc(node: E.AllAnc, db, choose) -> Thunk:
     def producer(tree, node=node):
         return all_anc(node.pattern, node.function, tree)
 
-    return _materializer(node, db, choose, producer, "tree", "all_anc")
+    return _materializer(node, db, choose, producer, "all_anc")
 
 
 def _lower_all_desc(node: E.AllDesc, db, choose) -> Thunk:
     def producer(tree, node=node):
         return all_desc(node.pattern, node.function, tree)
 
-    return _materializer(node, db, choose, producer, "tree", "all_desc")
+    return _materializer(node, db, choose, producer, "all_desc")
 
 
 def _lower_list_select(node: E.ListSelect, db, choose) -> Thunk:
@@ -250,7 +247,10 @@ def _lower_list_apply(node: E.ListApply, db, choose) -> Thunk:
     return lambda: P.ListApplyPipe(node, (child(),))
 
 
-def _lower_list_sub_select(node: E.ListSubSelect, db, choose) -> Thunk:
+def _lower_list_scan(node, db, choose, function) -> Thunk:
+    """List ``sub_select`` (``function`` None) and list ``split`` share
+    one ladder of start sources: index probe, columnar shift-AND, all
+    starts.  The operators differ only in what they emit per match."""
     child = _child(node, db, choose)
     lp = list_pattern(node.pattern)
     if choose:
@@ -258,7 +258,7 @@ def _lower_list_sub_select(node: E.ListSubSelect, db, choose) -> Thunk:
         if chosen is not None:
             anchor, offsets = chosen
             choose.note(anchor)
-            return lambda: P.ListAnchorScan(node, child(), lp, anchor, offsets)
+            return lambda: P.ListAnchorScan(node, child(), lp, anchor, offsets, function)
     # Index upgrades are the planner's call (``choose_access_paths``
     # above), but the columnar scan gates itself at execution time —
     # knob off or an undersized list falls back to the inherited full
@@ -266,15 +266,16 @@ def _lower_list_sub_select(node: E.ListSubSelect, db, choose) -> Thunk:
     # unconditionally.
     choices = list_columnar_choice(lp)
     if choices is not None:
-        return lambda: P.ColumnarListScan(node, child(), lp, choices)
-    return lambda: P.ListSubSelectPipe(node, child(), lp)
+        return lambda: P.ColumnarListScan(node, child(), lp, choices, function)
+    return lambda: P.ListSubSelectPipe(node, child(), lp, function)
+
+
+def _lower_list_sub_select(node: E.ListSubSelect, db, choose) -> Thunk:
+    return _lower_list_scan(node, db, choose, None)
 
 
 def _lower_list_split(node: E.ListSplit, db, choose) -> Thunk:
-    def producer(aqua_list, node=node):
-        return split_list(node.pattern, node.function, aqua_list)
-
-    return _materializer(node, db, choose, producer, "list", "list split")
+    return _lower_list_scan(node, db, choose, node.function)
 
 
 def _lower_set_select(node: E.SetSelect, db, choose) -> Thunk:

@@ -11,9 +11,9 @@ The accounting contract every operator here keeps:
 
 * a full scan is charged in full, but incrementally — ``sub_select``
   charges one node per match candidate and tops up to ``tree.size()`` at
-  exhaustion, list ``sub_select`` does the same against ``len + 1``
-  start positions, and the indexed variants charge nothing beyond their
-  probes — so a budget trips mid-scan while a completed scan's totals
+  exhaustion, list ``sub_select`` / ``split`` do the same against
+  ``len + 1`` start positions, and the indexed variants charge nothing
+  beyond their probes — so a budget trips mid-scan while a completed scan's totals
   do not depend on how many candidates a filter skipped;
 * matcher counters are flushed per candidate
   (``flush_per_candidate`` / ``flush_per_start``) so they are credited
@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from .. import params
+from ..algebra.list_ops import build_pieces
 from ..algebra.tree_ops import (
     _context_tree,
     all_anc,
@@ -340,12 +341,12 @@ class IndexAnchorSplit(SplitPipe):
 
 
 class MaterializeOp(PhysicalOp):
-    """Explicit eager fallback: run a whole-value algebra function.
+    """Explicit eager fallback: run a whole-tree algebra function.
 
     Used for the operators whose semantics need the complete match set
-    at once (``all_anc`` / ``all_desc`` context construction, list
-    ``split``).  The result is recorded as a resident buffer — this is
-    the executor saying, out loud, that it could not pipeline here.
+    at once (``all_anc`` / ``all_desc`` context construction).  The
+    result is recorded as a resident buffer — this is the executor
+    saying, out loud, that it could not pipeline here.
     """
 
     name = "materialize"
@@ -356,17 +357,14 @@ class MaterializeOp(PhysicalOp):
         logical,
         child: PhysicalOp,
         producer: Callable[[Any], AquaSet],
-        input_shape: str,
         kind: str,
     ) -> None:
         super().__init__(logical, (child,))
         self.producer = producer
-        self.input_shape = input_shape
         self.kind = kind
 
     def rows(self) -> Iterator[Any]:
-        value = self.input_tree() if self.input_shape == "tree" else self.input_list()
-        result = self.producer(value)
+        result = self.producer(self.input_tree())
         self.result_equality = result.equality
         self.note_buffered(len(result))
         yield from result
@@ -405,25 +403,41 @@ class ListApplyPipe(PhysicalOp):
             yield as_cell(function(cell.contents))
 
 
-def _kept_rows(aqua_list: AquaList, matches) -> Iterator[Any]:
-    """Each list match as the ``AquaList`` of its kept cells, deduplicated."""
-    cells = list(aqua_list.cells())
-    return dedup((AquaList([cells[i] for i in match.kept]) for match in matches), DEFAULT)
+def _match_rows(aqua_list: AquaList, matches, function) -> Iterator[Any]:
+    """Each list match as its operator's row, deduplicated.
+
+    ``sub_select`` (no ``function``) emits the ``AquaList`` of the kept
+    cells; ``split`` emits ``function(x, y, z)`` over the match's pieces.
+    """
+    if function is None:
+        cells = aqua_list.cell_array
+        rows = (AquaList([cells[i] for i in match.kept]) for match in matches)
+    else:
+        pieces = (build_pieces(aqua_list, match) for match in matches)
+        rows = (function(p.context, p.match, p.descendants) for p in pieces)
+    return dedup(rows, DEFAULT)
 
 
 class ListSubSelectPipe(PhysicalOp):
     """List ``sub_select`` streamed match by match (all start positions).
 
+    Given a split ``function`` the same scan serves list ``split``: only
+    what is emitted per match changes (see :func:`_match_rows`), so the
+    two operators share their start sources, charges and counters.
     Charges one position per candidate start and tops up to ``len + 1``
     at exhaustion, so a completed scan costs every start position.
     """
 
     name = "list_sub_select_pipe"
+    split_name = "list_split_pipe"
     shape = "set"
 
-    def __init__(self, logical, child: PhysicalOp, pattern) -> None:
+    def __init__(self, logical, child: PhysicalOp, pattern, function=None) -> None:
         super().__init__(logical, (child,))
         self.pattern = pattern
+        self.function = function
+        if function is not None:
+            self.name = self.split_name
 
     def rows(self) -> Iterator[Any]:
         yield from self._scan_rows(self.input_list())
@@ -432,7 +446,7 @@ class ListSubSelectPipe(PhysicalOp):
         ctx = self.ctx
         lp = list_pattern(self.pattern)
         self.result_equality = DEFAULT
-        values = aqua_list.values()
+        values = aqua_list.value_array
         total = len(values) + 1
         stats = ctx.stats
         guard = ctx.guard
@@ -446,9 +460,10 @@ class ListSubSelectPipe(PhysicalOp):
             if guard is not None:
                 guard.charge_nodes(1, "list scan")
 
-        yield from _kept_rows(
+        yield from _match_rows(
             aqua_list,
             iter_list_matches(lp, values, on_start=on_start, flush_per_start=True),
+            self.function,
         )
         remainder = total - charged
         if remainder > 0:
@@ -461,8 +476,8 @@ class ListSubSelectPipe(PhysicalOp):
 
 
 class ColumnarListScan(ListSubSelectPipe):
-    """List ``sub_select`` whose start positions come from a shift-AND
-    pass over the list's predicate columns.
+    """List ``sub_select`` / ``split`` whose start positions come from a
+    shift-AND pass over the list's predicate columns.
 
     The batch-mode list operator the ROADMAP asks for: instead of
     running the pattern automaton from every start (or probing one
@@ -475,9 +490,10 @@ class ColumnarListScan(ListSubSelectPipe):
     """
 
     name = "columnar_list_scan"
+    split_name = "columnar_list_split"
 
-    def __init__(self, logical, child: PhysicalOp, pattern, choices) -> None:
-        super().__init__(logical, child, pattern)
+    def __init__(self, logical, child: PhysicalOp, pattern, choices, function=None) -> None:
+        super().__init__(logical, child, pattern, function)
         self.choices = tuple(choices)
 
     def rows(self) -> Iterator[Any]:
@@ -495,11 +511,12 @@ class ColumnarListScan(ListSubSelectPipe):
         ctx.stats.bump("positions_scanned", len(starts))
         if ctx.guard is not None:
             ctx.guard.charge_nodes(len(starts), "columnar candidates")
-        yield from _kept_rows(
+        yield from _match_rows(
             aqua_list,
             iter_list_matches(
-                lp, aqua_list.values(), starts=starts, flush_per_start=True
+                lp, aqua_list.value_array, starts=starts, flush_per_start=True
             ),
+            self.function,
         )
 
     def access_path(self) -> str:
@@ -510,8 +527,8 @@ class ColumnarListScan(ListSubSelectPipe):
         return f"columnar shift-AND over {passes}"
 
 
-class ListAnchorScan(PhysicalOp):
-    """List ``sub_select`` served by a position-index probe.
+class ListAnchorScan(ListSubSelectPipe):
+    """List ``sub_select`` / ``split`` served by a position-index probe.
 
     Probes the list's position index for a required atom and tries only
     ``position - offset`` candidate starts.  Falls back to the full
@@ -519,11 +536,12 @@ class ListAnchorScan(PhysicalOp):
     """
 
     name = "list_anchor_scan"
-    shape = "set"
+    split_name = "list_anchor_split"
 
-    def __init__(self, logical, child: PhysicalOp, pattern, anchor, offsets) -> None:
-        super().__init__(logical, (child,))
-        self.pattern = pattern
+    def __init__(
+        self, logical, child: PhysicalOp, pattern, anchor, offsets, function=None
+    ) -> None:
+        super().__init__(logical, child, pattern, function)
         self.anchor = anchor
         self.offsets = tuple(offsets)
 
@@ -535,21 +553,23 @@ class ListAnchorScan(PhysicalOp):
         db = ctx.db
         index = db.list_index(aqua_list, self.anchor.attributes())
         positions, used = index.positions_for(self.anchor, db.stats)
-        values = aqua_list.values()
+        starts = None
         if used:
-            starts = sorted(
-                {
-                    position - offset
-                    for position in positions
-                    for offset in self.offsets
-                    if position - offset >= 0
-                }
-            )
+            # Unordered: the matcher sorts its candidate starts itself.
+            starts = {
+                position - offset
+                for position in positions
+                for offset in self.offsets
+                if position - offset >= 0
+            }
             ctx.stats.bump("positions_scanned", len(starts))
-            matches = iter_list_matches(lp, values, starts=starts, flush_per_start=True)
-        else:
-            matches = iter_list_matches(lp, values, flush_per_start=True)
-        yield from _kept_rows(aqua_list, matches)
+        yield from _match_rows(
+            aqua_list,
+            iter_list_matches(
+                lp, aqua_list.value_array, starts=starts, flush_per_start=True
+            ),
+            self.function,
+        )
 
     def access_path(self) -> str:
         offsets = ",".join(str(offset) for offset in self.offsets)

@@ -495,7 +495,7 @@ class ColumnarList(_ColumnStore):
 
     def __init__(self, aqua_list: AquaList, backend: str | None = None) -> None:
         self.aqua_list = aqua_list
-        values = aqua_list.values()
+        values = aqua_list.value_array
         super().__init__(values, [True] * len(values), backend or resolve_backend())
         self.size = len(values)
 

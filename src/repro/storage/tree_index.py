@@ -415,7 +415,7 @@ class ListIndex:
 
     def __init__(self, aqua_list: AquaList, attributes: Iterable[str] = ()) -> None:
         self.aqua_list = aqua_list
-        self.values = aqua_list.values()
+        self.values = aqua_list.value_array
         self._value_positions: dict[Any, list[int]] = {}
         self._attribute_positions: dict[str, dict[Any, list[int]]] = {
             attribute: {} for attribute in attributes

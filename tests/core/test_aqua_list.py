@@ -56,8 +56,78 @@ class TestAccess:
         l = parse_list("[a @1 b c]")
         assert l.sublist(0, 2).concat_points() == [alpha(1)]
 
+    def test_sublist_out_of_range_windows(self):
+        """The slice fast path and the entry walk clamp alike: positions
+        below zero or past the end select nothing extra."""
+        for text in ("[abcde]", "[a @1 b c d e]"):
+            l = parse_list(text)
+            assert l.sublist(-3, 2).values() == ["a", "b"]
+            assert l.sublist(3, 99).values() == ["d", "e"]
+            assert l.sublist(4, 2).values() == []
+            assert l.sublist(2, -1).values() == []
+
     def test_appended(self):
         assert parse_list("[ab]").appended("c") == parse_list("[abc]")
+
+
+class TestSharedArrays:
+    """One cell array and one value array per list, shared by every
+    reader; the public accessors stay copy-safe."""
+
+    def test_arrays_are_position_addressable_and_skip_points(self):
+        l = parse_list("[a @1 b c]")
+        assert l.value_array == ("a", "b", "c")
+        assert [cell.contents for cell in l.cell_array] == ["a", "b", "c"]
+        assert list(l.cells()) == list(l.cell_array)
+        assert l.value_array is l.value_array  # derived once
+
+    def test_no_points_shares_the_entries(self):
+        l = parse_list("[abc]")
+        assert l.cell_array is l.entries
+
+    def test_mutating_values_leaves_list_index_and_queries_unchanged(self):
+        from repro.query import Q, evaluate
+        from repro.storage import Database
+
+        l = parse_list("[a b a c]")
+        db = Database()
+        db.bind_root("L", l)
+        index = db.list_index(l)
+        query = Q.root("L").lsub_select("[a ?]").build()
+        before = evaluate(query, db)
+
+        values = l.values()
+        values[0] = "z"
+        values.append("a")
+        del values[1]
+
+        assert l.values() == ["a", "b", "a", "c"]
+        assert l == parse_list("[a b a c]")
+        assert len(l) == 4 and l[0] == "a"
+        assert index.values == ("a", "b", "a", "c")
+        assert evaluate(query, db) == before
+        assert [m.values() for m in before] == [["a", "b"], ["a", "c"]]
+
+    def test_adopted_cuts_equal_constructor_built_lists(self):
+        """Slices and split pieces skip the per-entry validation pass;
+        they must be indistinguishable from lists built the checked way."""
+        from repro.algebra import split_list_pieces
+
+        l = parse_list("[x a b c y z]")
+        window = l.sublist(1, 4)
+        assert window == parse_list("[a b c]")
+        assert window.cell_array is window.entries
+        assert window.cell_array == l.cell_array[1:4]
+
+        (piece,) = split_list_pieces("[a !? c]", l)
+        for part in (piece.context, *piece.descendants):
+            rebuilt = AquaList(part.entries)
+            assert part == rebuilt and len(part) == len(rebuilt)
+            assert part.cell_array == rebuilt.cell_array
+            assert part.concat_points() == rebuilt.concat_points()
+        assert piece.context.to_notation() == "[x @]"
+        assert [d.values() for d in piece.descendants] == [["b"], ["y", "z"]]
+        assert piece.reassembled() == l
 
 
 class TestConcatenation:

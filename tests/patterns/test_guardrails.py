@@ -10,10 +10,10 @@ structured :class:`ResourceExhaustedError`, never a raw
 
 import pytest
 
-from repro import faults, guardrails
+from repro import Session, faults, guardrails
 from repro.core.aqua_tree import AquaTree, TreeNode
 from repro.core.identity import as_cell
-from repro.core.notation import parse_tree
+from repro.core.notation import parse_list, parse_tree
 from repro.errors import (
     AquaError,
     InjectedFaultError,
@@ -26,9 +26,10 @@ from repro.patterns.list_match import find_list_matches
 from repro.patterns.list_parser import parse_list_pattern
 from repro.patterns.tree_match import tree_in_language
 from repro.patterns.tree_parser import parse_tree_pattern
-from repro.query import evaluate, expr as E, parse_aql
+from repro.query import Q, evaluate, expr as E, parse_aql
 from repro.query.interpreter import evaluate_with_metrics
 from repro.storage import Database
+from repro.workloads import by_pitch, random_song
 
 #: Exponentially many derivations: every ``a`` can be kept or pruned, and
 #: the prune structure differs, so the backtracking matcher cannot
@@ -159,6 +160,45 @@ class TestInterpreterBudgets:
         exc = info.value
         assert exc.limit_name == "max_nodes_scanned"
         assert "scan" in exc.seam
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_nodes_scanned_trips_list_split_like_its_sub_select_twin(self, optimize):
+        """List ``split`` runs through the same start sources as
+        ``lsub_select`` and so pays the same positions: a budget the twin
+        trips, ``lsplit`` trips too — at the same spend."""
+        song = random_song(2_000, seed=0)
+        melody_db = Database()
+        melody_db.bind_root("song", song)
+        melody_db.list_index(song, ["pitch"])
+        session = Session(melody_db)
+        twin = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
+        split = Q.root("song").lsplit(
+            "[A??F]", lambda x, y, z: (len(x), len(y), len(z)), resolver=by_pitch
+        ).build()
+        spent = []
+        for plan in (twin, split):
+            with pytest.raises(ResourceExhaustedError) as info:
+                session.query(plan, budget=Budget(max_nodes_scanned=10), optimize=optimize)
+            assert info.value.limit_name == "max_nodes_scanned"
+            spent.append(info.value.spent)
+        assert spent[0] == spent[1] > 10
+        # Unbudgeted, the split reports the positions it examined.
+        _, metrics = session.query_with_metrics(split, optimize=optimize)
+        assert metrics.total("positions_scanned") > 0
+
+    def test_full_scan_list_split_tops_up_to_every_start(self):
+        """No servable atom: one position per start tried, ``len + 1``
+        once the scan completes — and a small budget trips mid-scan."""
+        list_db = Database()
+        list_db.bind_root("L", parse_list("[a b a c a b]"))
+        session = Session(list_db)
+        split = Q.root("L").lsplit("[[[a|b]] ?]", lambda x, y, z: len(x)).build()
+        rows, metrics = session.query_with_metrics(split)
+        assert sorted(rows) == [0, 1, 2, 4]
+        assert metrics.total("positions_scanned") == 7
+        with pytest.raises(ResourceExhaustedError) as info:
+            session.query(split, budget=Budget(max_nodes_scanned=3))
+        assert info.value.spent == 4
 
     def test_extent_scan_charges_nodes(self, db):
         with pytest.raises(ResourceExhaustedError):

@@ -26,6 +26,8 @@ from repro.workloads import (
     song_with_melody,
 )
 
+from ..reference import reference_eval
+
 
 def concrete_node_types() -> list[type]:
     return [
@@ -59,6 +61,19 @@ def person_db() -> Database:
     )
     db.create_index("Person", "city")
     return db
+
+
+def melody_db() -> Database:
+    """A 312-note song with three planted melodies and a pitch index."""
+    db = Database()
+    song = song_with_melody(300, ["A", "C", "D", "F"], occurrences=3, seed=11)
+    db.bind_root("song", song)
+    db.list_index(song, ["pitch"])
+    return db
+
+
+def piece_lengths(x, y, z):
+    return len(x), len(y), len(z)
 
 
 def run(plan, db):
@@ -163,14 +178,67 @@ class TestAccessPathChoice:
         assert run(chosen, db) == run(lower(query, db), db)
 
     def test_list_sub_select_upgrades_to_list_anchor_scan(self):
-        db = Database()
-        song = song_with_melody(300, ["A", "C", "D", "F"], occurrences=3, seed=11)
-        db.bind_root("song", song)
-        db.list_index(song, ["pitch"])
+        db = melody_db()
         query = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
         chosen = lower(query, db, choose_access_paths=True)
         assert type(chosen.root) is P.ListAnchorScan
         assert run(chosen, db) == run(lower(query, db), db)
+
+    def test_list_split_takes_the_probe_path_and_renders_it(self):
+        """``lsplit`` climbs the same start-source ladder as its
+        ``lsub_select`` twin — through the same operator classes."""
+        db = melody_db()
+        query = Q.root("song").lsplit("[A??F]", piece_lengths, resolver=by_pitch).build()
+        chosen = lower(query, db, choose_access_paths=True)
+        assert type(chosen.root) is P.ListAnchorScan
+        assert chosen.root.function is piece_lengths
+        rendered = chosen.render()
+        assert "list_anchor_split" in rendered
+        assert "position-index probe on" in rendered and "pitch" in rendered
+        plain = lower(query, db)
+        assert type(plain.root) is P.ColumnarListScan
+        assert "columnar_list_split  [columnar shift-AND over" in plain.render()
+        assert run(chosen, db) == run(plain, db) == reference_eval(query, db)
+
+    def test_list_split_without_a_required_atom_falls_back_to_the_full_scan(self):
+        db = melody_db()
+        query = Q.root("song").lsplit("[[[A|C]] ?]", piece_lengths, resolver=by_pitch).build()
+        for choose in (True, False):
+            plan = lower(query, db, choose_access_paths=choose)
+            assert type(plan.root) is P.ListSubSelectPipe
+            assert "list_split_pipe  [scan of all start positions]" in plan.render()
+            assert run(plan, db) == reference_eval(query, db)
+
+    @pytest.mark.parametrize(
+        "pattern,optimize,expected",
+        [
+            # (positions_scanned, index_probes, backtrack_steps), read off
+            # the parent commit's EXPLAIN ANALYZE for this 312-note song:
+            # sharing the arrays and serving lsplit moved none of them.
+            ("[A??F]", True, (3, 1, 3)),
+            ("[A??F]", False, (313, 0, 313)),
+            ("[A [[C|D]]+ F]", True, (3, 1, 3)),
+            ("[A [[C|D]]+ F]", False, (313, 0, 313)),
+            ("[? ? F]", True, (3, 1, 3)),
+            ("[? ? F]", False, (313, 0, 313)),
+        ],
+    )
+    def test_list_sub_select_counters_match_the_parent_goldens(
+        self, pattern, optimize, expected
+    ):
+        from repro import Session
+
+        db = melody_db()
+        query = Q.root("song").lsub_select(pattern, resolver=by_pitch).build()
+        split = Q.root("song").lsplit(pattern, piece_lengths, resolver=by_pitch).build()
+        session = Session(db)
+        for plan in (query, split):  # the twin charges exactly alike
+            _, metrics = session.query_with_metrics(plan, optimize=optimize)
+            counters = tuple(
+                metrics.total(name)
+                for name in ("positions_scanned", "index_probes", "backtrack_steps")
+            )
+            assert counters == expected
 
     def test_extent_select_upgrades_to_indexed_select_filter(self):
         db = person_db()
