@@ -33,7 +33,6 @@ from typing import Any, Mapping, NamedTuple
 from . import config
 from .errors import QueryError
 from .guardrails import Budget
-from .query import expr as E
 from .query.metrics import PlanMetrics
 from .query.plan_cache import DEFAULT_CACHE, PlanCache
 from .query.prepare import PreparedQuery, prepare as _prepare

@@ -65,6 +65,68 @@ def _node(payload: Any, children: Sequence[TreeNode] = ()) -> TreeNode:
     return TreeNode(as_cell(payload), children)
 
 
+class TreeLayout:
+    """The preorder numbering of one tree: built once, read by everyone.
+
+    ``nodes`` is every node in preorder (concatenation points included,
+    so positions match ``enumerate(tree.nodes())``); ``position`` and
+    ``children_position`` map ``id(node)`` / ``id(node.children)`` to
+    that position; ``parent`` (``-1`` at the root), ``depth`` and ``end``
+    are arrays over positions, ``end[p]`` being one past the last
+    position in ``p``'s subtree — so ``a`` is an ancestor of ``b`` iff
+    ``a < b < end[a]``.  Everything here is read-only to consumers; the
+    ``nodes`` tuple keeps every interned id alive.
+    """
+
+    __slots__ = (
+        "nodes",
+        "position",
+        "children_position",
+        "parent",
+        "depth",
+        "end",
+        "element_count",
+    )
+
+    def __init__(self, root: "TreeNode | None") -> None:
+        nodes: list[TreeNode] = []
+        position: dict[int, int] = {}
+        children_position: dict[int, int] = {}
+        parent: list[int] = []
+        depth: list[int] = []
+        points = 0
+        stack = [(root, -1, 0)] if root is not None else []
+        pop = stack.pop
+        while stack:
+            node, above, level = pop()
+            here = len(nodes)
+            nodes.append(node)
+            parent.append(above)
+            depth.append(level)
+            position[id(node)] = here
+            children = node.children
+            children_position[id(children)] = here
+            if children:
+                level += 1
+                stack.extend([(child, here, level) for child in reversed(children)])
+            elif isinstance(node.item, ConcatPoint):
+                points += 1
+        # Preorder puts a subtree's last node at its largest position, so
+        # one reverse sweep pushes every node's end up into its parent.
+        end = list(range(1, len(nodes) + 1))
+        for here in range(len(nodes) - 1, 0, -1):
+            above = parent[here]
+            if end[here] > end[above]:
+                end[above] = end[here]
+        self.nodes = tuple(nodes)
+        self.position = position
+        self.children_position = children_position
+        self.parent = parent
+        self.depth = depth
+        self.end = end
+        self.element_count = len(nodes) - points
+
+
 class AquaTree:
     """An ordered, variable-arity tree of cells; possibly empty.
 
@@ -72,12 +134,13 @@ class AquaTree:
     concatenation closes off a point with :data:`~repro.core.concat.NIL`.
     """
 
-    __slots__ = ("root", "_size", "_hash")
+    __slots__ = ("root", "_size", "_hash", "_layout")
 
     def __init__(self, root: TreeNode | None = None) -> None:
         self.root = root
         self._size: int | None = None
         self._hash: int | None = None
+        self._layout: TreeLayout | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -155,7 +218,8 @@ class AquaTree:
     def size(self) -> int:
         """Number of element nodes (labeled NULLs are not elements).
 
-        Cached after the first walk: trees are value-like (operations
+        Cached after the first walk (or by :meth:`layout`, whichever
+        comes first): trees are value-like (operations
         return new trees rather than mutating), so the count is stable
         for any published tree.  Builders that do edit node structures
         in place (the workload generators) must finish before handing
@@ -164,6 +228,23 @@ class AquaTree:
         if self._size is None:
             self._size = sum(1 for _ in self.element_nodes())
         return self._size
+
+    def layout(self) -> TreeLayout:
+        """The tree's preorder numbering — the only place nodes get one.
+
+        Built iteratively on first use and cached under the same contract
+        as :meth:`size` (in-place builders finish before publishing the
+        tree).  Two threads racing the first call each build an equal
+        layout and one wins the slot: wasted work, never a wrong answer.
+        Node indexes, columnar extents and match contexts all read this
+        one object, so a tree is traversed once however many of them it
+        gets — and whichever database wraps it.
+        """
+        layout = self._layout
+        if layout is None:
+            layout = self._layout = TreeLayout(self.root)
+            self._size = layout.element_count
+        return layout
 
     def height(self) -> int:
         """Length of the longest root-to-leaf path in edges; empty tree = -1."""

@@ -151,7 +151,8 @@ def probe_anchor_roots(
     The runtime companion of :func:`tree_split_anchors`, shared by
     :class:`~repro.physical.operators.IndexAnchorScan` and
     :class:`~repro.physical.operators.IndexAnchorSplit` so both charge
-    identical work.  ``roots`` is ``None`` when some anchor had
+    identical work.  ``roots`` come in probe order (the matcher sorts
+    its candidate roots itself) and are ``None`` when some anchor had
     no servable term — the caller should fall back to the full scan
     rather than probe twice.
 
@@ -168,20 +169,14 @@ def probe_anchor_roots(
         attributes |= anchor.attributes()
     index = db.tree_index(tree, attributes)
     roots: dict[int, TreeNode] = {}
-    fell_through = False
     for anchor in anchors:
         candidates, used = index.candidate_nodes(anchor, stats)
         if not used:
-            fell_through = True
-            break
+            return None, index
         for candidate in candidates:
             if index.predicate_outcome(anchor, candidate, stats):
                 roots[id(candidate)] = candidate
-    if fell_through:
-        return None, index
-    # Document preorder via the index labels, so consumers can stream the
-    # candidates without rebuilding an O(n) position map of their own.
-    return index.preorder_sorted(list(roots.values())), index
+    return list(roots.values()), index
 
 
 def anchor_offsets(

@@ -629,7 +629,6 @@ def iter_tree_matches(
     flush_per_candidate: bool = False,
     engine: str | None = None,
     context: "TreeMatchContext | None" = None,
-    roots_in_preorder: bool = False,
 ) -> Iterator[TreeMatch]:
     """Lazily enumerate distinct matches, in preorder of their roots.
 
@@ -637,8 +636,8 @@ def iter_tree_matches(
     produced one at a time, so a consumer that stops early (a tripped
     budget, a ``limit``) never pays for the remaining candidates.  With
     no ``roots`` restriction the candidates are walked in preorder
-    directly — an O(n) position map is only built when an index handed
-    us roots out of order.
+    directly; given ``roots`` are sorted by their position in the tree's
+    layout.
 
     ``on_candidate`` is invoked once per candidate node before it is
     matched (the scan operators' per-node charging hook), and
@@ -665,15 +664,8 @@ def iter_tree_matches(
         if pattern.root_anchor:
             candidates = [data.root]
         elif roots is not None:
-            if roots_in_preorder:
-                candidates = list(roots)
-            else:
-                ordered = list(roots)
-                order = {
-                    id(node): position for position, node in enumerate(data.nodes())
-                }
-                ordered.sort(key=lambda n: order.get(id(n), len(order)))
-                candidates = ordered
+            order = data.layout().position
+            candidates = sorted(roots, key=lambda n: order.get(id(n), len(order)))
         else:
             filtered = _columnar_candidates(pattern, data)
             candidates = data.nodes() if filtered is None else filtered

@@ -8,12 +8,14 @@ paper concedes the worst case is exponential; this module removes the
 *repeated* work the same way packrat parsers do for PEGs:
 
 * :class:`TreeMatchContext` — one per (pattern, data tree) pair: every
-  pattern sub-term is interned to a small integer, every data node to
-  its preorder position, and every concat-point environment to a
-  fingerprint number, so memo keys are cheap tuples of ints.  The
-  context owns the **memo tables** (``Shape`` fragments a subpattern
-  yields at a node) and the **predicate-outcome bitmap** (each alphabet
-  predicate runs at most once per node — the bitmap is the structure's
+  pattern sub-term is interned to a small integer, every concat-point
+  environment to a fingerprint number, and data nodes are keyed by their
+  position in the tree's :meth:`~repro.core.aqua_tree.AquaTree.layout`
+  (the one numbering the node index and the columnar extent read too),
+  so memo keys are cheap tuples of ints.  The context owns the **memo
+  tables** (``Shape`` fragments a subpattern yields at a node) and the
+  **predicate-outcome bitmap** (each alphabet predicate runs at most
+  once per node — the bitmap is the structure's
   :class:`~repro.storage.tree_index.TreeIndex` bitmap when an index is
   in play, so anchor probes and matchers share fills).
 * :class:`MemoTreeMatcher` — the backtracker subclass that consults the
@@ -28,15 +30,15 @@ paper concedes the worst case is exponential; this module removes the
   fall through to the backtracker's own code, child-sequence
   derivations are tabled only over child lists of at least
   :data:`WIDE_CHILD_LIST` nodes, declarative predicates are called
-  directly, and the context builds its position maps and bitmap only
-  if a table or an opaque predicate is ever consulted.
+  directly, and the context asks for the tree's layout and a bitmap
+  only if a table or an opaque predicate is ever consulted.
   ``tree_match._make_matcher`` picks between the two from the compiled
   pattern.
 * :class:`MatchContextRegistry` + :func:`match_scope` — per-query,
   thread-local sharing: the interpreter arms a registry around each
   evaluation so *every* operator matching the same pattern against the
   same tree reuses one context (the "batched candidate evaluation" of
-  the physical layer), and predicate bitmaps are reset per query.
+  the physical layer), and predicate bitmaps are private to the query.
 
 Correctness contract: the memo engine enumerates the exact ``Shape``
 stream of the backtracker, in the same order — replay walks the stored
@@ -90,9 +92,10 @@ WIDE_CHILD_LIST = 16
 class TreeMatchContext:
     """Shared memo state for matching one pattern against one tree.
 
-    Interns pattern sub-terms, data-node positions and environments so
-    memo keys are tuples of small ints; owns the memo tables and the
-    predicate-outcome bitmap.  One context serves every matcher (and
+    Interns pattern sub-terms and environments, and reads data-node
+    positions off the tree's layout, so memo keys are tuples of small
+    ints; owns the memo tables and the predicate-outcome bitmap.  One
+    context serves every matcher (and
     every operator, via :class:`MatchContextRegistry`) that pairs this
     pattern with this tree — that sharing across the candidate stream is
     where the asymptotic win comes from.
@@ -103,7 +106,6 @@ class TreeMatchContext:
         pattern: TreePattern,
         tree: AquaTree,
         bitmap: PredicateBitmap | None = None,
-        position_maps: tuple[dict[int, int], dict[int, int]] | None = None,
         db: "Database | None" = None,
     ) -> None:
         self.pattern = pattern
@@ -135,13 +137,12 @@ class TreeMatchContext:
         #: guard-faithful fresh-star-per-expansion protocol (see
         #: ``_TreeMatcher.plus_star``) still hits one table entry.
         self._plus_nums: dict[int, int] = {}
-        # -- data-node interning: preorder position per node and per
-        # child list (child-sequence memo keys need the owning node),
-        # and the predicate-outcome bitmap keyed by those positions.
-        # Both stay unbuilt until :meth:`engage`: a match that never
-        # consults a table never walks the tree for them.  An index
-        # probe that already labeled the tree donates its own.
-        self._pre, self._children_pre = position_maps or (None, None)
+        # -- data-node positions: aliases of the tree layout's two dicts
+        # (per node, and per child list for child-sequence keys) and the
+        # bitmap keyed by them, all unset until :meth:`engage` — a match
+        # that never consults a table never has the tree laid out.
+        self._pre: dict[int, int] | None = None
+        self._children_pre: dict[int, int] | None = None
         self.bitmap = bitmap
         # -- environment fingerprinting.
         self._cont_fps: dict[int, tuple] = {}
@@ -165,39 +166,27 @@ class TreeMatchContext:
     # -- built when tables first engage --------------------------------------
 
     def engage(self) -> None:
-        """Build the position maps and the bitmap, whichever is missing.
+        """Take the layout's position dicts and a bitmap, if not yet held.
 
         Idempotent; the matcher calls it before its first table or
         bitmap consultation (at once for a closure pattern, at the first
         wide child list or opaque predicate otherwise).
         """
-        if self.bitmap is not None and self._pre is not None:
+        if self._pre is not None:
             return
-        source = None
-        if self._db is not None:
-            from ..storage.columnar import columnar_source_for
-
-            source = columnar_source_for(self._db, self.tree)
-        if self._pre is None:
-            if source is not None:
-                # The columnar extent interned the same preorder during
-                # its build; its dicts are shared (read-only here).
-                self._pre, self._children_pre = source.position_maps()
-            else:
-                self._pre, self._children_pre = {}, {}
-                for position, node in enumerate(self.tree.nodes()):
-                    self._pre[id(node)] = position
-                    self._children_pre[id(node.children)] = position
+        layout = self.tree.layout()
+        self._pre = layout.position
+        self._children_pre = layout.children_position
         if self.bitmap is None:
-            pre = self._pre
-            # The column source (a ColumnarExtent) lets outcomes come
-            # from shared predicate columns: one batch evaluation per
-            # extent instead of one bitmap fill per (predicate, node).
-            self.bitmap = PredicateBitmap(
-                max(1, len(pre)),
-                lambda node: pre.get(id(node)),
-                source=source,
-            )
+            source = None
+            if self._db is not None:
+                from ..storage.columnar import columnar_source_for
+
+                # The column source (a ColumnarExtent) lets outcomes come
+                # from shared predicate columns: one batch evaluation per
+                # extent instead of one bitmap fill per (predicate, node).
+                source = columnar_source_for(self._db, self.tree)
+            self.bitmap = PredicateBitmap(layout, source=source)
 
     # -- interning -----------------------------------------------------------
 
@@ -569,7 +558,6 @@ class MatchContextRegistry:
         pattern: TreePattern,
         tree: AquaTree,
         bitmap: PredicateBitmap | None = None,
-        position_maps: tuple[dict[int, int], dict[int, int]] | None = None,
     ) -> TreeMatchContext:
         key = (
             id(tree),
@@ -583,7 +571,6 @@ class MatchContextRegistry:
                 pattern,
                 tree,
                 bitmap=bitmap,
-                position_maps=position_maps,
                 # A donated bitmap already carries the index's column
                 # source; only a context-owned one resolves the db's.
                 db=self.db if bitmap is None else None,
@@ -599,26 +586,22 @@ def prime_match_context(
     pattern: TreePattern,
     tree: AquaTree,
     bitmap: PredicateBitmap | None = None,
-    position_maps: tuple[dict[int, int], dict[int, int]] | None = None,
 ) -> TreeMatchContext | None:
     """Pre-register a shared context for ``(pattern, tree)``, if possible.
 
     The index-probing operators call this right after their anchor probe
     with the tree index's predicate-outcome bitmap, so the context that
     serves the whole candidate stream (and any later operator on the
-    same pair) shares fills with the probe's own re-checks.  Passing the
-    index's ``position_maps`` as well saves the context's own O(n)
-    position-interning walk.  A no-op (returns ``None``) when no
-    registry is armed or the backtrack engine is selected.
+    same pair) shares fills with the probe's own re-checks.  A no-op
+    (returns ``None``) when no registry is armed or the backtrack engine
+    is selected.
     """
     from .tree_match import tree_engine
 
     registry = current_registry()
     if registry is None or tree_engine() != "memo":
         return None
-    return registry.context_for(
-        pattern, tree, bitmap=bitmap, position_maps=position_maps
-    )
+    return registry.context_for(pattern, tree, bitmap=bitmap)
 
 
 _active = threading.local()
@@ -638,9 +621,8 @@ def match_scope(db: "Database | None" = None) -> Iterator[MatchContextRegistry]:
     reuse it.  A fresh scope also arms
     :func:`repro.storage.tree_index.scoped_bitmaps`, giving the query
     predicate-outcome bitmaps private to this scope: two identical runs
-    report identical work, and — unlike the old cross-thread
-    ``reset_predicate_bitmaps()`` — a query on one pool thread can
-    neither clobber nor inherit the bitmap state of a query running (or
+    report identical work, and a query on one pool thread can neither
+    clobber nor inherit the bitmap state of a query running (or
     previously run) on another.  The previous registry is restored on
     exit even when the query raises (the ``ResourceExhaustedError``
     unwind path included), so nothing bleeds into later queries

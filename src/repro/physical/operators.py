@@ -9,12 +9,13 @@ configuration, decided at lowering time.
 
 The accounting contract every operator here keeps:
 
-* a full scan is charged in full, but incrementally — ``sub_select``
-  charges one node per match candidate and tops up to ``tree.size()`` at
-  exhaustion, list ``sub_select`` / ``split`` do the same against
-  ``len + 1`` start positions, and the indexed variants charge nothing
-  beyond their probes — so a budget trips mid-scan while a completed scan's totals
-  do not depend on how many candidates a filter skipped;
+* a full scan is charged in full, but incrementally — tree
+  ``sub_select`` / ``split`` charge one node per match candidate and top
+  up to ``tree.size()`` at exhaustion, list ``sub_select`` / ``split`` do
+  the same against ``len + 1`` start positions, and the indexed variants
+  charge nothing beyond their probes — so a budget trips mid-scan while a
+  completed scan's totals do not depend on how many candidates a filter
+  skipped;
 * matcher counters are flushed per candidate
   (``flush_per_candidate`` / ``flush_per_start``) so they are credited
   to this operator's attribution frame at pull time;
@@ -29,13 +30,7 @@ from typing import Any, Callable, Iterator
 
 from .. import params
 from ..algebra.list_ops import build_pieces
-from ..algebra.tree_ops import (
-    _context_tree,
-    all_anc,
-    all_desc,
-    apply_tree,
-    select,
-)
+from ..algebra.tree_ops import _context_tree, apply_tree, select
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import TreeNode, subtree_at
@@ -165,14 +160,62 @@ def _scan_access_path(pattern) -> str:
     return f"full tree scan; columnar bitset filter on {columns} when the kernel engages"
 
 
-class SubSelectPipe(PhysicalOp):
-    """``sub_select(tp)(T)`` streamed match by match (full tree scan).
+def _scan_matches(ctx, tree, tp) -> Iterator[Any]:
+    """Every match of ``tp`` in ``tree``, by a charged full scan.
 
     Charges one node per match candidate as candidates are tried — so a
     ``max_nodes_scanned`` budget trips mid-scan — and tops up to the
     tree's full size at exhaustion: a completed scan costs ``tree.size()``
     nodes whether or not the matcher's columnar root filter skipped some.
     """
+    size = tree.size()
+    stats = ctx.stats
+    guard = ctx.guard
+    charged = 0
+
+    def on_candidate(node: TreeNode) -> None:
+        nonlocal charged
+        if node.is_concat_point:
+            return
+        charged += 1
+        stats.bump("nodes_scanned", 1)
+        if guard is not None:
+            guard.charge_nodes(1, "tree scan")
+
+    yield from iter_tree_matches(
+        tp, tree, on_candidate=on_candidate, flush_per_candidate=True
+    )
+    remainder = size - charged
+    if remainder > 0:
+        stats.bump("nodes_scanned", remainder)
+        if guard is not None:
+            guard.charge_nodes(remainder, "tree scan")
+
+
+def _probe_matches(ctx, tree, tp, anchors) -> Iterator[Any]:
+    """Every match of ``tp`` in ``tree``, tried only at index-probed roots.
+
+    The paper's §4 rewrite: every match roots at a node satisfying one
+    of the pattern's root predicates, so probe those predicates' indexes
+    and only try the matcher there.  Falls back to the full scan when a
+    probe cannot be served (charging nothing extra).
+    """
+    db = ctx.db
+    roots, index = probe_anchor_roots(db, tree, anchors, db.stats)
+    # Batched candidate evaluation: one memo context + the index's own
+    # predicate bitmap serve the entire candidate stream.
+    prime_match_context(tp, tree, index.bitmap)
+    return iter_tree_matches(tp, tree, roots=roots, flush_per_candidate=True)
+
+
+def _probe_access_path(anchors) -> str:
+    probes = ", ".join(anchor.describe() for anchor in anchors)
+    return f"node-index probe on {probes}"
+
+
+class SubSelectPipe(PhysicalOp):
+    """``sub_select(tp)(T)`` streamed match by match (full tree scan,
+    charged as :func:`_scan_matches` describes)."""
 
     name = "sub_select_pipe"
     shape = "set"
@@ -181,83 +224,39 @@ class SubSelectPipe(PhysicalOp):
         super().__init__(logical, (child,))
         self.pattern = pattern
 
+    def _matches(self, tree, tp) -> Iterator[Any]:
+        return _scan_matches(self.ctx, tree, tp)
+
     def rows(self) -> Iterator[Any]:
-        ctx = self.ctx
         tree = self.input_tree()
         tp = tree_pattern(self.pattern)
         self.result_equality = DEFAULT
-        size = tree.size()
-        stats = ctx.stats
-        guard = ctx.guard
-        charged = 0
-
-        def on_candidate(node: TreeNode) -> None:
-            nonlocal charged
-            if node.is_concat_point:
-                return
-            charged += 1
-            stats.bump("nodes_scanned", 1)
-            if guard is not None:
-                guard.charge_nodes(1, "tree scan")
-
-        matches = iter_tree_matches(
-            tp, tree, on_candidate=on_candidate, flush_per_candidate=True
-        )
-        yield from dedup(map(_closed_match, matches), DEFAULT)
-        remainder = size - charged
-        if remainder > 0:
-            stats.bump("nodes_scanned", remainder)
-            if guard is not None:
-                guard.charge_nodes(remainder, "tree scan")
+        yield from dedup(map(_closed_match, self._matches(tree, tp)), DEFAULT)
 
     def access_path(self) -> str:
         return _scan_access_path(self.pattern)
 
 
-class IndexAnchorScan(PhysicalOp):
-    """``sub_select`` served by node-index probes on the root predicates.
-
-    The paper's §4 rewrite: every match roots at a node satisfying one
-    of the pattern's root predicates, so probe those predicates' indexes
-    and only try the matcher there.  Falls back to the full scan when a
-    probe cannot be served (charging nothing extra).
-    """
+class IndexAnchorScan(SubSelectPipe):
+    """``sub_select`` served by node-index probes on the root predicates
+    (see :func:`_probe_matches`)."""
 
     name = "index_anchor_scan"
-    shape = "set"
 
     def __init__(self, logical, child: PhysicalOp, pattern, anchors) -> None:
-        super().__init__(logical, (child,))
-        self.pattern = pattern
+        super().__init__(logical, child, pattern)
         self.anchors = tuple(anchors)
 
-    def rows(self) -> Iterator[Any]:
-        tree = self.input_tree()
-        tp = tree_pattern(self.pattern)
-        self.result_equality = DEFAULT
-        db = self.ctx.db
-        roots, index = probe_anchor_roots(db, tree, self.anchors, db.stats)
-        # Batched candidate evaluation: one memo context + the index's
-        # own predicate bitmap serve the entire candidate stream.  The
-        # index also donates its preorder position maps, so the context
-        # skips its own O(n) interning walk.
-        prime_match_context(tp, tree, index.bitmap, index.position_maps())
-        matches = iter_tree_matches(
-            tp,
-            tree,
-            roots=roots,
-            roots_in_preorder=roots is not None,
-            flush_per_candidate=True,
-        )
-        yield from dedup(map(_closed_match, matches), DEFAULT)
+    def _matches(self, tree, tp) -> Iterator[Any]:
+        return _probe_matches(self.ctx, tree, tp, self.anchors)
 
     def access_path(self) -> str:
-        probes = ", ".join(anchor.describe() for anchor in self.anchors)
-        return f"node-index probe on {probes}"
+        return _probe_access_path(self.anchors)
 
 
 class SplitPipe(PhysicalOp):
-    """``split(tp, f)(T)`` streamed piece by piece (full tree scan).
+    """``split(tp, f)(T)`` streamed piece by piece (full tree scan,
+    charged exactly as its ``sub_select`` twin).
 
     Each match yields ``f(x, y, z)`` as soon as the matcher produces it —
     the context/match/descendants trio never piles up in an intermediate
@@ -272,6 +271,9 @@ class SplitPipe(PhysicalOp):
         super().__init__(logical, (child,))
         self.pattern = pattern
         self.function = function
+
+    def _matches(self, tree, tp) -> Iterator[Any]:
+        return _scan_matches(self.ctx, tree, tp)
 
     def _piece_rows(self, tree, matches) -> Iterator[Any]:
         # ``returns_match_subtree = True`` functions are the §4 identity
@@ -298,9 +300,7 @@ class SplitPipe(PhysicalOp):
         tree = self.input_tree()
         tp = tree_pattern(self.pattern)
         self.result_equality = DEFAULT
-        yield from self._piece_rows(
-            tree, iter_tree_matches(tp, tree, flush_per_candidate=True)
-        )
+        yield from self._piece_rows(tree, self._matches(tree, tp))
 
     def access_path(self) -> str:
         return _scan_access_path(self.pattern)
@@ -317,27 +317,11 @@ class IndexAnchorSplit(SplitPipe):
         super().__init__(logical, child, pattern, function)
         self.anchors = tuple(anchors)
 
-    def rows(self) -> Iterator[Any]:
-        tree = self.input_tree()
-        tp = tree_pattern(self.pattern)
-        self.result_equality = DEFAULT
-        db = self.ctx.db
-        roots, index = probe_anchor_roots(db, tree, self.anchors, db.stats)
-        prime_match_context(tp, tree, index.bitmap, index.position_maps())
-        yield from self._piece_rows(
-            tree,
-            iter_tree_matches(
-                tp,
-                tree,
-                roots=roots,
-                roots_in_preorder=roots is not None,
-                flush_per_candidate=True,
-            ),
-        )
+    def _matches(self, tree, tp) -> Iterator[Any]:
+        return _probe_matches(self.ctx, tree, tp, self.anchors)
 
     def access_path(self) -> str:
-        probes = ", ".join(anchor.describe() for anchor in self.anchors)
-        return f"node-index probe on {probes}"
+        return _probe_access_path(self.anchors)
 
 
 class MaterializeOp(PhysicalOp):

@@ -21,7 +21,7 @@ from .serialize import (
 )
 from .statistics import AttributeHistogram
 from .stats import GLOBAL_STATS, Instrumentation
-from .tree_index import ListIndex, NodeLabel, TreeIndex
+from .tree_index import ListIndex, TreeIndex
 
 __all__ = [
     "AttributeHistogram",
@@ -35,7 +35,6 @@ __all__ = [
     "root_resource",
     "Instrumentation",
     "ListIndex",
-    "NodeLabel",
     "OrderedIndex",
     "TreeIndex",
     "VALUE_ATTRIBUTE",

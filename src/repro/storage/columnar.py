@@ -330,11 +330,12 @@ class _ColumnStore:
 class ColumnarExtent(_ColumnStore):
     """Structure-of-arrays encoding of one stored tree.
 
-    Positions are dense pre-order indexes over ``tree.nodes()`` — the
-    same ordering the matcher's
-    :class:`~repro.patterns.tree_memo.TreeMatchContext` interns — with
-    concatenation points present as positions but absent from every
-    predicate column.  Built once per tree object and cached by
+    Positions are the tree's own
+    :meth:`~repro.core.aqua_tree.AquaTree.layout` — the extent numbers
+    nothing itself, so its columns line up with the node index's bitmap
+    and the matcher's memo keys by construction — with concatenation
+    points present as positions but absent from every predicate column.
+    Built once per tree object and cached by
     :meth:`repro.storage.database.Database.columnar_extent`; a rebound
     root is a new tree object, so the identity-keyed cache plus the
     per-resource version counters give pinned snapshots a consistent
@@ -343,24 +344,16 @@ class ColumnarExtent(_ColumnStore):
 
     def __init__(self, tree: AquaTree, backend: str | None = None) -> None:
         self.tree = tree
-        nodes: list[TreeNode] = list(tree.nodes())
-        values: list[Any] = []
-        present: list[bool] = []
-        self._position_of: dict[int, int] = {}
-        for position, node in enumerate(nodes):
-            self._position_of[id(node)] = position
-            if node.is_concat_point:
-                values.append(None)
-                present.append(False)
-            else:
-                values.append(node.value)
-                present.append(True)
+        self.layout = tree.layout()
+        self.nodes = self.layout.nodes
+        present = [not node.is_concat_point for node in self.nodes]
+        values = [
+            node.value if flag else None for node, flag in zip(self.nodes, present)
+        ]
         super().__init__(values, present, backend or resolve_backend())
-        self.nodes = nodes
-        self.size = sum(present)
+        self.size = self.layout.element_count
         self._structure: dict[str, Any] | None = None
         self._root_lists: dict[tuple, list[TreeNode]] = {}
-        self._children_positions: dict[int, int] | None = None
 
     # -- structure vectors -----------------------------------------------------
 
@@ -369,43 +362,30 @@ class ColumnarExtent(_ColumnStore):
 
         Indexed by pre-order position; ``-1`` marks "none".  Subtree
         sizes count every node (concatenation points included) so
-        ``subtree_size[root] == len(nodes)``.  Built lazily in one DFS
+        ``subtree_size[root] == len(nodes)``.  Derived lazily from the
+        layout's parent and subtree-end arrays in one loop over positions
         and cached — the navigational complement of the label array for
         batch consumers that walk positions instead of node objects.
         """
         with self._lock:
             if self._structure is None:
-                count = len(self.nodes)
-                parent = [-1] * count
-                depth = [0] * count
+                parent = self.layout.parent
+                end = self.layout.end
+                count = len(parent)
                 first_child = [-1] * count
                 next_sibling = [-1] * count
-                subtree_size = [1] * count
-                if count:
-                    position_of = self._position_of
-                    stack: list[tuple[TreeNode, int, int]] = [(self.tree.root, -1, 0)]
-                    while stack:
-                        node, parent_pos, node_depth = stack.pop()
-                        position = position_of[id(node)]
-                        parent[position] = parent_pos
-                        depth[position] = node_depth
-                        previous = -1
-                        for child in node.children:
-                            child_pos = position_of[id(child)]
-                            if previous == -1:
-                                first_child[position] = child_pos
-                            else:
-                                next_sibling[previous] = child_pos
-                            previous = child_pos
-                            stack.append((child, position, node_depth + 1))
-                    # Positions are pre-order, so every child's position
-                    # exceeds its parent's: one reverse sweep accumulates
-                    # subtree sizes bottom-up.
-                    for position in range(count - 1, 0, -1):
-                        subtree_size[parent[position]] += subtree_size[position]
+                subtree_size = [0] * count
+                for position, after in enumerate(end):
+                    subtree_size[position] = after - position
+                    if after > position + 1:
+                        first_child[position] = position + 1
+                    # The node right after this subtree is its next
+                    # sibling exactly when the two share a parent.
+                    if after < count and parent[after] == parent[position]:
+                        next_sibling[position] = after
                 vectors = {
                     "parent": parent,
-                    "depth": depth,
+                    "depth": self.layout.depth,
                     "first_child": first_child,
                     "next_sibling": next_sibling,
                     "subtree_size": subtree_size,
@@ -424,25 +404,7 @@ class ColumnarExtent(_ColumnStore):
         return column_servable(predicate)
 
     def position_of(self, node: TreeNode) -> int | None:
-        return self._position_of.get(id(node))
-
-    def position_maps(self) -> tuple[dict[int, int], dict[int, int]]:
-        """The preorder interning maps a match context needs, prebuilt.
-
-        ``(node-id → position, children-list-id → position)`` over this
-        extent's pinned node list.  Sharing them lets
-        :class:`~repro.patterns.tree_memo.TreeMatchContext` skip its own
-        O(n) interning walk on every evaluation; both maps are read-only
-        to consumers, and the extent's ``nodes`` list keeps every id
-        alive.
-        """
-        with self._lock:
-            if self._children_positions is None:
-                self._children_positions = {
-                    id(node.children): position
-                    for position, node in enumerate(self.nodes)
-                }
-            return self._position_of, self._children_positions
+        return self.layout.position.get(id(node))
 
     def outcome_for(self, predicate: AlphabetPredicate, node: TreeNode) -> bool | None:
         """Bitmap ``source`` hook: serve an already built column cell.
@@ -451,7 +413,7 @@ class ColumnarExtent(_ColumnStore):
         column built yet) — the caller falls back to evaluating the
         predicate itself.  Never triggers a column build.
         """
-        position = self._position_of.get(id(node))
+        position = self.layout.position.get(id(node))
         if position is None:
             return None
         return self.column_value(predicate, position)

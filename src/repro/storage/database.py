@@ -465,19 +465,14 @@ class Database:
 
         with self._structure_lock:
             cached = self._columnar_extents.get(id(tree))
-            if cached is not None and cached.tree is tree:
-                return cached if cached.size >= min_size else None
-        # Size the tree outside the lock (it is an O(n) walk) and only
-        # encode structures worth the column builds.
-        if min_size and tree.size() < min_size:
-            return None
-        extent = ColumnarExtent(tree)
-        with self._structure_lock:
-            cached = self._columnar_extents.get(id(tree))
-            if cached is not None and cached.tree is tree:
-                return cached if cached.size >= min_size else None
-            self._columnar_extents[id(tree)] = extent
-        return extent if extent.size >= min_size else None
+            if cached is None or cached.tree is not tree:
+                # Only encode structures worth the column builds.  (An
+                # undersized tree is not laid out just to be counted.)
+                if min_size and tree.size() < min_size:
+                    return None
+                cached = ColumnarExtent(tree)
+                self._columnar_extents[id(tree)] = cached
+            return cached if cached.size >= min_size else None
 
     def columnar_list(self, aqua_list: AquaList, *, min_size: int = 0):
         """The list analogue of :meth:`columnar_extent`."""
@@ -491,17 +486,6 @@ class Database:
                 cached = ColumnarList(aqua_list)
                 self._columnar_lists[id(aqua_list)] = cached
             return cached if cached.size >= min_size else None
-
-    def reset_predicate_bitmaps(self) -> None:
-        """Clear every cached tree index's predicate-outcome bitmap.
-
-        The bitmaps live on the indexes so one fill serves all of a
-        query's operators, but their contents are per-query state: the
-        evaluation driver resets them when it arms a fresh query so two
-        identical runs report identical work.
-        """
-        for index in self._tree_indexes.values():
-            index.reset_bitmap()
 
     def __repr__(self) -> str:
         extents = ", ".join(f"{k}×{len(v)}" for k, v in sorted(self._extents.items()))

@@ -304,9 +304,6 @@ class DatabaseSnapshot:
     def columnar_list(self, aqua_list: AquaList, *, min_size: int = 0):
         return self._base.columnar_list(aqua_list, min_size=min_size)
 
-    def reset_predicate_bitmaps(self) -> None:
-        self._base.reset_predicate_bitmaps()
-
     def __repr__(self) -> str:
         extents = ", ".join(
             f"{name}×{watermark}"

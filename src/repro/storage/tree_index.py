@@ -2,9 +2,12 @@
 
 §4's split rewrite assumes the system can "use an index to efficiently
 locate all nodes in T that match d".  A :class:`TreeIndex` provides that:
-it walks a tree once, assigns every node its preorder/postorder interval
-label (the classic ancestor-test encoding), and builds hash indexes from
-stored attribute values — plus the payload itself — to nodes.
+hash indexes from stored attribute values — plus the payload itself — to
+nodes, built in one loop over the tree's preorder
+:meth:`~repro.core.aqua_tree.AquaTree.layout`.  The index numbers
+nothing itself: ancestor tests, depths and the predicate-outcome bitmap
+all read the positions of that one layout, the same object the tree's
+columnar extent and match contexts read.
 
 Given an alphabet-predicate it answers :meth:`candidate_nodes`: the
 nodes that *might* match, served from an index when the predicate has an
@@ -19,13 +22,12 @@ saying which happened, so benchmarks can report the narrowing).
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import contextmanager, nullcontext
 from typing import Any, Callable, Iterable, Iterator
 
 from .. import guardrails, params
 from ..core.aqua_list import AquaList
-from ..core.aqua_tree import AquaTree, TreeNode
+from ..core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
 from .index import VALUE_ATTRIBUTE, HashIndex, read_key
@@ -69,24 +71,17 @@ class PredicateBitmap:
     """Per-query predicate-outcome planes: each alphabet predicate is
     evaluated **at most once per data node**.
 
-    One plane (a ``bytearray`` indexed by the node's pre-order label) per
-    distinct predicate object; a cell is unknown, known-false or
-    known-true.  The bitmap is owned by the structure's
+    One plane (a ``bytearray`` indexed by the node's position in the
+    tree's layout) per distinct predicate object; a cell is unknown,
+    known-false or known-true.  The bitmap is owned by the structure's
     :class:`TreeIndex` so one fill serves every consumer of the node —
     anchor-probe re-checks, matcher atom tests, optimizer analysis —
-    across all candidates and operators of a query.  ``reset()`` clears
-    the planes between queries (the bitmap is per-query state stored at
-    the index for sharing, not a persistent statistic).
+    across all candidates and operators of a query.
     """
 
-    def __init__(
-        self,
-        size: int,
-        pre_of: Callable[[TreeNode], int | None],
-        source: Any | None = None,
-    ) -> None:
-        self._size = max(1, size)
-        self._pre_of = pre_of
+    def __init__(self, layout: TreeLayout, source: Any | None = None) -> None:
+        self._nodes = layout.nodes  # pinned: their ids key ``_position``
+        self._position = layout.position
         #: Optional shared-column source (a
         #: :class:`repro.storage.columnar.ColumnarExtent`): a plane miss
         #: consults ``source.outcome_for(predicate, node)`` before
@@ -106,10 +101,10 @@ class PredicateBitmap:
         bitmap fill); False means the outcome was served without an
         evaluation — from the plane, or from a shared predicate column.
         """
-        pre = self._pre_of(node)
-        if pre is None or pre >= self._size:
-            # A node the owner never labeled (e.g. a tree mutated after
-            # indexing): evaluate without caching rather than mislabel.
+        pre = self._position.get(id(node))
+        if pre is None:
+            # A node the layout never numbered (e.g. a tree mutated after
+            # it was laid out): evaluate without caching rather than mislabel.
             return bool(predicate(node.value)), True
         slot = self._slots.get(id(predicate))
         if slot is None:
@@ -117,7 +112,7 @@ class PredicateBitmap:
             self._keep.append(predicate)
         plane = self._planes.get(slot)
         if plane is None:
-            plane = self._planes[slot] = bytearray(self._size)
+            plane = self._planes[slot] = bytearray(len(self._nodes))
         state = plane[pre]
         if state != _UNKNOWN:
             self.hits += 1
@@ -137,11 +132,6 @@ class PredicateBitmap:
     def plane_count(self) -> int:
         return len(self._planes)
 
-    @property
-    def memory_cells(self) -> int:
-        """Resident plane cells — the quantity budgets charge for."""
-        return len(self._planes) * self._size
-
     def reset(self) -> None:
         self._planes.clear()
         self._slots.clear()
@@ -150,94 +140,41 @@ class PredicateBitmap:
         self.hits = 0
 
 
-@dataclass(frozen=True)
-class NodeLabel:
-    """Preorder/postorder interval label: ``a`` is an ancestor of ``b``
-    iff ``a.pre < b.pre`` and ``b.post < a.post``."""
-
-    pre: int
-    post: int
-    depth: int
-
-
 class TreeIndex:
-    """Attribute → node indexes plus interval labels for one tree."""
+    """Attribute → node hash indexes over one tree's layout."""
 
     def __init__(self, tree: AquaTree, attributes: Iterable[str] = ()) -> None:
         self.tree = tree
-        self.labels: dict[int, NodeLabel] = {}
-        self._value_index = HashIndex(VALUE_ATTRIBUTE)
-        self._attribute_indexes: dict[str, HashIndex] = {
-            attribute: HashIndex(attribute) for attribute in attributes
+        self.layout = tree.layout()
+        self.node_count = len(self.layout.nodes)
+        #: One hash index per stored attribute, plus the payload itself
+        #: under the ``VALUE_ATTRIBUTE`` pseudo-attribute.
+        self._indexes: dict[str, HashIndex] = {
+            attribute: HashIndex(attribute)
+            for attribute in (VALUE_ATTRIBUTE, *attributes)
         }
-        self.node_count = 0
-        self._pre: dict[int, int] = {}
-        self._children_pre: dict[int, int] = {}
         self._bitmap: PredicateBitmap | None = None
         self._column_provider: Callable[[], Any] | None = None
-        self._build()
+        self._build(list(self._indexes.values()))
 
-    def _build(self) -> None:
-        if self.tree.root is None:
-            return
-        counter = 0
-        sequence = 0
-
-        def walk(node: TreeNode, depth: int) -> None:
-            nonlocal counter, sequence
-            pre = counter
-            counter += 1
-            # The dense preorder sequence (matching enumerate(tree.nodes()))
-            # doubles as the match-memo position interning, so contexts
-            # primed from this index skip their own O(n) walk.
-            self._pre[id(node)] = sequence
-            self._children_pre[id(node.children)] = sequence
-            sequence += 1
-            for child in node.children:
-                walk(child, depth + 1)
-            self.labels[id(node)] = NodeLabel(pre=pre, post=counter, depth=depth)
-            counter += 1
+    def _build(self, indexes: list[HashIndex]) -> None:
+        """Enter every element node of the layout into ``indexes``."""
+        for node in self.layout.nodes:
             if node.is_concat_point:
-                return
+                continue
             value = node.value
-            self._value_index.insert(node, key=_hashable_key(value))
-            for attribute, index in self._attribute_indexes.items():
-                key = read_key(value, attribute)
-                index.insert(node, key=_hashable_key(key))
-
-        walk(self.tree.root, 0)
-        self.node_count = sequence
-
-    def position_maps(self) -> tuple[dict[int, int], dict[int, int]]:
-        """``(node-id → preorder, children-id → preorder)`` built once.
-
-        The same shape :meth:`repro.storage.columnar.ColumnarExtent.position_maps`
-        shares with the match context — handing these to
-        ``prime_match_context`` saves the context's own full-tree
-        interning walk on every query that probes this index.
-        """
-        return self._pre, self._children_pre
-
-    def preorder_sorted(self, nodes: "list[TreeNode]") -> "list[TreeNode]":
-        """Sort probed nodes into document preorder via the labels."""
-        return sorted(
-            nodes,
-            key=lambda node: (
-                label.pre
-                if (label := self.labels.get(id(node))) is not None
-                else self.node_count
-            ),
-        )
+            for index in indexes:
+                index.insert(node, key=_hashable_key(read_key(value, index.attribute)))
 
     # -- structural predicates ------------------------------------------------
 
     def is_ancestor(self, ancestor: TreeNode, descendant: TreeNode) -> bool:
-        a = self.labels[id(ancestor)]
-        b = self.labels[id(descendant)]
-        return a.pre < b.pre and b.post < a.post
+        position = self.layout.position
+        a = position[id(ancestor)]
+        return a < position[id(descendant)] < self.layout.end[a]
 
     def depth(self, node: TreeNode) -> int:
-        return self.labels[id(node)].depth
+        return self.layout.depth[self.layout.position[id(node)]]
 
     # -- shared predicate columns ----------------------------------------------
 
@@ -258,26 +195,16 @@ class TreeIndex:
     # -- predicate-outcome bitmap ---------------------------------------------
 
     def _make_bitmap(self) -> PredicateBitmap:
-        labels = self.labels
-        return PredicateBitmap(
-            2 * self.node_count + 2,
-            lambda node: (
-                label.pre if (label := labels.get(id(node))) is not None else None
-            ),
-            source=self._column_source(),
-        )
+        return PredicateBitmap(self.layout, source=self._column_source())
 
     @property
     def bitmap(self) -> PredicateBitmap:
-        """The per-query predicate-outcome bitmap, keyed by ``pre`` labels.
+        """The per-query predicate-outcome bitmap, keyed by layout position.
 
-        Lazily allocated; plane size spans the label counter's range
-        (pre labels run to ``2 · node_count`` because the counter also
-        advances at each postorder visit).  Inside a
-        :func:`scoped_bitmaps` scope (armed per query by
-        :func:`repro.patterns.tree_memo.match_scope`) the bitmap is
-        private to the scope, so concurrent queries sharing this index
-        never share — or reset — each other's outcome planes.
+        Lazily allocated.  Inside a :func:`scoped_bitmaps` scope (armed
+        per query by :func:`repro.patterns.tree_memo.match_scope`) the
+        bitmap is private to the scope, so concurrent queries sharing
+        this index never share each other's outcome planes.
         """
         scoped = _scope_bitmaps()
         if scoped is not None:
@@ -288,11 +215,6 @@ class TreeIndex:
         if self._bitmap is None:
             self._bitmap = self._make_bitmap()
         return self._bitmap
-
-    def reset_bitmap(self) -> None:
-        """Clear per-query outcome state (called at query start)."""
-        if self._bitmap is not None:
-            self._bitmap.reset()
 
     def predicate_outcome(
         self,
@@ -319,25 +241,20 @@ class TreeIndex:
     # -- candidate retrieval ----------------------------------------------------
 
     def add_attribute(self, attribute: str) -> None:
-        if attribute in self._attribute_indexes:
+        if attribute in self._indexes:
             return
         index = HashIndex(attribute)
-        for node in self.tree.element_nodes():
-            index.insert(node, key=_hashable_key(read_key(node.value, attribute)))
-        self._attribute_indexes[attribute] = index
+        self._build([index])
+        self._indexes[attribute] = index
 
     def indexed_attributes(self) -> set[str]:
-        return set(self._attribute_indexes)
+        return set(self._indexes) - {VALUE_ATTRIBUTE}
 
     def probe(self, attribute: str, key: Any) -> list[TreeNode]:
-        if attribute == VALUE_ATTRIBUTE:
-            return self._value_index.lookup(_hashable_key(key))
-        return self._attribute_indexes[attribute].lookup(_hashable_key(key))
+        return self._indexes[attribute].lookup(_hashable_key(key))
 
     def count(self, attribute: str, key: Any) -> int:
-        if attribute == VALUE_ATTRIBUTE:
-            return self._value_index.count(_hashable_key(key))
-        return self._attribute_indexes[attribute].count(_hashable_key(key))
+        return self._indexes[attribute].count(_hashable_key(key))
 
     def servable_terms(
         self, predicate: AlphabetPredicate
@@ -354,7 +271,7 @@ class TreeIndex:
         for attribute, op, constant in predicate.indexable_terms():
             if op != "=":
                 continue
-            if attribute != VALUE_ATTRIBUTE and attribute not in self._attribute_indexes:
+            if attribute not in self._indexes:
                 continue
             constant, bound = params.try_resolve(constant)
             if not bound:
@@ -380,9 +297,11 @@ class TreeIndex:
             attribute, _, constant = min(
                 terms, key=lambda term: self.count(term[0], term[2])
             )
-            if stats is not None:
-                stats.bump("index_probes")
-            nodes = self.probe(attribute, constant)
+            # The probe is counted where it happens, in HashIndex.lookup;
+            # activating the caller's sink credits it there exactly once,
+            # whether or not the query already activated it.
+            with stats.activated() if stats is not None else nullcontext():
+                nodes = self.probe(attribute, constant)
             if stats is not None:
                 stats.bump("index_candidates", len(nodes))
             if guard is not None:

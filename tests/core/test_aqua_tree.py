@@ -80,6 +80,62 @@ class TestTraversal:
         assert t.concat_points() == [alpha(1), alpha(2), alpha(1)]
 
 
+class TestLayout:
+    """``layout()`` is the tree's one preorder numbering."""
+
+    SHAPES = ["a", "a(b(c))", "a(b(c d) e(f(g)) h)", "a(@1 b(@2 c) @1)"]
+
+    @pytest.mark.parametrize("text", SHAPES)
+    def test_positions_are_the_preorder_walk(self, text):
+        t = parse_tree(text)
+        layout = t.layout()
+        walked = list(t.nodes())
+        assert all(a is b for a, b in zip(layout.nodes, walked))
+        assert len(layout.nodes) == len(walked)
+        assert layout.position == {id(n): i for i, n in enumerate(walked)}
+        assert layout.children_position == {
+            id(n.children): i for i, n in enumerate(walked)
+        }
+        assert layout.element_count == t.size()
+
+    @pytest.mark.parametrize("text", SHAPES)
+    def test_parent_depth_and_end_agree_with_naive_walks(self, text):
+        t = parse_tree(text)
+        layout = t.layout()
+        parents = t.parent_map()
+        for here, node in enumerate(layout.nodes):
+            above = parents[id(node)]
+            assert layout.parent[here] == (
+                -1 if above is None else layout.position[id(above)]
+            )
+            chain = 0
+            while above is not None:
+                chain, above = chain + 1, parents[id(above)]
+            assert layout.depth[here] == chain
+            descendants = sum(1 for _ in subtree_at(node).nodes())
+            assert layout.end[here] == here + descendants
+
+    def test_concat_points_are_positions_but_not_elements(self):
+        t = parse_tree("a(@1 b)")
+        layout = t.layout()
+        assert [n.is_concat_point for n in layout.nodes] == [False, True, False]
+        assert layout.element_count == 2
+
+    def test_empty_tree(self):
+        layout = AquaTree.empty().layout()
+        assert layout.nodes == ()
+        assert layout.position == {} and layout.children_position == {}
+        assert layout.parent == layout.depth == layout.end == []
+        assert layout.element_count == 0
+
+    def test_built_once_and_sees_edits_made_before_the_first_call(self):
+        t = AquaTree.build("a", ["b"])
+        t.root.children.append(TreeNode(ConcatPoint("1")))
+        layout = t.layout()
+        assert len(layout.nodes) == 3 and layout.end == [3, 2, 3]
+        assert t.layout() is layout
+
+
 class TestConcatenation:
     def test_figure1_composition(self):
         left = parse_tree("a(@1 @2)")

@@ -29,7 +29,7 @@ from repro.patterns.tree_parser import parse_tree_pattern
 from repro.query import Q, evaluate, expr as E, parse_aql
 from repro.query.interpreter import evaluate_with_metrics
 from repro.storage import Database
-from repro.workloads import by_pitch, random_song
+from repro.workloads import by_pitch, random_labeled_tree, random_song
 
 #: Exponentially many derivations: every ``a`` can be kept or pruned, and
 #: the prune structure differs, so the backtracking matcher cannot
@@ -199,6 +199,27 @@ class TestInterpreterBudgets:
         with pytest.raises(ResourceExhaustedError) as info:
             session.query(split, budget=Budget(max_nodes_scanned=3))
         assert info.value.spent == 4
+
+    def test_nodes_scanned_trips_tree_split_like_its_sub_select_twin(self):
+        """A full-scan tree ``split`` is the same scan as ``sub_select``: a
+        budget the twin trips, the split trips too — at the same spend —
+        and a completed scan reports every node of the tree."""
+        tree = random_labeled_tree(550, ["a", "b", "c", "d"], seed=0)
+        tree_db = Database()
+        tree_db.bind_root("T", tree)
+        session = Session(tree_db)
+        twin = Q.root("T").sub_select("b(c ?*)").build()
+        split = Q.root("T").split("b(c ?*)", lambda x, y, z: y.size()).build()
+        spent = []
+        for plan in (twin, split):
+            with pytest.raises(ResourceExhaustedError) as info:
+                session.query(plan, budget=Budget(max_nodes_scanned=10), optimize=False)
+            assert info.value.limit_name == "max_nodes_scanned"
+            spent.append(info.value.spent)
+        assert spent == [11, 11]
+        for plan in (twin, split):
+            _, metrics = session.query_with_metrics(plan, optimize=False)
+            assert metrics.total("nodes_scanned") == tree.size()
 
     def test_extent_scan_charges_nodes(self, db):
         with pytest.raises(ResourceExhaustedError):

@@ -135,8 +135,9 @@ class TestMemoGate:
         assert stats["backtrack_steps"] > 0
         assert stats["memo_hits"] == stats["memo_misses"] == 0
         assert stats["bitmap_fills"] == stats["bitmap_hits"] == 0
-        # Neither the position maps nor the bitmap were ever built.
+        # The tree was never laid out, and no bitmap was ever built.
         assert context._pre is None and context.bitmap is None
+        assert tree._layout is None
 
     def test_wide_child_list_engages_the_sequence_tables(self):
         pattern = parse_tree_pattern(DEAD_END)
@@ -219,19 +220,18 @@ class TestPredicateBitmap:
         assert sum(counts_backtrack.values()) > nodes  # the saved work
 
     def test_unlabeled_node_evaluates_without_caching(self):
-        tree = chain(2)
-        bitmap = PredicateBitmap(tree.size(), lambda node: None)
+        # A bitmap over one tree's layout, asked about another tree's node.
+        bitmap = PredicateBitmap(chain(2).layout())
         calls = []
         probe = pred(lambda v: not calls.append(v), "probe")
-        node = tree.root
+        node = chain(2).root
         assert bitmap.outcome(probe, node) == (True, True)
         assert bitmap.outcome(probe, node) == (True, True)
         assert len(calls) == 2  # never cached: every call is a fill
 
     def test_reset_clears_planes_and_counters(self):
         tree = chain(2)
-        index_positions = {id(n): i for i, n in enumerate(tree.nodes())}
-        bitmap = PredicateBitmap(tree.size(), lambda n: index_positions.get(id(n)))
+        bitmap = PredicateBitmap(tree.layout())
         s_pred = by_element("S")
         bitmap.outcome(s_pred, tree.root)
         bitmap.outcome(s_pred, tree.root)

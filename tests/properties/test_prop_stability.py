@@ -59,6 +59,27 @@ def test_tree_select_preserves_ancestry(tree, keep):
 
 
 @SETTINGS
+@given(tree=identity_trees())
+def test_index_ancestry_and_depth_agree_with_the_parent_chain(tree):
+    """The layout's two int compares say what walking up the parents says."""
+    index = TreeIndex(tree)
+    parents = tree.parent_map()
+
+    def ancestors(node):
+        chain = []
+        while (node := parents[id(node)]) is not None:
+            chain.append(node)
+        return chain
+
+    nodes = list(tree.nodes())
+    for b in nodes:
+        above = ancestors(b)
+        assert index.depth(b) == len(above)
+        for a in nodes:
+            assert index.is_ancestor(a, b) == any(a is n for n in above)
+
+
+@SETTINGS
 @given(tree=identity_trees(), keep=keep_sets)
 def test_tree_select_preserves_preorder(tree, keep):
     """Survivors appear in the same relative preorder as in the input."""

@@ -1,7 +1,12 @@
 """Tests for per-structure node indexes and interval labels."""
 
 from repro.core import parse_list, parse_tree
+from repro.core.aqua_tree import AquaTree, TreeLayout, TreeNode
+from repro.core.identity import as_cell
+from repro.patterns import TreeMatchContext, parse_tree_pattern
 from repro.predicates.alphabet import attr, pred, sym
+from repro.storage import Database
+from repro.storage.columnar import ColumnarExtent
 from repro.storage.stats import Instrumentation
 from repro.storage.tree_index import ListIndex, TreeIndex
 from repro.workloads.family import BRAZIL, figure3_family_tree
@@ -26,6 +31,46 @@ class TestIntervalLabels:
         assert [index.depth(n) for n in nodes] == [0, 1, 2]
 
 
+class TestSharedLayout:
+    def test_every_consumer_reads_the_one_layout_built_once(self, monkeypatch):
+        builds = []
+        build = TreeLayout.__init__
+
+        def counted(self, root):
+            builds.append(root)
+            build(self, root)
+
+        monkeypatch.setattr(TreeLayout, "__init__", counted)
+        tree = parse_tree("a(b(a(b)) c)")
+        db = Database()
+        index = db.tree_index(tree)
+        extent = db.columnar_extent(tree)
+        closure = parse_tree_pattern("[[a(b(@))]]+@ .@ a(b)")
+        context = TreeMatchContext(closure, tree)
+        second = Database().tree_index(tree)
+        position = tree.layout().position
+        assert index.layout.position is position
+        assert extent.layout.position is position
+        assert context.closure and context._pre is position
+        assert second.layout.position is position
+        assert context._children_pre is tree.layout().children_position
+        assert builds == [tree.root]
+
+    def test_ten_thousand_deep_chain_needs_no_recursion(self):
+        node = TreeNode(as_cell("y"))
+        for _ in range(10_000):
+            node = TreeNode(as_cell("x"), [node])
+        chain = AquaTree(node)
+        index = TreeIndex(chain)
+        leaf = chain.layout().nodes[-1]
+        assert index.depth(leaf) == 10_000
+        assert index.is_ancestor(chain.root, leaf)
+        structure = ColumnarExtent(chain, backend="python").structure()
+        assert structure["subtree_size"][0] == 10_001
+        assert structure["first_child"][:2] == [1, 2]
+        assert set(structure["next_sibling"]) == {-1}
+
+
 class TestValueIndex:
     def test_candidates_by_value(self):
         tree = parse_tree("a(b a(b))")
@@ -48,6 +93,17 @@ class TestValueIndex:
         index = TreeIndex(tree)
         stats = Instrumentation()
         index.candidate_nodes(sym("b"), stats)
+        assert stats["index_probes"] == 1
+        assert stats["index_candidates"] == 1
+
+    def test_probe_counts_once_through_an_activated_sink(self):
+        """Inside a query the caller's sink is also the activated one: the
+        hash index's own emission and the caller's credit are one probe."""
+        tree = parse_tree("a(b)")
+        index = TreeIndex(tree)
+        stats = Instrumentation()
+        with stats.activated():
+            index.candidate_nodes(sym("b"), stats)
         assert stats["index_probes"] == 1
         assert stats["index_candidates"] == 1
 

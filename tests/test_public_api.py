@@ -80,3 +80,21 @@ def test_readme_names_exactly_the_env_knobs_the_source_reads() -> None:
     in_readme = set(knob.findall(README.read_text(encoding="utf-8")))
     assert in_source == in_readme
     assert len(in_source) == 16
+
+
+def test_tree_nodes_are_numbered_in_one_module_only() -> None:
+    """``AquaTree.layout()`` is the single preorder numbering: no other
+    module enumerates a tree's nodes into positions or hands position
+    maps around (the CI lint job greps for the same thing)."""
+    numbering = re.compile(
+        r"enumerate\((self\.)?(tree|data)\.nodes\(\)\)|position_maps"
+    )
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in package.rglob("*.py")
+        if path != package / "core" / "aqua_tree.py"
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if numbering.search(line)
+    ]
+    assert offenders == []
