@@ -24,7 +24,6 @@ import argparse
 import json
 import os
 import time
-from contextlib import contextmanager
 from typing import Any, Callable
 
 from repro import guardrails
@@ -43,9 +42,11 @@ from repro.algebra.list_tree_bridge import sub_select_via_tree
 from repro.api import Session
 from repro.core import alpha, make_tuple, parse_tree
 from repro.patterns import (
+    MatchContextRegistry,
     compile_dfa,
     find_spans,
     find_tree_matches,
+    match_scope,
     nfa_find_spans,
     parse_list_pattern,
     parse_tree_pattern,
@@ -75,20 +76,6 @@ from repro.workloads import (
     section5_rebuild,
     song_with_melody,
 )
-
-
-@contextmanager
-def tree_engine_env(engine: str):
-    """Pin ``AQUA_TREE_ENGINE`` for one measurement."""
-    previous = os.environ.get("AQUA_TREE_ENGINE")
-    os.environ["AQUA_TREE_ENGINE"] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["AQUA_TREE_ENGINE"]
-        else:
-            os.environ["AQUA_TREE_ENGINE"] = previous
 
 
 def timed(function: Callable[[], object], repeat: int = 3) -> tuple[float, object]:
@@ -267,9 +254,11 @@ def claim_kleene() -> None:
 
 
 def claim_memo() -> None:
-    """Footnote 3 revisited: the packrat memo engine vs the backtracker.
+    """Footnote 3 revisited: the matcher's packrat tables vs none.
 
-    Measures matcher steps and wall time (min of 5), memo off vs on,
+    The reference leg arms a registry of null-table contexts — the same
+    matcher, tabling nothing: the plain backtracker.  Measures matcher
+    steps and wall time (min of 5), tables off vs on,
     over the three workloads CI gates on: the CLAIM-KLEENE closure
     ladder (tables engage everywhere), the FIG4 family-tree split
     (closure-free, narrow child lists: tables stay out of the way), and
@@ -304,6 +293,13 @@ def claim_memo() -> None:
     def wide_run():
         return [m.key() for m in find_tree_matches(dead_end, wide)]
 
+    def untabled(run):
+        def leg():
+            with match_scope(registry=MatchContextRegistry(tabled=False)):
+                return run()
+
+        return leg
+
     for workload, run in (
         ("bench_claim_kleene", kleene_run),
         ("bench_fig4_split", fig4_run),
@@ -311,12 +307,11 @@ def claim_memo() -> None:
     ):
         measured: dict[str, dict[str, float]] = {}
         answers = {}
-        for engine in ("backtrack", "memo"):
-            with tree_engine_env(engine):
-                stats = Instrumentation()
-                with stats.activated():
-                    answers[engine] = run()
-                elapsed, _ = timed(run, repeat=5)
+        for engine, leg in (("backtrack", untabled(run)), ("memo", run)):
+            stats = Instrumentation()
+            with stats.activated():
+                answers[engine] = leg()
+            elapsed, _ = timed(leg, repeat=5)
             measured[engine] = {
                 "steps": stats["backtrack_steps"],
                 "ms": elapsed * 1e3,

@@ -5,12 +5,12 @@ Every way of running a query — ``evaluate()``, ``Q.run()``,
 :class:`Session`, which is the *single* place the execution knobs are
 resolved.  Precedence, highest first:
 
-1. a per-call keyword (``session.query(q, engine="backtrack")``);
-2. the Session's own keyword (``Session(db, engine="backtrack")``);
-3. the ``AQUA_*`` environment variable (``AQUA_TREE_ENGINE``,
-   ``AQUA_PARALLEL``, budget knobs via
+1. a per-call keyword (``session.query(q, parallel="off")``);
+2. the Session's own keyword (``Session(db, parallel="off")``);
+3. the ``AQUA_*`` environment variable (``AQUA_PARALLEL``,
+   ``AQUA_PARALLEL_WORKERS``, budget knobs via
    :meth:`repro.guardrails.Budget.from_env`);
-4. the built-in default (``memo`` / ``on`` / unlimited).
+4. the built-in default (``on`` / ``auto`` / unlimited).
 
 Values are validated on first read by :mod:`repro.config`; a typo
 raises a one-line :class:`~repro.errors.QueryError` naming the knob and
@@ -65,7 +65,6 @@ class ResolvedKnobs(NamedTuple):
 
     optimize: bool
     budget: Budget | None
-    engine: str | None
     parallel: str | None
     parallel_workers: int | str | None
     cache: Any
@@ -74,7 +73,6 @@ class ResolvedKnobs(NamedTuple):
         """The keywords :meth:`PreparedQuery.run` accepts, ready to splat."""
         return dict(
             budget=self.budget,
-            engine=self.engine,
             parallel=self.parallel,
             parallel_workers=self.parallel_workers,
         )
@@ -83,8 +81,7 @@ class ResolvedKnobs(NamedTuple):
 class Session:
     """A database handle with resolved execution knobs and a plan cache.
 
-    Parameters mirror the knobs: ``engine`` (tree-pattern engine,
-    ``memo`` | ``backtrack``), ``budget`` (a
+    Parameters mirror the knobs: ``budget`` (a
     :class:`~repro.guardrails.Budget`), ``parallel`` (``on`` | ``off``
     — sharded exchange execution), ``parallel_workers`` (``auto`` or a
     worker count; all of a process's Sessions draw from one shared
@@ -101,20 +98,16 @@ class Session:
         self,
         db: Database,
         *,
-        engine: str | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if engine is not None:
-            config.validated_tree_engine(engine)
         if parallel is not None:
             config.validated_parallel(parallel)
         if parallel_workers is not None:
             config.validated_parallel_workers(parallel_workers)
         self.db = db
-        self.engine = engine
         self.budget = budget
         self.parallel = parallel
         self.parallel_workers = parallel_workers
@@ -136,7 +129,6 @@ class Session:
         *,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         cache: Any = _UNSET,
@@ -152,7 +144,6 @@ class Session:
         return ResolvedKnobs(
             optimize=self._default_optimize(source, optimize),
             budget=budget if budget is not None else self.budget,
-            engine=engine if engine is not None else self.engine,
             parallel=parallel if parallel is not None else self.parallel,
             parallel_workers=(
                 parallel_workers
@@ -186,7 +177,6 @@ class Session:
         *,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         cache: Any = _UNSET,
@@ -196,7 +186,6 @@ class Session:
             source,
             optimize=optimize,
             budget=budget,
-            engine=engine,
             parallel=parallel,
             parallel_workers=parallel_workers,
             cache=cache,
@@ -217,7 +206,6 @@ class Session:
         *,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         metrics: PlanMetrics | None = None,
@@ -227,7 +215,6 @@ class Session:
             source,
             optimize=optimize,
             budget=budget,
-            engine=engine,
             parallel=parallel,
             parallel_workers=parallel_workers,
         )
@@ -246,7 +233,6 @@ class Session:
         optimize: bool | None = None,
         analyze: bool = True,
         budget: Budget | None = None,
-        engine: str | None = None,
     ) -> str:
         """EXPLAIN (ANALYZE) with the planning footer.
 
@@ -261,9 +247,7 @@ class Session:
         from .query.explain import render_analysis, render_planning
         from .storage.stats import Instrumentation
 
-        knobs = self.resolve_knobs(
-            source, optimize=optimize, budget=budget, engine=engine
-        )
+        knobs = self.resolve_knobs(source, optimize=optimize, budget=budget)
         planning = Instrumentation()
         with planning.activated():
             prepared = _prepare(
@@ -289,7 +273,6 @@ class Session:
         """
         return Session(
             self.db.snapshot(),
-            engine=self.engine,
             budget=self.budget,
             parallel=self.parallel,
             parallel_workers=self.parallel_workers,
@@ -298,8 +281,6 @@ class Session:
 
     def __repr__(self) -> str:
         knobs = []
-        if self.engine is not None:
-            knobs.append(f"engine={self.engine}")
         if self.budget is not None:
             knobs.append("budget=set")
         if self.parallel is not None:
@@ -362,7 +343,6 @@ class SessionPool:
         db: Database,
         *,
         workers: int = 4,
-        engine: str | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
@@ -381,7 +361,6 @@ class SessionPool:
         self.db = db
         self.workers = workers
         self._session_knobs = dict(
-            engine=engine,
             budget=budget,
             parallel=parallel,
             parallel_workers=parallel_workers,
@@ -449,7 +428,6 @@ class SessionPool:
         snapshot: Database | None = None,
         optimize: bool | None = None,
         budget: Budget | None = None,
-        engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         cache: Any = _UNSET,
@@ -457,8 +435,8 @@ class SessionPool:
     ):
         """Schedule ``source`` on a worker; returns a Future.
 
-        The knob keywords (``optimize`` / ``budget`` / ``engine`` /
-        ``parallel`` / ``parallel_workers`` / ``cache``)
+        The knob keywords (``optimize`` / ``budget`` / ``parallel`` /
+        ``parallel_workers`` / ``cache``)
         are :meth:`Session.query`'s, with identical precedence — a
         per-call value beats the pool's, which beats the environment.
 
@@ -489,7 +467,6 @@ class SessionPool:
             effective_budget,
             dict(
                 optimize=optimize,
-                engine=engine,
                 parallel=parallel,
                 parallel_workers=parallel_workers,
                 cache=cache,
@@ -540,13 +517,10 @@ class SessionPool:
             step: DegradationStep | None, attempt_budget: Budget | None
         ) -> Any:
             optimize = knobs["optimize"]
-            engine = knobs["engine"]
             cache: Any = knobs["cache"]
             if step is not None:
                 if step.bypass_cache:
                     cache = None
-                if step.engine is not None:
-                    engine = step.engine
                 if step.optimize is not None:
                     optimize = step.optimize
             session = self._session(holder["view"])
@@ -555,7 +529,6 @@ class SessionPool:
                 params,
                 optimize=optimize,
                 budget=attempt_budget if attempt_budget is not None else budget,
-                engine=engine,
                 parallel=knobs["parallel"],
                 parallel_workers=knobs["parallel_workers"],
                 cache=cache,

@@ -9,9 +9,9 @@ values, whether it arrived via the environment or an explicit argument.
 
 Precedence (resolved here and documented in the README table):
 
-1. an explicit per-call argument (``engine=``, ``parallel=``, ...);
+1. an explicit per-call argument (``parallel=``, ``parallel_workers=``, ...);
 2. a :class:`~repro.api.Session`-scoped override (thread-local,
-   armed by :func:`tree_engine_scope` / :func:`parallel_scope`);
+   armed by :func:`parallel_scope` / :func:`parallel_workers_scope`);
 3. the ``AQUA_*`` environment variable;
 4. the built-in default.
 """
@@ -24,11 +24,6 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from .errors import QueryError
-
-#: Environment knob selecting the default tree-matching engine.
-TREE_ENGINE_ENV = "AQUA_TREE_ENGINE"
-TREE_ENGINES = ("memo", "backtrack")
-DEFAULT_TREE_ENGINE = "memo"
 
 #: Environment knob overriding the default DFA transition-cache bound.
 DFA_CACHE_LIMIT_ENV = "AQUA_DFA_CACHE_LIMIT"
@@ -103,33 +98,6 @@ def invalid_knob(knob: str, value: object, accepted: str) -> QueryError:
     what would have been accepted.
     """
     return QueryError(f"{knob}: invalid value {value!r} (accepted: {accepted})")
-
-
-@contextmanager
-def tree_engine_scope(engine: str | None) -> Iterator[None]:
-    """Arm a thread-local tree-engine default (a Session's ``engine=``)."""
-    if engine is not None and engine not in TREE_ENGINES:
-        raise invalid_knob(TREE_ENGINE_ENV, engine, " | ".join(TREE_ENGINES))
-    previous = getattr(_local, "tree_engine", None)
-    _local.tree_engine = engine if engine is not None else previous
-    try:
-        yield
-    finally:
-        _local.tree_engine = previous
-
-
-def validated_tree_engine(engine: str | None = None) -> str:
-    """Resolve the tree engine: argument > session scope > env > default."""
-    chosen = engine
-    if chosen is None:
-        chosen = getattr(_local, "tree_engine", None)
-    if chosen is None:
-        chosen = os.environ.get(TREE_ENGINE_ENV)
-    if chosen is None:
-        return DEFAULT_TREE_ENGINE
-    if chosen not in TREE_ENGINES:
-        raise invalid_knob(TREE_ENGINE_ENV, chosen, " | ".join(TREE_ENGINES))
-    return chosen
 
 
 @contextmanager

@@ -231,7 +231,8 @@ def reattach_subtree(
 # full-tree rebuild; and because the reassembly is the §4 *identity*
 # (the full subtree at the match root, which the source already holds),
 # it is served by structure sharing without the prune/rebuild machinery
-# at all (see algebra.tree_ops.invoke_split_function and SplitPipe).
+# at all (see algebra.tree_ops.invoke_split_function and
+# physical.operators._piece_rows).
 reattach_subtree.needs_context = False  # type: ignore[attr-defined]
 reattach_subtree.returns_match_subtree = True  # type: ignore[attr-defined]
 

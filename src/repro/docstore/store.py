@@ -103,7 +103,7 @@ class Document:
         """Run a path query; returns the set of matching subtrees.
 
         Accepts every :meth:`repro.api.Session.query` knob keyword
-        (``engine=``, ``budget=``, ``parallel=``, ...).
+        (``budget=``, ``parallel=``, ``parallel_workers=``, ...).
         """
         return self.session.query(self._aql(path_text), params, **knobs)
 

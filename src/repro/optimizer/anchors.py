@@ -32,7 +32,6 @@ from ..predicates.alphabet import AlphabetPredicate, And, TruePredicate
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.database import Database
     from ..storage.stats import Instrumentation
-    from ..storage.tree_index import TreeIndex
 
 
 def _index_servable(predicate: AlphabetPredicate) -> bool:
@@ -145,24 +144,17 @@ def probe_anchor_roots(
     tree: AquaTree,
     anchors: Iterable[AlphabetPredicate],
     stats: "Instrumentation | None" = None,
-) -> "tuple[list[TreeNode] | None, TreeIndex]":
-    """Index-probed candidate match roots: ``(roots, index)``.
+) -> "list[TreeNode] | None":
+    """Index-probed candidate match roots, or ``None``.
 
-    The runtime companion of :func:`tree_split_anchors`, shared by
-    :class:`~repro.physical.operators.IndexAnchorScan` and
-    :class:`~repro.physical.operators.IndexAnchorSplit` so both charge
-    identical work.  ``roots`` come in probe order (the matcher sorts
-    its candidate roots itself) and are ``None`` when some anchor had
-    no servable term — the caller should fall back to the full scan
-    rather than probe twice.
-
-    Candidate re-checks run through the tree index's predicate-outcome
-    bitmap (:meth:`~repro.storage.tree_index.TreeIndex.predicate_outcome`),
-    so an anchor is evaluated at most once per node across the probe,
-    the matcher that follows, and any other operator of the query — the
-    fix for the duplicated evaluation the fallback scans used to do.
-    The index is returned so callers can hand that same bitmap to the
-    match context they prime for the candidate stream.
+    The runtime companion of :func:`tree_split_anchors`, shared by the
+    index-probing ``sub_select`` and ``split`` so both charge identical
+    work.  The roots come in probe order (the matcher sorts its
+    candidate roots itself) and are a superset of the true match roots:
+    a probe serves one equality term, and the matcher's own atom test at
+    each root is the full-predicate check — nothing is evaluated here.
+    ``None`` when some anchor had no servable term — the caller should
+    fall back to the full scan rather than probe twice.
     """
     attributes: set[str] = set()
     for anchor in anchors:
@@ -172,11 +164,10 @@ def probe_anchor_roots(
     for anchor in anchors:
         candidates, used = index.candidate_nodes(anchor, stats)
         if not used:
-            return None, index
+            return None
         for candidate in candidates:
-            if index.predicate_outcome(anchor, candidate, stats):
-                roots[id(candidate)] = candidate
-    return list(roots.values()), index
+            roots[id(candidate)] = candidate
+    return list(roots.values())
 
 
 def anchor_offsets(

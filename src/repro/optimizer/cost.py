@@ -50,16 +50,17 @@ PROBE_COST = 5.0
 #: probe, not a Python predicate dispatch.
 COLUMN_SCAN_COST = 0.05
 
-#: Per-closure blowup of the backtracking tree matcher: every star/plus
-#: roughly doubles the candidate expansions it explores.
-CLOSURE_BASE_BACKTRACK = 2.0
-
-#: Per-closure blowup under the packrat memo engine.  Memoization turns
-#: the re-explored expansions into table replays, so closures cost far
-#: less than a doubling — calibrated against the CLAIM-MEMO harness
-#: workloads, where memo-on matcher steps grow mildly with closure
-#: count instead of exponentially.
-CLOSURE_BASE_MEMO = 1.25
+#: Per-closure blowup of the tree matcher.  It tables every vertical
+#: closure, and a sibling closure as soon as the child list is wide
+#: enough for its re-derivations to matter, so re-explored expansions
+#: are table replays and a closure costs far less than the doubling a
+#: plain backtracker pays — calibrated against the CLAIM-MEMO harness
+#: workloads, where matcher steps grow mildly with closure count
+#: instead of exponentially.  Split-rewrite decisions weigh
+#: per-candidate matching cost against probe cost; overestimating
+#: closures would keep choosing probe-heavy plans the tables make
+#: pointless.
+CLOSURE_BASE = 1.25
 
 
 #: Fixed cost of standing up one exchange worker (thread spawn, scope
@@ -114,22 +115,6 @@ def anchor_scan_profitable(
     return probed <= size * per_candidate
 
 
-def closure_penalty_base() -> float:
-    """Per-closure cost multiplier for the active tree-match engine.
-
-    Split-rewrite decisions weigh per-candidate matching cost against
-    probe cost; with memoization on, closure-heavy patterns are much
-    cheaper to re-match, so the optimizer must not overestimate them or
-    it keeps choosing probe-heavy plans the memo engine makes pointless.
-    The discount follows the engine, not the pattern: the memo engine
-    still tables every vertical closure, and a sibling closure as soon
-    as the child list is wide enough for its re-derivations to matter.
-    """
-    from ..patterns.tree_match import tree_engine
-
-    return CLOSURE_BASE_MEMO if tree_engine() == "memo" else CLOSURE_BASE_BACKTRACK
-
-
 def tree_pattern_cost(pattern: TreePattern) -> float:
     """Per-candidate matching cost: atoms, with closures penalized."""
     atoms = 0
@@ -139,7 +124,7 @@ def tree_pattern_cost(pattern: TreePattern) -> float:
             atoms += 1
         if isinstance(node, (TreeStar, TreePlus, ChildStar, ChildPlus)):
             closures += 1
-    return max(1.0, float(atoms)) * (closure_penalty_base() ** closures)
+    return max(1.0, float(atoms)) * (CLOSURE_BASE ** closures)
 
 
 def list_pattern_cost(pattern: ListPattern) -> float:
@@ -346,10 +331,8 @@ class CostModel:
         Mirrors the lowering decision (:func:`tree_columnar_anchors` +
         the ``AQUA_COLUMNAR`` gate and size threshold): when the kernel
         will serve the scan, candidate filtering is a bit probe per node
-        plus per-candidate matching — already engine-aware through
-        :func:`tree_pattern_cost`'s closure penalty, so a memo-engine
-        columnar scan prices lower than a backtracking one exactly as it
-        runs.
+        plus per-candidate matching, priced by
+        :func:`tree_pattern_cost` like every other tree scan.
         """
         from .anchors import tree_columnar_anchors
 

@@ -5,7 +5,10 @@
   DFA, Brzozowski derivatives) plus the §3.4 ``P → P'`` translation and
   a Python ``re`` oracle bridge.
 * Tree patterns: tree regular expressions with concatenation points,
-  subscripted closures, ⊤/⊥ anchors and ``!`` pruning.
+  subscripted closures, ⊤/⊥ anchors and ``!`` pruning — one matcher,
+  which tables its derivations where the pattern's shape says a repeat
+  is possible (``TreeMatchContext``; ``tabled=False`` is the plain
+  backtracker the tests use as reference).
 """
 
 from .derivatives import deriv_accepts, deriv_find_spans, derivative
@@ -59,18 +62,15 @@ from .tree_ast import (
     TreeUnion,
 )
 from .tree_match import (
-    TREE_ENGINE_ENV,
     Pruned,
     Shape,
     TreeMatch,
     find_tree_matches,
     iter_tree_matches,
-    tree_engine,
     tree_in_language,
 )
 from .tree_memo import (
     MatchContextRegistry,
-    MemoTreeMatcher,
     TreeMatchContext,
     current_registry,
     match_scope,
@@ -91,7 +91,6 @@ __all__ = [
     "LazyDFA",
     "ListMatch",
     "MatchContextRegistry",
-    "MemoTreeMatcher",
     "ListPattern",
     "ListPatternNode",
     "NFA",
@@ -101,7 +100,6 @@ __all__ = [
     "Pruned",
     "Shape",
     "Star",
-    "TREE_ENGINE_ENV",
     "TreeAtom",
     "TreeConcat",
     "TreeMatch",
@@ -141,7 +139,6 @@ __all__ = [
     "regex_find_spans",
     "seq",
     "to_python_regex",
-    "tree_engine",
     "tree_in_language",
     "tree_pattern",
     "union",

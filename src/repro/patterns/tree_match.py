@@ -24,28 +24,35 @@ paper's footnote 3 admits for closure-heavy queries; the optimizer's
 job (§4, "Why Split?") is to narrow the candidate roots so the
 exponential machinery runs on small fragments.
 
-Two engines implement the same enumeration, selected by the
-``AQUA_TREE_ENGINE`` environment knob (or per call via ``engine=``):
+One matcher implements the enumeration.  What varies is how much of
+it consults the packrat tables of :mod:`repro.patterns.tree_memo`, and
+the matcher decides that itself, from the compiled pattern and the data
+in front of it — never from a knob:
 
-* ``memo`` (the default) — the packrat engine of
-  :mod:`repro.patterns.tree_memo`: where a second request for the same
-  key can occur (everywhere under a vertical closure; otherwise only in
-  child-sequence derivations over wide child lists) sub-derivations are
-  cached per ``(node, subpattern, environment)`` and alphabet
-  predicates answered at most once per node through a
-  predicate-outcome bitmap;
-* ``backtrack`` — the plain backtracker below, kept as the reference
-  semantics the memo engine is property-tested against.
+* under a **vertical closure** (``tp*α`` / ``tp+α`` / a self-reaching
+  ``∘α``) every derivation is cached per ``(node, subpattern,
+  environment)`` and alphabet predicates are answered at most once per
+  node through the context's predicate-outcome bitmap — footnote 3's
+  repeated work lives here;
+* **closure-free**, node-level derivations run untabled (each sub-term
+  is tried at one fixed place below a match root); only child-sequence
+  derivations over child lists of at least ``WIDE_CHILD_LIST`` nodes are
+  tabled, and only ``opaque`` predicates go through the bitmap;
+* handed a **null-table** context (``TreeMatchContext(...,
+  tabled=False)``) it tables nothing: the plain backtracker, kept as the
+  reference semantics the tabled paths are property-tested against.
+  Only a caller that builds such a context (or arms a registry of them
+  with ``match_scope``) runs it — tests and the CLAIM-MEMO benchmark do.
 
-Both produce bit-identical ``Shape`` streams in the same order.
+All three produce bit-identical ``Shape`` streams in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .. import config, guardrails
+from .. import guardrails
 from ..core.aqua_tree import AquaTree, TreeNode
 from ..core.concat import ConcatPoint
 from ..errors import PatternError, ResourceExhaustedError
@@ -68,43 +75,26 @@ from .tree_ast import (
     TreeStar,
     TreeUnion,
 )
+from .tree_memo import (
+    WIDE_CHILD_LIST,
+    TreeMatchContext,
+    _Env,
+    _StarCont,
+    current_registry,
+)
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .tree_memo import TreeMatchContext
+#: Distinguishes "cached False" from "not cached" in the nullable table.
+_MISSING = object()
 
-#: Environment knob selecting the default tree-matching engine.
-TREE_ENGINE_ENV = config.TREE_ENGINE_ENV
-_TREE_ENGINES = config.TREE_ENGINES
-
-
-def tree_engine(engine: str | None = None) -> str:
-    """Resolve the engine choice: argument > session scope > env > default.
-
-    Validation lives in :mod:`repro.config`; a bad value raises a
-    one-line :class:`~repro.errors.QueryError` naming the knob.
-    """
-    return config.validated_tree_engine(engine)
-
-
-class _StarCont:
-    """Continuation binding for a closure's own point.
-
-    ``tp*α`` unfolds as ``tp`` with ``α ↦ tp*α`` — but the *zero-
-    iterations* case of that inner star must see whatever ``α`` meant
-    *outside* the closure (e.g. the right operand of an enclosing
-    ``∘α``).  Binding the plain star node would shadow that outer
-    meaning, so the environment binds this closure object instead: the
-    star plus the environment captured where the closure was entered.
-    """
-
-    __slots__ = ("star", "env")
-
-    def __init__(self, star: "TreeStar", env: "_Env") -> None:
-        self.star = star
-        self.env = env
-
-
-_Env = dict[str, "TreePatternNode | _StarCont"]
+#: The matcher's counters, in emission order.
+_COUNTERS = (
+    "backtrack_steps",
+    "predicate_evals",
+    "memo_hits",
+    "memo_misses",
+    "bitmap_fills",
+    "bitmap_hits",
+)
 
 
 def _guard_key(node: TreeNode, binding: "TreePatternNode | _StarCont") -> tuple:
@@ -213,25 +203,61 @@ class TreeMatch:
 
 
 class _TreeMatcher:
-    """One matcher instance per (pattern, input tree) pair."""
+    """One matcher instance per (pattern, input tree) pair.
 
-    def __init__(self, leaf_anchor: bool) -> None:
+    The methods named ``match_node`` / ``nullable`` / ``match_children``
+    / ``_match_seq`` / ``_match_child_star`` / ``eval_predicate`` are the
+    plain derivations.  Construction decides, from the context's
+    compiled pattern, which of them a tabled variant shadows *on this
+    instance* — so every recursive ``self.<seam>(...)`` call reaches the
+    chosen variant directly, and a seam left alone costs exactly the
+    plain call:
+
+    * null-table context — nothing is shadowed (the backtracker);
+    * vertical closure — every seam consults its table, predicates the
+      bitmap;
+    * closure-free — ``match_node`` / ``nullable`` stay plain; the three
+      child-sequence seams table only over child lists of at least
+      ``WIDE_CHILD_LIST`` nodes; predicates stay direct unless the
+      pattern has an ``opaque`` one.
+    """
+
+    def __init__(self, context: TreeMatchContext, leaf_anchor: bool) -> None:
+        self.context = context
         self.leaf_anchor = leaf_anchor
+        self._flag = 1 if leaf_anchor else 0
         #: Enumeration work (match_node entries — the exponential §4
-        #: wants narrowed) and alphabet-predicate evaluations; plain
-        #: ints in the hot loop, flushed in bulk by the entry points.
+        #: wants narrowed), alphabet-predicate evaluations and table
+        #: traffic; plain ints in the hot loop, flushed in bulk by the
+        #: entry points.
         self.backtrack_steps = 0
         self.predicate_evals = 0
+        self.memo_hits = 0
+        self.memo_misses = 0
+        self.bitmap_fills = 0
+        self.bitmap_hits = 0
         #: The budget armed on this thread, if any; fetched once so the
         #: per-step cost with no budget is a single ``is None`` test.
         self.guard = guardrails.current_guard()
         self.nullable_limit = guardrails.nullable_depth_limit()
+        self._companion: _TreeMatcher | None = None
+        if not context.tabled:
+            return
+        self.match_children = self._tabled_children
+        self._match_seq = self._tabled_seq
+        self._match_child_star = self._tabled_star
+        if context.closure:
+            self._table_from = 0
+            self.match_node = self._tabled_node
+            self.nullable = self._tabled_nullable
+            self.eval_predicate = self._bitmap_predicate
+        else:
+            self._table_from = WIDE_CHILD_LIST
+            if context.opaque_predicates:
+                self.eval_predicate = self._opaque_predicate
 
     def counter_snapshot(self) -> dict[str, int]:
-        return {
-            "backtrack_steps": self.backtrack_steps,
-            "predicate_evals": self.predicate_evals,
-        }
+        return {name: getattr(self, name) for name in _COUNTERS}
 
     def emit_stats(self) -> None:
         stats_mod.emit_many(self.counter_snapshot())
@@ -244,15 +270,13 @@ class _TreeMatcher:
         the whole-result entry points flush once at the end instead.
         """
         self.emit_stats()
-        for name in self.counter_snapshot():
+        for name in _COUNTERS:
             setattr(self, name, 0)
 
     def absorb_counters(self, other: "_TreeMatcher", since: dict[str, int]) -> None:
         """Fold in the work ``other`` did since ``since`` was snapshot."""
         for name, value in other.counter_snapshot().items():
-            setattr(self, name, getattr(self, name) + value - since.get(name, 0))
-
-    # -- engine seams (the memo engine overrides these) ----------------------
+            setattr(self, name, getattr(self, name) + value - since[name])
 
     def eval_predicate(self, predicate, node: TreeNode) -> bool:
         """One alphabet-predicate test on one data node."""
@@ -262,17 +286,25 @@ class _TreeMatcher:
     def plus_star(self, tp: TreePlus) -> TreeStar:
         """The star a ``tp+α`` unfolds through.
 
-        A fresh node per expansion, exactly like the inline construction
-        it replaces — cycle-guard keys compare star identity, so sharing
-        one star across expansions would merge guard chains the
-        backtracker keeps distinct.  The memo engine also creates fresh
-        stars but registers each under one stable memo number.
+        A fresh node per expansion — cycle-guard keys compare star
+        identity, so sharing one star across expansions would merge
+        guard chains the enumeration keeps distinct.  A tabled context
+        registers each fresh star under its plus's one stable memo
+        number.
         """
-        return TreeStar(tp.inner, tp.point)
+        star = TreeStar(tp.inner, tp.point)
+        if self.context.tabled:
+            self.context.register_plus_star(tp, star)
+        return star
 
     def prune_matcher(self) -> "_TreeMatcher":
         """The matcher for a prune's inner pattern (⊥ never reaches it)."""
-        return self if not self.leaf_anchor else _TreeMatcher(False)
+        if not self.leaf_anchor:
+            return self
+        if self._companion is None:
+            # Shares the context (tables, bitmap) under the ⊥-free flag.
+            self._companion = _TreeMatcher(self.context, leaf_anchor=False)
+        return self._companion
 
     # -- nullability (can the pattern denote NULL?) --------------------------
 
@@ -523,27 +555,176 @@ class _TreeMatcher:
                 yield end, head + tail
 
 
-def _resolve_context(
-    pattern: TreePattern,
-    data: AquaTree,
-    engine: str | None,
-    context: "TreeMatchContext | None",
-) -> "tuple[TreePattern, TreeMatchContext | None]":
-    """Pick the engine and (for ``memo``) the shared match context.
+    # -- the packrat core ----------------------------------------------------
 
-    An explicit ``context`` wins and implies the memo engine.  Otherwise
-    the resolved engine decides: ``memo`` fetches a context from the
-    active per-query registry (sharing memo tables and bitmap across
-    every operator matching this (pattern, tree) pair) or builds a
-    standalone one; ``backtrack`` returns no context.  Matching always
-    uses the *context's* compiled pattern — an equal pattern compiled
-    elsewhere would defeat the identity-keyed sub-term interning.
+    def _memoized(self, table: dict, key: tuple, compute) -> "Iterator | list":
+        """Serve ``key`` from ``table``, else run ``compute()`` and store.
+
+        A hit returns the stored list itself (callers only iterate), so
+        replay costs one budget tick and no generator frames.  A miss is
+        lazy by design: results stream out as the underlying derivation
+        produces them and the list is stored only on clean exhaustion —
+        an abandoned generator (early-exit consumer) or an in-flight
+        re-entrant request leaves the table untouched.
+        """
+        cached = table.get(key)
+        if cached is not None:
+            self.memo_hits += 1
+            if self.guard is not None:
+                self.guard.tick(1, "memo replay")
+            return cached
+        if key in self.context.in_flight:
+            return compute()
+        self.memo_misses += 1
+        return self._compute_and_store(table, key, compute)
+
+    def _compute_and_store(self, table: dict, key: tuple, compute) -> Iterator:
+        context = self.context
+        context.in_flight.add(key)
+        results: list = []
+        completed = False
+        try:
+            for item in compute():
+                results.append(item)
+                yield item
+            completed = True
+        finally:
+            context.in_flight.discard(key)
+            if completed:
+                table[key] = results
+                cells = 1 + len(results)
+                context.memo_cells += cells
+                if self.guard is not None:
+                    self.guard.tick(cells, "memo store")
+
+    # -- tabled seams (``__init__`` binds them over the plain ones) ----------
+
+    def _bitmap_predicate(self, predicate, node: TreeNode) -> bool:
+        result, filled = self.context.bitmap.outcome(predicate, node)
+        if filled:
+            self.predicate_evals += 1
+            self.bitmap_fills += 1
+        else:
+            self.bitmap_hits += 1
+        return result
+
+    def _opaque_predicate(self, predicate, node: TreeNode) -> bool:
+        # Declarative predicates are cheaper to run than to look up;
+        # ``opaque`` ones (arbitrary callables, possibly dear) keep the
+        # at-most-once-per-node outcome bitmap.
+        if id(predicate) not in self.context.opaque_predicates:
+            self.predicate_evals += 1
+            return predicate(node.value)
+        self.context.engage()
+        return self._bitmap_predicate(predicate, node)
+
+    def _tabled_node(self, tp, node, env, guard=frozenset(), depth=0):
+        # A non-empty expansion guard makes the outcome guard-dependent;
+        # only guard-free derivations (which every child descent resets
+        # to) are cacheable.
+        if guard:
+            return _TreeMatcher.match_node(self, tp, node, env, guard, depth)
+        if isinstance(tp, TreeAtom):
+            # Atoms are cheap to re-derive: the predicate answer comes
+            # from the bitmap and any child-list derivation hits the
+            # children tables, so wrapping them in node-level memo keys
+            # costs more than it saves (scans and probes feed
+            # mostly-failing atom roots).  Fail fast off the bitmap and
+            # let successes run unwrapped.
+            if not node.is_concat_point and not self.eval_predicate(
+                tp.predicate, node
+            ):
+                self.backtrack_steps += 1
+                if self.guard is not None:
+                    self.guard.tick(1, "tree matcher")
+                    self.guard.check_depth(depth, "tree matcher")
+                return ()
+            return _TreeMatcher.match_node(self, tp, node, env, guard, depth)
+        key = self.context.node_key(tp, node, env, self._flag)
+        if key is None:
+            return _TreeMatcher.match_node(self, tp, node, env, guard, depth)
+        return self._memoized(
+            self.context.node_memo,
+            key,
+            lambda: _TreeMatcher.match_node(self, tp, node, env, guard, depth),
+        )
+
+    # The three child-sequence seams table from ``_table_from`` children
+    # up: 0 under a closure, ``WIDE_CHILD_LIST`` without one — what can
+    # repeat there is a suffix of a child-sequence derivation (once per
+    # way of placing the earlier parts), which only pays on a wide list.
+
+    def _tabled_children(self, cp, children, index, env, depth=0):
+        if len(children) >= self._table_from:
+            key = self.context.children_key(cp, children, index, env, self._flag)
+            if key is not None:
+                return self._memoized(
+                    self.context.children_memo,
+                    key,
+                    lambda: _TreeMatcher.match_children(
+                        self, cp, children, index, env, depth
+                    ),
+                )
+        return _TreeMatcher.match_children(self, cp, children, index, env, depth)
+
+    def _tabled_seq(self, parts, part_index, children, index, env, depth=0):
+        if len(children) >= self._table_from:
+            key = self.context.seq_key(
+                parts, part_index, children, index, env, self._flag
+            )
+            if key is not None:
+                return self._memoized(
+                    self.context.seq_memo,
+                    key,
+                    lambda: _TreeMatcher._match_seq(
+                        self, parts, part_index, children, index, env, depth
+                    ),
+                )
+        return _TreeMatcher._match_seq(
+            self, parts, part_index, children, index, env, depth
+        )
+
+    def _tabled_star(self, inner, children, index, env, depth=0):
+        if len(children) >= self._table_from:
+            key = self.context.children_key(inner, children, index, env, self._flag)
+            if key is not None:
+                return self._memoized(
+                    self.context.star_memo,
+                    key,
+                    lambda: _TreeMatcher._match_child_star(
+                        self, inner, children, index, env, depth
+                    ),
+                )
+        return _TreeMatcher._match_child_star(self, inner, children, index, env, depth)
+
+    def _tabled_nullable(self, tp, env, depth=0):
+        key = self.context.null_key(tp, env)
+        if key is None:
+            return _TreeMatcher.nullable(self, tp, env, depth)
+        cached = self.context.null_memo.get(key, _MISSING)
+        if cached is not _MISSING:
+            self.memo_hits += 1
+            return cached
+        self.memo_misses += 1
+        result = _TreeMatcher.nullable(self, tp, env, depth)
+        self.context.null_memo[key] = result
+        self.context.memo_cells += 1
+        return result
+
+
+def _matcher_for(
+    pattern: TreePattern, data: AquaTree, context: TreeMatchContext | None
+) -> "tuple[TreePattern, _TreeMatcher]":
+    """The matcher for ``(pattern, data)`` and the pattern it matches.
+
+    An explicit ``context`` wins; otherwise one comes from the active
+    per-query registry (sharing memo tables and bitmap across every
+    operator matching this (pattern, tree) pair) or is built standalone.
+    Matching always uses the *context's* compiled pattern — an equal
+    pattern compiled elsewhere would defeat the identity-keyed sub-term
+    interning.
     """
-    from .tree_memo import TreeMatchContext, current_registry
-
     if context is None:
-        if tree_engine(engine) == "backtrack":
-            return pattern, None
         registry = current_registry()
         if registry is not None:
             context = registry.context_for(pattern, data)
@@ -553,18 +734,21 @@ def _resolve_context(
         raise PatternError(
             "tree match context was built for a different data tree"
         )
-    return context.pattern, context
+    pattern = context.pattern
+    return pattern, _TreeMatcher(context, leaf_anchor=pattern.leaf_anchor)
 
 
-def _make_matcher(
-    pattern: TreePattern, context: "TreeMatchContext | None"
-) -> _TreeMatcher:
-    if context is None:
-        return _TreeMatcher(leaf_anchor=pattern.leaf_anchor)
-    from .tree_memo import ClosureFreeMemoMatcher, MemoTreeMatcher
-
-    cls = MemoTreeMatcher if context.closure else ClosureFreeMemoMatcher
-    return cls(context, leaf_anchor=pattern.leaf_anchor)
+def _stack_exhausted(matcher: _TreeMatcher) -> ResourceExhaustedError:
+    """The typed error for a match that outgrew Python's own stack."""
+    guard = matcher.guard
+    return ResourceExhaustedError(
+        "tree matching recursed past the interpreter's stack limit — the"
+        " data is too deep to match without a budget; arm"
+        " max_backtrack_depth (AQUA_MAX_BACKTRACK_DEPTH) to fail sooner",
+        limit_name="max_backtrack_depth",
+        seam="tree matcher",
+        usage=guard.usage() if guard is not None else None,
+    )
 
 
 def find_tree_matches(
@@ -572,8 +756,7 @@ def find_tree_matches(
     data: AquaTree,
     roots: Sequence[TreeNode] | None = None,
     limit: int | None = None,
-    engine: str | None = None,
-    context: "TreeMatchContext | None" = None,
+    context: TreeMatchContext | None = None,
 ) -> list[TreeMatch]:
     """Enumerate distinct matches of ``pattern`` in ``data``.
 
@@ -583,9 +766,7 @@ def find_tree_matches(
     their roots.
     """
     results: list[TreeMatch] = []
-    for match in iter_tree_matches(
-        pattern, data, roots=roots, engine=engine, context=context
-    ):
+    for match in iter_tree_matches(pattern, data, roots=roots, context=context):
         results.append(match)
         if limit is not None and len(results) >= limit:
             break
@@ -595,7 +776,7 @@ def find_tree_matches(
 def _columnar_candidates(
     pattern: TreePattern, data: AquaTree
 ) -> "list[TreeNode] | None":
-    """Engine-level candidate-root filter via shared predicate columns.
+    """Matcher-level candidate-root filter via shared predicate columns.
 
     When a db-armed match scope is active (``PreparedQuery.run`` opens
     one per evaluation), the pattern's root predicates are
@@ -606,8 +787,6 @@ def _columnar_candidates(
     so the match stream is bit-identical by construction.  ``None``
     means "no help here": fall back to walking every node.
     """
-    from .tree_memo import current_registry
-
     registry = current_registry()
     if registry is None or registry.db is None:
         return None
@@ -627,8 +806,7 @@ def iter_tree_matches(
     roots: Sequence[TreeNode] | None = None,
     on_candidate: "Callable[[TreeNode], None] | None" = None,
     flush_per_candidate: bool = False,
-    engine: str | None = None,
-    context: "TreeMatchContext | None" = None,
+    context: TreeMatchContext | None = None,
 ) -> Iterator[TreeMatch]:
     """Lazily enumerate distinct matches, in preorder of their roots.
 
@@ -645,20 +823,23 @@ def iter_tree_matches(
     candidate so they are credited to whichever operator scope is
     attributed at pull time.
 
-    ``engine`` selects the matching engine (default: the
-    ``AQUA_TREE_ENGINE`` knob); ``context`` supplies a shared
+    ``context`` supplies a shared
     :class:`~repro.patterns.tree_memo.TreeMatchContext` so one memo
-    table and predicate bitmap serve a whole candidate stream (and, via
-    the per-query registry, every operator matching the same pattern
-    against the same tree).
+    table and predicate bitmap serve a whole candidate stream; without
+    one the per-query registry's is used (so every operator matching the
+    same pattern against the same tree shares it), or a fresh one.  A
+    null-table context runs the plain backtracker.
+
+    A match deep enough to exhaust Python's own stack with no depth
+    budget armed raises :class:`~repro.errors.ResourceExhaustedError`
+    (``max_backtrack_depth``), never a bare ``RecursionError``.
     """
     if isinstance(pattern.body, TreePrune):
         raise PatternError("a prune marker cannot be the whole pattern")
     if data.root is None:
         return
-    pattern, context = _resolve_context(pattern, data, engine, context)
     with guardrails.guarded():
-        matcher = _make_matcher(pattern, context)
+        pattern, matcher = _matcher_for(pattern, data, context)
 
         candidates: Iterable[TreeNode]
         if pattern.root_anchor:
@@ -687,6 +868,8 @@ def iter_tree_matches(
                     yield match
                 if flush_per_candidate:
                     matcher.flush_stats()
+        except RecursionError:
+            raise _stack_exhausted(matcher) from None
         finally:
             matcher.emit_stats()
 
@@ -694,8 +877,7 @@ def iter_tree_matches(
 def tree_in_language(
     pattern: TreePattern,
     data: AquaTree,
-    engine: str | None = None,
-    context: "TreeMatchContext | None" = None,
+    context: TreeMatchContext | None = None,
 ) -> bool:
     """Is the whole tree an element of the pattern's language?
 
@@ -706,10 +888,9 @@ def tree_in_language(
     with guardrails.guarded():
         fault_point("matcher_step")
         if data.root is None:
-            matcher = _TreeMatcher(leaf_anchor=False)
-            return matcher.nullable(pattern.body, {})
-        pattern, context = _resolve_context(pattern, data, engine, context)
-        matcher = _make_matcher(pattern, context)
+            untabled = TreeMatchContext(pattern, data, tabled=False)
+            return _TreeMatcher(untabled, leaf_anchor=False).nullable(pattern.body, {})
+        pattern, matcher = _matcher_for(pattern, data, context)
         try:
             for shape in matcher.match_node(pattern.body, data.root, {}):
                 if isinstance(shape, Pruned):
@@ -718,5 +899,7 @@ def tree_in_language(
                 if not match.pruned_nodes():
                     return True
             return False
+        except RecursionError:
+            raise _stack_exhausted(matcher) from None
         finally:
             matcher.emit_stats()

@@ -192,7 +192,11 @@ def _lower_tree_apply(node: E.TreeApply, db, choose) -> Thunk:
     return lambda: P.TreeApplyOp(node, (child(),))
 
 
-def _lower_sub_select(node: E.SubSelect, db, choose) -> Thunk:
+def _lower_tree_scan(node, db, choose, function) -> Thunk:
+    """Tree ``sub_select`` (``function`` None) and tree ``split`` share
+    their candidate sources: index-probed roots when the anchors price
+    in, else the full scan.  The operators differ only in what they emit
+    per match."""
     child = _child(node, db, choose)
     # Patterns are compiled once here, at lowering time, so the probing
     # operators never coerce per ``rows()``, every operator matching the
@@ -203,19 +207,16 @@ def _lower_sub_select(node: E.SubSelect, db, choose) -> Thunk:
         anchors = tree_split_anchors(tp)
         if anchors is not None and anchor_scan_profitable(db, node.input, anchors, tp):
             choose.note(*anchors)
-            return lambda: P.IndexAnchorScan(node, child(), tp, anchors)
-    return lambda: P.SubSelectPipe(node, child(), tp)
+            return lambda: P.IndexAnchorScan(node, child(), tp, anchors, function)
+    return lambda: P.SubSelectPipe(node, child(), tp, function)
+
+
+def _lower_sub_select(node: E.SubSelect, db, choose) -> Thunk:
+    return _lower_tree_scan(node, db, choose, None)
 
 
 def _lower_split(node: E.Split, db, choose) -> Thunk:
-    child = _child(node, db, choose)
-    tp = tree_pattern(node.pattern)
-    if choose:
-        anchors = tree_split_anchors(tp)
-        if anchors is not None and anchor_scan_profitable(db, node.input, anchors, tp):
-            choose.note(*anchors)
-            return lambda: P.IndexAnchorSplit(node, child(), tp, node.function, anchors)
-    return lambda: P.SplitPipe(node, child(), tp, node.function)
+    return _lower_tree_scan(node, db, choose, node.function)
 
 
 def _materializer(node: E.Expr, db, choose, producer: Callable, kind: str) -> Thunk:

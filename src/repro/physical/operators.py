@@ -42,7 +42,6 @@ from ..storage.columnar import columnar_list_for
 from ..patterns.list_match import iter_list_matches
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_match import iter_tree_matches
-from ..patterns.tree_memo import prime_match_context
 from ..patterns.tree_parser import tree_pattern
 from .base import PhysicalOp, dedup
 
@@ -144,184 +143,135 @@ def _closed_match(match) -> Any:
     return y.close_points(points)
 
 
-def _scan_access_path(pattern) -> str:
-    """The full-scan access path, naming the root filter when one applies.
+def _piece_rows(tree, matches, function) -> Iterator[Any]:
+    """Each tree match as its operator's row, deduplicated.
 
-    Inside a query the matcher narrows an unrestricted candidate walk to
-    the nodes whose root-predicate column bits are set whenever the
-    columnar kernel engages (``AQUA_COLUMNAR`` on, tree at or above the
-    size threshold); say so when the pattern's root predicates are
-    column-servable.
+    ``sub_select`` (no ``function``) emits the matched tree with its
+    points closed; ``split`` emits ``function(x, y, z)`` as soon as the
+    matcher produces the match — the context/match/descendants trio
+    never piles up in an intermediate set, which is exactly the §4
+    pipelining win the acceptance benchmark measures.
     """
-    anchors = tree_columnar_anchors(tree_pattern(pattern))
-    if anchors is None:
-        return "full tree scan"
-    columns = ", ".join(anchor.describe() for anchor in anchors)
-    return f"full tree scan; columnar bitset filter on {columns} when the kernel engages"
+    if function is None:
+        return dedup(map(_closed_match, matches), DEFAULT)
+    # ``returns_match_subtree = True`` functions are the §4 identity
+    # reassembly ``y ∘α1..αn z`` — the full subtree at the match
+    # root, which the source tree already holds.  Serve it by
+    # structure sharing (value-identical to the rebuilt form) and
+    # skip the prune/rebuild machinery entirely.
+    if getattr(function, "returns_match_subtree", False):
+        return dedup((subtree_at(match.root) for match in matches), DEFAULT)
+    # ``needs_context = False`` functions never read x, so the
+    # per-match full-tree context rebuild is skipped (the same
+    # contract as algebra.tree_ops.invoke_split_function).
+    wants_context = getattr(function, "needs_context", True)
 
+    def piece(match) -> Any:
+        y, _points = match.match_tree()
+        z = match.pruned_subtrees()
+        x = _context_tree(tree, match.root) if wants_context else None
+        return function(x, y, AquaList.from_values(z))
 
-def _scan_matches(ctx, tree, tp) -> Iterator[Any]:
-    """Every match of ``tp`` in ``tree``, by a charged full scan.
-
-    Charges one node per match candidate as candidates are tried — so a
-    ``max_nodes_scanned`` budget trips mid-scan — and tops up to the
-    tree's full size at exhaustion: a completed scan costs ``tree.size()``
-    nodes whether or not the matcher's columnar root filter skipped some.
-    """
-    size = tree.size()
-    stats = ctx.stats
-    guard = ctx.guard
-    charged = 0
-
-    def on_candidate(node: TreeNode) -> None:
-        nonlocal charged
-        if node.is_concat_point:
-            return
-        charged += 1
-        stats.bump("nodes_scanned", 1)
-        if guard is not None:
-            guard.charge_nodes(1, "tree scan")
-
-    yield from iter_tree_matches(
-        tp, tree, on_candidate=on_candidate, flush_per_candidate=True
-    )
-    remainder = size - charged
-    if remainder > 0:
-        stats.bump("nodes_scanned", remainder)
-        if guard is not None:
-            guard.charge_nodes(remainder, "tree scan")
-
-
-def _probe_matches(ctx, tree, tp, anchors) -> Iterator[Any]:
-    """Every match of ``tp`` in ``tree``, tried only at index-probed roots.
-
-    The paper's §4 rewrite: every match roots at a node satisfying one
-    of the pattern's root predicates, so probe those predicates' indexes
-    and only try the matcher there.  Falls back to the full scan when a
-    probe cannot be served (charging nothing extra).
-    """
-    db = ctx.db
-    roots, index = probe_anchor_roots(db, tree, anchors, db.stats)
-    # Batched candidate evaluation: one memo context + the index's own
-    # predicate bitmap serve the entire candidate stream.
-    prime_match_context(tp, tree, index.bitmap)
-    return iter_tree_matches(tp, tree, roots=roots, flush_per_candidate=True)
-
-
-def _probe_access_path(anchors) -> str:
-    probes = ", ".join(anchor.describe() for anchor in anchors)
-    return f"node-index probe on {probes}"
+    return dedup(map(piece, matches), DEFAULT)
 
 
 class SubSelectPipe(PhysicalOp):
-    """``sub_select(tp)(T)`` streamed match by match (full tree scan,
-    charged as :func:`_scan_matches` describes)."""
+    """Tree ``sub_select(tp)(T)`` streamed match by match, by a charged
+    full scan.
 
-    name = "sub_select_pipe"
-    shape = "set"
-
-    def __init__(self, logical, child: PhysicalOp, pattern) -> None:
-        super().__init__(logical, (child,))
-        self.pattern = pattern
-
-    def _matches(self, tree, tp) -> Iterator[Any]:
-        return _scan_matches(self.ctx, tree, tp)
-
-    def rows(self) -> Iterator[Any]:
-        tree = self.input_tree()
-        tp = tree_pattern(self.pattern)
-        self.result_equality = DEFAULT
-        yield from dedup(map(_closed_match, self._matches(tree, tp)), DEFAULT)
-
-    def access_path(self) -> str:
-        return _scan_access_path(self.pattern)
-
-
-class IndexAnchorScan(SubSelectPipe):
-    """``sub_select`` served by node-index probes on the root predicates
-    (see :func:`_probe_matches`)."""
-
-    name = "index_anchor_scan"
-
-    def __init__(self, logical, child: PhysicalOp, pattern, anchors) -> None:
-        super().__init__(logical, child, pattern)
-        self.anchors = tuple(anchors)
-
-    def _matches(self, tree, tp) -> Iterator[Any]:
-        return _probe_matches(self.ctx, tree, tp, self.anchors)
-
-    def access_path(self) -> str:
-        return _probe_access_path(self.anchors)
-
-
-class SplitPipe(PhysicalOp):
-    """``split(tp, f)(T)`` streamed piece by piece (full tree scan,
-    charged exactly as its ``sub_select`` twin).
-
-    Each match yields ``f(x, y, z)`` as soon as the matcher produces it —
-    the context/match/descendants trio never piles up in an intermediate
-    set, which is exactly the §4 pipelining win the acceptance benchmark
-    measures.
+    Given a split ``function`` the same scan serves ``split(tp, f)(T)``:
+    only what is emitted per match changes (see :func:`_piece_rows`), so
+    the two operators share their candidate sources, charges and
+    counters.
     """
 
-    name = "split_pipe"
+    name = "sub_select_pipe"
+    split_name = "split_pipe"
     shape = "set"
 
-    def __init__(self, logical, child: PhysicalOp, pattern, function) -> None:
+    def __init__(self, logical, child: PhysicalOp, pattern, function=None) -> None:
         super().__init__(logical, (child,))
         self.pattern = pattern
         self.function = function
+        if function is not None:
+            self.name = self.split_name
 
     def _matches(self, tree, tp) -> Iterator[Any]:
-        return _scan_matches(self.ctx, tree, tp)
+        """Every match of ``tp`` in ``tree``, by a charged full scan.
 
-    def _piece_rows(self, tree, matches) -> Iterator[Any]:
-        # ``returns_match_subtree = True`` functions are the §4 identity
-        # reassembly ``y ∘α1..αn z`` — the full subtree at the match
-        # root, which the source tree already holds.  Serve it by
-        # structure sharing (value-identical to the rebuilt form) and
-        # skip the prune/rebuild machinery entirely.
-        if getattr(self.function, "returns_match_subtree", False):
-            return dedup((subtree_at(match.root) for match in matches), DEFAULT)
-        # ``needs_context = False`` functions never read x, so the
-        # per-match full-tree context rebuild is skipped (the same
-        # contract as algebra.tree_ops.invoke_split_function).
-        wants_context = getattr(self.function, "needs_context", True)
+        Charges one node per match candidate as candidates are tried — so a
+        ``max_nodes_scanned`` budget trips mid-scan — and tops up to the
+        tree's full size at exhaustion: a completed scan costs ``tree.size()``
+        nodes whether or not the matcher's columnar root filter skipped some.
+        """
+        size = tree.size()
+        stats = self.ctx.stats
+        guard = self.ctx.guard
+        charged = 0
 
-        def piece(match) -> Any:
-            y, _points = match.match_tree()
-            z = match.pruned_subtrees()
-            x = _context_tree(tree, match.root) if wants_context else None
-            return self.function(x, y, AquaList.from_values(z))
+        def on_candidate(node: TreeNode) -> None:
+            nonlocal charged
+            if node.is_concat_point:
+                return
+            charged += 1
+            stats.bump("nodes_scanned", 1)
+            if guard is not None:
+                guard.charge_nodes(1, "tree scan")
 
-        return dedup(map(piece, matches), DEFAULT)
+        yield from iter_tree_matches(
+            tp, tree, on_candidate=on_candidate, flush_per_candidate=True
+        )
+        remainder = size - charged
+        if remainder > 0:
+            stats.bump("nodes_scanned", remainder)
+            if guard is not None:
+                guard.charge_nodes(remainder, "tree scan")
 
     def rows(self) -> Iterator[Any]:
         tree = self.input_tree()
         tp = tree_pattern(self.pattern)
         self.result_equality = DEFAULT
-        yield from self._piece_rows(tree, self._matches(tree, tp))
+        yield from _piece_rows(tree, self._matches(tree, tp), self.function)
 
     def access_path(self) -> str:
-        return _scan_access_path(self.pattern)
+        # Inside a query the matcher narrows an unrestricted candidate
+        # walk to the nodes whose root-predicate column bits are set
+        # whenever the columnar kernel engages (``AQUA_COLUMNAR`` on,
+        # tree at or above the size threshold); say so when the
+        # pattern's root predicates are column-servable.
+        anchors = tree_columnar_anchors(tree_pattern(self.pattern))
+        if anchors is None:
+            return "full tree scan"
+        columns = ", ".join(anchor.describe() for anchor in anchors)
+        return f"full tree scan; columnar bitset filter on {columns} when the kernel engages"
 
 
-class IndexAnchorSplit(SplitPipe):
-    """``split`` with index-probed candidate roots (§4's literal example:
-    "the split operator uses the index on d to pick all the subtrees of
-    T that are rooted at d")."""
+class IndexAnchorScan(SubSelectPipe):
+    """``sub_select`` / ``split`` tried only at index-probed roots.
 
-    name = "index_anchor_split"
+    The paper's §4 rewrite ("the split operator uses the index on d to
+    pick all the subtrees of T that are rooted at d"): every match roots
+    at a node satisfying one of the pattern's root predicates, so probe
+    those predicates' indexes and only try the matcher there.  Falls
+    back to the full scan when a probe cannot be served (charging
+    nothing extra).
+    """
 
-    def __init__(self, logical, child: PhysicalOp, pattern, function, anchors) -> None:
+    name = "index_anchor_scan"
+    split_name = "index_anchor_split"
+
+    def __init__(self, logical, child: PhysicalOp, pattern, anchors, function=None) -> None:
         super().__init__(logical, child, pattern, function)
         self.anchors = tuple(anchors)
 
     def _matches(self, tree, tp) -> Iterator[Any]:
-        return _probe_matches(self.ctx, tree, tp, self.anchors)
+        db = self.ctx.db
+        roots = probe_anchor_roots(db, tree, self.anchors, db.stats)
+        return iter_tree_matches(tp, tree, roots=roots, flush_per_candidate=True)
 
     def access_path(self) -> str:
-        return _probe_access_path(self.anchors)
+        probes = ", ".join(anchor.describe() for anchor in self.anchors)
+        return f"node-index probe on {probes}"
 
 
 class MaterializeOp(PhysicalOp):

@@ -208,7 +208,7 @@ def run_aql(
     text is served from the plan cache's alias table without even being
     re-parsed.  ``$name`` slots inside ``{...}`` predicates bind through
     ``params``.  Any :meth:`repro.api.Session.query` knob keyword
-    (``budget=``, ``engine=``, ``parallel=``, ``parallel_workers=``,
+    (``budget=``, ``parallel=``, ``parallel_workers=``,
     ``cache=``) passes through to the shared
     resolver, same names and precedence as everywhere else.
     """

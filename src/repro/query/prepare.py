@@ -27,8 +27,7 @@ shape instead.
 Execution semantics are identical to
 :func:`repro.query.interpreter.evaluate` (which is a wrapper over this
 path) — a cached plan and a freshly planned one give bit-identical
-results and counters, which the plan-cache property suite asserts
-across engines.
+results and counters, which the plan-cache property suite asserts.
 """
 
 from __future__ import annotations
@@ -160,7 +159,6 @@ class PreparedQuery:
         params: Mapping[str, Any] | None = None,
         *,
         budget: Budget | None = None,
-        engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         db: Database | None = None,
@@ -169,7 +167,7 @@ class PreparedQuery:
 
         The knob keywords are the same set :meth:`repro.api.Session.query`
         and :meth:`repro.api.SessionPool.submit` take — ``budget`` /
-        ``engine`` / ``parallel`` / ``parallel_workers`` override the
+        ``parallel`` / ``parallel_workers`` override the
         session/env/default resolution for this run only (see
         :mod:`repro.config`).  ``db`` overrides the execution
         *view*: operators resolve roots, extents and indexes at runtime
@@ -185,11 +183,11 @@ class PreparedQuery:
         stats = view.stats
         with bound_params(params):
             factory = self._factory_for_bindings(view)
-            with config.tree_engine_scope(engine), config.parallel_scope(
-                parallel
-            ), config.parallel_workers_scope(parallel_workers), guardrails.guarded(
-                budget
-            ) as guard, stats.activated(), match_scope(view):
+            with config.parallel_scope(parallel), config.parallel_workers_scope(
+                parallel_workers
+            ), guardrails.guarded(budget) as guard, stats.activated(), match_scope(
+                view
+            ):
                 ctx = ExecutionContext(
                     db=view, guard=guard, metrics=stats.collector, stats=stats
                 )
@@ -201,7 +199,6 @@ class PreparedQuery:
         *,
         metrics: PlanMetrics | None = None,
         budget: Budget | None = None,
-        engine: str | None = None,
         parallel: str | None = None,
         parallel_workers: int | str | None = None,
         db: Database | None = None,
@@ -213,7 +210,6 @@ class PreparedQuery:
             result = self.run(
                 params,
                 budget=budget,
-                engine=engine,
                 parallel=parallel,
                 parallel_workers=parallel_workers,
                 db=view,

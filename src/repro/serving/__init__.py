@@ -18,7 +18,7 @@ Modules:
 * :mod:`~repro.serving.admission` — :class:`AdmissionController`
   (bounded queue depth / in-flight caps, structured shedding);
 * :mod:`~repro.serving.degrade` — the graceful-degradation ladder
-  (plan-cache bypass → backtrack engine → unoptimized plan);
+  (plan-cache bypass → unoptimized plan);
 * :mod:`~repro.serving.pool_stats` — :class:`PoolStats` observability.
 
 See README "Fault-tolerant serving" for the user-facing story and

@@ -1,13 +1,12 @@
-"""Graceful degradation: step down engine knobs on retry.
+"""Graceful degradation: step down planning knobs on retry.
 
 Every rung of this ladder trades performance for robustness *without
-changing any answer* — the engine's own property suites guarantee that
-memo ≡ backtrack, optimized ≡ unoptimized, and that a cache-bypassed
-prepare plans the same semantics from scratch.  That is what makes the
-ladder safe to walk blindly on retry: a fault that happened to live in
-a cached plan, the memo tables, or an optimizer-chosen index path is
-dodged by the next rung, and a fault that lives in the data path itself
-simply fails again and escalates.
+changing any answer* — the property suites guarantee that optimized ≡
+unoptimized, and that a cache-bypassed prepare plans the same semantics
+from scratch.  That is what makes the ladder safe to walk blindly on
+retry: a fault that happened to live in a cached plan or an
+optimizer-chosen index path is dodged by the next rung, and a fault that
+lives in the data path itself simply fails again and escalates.
 
 The default ladder, in order (each rung keeps the previous rungs'
 downgrades):
@@ -16,9 +15,7 @@ downgrades):
    plan cache (a poisoned/stale entry, or a fault during the cached
    plan's index probes, no longer matters; the fresh plan also re-runs
    anchor analysis against the *current* snapshot);
-2. **backtrack-engine** — drop the memoized tree engine for the plain
-   backtracker (no memo tables, no predicate bitmaps);
-3. **unoptimized-plan** — run the logical plan exactly as written (no
+2. **unoptimized-plan** — run the logical plan exactly as written (no
    optimizer rewrites, no index access paths: the full-scan shape
    touches the fewest distinct storage seams).
 
@@ -43,7 +40,6 @@ class DegradationStep:
     """
 
     name: str
-    engine: str | None = None
     optimize: bool | None = None
     bypass_cache: bool = False
 
@@ -75,15 +71,7 @@ class DegradationLadder:
 DEFAULT_LADDER = DegradationLadder(
     [
         DegradationStep("bypass-plan-cache", bypass_cache=True),
-        DegradationStep(
-            "backtrack-engine", bypass_cache=True, engine="backtrack"
-        ),
-        DegradationStep(
-            "unoptimized-plan",
-            bypass_cache=True,
-            engine="backtrack",
-            optimize=False,
-        ),
+        DegradationStep("unoptimized-plan", bypass_cache=True, optimize=False),
     ]
 )
 

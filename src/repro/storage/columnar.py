@@ -18,11 +18,11 @@ tree (or list) as structure-of-arrays:
   required-symbol profile run over the whole label array at once).
 
 Predicate columns generalize the per-query
-:class:`~repro.storage.tree_index.PredicateBitmap` (PR 4): a bitmap
+:class:`~repro.patterns.tree_memo.PredicateBitmap` (PR 4): a bitmap
 caches outcomes *as individual nodes are tested*, per query; a column is
 computed for the whole extent once and then shared by every consumer of
-every query — index fallback scans, anchor analysis, the memo engine's
-``TreeAtom`` fast-fail (bitmaps consult columns through their
+every query — index fallback scans, anchor analysis, the tree matcher's
+``TreeAtom`` fast-fail (its bitmap consults columns through the
 ``source`` hook) and the batch physical operators.
 
 Gating: the kernel engages only when ``AQUA_COLUMNAR=on`` (the default)
@@ -332,8 +332,8 @@ class ColumnarExtent(_ColumnStore):
 
     Positions are the tree's own
     :meth:`~repro.core.aqua_tree.AquaTree.layout` — the extent numbers
-    nothing itself, so its columns line up with the node index's bitmap
-    and the matcher's memo keys by construction — with concatenation
+    nothing itself, so its columns line up with the matcher's bitmap
+    planes and memo keys by construction — with concatenation
     points present as positions but absent from every predicate column.
     Built once per tree object and cached by
     :meth:`repro.storage.database.Database.columnar_extent`; a rebound
@@ -552,8 +552,8 @@ def columnar_candidate_roots(
 def make_column_provider(db: Any, tree: AquaTree) -> Callable[[], ColumnarExtent | None]:
     """A zero-argument provider resolving the knobs at call time.
 
-    Attached to a :class:`~repro.storage.tree_index.TreeIndex` so the
-    bitmaps it hands out consult predicate columns exactly when the
+    Attached to a :class:`~repro.storage.tree_index.TreeIndex` so its
+    candidate fallback serves a predicate column exactly when the
     kernel is enabled *for that query* — a cached index never pins a
     stale knob decision.
     """

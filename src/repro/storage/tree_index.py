@@ -5,9 +5,9 @@ locate all nodes in T that match d".  A :class:`TreeIndex` provides that:
 hash indexes from stored attribute values — plus the payload itself — to
 nodes, built in one loop over the tree's preorder
 :meth:`~repro.core.aqua_tree.AquaTree.layout`.  The index numbers
-nothing itself: ancestor tests, depths and the predicate-outcome bitmap
-all read the positions of that one layout, the same object the tree's
-columnar extent and match contexts read.
+nothing itself: ancestor tests and depths read the positions of that one
+layout, the same object the tree's columnar extent and match contexts
+read.
 
 Given an alphabet-predicate it answers :meth:`candidate_nodes`: the
 nodes that *might* match, served from an index when the predicate has an
@@ -21,123 +21,16 @@ saying which happened, so benchmarks can report the narrowing).
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Iterable, Iterator
+from contextlib import nullcontext
+from typing import Any, Callable, Iterable
 
 from .. import guardrails, params
 from ..core.aqua_list import AquaList
-from ..core.aqua_tree import AquaTree, TreeLayout, TreeNode
+from ..core.aqua_tree import AquaTree, TreeNode
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
 from .index import VALUE_ATTRIBUTE, HashIndex, read_key
 from .stats import Instrumentation
-
-#: Bitmap plane states: 0 = unknown, 1 = known false, 2 = known true.
-_UNKNOWN, _FALSE, _TRUE = 0, 1, 2
-
-
-# -- per-query bitmap scoping ---------------------------------------------------
-
-_bitmap_scope = threading.local()
-
-
-@contextmanager
-def scoped_bitmaps() -> Iterator[None]:
-    """Arm per-query predicate-bitmap isolation for this thread.
-
-    While armed, :attr:`TreeIndex.bitmap` hands out a bitmap private to
-    this scope (one per index, created on demand) instead of the
-    index-resident one.  That keeps per-query outcome state from
-    bleeding between queries scheduled on a shared pool thread — and
-    from racing between *concurrent* queries over the same tree, whose
-    shared index previously also shared one mutable bitmap.  The
-    previous scope (usually none) is restored on exit, exceptions
-    included.
-    """
-    previous = getattr(_bitmap_scope, "bitmaps", None)
-    _bitmap_scope.bitmaps = {}
-    try:
-        yield
-    finally:
-        _bitmap_scope.bitmaps = previous
-
-
-def _scope_bitmaps() -> "dict[int, PredicateBitmap] | None":
-    return getattr(_bitmap_scope, "bitmaps", None)
-
-
-class PredicateBitmap:
-    """Per-query predicate-outcome planes: each alphabet predicate is
-    evaluated **at most once per data node**.
-
-    One plane (a ``bytearray`` indexed by the node's position in the
-    tree's layout) per distinct predicate object; a cell is unknown,
-    known-false or known-true.  The bitmap is owned by the structure's
-    :class:`TreeIndex` so one fill serves every consumer of the node —
-    anchor-probe re-checks, matcher atom tests, optimizer analysis —
-    across all candidates and operators of a query.
-    """
-
-    def __init__(self, layout: TreeLayout, source: Any | None = None) -> None:
-        self._nodes = layout.nodes  # pinned: their ids key ``_position``
-        self._position = layout.position
-        #: Optional shared-column source (a
-        #: :class:`repro.storage.columnar.ColumnarExtent`): a plane miss
-        #: consults ``source.outcome_for(predicate, node)`` before
-        #: evaluating, so outcomes another consumer already batch-computed
-        #: for the whole extent are never re-derived per node.
-        self._source = source
-        self._planes: dict[int, bytearray] = {}
-        self._slots: dict[int, int] = {}
-        self._keep: list[AlphabetPredicate] = []  # keeps id() keys stable
-        self.fills = 0
-        self.hits = 0
-
-    def outcome(self, predicate: AlphabetPredicate, node: TreeNode) -> tuple[bool, bool]:
-        """``(result, filled)`` — evaluate-once semantics per node.
-
-        ``filled`` is True when this call actually ran the predicate (a
-        bitmap fill); False means the outcome was served without an
-        evaluation — from the plane, or from a shared predicate column.
-        """
-        pre = self._position.get(id(node))
-        if pre is None:
-            # A node the layout never numbered (e.g. a tree mutated after
-            # it was laid out): evaluate without caching rather than mislabel.
-            return bool(predicate(node.value)), True
-        slot = self._slots.get(id(predicate))
-        if slot is None:
-            slot = self._slots[id(predicate)] = len(self._keep)
-            self._keep.append(predicate)
-        plane = self._planes.get(slot)
-        if plane is None:
-            plane = self._planes[slot] = bytearray(len(self._nodes))
-        state = plane[pre]
-        if state != _UNKNOWN:
-            self.hits += 1
-            return state == _TRUE, False
-        if self._source is not None:
-            served = self._source.outcome_for(predicate, node)
-            if served is not None:
-                plane[pre] = _TRUE if served else _FALSE
-                self.hits += 1
-                return served, False
-        result = bool(predicate(node.value))
-        plane[pre] = _TRUE if result else _FALSE
-        self.fills += 1
-        return result, True
-
-    @property
-    def plane_count(self) -> int:
-        return len(self._planes)
-
-    def reset(self) -> None:
-        self._planes.clear()
-        self._slots.clear()
-        self._keep.clear()
-        self.fills = 0
-        self.hits = 0
 
 
 class TreeIndex:
@@ -153,7 +46,6 @@ class TreeIndex:
             attribute: HashIndex(attribute)
             for attribute in (VALUE_ATTRIBUTE, *attributes)
         }
-        self._bitmap: PredicateBitmap | None = None
         self._column_provider: Callable[[], Any] | None = None
         self._build(list(self._indexes.values()))
 
@@ -191,52 +83,6 @@ class TreeIndex:
     def _column_source(self) -> Any | None:
         provider = self._column_provider
         return provider() if provider is not None else None
-
-    # -- predicate-outcome bitmap ---------------------------------------------
-
-    def _make_bitmap(self) -> PredicateBitmap:
-        return PredicateBitmap(self.layout, source=self._column_source())
-
-    @property
-    def bitmap(self) -> PredicateBitmap:
-        """The per-query predicate-outcome bitmap, keyed by layout position.
-
-        Lazily allocated.  Inside a :func:`scoped_bitmaps` scope (armed
-        per query by :func:`repro.patterns.tree_memo.match_scope`) the
-        bitmap is private to the scope, so concurrent queries sharing
-        this index never share each other's outcome planes.
-        """
-        scoped = _scope_bitmaps()
-        if scoped is not None:
-            bitmap = scoped.get(id(self))
-            if bitmap is None:
-                bitmap = scoped[id(self)] = self._make_bitmap()
-            return bitmap
-        if self._bitmap is None:
-            self._bitmap = self._make_bitmap()
-        return self._bitmap
-
-    def predicate_outcome(
-        self,
-        predicate: AlphabetPredicate,
-        node: TreeNode,
-        stats: Instrumentation | None = None,
-    ) -> bool:
-        """Evaluate ``predicate`` on ``node`` through the outcome bitmap.
-
-        This is the fix for the duplicated work in :meth:`candidate_nodes`
-        consumers: every anchor re-check and fallback scan of the same
-        (predicate, node) pair after the first is a plane lookup.  Saved
-        evaluations are flushed to stats as ``bitmap_hits``.
-        """
-        result, filled = self.bitmap.outcome(predicate, node)
-        if stats is not None:
-            if filled:
-                stats.bump("bitmap_fills")
-                stats.bump("predicate_evals")
-            else:
-                stats.bump("bitmap_hits")
-        return result
 
     # -- candidate retrieval ----------------------------------------------------
 
@@ -287,8 +133,9 @@ class TreeIndex:
         """Nodes that might satisfy ``predicate``; ``(nodes, used_index)``.
 
         With a servable equality term the candidates come from one index
-        probe (then get re-checked by the caller's full predicate); with
-        none, every element node is returned and the caller scans.
+        probe (a superset: the matcher's own atom test at each candidate
+        is the full-predicate check); with none, every element node is
+        returned and the caller scans.
         """
         guard = guardrails.current_guard()
         terms = self.servable_terms(predicate)
@@ -310,9 +157,8 @@ class TreeIndex:
         source = self._column_source()
         if source is not None and source.servable(predicate):
             # Fallback-scan fix: instead of handing back every element
-            # node for a per-probe re-check, serve the shared predicate
-            # column — one batch evaluation per extent, after which the
-            # caller's re-checks are all bitmap/column hits.
+            # node, serve the shared predicate column — one batch
+            # evaluation per extent, exact for the whole predicate.
             nodes = source.matching_nodes(predicate)
             if stats is not None:
                 stats.bump("column_scans")

@@ -24,6 +24,8 @@ from repro.docstore.path import PathStepFn, step_predicate
 from repro.errors import QueryError
 from repro.query import expr as E
 
+from ..reference import untabled_scope
+
 XML = "<library><shelf n='1'><book lang='en'>A</book><book>B</book></shelf><shelf n='2'><book lang='en'>C</book></shelf></library>"
 HTML = (
     "<html><head><title>t</title></head><body>"
@@ -171,11 +173,13 @@ class TestPathQueries:
 
     def test_knobs_pass_through(self):
         doc = Document.from_text(XML, "xml")
-        backtrack = sorted(to_xml(t) for t in doc.path("//book", engine="backtrack"))
-        memo = sorted(to_xml(t) for t in doc.path("//book", engine="memo"))
+        with untabled_scope(doc.db):
+            backtrack = sorted(to_xml(t) for t in doc.path("//book", parallel="off"))
+        memo = sorted(to_xml(t) for t in doc.path("//book", parallel="on"))
         assert backtrack == memo
-        with pytest.raises(TypeError):
-            doc.path("//book", executor="eager")
+        for retired in ({"executor": "eager"}, {"engine": "backtrack"}):
+            with pytest.raises(TypeError):
+                doc.path("//book", **retired)
 
     def test_double_quote_rejected_in_path(self):
         doc = Document.from_text(XML, "xml")

@@ -36,12 +36,13 @@ class TestSplitAnchorLowering:
     def test_lowers_to_index_anchor_split(self, db):
         node = Q.root("T").split("d", piece_summary).build()
         plan = chosen(node, db)
-        assert type(plan.root) is P.IndexAnchorSplit
+        assert type(plan.root) is P.IndexAnchorScan
+        assert plan.root.name == "index_anchor_split"
         assert plan.root.function is piece_summary
 
     def test_skips_anchored(self, db):
         node = Q.root("T").split("^d", piece_summary).build()
-        assert not isinstance(chosen(node, db).root, P.IndexAnchorSplit)
+        assert not isinstance(chosen(node, db).root, P.IndexAnchorScan)
 
     def test_skips_unusable_root(self, db):
         from repro.patterns.tree_parser import parse_tree_pattern
@@ -51,7 +52,7 @@ class TestSplitAnchorLowering:
             pattern=parse_tree_pattern("[[d(@)]]*@"),
             function=piece_summary,
         )
-        assert not isinstance(chosen(node, db).root, P.IndexAnchorSplit)
+        assert not isinstance(chosen(node, db).root, P.IndexAnchorScan)
 
     def test_semantics_preserved(self, db):
         node = Q.root("T").split("d", piece_summary).build()
@@ -64,7 +65,7 @@ class TestSplitAnchorLowering:
             resolver=by_citizen_or_name,
         ).build()
         plan = chosen(query, db)
-        assert type(plan.root) is P.IndexAnchorSplit
+        assert plan.root.name == "index_anchor_split"
         assert run(plan, db) == evaluate(query, db)
 
     def test_indexed_split_counters(self, db):

@@ -24,7 +24,7 @@ from repro.errors import (
 from repro.guardrails import Budget, CancellationToken, Guard, guarded
 from repro.patterns.list_match import find_list_matches
 from repro.patterns.list_parser import parse_list_pattern
-from repro.patterns.tree_match import tree_in_language
+from repro.patterns.tree_match import find_tree_matches, tree_in_language
 from repro.patterns.tree_parser import parse_tree_pattern
 from repro.query import Q, evaluate, expr as E, parse_aql
 from repro.query.interpreter import evaluate_with_metrics
@@ -65,6 +65,17 @@ class TestStepBudget:
         with pytest.raises(ResourceExhaustedError):
             with guarded(Budget(max_steps=300)):
                 tree_in_language(pattern, tree)
+        # With no budget armed the stack does run out — and that, too, is
+        # the typed error, converted once at the matcher entry points.
+        for match in (tree_in_language, find_tree_matches):
+            with pytest.raises(ResourceExhaustedError) as info:
+                match(pattern, tree)
+            assert info.value.limit_name == "max_backtrack_depth"
+            assert info.value.seam == "tree matcher"
+        with pytest.raises(ResourceExhaustedError) as info:
+            with guarded(Budget(max_steps=10**9)):
+                find_tree_matches(pattern, tree)
+        assert info.value.usage["steps"] > 0
 
     def test_env_knob_reaches_bare_matcher_call(self, monkeypatch):
         """``find_list_matches`` arms its own guard from the environment,

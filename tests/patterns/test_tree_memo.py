@@ -1,26 +1,29 @@
-"""The packrat memo engine (ISSUE 4): bitmaps, tables, sharing, budgets."""
+"""The matcher's packrat tables (ISSUE 4): bitmaps, tables, sharing, budgets.
+
+``"backtrack"`` in :func:`match_keys` is the reference: the same matcher
+handed a null-table context.
+"""
 
 import pytest
 
 from repro import guardrails
 from repro.core import AquaTree
-from repro.errors import QueryError, ResourceExhaustedError
+from repro.errors import ResourceExhaustedError
 from repro.patterns import (
-    TREE_ENGINE_ENV,
     TreeMatchContext,
     current_registry,
     find_tree_matches,
     match_scope,
     parse_tree_pattern,
-    tree_engine,
     tree_in_language,
 )
-from repro.patterns.tree_memo import WIDE_CHILD_LIST
+from repro.patterns.tree_memo import WIDE_CHILD_LIST, PredicateBitmap
 from repro.predicates import pred, sym
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
-from repro.storage.tree_index import PredicateBitmap
 from repro.workloads import by_element, element
+
+from ..reference import untabled
 
 LADDER = "[[S(B(@))]]+@ .@ S(H)"
 #: Closure-free, four sibling closures, and ``z`` never occurs: the
@@ -43,30 +46,19 @@ def chain(depth: int) -> AquaTree:
 
 
 def match_keys(pattern, tree, engine):
-    return [m.key() for m in find_tree_matches(pattern, tree, engine=engine)]
+    context = untabled(pattern, tree) if engine == "backtrack" else None
+    return [m.key() for m in find_tree_matches(pattern, tree, context=context)]
 
 
 class TestEngineKnob:
     def test_memo_is_the_default(self, monkeypatch):
-        monkeypatch.delenv(TREE_ENGINE_ENV, raising=False)
-        assert tree_engine() == "memo"
-
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv(TREE_ENGINE_ENV, "backtrack")
-        assert tree_engine() == "backtrack"
-
-    def test_explicit_argument_wins(self, monkeypatch):
-        monkeypatch.setenv(TREE_ENGINE_ENV, "backtrack")
-        assert tree_engine("memo") == "memo"
-
-    @pytest.mark.parametrize("bogus", ["packrat", "", "MEMO"])
-    def test_unknown_engine_rejected(self, monkeypatch, bogus):
-        monkeypatch.setenv(TREE_ENGINE_ENV, bogus)
-        with pytest.raises(QueryError, match="AQUA_TREE_ENGINE"):
-            tree_engine()
-        monkeypatch.delenv(TREE_ENGINE_ENV)
-        with pytest.raises(QueryError, match="AQUA_TREE_ENGINE"):
-            tree_engine(bogus)
+        """There is no knob left: a bare call tables a closure pattern,
+        whatever the retired variable holds."""
+        monkeypatch.setenv("AQUA_TREE_ENGINE", "backtrack")
+        stats = Instrumentation()
+        with stats.activated():
+            find_tree_matches(parse_tree_pattern(LADDER, resolver=by_element), chain(8))
+        assert stats["memo_misses"] > 0 and stats["bitmap_fills"] > 0
 
 
 class TestEquivalenceAndSpeedup:
@@ -115,8 +107,8 @@ class TestEquivalenceAndSpeedup:
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
         for depth in (0, 1, 3):
             tree = chain(depth)
-            assert tree_in_language(pattern, tree, engine="memo") == tree_in_language(
-                pattern, tree, engine="backtrack"
+            assert tree_in_language(pattern, tree) == tree_in_language(
+                pattern, tree, context=untabled(pattern, tree)
             )
 
 
@@ -154,10 +146,10 @@ class TestMemoGate:
         pattern = parse_tree_pattern(DEAD_END)
         tree = fan(80)
         with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
-            assert find_tree_matches(pattern, tree, engine="memo") == []
+            assert find_tree_matches(pattern, tree) == []
         with pytest.raises(ResourceExhaustedError):
             with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
-                find_tree_matches(pattern, tree, engine="backtrack")
+                find_tree_matches(pattern, tree, context=untabled(pattern, tree))
 
     def test_closure_pattern_tables_narrow_lists_too(self):
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
@@ -204,7 +196,7 @@ class TestPredicateBitmap:
 
         pattern = parse_tree_pattern(LADDER, resolver=resolver)
         tree = chain(16)
-        find_tree_matches(pattern, tree, engine="memo")
+        find_tree_matches(pattern, tree)
         nodes = tree.size()
         assert counts  # the predicates did run
         assert all(count <= nodes for count in counts.values())
@@ -213,9 +205,9 @@ class TestPredicateBitmap:
         counts_backtrack = baseline
         cache.clear()
         counts.clear()
-        # Same resolver closure machinery, fresh counters, old engine.
+        # Same resolver closure machinery, fresh counters, no tables.
         pattern = parse_tree_pattern(LADDER, resolver=resolver)
-        find_tree_matches(pattern, tree, engine="backtrack")
+        find_tree_matches(pattern, tree, context=untabled(pattern, tree))
         counts_backtrack.update(counts)
         assert sum(counts_backtrack.values()) > nodes  # the saved work
 
@@ -264,12 +256,12 @@ class TestContextSharing:
         assert current_registry() is None
         with match_scope() as registry:
             assert current_registry() is registry
-            find_tree_matches(pattern, tree, engine="memo")
+            find_tree_matches(pattern, tree)
             cells = registry.memo_cells()
             assert cells > 0
             stats = Instrumentation()
             with stats.activated():
-                find_tree_matches(pattern, tree, engine="memo")
+                find_tree_matches(pattern, tree)
             assert stats["memo_misses"] == 0  # served by the shared context
             assert registry.memo_cells() == cells
         assert current_registry() is None
@@ -280,14 +272,19 @@ class TestContextSharing:
                 assert inner is outer
 
     def test_match_scope_resets_database_bitmaps(self):
+        """Outcome planes belong to the scope's registry: a second scope
+        starts cold, so two identical queries report identical fills."""
+        pattern = parse_tree_pattern(LADDER, resolver=by_element)
         tree = chain(4)
         db = Database()
         db.bind_root("T", tree)
-        index = db.tree_index(tree, ["kind"])
-        index.predicate_outcome(by_element("S"), tree.root)
-        assert index.bitmap.fills == 1
-        with match_scope(db):
-            assert index.bitmap.fills == 0
+        fills = []
+        for _ in range(2):
+            stats = Instrumentation()
+            with match_scope(db), stats.activated():
+                find_tree_matches(pattern, tree)
+            fills.append(stats["bitmap_fills"])
+        assert fills[0] == fills[1] > 0
 
     def test_early_exit_does_not_poison_the_tables(self):
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
@@ -306,11 +303,11 @@ class TestBudgets:
         budget = guardrails.Budget(max_steps=40)
         with pytest.raises(ResourceExhaustedError):
             with guardrails.guarded(budget):
-                find_tree_matches(pattern, tree, engine="memo")
+                find_tree_matches(pattern, tree)
 
     def test_generous_budget_unaffected(self):
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
         tree = chain(8)
         with guardrails.guarded(guardrails.Budget(max_steps=100_000)):
-            matches = find_tree_matches(pattern, tree, engine="memo")
+            matches = find_tree_matches(pattern, tree)
         assert len(matches) == 8

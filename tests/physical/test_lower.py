@@ -174,7 +174,8 @@ class TestAccessPathChoice:
             resolver=by_citizen_or_name,
         ).build()
         chosen = lower(query, db, choose_access_paths=True)
-        assert type(chosen.root) is P.IndexAnchorSplit
+        assert type(chosen.root) is P.IndexAnchorScan
+        assert chosen.root.name == "index_anchor_split"
         assert run(chosen, db) == run(lower(query, db), db)
 
     def test_list_sub_select_upgrades_to_list_anchor_scan(self):
@@ -280,7 +281,8 @@ class TestColumnarLowering:
             resolver=by_citizen_or_name,
         ).build()
         plan = lower(query, db)
-        assert type(plan.root) is P.SplitPipe
+        assert type(plan.root) is P.SubSelectPipe
+        assert plan.root.name == "split_pipe"
         assert "columnar bitset filter on" in plan.render()
         assert "citizen" in plan.render()
 

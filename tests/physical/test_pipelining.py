@@ -53,7 +53,7 @@ class TestPeakIntermediateCardinality:
         db, size = indexed_tree_db()
         query = Q.root("T").split("d(e(h i) j ?*)", make_tuple).build()
         assert (
-            type(lower(query, db, choose_access_paths=True).root) is P.IndexAnchorSplit
+            lower(query, db, choose_access_paths=True).root.name == "index_anchor_split"
         )
 
         result, metrics = Session(db).query_with_metrics(query, optimize=True)

@@ -3,8 +3,9 @@
 The kernel's contract: with the columnar kernel forced on (threshold
 0), every query returns a match stream bit-identical to the kernel
 pinned off — across the three workload families (labeled trees /
-Figure-4 family splits / melody lists), both tree engines, and every
-available bitset backend.  Snapshot pins keep
+Figure-4 family splits / melody lists), the matcher tabled (``memo``) or
+run whole-query under the null-table reference registry (``backtrack``),
+and every available bitset backend.  Snapshot pins keep
 serving the pinned tree's columnar cut after the live root moves on,
 and rebinding a root between queries invalidates its extent.
 """
@@ -26,6 +27,8 @@ from repro.workloads import (
     song_with_melody,
 )
 
+from ..reference import untabled_scope
+
 SETTINGS = settings(max_examples=12, deadline=None)
 
 BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
@@ -39,7 +42,7 @@ TREE_PATTERNS = ["d(e ?*)", "d(?*)", "e(h i ?*)", "d(e(h i) j ?*)"]
 
 def both_legs(query, db, engine, backend):
     """Evaluate ``query`` kernel-off and kernel-on under one mode."""
-    with config.tree_engine_scope(engine):
+    with untabled_scope(db, engine):
         with config.columnar_scope("off"):
             off = evaluate(query, db)
         with (

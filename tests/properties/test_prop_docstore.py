@@ -10,7 +10,7 @@ Two families:
 
 * **Path queries are mode-independent.**  A random document queried
   with a random path yields bit-identical serialized results across
-  tree engines × columnar backends, all agreeing with the
+  matcher tables on/off × columnar backends, all agreeing with the
   ``naive_path`` reference walk — and querying never mutates the
   document (it re-serializes identically afterwards).
 """
@@ -37,6 +37,8 @@ from repro.docstore import (
 from repro.docstore.model import DocNode, document_node
 from repro.docstore.store import Document
 from repro.storage.columnar import numpy_available
+
+from ..reference import untabled_scope
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -192,7 +194,8 @@ def test_path_results_bit_identical_across_modes(engine, backend, tree, path):
         config.columnar_backend_scope(backend),
         config.columnar_threshold_scope(0),
     ):
-        got = _rendered(doc.path(path, engine=engine))
+        with untabled_scope(doc.db, engine):
+            got = _rendered(doc.path(path))
     assert got == reference
     # Querying is read-only: the document re-serializes identically.
     assert to_xml(doc.tree) == before

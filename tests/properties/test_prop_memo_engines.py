@@ -2,14 +2,12 @@
 
 Hypothesis drives random patterns and workloads — labeled/identity
 trees, family trees, songs routed through the §6 list-as-tree bridge,
-RNA structures — and asserts the packrat ``memo`` engine enumerates
-exactly the backtracker's ``Shape`` stream: same match multiset, same
-member order, both directly at the matcher and through the query
-pipeline (with the backtracker-driven reference evaluator as baseline).
+RNA structures — and asserts the matcher's tabled paths (``memo``)
+enumerate exactly the ``Shape`` stream of the same matcher handed a
+null-table context (``backtrack``): same match multiset, same member
+order, both directly at the matcher and through the query pipeline (with
+the untabled reference evaluator as baseline).
 """
-
-import os
-from contextlib import contextmanager
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,7 @@ from repro.algebra.list_tree_bridge import sub_select_via_tree
 from repro.core import make_tuple
 from repro.core.aqua_list import AquaList
 from repro.core.aqua_set import AquaSet
-from repro.patterns import TREE_ENGINE_ENV, find_tree_matches, parse_list_pattern
+from repro.patterns import find_tree_matches, parse_list_pattern
 from repro.query import Q, evaluate
 from repro.storage import Database
 from repro.workloads import (
@@ -30,7 +28,7 @@ from repro.workloads import (
     random_song,
 )
 
-from ..reference import reference_eval
+from ..reference import reference_eval, untabled, untabled_scope
 from .strategies import (
     identity_trees,
     labeled_trees,
@@ -44,19 +42,6 @@ SETTINGS = settings(max_examples=50, deadline=None)
 ENGINES = ("memo", "backtrack")
 
 
-@contextmanager
-def engine_env(engine):
-    previous = os.environ.get(TREE_ENGINE_ENV)
-    os.environ[TREE_ENGINE_ENV] = engine
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ[TREE_ENGINE_ENV]
-        else:
-            os.environ[TREE_ENGINE_ENV] = previous
-
-
 def ordered(value):
     if isinstance(value, AquaSet):
         return list(value)
@@ -67,18 +52,18 @@ def ordered(value):
 
 def assert_matchers_agree(pattern, tree):
     """Same ``Shape`` stream — multiset *and* member order."""
-    keys = {
-        engine: [m.key() for m in find_tree_matches(pattern, tree, engine=engine)]
-        for engine in ENGINES
-    }
-    assert keys["memo"] == keys["backtrack"]
+    memo = [m.key() for m in find_tree_matches(pattern, tree)]
+    backtrack = [
+        m.key()
+        for m in find_tree_matches(pattern, tree, context=untabled(pattern, tree))
+    ]
+    assert memo == backtrack
 
 
 def assert_engines_agree(query, db):
-    with engine_env("backtrack"):
-        baseline = reference_eval(query, db)
+    baseline = reference_eval(query, db)
     for engine in ENGINES:
-        with engine_env(engine):
+        with untabled_scope(db, engine):
             value = evaluate(query, db)
         assert value == baseline
         assert ordered(value) == ordered(baseline)
@@ -162,13 +147,13 @@ def test_family_split_agrees(size, seed, planted):
     seed=st.integers(min_value=0, max_value=5000),
 )
 def test_melody_via_tree_bridge_agrees(length, seed):
-    """Songs reach the tree engines through the §6 list-as-tree bridge,
-    so the memoized matcher must reproduce the backtracker there too."""
+    """Songs reach the tree matcher through the §6 list-as-tree bridge,
+    so its tabled paths must reproduce the backtracker there too."""
     song = random_song(length, seed=seed)
     pattern = parse_list_pattern("[A??F]", resolver=by_pitch)
     outcomes = {}
     for engine in ENGINES:
-        with engine_env(engine):
+        with untabled_scope(engine=engine):
             outcomes[engine] = sub_select_via_tree(pattern, song)
     assert outcomes["memo"] == outcomes["backtrack"]
     assert ordered(outcomes["memo"]) == ordered(outcomes["backtrack"])

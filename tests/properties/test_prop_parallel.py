@@ -3,9 +3,12 @@
 The exchange contract under randomized inputs: a parallel run is
 indistinguishable from the sequential one — member order, set equality,
 dedup of apply images — across the three workload families (family
-forests / song lists / RNA structures), worker counts {1, 2, 7}, both
-tree engines, and including runs that trip a budget mid-stream (both
-legs must land in the same outcome class).
+forests / song lists / RNA structures), worker counts {1, 2, 7}, the
+matcher tabled (``memo``) or handed the null-table reference collaborator
+on the query thread (``backtrack`` — shard workers arm their own default
+scopes, so those rows pit an untabled sequential leg against tabled
+shards), and including runs that trip a budget mid-stream (both legs
+must land in the same outcome class).
 
 Forests carry ≥260 members so the static lowering gate (break-even
 ≈256 rows) chooses the exchange plan; ``parallel_scope("off")`` is the
@@ -33,6 +36,8 @@ from repro.workloads import (
     random_rna_structure,
     random_song,
 )
+
+from ..reference import untabled_scope
 
 SETTINGS = settings(max_examples=8, deadline=None)
 
@@ -96,7 +101,7 @@ def both_legs(query, db, workers, engine, *, max_steps=None):
     ``("ok", rows)`` or ``("tripped", limit)`` so budget runs compare
     by class."""
     outcomes = []
-    with config.tree_engine_scope(engine):
+    with untabled_scope(engine=engine):
         legs = (
             (config.parallel_scope("off"),),
             (

@@ -4,7 +4,7 @@ Hypothesis drives the three workload families — family trees, songs,
 RNA structures — through interleaved queries and ``algebra.update``
 mutations, asserting that a **cache-hit execution is bit-identical to a
 cold prepare+run**: same values, same member order, same runtime counter
-totals, under both tree-pattern engines.  Mutations
+totals, with the matcher tabled and untabled.  Mutations
 route through :func:`repro.algebra.update.apply_update`, whose root
 rebind bumps ``Database.epoch`` — the next prepare must observe exactly
 one lazy invalidation and re-plan exactly once.
@@ -28,6 +28,8 @@ from repro.workloads import (
     random_rna_structure,
     song_with_melody,
 )
+
+from ..reference import untabled_scope
 
 SETTINGS = settings(max_examples=20, deadline=None)
 
@@ -83,7 +85,8 @@ def run_measured(prepared, engine):
     """Execute and return ``(result, runtime-counter delta)``."""
     db = prepared.db
     before = dict(db.stats.snapshot())
-    result = prepared.run(engine=engine)
+    with untabled_scope(db, engine):
+        result = prepared.run()
     after = db.stats.snapshot()
     delta = {
         key: after[key] - before.get(key, 0)

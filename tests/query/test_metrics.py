@@ -106,8 +106,7 @@ class TestPlanMetricsCollection:
 
 
 class TestRendering:
-    def test_render_analysis_golden(self, monkeypatch):
-        monkeypatch.setenv("AQUA_TREE_ENGINE", "memo")
+    def test_render_analysis_golden(self):
         db = make_db()
         query = Q.root("T").sub_select("d(e(h i) j)").build()
         _, metrics = evaluate_with_metrics(query, db)

@@ -2,11 +2,17 @@
 
 A plain recursion over :mod:`repro.query.expr` nodes that calls the
 paper's own operator definitions in :mod:`repro.algebra` and nothing
-else: no lowering, no access paths, no guard, no metrics, no knobs.
+else: no lowering, no access paths, no guard, no metrics, no knobs — and
+no packrat tables: it runs under :func:`untabled_scope`, so every tree
+match is the plain backtracker's.
 ``Session.query`` must return exactly what :func:`reference_eval`
 returns — same members, same order, same equality notion.
+
+The null-table collaborator is reachable only by constructing it, which
+is what the two helpers here do for the parity suites.
 """
 
+from contextlib import nullcontext
 from typing import Any
 
 from repro import params
@@ -26,7 +32,25 @@ from repro.core.aqua_list import AquaList
 from repro.core.aqua_set import AquaSet
 from repro.core.aqua_tree import AquaTree
 from repro.errors import QueryError
+from repro.patterns import MatchContextRegistry, TreeMatchContext, match_scope
 from repro.query import expr as E
+
+
+def untabled(pattern, tree) -> TreeMatchContext:
+    """The null-table context: handed it, the matcher tables nothing."""
+    return TreeMatchContext(pattern, tree, tabled=False)
+
+
+def untabled_scope(db=None, engine: str = "backtrack"):
+    """Arm a registry of null-table contexts around a whole evaluation.
+
+    The outermost match scope wins, so every tree match on this thread
+    inside the block — a ``Session.query`` included — runs untabled.
+    ``engine="memo"`` arms nothing (the parity suites' other leg).
+    """
+    if engine == "memo":
+        return nullcontext()
+    return match_scope(registry=MatchContextRegistry(db, tabled=False))
 
 
 def _flatten(collection: AquaSet) -> AquaSet:
@@ -74,7 +98,7 @@ def _typed(value: Any, expected: type, node: E.Expr) -> Any:
 
 def reference_eval(node: E.Expr, db, bindings: "dict[str, Any] | None" = None) -> Any:
     """Evaluate ``node`` against ``db`` by direct recursion."""
-    with params.bound_params(bindings):
+    with params.bound_params(bindings), untabled_scope():
         return _eval(node, db)
 
 

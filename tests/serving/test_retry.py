@@ -147,10 +147,10 @@ class TestRunWithPolicy:
         assert steps == [
             None,
             "bypass-plan-cache",
-            "backtrack-engine",
             "unoptimized-plan",
             "unoptimized-plan",  # clamps at the last rung
             "unoptimized-plan",  # ... for as long as the policy retries
+            "unoptimized-plan",
         ]
 
     def test_degrade_false_never_walks_the_ladder(self, no_sleep):

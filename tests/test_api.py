@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session, default_session
-from repro.config import TREE_ENGINE_ENV
+from repro.config import COLUMNAR_ENV, PARALLEL_ENV
 from repro.core import parse_tree
 from repro.core.identity import Record
 from repro.errors import QueryError
@@ -21,52 +21,67 @@ def db():
     return database
 
 
+@pytest.fixture()
+def wide_db():
+    """An extent past the exchange break-even, so ``parallel`` is observable."""
+    database = Database()
+    for i in range(300):
+        database.insert(Record(name=f"p{i}", age=i), "Person")
+    return database
+
+
+def fanouts(session, **knobs):
+    """How many exchange fan-outs one wide select performed."""
+    query = Q.extent("Person").sselect(attr("age") >= 0).node
+    _, metrics = session.query_with_metrics(query, parallel_workers=2, **knobs)
+    return metrics.totals().get("exchange_fanouts", 0)
+
+
 class TestKnobValidation:
     def test_retired_executor_keyword_is_a_type_error(self, db):
-        with pytest.raises(TypeError):
-            Session(db, executor="eager")
-        with pytest.raises(TypeError):
-            Session(db).query(Q.extent("Person").node, executor="eager")
+        for retired in ({"executor": "eager"}, {"engine": "backtrack"}):
+            with pytest.raises(TypeError):
+                Session(db, **retired)
+            with pytest.raises(TypeError):
+                Session(db).query(Q.extent("Person").node, **retired)
 
     def test_retired_executor_env_var_is_ignored(self, db, monkeypatch):
         monkeypatch.setenv("AQUA_EXECUTOR", "turbo")
+        monkeypatch.setenv("AQUA_TREE_ENGINE", "backtrack")
         assert len(Session(db).query(Q.extent("Person").node)) == 12
-
-    def test_bad_engine_rejected_at_construction(self, db):
-        with pytest.raises(QueryError, match=TREE_ENGINE_ENV):
-            Session(db, engine="packrat")
+        # Really ignored: a closure pattern still goes through the tables.
+        closure = Q.root("T").sub_select("[[d(@ ?*)]]+@ .@ e(h i)").node
+        result, metrics = Session(db).query_with_metrics(closure)
+        assert len(result) == 1  # value-equal matches collapse in the set
+        assert metrics.totals()["memo_misses"] > 0
 
     def test_bad_env_value_rejected_on_first_read(self, db, monkeypatch):
-        monkeypatch.setenv(TREE_ENGINE_ENV, "turbo")
+        monkeypatch.setenv(COLUMNAR_ENV, "turbo")
         session = Session(db)  # env not read yet
-        with pytest.raises(QueryError, match=TREE_ENGINE_ENV):
+        with pytest.raises(QueryError, match=COLUMNAR_ENV):
             session.query(Q.root("T").sub_select("d(e j)").node)
 
     def test_bad_per_call_value_rejected(self, db):
         session = Session(db)
-        with pytest.raises(QueryError, match=TREE_ENGINE_ENV):
-            session.query(Q.root("T").sub_select("d(e j)").node, engine="nope")
+        with pytest.raises(QueryError, match=PARALLEL_ENV):
+            session.query(Q.root("T").sub_select("d(e j)").node, parallel="nope")
 
 
 class TestPrecedence:
-    def test_call_kwarg_beats_session_kwarg(self, db, monkeypatch):
-        # the session says backtrack; the call says memo; both beat env
-        monkeypatch.setenv(TREE_ENGINE_ENV, "bogus-but-never-read")
-        session = Session(db, engine="backtrack")
-        result = session.query(Q.root("T").sub_select("d(e j)").node, engine="memo")
-        assert len(result) == 1
+    def test_call_kwarg_beats_session_kwarg(self, wide_db, monkeypatch):
+        # the session says off; the call says on; both beat env
+        monkeypatch.setenv(PARALLEL_ENV, "bogus-but-never-read")
+        session = Session(wide_db, parallel="off")
+        assert fanouts(session, parallel="on") == 1
 
-    def test_session_kwarg_beats_env(self, db, monkeypatch):
-        monkeypatch.setenv(TREE_ENGINE_ENV, "bogus-but-never-read")
-        session = Session(db, engine="backtrack")
-        result = session.query(Q.root("T").sub_select("d(e j)").node)
-        assert len(result) == 1
+    def test_session_kwarg_beats_env(self, wide_db, monkeypatch):
+        monkeypatch.setenv(PARALLEL_ENV, "bogus-but-never-read")
+        assert fanouts(Session(wide_db, parallel="off")) == 0
 
-    def test_env_beats_default(self, db, monkeypatch):
-        monkeypatch.setenv(TREE_ENGINE_ENV, "backtrack")
-        session = Session(db)
-        result = session.query(Q.root("T").sub_select("d(e j)").node)
-        assert len(result) == 1
+    def test_env_beats_default(self, wide_db, monkeypatch):
+        assert fanouts(Session(wide_db)) == 1
+        monkeypatch.setenv(PARALLEL_ENV, "off")
+        assert fanouts(Session(wide_db)) == 0
 
 
 class TestSessionBehavior:
@@ -108,7 +123,7 @@ class TestKnobAlignment:
     """One knob surface: Session.query / SessionPool.submit /
     PreparedQuery.run spell every knob the same way."""
 
-    KNOBS = {"budget", "engine", "parallel", "parallel_workers"}
+    KNOBS = {"budget", "parallel", "parallel_workers"}
 
     @staticmethod
     def _keywords(fn):
@@ -140,17 +155,17 @@ class TestKnobAlignment:
             assert "params" in inspect.signature(fn).parameters
 
     def test_resolver_applies_call_over_session_precedence(self, db):
-        session = Session(db, engine="backtrack", parallel="off")
-        knobs = session.resolve_knobs(Q.extent("Person").node, engine="memo")
-        assert knobs.engine == "memo"  # per-call wins
-        assert knobs.parallel == "off"  # session value survives
+        session = Session(db, parallel="off", parallel_workers=2)
+        knobs = session.resolve_knobs(Q.extent("Person").node, parallel="on")
+        assert knobs.parallel == "on"  # per-call wins
+        assert knobs.parallel_workers == 2  # session value survives
         assert knobs.optimize is False  # Expr default
 
     def test_q_run_accepts_session_knobs(self, db):
         result = (
             Q.extent("Person")
             .sselect(attr("age") == 25)
-            .run(db, parallel="off", engine="backtrack")
+            .run(db, parallel="off", parallel_workers=2)
         )
         assert {p.name for p in result} == {"p5"}
 
@@ -160,7 +175,7 @@ class TestKnobAlignment:
         result = run_aql(
             "extent Person | sselect {age = 25} | project name",
             db,
-            engine="backtrack",
+            parallel="off",
         )
         assert set(result) == {"p5"}
 

@@ -6,23 +6,6 @@ from repro import config
 from repro.errors import QueryError
 
 
-class TestTreeEngineKnob:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv(config.TREE_ENGINE_ENV, raising=False)
-        assert config.validated_tree_engine() == "memo"
-
-    def test_scope_beats_env(self, monkeypatch):
-        monkeypatch.setenv(config.TREE_ENGINE_ENV, "memo")
-        with config.tree_engine_scope("backtrack"):
-            assert config.validated_tree_engine() == "backtrack"
-        assert config.validated_tree_engine() == "memo"
-
-    def test_rejects_bad_values_naming_the_knob(self, monkeypatch):
-        monkeypatch.setenv(config.TREE_ENGINE_ENV, "packrat")
-        with pytest.raises(QueryError, match=config.TREE_ENGINE_ENV):
-            config.validated_tree_engine()
-
-
 class TestDfaCacheLimitKnob:
     def test_default(self, monkeypatch):
         monkeypatch.delenv(config.DFA_CACHE_LIMIT_ENV, raising=False)

@@ -70,16 +70,52 @@ def test_docstore_group_is_complete() -> None:
     assert root_group <= set(repro.__all__)
 
 
+#: The knob census: every ``AQUA_*`` variable there is.  Adding one means
+#: editing this set, the README tables and the CI lint step together.
+KNOBS = {
+    "AQUA_COLUMNAR", "AQUA_COLUMNAR_BACKEND", "AQUA_COLUMNAR_THRESHOLD",
+    "AQUA_DEADLINE", "AQUA_DFA_CACHE_LIMIT", "AQUA_FAULTS", "AQUA_FAULT_SEED",
+    "AQUA_MAX_BACKTRACK_DEPTH", "AQUA_MAX_NODES_SCANNED", "AQUA_MAX_RESULTS",
+    "AQUA_MAX_STEPS", "AQUA_PARALLEL", "AQUA_PARALLEL_MIN_ROWS",
+    "AQUA_PARALLEL_MODE", "AQUA_PARALLEL_WORKERS",
+}
+
+
 def test_readme_names_exactly_the_env_knobs_the_source_reads() -> None:
-    """Every ``AQUA_*`` variable in ``src/repro`` is documented, and the
-    README documents none that the source no longer knows."""
+    """Every ``AQUA_*`` variable in ``src/repro`` is documented, the
+    README documents none that the source no longer knows, and both are
+    the pinned census (the CI lint job greps for the same set)."""
     knob = re.compile(r"AQUA_[A-Z_]+")
     in_source: set[str] = set()
     for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
         in_source.update(knob.findall(path.read_text(encoding="utf-8")))
     in_readme = set(knob.findall(README.read_text(encoding="utf-8")))
-    assert in_source == in_readme
-    assert len(in_source) == 16
+    assert in_source == in_readme == KNOBS
+
+
+def test_no_public_callable_takes_an_engine() -> None:
+    """The tree matcher picks its own tables from the pattern; nothing
+    exported — function, class, or method of an exported class — lets a
+    caller pick for it."""
+    import inspect
+
+    candidates = {}
+    for name in repro.__all__:
+        exported = getattr(repro, name)
+        candidates[name] = exported
+        if inspect.isclass(exported):
+            for attribute, member in vars(exported).items():
+                if inspect.isfunction(member):
+                    candidates[f"{name}.{attribute}"] = member
+    offenders = []
+    for label, candidate in candidates.items():
+        try:
+            parameters = inspect.signature(candidate).parameters
+        except (TypeError, ValueError):  # not callable, or no signature
+            continue
+        if "engine" in parameters:
+            offenders.append(label)
+    assert offenders == []
 
 
 def test_tree_nodes_are_numbered_in_one_module_only() -> None:

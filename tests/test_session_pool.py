@@ -179,9 +179,9 @@ class TestSessionSnapshot:
     def test_session_snapshot_inherits_knobs(self):
         db = seeded_db()
         cache = PlanCache()
-        session = Session(db, engine="backtrack", plan_cache=cache)
+        session = Session(db, parallel="off", plan_cache=cache)
         pinned = session.snapshot()
-        assert pinned.engine == "backtrack"
+        assert pinned.parallel == "off"
         assert pinned.plan_cache is cache
         assert pinned.db.readonly
 
