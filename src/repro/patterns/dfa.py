@@ -25,7 +25,9 @@ bound honours the ``AQUA_DFA_CACHE_LIMIT`` environment knob.
 
 from __future__ import annotations
 
-from typing import Any, Sequence
+import threading
+from types import FunctionType
+from typing import Any, Callable, Sequence
 
 from .. import config, guardrails
 from ..predicates.alphabet import AlphabetPredicate
@@ -49,6 +51,63 @@ def default_cache_limit() -> int:
     one-line :class:`~repro.errors.QueryError` naming the knob.
     """
     return config.validated_dfa_cache_limit()
+
+
+class CompileCache:
+    """Bounded LRU of compiled patterns, keyed by text and resolver.
+
+    What :func:`~repro.patterns.tree_parser.tree_pattern` and
+    :func:`~repro.patterns.list_parser.list_pattern` consult when handed
+    a string, so an algebra call that spells its pattern as text inside
+    a per-member function (``split_pieces("Brazil(!?* USA !?*)", tree)``
+    once per tree of an extent) parses it once per process, not once per
+    call.  Same discipline and same ``AQUA_DFA_CACHE_LIMIT`` bound as the
+    transition cache below: a hit moves the entry to the back of the
+    dict, a miss at capacity drops the front.
+
+    A pattern is a function of its text *and* of what the resolver makes
+    of each bare symbol, so only a visibly stateless resolver is served:
+    ``None`` (the default) or a plain function with no closure cells.  A
+    closure, a bound method, a ``partial`` or any other callable object
+    may answer differently next time and always parses afresh.  Compiled
+    patterns are immutable, so every caller may share one.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, Any] = {}
+        self._lock = threading.Lock()
+
+    def get(self, parse: Callable[..., Any], text: str, resolver: Any) -> Any:
+        """``parse(text, resolver)``, from the cache when it may be."""
+        if resolver is not None and (
+            type(resolver) is not FunctionType or resolver.__closure__ is not None
+        ):
+            return parse(text, resolver)
+        key = (parse, text, resolver)
+        with self._lock:
+            pattern = self._entries.pop(key, None)
+            if pattern is not None:
+                self._entries[key] = pattern
+                return pattern
+        pattern = parse(text, resolver)
+        limit = default_cache_limit()
+        with self._lock:
+            self._entries[key] = pattern
+            while len(self._entries) > limit:
+                del self._entries[next(iter(self._entries))]
+        return pattern
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+#: The process-wide compile cache (the ``re`` module keeps one likewise).
+COMPILED = CompileCache()
 
 
 class LazyDFA:

@@ -31,6 +31,7 @@ from ..errors import NotationError, PatternError
 from ..predicates.alphabet import AlphabetPredicate, SymbolEquals
 from ..storage import stats as stats_mod
 from ..predicates.parser import parse_predicate
+from .dfa import COMPILED
 from .list_ast import (
     EPSILON,
     Atom,
@@ -158,7 +159,10 @@ def list_pattern(
     """Coerce any reasonable input into a :class:`ListPattern`.
 
     Accepts pattern text, a ready pattern, a bare AST node, or a single
-    alphabet-predicate (which becomes a one-element pattern).
+    alphabet-predicate (which becomes a one-element pattern).  Text is
+    compiled once per (text, resolver) and shared — see
+    :class:`~repro.patterns.dfa.CompileCache`; call
+    :func:`parse_list_pattern` for a private copy.
     """
     if isinstance(source, ListPattern):
         return source
@@ -167,5 +171,5 @@ def list_pattern(
     if isinstance(source, AlphabetPredicate):
         return ListPattern(Atom(source))
     if isinstance(source, str):
-        return parse_list_pattern(source, resolver)
+        return COMPILED.get(parse_list_pattern, source, resolver)
     raise PatternError(f"cannot interpret {source!r} as a list pattern")

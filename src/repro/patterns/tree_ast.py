@@ -42,11 +42,11 @@ sequence (extra children are absorbed only by explicit ``?*``), per the
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 from ..core.concat import ConcatPoint
 from ..errors import PatternError
-from ..predicates.alphabet import AlphabetPredicate
+from ..predicates.alphabet import AlphabetPredicate, Or, TruePredicate
 
 
 from .list_ast import atom_text as _pred_text
@@ -430,23 +430,68 @@ class TreePattern:
         must satisfy one of these.  Conservative (may return ``[]`` when
         the root is a closure or point, meaning "unknown").
         """
-        return _root_predicates(self.body)
+        return _root_predicates(self.body)[0]
+
+    def root_first_set(self) -> "RootFirstSet | None":
+        """The cheap test a match root must pass, or ``None`` (no help).
+
+        The ``OR`` of :meth:`root_predicates`, compiled
+        (:meth:`AlphabetPredicate.compile`): a candidate-root scan runs
+        it on every node and enters the matcher only for survivors.
+        Compiled per call — ``$param`` constants are read here — so ask
+        once per scan.  ``None`` when testing cannot narrow anything or
+        cannot be done faithfully: the pattern is pinned to the tree
+        root, its roots are unknown, some root predicate is a bare ``?``
+        (every node survives) or refuses to compile (opaque, or a
+        parameter with no binding armed).
+        """
+        if self.root_anchor:
+            return None
+        predicates, steps = _root_predicates(self.body)
+        if not predicates or any(isinstance(p, TruePredicate) for p in predicates):
+            return None
+        accepts = Or(*predicates).compile()
+        if accepts is None:
+            return None
+        return RootFirstSet(accepts, steps, len(predicates))
 
 
-def _root_predicates(node: TreePatternNode) -> list[AlphabetPredicate]:
+class RootFirstSet(NamedTuple):
+    """A pattern's compiled root test, with what one rejection is worth.
+
+    The matcher, handed a node no root predicate accepts, enters
+    ``match_node`` once per pattern term on the way down to the root
+    atoms and evaluates every one of them before giving up.  A scan that
+    rejects on ``accepts`` alone charges exactly that: ``steps`` matcher
+    steps per node, ``evals`` predicate evaluations per element node.
+    """
+
+    accepts: Callable[[Any], bool]
+    steps: int
+    evals: int
+
+
+def _root_predicates(node: TreePatternNode) -> tuple[list[AlphabetPredicate], int]:
+    """The root predicates under ``node`` and the pattern terms entered
+    to reach them all; ``([], 0)`` when some root is not an atom."""
     if isinstance(node, TreeAtom):
-        return [node.predicate]
+        return [node.predicate], 1
     if isinstance(node, TreeUnion):
         result: list[AlphabetPredicate] = []
+        steps = 1
         for alternative in node.alternatives:
-            sub = _root_predicates(alternative)
+            sub, below = _root_predicates(alternative)
             if not sub:
-                return []
+                return [], 0
             result.extend(sub)
-        return result
+            steps += below
+        return result, steps
     if isinstance(node, TreeConcat):
-        return _root_predicates(node.left)
-    if isinstance(node, TreePlus):
-        return _root_predicates(node.inner)
-    # TreeStar can be NULL; PointAtom / TreePrune roots are not usable.
-    return []
+        inner = node.left
+    elif isinstance(node, TreePlus):
+        inner = node.inner
+    else:
+        # TreeStar can be NULL; PointAtom / TreePrune roots are not usable.
+        return [], 0
+    sub, below = _root_predicates(inner)
+    return (sub, below + 1) if sub else ([], 0)

@@ -22,7 +22,11 @@ interior node (its children become *descendants of the match*, §4).
 Complexity note: enumeration is worst-case exponential, exactly as the
 paper's footnote 3 admits for closure-heavy queries; the optimizer's
 job (§4, "Why Split?") is to narrow the candidate roots so the
-exponential machinery runs on small fragments.
+exponential machinery runs on small fragments — and the matcher narrows
+them itself where it can: :func:`_candidate_roots` is the one seam the
+index-probed roots, the columnar filter and the root first-set scan all
+sit behind, so ``match_node`` is entered only for nodes that can root a
+match.
 
 One matcher implements the enumeration.  What varies is how much of
 it consults the packrat tables of :mod:`repro.patterns.tree_memo`, and
@@ -55,8 +59,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .. import guardrails
 from ..core.aqua_tree import AquaTree, TreeNode
 from ..core.concat import ConcatPoint
+from ..core.identity import Cell, deref
 from ..errors import PatternError, ResourceExhaustedError
-from ..faults import fault_point
+from ..faults import active_plan, fault_point
 from ..storage import stats as stats_mod
 from .tree_ast import (
     ChildAlt,
@@ -66,6 +71,7 @@ from .tree_ast import (
     ChildSeq,
     ChildStar,
     PointAtom,
+    RootFirstSet,
     TreeAtom,
     TreeConcat,
     TreePattern,
@@ -95,6 +101,10 @@ _COUNTERS = (
     "bitmap_fills",
     "bitmap_hits",
 )
+
+#: Matcher steps a first-set scan lets rejected candidates run up before
+#: it charges them — ``ShardGuard`` batches its ticks by the same 64.
+_REJECT_BATCH = 64
 
 
 def _guard_key(node: TreeNode, binding: "TreePatternNode | _StarCont") -> tuple:
@@ -256,6 +266,20 @@ class _TreeMatcher:
             if context.opaque_predicates:
                 self.eval_predicate = self._opaque_predicate
 
+    def release(self) -> None:
+        """Unbind the instance-level seams: the matcher is finished.
+
+        Each ``self.<seam> = self._tabled_<seam>`` above is a bound
+        method held by its own instance — a cycle only the cyclic
+        collector would free.  The entry points call this when their
+        stream ends, so a matcher dies by reference count with its scan.
+        """
+        for name, value in list(vars(self).items()):
+            if getattr(value, "__self__", None) is self:
+                delattr(self, name)
+        if self._companion is not None:
+            self._companion.release()
+
     def counter_snapshot(self) -> dict[str, int]:
         return {name: getattr(self, name) for name in _COUNTERS}
 
@@ -331,23 +355,18 @@ class _TreeMatcher:
             return self.nullable(tp.star, tp.env, depth + 1)
         if isinstance(tp, (TreeAtom,)):
             return False
-        if isinstance(tp, PointAtom):
+        if isinstance(tp, (PointAtom, TreeStar)):
+            # A star's zero iterations *are* its point.  An unbound
+            # point is a deletable labeled NULL — the paper closes
+            # leftover points with nil before the membership check
+            # (``y ∘αi nil ∈ L(tp)``); a bound one is as nullable as the
+            # continuation it stands for.
             binding = env.get(tp.point.label)
             if binding is None:
-                # An unbound point is a deletable labeled NULL — the
-                # paper closes leftover points with nil before the
-                # membership check (``y ∘αi nil ∈ L(tp)``).
                 return True
             return self.nullable(binding, env, depth + 1)
         if isinstance(tp, TreeUnion):
             return any(self.nullable(a, env, depth + 1) for a in tp.alternatives)
-        if isinstance(tp, TreeStar):
-            # Zero iterations: the star *is* its point — deletable when
-            # unbound, otherwise as nullable as the outer continuation.
-            binding = env.get(tp.point.label)
-            if binding is None:
-                return True
-            return self.nullable(binding, env, depth + 1)
         if isinstance(tp, TreePlus):
             inner_env = dict(env)
             inner_env[tp.point.label] = _StarCont(self.plus_star(tp), dict(env))
@@ -403,44 +422,15 @@ class _TreeMatcher:
                     yield Shape(node, fragments)
             return
         if isinstance(tp, PointAtom):
-            binding = env.get(tp.point.label)
-            if binding is None:
-                if node.is_concat_point and node.item == tp.point:
-                    yield Shape(node, ())
-                return
-            key = _guard_key(node, binding)
-            if key in guard:
-                return
-            if isinstance(binding, _StarCont):
-                yield from self.match_node(
-                    binding.star, node, binding.env, guard | {key}, depth + 1
-                )
-            else:
-                yield from self.match_node(binding, node, env, guard | {key}, depth + 1)
+            yield from self._match_point(tp.point, node, env, guard, depth)
             return
         if isinstance(tp, TreeUnion):
             for alternative in tp.alternatives:
                 yield from self.match_node(alternative, node, env, guard, depth + 1)
             return
         if isinstance(tp, TreeStar):
-            # Zero iterations: the star degenerates to its point, which
-            # matches whatever α means outside the closure (or a literal
-            # labeled NULL in the data).
-            binding = env.get(tp.point.label)
-            if binding is None:
-                if node.is_concat_point and node.item == tp.point:
-                    yield Shape(node, ())
-            else:
-                key = _guard_key(node, binding)
-                if key not in guard:
-                    if isinstance(binding, _StarCont):
-                        yield from self.match_node(
-                            binding.star, node, binding.env, guard | {key}, depth + 1
-                        )
-                    else:
-                        yield from self.match_node(
-                            binding, node, env, guard | {key}, depth + 1
-                        )
+            # Zero iterations: the star degenerates to its point.
+            yield from self._match_point(tp.point, node, env, guard, depth)
             # One or more iterations: unfold, rebinding the point to this
             # closure *with the current outer environment captured*.
             inner_env = dict(env)
@@ -474,6 +464,31 @@ class _TreeMatcher:
                 yield Pruned(node)
             return
         raise PatternError(f"unknown tree pattern node {tp!r}")
+
+    def _match_point(
+        self,
+        point: ConcatPoint,
+        node: TreeNode,
+        env: _Env,
+        guard: frozenset,
+        depth: int,
+    ) -> "Iterator[Shape | Pruned]":
+        """``α`` as a single-node pattern: whatever it is bound to here,
+        re-entered under the cycle guard — or, unbound, a literal
+        labeled NULL in the data (§3.5)."""
+        binding = env.get(point.label)
+        if binding is None:
+            if node.is_concat_point and node.item == point:
+                yield Shape(node, ())
+            return
+        key = _guard_key(node, binding)
+        if key in guard:
+            return
+        if isinstance(binding, _StarCont):
+            tp, env = binding.star, binding.env
+        else:
+            tp = binding
+        yield from self.match_node(tp, node, env, guard | {key}, depth + 1)
 
     # -- child-sequence matching ----------------------------------------------
 
@@ -800,11 +815,141 @@ def _columnar_candidates(
     return columnar_candidate_roots(registry.db, anchors, data)
 
 
+def _first_set_scan(
+    data: AquaTree,
+    first_set: RootFirstSet,
+    matcher: _TreeMatcher,
+    on_candidate: "Callable[[int], None] | None",
+    flush: bool,
+) -> Iterator[TreeNode]:
+    """The nodes of ``data`` the pattern's root first-set accepts, in
+    preorder — having charged every node it rejected on the way.
+
+    A rejected node is one the matcher would have been entered for and
+    answered nothing: ``steps`` matcher steps, ``evals`` predicate
+    evaluations (none on a labeled NULL), one ``on_candidate`` unit, one
+    ``matcher_step`` fault point.  That is paid without entering it, in
+    bulk — before each survivor is handed over, once ``_REJECT_BATCH``
+    steps are owed, and at exhaustion — so a completed scan's totals are
+    the node-at-a-time scan's and a deadline is noticed within one batch
+    of where that scan would have noticed it.  When something counts
+    candidates one by one — a fault plan, a ``max_steps`` or
+    ``max_nodes_scanned`` limit — every node settles on its own, in the
+    original order (fault point, node charge, steps): the fault fires at
+    the same candidate, the limit trips at the same node.
+
+    Walks ``tree.nodes()`` order inline off ``node.item``: no layout is
+    forced on the tree, no property or generator resume paid per node.
+    """
+    accepts, steps, evals = first_set
+    guard = matcher.guard
+    faulty = active_plan() is not None
+    budget = None if guard is None else guard.budget
+    counted = faulty or (
+        budget is not None
+        and (budget.max_steps, budget.max_nodes_scanned) != (None, None)
+    )
+    batch = 1 if counted else max(1, _REJECT_BATCH // steps)
+
+    def settle(rejected: int, points: int) -> None:
+        """Charge ``rejected`` unentered nodes, ``points`` of them NULLs."""
+        if faulty:  # batch is 1: once per rejected node, ahead of its charges
+            fault_point("matcher_step")
+        elements = rejected - points
+        if on_candidate is not None and elements:
+            on_candidate(elements)
+        matcher.backtrack_steps += rejected * steps
+        matcher.predicate_evals += elements * evals
+        if guard is not None:
+            guard.tick(rejected * steps, "tree matcher")
+        if flush:
+            matcher.flush_stats()
+
+    rejected = points = 0
+    stack = [data.root]
+    pop, extend = stack.pop, stack.extend
+    while stack:
+        node = pop()
+        children = node.children
+        if children:
+            extend(children[::-1])
+        item = node.item
+        if type(item) is Cell:
+            accepted = accepts(item.contents)
+        elif isinstance(item, ConcatPoint):
+            accepted = False
+            points += 1
+        else:
+            accepted = accepts(deref(item))
+        if accepted:
+            if rejected:
+                settle(rejected, points)
+                rejected = points = 0
+            yield node
+        else:
+            rejected += 1
+            if rejected >= batch:
+                settle(rejected, points)
+                rejected = points = 0
+    if rejected:
+        settle(rejected, points)
+
+
+def _candidate_roots(
+    pattern: TreePattern,
+    data: AquaTree,
+    roots: "Sequence[TreeNode] | None",
+    matcher: _TreeMatcher,
+    on_candidate: "Callable[[int], None] | None",
+    flush: bool,
+) -> Iterable[TreeNode]:
+    """The nodes worth entering the matcher for, in preorder.
+
+    The one place a scan is narrowed (§4 "Why split?": let the cheap
+    anchor predicate pick the roots the expensive machinery sees).  In
+    order of preference:
+
+    * a ``⊤`` pattern has one candidate, the tree root;
+    * caller-supplied ``roots`` (an index probe), sorted by layout
+      position;
+    * the columnar filter, inside a db-armed query on a tree that clears
+      the kernel's gate (:func:`_columnar_candidates`);
+    * the first-set scan, when the pattern's root predicates compile and
+      the context is tabled and closure-free (:func:`_first_set_scan`) —
+      under a closure, predicates answer from the bitmap at most once
+      per node, and the null-table context is the reference: no tables,
+      no prefilter;
+    * otherwise every node.
+
+    Whatever the source, the caller runs one loop over the result.
+    """
+    if pattern.root_anchor:
+        return [data.root]
+    if roots is not None:
+        order = data.layout().position
+        return sorted(roots, key=lambda n: order.get(id(n), len(order)))
+    filtered = _columnar_candidates(pattern, data)
+    if filtered is not None:
+        return filtered
+    context = matcher.context
+    if context.tabled and not context.closure:
+        first_set = pattern.root_first_set()
+        # Rejecting unentered must not skip a depth trip the walk down
+        # to the root atoms (at most ``steps`` deep) would have raised.
+        guard = matcher.guard
+        depth_limit = None if guard is None else guard.budget.max_backtrack_depth
+        if first_set is not None and (
+            depth_limit is None or first_set.steps <= depth_limit
+        ):
+            return _first_set_scan(data, first_set, matcher, on_candidate, flush)
+    return data.nodes()
+
+
 def iter_tree_matches(
     pattern: TreePattern,
     data: AquaTree,
     roots: Sequence[TreeNode] | None = None,
-    on_candidate: "Callable[[TreeNode], None] | None" = None,
+    on_candidate: "Callable[[int], None] | None" = None,
     flush_per_candidate: bool = False,
     context: TreeMatchContext | None = None,
 ) -> Iterator[TreeMatch]:
@@ -812,16 +957,15 @@ def iter_tree_matches(
 
     The streaming analogue of :func:`find_tree_matches`: matches are
     produced one at a time, so a consumer that stops early (a tripped
-    budget, a ``limit``) never pays for the remaining candidates.  With
-    no ``roots`` restriction the candidates are walked in preorder
-    directly; given ``roots`` are sorted by their position in the tree's
-    layout.
+    budget, a ``limit``) never pays for the remaining candidates.  The
+    candidates come from :func:`_candidate_roots`.
 
-    ``on_candidate`` is invoked once per candidate node before it is
-    matched (the scan operators' per-node charging hook), and
-    ``flush_per_candidate`` flushes matcher counters after every
-    candidate so they are credited to whichever operator scope is
-    attributed at pull time.
+    ``on_candidate(n)`` is invoked as ``n`` element nodes are taken as
+    candidates — once per candidate before it is matched, or once for a
+    run of candidates the first-set scan rejected (the scan operators'
+    node-charging hook) — and ``flush_per_candidate`` flushes matcher
+    counters at the same points so they are credited to whichever
+    operator scope is attributed at pull time.
 
     ``context`` supplies a shared
     :class:`~repro.patterns.tree_memo.TreeMatchContext` so one memo
@@ -840,23 +984,14 @@ def iter_tree_matches(
         return
     with guardrails.guarded():
         pattern, matcher = _matcher_for(pattern, data, context)
-
-        candidates: Iterable[TreeNode]
-        if pattern.root_anchor:
-            candidates = [data.root]
-        elif roots is not None:
-            order = data.layout().position
-            candidates = sorted(roots, key=lambda n: order.get(id(n), len(order)))
-        else:
-            filtered = _columnar_candidates(pattern, data)
-            candidates = data.nodes() if filtered is None else filtered
-
         seen: set[tuple] = set()
         try:
-            for node in candidates:
+            for node in _candidate_roots(
+                pattern, data, roots, matcher, on_candidate, flush_per_candidate
+            ):
                 fault_point("matcher_step")
-                if on_candidate is not None:
-                    on_candidate(node)
+                if on_candidate is not None and not node.is_concat_point:
+                    on_candidate(1)
                 for shape in matcher.match_node(pattern.body, node, {}):
                     if isinstance(shape, Pruned):
                         continue
@@ -872,6 +1007,7 @@ def iter_tree_matches(
             raise _stack_exhausted(matcher) from None
         finally:
             matcher.emit_stats()
+            matcher.release()
 
 
 def tree_in_language(
@@ -903,3 +1039,4 @@ def tree_in_language(
             raise _stack_exhausted(matcher) from None
         finally:
             matcher.emit_stats()
+            matcher.release()

@@ -38,6 +38,7 @@ from ..errors import NotationError, PatternError
 from ..storage import stats as stats_mod
 from ..predicates.alphabet import ANY, AlphabetPredicate, SymbolEquals
 from ..predicates.parser import parse_predicate
+from .dfa import COMPILED
 from .pattern_tokens import PatternToken, PatternTokenStream, tokenize_pattern
 from .tree_ast import (
     CHILD_EPSILON,
@@ -236,7 +237,10 @@ def tree_pattern(
     """Coerce any reasonable input into a :class:`TreePattern`.
 
     Accepts pattern text, a ready pattern, a bare AST node, or a single
-    alphabet-predicate (which becomes a bare single-node pattern).
+    alphabet-predicate (which becomes a bare single-node pattern).  Text
+    is compiled once per (text, resolver) and shared — see
+    :class:`~repro.patterns.dfa.CompileCache`; call
+    :func:`parse_tree_pattern` for a private copy.
     """
     if isinstance(source, TreePattern):
         return source
@@ -245,5 +249,5 @@ def tree_pattern(
     if isinstance(source, AlphabetPredicate):
         return TreePattern(TreeAtom(source, None))
     if isinstance(source, str):
-        return parse_tree_pattern(source, resolver)
+        return COMPILED.get(parse_tree_pattern, source, resolver)
     raise PatternError(f"cannot interpret {source!r} as a tree pattern")

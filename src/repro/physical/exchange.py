@@ -70,6 +70,7 @@ from ..guardrails import Budget, Guard
 from ..patterns.tree_memo import match_scope
 from ..query.metrics import PlanMetrics
 from ..storage.sharding import Shard, plan_shards
+from .base import dedup
 from .operators import ApplyMap, SelectFilter
 
 #: Worker guards flush their locally-batched step count to the shared
@@ -714,10 +715,4 @@ class ParallelApplyMap(ExchangeOp, ApplyMap):
 
     def emit(self, staged, merged, equality) -> Iterator[Any]:
         del staged
-        seen: set[Any] = set()
-        for _position, image in merged:
-            key = equality.key(image)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield image
+        return dedup((image for _position, image in merged), equality)

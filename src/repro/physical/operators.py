@@ -26,6 +26,7 @@ The accounting contract every operator here keeps:
 
 from __future__ import annotations
 
+import itertools
 from typing import Any, Callable, Iterator
 
 from .. import params
@@ -33,7 +34,7 @@ from ..algebra.list_ops import build_pieces
 from ..algebra.tree_ops import _context_tree, apply_tree, select
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
-from ..core.aqua_tree import TreeNode, subtree_at
+from ..core.aqua_tree import subtree_at
 from ..core.equality import DEFAULT
 from ..core.identity import as_cell
 from ..errors import QueryError
@@ -209,14 +210,12 @@ class SubSelectPipe(PhysicalOp):
         guard = self.ctx.guard
         charged = 0
 
-        def on_candidate(node: TreeNode) -> None:
+        def on_candidate(count: int) -> None:
             nonlocal charged
-            if node.is_concat_point:
-                return
-            charged += 1
-            stats.bump("nodes_scanned", 1)
+            charged += count
+            stats.bump("nodes_scanned", count)
             if guard is not None:
-                guard.charge_nodes(1, "tree scan")
+                guard.charge_nodes(count, "tree scan")
 
         yield from iter_tree_matches(
             tp, tree, on_candidate=on_candidate, flush_per_candidate=True
@@ -597,15 +596,7 @@ class ApplyMap(PhysicalOp):
     def _member_rows(self, rows: Iterator[Any], equality) -> Iterator[Any]:
         """The per-member loop, split out so the parallel subclass can
         run it over an already-started stream (undersized fallback)."""
-        function = self.logical.function
-        seen: set[Any] = set()
-        for row in rows:
-            image = function(row)
-            key = equality.key(image)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield image
+        return dedup(map(self.logical.function, rows), equality)
 
 
 class FlattenPipe(PhysicalOp):
@@ -617,19 +608,16 @@ class FlattenPipe(PhysicalOp):
     def rows(self) -> Iterator[Any]:
         rows, _equality = self.set_source(self.children[0])
         self.result_equality = DEFAULT
-        seen: set[Any] = set()
+        yield from dedup(self._items(rows), DEFAULT)
+
+    def _items(self, rows: Iterator[Any]) -> Iterator[Any]:
         for member in rows:
             if not isinstance(member, AquaSet):
                 raise QueryError(
                     "flatten expects a set of sets"
                     f" (plan path: {self._trail_text()})"
                 )
-            for item in member:
-                key = DEFAULT.key(item)
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield item
+            yield from member
 
 
 class UnionPipe(PhysicalOp):
@@ -645,20 +633,12 @@ class UnionPipe(PhysicalOp):
     def rows(self) -> Iterator[Any]:
         left_rows, left_equality = self.set_source(self.children[0])
         self.result_equality = left_equality
-        seen: set[Any] = set()
-        for row in left_rows:
-            key = left_equality.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
-        right_rows, _ = self.set_source(self.children[1])
-        for row in right_rows:
-            key = left_equality.key(row)
-            if key in seen:
-                continue
-            seen.add(key)
-            yield row
+
+        def right_rows() -> Iterator[Any]:
+            # Opened only once the left stream is exhausted.
+            yield from self.set_source(self.children[1])[0]
+
+        yield from dedup(itertools.chain(left_rows, right_rows()), left_equality)
 
 
 class IntersectPipe(PhysicalOp):

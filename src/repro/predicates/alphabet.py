@@ -24,7 +24,7 @@ import operator
 from typing import Any, Callable, Iterable
 
 from ..errors import PredicateError
-from ..params import Param, resolve as _resolve_param
+from ..params import Param, resolve as _resolve_param, try_resolve as _try_resolve_param
 
 _MISSING = object()
 
@@ -57,6 +57,20 @@ class AlphabetPredicate:
 
     def __call__(self, obj: Any) -> bool:
         raise NotImplementedError
+
+    def compile(self) -> "Callable[[Any], bool] | None":
+        """A plain closure with this predicate's outcomes, or ``None``.
+
+        For loops that test one predicate against many objects (a
+        candidate-root scan, a column build): attribute name and
+        operator are bound and ``$param`` constants read once, here, not
+        once per object — so a closure serves one query execution and is
+        not to be kept.  ``None`` means "call the predicate itself": an
+        opaque callable (it keeps its at-most-once-per-node promise), a
+        parameter with no binding armed (the error stays where
+        evaluation raises it), or a subclass that does not say how.
+        """
+        return None
 
     def __and__(self, other: "AlphabetPredicate") -> "AlphabetPredicate":
         return And(self, _coerce(other))
@@ -111,11 +125,22 @@ def _coerce(value: Any) -> AlphabetPredicate:
     raise PredicateError(f"cannot interpret {value!r} as an alphabet-predicate")
 
 
+def _compile_terms(
+    terms: Iterable[AlphabetPredicate],
+) -> "tuple[Callable[[Any], bool], ...] | None":
+    """Every term's closure, or ``None`` as soon as one term refuses."""
+    tests = tuple(term.compile() for term in terms)
+    return None if None in tests else tests
+
+
 class TruePredicate(AlphabetPredicate):
     """The metacharacter ``?`` — satisfied by every object (§3.2)."""
 
     def __call__(self, obj: Any) -> bool:
         return True
+
+    def compile(self) -> Callable[[Any], bool]:
+        return lambda obj: True
 
     def describe(self) -> str:
         return "?"
@@ -147,6 +172,28 @@ class Comparison(AlphabetPredicate):
             return bool(_OPERATORS[self.op](value, constant))
         except TypeError:
             return False
+
+    def compile(self) -> "Callable[[Any], bool] | None":
+        constant, bound = _try_resolve_param(self.constant)
+        if not bound:
+            return None
+        attribute = self.attribute
+        compare = _OPERATORS[self.op]
+
+        def test(obj: Any) -> bool:
+            # ``_read_attribute``, inlined: this runs once per scanned node.
+            if isinstance(obj, dict):
+                value = obj.get(attribute, _MISSING)
+            else:
+                value = getattr(obj, attribute, _MISSING)
+            if value is _MISSING:
+                return False
+            try:
+                return bool(compare(value, constant))
+            except TypeError:
+                return False
+
+        return test
 
     def attributes(self) -> set[str]:
         return {self.attribute}
@@ -184,6 +231,12 @@ class SymbolEquals(AlphabetPredicate):
     def __call__(self, obj: Any) -> bool:
         return bool(obj == _resolve_param(self.symbol))
 
+    def compile(self) -> "Callable[[Any], bool] | None":
+        symbol, bound = _try_resolve_param(self.symbol)
+        if not bound:
+            return None
+        return lambda obj: bool(obj == symbol)
+
     def indexable_terms(self) -> list[tuple[str, str, Any]]:
         # The payload itself acts as the "value" pseudo-attribute.
         return [("__value__", "=", self.symbol)]
@@ -200,6 +253,19 @@ class And(AlphabetPredicate):
 
     def __call__(self, obj: Any) -> bool:
         return all(term(obj) for term in self.terms)
+
+    def compile(self) -> "Callable[[Any], bool] | None":
+        tests = _compile_terms(self.terms)
+        if tests is None:
+            return None
+
+        def test(obj: Any) -> bool:
+            for term in tests:
+                if not term(obj):
+                    return False
+            return True
+
+        return test
 
     def attributes(self) -> set[str]:
         return set().union(*(t.attributes() for t in self.terms))
@@ -236,6 +302,21 @@ class Or(AlphabetPredicate):
     def __call__(self, obj: Any) -> bool:
         return any(term(obj) for term in self.terms)
 
+    def compile(self) -> "Callable[[Any], bool] | None":
+        tests = _compile_terms(self.terms)
+        if tests is None:
+            return None
+        if len(tests) == 1:  # a one-predicate first-set: no wrapper per node
+            return tests[0]
+
+        def test(obj: Any) -> bool:
+            for term in tests:
+                if term(obj):
+                    return True
+            return False
+
+        return test
+
     def attributes(self) -> set[str]:
         return set().union(*(t.attributes() for t in self.terms))
 
@@ -256,6 +337,12 @@ class Not(AlphabetPredicate):
 
     def __call__(self, obj: Any) -> bool:
         return not self.term(obj)
+
+    def compile(self) -> "Callable[[Any], bool] | None":
+        test = self.term.compile()
+        if test is None:
+            return None
+        return lambda obj: not test(obj)
 
     def attributes(self) -> set[str]:
         return self.term.attributes()

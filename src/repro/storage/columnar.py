@@ -258,6 +258,7 @@ class _ColumnStore:
 
     def _loop_column(self, predicate: AlphabetPredicate):
         """The semantics oracle: the real predicate, once per element."""
+        predicate = predicate.compile() or predicate  # servable ⇒ param-free
         values = self._values
         present = self._present
         if self._np is not None:

@@ -134,3 +134,16 @@ def test_tree_nodes_are_numbered_in_one_module_only() -> None:
         if numbering.search(line)
     ]
     assert offenders == []
+
+
+def test_root_predicate_walk_is_defined_once() -> None:
+    """Index anchors, columnar anchors and the matcher's root first-set
+    read one analysis of a pattern's roots: ``tree_ast._root_predicates``
+    (the CI lint job greps for the same thing)."""
+    package = Path(repro.__file__).resolve().parent
+    definers = [
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if "def _root_predicates" in path.read_text(encoding="utf-8")
+    ]
+    assert definers == ["patterns/tree_ast.py"]
