@@ -54,12 +54,12 @@ COLUMN_SCAN_COST = 0.05
 #: closure, and a sibling closure as soon as the child list is wide
 #: enough for its re-derivations to matter, so re-explored expansions
 #: are table replays and a closure costs far less than the doubling a
-#: plain backtracker pays — calibrated against the CLAIM-MEMO harness
-#: workloads, where matcher steps grow mildly with closure count
-#: instead of exponentially.  Split-rewrite decisions weigh
-#: per-candidate matching cost against probe cost; overestimating
-#: closures would keep choosing probe-heavy plans the tables make
-#: pointless.
+#: plain backtracker pays — calibrated against the CLAIM-MEMO
+#: workloads (``tests/patterns/test_tree_memo.py``), where matcher steps
+#: grow mildly with closure count instead of exponentially.
+#: Split-rewrite decisions weigh per-candidate matching cost against
+#: probe cost; overestimating closures would keep choosing probe-heavy
+#: plans the tables make pointless.
 CLOSURE_BASE = 1.25
 
 

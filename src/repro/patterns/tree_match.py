@@ -46,7 +46,7 @@ in front of it — never from a knob:
   tabled=False)``) it tables nothing: the plain backtracker, kept as the
   reference semantics the tabled paths are property-tested against.
   Only a caller that builds such a context (or arms a registry of them
-  with ``match_scope``) runs it — tests and the CLAIM-MEMO benchmark do.
+  with ``match_scope``) runs it — only ``tests/reference.py`` does.
 
 All three produce bit-identical ``Shape`` streams in the same order.
 """

@@ -124,8 +124,6 @@ class PredicateBitmap:
         self._planes: dict[int, bytearray] = {}
         self._slots: dict[int, int] = {}
         self._keep: list[AlphabetPredicate] = []  # keeps id() keys stable
-        self.fills = 0
-        self.hits = 0
 
     def outcome(self, predicate: "AlphabetPredicate", node: TreeNode) -> tuple[bool, bool]:
         """``(result, filled)`` — evaluate-once semantics per node.
@@ -148,29 +146,15 @@ class PredicateBitmap:
             plane = self._planes[slot] = bytearray(len(self._nodes))
         state = plane[pre]
         if state != _UNKNOWN:
-            self.hits += 1
             return state == _TRUE, False
         if self._source is not None:
             served = self._source.outcome_for(predicate, node)
             if served is not None:
                 plane[pre] = _TRUE if served else _FALSE
-                self.hits += 1
                 return served, False
         result = bool(predicate(node.value))
         plane[pre] = _TRUE if result else _FALSE
-        self.fills += 1
         return result, True
-
-    @property
-    def plane_count(self) -> int:
-        return len(self._planes)
-
-    def reset(self) -> None:
-        self._planes.clear()
-        self._slots.clear()
-        self._keep.clear()
-        self.fills = 0
-        self.hits = 0
 
 
 class TreeMatchContext:

@@ -22,7 +22,7 @@ Modules:
 * :mod:`~repro.serving.pool_stats` — :class:`PoolStats` observability.
 
 See README "Fault-tolerant serving" for the user-facing story and
-``benchmarks/bench_chaos_serving.py`` for the chaos gate.
+``tests/serving/`` for the seeded chaos storm, breaker and shed pins.
 """
 
 from .admission import AdmissionController

@@ -39,7 +39,7 @@ semantics, and everything else evaluates the real predicate per element.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from .. import config
 from ..core.aqua_list import AquaList
@@ -548,18 +548,3 @@ def columnar_candidate_roots(
         }
     )
     return roots
-
-
-def make_column_provider(db: Any, tree: AquaTree) -> Callable[[], ColumnarExtent | None]:
-    """A zero-argument provider resolving the knobs at call time.
-
-    Attached to a :class:`~repro.storage.tree_index.TreeIndex` so its
-    candidate fallback serves a predicate column exactly when the
-    kernel is enabled *for that query* — a cached index never pins a
-    stale knob decision.
-    """
-
-    def provider() -> ColumnarExtent | None:
-        return columnar_source_for(db, tree)
-
-    return provider

@@ -426,13 +426,14 @@ class Database:
         same tree share one index instead of racing to build duplicates
         (the build is pure, so the lock protects work, not correctness).
         """
-        from .columnar import make_column_provider
+        from .columnar import columnar_source_for
 
         with self._structure_lock:
             cached = self._tree_indexes.get(id(tree))
             if cached is None or cached.tree is not tree:
-                cached = TreeIndex(tree, attributes)
-                cached.attach_column_source(make_column_provider(self, tree))
+                cached = TreeIndex(
+                    tree, attributes, lambda: columnar_source_for(self, tree)
+                )
                 self._tree_indexes[id(tree)] = cached
             else:
                 for attribute in attributes:

@@ -36,7 +36,12 @@ from .stats import Instrumentation
 class TreeIndex:
     """Attribute → node hash indexes over one tree's layout."""
 
-    def __init__(self, tree: AquaTree, attributes: Iterable[str] = ()) -> None:
+    def __init__(
+        self,
+        tree: AquaTree,
+        attributes: Iterable[str] = (),
+        column_source: Callable[[], Any] | None = None,
+    ) -> None:
         self.tree = tree
         self.layout = tree.layout()
         self.node_count = len(self.layout.nodes)
@@ -46,7 +51,10 @@ class TreeIndex:
             attribute: HashIndex(attribute)
             for attribute in (VALUE_ATTRIBUTE, *attributes)
         }
-        self._column_provider: Callable[[], Any] | None = None
+        #: Returns the tree's columnar extent or ``None``; called per
+        #: lookup, so a cached index never pins a stale ``AQUA_COLUMNAR*``
+        #: on/off or threshold decision.
+        self._column_source = column_source or (lambda: None)
         self._build(list(self._indexes.values()))
 
     def _build(self, indexes: list[HashIndex]) -> None:
@@ -67,22 +75,6 @@ class TreeIndex:
 
     def depth(self, node: TreeNode) -> int:
         return self.layout.depth[self.layout.position[id(node)]]
-
-    # -- shared predicate columns ----------------------------------------------
-
-    def attach_column_source(self, provider: Callable[[], Any]) -> None:
-        """Wire a columnar-extent provider (set by ``Database.tree_index``).
-
-        ``provider`` re-resolves the ``AQUA_COLUMNAR*`` knobs on every
-        call, so a cached index never pins a stale on/off or threshold
-        decision; it returns the tree's
-        :class:`~repro.storage.columnar.ColumnarExtent` or ``None``.
-        """
-        self._column_provider = provider
-
-    def _column_source(self) -> Any | None:
-        provider = self._column_provider
-        return provider() if provider is not None else None
 
     # -- candidate retrieval ----------------------------------------------------
 

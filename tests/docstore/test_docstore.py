@@ -136,9 +136,12 @@ class TestPathQueries:
     def test_corpus_matches_naive(self):
         doc = corpus_document()
         path = "//article[@lang='en']//p"
-        got = {to_html(t) for t in doc.path(path)}
-        want = {to_html(t) for t in naive_path(doc.tree, path)}
-        assert got == want and got
+        got = sorted(to_html(t) for t in doc.path(path))
+        want = sorted(to_html(t) for t in naive_path(doc.tree, path))
+        assert got == want
+        # CLAIM-DOCSTORE's corpus: 159 paragraphs under the 8 English
+        # articles of a 9 524-node page.
+        assert (doc.tree.size(), len(got)) == (9524, 159)
 
     def test_compiles_to_split_head(self):
         plan = compile_path(E.Root("doc"), "//article[@lang='en']//p")

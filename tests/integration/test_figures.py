@@ -1,7 +1,8 @@
 """End-to-end reproduction of every figure in the paper.
 
-Each test is the executable form of one figure; the benchmark harness
-re-runs the same scenarios at scale.
+Each test is the executable form of one figure, compared structure for
+structure.  The paper has no measured evaluation; these worked examples
+are what it shows.
 """
 
 from repro.algebra import split, split_pieces, sub_select

@@ -7,6 +7,7 @@ handed a null-table context.
 import pytest
 
 from repro import guardrails
+from repro.algebra import split_pieces
 from repro.core import AquaTree
 from repro.errors import ResourceExhaustedError
 from repro.patterns import (
@@ -21,9 +22,15 @@ from repro.patterns.tree_memo import WIDE_CHILD_LIST, PredicateBitmap
 from repro.predicates import pred, sym
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
-from repro.workloads import by_element, element
+from repro.workloads import (
+    by_citizen_or_name,
+    by_element,
+    element,
+    random_family_tree,
+    random_rna_structure,
+)
 
-from ..reference import untabled
+from ..reference import untabled, untabled_scope
 
 LADDER = "[[S(B(@))]]+@ .@ S(H)"
 #: Closure-free, four sibling closures, and ``z`` never occurs: the
@@ -48,6 +55,28 @@ def chain(depth: int) -> AquaTree:
 def match_keys(pattern, tree, engine):
     context = untabled(pattern, tree) if engine == "backtrack" else None
     return [m.key() for m in find_tree_matches(pattern, tree, context=context)]
+
+
+def closure_ladder():
+    """The ladder closure over a depth-64 chain and a 1 552-node RNA tree."""
+    pattern = parse_tree_pattern(LADDER, resolver=by_element)
+    trees = (chain(64), random_rna_structure(1500, seed=7))
+    return lambda: [
+        [m.key() for m in find_tree_matches(pattern, tree)] for tree in trees
+    ]
+
+
+def fig4_split():
+    """Figure 4's split over a 2 000-node family tree: closure-free, narrow."""
+    family = random_family_tree(2000, seed=8, planted_matches=8)
+    return lambda: len(
+        split_pieces("Brazil(!?* USA !?*)", family, resolver=by_citizen_or_name)
+    )
+
+
+def wide_dead_end():
+    pattern, tree = parse_tree_pattern(DEAD_END), fan(80)
+    return lambda: [m.key() for m in find_tree_matches(pattern, tree)]
 
 
 class TestEngineKnob:
@@ -85,6 +114,35 @@ class TestEquivalenceAndSpeedup:
             steps[engine] = stats["backtrack_steps"]
         assert keys["memo"] == keys["backtrack"]
         assert steps["backtrack"] >= 10 * steps["memo"]
+
+    @pytest.mark.parametrize(
+        "workload,untabled_steps,default_steps,table_lookups",
+        [
+            # CLAIM-MEMO: tables everywhere under the closure; none where no
+            # second request can occur; child-sequence tables at 80 children.
+            (closure_ladder, 20029, 7207, (1627, 5009)),
+            (fig4_split, 2024, 2024, (0, 0)),
+            (wide_dead_end, 151459, 707, (3055, 1114)),
+        ],
+        ids=["closure_ladder", "fig4_split", "wide_dead_end"],
+    )
+    def test_claim_memo_step_counts(
+        self, workload, untabled_steps, default_steps, table_lookups
+    ):
+        """Matcher steps, exactly, default scope vs the null-table scope,
+        and the default leg's table (hits, misses).  The step counts are
+        those the experiment harness printed at the commit that retired
+        it; a moved count is a changed table gate."""
+        run = workload()
+        stats = {"backtrack": Instrumentation(), "memo": Instrumentation()}
+        answers = {}
+        for engine, sink in stats.items():
+            with untabled_scope(engine=engine), sink.activated():
+                answers[engine] = run()
+        assert answers["memo"] == answers["backtrack"]
+        assert stats["backtrack"]["backtrack_steps"] == untabled_steps
+        assert stats["memo"]["backtrack_steps"] == default_steps
+        assert (stats["memo"]["memo_hits"], stats["memo"]["memo_misses"]) == table_lookups
 
     def test_prune_fanout_agrees(self):
         fan = AquaTree.build(
@@ -222,14 +280,15 @@ class TestPredicateBitmap:
         assert len(calls) == 2  # never cached: every call is a fill
 
     def test_reset_clears_planes_and_counters(self):
+        """Planes live and die with their bitmap — there is nothing to
+        reset: a second bitmap over the same layout starts cold."""
         tree = chain(2)
-        bitmap = PredicateBitmap(tree.layout())
         s_pred = by_element("S")
-        bitmap.outcome(s_pred, tree.root)
-        bitmap.outcome(s_pred, tree.root)
-        assert (bitmap.fills, bitmap.hits) == (1, 1)
-        bitmap.reset()
-        assert (bitmap.fills, bitmap.hits, bitmap.plane_count) == (0, 0, 0)
+        bitmap = PredicateBitmap(tree.layout())
+        assert bitmap.outcome(s_pred, tree.root) == (True, True)  # a fill
+        assert bitmap.outcome(s_pred, tree.root) == (True, False)  # a hit
+        fresh = PredicateBitmap(tree.layout())
+        assert fresh.outcome(s_pred, tree.root) == (True, True)
 
 
 class TestContextSharing:

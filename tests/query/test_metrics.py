@@ -2,6 +2,7 @@
 
 import threading
 
+from repro import config
 from repro.core import make_tuple, parse_tree
 from repro.query import (
     PlanMetrics,
@@ -13,7 +14,12 @@ from repro.query import (
 )
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
-from repro.workloads import BRAZIL, by_citizen_or_name, figure3_family_tree
+from repro.workloads import (
+    BRAZIL,
+    by_citizen_or_name,
+    figure3_family_tree,
+    random_labeled_tree,
+)
 
 
 def make_db() -> Database:
@@ -103,6 +109,26 @@ class TestPlanMetricsCollection:
             indexed_metrics.total("predicate_evals")
             < naive_metrics.total("predicate_evals")
         )
+
+        # CLAIM-SPLIT at benchmark scale: a 4 000-node tree whose anchor
+        # `d` labels ~1 % of the nodes.  The scan visits every node; the
+        # probe hands the matcher 37 candidates.  (Kernel pinned off: its
+        # bitset filter would narrow the *naive* leg's roots as well.)
+        big = Database()
+        tree = random_labeled_tree(
+            4000, "dehijuvwxy", seed=99, weights=[1.0] + [11.0] * 9, max_arity=4
+        )
+        big.bind_root("T", tree)
+        big.tree_index(tree)
+        query = Q.root("T").sub_select("d(e(h i) j ?*)").build()
+        session = Session(big)
+        with config.columnar_scope("off"):
+            naive, naive_metrics = session.query_with_metrics(query)
+            indexed, indexed_metrics = session.query_with_metrics(query, optimize=True)
+        assert naive == indexed
+        counters = ("nodes_scanned", "index_candidates", "predicate_evals")
+        assert [naive_metrics.total(name) for name in counters] == [4000, 0, 4018]
+        assert [indexed_metrics.total(name) for name in counters] == [0, 37, 55]
 
 
 class TestRendering:

@@ -108,14 +108,21 @@ class TestCacheMechanics:
     def test_aql_alias_skips_reparse(self, db):
         cache = PlanCache(capacity=4)
         text = 'root T | sub_select "d(e j)"'
-        prepare(text, db, cache=cache)
+        cold = Instrumentation()
+        with cold.activated():
+            first = prepare(text, db, cache=cache)
         sink = Instrumentation()
         with sink.activated():
-            prepare(text, db, cache=cache)
+            assert prepare(text, db, cache=cache) is first
         assert cache.hits == 1
         # the warm textual path does not even parse the pattern
         assert sink["pattern_compilations"] == 0
         assert sink["plan_cache_hits"] == 1
+        # CLAIM-PREPARED: warm does strictly fewer planning steps than cold
+        steps = [
+            s["optimizer_rewrites"] + s["pattern_compilations"] for s in (cold, sink)
+        ]
+        assert steps == [1, 0]
 
     def test_counters_never_leak_into_db_stats(self, db):
         cache = PlanCache(capacity=4)

@@ -37,6 +37,10 @@ def no_env_faults():
         faults.install(previous)
 
 
+def chaos_plan() -> faults.FaultPlan:
+    return faults.FaultPlan(faults.parse_rules("storage_lookup:error:0.05"), seed=42)
+
+
 class FailFirstK(faults.FaultPlan):
     """Raise at a seam for the first ``k`` checks, then heal."""
 
@@ -75,6 +79,18 @@ class TestRetriesThroughThePool:
             with faults.injected(FailFirstK("storage_lookup", 3)):
                 faulty = pool.query(AQL_ADULTS)
             assert list(faulty) == list(clean)
+            # The chaos plan the serving layer was calibrated on: seeded,
+            # and drawn by one worker, so the storm is the same every run.
+            # Nine reads of 120 hit a fault; each retries once and answers.
+            chaos = chaos_plan()
+            with faults.injected(chaos):
+                storm = [list(pool.query(AQL_ADULTS)) for _ in range(120)]
+            assert storm == [list(clean)] * 120
+            assert chaos.snapshot()["fired"] == {"storage_lookup": 9}
+            snap = pool.stats.snapshot()
+            assert snap["retries"] == 3 + 9
+            assert snap["availability"] == 1.0
+            assert snap["retry_amplification"] <= 3.0
 
     def test_no_policy_means_no_retries(self):
         db = seeded_db()
@@ -84,6 +100,15 @@ class TestRetriesThroughThePool:
                     pool.query(AQL_ADULTS)
             assert pool.stats.counters["attempts"] == 1
             assert pool.stats.counters["failed"] == 1
+            # The same nine faults with nothing to absorb them.
+            with faults.injected(chaos_plan()):
+                for _ in range(120):
+                    try:
+                        pool.query(AQL_ADULTS)
+                    except InjectedFaultError:
+                        pass
+            assert pool.stats.counters["failed"] == 1 + 9
+            assert pool.stats.counters["attempts"] == 1 + 120
 
     def test_per_call_policy_override(self):
         db = seeded_db()
@@ -249,6 +274,7 @@ class TestObservability:
             "attempts",
             "retries",
             "breaker_transitions",
+            "breaker_to_open",
             "retry_amplification",
             "availability",
         ):

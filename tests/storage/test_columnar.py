@@ -27,7 +27,6 @@ from repro.storage.columnar import (
     ColumnarList,
     column_servable,
     columnar_source_for,
-    make_column_provider,
     numpy_available,
     resolve_backend,
 )
@@ -186,10 +185,15 @@ def test_candidate_roots_cached_by_anchor_set(backend):
 # -- backend resolution and knobs --------------------------------------------
 
 
-def test_resolve_backend_auto():
+def test_resolve_backend_auto(monkeypatch):
     expected = "numpy" if numpy_available() else "python"
-    assert resolve_backend() == expected
+    assert resolve_backend("auto") == expected
     assert resolve_backend("python") == "python"
+    # No argument: the environment's pin (CI's python leg), else auto.
+    monkeypatch.setenv("AQUA_COLUMNAR_BACKEND", "python")
+    assert resolve_backend() == "python"
+    monkeypatch.delenv("AQUA_COLUMNAR_BACKEND")
+    assert resolve_backend() == expected
 
 
 def test_pinned_numpy_without_numpy_is_an_error(monkeypatch):
@@ -209,17 +213,24 @@ def test_knob_validation():
 
 
 def test_column_provider_reresolves_knobs():
+    """A cached tree index re-reads the columnar knobs on every lookup:
+    the same index serves ``~a`` from a column or by full scan as the
+    switch and the threshold move around it."""
     db = Database()
     tree = labeled_tree()
     db.bind_root("T", tree)
-    provider = make_column_provider(db, tree)
+    index = db.tree_index(tree)
+
+    def served_from_a_column():
+        return index.candidate_nodes(~sym("a"))[1]
+
     with config.columnar_threshold_scope(0):
-        assert provider() is not None
+        assert served_from_a_column()
         with config.columnar_scope("off"):
-            assert provider() is None
-        assert provider() is not None
+            assert not served_from_a_column()
+        assert served_from_a_column()
     # Default threshold (512) exceeds this 6-node tree.
-    assert provider() is None
+    assert not served_from_a_column()
 
 
 def test_threshold_gates_extent(monkeypatch):

@@ -9,6 +9,7 @@ and ``from repro import *`` imports precisely that set.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -147,3 +148,115 @@ def test_root_predicate_walk_is_defined_once() -> None:
         if "def _root_predicates" in path.read_text(encoding="utf-8")
     ]
     assert definers == ["patterns/tree_ast.py"]
+
+
+#: Bottom first.  A module may import from its own layer and any below.
+LAYERS = (
+    {"errors", "config", "params", "faults", "guardrails"},
+    {"core"},
+    {"predicates", "patterns"},
+    {"algebra"},
+    {"storage"},
+    {"optimizer", "physical"},
+    {"query"},
+    {"serving", "docstore"},
+    {"api"},
+    {"odmg", "workloads", "__init__", "__main__"},
+)
+
+#: Every runtime import that points up the layering today, as
+#: ``importing file -> imported module``.  The test demands equality, so
+#: fixing one means deleting its line here, and a new one fails: the list
+#: can only shrink.  Three groups: the counter sink every engine emits to
+#: lives in ``storage``; the plan vocabulary the optimizer and the
+#: operators read lives in ``query``; the rest reach up for a default
+#: session, the columnar filter or the document path compiler.
+UPWARD_IMPORTS = {
+    "guardrails.py -> storage.stats",
+    "patterns/dfa.py -> storage.stats",
+    "patterns/list_match.py -> storage.stats",
+    "patterns/list_parser.py -> storage.stats",
+    "patterns/tree_match.py -> storage.stats",
+    "patterns/tree_parser.py -> storage.stats",
+    "optimizer/cost.py -> query.expr",
+    "optimizer/cost.py -> query.metrics",
+    "optimizer/engine.py -> query.expr",
+    "optimizer/rules.py -> query.expr",
+    "physical/base.py -> query.metrics",
+    "physical/exchange.py -> query.metrics",
+    "physical/lower.py -> query.expr",
+    "patterns/tree_match.py -> optimizer.anchors",
+    "patterns/tree_match.py -> storage.columnar",
+    "patterns/tree_memo.py -> storage.columnar",
+    "query/aql.py -> docstore.path",
+    "query/aql.py -> api",
+    "query/builder.py -> api",
+    "query/interpreter.py -> api",
+    "docstore/store.py -> api",
+}
+
+
+def _runtime_imports(tree: ast.AST):
+    """Import nodes anywhere in ``tree`` except under ``if TYPE_CHECKING``."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.dump(node.test):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        yield from _runtime_imports(node)
+
+
+def _is_module(package: Path, dotted: tuple[str, ...]) -> bool:
+    location = package.joinpath(*dotted[1:])
+    return location.is_dir() or location.with_suffix(".py").is_file()
+
+
+def test_import_layering_allows_only_the_listed_upward_imports() -> None:
+    """``core`` → ``predicates``/``patterns`` → ``algebra`` → ``storage`` →
+    ``optimizer``/``physical`` → ``query`` → ``serving``/``docstore`` →
+    ``api``: an import may point down or sideways; the ones that point up
+    are exactly :data:`UPWARD_IMPORTS`."""
+    package = Path(repro.__file__).resolve().parent
+    rank = {unit: level for level, layer in enumerate(LAYERS) for unit in layer}
+    upward = set()
+    for path in package.rglob("*.py"):
+        relative = path.relative_to(package)
+        here = ("repro", *relative.parts[:-1])
+        source = relative.parts[0].removesuffix(".py")
+        for node in _runtime_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                targets = [tuple(alias.name.split(".")) for alias in node.names]
+            else:
+                base = here[: len(here) - node.level + 1] if node.level else ()
+                module = base + tuple(node.module.split(".")) if node.module else base
+                # ``from ..storage import stats`` names a module, not an attribute.
+                targets = [
+                    module + (alias.name,)
+                    if _is_module(package, module + (alias.name,))
+                    else module
+                    for alias in node.names
+                ]
+            for target in targets:
+                if target[0] != "repro" or len(target) < 2:
+                    continue
+                assert target[1] in rank, f"{relative}: place {target[1]!r} in LAYERS"
+                if rank[source] < rank[target[1]]:
+                    upward.add(f"{relative.as_posix()} -> {'.'.join(target[1:3])}")
+    assert upward == UPWARD_IMPORTS
+
+
+def test_documented_paths_exist() -> None:
+    """Every ``benchmarks/…``, ``tests/…``, ``src/…`` or ``examples/…`` path
+    the prose quotes names something in the checkout (``…*`` as a glob;
+    ``benchmarks/trajectory/out`` is written by a run, not committed)."""
+    root = README.parent
+    documents = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md")
+    quoted = re.compile(r"(?<![\w/.-])(?:benchmarks|tests|src|examples)/[\w./*-]*[\w/*]")
+    missing = []
+    for document in documents:
+        for path in set(quoted.findall((root / document).read_text(encoding="utf-8"))):
+            if path.startswith("benchmarks/trajectory/out"):
+                continue
+            if not any(root.glob(path)):
+                missing.append(f"{document}: {path}")
+    assert sorted(missing) == []
