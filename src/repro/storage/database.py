@@ -53,6 +53,60 @@ def root_resource(name: str) -> str:
     return f"root:{name}"
 
 
+def extent_candidates(
+    stats: Instrumentation,
+    indexes: Mapping[tuple[str, str], HashIndex | OrderedIndex],
+    extent: str,
+    rows: list[Any],
+    watermark: int | None,
+    predicate: AlphabetPredicate,
+) -> tuple[list[Any], bool]:
+    """Rows of ``extent`` that might satisfy ``predicate``; ``(rows, used_index)``.
+
+    The one implementation behind ``candidates`` on a :class:`Database`
+    (``watermark=None``) and on a pinned snapshot (its watermark, which
+    bounds every probe of the shared live indexes and the scan): serves
+    the most selective indexable term that has an index, else returns
+    ``rows[:watermark]`` for a scan.  Callers re-apply the predicate.
+    """
+    fault_point("storage_lookup")
+    guard = guardrails.current_guard()
+    # Activate the sink so the access methods' own ``index_probes``
+    # emissions (see :mod:`repro.storage.index`) are credited here —
+    # and, during an instrumented run, to the operator that probed.
+    with stats.activated():
+        if not predicate.opaque:
+            best: list[Any] | None = None
+            for attribute, op, constant in predicate.indexable_terms():
+                index = indexes.get((extent, attribute))
+                if index is None:
+                    continue
+                # A $param constant probes with its current binding;
+                # an unbound (or unhashable) one cannot be served.
+                constant, bound = params.try_resolve(constant)
+                if not bound or not params.is_bindable(constant):
+                    continue
+                if isinstance(index, HashIndex):
+                    if op != "=":
+                        continue
+                    found = index.lookup(constant, watermark)
+                else:
+                    found = index.probe_term(op, constant, watermark)
+                if best is None or len(found) < len(best):
+                    best = found
+            if best is not None:
+                stats.bump("index_candidates", len(best))
+                if guard is not None:
+                    guard.charge_nodes(len(best), "index candidates")
+                return best, True
+        rows = rows[:watermark]
+        stats.bump("full_scans")
+        stats.bump("objects_scanned", len(rows))
+        if guard is not None:
+            guard.charge_nodes(len(rows), "extent scan")
+        return rows, False
+
+
 class VersionToken:
     """An immutable cut of the database's per-resource version counters.
 
@@ -158,13 +212,8 @@ class Database:
     def versions(self, resources: Sequence[str]) -> tuple[int, ...]:
         """Current version of each dependency tag (see :class:`VersionToken`)."""
         with self._lock:
-            touch = self._touch_all
-            return tuple(
-                touch
-                if tag == GLOBAL_RESOURCE
-                else max(self._versions.get(tag, 0), touch)
-                for tag in resources
-            )
+            token = VersionToken(self._epoch, self._touch_all, self._versions)
+            return token.versions(resources)
 
     def version_token(self) -> VersionToken:
         """A consistent cut of every version counter (for plan caching)."""
@@ -205,7 +254,7 @@ class Database:
                 },
                 indexes=dict(self._indexes),
                 histograms=dict(self._histograms),
-                token=VersionToken(self._epoch, self._touch_all, dict(self._versions)),
+                token=self.version_token(),
                 stats=stats,
             )
 
@@ -232,12 +281,7 @@ class Database:
                 self._roots[name] = value
                 touched.append(root_resource(name))
             for obj, extent in inserts:
-                name = extent or type(obj).__name__
-                self._extents.setdefault(name, []).append(obj)
-                for (extent_name, _attr), index in self._indexes.items():
-                    if extent_name == name:
-                        index.insert(obj)
-                tag = extent_resource(name)
+                tag = extent_resource(self._append(obj, extent))
                 if tag not in touched:
                     touched.append(tag)
             if touched:
@@ -245,15 +289,24 @@ class Database:
 
     # -- extents ---------------------------------------------------------------
 
+    def _append(self, obj: Any, extent: str | None) -> str:
+        """Append ``obj`` to its extent (named in the return) and post it
+        to that extent's indexes; the caller holds the write lock.  The
+        only place a row joins an extent, so the only place a posting is
+        stamped (why a stamp decides visibility: :meth:`HashIndex.insert`)."""
+        name = extent or type(obj).__name__
+        rows = self._extents.setdefault(name, [])
+        position = len(rows)
+        rows.append(obj)
+        for (extent_name, _attribute), index in self._indexes.items():
+            if extent_name == name:
+                index.insert(obj, position)
+        return name
+
     def insert(self, obj: Any, extent: str | None = None) -> Any:
         """Register ``obj`` under ``extent`` (default: its class name)."""
-        name = extent or type(obj).__name__
         with self._lock:
-            self._extents.setdefault(name, []).append(obj)
-            for (extent_name, attribute), index in self._indexes.items():
-                if extent_name == name:
-                    index.insert(obj)
-            self.bump_epoch(extent_resource(name))
+            self.bump_epoch(extent_resource(self._append(obj, extent)))
         return obj
 
     def insert_many(self, objects: Iterable[Any], extent: str | None = None) -> list[Any]:
@@ -350,48 +403,10 @@ class Database:
     def candidates(
         self, extent: str, predicate: AlphabetPredicate
     ) -> tuple[list[Any], bool]:
-        """Objects of ``extent`` that might satisfy ``predicate``.
-
-        Serves the most selective indexable term if one has an index
-        (``used_index=True``); otherwise returns the whole extent for a
-        scan.  Callers must re-apply the full predicate either way.
-        """
-        # Activate our sink so the access methods' own ``index_probes``
-        # emissions (see :mod:`repro.storage.index`) are credited here —
-        # and, during an instrumented run, to the operator that probed.
-        fault_point("storage_lookup")
-        guard = guardrails.current_guard()
-        with self.stats.activated():
-            if not predicate.opaque:
-                best: tuple[int, list[Any]] | None = None
-                for attribute, op, constant in predicate.indexable_terms():
-                    index = self._indexes.get((extent, attribute))
-                    if index is None:
-                        continue
-                    # A $param constant probes with its current binding;
-                    # an unbound (or unhashable) one cannot be served.
-                    constant, bound = params.try_resolve(constant)
-                    if not bound or not params.is_bindable(constant):
-                        continue
-                    if isinstance(index, HashIndex):
-                        if op != "=":
-                            continue
-                        rows = index.lookup(constant)
-                    else:
-                        rows = index.probe_term(op, constant)
-                    if best is None or len(rows) < best[0]:
-                        best = (len(rows), rows)
-                if best is not None:
-                    self.stats.bump("index_candidates", best[0])
-                    if guard is not None:
-                        guard.charge_nodes(best[0], "index candidates")
-                    return best[1], True
-            rows = list(self._extents.get(extent, ()))
-            self.stats.bump("full_scans")
-            self.stats.bump("objects_scanned", len(rows))
-            if guard is not None:
-                guard.charge_nodes(len(rows), "extent scan")
-            return rows, False
+        """Objects of ``extent`` that might satisfy ``predicate``, from the
+        best index or a scan (see :func:`extent_candidates`)."""
+        rows = self._extents.get(extent, [])
+        return extent_candidates(self.stats, self._indexes, extent, rows, None, predicate)
 
     def select(self, extent: str, predicate: AlphabetPredicate) -> AquaSet:
         """Index-assisted extent select (re-checks the full predicate)."""
@@ -420,24 +435,22 @@ class Database:
     # -- per-structure node indexes ---------------------------------------------------
 
     def tree_index(self, tree: AquaTree, attributes: Iterable[str] = ()) -> TreeIndex:
-        """A (cached) node index for ``tree``; extends attributes as needed.
+        """A (cached) node index for ``tree`` serving ``attributes`` too.
 
-        Build-once under a dedicated lock: concurrent queries over the
-        same tree share one index instead of racing to build duplicates
-        (the build is pure, so the lock protects work, not correctness).
+        This only *declares* the attributes — each one's map is built by
+        the first probe that reads it (:class:`TreeIndex`) — so the
+        dedicated lock is held for a dict lookup: concurrent queries
+        over the same tree share one index object.
         """
         from .columnar import columnar_source_for
 
         with self._structure_lock:
             cached = self._tree_indexes.get(id(tree))
             if cached is None or cached.tree is not tree:
-                cached = TreeIndex(
-                    tree, attributes, lambda: columnar_source_for(self, tree)
-                )
+                cached = TreeIndex(tree, (), lambda: columnar_source_for(self, tree))
                 self._tree_indexes[id(tree)] = cached
-            else:
-                for attribute in attributes:
-                    cached.add_attribute(attribute)
+            for attribute in attributes:
+                cached.add_attribute(attribute)
             return cached
 
     def list_index(self, aqua_list: AquaList, attributes: Iterable[str] = ()) -> ListIndex:

@@ -13,9 +13,10 @@ a :class:`DatabaseSnapshot` pins
   and the snapshot reads them without copying;
 * the **extent-index registry** (a dict copy).  Index objects are
   shared with the live database and keep absorbing newer inserts, so
-  probe results are filtered against the watermark before they are
-  served — a row inserted after the pin can never leak into a snapshot
-  result;
+  every probe is filtered against the watermark — each posting carries
+  its row's extent position, and the filter is the compare
+  ``position < watermark`` (a ``bisect`` on a hash bucket) — and a row
+  inserted after the pin can never leak into a snapshot result;
 * a :class:`~repro.storage.database.VersionToken`, so the plan cache
   validates cached plans against the *pinned* versions (a snapshot keeps
   hitting plans prepared at its own version even while writers move the
@@ -32,13 +33,14 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Iterator, Sequence
 
-from .. import guardrails, params
+from .. import guardrails
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import AquaTree
 from ..errors import StorageError
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
+from .database import extent_candidates
 from .index import HashIndex, OrderedIndex
 from .stats import Instrumentation
 from .tree_index import ListIndex, TreeIndex
@@ -52,8 +54,7 @@ class DatabaseSnapshot:
 
     Constructed by :meth:`Database.snapshot` under the write lock — do
     not build directly.  Safe to share across threads: all state is
-    written once at construction except the lazily built per-extent
-    visibility sets, whose construction is idempotent.
+    written once at construction, and none of it is sized by an extent.
     """
 
     #: Marks this view as rejecting mutation (introspection aid).
@@ -80,7 +81,6 @@ class DatabaseSnapshot:
         #: working through existing sinks; pass a private sink to
         #: isolate one session's counters.
         self.stats = stats if stats is not None else base.stats
-        self._visible: dict[str, set[int]] = {}
 
     # -- versions --------------------------------------------------------------
 
@@ -192,20 +192,6 @@ class DatabaseSnapshot:
     def extents(self) -> list[str]:
         return sorted(self._extents)
 
-    def _visible_ids(self, name: str) -> set[int]:
-        """Identity set of the rows this snapshot can see in ``name``.
-
-        Built lazily on the first index-assisted probe (a scan never
-        needs it); construction is idempotent so a benign double-build
-        under a race costs work, not correctness.
-        """
-        visible = self._visible.get(name)
-        if visible is None:
-            rows, watermark = self._rows(name)
-            visible = {id(row) for row in rows[:watermark]}
-            self._visible[name] = visible
-        return visible
-
     # -- named roots -----------------------------------------------------------
 
     def root(self, name: str) -> Any:
@@ -229,47 +215,13 @@ class DatabaseSnapshot:
     def candidates(
         self, extent: str, predicate: AlphabetPredicate
     ) -> tuple[list[Any], bool]:
-        """Pinned-extent candidates for ``predicate`` (see
-        :meth:`Database.candidates`).
-
-        Index objects are shared with the live database and keep
-        absorbing post-pin inserts, so probe results are filtered
-        against the snapshot's visibility set before being served.
-        """
-        fault_point("storage_lookup")
-        guard = guardrails.current_guard()
-        with self.stats.activated():
-            if not predicate.opaque:
-                best: tuple[int, list[Any]] | None = None
-                for attribute, op, constant in predicate.indexable_terms():
-                    index = self._indexes.get((extent, attribute))
-                    if index is None:
-                        continue
-                    constant, bound = params.try_resolve(constant)
-                    if not bound or not params.is_bindable(constant):
-                        continue
-                    if isinstance(index, HashIndex):
-                        if op != "=":
-                            continue
-                        rows = index.lookup(constant)
-                    else:
-                        rows = index.probe_term(op, constant)
-                    visible = self._visible_ids(extent)
-                    rows = [row for row in rows if id(row) in visible]
-                    if best is None or len(rows) < best[0]:
-                        best = (len(rows), rows)
-                if best is not None:
-                    self.stats.bump("index_candidates", best[0])
-                    if guard is not None:
-                        guard.charge_nodes(best[0], "index candidates")
-                    return best[1], True
-            rows, watermark = self._rows(extent)
-            rows = rows[:watermark]
-            self.stats.bump("full_scans")
-            self.stats.bump("objects_scanned", len(rows))
-            if guard is not None:
-                guard.charge_nodes(len(rows), "extent scan")
-            return rows, False
+        """Pinned-extent candidates for ``predicate``: the database's own
+        :func:`~repro.storage.database.extent_candidates`, every probe
+        and the scan fallback bounded by this pin's watermark."""
+        rows, watermark = self._rows(extent)
+        return extent_candidates(
+            self.stats, self._indexes, extent, rows, watermark, predicate
+        )
 
     def select(self, extent: str, predicate: AlphabetPredicate) -> AquaSet:
         """Index-assisted pinned-extent select (re-checks the predicate)."""

@@ -2,12 +2,13 @@
 
 §4's split rewrite assumes the system can "use an index to efficiently
 locate all nodes in T that match d".  A :class:`TreeIndex` provides that:
-hash indexes from stored attribute values — plus the payload itself — to
-nodes, built in one loop over the tree's preorder
-:meth:`~repro.core.aqua_tree.AquaTree.layout`.  The index numbers
-nothing itself: ancestor tests and depths read the positions of that one
-layout, the same object the tree's columnar extent and match contexts
-read.
+maps from stored attribute values — and from the payload itself — to
+nodes.  Constructing one only *declares* the attributes it may serve;
+each map is built by the first probe that reads it, in one grouped pass
+over the tree's preorder :meth:`~repro.core.aqua_tree.AquaTree.layout`.
+The index numbers nothing itself: ancestor tests and depths read the
+positions of that one layout, the same object the tree's columnar extent
+and match contexts read.
 
 Given an alphabet-predicate it answers :meth:`candidate_nodes`: the
 nodes that *might* match, served from an index when the predicate has an
@@ -29,12 +30,40 @@ from ..core.aqua_list import AquaList
 from ..core.aqua_tree import AquaTree, TreeNode
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
-from .index import VALUE_ATTRIBUTE, HashIndex, read_key
+from . import stats as stats_mod
+from .index import _MISSING, VALUE_ATTRIBUTE, read_key
 from .stats import Instrumentation
 
 
+def _built(maps: dict, attribute: str, pairs: Iterable[tuple[Any, Any]]) -> dict:
+    """``maps[attribute]``: the declared attribute's key → entries map,
+    grouped from ``pairs`` — ``(entry, value)`` in order, consumed only
+    then — by the first probe to read it.
+
+    Values without the attribute are skipped; an unhashable key is filed
+    under its ``repr`` (see :func:`_hashable_key`).  Racing first probes
+    are benign under the same contract as :meth:`AquaTree.layout`: each
+    thread groups an equal map from immutable input and one assignment
+    publishes it.
+    """
+    built = maps[attribute]
+    if built is None:
+        built = {}
+        for entry, value in pairs:
+            key = read_key(value, attribute)
+            if key is _MISSING:
+                continue
+            try:
+                built.setdefault(key, []).append(entry)
+            except TypeError:
+                built.setdefault(repr(key), []).append(entry)
+        maps[attribute] = built
+        stats_mod.emit("index_builds")
+    return built
+
+
 class TreeIndex:
-    """Attribute → node hash indexes over one tree's layout."""
+    """Attribute → node maps over one tree's layout, built on first probe."""
 
     def __init__(
         self,
@@ -45,26 +74,19 @@ class TreeIndex:
         self.tree = tree
         self.layout = tree.layout()
         self.node_count = len(self.layout.nodes)
-        #: One hash index per stored attribute, plus the payload itself
-        #: under the ``VALUE_ATTRIBUTE`` pseudo-attribute.
-        self._indexes: dict[str, HashIndex] = {
-            attribute: HashIndex(attribute)
-            for attribute in (VALUE_ATTRIBUTE, *attributes)
-        }
+        #: Every attribute this index may serve (the payload itself sits
+        #: under ``VALUE_ATTRIBUTE``) → its key → nodes map, ``None``
+        #: until a probe reads it.
+        self._maps: dict[str, dict | None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
         #: Returns the tree's columnar extent or ``None``; called per
         #: lookup, so a cached index never pins a stale ``AQUA_COLUMNAR*``
         #: on/off or threshold decision.
         self._column_source = column_source or (lambda: None)
-        self._build(list(self._indexes.values()))
 
-    def _build(self, indexes: list[HashIndex]) -> None:
-        """Enter every element node of the layout into ``indexes``."""
-        for node in self.layout.nodes:
-            if node.is_concat_point:
-                continue
-            value = node.value
-            for index in indexes:
-                index.insert(node, key=_hashable_key(read_key(value, index.attribute)))
+    def _map(self, attribute: str) -> dict[Any, list[TreeNode]]:
+        nodes = self.layout.nodes
+        pairs = ((n, n.value) for n in nodes if not n.is_concat_point)
+        return _built(self._maps, attribute, pairs)
 
     # -- structural predicates ------------------------------------------------
 
@@ -79,20 +101,19 @@ class TreeIndex:
     # -- candidate retrieval ----------------------------------------------------
 
     def add_attribute(self, attribute: str) -> None:
-        if attribute in self._indexes:
-            return
-        index = HashIndex(attribute)
-        self._build([index])
-        self._indexes[attribute] = index
+        """Declare ``attribute`` servable (its map waits for a probe)."""
+        self._maps.setdefault(attribute, None)
 
     def indexed_attributes(self) -> set[str]:
-        return set(self._indexes) - {VALUE_ATTRIBUTE}
+        return set(self._maps) - {VALUE_ATTRIBUTE}
 
     def probe(self, attribute: str, key: Any) -> list[TreeNode]:
-        return self._indexes[attribute].lookup(_hashable_key(key))
+        fault_point("index_probe")
+        stats_mod.emit("index_probes")
+        return list(self._map(attribute).get(_hashable_key(key), ()))
 
     def count(self, attribute: str, key: Any) -> int:
-        return self._indexes[attribute].count(_hashable_key(key))
+        return len(self._map(attribute).get(_hashable_key(key), ()))
 
     def servable_terms(
         self, predicate: AlphabetPredicate
@@ -107,9 +128,7 @@ class TreeIndex:
             return []
         terms: list[tuple[str, str, Any]] = []
         for attribute, op, constant in predicate.indexable_terms():
-            if op != "=":
-                continue
-            if attribute not in self._indexes:
+            if op != "=" or attribute not in self._maps:
                 continue
             constant, bound = params.try_resolve(constant)
             if not bound:
@@ -132,14 +151,14 @@ class TreeIndex:
         guard = guardrails.current_guard()
         terms = self.servable_terms(predicate)
         if terms:
-            # Pick the most selective servable term.
-            attribute, _, constant = min(
-                terms, key=lambda term: self.count(term[0], term[2])
-            )
-            # The probe is counted where it happens, in HashIndex.lookup;
-            # activating the caller's sink credits it there exactly once,
-            # whether or not the query already activated it.
+            # The probe — and any map it is first to read — is counted
+            # where it happens; activating the caller's sink credits it
+            # there exactly once, whether or not the query already did.
             with stats.activated() if stats is not None else nullcontext():
+                # Pick the most selective servable term.
+                attribute, _, constant = min(
+                    terms, key=lambda term: self.count(term[0], term[2])
+                )
                 nodes = self.probe(attribute, constant)
             if stats is not None:
                 stats.bump("index_candidates", len(nodes))
@@ -168,20 +187,16 @@ class TreeIndex:
 
 
 class ListIndex:
-    """Value/attribute → element positions for one list."""
+    """Value/attribute → element positions for one list, built on first probe."""
 
     def __init__(self, aqua_list: AquaList, attributes: Iterable[str] = ()) -> None:
         self.aqua_list = aqua_list
         self.values = aqua_list.value_array
-        self._value_positions: dict[Any, list[int]] = {}
-        self._attribute_positions: dict[str, dict[Any, list[int]]] = {
-            attribute: {} for attribute in attributes
-        }
-        for position, value in enumerate(self.values):
-            self._value_positions.setdefault(_hashable_key(value), []).append(position)
-            for attribute, mapping in self._attribute_positions.items():
-                key = _hashable_key(read_key(value, attribute))
-                mapping.setdefault(key, []).append(position)
+        #: Declared attribute → key → positions, ``None`` until probed.
+        self._maps: dict[str, dict | None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
+
+    def _map(self, attribute: str) -> dict[Any, list[int]]:
+        return _built(self._maps, attribute, enumerate(self.values))
 
     def positions_for(
         self,
@@ -192,30 +207,20 @@ class ListIndex:
         guard = guardrails.current_guard()
         if not predicate.opaque:
             for attribute, op, constant in predicate.indexable_terms():
-                if op != "=":
+                if op != "=" or attribute not in self._maps:
                     continue
                 constant, bound = params.try_resolve(constant)
                 if not bound:
                     continue
-                if attribute == VALUE_ATTRIBUTE:
-                    fault_point("index_probe")
-                    if stats is not None:
-                        stats.bump("index_probes")
-                    positions = list(
-                        self._value_positions.get(_hashable_key(constant), ())
-                    )
-                    if guard is not None:
-                        guard.charge_nodes(len(positions), "list-index candidates")
-                    return positions, True
-                if attribute in self._attribute_positions:
-                    fault_point("index_probe")
-                    if stats is not None:
-                        stats.bump("index_probes")
-                    mapping = self._attribute_positions[attribute]
-                    positions = list(mapping.get(_hashable_key(constant), ()))
-                    if guard is not None:
-                        guard.charge_nodes(len(positions), "list-index candidates")
-                    return positions, True
+                fault_point("index_probe")
+                if stats is not None:
+                    stats.bump("index_probes")
+                with stats.activated() if stats is not None else nullcontext():
+                    mapping = self._map(attribute)
+                positions = list(mapping.get(_hashable_key(constant), ()))
+                if guard is not None:
+                    guard.charge_nodes(len(positions), "list-index candidates")
+                return positions, True
         if stats is not None:
             stats.bump("full_scans")
         if guard is not None:

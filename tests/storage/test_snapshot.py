@@ -1,12 +1,16 @@
 """Snapshot isolation and the per-resource version counters (PR 6)."""
 
+import operator
+import random
 import sys
 import threading
 
 import pytest
 
 from repro.core.aqua_list import AquaList
+from repro.core.aqua_set import AquaSet
 from repro.errors import StorageError
+from repro.predicates import attr
 from repro.storage import (
     GLOBAL_RESOURCE,
     Database,
@@ -248,3 +252,115 @@ class TestBumpEpochRace:
             t.join()
         assert db.extent_size("Person") == 4 * per_thread
         assert db.epoch == 4 * per_thread
+
+
+class TestIsolationProperty:
+    """A pin reads ``rows[:watermark]`` and nothing else, whichever access
+    path serves it and whatever the writers did before or after it."""
+
+    #: The five operators an ordered index serves.
+    OPS = (operator.eq, operator.lt, operator.le, operator.gt, operator.ge)
+
+    def _check_pin(self, snap, visible):
+        """Every probe through ``snap`` equals a scan of ``visible``."""
+        indexed = snap.has_index("Row", "k")
+        for k in range(4):
+            rows, used = snap.candidates("Row", attr("k") == k)
+            assert used == indexed
+            # Hash postings come back in extent order; a scan is the prefix.
+            expected = [r for r in visible if r["k"] == k]
+            assert rows == (expected if used else visible)
+            assert snap.select("Row", attr("k") == k) == AquaSet(expected)
+        indexed = snap.has_index("Row", "n")
+        for compare in self.OPS:
+            for n in (0, 3, 7):
+                rows, used = snap.candidates("Row", compare(attr("n"), n))
+                assert used == indexed
+                expected = [r for r in visible if compare(r["n"], n)]
+                if used:  # key order, extent order within a key
+                    expected.sort(key=lambda r: r["n"])
+                assert rows == (expected if used else visible)
+                assert snap.select("Row", compare(attr("n"), n)) == AquaSet(expected)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_interleaving(self, seed):
+        rng = random.Random(seed)
+        db = Database()
+        written: list[dict] = []  # extent order
+        pins: list[tuple[DatabaseSnapshot, int]] = []
+
+        def fresh(count):
+            rows = [
+                {"id": len(written) + i, "k": rng.randrange(4), "n": rng.randrange(8)}
+                for i in range(count)
+            ]
+            written.extend(rows)
+            return rows
+
+        db.insert_many(fresh(5), extent="Row")
+        for _ in range(150):
+            draw = rng.randrange(8)
+            if draw == 0:
+                db.insert(fresh(1)[0], extent="Row")
+            elif draw == 1:
+                db.insert_many(fresh(rng.randrange(1, 5)), extent="Row")
+            elif draw == 2:
+                rows = fresh(rng.randrange(1, 4))
+                db.commit_staged({}, {}, [(row, "Row") for row in rows])
+            elif draw == 3:  # on a non-empty extent: bulk_load stamps it
+                db.create_index("Row", "k")
+                db.create_index("Row", "n", ordered=True)
+            elif draw == 4:
+                attribute = rng.choice(["k", "n"])
+                if db.drop_index("Row", attribute):
+                    db.create_index("Row", attribute, ordered=attribute == "n")
+            elif draw == 5:
+                db.drop_index("Row", rng.choice(["k", "n"]))
+            else:
+                snap = db.snapshot()
+                pins.append((snap, len(written)))
+                self._check_pin(snap, written[:])
+        assert pins
+        for snap, watermark in pins:  # and again, after everything later
+            assert snap.extent_size("Row") == watermark
+            self._check_pin(snap, written[:watermark])
+
+    def test_pins_under_concurrent_writers(self):
+        db = Database()
+        db.insert_many(
+            [{"id": -1 - i, "k": i % 4, "n": i % 8} for i in range(40)], extent="Row"
+        )
+        db.create_index("Row", "k")
+        db.create_index("Row", "n", ordered=True)
+
+        def writer(slot: int) -> None:
+            for serial in range(0, 3000, 3):
+                rows = [
+                    {"id": (slot, serial + i), "k": (serial + i) % 4, "n": (serial + i) % 8}
+                    for i in range(3)
+                ]
+                if slot:
+                    db.commit_staged({}, {}, [(row, "Row") for row in rows])
+                else:
+                    db.insert(rows[0], extent="Row")
+                    db.insert_many(rows[1:], extent="Row")
+
+        threads = [threading.Thread(target=writer, args=(slot,)) for slot in (0, 1)]
+        watermarks = [40]
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            for t in threads:
+                t.start()
+            while any(t.is_alive() for t in threads) or watermarks[-1] < 6040:
+                snap = db.snapshot()
+                visible = list(snap.iter_extent("Row"))
+                assert len(visible) == snap.extent_size("Row")
+                watermarks.append(len(visible))
+                self._check_pin(snap, visible)
+        finally:
+            for t in threads:
+                t.join(timeout=60)
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert watermarks == sorted(watermarks) and watermarks[-1] == 6040

@@ -162,3 +162,73 @@ class TestListIndex:
         positions, used = index.positions_for(pred(lambda v: True))
         assert not used
         assert positions == [0, 1]
+
+
+class TestBuiltOnFirstProbe:
+    """Constructing an index declares; ``index_builds`` counts the
+    attribute maps a probe actually had to build."""
+
+    HTML = (
+        "<html><body><article lang='en'><p>a</p><p>b</p></article>"
+        "<article lang='fr'><p>c</p></article></body></html>"
+    )
+
+    def _document(self):
+        from repro.docstore import Document
+
+        sink = Instrumentation()
+        with sink.activated():
+            document = Document.from_text(self.HTML, "html")
+        assert sink["index_builds"] == 0
+        index = document.db.tree_index(document.tree)
+        assert {"tag", "kind"} <= index.indexed_attributes()  # declared ⇒ servable
+        return document, sink
+
+    def test_a_tag_path_builds_tag_only(self):
+        document, sink = self._document()
+        with sink.activated():  # planning's cost model may be the first reader
+            assert len(document.path("//p")) == 3
+            assert len(document.path("//article")) == 2
+        assert sink["index_builds"] == 1
+
+    def test_an_attribute_path_builds_tag_and_lang_never_kind_or_payload(self):
+        document, sink = self._document()
+        with sink.activated():
+            assert len(document.path("//article[@lang='en']//p")) == 2
+        assert sink["index_builds"] == 2
+        assert sink["index_probes"] == 1
+
+    def test_a_by_pitch_query_builds_pitch_only(self):
+        from repro import Session
+        from repro.workloads.music import random_song
+
+        db = Database()
+        song = random_song(64, seed=3)
+        db.bind_root("song", song)
+        sink = Instrumentation()
+        with sink.activated():
+            db.list_index(song, ["pitch"])
+            assert sink["index_builds"] == 0
+            Session(db).query('root song | lsub_select "[A??F]" by pitch')
+        assert sink["index_builds"] == 1
+
+    def test_racing_first_probes_agree_with_one_thread(self):
+        import threading
+
+        tree = figure3_family_tree()
+        expected, _ = TreeIndex(tree, ["citizen"]).candidate_nodes(BRAZIL)
+        index = TreeIndex(tree, ["citizen"])
+        barrier = threading.Barrier(8)
+        answers = []
+
+        def probe():
+            barrier.wait()
+            answers.append(index.candidate_nodes(BRAZIL))
+
+        threads = [threading.Thread(target=probe) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert answers == [(expected, True)] * 8

@@ -94,6 +94,22 @@ def test_readme_names_exactly_the_env_knobs_the_source_reads() -> None:
     assert in_source == in_readme == KNOBS
 
 
+def test_snapshot_visibility_is_a_position_compare() -> None:
+    """Index postings carry their row's extent position and a pin bounds
+    every probe by its watermark, so ``repro.storage`` builds no set of
+    row identities and keeps no per-pin visibility structure (the CI
+    lint job greps for the same thing)."""
+    residue = re.compile(r"id\(row\)|_visible")
+    storage = Path(repro.__file__).resolve().parent / "storage"
+    offenders = [
+        f"{path.name}:{number}"
+        for path in storage.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if residue.search(line)
+    ]
+    assert offenders == []
+
+
 def test_no_public_callable_takes_an_engine() -> None:
     """The tree matcher picks its own tables from the pattern; nothing
     exported — function, class, or method of an exported class — lets a
