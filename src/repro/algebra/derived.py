@@ -14,9 +14,10 @@ This module implements ``sub_select``, ``all_anc`` and ``all_desc``
                          where A = split(tp, λ(a,b,c)⟨b, c⟩)(T)
 
 (The outer ``apply`` is set-apply; ``1``/``2`` are tuple projections.)
-The property suite checks these against the native implementations in
-:mod:`repro.algebra.tree_ops` — a strong end-to-end exercise of ``split``,
-tuple formation and projection.
+:mod:`repro.algebra.tree_ops` runs the same three as split functions
+that declare which pieces they read; here every piece is built, tupled
+and projected, which makes this module the independent reference the
+property suite checks those against.
 """
 
 from __future__ import annotations

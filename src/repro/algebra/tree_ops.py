@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
-from ..core.aqua_tree import AquaTree, TreeNode
+from ..core.aqua_tree import AquaTree, TreeNode, subtree_at
 from ..core.concat import ALPHA, ConcatPoint
 from ..core.identity import as_cell
 from ..errors import TypeMismatchError
@@ -115,11 +115,8 @@ class SplitPiece:
     """The three pieces ``split`` produces for one match, plus metadata.
 
     The context ``x`` is the expensive piece — a full rebuild of the
-    input with α at the attachment site — and many split functions
-    (``sub_select``'s λ, the docstore's subtree reattachment) never look
-    at it.  It is therefore built lazily on first access; functions that
-    provably ignore it declare ``needs_context = False`` (see
-    :func:`invoke_split_function`) and skip the rebuild entirely.
+    input with α at the attachment site — so it is built lazily, on
+    first access.
     """
 
     match: AquaTree            # y — the match, with α1..αn at pruned sites
@@ -145,15 +142,27 @@ class SplitPiece:
 
 
 def _context_tree(tree: AquaTree, target: TreeNode) -> AquaTree:
-    """The ``x`` piece: the input with ``target``'s subtree replaced by α."""
+    """The ``x`` piece: the input with ``target``'s subtree replaced by α.
 
-    def rebuild(node: TreeNode) -> TreeNode:
-        if node is target:
-            return TreeNode(ALPHA)
-        return TreeNode(node.item, [rebuild(c) for c in node.children])
-
+    Fresh structure over shared payloads, built with an explicit stack:
+    a list-like input (depth = n) must not hit the recursion limit.
+    """
     assert tree.root is not None
-    return AquaTree(rebuild(tree.root))
+    if tree.root is target:
+        return AquaTree(TreeNode(ALPHA))
+    root = TreeNode(tree.root.item)
+    stack = [(tree.root, root)]
+    while stack:
+        node, copy = stack.pop()
+        for child in node.children:
+            if child is target:
+                copy.children.append(TreeNode(ALPHA))
+                continue
+            twin = TreeNode(child.item)
+            copy.children.append(twin)
+            if child.children:
+                stack.append((child, twin))
+    return AquaTree(root)
 
 
 def split_pieces(
@@ -185,25 +194,71 @@ def split_pieces(
     return pieces
 
 
-def invoke_split_function(function: Callable[..., Any], piece: SplitPiece) -> Any:
-    """Apply a split function ``f(x, y, z)`` to one piece.
+def split_emitter(
+    function: Callable[..., Any], tree: AquaTree
+) -> Callable[[TreeMatch], Any]:
+    """``match ↦ f(x, y, z)`` for the matches of one input ``tree``.
 
-    A function that declares ``needs_context = False`` promises never to
-    read ``x``; it receives ``None`` there and the context rebuild is
-    skipped — the declaration idiom callables already use for
-    ``plan_fingerprint``.  A function that further declares
-    ``returns_match_subtree = True`` promises ``f(x, y, z)`` *is* the §4
-    identity reassembly ``y ∘α1..αn z`` — the full subtree at the match
-    root — which the source tree already holds, so it is served by
-    structure sharing without calling ``function`` at all.
+    Every tree-pattern operator — here and in the physical layer — is
+    ``dedup(map(split_emitter(f, T), matches))``.  The pieces are
+    expensive (``x`` rebuilds the whole input, ``z`` clones every pruned
+    subtree), so ``f`` may declare which of them it reads — the idiom
+    callables already use for ``plan_fingerprint`` — and this function,
+    the only reader of those declarations, resolves them once per scan:
+
+    * ``needs_context = False``: ``f`` never reads ``x``; it receives
+      ``None`` there.
+    * ``needs_descendants = False``: ``f`` never reads ``z``, so it has
+      nothing to reattach: it receives ``None`` there and ``y`` with its
+      points closed off (``y ∘α1..αn []``) — the shape §4 gives both
+      derived operators that ignore ``z``.
+    * ``returns_match_subtree = True``: ``f(x, y, z)`` *is* the identity
+      reassembly ``y ∘α1..αn z`` — the full subtree at the match root,
+      which ``tree`` already holds — so it is served by structure
+      sharing without calling ``f`` at all.
     """
     if getattr(function, "returns_match_subtree", False):
-        from ..core.aqua_tree import subtree_at
+        return lambda match: subtree_at(match.root)
+    reads_x = getattr(function, "needs_context", True)
+    reads_z = getattr(function, "needs_descendants", True)
 
-        return subtree_at(piece.tree_match.root)
-    if getattr(function, "needs_context", True):
-        return function(piece.context, piece.match, piece.descendants)
-    return function(None, piece.match, piece.descendants)
+    def emit(match: TreeMatch) -> Any:
+        y, points = match.match_tree()
+        x = _context_tree(tree, match.root) if reads_x else None
+        if reads_z:
+            return function(x, y, AquaList.from_values(match.pruned_subtrees()))
+        return function(x, y.close_points(points), None)
+
+    return emit
+
+
+def _reads(function: Callable[..., Any], *, x: bool = True, z: bool = True):
+    """Stamp ``function`` with the pieces it reads (see :func:`split_emitter`)."""
+    function.needs_context, function.needs_descendants = x, z  # type: ignore[attr-defined]
+    return function
+
+
+# The three operators §4 derives from ``split``, as the λ-terms it gives.
+
+#: ``sub_select``: ``λ(a,b,c) b ∘α1..αn []``.
+closed_match = _reads(lambda x, y, z: y, x=False, z=False)
+
+
+def anc_function(f: Callable[[AquaTree, AquaTree], Any]) -> Callable[..., Any]:
+    """``all_anc``: ``λ(a,b,c) f(a, b ∘α1..αn [])``."""
+    return _reads(lambda x, y, z: f(x, y), z=False)
+
+
+def desc_function(f: Callable[[AquaTree, AquaList], Any]) -> Callable[..., Any]:
+    """``all_desc``: ``λ(a,b,c) f(b, c)``; ``b`` keeps its ``α1..αn`` so
+    ``f`` can reattach descendants."""
+    return _reads(lambda x, y, z: f(y, z), x=False)
+
+
+def invoke_split_function(function: Callable[..., Any], piece: SplitPiece) -> Any:
+    """Apply a split function ``f(x, y, z)`` to one piece, honouring the
+    declarations :func:`split_emitter` documents."""
+    return split_emitter(function, piece.source)(piece.tree_match)
 
 
 def split(
@@ -214,18 +269,8 @@ def split(
     roots: Sequence[TreeNode] | None = None,
 ) -> AquaSet:
     """``split(tp, f)(T)`` (paper §4): apply ``f(x, y, z)`` per match."""
-    if getattr(function, "returns_match_subtree", False):
-        from ..core.aqua_tree import subtree_at
-
-        tp = tree_pattern(pattern, resolver)
-        return AquaSet(
-            subtree_at(match.root)
-            for match in find_tree_matches(tp, tree, roots=roots)
-        )
-    return AquaSet(
-        invoke_split_function(function, piece)
-        for piece in split_pieces(pattern, tree, resolver, roots)
-    )
+    matches = find_tree_matches(tree_pattern(pattern, resolver), tree, roots=roots)
+    return AquaSet(map(split_emitter(function, tree), matches))
 
 
 def sub_select(
@@ -234,19 +279,9 @@ def sub_select(
     resolver: SymbolResolver | None = None,
     roots: Sequence[TreeNode] | None = None,
 ) -> AquaSet:
-    """``sub_select(tp)(T)``: the set of subgraphs matching ``tp`` (§4).
-
-    Defined in the paper as ``split(tp, λ(a,b,c) b ∘α1..αn [])`` — the
-    match piece with its points closed off by NULL.  Implemented
-    natively (no context construction) for speed; the derived form lives
-    in :mod:`repro.algebra.derived` and the suite checks they agree.
-    """
-    tp = tree_pattern(pattern, resolver)
-    results = []
-    for match in find_tree_matches(tp, tree, roots=roots):
-        y, points = match.match_tree()
-        results.append(y.close_points(points))
-    return AquaSet(results)
+    """``sub_select(tp)(T)``: the set of subgraphs matching ``tp`` (§4) —
+    the match piece with its points closed off by NULL."""
+    return split(pattern, closed_match, tree, resolver, roots)
 
 
 def all_anc(
@@ -256,10 +291,7 @@ def all_anc(
     resolver: SymbolResolver | None = None,
 ) -> AquaSet:
     """``all_anc(tp, f)(T)``: ``f(ancestors, match)`` per match (§4)."""
-    return AquaSet(
-        function(piece.context, piece.match.close_points(piece.points))
-        for piece in split_pieces(pattern, tree, resolver)
-    )
+    return split(pattern, anc_function(function), tree, resolver)
 
 
 def all_desc(
@@ -268,14 +300,8 @@ def all_desc(
     tree: AquaTree,
     resolver: SymbolResolver | None = None,
 ) -> AquaSet:
-    """``all_desc(tp, f)(T)``: ``f(match, descendants)`` per match (§4).
-
-    The match keeps its ``α1..αn`` so ``f`` can reattach descendants.
-    """
-    return AquaSet(
-        function(piece.match, piece.descendants)
-        for piece in split_pieces(pattern, tree, resolver)
-    )
+    """``all_desc(tp, f)(T)``: ``f(match, descendants)`` per match (§4)."""
+    return split(pattern, desc_function(function), tree, resolver)
 
 
 def reassemble(match: AquaTree, descendants: "AquaList | Sequence[AquaTree]") -> AquaTree:

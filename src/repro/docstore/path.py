@@ -227,13 +227,10 @@ def reattach_subtree(
     return match.concat_many(list(zip(match.concat_points(), pruned.values())))
 
 
-# The context x is never read, so ``split`` skips its per-match
-# full-tree rebuild; and because the reassembly is the §4 *identity*
-# (the full subtree at the match root, which the source already holds),
-# it is served by structure sharing without the prune/rebuild machinery
-# at all (see algebra.tree_ops.invoke_split_function and
-# physical.operators._piece_rows).
-reattach_subtree.needs_context = False  # type: ignore[attr-defined]
+# The reassembly is the §4 *identity* (the full subtree at the match
+# root, which the source already holds), so ``split`` serves it by
+# structure sharing without the prune/rebuild machinery at all (see
+# algebra.tree_ops.split_emitter).
 reattach_subtree.returns_match_subtree = True  # type: ignore[attr-defined]
 
 

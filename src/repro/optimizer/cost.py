@@ -245,9 +245,7 @@ class CostModel:
         size = self.input_size(node)
         if isinstance(node, (E.TreeSelect, E.ListSelect, E.SetSelect)):
             return size * DEFAULT_SELECTIVITY
-        if isinstance(node, (E.SubSelect, E.Split, E.AllAnc, E.AllDesc)):
-            return size * DEFAULT_SELECTIVITY
-        if isinstance(node, (E.ListSubSelect, E.ListSplit)):
+        if isinstance(node, (E._SplitShaped, E.ListSubSelect, E.ListSplit)):
             return size * DEFAULT_SELECTIVITY
         if isinstance(node, (E.SetUnion,)):
             return self.estimated_rows(node.left) + self.estimated_rows(node.right)
@@ -295,11 +293,14 @@ class CostModel:
         if isinstance(node, (E.Root, E.Extent, E.Literal)):
             return 1.0
         size = self.input_size(node)
-        if isinstance(node, E.SubSelect):
-            columnar = self._columnar_tree_cost(size, node.pattern)
+        if isinstance(node, E._SplitShaped):
+            # One scan serves all four (see ``_lower_tree_scan``); all but
+            # ``sub_select`` additionally build pieces per match.
+            factor = 1.0 if isinstance(node, E.SubSelect) else 2.0
+            columnar = self._columnar_tree_cost(size, node.pattern, factor)
             if columnar is not None:
                 return columnar
-            return size * tree_pattern_cost(node.pattern)
+            return size * tree_pattern_cost(node.pattern) * factor
         if isinstance(node, (E.ListSubSelect, E.ListSplit)):
             # One access-path ladder serves both (see ``_lower_list_scan``);
             # split additionally builds the three pieces per match.
@@ -308,19 +309,9 @@ class CostModel:
             if columnar is not None:
                 return columnar
             return size * list_pattern_cost(node.pattern) * factor
-        if isinstance(node, (E.TreeSelect, E.ListSelect, E.SetSelect)):
-            return size
-        if isinstance(node, E.Split):
-            columnar = self._columnar_tree_cost(size, node.pattern, factor=2.0)
-            if columnar is not None:
-                return columnar
-            return size * tree_pattern_cost(node.pattern) * 2.0
-        if isinstance(node, (E.AllAnc, E.AllDesc)):
-            return size * tree_pattern_cost(node.pattern) * 2.0
-        if isinstance(node, (E.TreeApply, E.ListApply, E.SetApply)):
-            return size
         if isinstance(node, (E.SetUnion, E.SetIntersection, E.SetDifference)):
             return self.input_size(node.left) + self.input_size(node.right)
+        # select / apply / flatten: one unit per member.
         return size
 
     def _columnar_tree_cost(

@@ -12,7 +12,7 @@ from "largest operator output anywhere in the plan" to "what the plan
 truly buffers" (the final result sink, plus the explicit buffers of
 :class:`~repro.physical.operators.IntersectPipe` /
 :class:`~repro.physical.operators.DiffPipe` /
-:class:`~repro.physical.operators.Materialize`).
+:class:`~repro.physical.operators.TreeSelectOp`).
 
 Execution semantics are those of the :mod:`repro.algebra` operator
 definitions, which ``tests/reference.py`` composes into the reference

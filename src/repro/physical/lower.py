@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable
 
-from ..algebra.tree_ops import all_anc, all_desc
 from ..errors import QueryError
 from ..optimizer.anchors import (
     extent_conjunct_split,
@@ -182,22 +181,12 @@ def _lower_param(node: E.Param, db, choose) -> Thunk:
     return lambda: P.ParamSource(node)
 
 
-def _lower_tree_select(node: E.TreeSelect, db, choose) -> Thunk:
+def _lower_tree_scan(node: E._SplitShaped, db, choose) -> Thunk:
+    """``split`` and the three operators derived from it are one scan of
+    one pattern — index-probed roots when the anchors price in, else the
+    full scan — and differ only in the split function applied per match."""
     child = _child(node, db, choose)
-    return lambda: P.TreeSelectOp(node, (child(),))
-
-
-def _lower_tree_apply(node: E.TreeApply, db, choose) -> Thunk:
-    child = _child(node, db, choose)
-    return lambda: P.TreeApplyOp(node, (child(),))
-
-
-def _lower_tree_scan(node, db, choose, function) -> Thunk:
-    """Tree ``sub_select`` (``function`` None) and tree ``split`` share
-    their candidate sources: index-probed roots when the anchors price
-    in, else the full scan.  The operators differ only in what they emit
-    per match."""
-    child = _child(node, db, choose)
+    function = node.split_function
     # Patterns are compiled once here, at lowering time, so the probing
     # operators never coerce per ``rows()``, every operator matching the
     # same pattern hands the match-context registry an equal key — and a
@@ -209,43 +198,6 @@ def _lower_tree_scan(node, db, choose, function) -> Thunk:
             choose.note(*anchors)
             return lambda: P.IndexAnchorScan(node, child(), tp, anchors, function)
     return lambda: P.SubSelectPipe(node, child(), tp, function)
-
-
-def _lower_sub_select(node: E.SubSelect, db, choose) -> Thunk:
-    return _lower_tree_scan(node, db, choose, None)
-
-
-def _lower_split(node: E.Split, db, choose) -> Thunk:
-    return _lower_tree_scan(node, db, choose, node.function)
-
-
-def _materializer(node: E.Expr, db, choose, producer: Callable, kind: str) -> Thunk:
-    child = _child(node, db, choose)
-    return lambda: P.MaterializeOp(node, child(), producer, kind)
-
-
-def _lower_all_anc(node: E.AllAnc, db, choose) -> Thunk:
-    def producer(tree, node=node):
-        return all_anc(node.pattern, node.function, tree)
-
-    return _materializer(node, db, choose, producer, "all_anc")
-
-
-def _lower_all_desc(node: E.AllDesc, db, choose) -> Thunk:
-    def producer(tree, node=node):
-        return all_desc(node.pattern, node.function, tree)
-
-    return _materializer(node, db, choose, producer, "all_desc")
-
-
-def _lower_list_select(node: E.ListSelect, db, choose) -> Thunk:
-    child = _child(node, db, choose)
-    return lambda: P.ListSelectPipe(node, (child(),))
-
-
-def _lower_list_apply(node: E.ListApply, db, choose) -> Thunk:
-    child = _child(node, db, choose)
-    return lambda: P.ListApplyPipe(node, (child(),))
 
 
 def _lower_list_scan(node, db, choose, function) -> Thunk:
@@ -306,9 +258,12 @@ def _lower_set_apply(node: E.SetApply, db, choose) -> Thunk:
     return lambda: P.ApplyMap(node, (child(),))
 
 
-def _lower_set_flatten(node: E.SetFlatten, db, choose) -> Thunk:
-    child = _child(node, db, choose)
-    return lambda: P.FlattenPipe(node, (child(),))
+def _lower_unary(cls):
+    def build(node, db, choose):
+        child = _child(node, db, choose)
+        return lambda: cls(node, (child(),))
+
+    return build
 
 
 def _lower_binary(cls):
@@ -325,19 +280,19 @@ _LOWERING: dict[type, Callable[[E.Expr, "Database", bool], Thunk]] = {
     E.Extent: _lower_extent,
     E.Literal: _lower_literal,
     E.Param: _lower_param,
-    E.TreeSelect: _lower_tree_select,
-    E.TreeApply: _lower_tree_apply,
-    E.SubSelect: _lower_sub_select,
-    E.Split: _lower_split,
-    E.AllAnc: _lower_all_anc,
-    E.AllDesc: _lower_all_desc,
-    E.ListSelect: _lower_list_select,
-    E.ListApply: _lower_list_apply,
+    E.TreeSelect: _lower_unary(P.TreeSelectOp),
+    E.TreeApply: _lower_unary(P.TreeApplyOp),
+    E.SubSelect: _lower_tree_scan,
+    E.Split: _lower_tree_scan,
+    E.AllAnc: _lower_tree_scan,
+    E.AllDesc: _lower_tree_scan,
+    E.ListSelect: _lower_unary(P.ListSelectPipe),
+    E.ListApply: _lower_unary(P.ListApplyPipe),
     E.ListSubSelect: _lower_list_sub_select,
     E.ListSplit: _lower_list_split,
     E.SetSelect: _lower_set_select,
     E.SetApply: _lower_set_apply,
-    E.SetFlatten: _lower_set_flatten,
+    E.SetFlatten: _lower_unary(P.FlattenPipe),
     E.SetUnion: _lower_binary(P.UnionPipe),
     E.SetIntersection: _lower_binary(P.IntersectPipe),
     E.SetDifference: _lower_binary(P.DiffPipe),

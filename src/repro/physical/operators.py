@@ -9,8 +9,8 @@ configuration, decided at lowering time.
 
 The accounting contract every operator here keeps:
 
-* a full scan is charged in full, but incrementally — tree
-  ``sub_select`` / ``split`` charge one node per match candidate and top
+* a full scan is charged in full, but incrementally — the four tree
+  pattern operators charge one node per match candidate and top
   up to ``tree.size()`` at exhaustion, list ``sub_select`` / ``split`` do
   the same against ``len + 1`` start positions, and the indexed variants
   charge nothing beyond their probes — so a budget trips mid-scan while a
@@ -27,14 +27,13 @@ The accounting contract every operator here keeps:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 from .. import params
 from ..algebra.list_ops import build_pieces
-from ..algebra.tree_ops import _context_tree, apply_tree, select
+from ..algebra.tree_ops import apply_tree, closed_match, select, split_emitter
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
-from ..core.aqua_tree import subtree_at
 from ..core.equality import DEFAULT
 from ..core.identity import as_cell
 from ..errors import QueryError
@@ -138,63 +137,26 @@ class TreeApplyOp(PhysicalOp):
         yield result
 
 
-def _closed_match(match) -> Any:
-    """A match as ``sub_select`` returns it: the matched tree, points closed."""
-    y, points = match.match_tree()
-    return y.close_points(points)
-
-
-def _piece_rows(tree, matches, function) -> Iterator[Any]:
-    """Each tree match as its operator's row, deduplicated.
-
-    ``sub_select`` (no ``function``) emits the matched tree with its
-    points closed; ``split`` emits ``function(x, y, z)`` as soon as the
-    matcher produces the match — the context/match/descendants trio
-    never piles up in an intermediate set, which is exactly the §4
-    pipelining win the acceptance benchmark measures.
-    """
-    if function is None:
-        return dedup(map(_closed_match, matches), DEFAULT)
-    # ``returns_match_subtree = True`` functions are the §4 identity
-    # reassembly ``y ∘α1..αn z`` — the full subtree at the match
-    # root, which the source tree already holds.  Serve it by
-    # structure sharing (value-identical to the rebuilt form) and
-    # skip the prune/rebuild machinery entirely.
-    if getattr(function, "returns_match_subtree", False):
-        return dedup((subtree_at(match.root) for match in matches), DEFAULT)
-    # ``needs_context = False`` functions never read x, so the
-    # per-match full-tree context rebuild is skipped (the same
-    # contract as algebra.tree_ops.invoke_split_function).
-    wants_context = getattr(function, "needs_context", True)
-
-    def piece(match) -> Any:
-        y, _points = match.match_tree()
-        z = match.pruned_subtrees()
-        x = _context_tree(tree, match.root) if wants_context else None
-        return function(x, y, AquaList.from_values(z))
-
-    return dedup(map(piece, matches), DEFAULT)
-
-
 class SubSelectPipe(PhysicalOp):
-    """Tree ``sub_select(tp)(T)`` streamed match by match, by a charged
-    full scan.
+    """``split(tp, f)(T)`` streamed match by match, by a charged full scan.
 
-    Given a split ``function`` the same scan serves ``split(tp, f)(T)``:
-    only what is emitted per match changes (see :func:`_piece_rows`), so
-    the two operators share their candidate sources, charges and
-    counters.
+    Serves all four tree-pattern operators: ``sub_select`` / ``all_anc``
+    / ``all_desc`` arrive as the split functions §4 derives them with
+    (``logical.split_function``), so they share candidate sources,
+    charges and counters, and each row is emitted as soon as the matcher
+    produces its match — the ``(x, y, z)`` trio never piles up in an
+    intermediate set.
     """
 
     name = "sub_select_pipe"
     split_name = "split_pipe"
     shape = "set"
 
-    def __init__(self, logical, child: PhysicalOp, pattern, function=None) -> None:
+    def __init__(self, logical, child: PhysicalOp, pattern, function) -> None:
         super().__init__(logical, (child,))
         self.pattern = pattern
         self.function = function
-        if function is not None:
+        if function is not closed_match:
             self.name = self.split_name
 
     def _matches(self, tree, tp) -> Iterator[Any]:
@@ -230,7 +192,8 @@ class SubSelectPipe(PhysicalOp):
         tree = self.input_tree()
         tp = tree_pattern(self.pattern)
         self.result_equality = DEFAULT
-        yield from _piece_rows(tree, self._matches(tree, tp), self.function)
+        emit = split_emitter(self.function, tree)
+        yield from dedup(map(emit, self._matches(tree, tp)), DEFAULT)
 
     def access_path(self) -> str:
         # Inside a query the matcher narrows an unrestricted candidate
@@ -246,7 +209,7 @@ class SubSelectPipe(PhysicalOp):
 
 
 class IndexAnchorScan(SubSelectPipe):
-    """``sub_select`` / ``split`` tried only at index-probed roots.
+    """The same four operators, tried only at index-probed roots.
 
     The paper's §4 rewrite ("the split operator uses the index on d to
     pick all the subtrees of T that are rooted at d"): every match roots
@@ -259,7 +222,7 @@ class IndexAnchorScan(SubSelectPipe):
     name = "index_anchor_scan"
     split_name = "index_anchor_split"
 
-    def __init__(self, logical, child: PhysicalOp, pattern, anchors, function=None) -> None:
+    def __init__(self, logical, child: PhysicalOp, pattern, anchors, function) -> None:
         super().__init__(logical, child, pattern, function)
         self.anchors = tuple(anchors)
 
@@ -271,39 +234,6 @@ class IndexAnchorScan(SubSelectPipe):
     def access_path(self) -> str:
         probes = ", ".join(anchor.describe() for anchor in self.anchors)
         return f"node-index probe on {probes}"
-
-
-class MaterializeOp(PhysicalOp):
-    """Explicit eager fallback: run a whole-tree algebra function.
-
-    Used for the operators whose semantics need the complete match set
-    at once (``all_anc`` / ``all_desc`` context construction).  The
-    result is recorded as a resident buffer — this is the executor
-    saying, out loud, that it could not pipeline here.
-    """
-
-    name = "materialize"
-    shape = "set"
-
-    def __init__(
-        self,
-        logical,
-        child: PhysicalOp,
-        producer: Callable[[Any], AquaSet],
-        kind: str,
-    ) -> None:
-        super().__init__(logical, (child,))
-        self.producer = producer
-        self.kind = kind
-
-    def rows(self) -> Iterator[Any]:
-        result = self.producer(self.input_tree())
-        self.result_equality = result.equality
-        self.note_buffered(len(result))
-        yield from result
-
-    def access_path(self) -> str:
-        return f"eager {self.kind} (buffers full result)"
 
 
 # -- list operators ------------------------------------------------------------

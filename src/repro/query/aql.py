@@ -40,6 +40,7 @@ from __future__ import annotations
 import re
 from typing import Any, Callable, Mapping
 
+from ..core.aqua_tuple import make_tuple
 from ..errors import QueryError
 from ..patterns.list_parser import parse_list_pattern
 from ..patterns.tree_parser import parse_tree_pattern
@@ -146,13 +147,8 @@ class _Parser:
             pattern = parse_tree_pattern(pattern_text, resolver)
             if op == "sub_select":
                 return E.SubSelect(node, pattern=pattern)
-            if op == "all_anc":
-                from ..core.aqua_tuple import make_tuple
-
-                return E.AllAnc(node, pattern=pattern, function=make_tuple)
-            from ..core.aqua_tuple import make_tuple
-
-            return E.AllDesc(node, pattern=pattern, function=make_tuple)
+            pairs = E.AllAnc if op == "all_anc" else E.AllDesc
+            return pairs(node, pattern=pattern, function=make_tuple)
         if op == "path":
             # Document path queries: the docstore compiles the quoted
             # path text into stock split/apply/flatten algebra, so the

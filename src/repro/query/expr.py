@@ -22,6 +22,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from ..algebra.tree_ops import anc_function, closed_match, desc_function
 from ..patterns.list_ast import ListPattern
 from ..patterns.tree_ast import TreePattern
 from ..predicates.alphabet import AlphabetPredicate
@@ -153,38 +154,49 @@ class TreeApply(_Unary):
 
 
 @dataclass(frozen=True, repr=False)
-class SubSelect(_Unary):
+class _SplitShaped(_Unary):
+    """``split`` and the three operators §4 derives from it.
+
+    ``split_function`` is the derivation: the 3-place ``f`` for which
+    the operator *is* ``split(pattern, f)``.  The cost model, the
+    lowering and the physical scan read nothing else.
+    """
+
     pattern: TreePattern = field(kw_only=True)
+    operator = "split"
+    derive = staticmethod(lambda function: function)
+
+    @property
+    def split_function(self) -> Callable[..., Any]:
+        return self.derive(self.function)
 
     def head(self) -> str:
-        return f"sub_select[{self.pattern.describe()}]"
+        return f"{self.operator}[{self.pattern.describe()}]"
 
 
 @dataclass(frozen=True, repr=False)
-class Split(_Unary):
-    pattern: TreePattern = field(kw_only=True)
-    function: Callable[..., Any] = field(kw_only=True)
-
-    def head(self) -> str:
-        return f"split[{self.pattern.describe()}]"
+class SubSelect(_SplitShaped):
+    operator = "sub_select"
+    split_function = staticmethod(closed_match)
 
 
 @dataclass(frozen=True, repr=False)
-class AllAnc(_Unary):
-    pattern: TreePattern = field(kw_only=True)
+class Split(_SplitShaped):
     function: Callable[..., Any] = field(kw_only=True)
-
-    def head(self) -> str:
-        return f"all_anc[{self.pattern.describe()}]"
 
 
 @dataclass(frozen=True, repr=False)
-class AllDesc(_Unary):
-    pattern: TreePattern = field(kw_only=True)
+class AllAnc(_SplitShaped):
     function: Callable[..., Any] = field(kw_only=True)
+    operator = "all_anc"
+    derive = staticmethod(anc_function)
 
-    def head(self) -> str:
-        return f"all_desc[{self.pattern.describe()}]"
+
+@dataclass(frozen=True, repr=False)
+class AllDesc(_SplitShaped):
+    function: Callable[..., Any] = field(kw_only=True)
+    operator = "all_desc"
+    derive = staticmethod(desc_function)
 
 
 # ---------------------------------------------------------------------------

@@ -64,7 +64,7 @@ class OperatorMetrics:
     wall_seconds: float = 0.0  # inclusive of children
     calls: int = 0
     #: Largest number of rows this operator held materialized at once:
-    #: only buffers it actually accumulates (materialize / intersect /
+    #: only buffers it actually accumulates (tree select / intersect /
     #: difference buffers and the result sink), never rows streamed
     #: straight through to the parent.
     peak_buffered: int = 0

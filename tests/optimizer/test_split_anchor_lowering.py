@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.__main__ import Shell
 from repro.core import make_tuple, parse_tree
 from repro.physical import ExecutionContext, lower, operators as P
 from repro.query import Q, evaluate
@@ -79,3 +80,40 @@ class TestSplitAnchorLowering:
         run(plan, db)
         assert db.stats["index_probes"] >= 1
         assert db.stats["index_candidates"] < 300 / 10
+
+
+@pytest.mark.parametrize("operator", ["all_anc", "all_desc"])
+class TestDerivedOperatorsTakeTheSplitAccessPaths:
+    """``all_anc`` / ``all_desc`` are splits (§4), so the lowering offers
+    them the candidate sources it offers ``split`` — they used to run the
+    whole algebra function behind ``MaterializeOp``."""
+
+    def test_probe_when_the_anchors_price_in(self, db, operator):
+        node = getattr(Q.root("T"), operator)("d", make_tuple).build()
+        plan = chosen(node, db)
+        assert type(plan.root) is P.IndexAnchorScan
+        assert plan.root.name == "index_anchor_split"
+        assert run(plan, db) == run(lower(node, db), db) == evaluate(node, db)
+
+    def test_full_scan_otherwise(self, db, operator):
+        db.bind_root("all_d", parse_tree("d(d(d) d)"))
+        unselective = getattr(Q.root("all_d"), operator)("d", make_tuple).build()
+        anchored = getattr(Q.root("T"), operator)("^r", make_tuple).build()
+        for node, plan in [
+            (unselective, chosen(unselective, db)),
+            (anchored, chosen(anchored, db)),
+            (unselective, lower(unselective, db)),
+        ]:
+            assert type(plan.root) is P.SubSelectPipe
+            assert plan.root.name == "split_pipe"
+            assert run(plan, db) == evaluate(node, db)
+
+
+def test_explain_analyze_reports_the_probe_all_anc_takes():
+    shell = Shell()
+    shell.db.bind_root("T", parse_tree("r(d(x) s(d(y)) d(z) a b)"))
+    out = shell.execute('EXPLAIN ANALYZE root T | all_anc "d"')
+    assert "act rows=3" in out
+    assert "backtrack_steps=3" in out and "index_probes=1" in out
+    assert "index_anchor_split  [node-index probe on x = 'd']" in out
+    assert "eager" not in out and "materialize" not in out

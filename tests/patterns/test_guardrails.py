@@ -11,7 +11,9 @@ structured :class:`ResourceExhaustedError`, never a raw
 import pytest
 
 from repro import Session, faults, guardrails
+from repro.core import make_tuple
 from repro.core.aqua_tree import AquaTree, TreeNode
+from repro.core.concat import ALPHA
 from repro.core.identity import as_cell
 from repro.core.notation import parse_list, parse_tree
 from repro.errors import (
@@ -76,6 +78,25 @@ class TestStepBudget:
             with guarded(Budget(max_steps=10**9)):
                 find_tree_matches(pattern, tree)
         assert info.value.usage["steps"] > 0
+
+    def test_deep_chain_context_is_built_without_recursion(self):
+        """The ``x`` piece of a match 10⁴ levels down is the whole chain
+        with α at the bottom: ``all_anc`` and a context-reading ``split``
+        answer through ``Session.query`` — or trip a budget with the
+        typed error — where the recursive rebuild blew the stack."""
+        depth = 10**4
+        chain_db = Database()
+        chain_db.bind_root("T", deep_chain(depth))
+        session = Session(chain_db)
+        (pair,) = session.query(Q.root("T").all_anc("y", make_tuple).build())
+        assert (pair[0].size(), pair[1].to_notation()) == (depth, "y")
+        assert pair[0].concat_points() == [ALPHA]
+        sizes = Q.root("T").split("y", lambda x, y, z: (x.size(), y.size(), len(z)))
+        assert list(session.query(sizes.build())) == [(depth, 1, 0)]
+        every_level = Q.root("T").all_anc("x", make_tuple).build()
+        with pytest.raises(ResourceExhaustedError) as info:
+            session.query(every_level, budget=Budget(max_nodes_scanned=50), optimize=False)
+        assert (info.value.limit_name, info.value.spent) == ("max_nodes_scanned", 51)
 
     def test_env_knob_reaches_bare_matcher_call(self, monkeypatch):
         """``find_list_matches`` arms its own guard from the environment,
@@ -214,23 +235,45 @@ class TestInterpreterBudgets:
     def test_nodes_scanned_trips_tree_split_like_its_sub_select_twin(self):
         """A full-scan tree ``split`` is the same scan as ``sub_select``: a
         budget the twin trips, the split trips too — at the same spend —
-        and a completed scan reports every node of the tree."""
+        and a completed scan reports every node of the tree.  So are
+        ``all_anc`` / ``all_desc`` (splits by derivation; they used to run
+        the whole algebra function uncharged, behind ``MaterializeOp``)."""
         tree = random_labeled_tree(550, ["a", "b", "c", "d"], seed=0)
         tree_db = Database()
         tree_db.bind_root("T", tree)
         session = Session(tree_db)
-        twin = Q.root("T").sub_select("b(c ?*)").build()
-        split = Q.root("T").split("b(c ?*)", lambda x, y, z: y.size()).build()
-        spent = []
-        for plan in (twin, split):
+        plans = [
+            Q.root("T").sub_select("b(c ?*)").build(),
+            Q.root("T").split("b(c ?*)", lambda x, y, z: y.size()).build(),
+            Q.root("T").all_anc("b(c ?*)", make_tuple).build(),
+            Q.root("T").all_desc("b(c ?*)", make_tuple).build(),
+        ]
+        for plan in plans:
             with pytest.raises(ResourceExhaustedError) as info:
                 session.query(plan, budget=Budget(max_nodes_scanned=10), optimize=False)
             assert info.value.limit_name == "max_nodes_scanned"
-            spent.append(info.value.spent)
-        assert spent == [11, 11]
-        for plan in (twin, split):
+            assert info.value.spent == 11
+            assert info.value.operator == plan.head()
             _, metrics = session.query_with_metrics(plan, optimize=False)
             assert metrics.total("nodes_scanned") == tree.size()
+
+    @pytest.mark.parametrize("operator", ["all_anc", "all_desc"])
+    def test_max_results_trips_all_anc_and_all_desc_mid_stream(self, operator):
+        """66 distinct rows from a 13-node tree: the limit the root's 13
+        nodes pass trips the operator at its 14th row, with nothing
+        buffered — the full result never exists."""
+        tree_db = Database()
+        tree_db.bind_root("T", parse_tree("a(" + " ".join(f"b{i}" for i in range(12)) + ")"))
+        stage = getattr(Q.root("T"), operator)("a(!?* ? !?* ? !?*)", make_tuple)
+        plan = stage.sapply(lambda pair: pair).build()
+        assert len(evaluate(plan, tree_db)) == 66
+        with pytest.raises(ResourceExhaustedError) as info:
+            evaluate_with_metrics(plan, tree_db, budget=Budget(max_results=13))
+        exc = info.value
+        assert (exc.limit_name, exc.spent) == ("max_results", 14)
+        assert exc.operator.startswith(operator)
+        assert exc.metrics[(0,)].rows_out == 14
+        assert exc.metrics[(0,)].peak_buffered == 0
 
     def test_extent_scan_charges_nodes(self, db):
         with pytest.raises(ResourceExhaustedError):

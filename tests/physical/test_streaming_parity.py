@@ -101,6 +101,12 @@ CASES = {
         .sapply(lambda t: t[1])
         .build(),
     ),
+    "all-anc": lambda: (
+        family_db(),
+        Q.root("big")
+        .all_anc("USA", make_tuple, resolver=by_citizen_or_name)
+        .build(),
+    ),
     "all-desc": lambda: (
         family_db(),
         Q.root("big")

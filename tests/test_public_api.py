@@ -110,6 +110,29 @@ def test_snapshot_visibility_is_a_position_compare() -> None:
     assert offenders == []
 
 
+def test_split_function_contracts_are_read_in_one_function() -> None:
+    """``split`` is the only tree-pattern operator the engine runs: what a
+    split function declares about the pieces it reads is resolved by
+    ``algebra.tree_ops.split_emitter`` and nowhere else, and the eager
+    ``MaterializeOp`` detour for ``all_anc`` / ``all_desc`` is gone (the
+    CI lint job greps for the same two things)."""
+    import inspect
+
+    from repro.algebra.tree_ops import split_emitter
+
+    contract = re.compile(
+        r"getattr\([^)]*\"(returns_match_subtree|needs_context|needs_descendants)\""
+    )
+    readers, residue = [], []
+    for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        readers += [path.name] * len(contract.findall(text))
+        residue += [path.name] * len(re.findall(r"MaterializeOp|_materializer", text))
+    assert readers == ["tree_ops.py"] * 3
+    assert len(contract.findall(inspect.getsource(split_emitter))) == 3
+    assert residue == []
+
+
 def test_no_public_callable_takes_an_engine() -> None:
     """The tree matcher picks its own tables from the pattern; nothing
     exported — function, class, or method of an exported class — lets a
