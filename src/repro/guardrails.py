@@ -210,8 +210,10 @@ class Guard:
 
     # -- spend accounting ---------------------------------------------------
 
-    def tick(self, amount: int = 1, seam: str = "matcher step") -> None:
-        """Charge ``amount`` engine steps; the hot-loop entry point."""
+    def tick(self, amount: int = 1, seam: str = "matcher step", depth: int | None = None) -> None:
+        """Charge ``amount`` engine steps; the hot-loop entry point.  A
+        matcher step passes its recursion ``depth``, checked next as
+        :meth:`check_depth` would — one guard call per step."""
         self.steps += amount
         budget = self.budget
         if budget.max_steps is not None and self.steps > budget.max_steps:
@@ -219,6 +221,8 @@ class Guard:
         if self.steps >= self._next_time_check:
             self._next_time_check = self.steps + TIME_CHECK_INTERVAL
             self.check_now(seam)
+        if depth is not None and budget.max_backtrack_depth is not None:
+            self.check_depth(depth, seam)
 
     def charge_nodes(self, amount: int, seam: str = "storage scan") -> None:
         """Charge ``amount`` scanned nodes/objects/positions (cumulative)."""

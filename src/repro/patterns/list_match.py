@@ -96,16 +96,17 @@ class _Matcher:
         self.guard = guardrails.current_guard()
 
     def emit_stats(self) -> None:
-        stats_mod.emit_many(
-            {
-                "backtrack_steps": self.backtrack_steps,
-                "predicate_evals": self.predicate_evals
-                + self._spans.predicate_evals,
-            }
-        )
+        if stats_mod.receiving():
+            stats_mod.emit_many(
+                {
+                    "backtrack_steps": self.backtrack_steps,
+                    "predicate_evals": self.predicate_evals
+                    + self._spans.predicate_evals,
+                }
+            )
 
     def flush_stats(self) -> None:
-        """Emit accumulated counters and reset them (per-start flushes)."""
+        """Emit accumulated counters and reset them (at batch hand-over)."""
         self.emit_stats()
         self.backtrack_steps = 0
         self.predicate_evals = 0
@@ -124,8 +125,7 @@ class _Matcher:
         """Yield ``(end, events)`` for every way ``node`` matches at ``pos``."""
         self.backtrack_steps += 1
         if self.guard is not None:
-            self.guard.tick(1, "list matcher")
-            self.guard.check_depth(depth, "list matcher")
+            self.guard.tick(1, "list matcher", depth)
         if self._is_prune_free(node):
             for end in sorted(self._spans.ends(node, pos)):
                 yield end, tuple((i, None) for i in range(pos, end))
@@ -237,7 +237,6 @@ def iter_list_matches(
     values: Sequence[Any],
     starts: Iterable[int] | None = None,
     on_start: "Callable[[int], None] | None" = None,
-    flush_per_start: bool = False,
 ) -> Iterator[ListMatch]:
     """Lazily enumerate distinct matches in ``(start, end)`` order.
 
@@ -249,9 +248,9 @@ def iter_list_matches(
     ``starts`` may come in any order, duplicates included (they are
     sorted and deduplicated here, once).  ``on_start`` is invoked once
     per candidate start before matching there (the scan operators'
-    position-charging hook); ``flush_per_start`` flushes matcher
-    counters after every start so they land in the operator scope
-    attributed at pull time.
+    position-charging hook).  Matcher counters are flushed as each
+    start's batch is handed over and once when the stream ends, so they
+    land in the operator scope attributed at pull time.
     """
     with guardrails.guarded():
         matcher = _Matcher(values)
@@ -283,10 +282,10 @@ def iter_list_matches(
                         continue
                     seen.add(key)
                     batch.append(match)
-                batch.sort(key=lambda m: (m.start, m.end))
-                if flush_per_start:
+                if batch:
+                    batch.sort(key=lambda m: (m.start, m.end))
                     matcher.flush_stats()
-                yield from batch
+                    yield from batch
         finally:
             matcher.emit_stats()
 

@@ -53,6 +53,7 @@ All three produce bit-identical ``Shape`` streams in the same order.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -217,7 +218,8 @@ class _TreeMatcher:
 
     The methods named ``match_node`` / ``nullable`` / ``match_children``
     / ``_match_seq`` / ``_match_child_star`` / ``eval_predicate`` are the
-    plain derivations.  Construction decides, from the context's
+    plain derivations (the first three dispatch on the pattern node's
+    exact type, :data:`_NODE`).  Construction decides, from the context's
     compiled pattern, which of them a tabled variant shadows *on this
     instance* — so every recursive ``self.<seam>(...)`` call reaches the
     chosen variant directly, and a seam left alone costs exactly the
@@ -226,10 +228,11 @@ class _TreeMatcher:
     * null-table context — nothing is shadowed (the backtracker);
     * vertical closure — every seam consults its table, predicates the
       bitmap;
-    * closure-free — ``match_node`` / ``nullable`` stay plain; the three
-      child-sequence seams table only over child lists of at least
-      ``WIDE_CHILD_LIST`` nodes; predicates stay direct unless the
-      pattern has an ``opaque`` one.
+    * closure-free — ``match_node`` / ``nullable`` stay plain; atoms
+      test through their compiled predicate unless ``opaque`` (bitmap);
+      the child-sequence seams stay plain until an atom meets a list of
+      ``WIDE_CHILD_LIST`` children, which binds the tabled ones (they
+      table only such lists).
     """
 
     def __init__(self, context: TreeMatchContext, leaf_anchor: bool) -> None:
@@ -238,8 +241,8 @@ class _TreeMatcher:
         self._flag = 1 if leaf_anchor else 0
         #: Enumeration work (match_node entries — the exponential §4
         #: wants narrowed), alphabet-predicate evaluations and table
-        #: traffic; plain ints in the hot loop, flushed in bulk by the
-        #: entry points.
+        #: traffic; plain ints in the hot loop, flushed in bulk when the
+        #: entry points hand a match over.
         self.backtrack_steps = 0
         self.predicate_evals = 0
         self.memo_hits = 0
@@ -251,20 +254,33 @@ class _TreeMatcher:
         self.guard = guardrails.current_guard()
         self.nullable_limit = guardrails.nullable_depth_limit()
         self._companion: _TreeMatcher | None = None
+        #: Compiled atom tests by predicate id, made on first use: a
+        #: ``$param`` is read once per matcher, i.e. once per run.
+        self._tests: dict[int, Callable] = {}
+        #: Child-list length at which an atom binds the tabled
+        #: child-sequence seams (closure-free only; never otherwise).
+        self._bind_tables_from = sys.maxsize
+        self._child = _CHILD
         if not context.tabled:
             return
-        self.match_children = self._tabled_children
-        self._match_seq = self._tabled_seq
-        self._match_child_star = self._tabled_star
         if context.closure:
             self._table_from = 0
+            self._bind_tables()
+            self._child = _CHILD_TABLED_NULLABLE
             self.match_node = self._tabled_node
             self.nullable = self._tabled_nullable
             self.eval_predicate = self._bitmap_predicate
         else:
-            self._table_from = WIDE_CHILD_LIST
-            if context.opaque_predicates:
-                self.eval_predicate = self._opaque_predicate
+            self._table_from = self._bind_tables_from = WIDE_CHILD_LIST
+            opaque = context.opaque_predicates
+            self.eval_predicate = self._opaque_predicate if opaque else self._compiled_predicate
+
+    def _bind_tables(self) -> None:
+        """Route the three child-sequence seams through their tables."""
+        self.match_children = self._tabled_children
+        self._match_seq = self._tabled_seq
+        self._match_child_star = self._tabled_star
+        self._bind_tables_from = sys.maxsize
 
     def release(self) -> None:
         """Unbind the instance-level seams: the matcher is finished.
@@ -284,14 +300,16 @@ class _TreeMatcher:
         return {name: getattr(self, name) for name in _COUNTERS}
 
     def emit_stats(self) -> None:
-        stats_mod.emit_many(self.counter_snapshot())
+        if stats_mod.receiving():
+            stats_mod.emit_many(self.counter_snapshot())
 
     def flush_stats(self) -> None:
         """Emit the accumulated counters and reset them to zero.
 
-        The physical operators flush after every candidate so the
-        counts land inside the *currently attributed* operator scope;
-        the whole-result entry points flush once at the end instead.
+        :func:`iter_tree_matches` flushes as it hands each match over:
+        everything since the last hand-over ran inside the consumer's
+        current ``next()``, so the counts land in the operator scope
+        attributed at pull time — one flush per match, not per candidate.
         """
         self.emit_stats()
         for name in _COUNTERS:
@@ -306,6 +324,16 @@ class _TreeMatcher:
         """One alphabet-predicate test on one data node."""
         self.predicate_evals += 1
         return predicate(node.value)
+
+    def _compiled_predicate(self, predicate, node: TreeNode) -> bool:
+        # The compiled closure, made once per matcher; a refusal keeps
+        # ``__call__``, so an unbound ``$param`` raises as it would there.
+        self.predicate_evals += 1
+        test = self._tests.get(id(predicate))
+        if test is None:
+            test = self._tests[id(predicate)] = predicate.compile() or predicate
+        item = node.item
+        return test(item.contents if type(item) is Cell else deref(item))
 
     def plus_star(self, tp: TreePlus) -> TreeStar:
         """The star a ``tp+α`` unfolds through.
@@ -351,43 +379,18 @@ class _TreeMatcher:
                 seam="nullability analysis",
                 usage=self.guard.usage() if self.guard is not None else None,
             )
-        if isinstance(tp, _StarCont):
-            return self.nullable(tp.star, tp.env, depth + 1)
-        if isinstance(tp, (TreeAtom,)):
-            return False
-        if isinstance(tp, (PointAtom, TreeStar)):
-            # A star's zero iterations *are* its point.  An unbound
-            # point is a deletable labeled NULL — the paper closes
-            # leftover points with nil before the membership check
-            # (``y ∘αi nil ∈ L(tp)``); a bound one is as nullable as the
-            # continuation it stands for.
-            binding = env.get(tp.point.label)
-            if binding is None:
-                return True
-            return self.nullable(binding, env, depth + 1)
-        if isinstance(tp, TreeUnion):
-            return any(self.nullable(a, env, depth + 1) for a in tp.alternatives)
-        if isinstance(tp, TreePlus):
-            inner_env = dict(env)
-            inner_env[tp.point.label] = _StarCont(self.plus_star(tp), dict(env))
-            return self.nullable(tp.inner, inner_env, depth + 1)
-        if isinstance(tp, TreeConcat):
-            inner_env = dict(env)
-            inner_env[tp.point.label] = tp.right
-            return self.nullable(tp.left, inner_env, depth + 1)
-        if isinstance(tp, TreePrune):
-            return tp.optional or self.nullable(tp.inner, env, depth + 1)
-        if isinstance(tp, ChildEpsilon):
-            return True
-        if isinstance(tp, ChildSeq):
-            return all(self.nullable(p, env, depth + 1) for p in tp.parts)
-        if isinstance(tp, ChildAlt):
-            return any(self.nullable(a, env, depth + 1) for a in tp.alternatives)
-        if isinstance(tp, ChildStar):
-            return True
-        if isinstance(tp, ChildPlus):
-            return self.nullable(tp.inner, env, depth + 1)
-        raise PatternError(f"unknown pattern node {tp!r}")
+        handler = _NULLABLE.get(type(tp))
+        if handler is None:
+            raise PatternError(f"unknown pattern node {tp!r}")
+        return handler(self, tp, env, depth + 1)
+
+    def _nullable_point(self, tp: "PointAtom | TreeStar", env: _Env, depth: int) -> bool:
+        # A star's zero iterations *are* its point.  An unbound point is
+        # a deletable labeled NULL — the paper closes leftover points
+        # with nil before the membership check (``y ∘αi nil ∈ L(tp)``);
+        # a bound one is as nullable as the continuation it stands for.
+        binding = env.get(tp.point.label)
+        return binding is None or self.nullable(binding, env, depth)
 
     # -- node-level matching (consumes exactly one data node) ----------------
 
@@ -398,97 +401,86 @@ class _TreeMatcher:
         env: _Env,
         guard: frozenset = frozenset(),
         depth: int = 0,
-    ) -> "Iterator[Shape | Pruned]":
+    ) -> "Iterable[Shape | Pruned]":
         self.backtrack_steps += 1
         if self.guard is not None:
-            self.guard.tick(1, "tree matcher")
-            self.guard.check_depth(depth, "tree matcher")
-        if isinstance(tp, TreeAtom):
-            if node.is_concat_point:
-                return
-            if not self.eval_predicate(tp.predicate, node):
-                return
-            if tp.children is None:
-                if self.leaf_anchor:
-                    if not node.children:
-                        yield Shape(node, ())
-                else:
-                    yield Shape(node, tuple(Pruned(c) for c in node.children))
-                return
-            for end, fragments in self.match_children(
-                tp.children, node.children, 0, env, depth + 1
-            ):
-                if end == len(node.children):
-                    yield Shape(node, fragments)
-            return
-        if isinstance(tp, PointAtom):
-            yield from self._match_point(tp.point, node, env, guard, depth)
-            return
-        if isinstance(tp, TreeUnion):
-            for alternative in tp.alternatives:
-                yield from self.match_node(alternative, node, env, guard, depth + 1)
-            return
-        if isinstance(tp, TreeStar):
-            # Zero iterations: the star degenerates to its point.
-            yield from self._match_point(tp.point, node, env, guard, depth)
-            # One or more iterations: unfold, rebinding the point to this
-            # closure *with the current outer environment captured*.
-            inner_env = dict(env)
-            inner_env[tp.point.label] = _StarCont(tp, dict(env))
-            yield from self.match_node(tp.inner, node, inner_env, guard, depth + 1)
-            return
-        if isinstance(tp, TreePlus):
-            inner_env = dict(env)
-            inner_env[tp.point.label] = _StarCont(self.plus_star(tp), dict(env))
-            yield from self.match_node(tp.inner, node, inner_env, guard, depth + 1)
-            return
-        if isinstance(tp, TreeConcat):
-            inner_env = dict(env)
-            inner_env[tp.point.label] = tp.right
-            yield from self.match_node(tp.left, node, inner_env, guard, depth + 1)
-            return
-        if isinstance(tp, TreePrune):
-            # A prune consumes the node and hides its whole subtree; the
-            # inner pattern only gates whether the prune applies.  The ⊥
-            # leaf anchor does not reach inside prunes — pruned subtrees
-            # are excluded from the match, so their leaves need not align.
-            inner_matcher = self.prune_matcher()
-            since = None if inner_matcher is self else inner_matcher.counter_snapshot()
-            matched = any(
-                True
-                for _ in inner_matcher.match_node(tp.inner, node, env, guard, depth + 1)
-            )
-            if since is not None:
-                self.absorb_counters(inner_matcher, since)
-            if matched:
-                yield Pruned(node)
-            return
-        raise PatternError(f"unknown tree pattern node {tp!r}")
+            self.guard.tick(1, "tree matcher", depth)
+        handler = _NODE.get(type(tp))
+        if handler is None:
+            raise PatternError(f"unknown tree pattern node {tp!r}")
+        return handler(self, tp, node, env, guard, depth)
+
+    def _match_atom(self, tp: TreeAtom, node, env, guard, depth) -> "Iterable[Shape]":
+        # Decided before any generator exists: most atoms fail here.
+        if isinstance(node.item, ConcatPoint) or not self.eval_predicate(
+            tp.predicate, node
+        ):
+            return ()
+        children = node.children
+        if tp.children is None:
+            if not self.leaf_anchor:
+                return (Shape(node, tuple(Pruned(c) for c in children)),)
+            return () if children else (Shape(node, ()),)
+        if len(children) >= self._bind_tables_from:
+            self._bind_tables()
+        return self._match_atom_children(tp, node, env, depth)
+
+    def _match_atom_children(self, tp: TreeAtom, node, env, depth) -> Iterator[Shape]:
+        children = node.children
+        for end, fragments in self.match_children(tp.children, children, 0, env, depth + 1):
+            if end == len(children):
+                yield Shape(node, fragments)
+
+    def _match_union(self, tp: TreeUnion, node, env, guard, depth):
+        for alternative in tp.alternatives:
+            yield from self.match_node(alternative, node, env, guard, depth + 1)
+
+    def _match_star(self, tp: TreeStar, node, env, guard, depth):
+        # Zero iterations: the star degenerates to its point.
+        yield from self._match_point(tp, node, env, guard, depth)
+        # One or more iterations: unfold, rebinding the point to this
+        # closure *with the current outer environment captured*.
+        inner_env = {**env, tp.point.label: _StarCont(tp, dict(env))}
+        yield from self.match_node(tp.inner, node, inner_env, guard, depth + 1)
+
+    def _match_prune(self, tp: TreePrune, node, env, guard, depth):
+        # A prune consumes the node and hides its whole subtree; the
+        # inner pattern only gates whether the prune applies.  The ⊥
+        # leaf anchor does not reach inside prunes — pruned subtrees
+        # are excluded from the match, so their leaves need not align.
+        inner_matcher = self.prune_matcher()
+        since = None if inner_matcher is self else inner_matcher.counter_snapshot()
+        matched = any(
+            True for _ in inner_matcher.match_node(tp.inner, node, env, guard, depth + 1)
+        )
+        if since is not None:
+            self.absorb_counters(inner_matcher, since)
+        return (Pruned(node),) if matched else ()
 
     def _match_point(
         self,
-        point: ConcatPoint,
+        tp: "PointAtom | TreeStar",
         node: TreeNode,
         env: _Env,
         guard: frozenset,
         depth: int,
-    ) -> "Iterator[Shape | Pruned]":
+    ) -> "Iterable[Shape | Pruned]":
         """``α`` as a single-node pattern: whatever it is bound to here,
         re-entered under the cycle guard — or, unbound, a literal
         labeled NULL in the data (§3.5)."""
+        point = tp.point
         binding = env.get(point.label)
         if binding is None:
-            if node.is_concat_point and node.item == point:
-                yield Shape(node, ())
-            return
+            matched = node.is_concat_point and node.item == point
+            return (Shape(node, ()),) if matched else ()
         key = _guard_key(node, binding)
         if key in guard:
-            return
+            return ()
         if isinstance(binding, _StarCont):
             tp, env = binding.star, binding.env
         else:
             tp = binding
-        yield from self.match_node(tp, node, env, guard | {key}, depth + 1)
+        return self.match_node(tp, node, env, guard | {key}, depth + 1)
 
     # -- child-sequence matching ----------------------------------------------
 
@@ -499,42 +491,38 @@ class _TreeMatcher:
         index: int,
         env: _Env,
         depth: int = 0,
-    ) -> Iterator[tuple[int, tuple[Shape | Pruned, ...]]]:
-        """Yield ``(next_index, fragments)`` for matches starting at ``index``."""
+    ) -> Iterable[tuple[int, tuple[Shape | Pruned, ...]]]:
+        """``(next_index, fragments)`` for each match starting at ``index``."""
         if self.guard is not None:
-            self.guard.tick(1, "tree matcher")
-            self.guard.check_depth(depth, "tree matcher")
-        if isinstance(cp, ChildEpsilon):
+            self.guard.tick(1, "tree matcher", depth)
+        handler = self._child.get(type(cp))
+        if handler is None:
+            raise PatternError(f"unknown child pattern node {cp!r}")
+        return handler(self, cp, children, index, env, depth + 1)
+
+    def _children_alt(self, cp: ChildAlt, children, index, env, depth):
+        for alternative in cp.alternatives:
+            yield from self.match_children(alternative, children, index, env, depth)
+
+    def _children_plus(self, cp: ChildPlus, children, index, env, depth):
+        for mid, head in self.match_children(cp.inner, children, index, env, depth):
+            for end, tail in self._match_child_star(cp.inner, children, mid, env, depth):
+                yield end, head + tail
+
+    # A tree pattern as a child-list atom: consumes zero children when it
+    # can denote NULL, otherwise exactly one child subtree (a TreePrune
+    # consumes the child and yields a Pruned fragment).  An atom never
+    # denotes NULL, so off the tabled-nullable path it skips the question.
+
+    def _children_tree(self, cp: TreePatternNode, children, index, env, depth):
+        if self.nullable(cp, env):
             yield index, ()
-            return
-        if isinstance(cp, ChildSeq):
-            yield from self._match_seq(cp.parts, 0, children, index, env, depth + 1)
-            return
-        if isinstance(cp, ChildAlt):
-            for alternative in cp.alternatives:
-                yield from self.match_children(alternative, children, index, env, depth + 1)
-            return
-        if isinstance(cp, ChildStar):
-            yield from self._match_child_star(cp.inner, children, index, env, depth + 1)
-            return
-        if isinstance(cp, ChildPlus):
-            for mid, head in self.match_children(cp.inner, children, index, env, depth + 1):
-                for end, tail in self._match_child_star(
-                    cp.inner, children, mid, env, depth + 1
-                ):
-                    yield end, head + tail
-            return
-        # A tree pattern as a child-list atom: consumes zero children when
-        # it can denote NULL, otherwise exactly one child subtree (a
-        # TreePrune consumes the child and yields a Pruned fragment).
-        if isinstance(cp, TreePatternNode):
-            if self.nullable(cp, env):
-                yield index, ()
-            if index < len(children):
-                for shape in self.match_node(cp, children[index], env, depth=depth + 1):
-                    yield index + 1, (shape,)
-            return
-        raise PatternError(f"unknown child pattern node {cp!r}")
+        yield from self._children_atom(cp, children, index, env, depth)
+
+    def _children_atom(self, cp: TreePatternNode, children, index, env, depth):
+        if index < len(children):
+            for shape in self.match_node(cp, children[index], env, depth=depth):
+                yield index + 1, (shape,)
 
     def _match_seq(
         self,
@@ -628,8 +616,7 @@ class _TreeMatcher:
         # ``opaque`` ones (arbitrary callables, possibly dear) keep the
         # at-most-once-per-node outcome bitmap.
         if id(predicate) not in self.context.opaque_predicates:
-            self.predicate_evals += 1
-            return predicate(node.value)
+            return self._compiled_predicate(predicate, node)
         self.context.engage()
         return self._bitmap_predicate(predicate, node)
 
@@ -651,8 +638,7 @@ class _TreeMatcher:
             ):
                 self.backtrack_steps += 1
                 if self.guard is not None:
-                    self.guard.tick(1, "tree matcher")
-                    self.guard.check_depth(depth, "tree matcher")
+                    self.guard.tick(1, "tree matcher", depth)
                 return ()
             return _TreeMatcher.match_node(self, tp, node, env, guard, depth)
         key = self.context.node_key(tp, node, env, self._flag)
@@ -725,6 +711,55 @@ class _TreeMatcher:
         self.context.null_memo[key] = result
         self.context.memo_cells += 1
         return result
+
+
+#: Per pattern-node type, the handler ``match_node`` / ``match_children``
+#: / ``nullable`` hands it to (the closure variant's atoms ask ``nullable``).
+_NODE = {
+    TreeAtom: _TreeMatcher._match_atom,
+    PointAtom: _TreeMatcher._match_point,
+    TreeUnion: _TreeMatcher._match_union,
+    TreeStar: _TreeMatcher._match_star,
+    TreePlus: lambda m, tp, node, env, guard, d: m.match_node(
+        tp.inner, node, _plus_env(m, tp, env), guard, d + 1
+    ),
+    TreeConcat: lambda m, tp, node, env, guard, d: m.match_node(
+        tp.left, node, {**env, tp.point.label: tp.right}, guard, d + 1
+    ),
+    TreePrune: _TreeMatcher._match_prune,
+}
+_CHILD = {
+    **dict.fromkeys(_NODE, _TreeMatcher._children_tree),
+    TreeAtom: _TreeMatcher._children_atom,
+    ChildEpsilon: lambda m, cp, ch, i, env, d: ((i, ()),),
+    ChildSeq: lambda m, cp, ch, i, env, d: m._match_seq(cp.parts, 0, ch, i, env, d),
+    ChildAlt: _TreeMatcher._children_alt,
+    ChildStar: lambda m, cp, ch, i, env, d: m._match_child_star(cp.inner, ch, i, env, d),
+    ChildPlus: _TreeMatcher._children_plus,
+}
+_CHILD_TABLED_NULLABLE = {**_CHILD, TreeAtom: _TreeMatcher._children_tree}
+_NULLABLE = {
+    _StarCont: lambda m, tp, env, d: m.nullable(tp.star, tp.env, d),
+    TreeAtom: lambda m, tp, env, d: False,
+    PointAtom: _TreeMatcher._nullable_point,
+    TreeStar: _TreeMatcher._nullable_point,
+    TreeUnion: lambda m, tp, env, d: any(m.nullable(a, env, d) for a in tp.alternatives),
+    TreePlus: lambda m, tp, env, d: m.nullable(tp.inner, _plus_env(m, tp, env), d),
+    TreeConcat: lambda m, tp, env, d: m.nullable(
+        tp.left, {**env, tp.point.label: tp.right}, d
+    ),
+    TreePrune: lambda m, tp, env, d: tp.optional or m.nullable(tp.inner, env, d),
+    ChildEpsilon: lambda m, tp, env, d: True,
+    ChildSeq: lambda m, tp, env, d: all(m.nullable(p, env, d) for p in tp.parts),
+    ChildAlt: lambda m, tp, env, d: any(m.nullable(a, env, d) for a in tp.alternatives),
+    ChildStar: lambda m, tp, env, d: True,
+    ChildPlus: lambda m, tp, env, d: m.nullable(tp.inner, env, d),
+}
+
+
+def _plus_env(matcher: _TreeMatcher, tp: TreePlus, env: _Env) -> _Env:
+    """``tp+α`` unfolds as ``tp`` with ``α`` bound to a fresh ``tp*α``."""
+    return {**env, tp.point.label: _StarCont(matcher.plus_star(tp), dict(env))}
 
 
 def _matcher_for(
@@ -820,7 +855,6 @@ def _first_set_scan(
     first_set: RootFirstSet,
     matcher: _TreeMatcher,
     on_candidate: "Callable[[int], None] | None",
-    flush: bool,
 ) -> Iterator[TreeNode]:
     """The nodes of ``data`` the pattern's root first-set accepts, in
     preorder — having charged every node it rejected on the way.
@@ -862,8 +896,6 @@ def _first_set_scan(
         matcher.predicate_evals += elements * evals
         if guard is not None:
             guard.tick(rejected * steps, "tree matcher")
-        if flush:
-            matcher.flush_stats()
 
     rejected = points = 0
     stack = [data.root]
@@ -901,7 +933,6 @@ def _candidate_roots(
     roots: "Sequence[TreeNode] | None",
     matcher: _TreeMatcher,
     on_candidate: "Callable[[int], None] | None",
-    flush: bool,
 ) -> Iterable[TreeNode]:
     """The nodes worth entering the matcher for, in preorder.
 
@@ -941,7 +972,7 @@ def _candidate_roots(
         if first_set is not None and (
             depth_limit is None or first_set.steps <= depth_limit
         ):
-            return _first_set_scan(data, first_set, matcher, on_candidate, flush)
+            return _first_set_scan(data, first_set, matcher, on_candidate)
     return data.nodes()
 
 
@@ -950,7 +981,6 @@ def iter_tree_matches(
     data: AquaTree,
     roots: Sequence[TreeNode] | None = None,
     on_candidate: "Callable[[int], None] | None" = None,
-    flush_per_candidate: bool = False,
     context: TreeMatchContext | None = None,
 ) -> Iterator[TreeMatch]:
     """Lazily enumerate distinct matches, in preorder of their roots.
@@ -963,9 +993,10 @@ def iter_tree_matches(
     ``on_candidate(n)`` is invoked as ``n`` element nodes are taken as
     candidates — once per candidate before it is matched, or once for a
     run of candidates the first-set scan rejected (the scan operators'
-    node-charging hook) — and ``flush_per_candidate`` flushes matcher
-    counters at the same points so they are credited to whichever
-    operator scope is attributed at pull time.
+    node-charging hook).  Matcher counters are flushed as each match is
+    handed over and once when the stream ends: all the work between two
+    hand-overs runs inside one ``next()``, so it is credited to whichever
+    operator scope is attributed at pull time, at one flush per match.
 
     ``context`` supplies a shared
     :class:`~repro.patterns.tree_memo.TreeMatchContext` so one memo
@@ -986,9 +1017,7 @@ def iter_tree_matches(
         pattern, matcher = _matcher_for(pattern, data, context)
         seen: set[tuple] = set()
         try:
-            for node in _candidate_roots(
-                pattern, data, roots, matcher, on_candidate, flush_per_candidate
-            ):
+            for node in _candidate_roots(pattern, data, roots, matcher, on_candidate):
                 fault_point("matcher_step")
                 if on_candidate is not None and not node.is_concat_point:
                     on_candidate(1)
@@ -1000,9 +1029,8 @@ def iter_tree_matches(
                     if key in seen:
                         continue
                     seen.add(key)
-                    yield match
-                if flush_per_candidate:
                     matcher.flush_stats()
+                    yield match
         except RecursionError:
             raise _stack_exhausted(matcher) from None
         finally:

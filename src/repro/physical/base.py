@@ -24,8 +24,10 @@ evaluator the pipeline is property-tested against:
   ``AquaSet`` result carries, and the notion is threaded through
   select/apply/union/… with the same inheritance rules;
 * instrumentation counters are credited to the operator that did the
-  work (the matchers flush their counters per candidate so mid-stream
-  attribution credits the pulling operator);
+  work (the matchers flush their counters at hand-over — as each match
+  reaches the operator, and at stream end — and the work between two
+  hand-overs runs inside one ``next()``, so mid-stream attribution
+  credits the pulling operator);
 * the active :class:`~repro.guardrails.Guard` is ticked on every
   ``next()`` pull and storage scans charge it row by row, so budgets
   trip *mid-stream* — before an operator-at-a-time evaluation would even

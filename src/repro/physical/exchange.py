@@ -123,10 +123,12 @@ class ShardGuard(Guard):
         self._parent = parent
         self._pending = 0
 
-    def tick(self, amount: int = 1, seam: str = "matcher step") -> None:
+    def tick(self, amount: int = 1, seam: str = "matcher step", depth: int | None = None) -> None:
         self._pending += amount
         if self._pending >= SHARD_FLUSH_INTERVAL:
             self.flush(seam)
+        if depth is not None:
+            self.check_depth(depth, seam)
 
     def flush(self, seam: str = "shard flush") -> None:
         """Publish batched steps to the ledger and run the full checks."""

@@ -16,9 +16,13 @@ The accounting contract every operator here keeps:
   charge nothing beyond their probes — so a budget trips mid-scan while a
   completed scan's totals do not depend on how many candidates a filter
   skipped;
-* matcher counters are flushed per candidate
-  (``flush_per_candidate`` / ``flush_per_start``) so they are credited
-  to this operator's attribution frame at pull time;
+* counters are flushed at hand-over: the matchers emit theirs as they
+  hand a match (a list start's batch) to the operator, and a full scan
+  bumps ``nodes_scanned`` / ``positions_scanned`` at the same points
+  (:func:`_charged_scan`) — all the work between two hand-overs runs
+  inside one ``next()``, so it is credited to this operator's
+  attribution frame at pull time — while the guard is still charged
+  per candidate, so ``max_nodes_scanned`` trips at the same node;
 * set-shaped streams are deduplicated at the producer
   (:func:`~repro.physical.base.dedup`) under the equality the
   operator's ``AquaSet`` result carries, in first-seen order.
@@ -99,6 +103,37 @@ class ParamSource(PhysicalOp):
         yield params.resolve(params.Param(self.logical.name))
 
 
+def _charged_scan(ctx, counter: str, seam: str, total: int, scan) -> Iterator[Any]:
+    """``scan(charge)`` — a matcher stream over a full scan — charged.
+
+    ``charge(count)`` is the matcher's candidate hook: it charges the
+    guard at once, so a ``max_nodes_scanned`` budget trips mid-scan, and
+    ``counter`` in bulk as each match is handed over and when the stream
+    ends.  Exhaustion tops up to ``total``: a completed scan costs every
+    node (start position) whether or not a filter skipped some.
+    """
+    stats, guard = ctx.stats, ctx.guard
+    charged = bumped = 0
+
+    def charge(count: int) -> None:
+        nonlocal charged
+        charged += count
+        if guard is not None:
+            guard.charge_nodes(count, seam)
+
+    try:
+        for match in scan(charge):
+            if charged > bumped:
+                stats.bump(counter, charged - bumped)
+                bumped = charged
+            yield match
+        if total > charged:
+            charge(total - charged)
+    finally:
+        if charged > bumped:
+            stats.bump(counter, charged - bumped)
+
+
 # -- tree operators ------------------------------------------------------------
 
 
@@ -160,33 +195,15 @@ class SubSelectPipe(PhysicalOp):
             self.name = self.split_name
 
     def _matches(self, tree, tp) -> Iterator[Any]:
-        """Every match of ``tp`` in ``tree``, by a charged full scan.
-
-        Charges one node per match candidate as candidates are tried — so a
-        ``max_nodes_scanned`` budget trips mid-scan — and tops up to the
-        tree's full size at exhaustion: a completed scan costs ``tree.size()``
-        nodes whether or not the matcher's columnar root filter skipped some.
-        """
-        size = tree.size()
-        stats = self.ctx.stats
-        guard = self.ctx.guard
-        charged = 0
-
-        def on_candidate(count: int) -> None:
-            nonlocal charged
-            charged += count
-            stats.bump("nodes_scanned", count)
-            if guard is not None:
-                guard.charge_nodes(count, "tree scan")
-
-        yield from iter_tree_matches(
-            tp, tree, on_candidate=on_candidate, flush_per_candidate=True
+        """Every match of ``tp`` in ``tree``, by a charged full scan
+        (:func:`_charged_scan` over ``tree.size()`` nodes)."""
+        return _charged_scan(
+            self.ctx,
+            "nodes_scanned",
+            "tree scan",
+            tree.size(),
+            lambda charge: iter_tree_matches(tp, tree, on_candidate=charge),
         )
-        remainder = size - charged
-        if remainder > 0:
-            stats.bump("nodes_scanned", remainder)
-            if guard is not None:
-                guard.charge_nodes(remainder, "tree scan")
 
     def rows(self) -> Iterator[Any]:
         tree = self.input_tree()
@@ -229,7 +246,7 @@ class IndexAnchorScan(SubSelectPipe):
     def _matches(self, tree, tp) -> Iterator[Any]:
         db = self.ctx.db
         roots = probe_anchor_roots(db, tree, self.anchors, db.stats)
-        return iter_tree_matches(tp, tree, roots=roots, flush_per_candidate=True)
+        return iter_tree_matches(tp, tree, roots=roots)
 
     def access_path(self) -> str:
         probes = ", ".join(anchor.describe() for anchor in self.anchors)
@@ -306,33 +323,19 @@ class ListSubSelectPipe(PhysicalOp):
         yield from self._scan_rows(self.input_list())
 
     def _scan_rows(self, aqua_list: AquaList) -> Iterator[Any]:
-        ctx = self.ctx
         lp = list_pattern(self.pattern)
         self.result_equality = DEFAULT
         values = aqua_list.value_array
-        total = len(values) + 1
-        stats = ctx.stats
-        guard = ctx.guard
-        charged = 0
-
-        def on_start(start: int) -> None:
-            nonlocal charged
-            del start
-            charged += 1
-            stats.bump("positions_scanned", 1)
-            if guard is not None:
-                guard.charge_nodes(1, "list scan")
-
-        yield from _match_rows(
-            aqua_list,
-            iter_list_matches(lp, values, on_start=on_start, flush_per_start=True),
-            self.function,
+        matches = _charged_scan(
+            self.ctx,
+            "positions_scanned",
+            "list scan",
+            len(values) + 1,
+            lambda charge: iter_list_matches(
+                lp, values, on_start=lambda start: charge(1)
+            ),
         )
-        remainder = total - charged
-        if remainder > 0:
-            stats.bump("positions_scanned", remainder)
-            if guard is not None:
-                guard.charge_nodes(remainder, "list scan")
+        return _match_rows(aqua_list, matches, self.function)
 
     def access_path(self) -> str:
         return "scan of all start positions"
@@ -376,9 +379,7 @@ class ColumnarListScan(ListSubSelectPipe):
             ctx.guard.charge_nodes(len(starts), "columnar candidates")
         yield from _match_rows(
             aqua_list,
-            iter_list_matches(
-                lp, aqua_list.value_array, starts=starts, flush_per_start=True
-            ),
+            iter_list_matches(lp, aqua_list.value_array, starts=starts),
             self.function,
         )
 
@@ -428,9 +429,7 @@ class ListAnchorScan(ListSubSelectPipe):
             ctx.stats.bump("positions_scanned", len(starts))
         yield from _match_rows(
             aqua_list,
-            iter_list_matches(
-                lp, aqua_list.value_array, starts=starts, flush_per_start=True
-            ),
+            iter_list_matches(lp, aqua_list.value_array, starts=starts),
             self.function,
         )
 

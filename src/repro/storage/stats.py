@@ -65,12 +65,18 @@ def emit(name: str, amount: int = 1) -> None:
         sink.bump(name, amount)
 
 
+def receiving() -> bool:
+    """Is any sink activated on this thread?  An engine asks before it
+    builds a counter batch, so an unobserved run builds none."""
+    return bool(getattr(_local, "sinks", None))
+
+
 def emit_many(counts: Mapping[str, int]) -> None:
     """Credit a batch of counters to every activated sink.
 
     Engines accumulate plain-int counters in their hot loops and flush
-    them here once per entry point, keeping per-element overhead at a
-    single integer increment.
+    them here when they hand a match (or a batch) to their consumer,
+    keeping per-element overhead at a single integer increment.
     """
     sinks = _active_sinks()
     if not sinks:

@@ -17,7 +17,7 @@ from repro.core import AquaTree, parse_tree
 from repro.errors import InjectedFaultError, QueryError, ResourceExhaustedError
 from repro.guardrails import Budget
 from repro.params import Param
-from repro.patterns import find_tree_matches, parse_tree_pattern, tree_in_language
+from repro.patterns import find_tree_matches, match_scope, parse_tree_pattern, tree_in_language
 from repro.patterns import tree_match
 from repro.patterns.tree_ast import TreeAtom, TreePattern
 from repro.patterns.tree_match import _TreeMatcher, iter_tree_matches
@@ -201,6 +201,36 @@ class TestBudgetAndFaultParity:
         with params.bound_params({"who": "Brazil"}):
             assert len(find_tree_matches(pattern, tree)) == 1
 
+    def test_unbound_param_in_a_child_atom_raises_the_same_error(self):
+        pattern, tree = child_param_pattern(), family()
+        messages = []
+        for context in (None, untabled(pattern, tree)):
+            with pytest.raises(QueryError) as info:
+                find_tree_matches(pattern, tree, context=context)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "unbound query parameter $who" in messages[0]
+
+    def test_each_binding_of_a_child_param_gets_its_own_answer(self):
+        """A child atom's compiled test reads ``$who`` once per matcher,
+        so one match scope — one shared context — serves two bindings."""
+        pattern, tree = child_param_pattern(), family()
+        answers = {}
+        with match_scope():
+            for who in ("Chile", "Peru"):
+                with params.bound_params({"who": who}):
+                    got = [m.key() for m in find_tree_matches(pattern, tree)]
+                    want = find_tree_matches(pattern, tree, context=untabled(pattern, tree))
+                assert got == [m.key() for m in want]
+                answers[who] = got
+        assert len(answers["Chile"]) == 43 and len(answers["Peru"]) == 32
+        assert not set(answers["Chile"]) & set(answers["Peru"])
+
+
+def child_param_pattern():
+    """French parents with a child whose citizenship is ``$who``."""
+    return parse_tree_pattern("France(!?* {citizen = $who} !?*)", resolver=by_citizen_or_name)
+
 
 class TestMatchersDieWithTheirScan:
     def test_no_matcher_is_left_for_the_cyclic_collector(self):
@@ -214,6 +244,18 @@ class TestMatchersDieWithTheirScan:
             find_tree_matches(parse_tree_pattern("a(?* b ?* c ?*)"), wide)  # wide tables
             find_tree_matches(parse_tree_pattern("[[a(@1)]]+@1 .@1 b"), ladder)
             assert tree_in_language(parse_tree_pattern("[[a(@1)]]+@1 .@1 b"), ladder)
+            alive = [o for o in gc.get_objects() if isinstance(o, _TreeMatcher)]
+        finally:
+            gc.enable()
+        assert alive == []
+
+    def test_compiled_child_tests_leave_no_matcher_behind(self):
+        gc.collect()
+        gc.disable()
+        try:
+            with params.bound_params({"who": "Chile"}):
+                assert find_tree_matches(child_param_pattern(), family())
+                assert find_tree_matches(child_param_pattern(), family(), limit=1)
             alive = [o for o in gc.get_objects() if isinstance(o, _TreeMatcher)]
         finally:
             gc.enable()

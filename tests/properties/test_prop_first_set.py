@@ -32,7 +32,16 @@ from repro.patterns.tree_ast import (
     TreePlus,
     TreeUnion,
 )
-from repro.predicates.alphabet import ANY, And, Comparison, Not, Or, SymbolEquals, pred
+from repro.predicates.alphabet import (
+    ANY,
+    AlphabetPredicate,
+    And,
+    Comparison,
+    Not,
+    Or,
+    SymbolEquals,
+    pred,
+)
 from repro.query import Q
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
@@ -197,3 +206,37 @@ def test_compile_refuses_what_it_cannot_reproduce(predicate):
         assert Not(opaque).compile() is None
         assert Or(predicate, opaque).compile() is None
 
+
+
+# -- the oracle stays independent ------------------------------------------------
+
+
+class _Disagrees(AlphabetPredicate):
+    """Plain test ``x = "b"``, compiled test ``x = "c"``: a predicate no
+    real one should be, so the two scopes can be told apart."""
+
+    def __call__(self, obj):
+        return obj == "b"
+
+    def compile(self):
+        return lambda obj: obj == "c"
+
+    def describe(self):
+        return "disagrees"
+
+
+def test_the_reference_tests_child_atoms_uncompiled():
+    """Default matching tests a child atom through its compiled closure;
+    ``untabled_scope`` keeps ``__call__``.  A predicate whose two forms
+    disagree therefore gets two answers — so the parity suites above
+    compare compiled against plain, never compiled against compiled."""
+    tree = _build(("r", [("a", ["b"]), ("a", ["c"])]))
+    pattern = TreePattern(TreeAtom(SymbolEquals("a"), ChildSeq([TreeAtom(_Disagrees())])))
+    db = Database()
+    db.bind_root("T", tree)
+    query = Q.root("T").sub_select(pattern).build()
+    answers = []
+    for engine in ("memo", "backtrack"):
+        with untabled_scope(db, engine):
+            answers.append([member.to_notation() for member in Session(db).query(query)])
+    assert answers == [["a(c)"], ["a(b)"]]

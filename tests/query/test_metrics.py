@@ -2,8 +2,15 @@
 
 import threading
 
+import pytest
+
 from repro import config
+from repro.api import Session
 from repro.core import make_tuple, parse_tree
+from repro.errors import ResourceExhaustedError
+from repro.guardrails import Budget
+from repro.patterns import find_list_matches, find_tree_matches, parse_tree_pattern
+from repro.patterns.list_parser import list_pattern
 from repro.query import (
     PlanMetrics,
     Q,
@@ -13,6 +20,7 @@ from repro.query import (
     render_analysis,
 )
 from repro.storage import Database
+from repro.storage import stats as stats_mod
 from repro.storage.stats import Instrumentation
 from repro.workloads import (
     BRAZIL,
@@ -20,6 +28,7 @@ from repro.workloads import (
     figure3_family_tree,
     random_labeled_tree,
 )
+from repro.workloads.generators import random_list
 
 
 def make_db() -> Database:
@@ -129,6 +138,133 @@ class TestPlanMetricsCollection:
         counters = ("nodes_scanned", "index_candidates", "predicate_evals")
         assert [naive_metrics.total(name) for name in counters] == [4000, 0, 4018]
         assert [indexed_metrics.total(name) for name in counters] == [0, 37, 55]
+
+
+#: The matcher and scan counters EXPLAIN ANALYZE attributes per operator.
+SCAN_COUNTERS = (
+    "backtrack_steps",
+    "predicate_evals",
+    "memo_hits",
+    "memo_misses",
+    "bitmap_fills",
+    "bitmap_hits",
+    "nodes_scanned",
+)
+
+
+def scan_counters(metrics) -> dict:
+    return {
+        path: {name: op.counters[name] for name in SCAN_COUNTERS if op.counters[name]}
+        for path, op in metrics.operators.items()
+    }
+
+
+def counted_flushes(monkeypatch) -> list:
+    """Spy on ``emit_many``: the matcher flushes (batches with steps)."""
+    flushes: list = []
+    emit_many = stats_mod.emit_many
+
+    def spy(counts):
+        if "backtrack_steps" in counts:
+            flushes.append(dict(counts))
+        emit_many(counts)
+
+    monkeypatch.setattr(stats_mod, "emit_many", spy)
+    return flushes
+
+
+def two_scan_union():
+    """Two tree scans under one union; 42 pairs of siblings, then a(b)."""
+    db = Database()
+    db.bind_root("W", parse_tree("r(a(b c d e f g h) x(a(i j k l m n o)))"))
+    query = (
+        Q.root("W")
+        .sub_select("a(!?* ? !?* ? !?*)")
+        .union(Q.root("W").sub_select("a(!?* b !?*)"))
+        .build()
+    )
+    return db, query
+
+
+class TestCountersFlushAtHandOver:
+    """Matchers emit their counters as they hand a match over, not once
+    per candidate, and every operator is still credited its own work."""
+
+    @pytest.mark.parametrize("optimize", [True, False], ids=["probe", "scan"])
+    def test_a_tree_scan_flushes_once_per_match(self, monkeypatch, optimize):
+        db = Database()
+        tree = random_labeled_tree(3000, "dehijuvwxy", seed=7, max_arity=4)
+        db.bind_root("T", tree)
+        db.tree_index(tree)
+        pattern = "d(?* e(?* h ?*) ?*)"
+        matches = len(find_tree_matches(parse_tree_pattern(pattern), tree))
+        flushes = counted_flushes(monkeypatch)
+        result, metrics = Session(db).query_with_metrics(
+            Q.root("T").sub_select(pattern).build(), optimize=optimize
+        )
+        assert len(result) == matches == 6
+        assert len(flushes) <= matches + 1  # 323 at one flush per candidate
+        assert sum(f["backtrack_steps"] for f in flushes) == metrics[()].counters[
+            "backtrack_steps"
+        ] == 1028
+
+    def test_a_list_scan_flushes_once_per_batch(self, monkeypatch):
+        db = Database()
+        song = random_list(300, "abc", seed=3)
+        db.bind_root("L", song)
+        matches = len(find_list_matches(list_pattern("[a?c]"), song.value_array))
+        flushes = counted_flushes(monkeypatch)
+        result = Session(db).query(Q.root("L").lsub_select("[a?c]").build(), optimize=False)
+        assert (len(result), matches) == (3, 31)
+        assert len(flushes) <= matches + 1  # 302 at one flush per start
+
+    @pytest.mark.parametrize("optimize", [False, True], ids=["scan", "probe"])
+    def test_two_scans_under_one_parent_keep_their_counters(self, optimize):
+        db, query = two_scan_union()
+        result, metrics = Session(db).query_with_metrics(query, optimize=optimize)
+        assert len(result) == 43
+        scanned = {"nodes_scanned": 18} if not optimize else {}
+        left, right = ((326, 200), (72, 52)) if not optimize else ((310, 184), (56, 36))
+        assert scan_counters(metrics) == {
+            (): {},
+            (0,): {"backtrack_steps": left[0], "predicate_evals": left[1], **scanned},
+            (0, 0): {},
+            (1,): {"backtrack_steps": right[0], "predicate_evals": right[1], **scanned},
+            (1, 0): {},
+        }
+
+    @pytest.mark.parametrize(
+        "optimize, limit, totals",
+        [
+            (False, 20, (149, 89, 2)),
+            (False, 42, (341, 209, 20)),
+            (True, 20, (148, 88, 0)),
+            (True, 42, (324, 192, 0)),
+        ],
+    )
+    def test_a_max_results_trip_credits_every_step_to_an_operator(
+        self, optimize, limit, totals
+    ):
+        """The work of the candidate in flight when ``max_results`` trips
+        was done inside the pull that produced the tripping row, so it is
+        credited there — the operators' counters sum to what the database
+        sink saw.  (Flushed per candidate, it was emitted only when the
+        plan closed, outside every operator.)"""
+        db, query = two_scan_union()
+        with db.stats.scope() as stats:
+            with pytest.raises(ResourceExhaustedError) as info:
+                Session(db).query_with_metrics(
+                    query, optimize=optimize, budget=Budget(max_results=limit)
+                )
+            seen = tuple(
+                stats[name] for name in ("backtrack_steps", "predicate_evals", "nodes_scanned")
+            )
+        assert seen == totals
+        per_operator = scan_counters(info.value.metrics)
+        assert tuple(
+            sum(counters.get(name, 0) for counters in per_operator.values())
+            for name in ("backtrack_steps", "predicate_evals", "nodes_scanned")
+        ) == totals
 
 
 class TestRendering:

@@ -110,6 +110,20 @@ def test_snapshot_visibility_is_a_position_compare() -> None:
     assert offenders == []
 
 
+def test_matchers_flush_at_hand_over_with_no_knob_or_thread_local() -> None:
+    """The tree and list matchers flush their counters as they hand a
+    match over, so no per-candidate / per-start flush keyword survives
+    (the CI lint job greps for the same), and the hot-loop work added no
+    thread-local: the census stays at six ``threading.local()`` sites."""
+    residue, local_sites = [], 0
+    for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        residue += [path.name] * len(re.findall(r"flush_per_candidate|flush_per_start", text))
+        local_sites += text.count("threading.local()")
+    assert residue == []
+    assert local_sites == 6
+
+
 def test_split_function_contracts_are_read_in_one_function() -> None:
     """``split`` is the only tree-pattern operator the engine runs: what a
     split function declares about the pieces it reads is resolved by
