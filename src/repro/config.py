@@ -29,26 +29,6 @@ from .errors import QueryError
 DFA_CACHE_LIMIT_ENV = "AQUA_DFA_CACHE_LIMIT"
 DEFAULT_DFA_CACHE_LIMIT = 4096
 
-#: Environment knob enabling/disabling the columnar tree kernel — the
-#: escape hatch back to pure node-at-a-time evaluation.
-COLUMNAR_ENV = "AQUA_COLUMNAR"
-COLUMNAR_MODES = ("on", "off")
-DEFAULT_COLUMNAR = "on"
-
-#: Environment knob selecting the column backend.  ``auto`` prefers
-#: numpy when the ``[columnar]`` extra is installed and falls back to
-#: pure-Python int bitsets; the explicit values pin one backend.
-COLUMNAR_BACKEND_ENV = "AQUA_COLUMNAR_BACKEND"
-COLUMNAR_BACKENDS = ("auto", "numpy", "python")
-DEFAULT_COLUMNAR_BACKEND = "auto"
-
-#: Environment knob: minimum element count before a structure is worth
-#: encoding columnar.  Small trees pay more in column builds than they
-#: save in matcher dispatch (and their work counters are pinned by
-#: golden tests), so the kernel only engages at or above this size.
-COLUMNAR_THRESHOLD_ENV = "AQUA_COLUMNAR_THRESHOLD"
-DEFAULT_COLUMNAR_THRESHOLD = 512
-
 #: Environment knob enabling/disabling parallel (sharded) execution of
 #: set-shaped physical operators — the escape hatch back to the
 #: single-threaded pipeline.
@@ -98,103 +78,6 @@ def invalid_knob(knob: str, value: object, accepted: str) -> QueryError:
     what would have been accepted.
     """
     return QueryError(f"{knob}: invalid value {value!r} (accepted: {accepted})")
-
-
-@contextmanager
-def columnar_scope(mode: str | None) -> Iterator[None]:
-    """Arm a thread-local columnar on/off default (tests, benchmarks)."""
-    if mode is not None and mode not in COLUMNAR_MODES:
-        raise invalid_knob(COLUMNAR_ENV, mode, " | ".join(COLUMNAR_MODES))
-    previous = getattr(_local, "columnar", None)
-    _local.columnar = mode if mode is not None else previous
-    try:
-        yield
-    finally:
-        _local.columnar = previous
-
-
-def validated_columnar(mode: str | None = None) -> str:
-    """Resolve the columnar switch: argument > scope > env > default."""
-    chosen = mode
-    if chosen is None:
-        chosen = getattr(_local, "columnar", None)
-    if chosen is None:
-        chosen = os.environ.get(COLUMNAR_ENV)
-    if chosen is None:
-        return DEFAULT_COLUMNAR
-    if chosen not in COLUMNAR_MODES:
-        raise invalid_knob(COLUMNAR_ENV, chosen, " | ".join(COLUMNAR_MODES))
-    return chosen
-
-
-def columnar_enabled(mode: str | None = None) -> bool:
-    return validated_columnar(mode) == "on"
-
-
-@contextmanager
-def columnar_backend_scope(backend: str | None) -> Iterator[None]:
-    """Arm a thread-local column-backend default (tests, benchmarks)."""
-    if backend is not None and backend not in COLUMNAR_BACKENDS:
-        raise invalid_knob(COLUMNAR_BACKEND_ENV, backend, " | ".join(COLUMNAR_BACKENDS))
-    previous = getattr(_local, "columnar_backend", None)
-    _local.columnar_backend = backend if backend is not None else previous
-    try:
-        yield
-    finally:
-        _local.columnar_backend = previous
-
-
-def validated_columnar_backend(backend: str | None = None) -> str:
-    """Resolve the backend choice: argument > scope > env > default.
-
-    Returns one of ``auto | numpy | python`` — availability of numpy is
-    resolved by :func:`repro.storage.columnar.resolve_backend`, which
-    raises the same knob-shaped error when ``numpy`` is pinned but not
-    installed.
-    """
-    chosen = backend
-    if chosen is None:
-        chosen = getattr(_local, "columnar_backend", None)
-    if chosen is None:
-        chosen = os.environ.get(COLUMNAR_BACKEND_ENV)
-    if chosen is None:
-        return DEFAULT_COLUMNAR_BACKEND
-    if chosen not in COLUMNAR_BACKENDS:
-        raise invalid_knob(COLUMNAR_BACKEND_ENV, chosen, " | ".join(COLUMNAR_BACKENDS))
-    return chosen
-
-
-@contextmanager
-def columnar_threshold_scope(threshold: int | None) -> Iterator[None]:
-    """Arm a thread-local threshold default (tests force 0 to engage)."""
-    if threshold is not None and threshold < 0:
-        raise invalid_knob(COLUMNAR_THRESHOLD_ENV, threshold, "an integer >= 0")
-    previous = getattr(_local, "columnar_threshold", None)
-    _local.columnar_threshold = threshold if threshold is not None else previous
-    try:
-        yield
-    finally:
-        _local.columnar_threshold = previous
-
-
-def validated_columnar_threshold(threshold: int | None = None) -> int:
-    """Resolve the engagement threshold: argument > scope > env > default."""
-    chosen: int | None = threshold
-    if chosen is None:
-        chosen = getattr(_local, "columnar_threshold", None)
-    if chosen is None:
-        raw = os.environ.get(COLUMNAR_THRESHOLD_ENV)
-        if raw is None:
-            return DEFAULT_COLUMNAR_THRESHOLD
-        try:
-            chosen = int(raw)
-        except ValueError:
-            raise invalid_knob(
-                COLUMNAR_THRESHOLD_ENV, raw, "an integer >= 0"
-            ) from None
-    if chosen < 0:
-        raise invalid_knob(COLUMNAR_THRESHOLD_ENV, chosen, "an integer >= 0")
-    return chosen
 
 
 @contextmanager

@@ -15,8 +15,11 @@ A list is immutable once built (mutators return new lists), so its
 element sequence is position-addressable once, not per query:
 :attr:`AquaList.cell_array` is fixed by the constructor and
 :attr:`AquaList.value_array` is derived on first use; the position
-index, the columnar kernel, the list scan operators and ``split`` all
-read those two tuples instead of re-deriving them.
+index, the columnar start source, the list scan operators and ``split``
+all read those two tuples instead of re-deriving them.  The position
+index and the predicate columns built over them are cached on the list
+too (``_index`` / ``_columns``, set by :mod:`repro.storage`), so they
+live exactly as long as the list does.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .identity import Cell, as_cell, deref
 class AquaList:
     """An ordered sequence of cells, possibly containing labeled NULLs."""
 
-    __slots__ = ("_entries", "_cells", "_values")
+    __slots__ = ("_entries", "_cells", "_values", "_index", "_columns")
 
     def __init__(self, entries: Iterable[Cell | ConcatPoint] = ()) -> None:
         self._entries: tuple[Cell | ConcatPoint, ...] = tuple(entries)
@@ -51,6 +54,8 @@ class AquaList:
                     )
             self._cells = tuple(cells)
         self._values: tuple[Any, ...] | None = None
+        self._index = None
+        self._columns = None
 
     # -- constructors -----------------------------------------------------
 
@@ -91,6 +96,8 @@ class AquaList:
         adopted._entries = entries
         adopted._cells = cells
         adopted._values = None
+        adopted._index = None
+        adopted._columns = None
         return adopted
 
     # -- inspection --------------------------------------------------------

@@ -134,13 +134,17 @@ class AquaTree:
     concatenation closes off a point with :data:`~repro.core.concat.NIL`.
     """
 
-    __slots__ = ("root", "_size", "_hash", "_layout")
+    __slots__ = ("root", "_size", "_hash", "_layout", "_index")
 
     def __init__(self, root: TreeNode | None = None) -> None:
         self.root = root
         self._size: int | None = None
         self._hash: int | None = None
         self._layout: TreeLayout | None = None
+        #: The tree's node index (:class:`repro.storage.tree_index.TreeIndex`),
+        #: set by the storage layer on first request — cached here, like the
+        #: layout, so it dies with the tree.
+        self._index = None
 
     # -- constructors -----------------------------------------------------
 
@@ -236,9 +240,9 @@ class AquaTree:
         as :meth:`size` (in-place builders finish before publishing the
         tree).  Two threads racing the first call each build an equal
         layout and one wins the slot: wasted work, never a wrong answer.
-        Node indexes, columnar extents and match contexts all read this
-        one object, so a tree is traversed once however many of them it
-        gets — and whichever database wraps it.
+        Node indexes and match contexts all read this one object, so a
+        tree is traversed once however many of them it gets — and
+        whichever database wraps it.
         """
         layout = self._layout
         if layout is None:
@@ -294,7 +298,7 @@ class AquaTree:
         """
         if self.root is None:
             return AquaTree(None)
-        return AquaTree(_clone_node(self.root, fresh_cells))
+        return AquaTree(_rebuild(self.root, fresh_cells))
 
     # -- concatenation (∘α), paper §3.3/§3.5 -------------------------------
 
@@ -310,33 +314,7 @@ class AquaTree:
         """
         if self.root is None:
             return AquaTree(None)
-        if isinstance(other, Nil):
-            other_tree: AquaTree = AquaTree(None)
-        elif isinstance(other, AquaTree):
-            other_tree = other
-        else:
-            raise ConcatenationError(f"cannot concatenate {type(other).__name__} into a tree")
-
-        inserted = 0
-
-        def rebuild(node: TreeNode) -> TreeNode | None:
-            nonlocal inserted
-            if node.is_concat_point and node.item == point:
-                if other_tree.root is None:
-                    return None
-                inserted += 1
-                # First insertion may share cells; later ones need fresh
-                # cells so the result's node set stays a set.
-                return _clone_node(other_tree.root, fresh_cells=inserted > 1)
-            children = []
-            for child in node.children:
-                rebuilt = rebuild(child)
-                if rebuilt is not None:
-                    children.append(rebuilt)
-            return TreeNode(node.item, children)
-
-        new_root = rebuild(self.root)
-        return AquaTree(new_root)
+        return AquaTree(_rebuild(self.root, plugged={point: _plug_tree(other)}))
 
     def concat_many(self, assignments: Sequence[tuple[ConcatPoint, "AquaTree | Nil"]]) -> "AquaTree":
         """Left-to-right sequence of concatenations: ``t ∘α1 u1 ∘α2 u2 ...``.
@@ -350,12 +328,10 @@ class AquaTree:
         literal left-to-right semantics.
         """
         assignments = list(assignments)
-        if len(assignments) <= 1 or self.root is None:
-            result = self
-            for point, subtree in assignments:
-                result = result.concat(point, subtree)
-            return result
-
+        if not assignments:
+            return self
+        if self.root is None:
+            return AquaTree(None)
         labels = [point for point, _ in assignments]
         independent = len(set(labels)) == len(labels)
         if independent:
@@ -370,49 +346,20 @@ class AquaTree:
             for point, subtree in assignments:
                 result = result.concat(point, subtree)
             return result
-
-        plugged: dict[ConcatPoint, AquaTree] = {}
-        for point, subtree in assignments:
-            if isinstance(subtree, Nil):
-                plugged[point] = AquaTree(None)
-            elif isinstance(subtree, AquaTree):
-                plugged[point] = subtree
-            else:
-                raise ConcatenationError(
-                    f"cannot concatenate {type(subtree).__name__} into a tree"
-                )
-        inserted: dict[ConcatPoint, int] = {}
-
-        def rebuild(node: TreeNode) -> TreeNode | None:
-            if node.is_concat_point and node.item in plugged:
-                target = plugged[node.item]
-                if target.root is None:
-                    return None
-                count = inserted.get(node.item, 0) + 1
-                inserted[node.item] = count
-                # First insertion may share cells; later ones need fresh
-                # cells so the result's node set stays a set.
-                return _clone_node(target.root, fresh_cells=count > 1)
-            children = []
-            for child in node.children:
-                rebuilt = rebuild(child)
-                if rebuilt is not None:
-                    children.append(rebuilt)
-            return TreeNode(node.item, children)
-
-        return AquaTree(rebuild(self.root))
+        plugged = {point: _plug_tree(subtree) for point, subtree in assignments}
+        return AquaTree(_rebuild(self.root, plugged=plugged))
 
     def close_points(self, points: Iterable[ConcatPoint] | None = None) -> "AquaTree":
         """Concatenate NULL into the given points (all points if None).
 
         This is the paper's ``b ∘α1,...,αn []`` shorthand used to define
-        ``sub_select`` from ``split``.
+        ``sub_select`` from ``split``.  NULL plugs carry no labels, so the
+        assignments are independent and one pass closes every point.
         """
         targets = set(points) if points is not None else set(self.concat_points())
-        result = self
-        for point in targets:
-            result = result.concat(point, NIL)
-        return result
+        if not targets:
+            return self
+        return self.concat_many([(point, NIL) for point in targets])
 
     # -- equality and display ----------------------------------------------
 
@@ -440,14 +387,58 @@ class AquaTree:
         return format_tree(self, label=label)
 
 
-def _clone_node(node: TreeNode, fresh_cells: bool) -> TreeNode:
-    if node.is_concat_point:
-        item: Cell | ConcatPoint = node.item
-    elif fresh_cells:
-        item = Cell(node.item.contents)  # type: ignore[union-attr]
-    else:
+def _plug_tree(other: "AquaTree | Nil") -> "AquaTree":
+    """What a concatenation plugs in: a tree (NIL is the empty one)."""
+    if isinstance(other, Nil):
+        return AquaTree(None)
+    if isinstance(other, AquaTree):
+        return other
+    raise ConcatenationError(f"cannot concatenate {type(other).__name__} into a tree")
+
+
+def _rebuild(
+    root: TreeNode,
+    fresh_cells: bool = False,
+    plugged: "dict[ConcatPoint, AquaTree] | None" = None,
+) -> TreeNode | None:
+    """Copy the tree under ``root`` bottom-up, without recursion.
+
+    Every node is copied, sharing its cell (a fresh cell over the same
+    contents with ``fresh_cells``).  A concatenation point whose label
+    ``plugged`` maps to a tree is replaced by a copy of that tree, or
+    dropped when the tree is empty; the first copy of a plug shares its
+    cells, later ones get fresh cells so the result's node set stays a
+    set.  Clone, ``∘α`` and ``concat_many`` are this one walk, so no
+    depth of tree overflows it.
+    """
+    inserted: dict[ConcatPoint, int] = {}
+    top: list[TreeNode] = []
+    stack: list = [(root, top, None)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        node, out, built = pop()
+        if built is None:
+            item = node.item
+            if isinstance(item, ConcatPoint):
+                target = None if plugged is None else plugged.get(item)
+                if target is None:
+                    out.append(TreeNode(item))
+                elif target.root is not None:
+                    count = inserted[item] = inserted.get(item, 0) + 1
+                    out.append(_rebuild(target.root, fresh_cells=count > 1))
+                continue
+            children = node.children
+            if children:
+                built = []
+                push((node, out, built))
+                stack.extend([(child, built, None) for child in reversed(children)])
+                continue
+            built = ()
         item = node.item
-    return TreeNode(item, [_clone_node(c, fresh_cells) for c in node.children])
+        if fresh_cells:
+            item = Cell(item.contents)
+        out.append(TreeNode(item, built))
+    return top[0] if top else None
 
 
 def _values_equal(a: Any, b: Any) -> bool:

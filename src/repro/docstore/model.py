@@ -6,8 +6,8 @@ ordered workload — the paper's examples are parse trees and music, but
 takes that literally: a JSON / XML / HTML document ingests into a plain
 :class:`~repro.core.aqua_tree.AquaTree` whose payloads are
 :class:`DocNode` objects, and every existing operator — ``sub_select``,
-``split``, ``select``, the optimizer, the node indexes, the columnar
-kernel, the parallel exchange — applies unchanged.
+``split``, ``select``, the optimizer, the node indexes, the matcher's
+root first-set scan, the parallel exchange — applies unchanged.
 
 A :class:`DocNode` is a :class:`~repro.core.identity.DatabaseObject`
 (identity equality, like every AQUA payload), with a small fixed schema:

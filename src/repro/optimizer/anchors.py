@@ -76,34 +76,6 @@ def tree_split_anchors(pattern: TreePattern) -> tuple[AlphabetPredicate, ...] | 
     return tuple(anchors)
 
 
-def tree_columnar_anchors(
-    pattern: TreePattern,
-) -> tuple[AlphabetPredicate, ...] | None:
-    """The pattern's root predicates, when predicate columns can serve
-    them all, or ``None``.
-
-    The columnar analogue of :func:`tree_split_anchors`: the same
-    complete-candidate-set argument (every match of an unanchored
-    pattern roots at a node satisfying some root predicate), but the
-    serving machinery is a batch bitset column per anchor rather than an
-    equality-term index probe — so ordering comparisons and ``OR``
-    combinations qualify too.  Trivially-true anchors (a bare ``?``)
-    are rejected: their column selects every node, so filtering through
-    it only adds work.
-    """
-    from ..storage.columnar import column_servable
-
-    if pattern.root_anchor:
-        return None  # already pinned to the tree root; nothing to gain
-    anchors = pattern.root_predicates()
-    if not anchors:
-        return None
-    for anchor in anchors:
-        if isinstance(anchor, TruePredicate) or not column_servable(anchor):
-            return None
-    return tuple(anchors)
-
-
 def list_columnar_choice(
     pattern: ListPattern,
 ) -> tuple[tuple[AlphabetPredicate, tuple[int, ...]], ...] | None:

@@ -22,13 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
 
-from .. import config
 from ..core.aqua_list import AquaList
 from ..core.aqua_tree import AquaTree
 from ..patterns.list_ast import ListPattern, Star as ListStar, Plus as ListPlus
 from ..patterns.tree_ast import TreePattern, TreeStar, TreePlus, ChildStar, ChildPlus, TreeAtom
 from ..predicates.alphabet import AlphabetPredicate
 from ..query import expr as E
+from ..storage.columnar import COLUMNAR_MIN_LENGTH
 from ..storage.database import Database
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -43,11 +43,11 @@ DEFAULT_SELECTIVITY = 0.1
 #: Cost of one index probe, in predicate-evaluation units.
 PROBE_COST = 5.0
 
-#: Per-position cost of the columnar kernel's bitset filtering, in
-#: predicate-evaluation units.  A warm extent serves candidate roots
-#: straight from cached predicate columns; even a cold one evaluates
-#: each anchor in one batch pass — either way a candidate test is a bit
-#: probe, not a Python predicate dispatch.
+#: Per-position cost of the columnar list start source's shift-AND, in
+#: predicate-evaluation units.  A warm list serves its predicate columns
+#: from cache; even a cold one evaluates each atom in one batch pass —
+#: either way a start test is a bit probe, not a Python predicate
+#: dispatch.
 COLUMN_SCAN_COST = 0.05
 
 #: Per-closure blowup of the tree matcher.  It tables every vertical
@@ -297,9 +297,6 @@ class CostModel:
             # One scan serves all four (see ``_lower_tree_scan``); all but
             # ``sub_select`` additionally build pieces per match.
             factor = 1.0 if isinstance(node, E.SubSelect) else 2.0
-            columnar = self._columnar_tree_cost(size, node.pattern, factor)
-            if columnar is not None:
-                return columnar
             return size * tree_pattern_cost(node.pattern) * factor
         if isinstance(node, (E.ListSubSelect, E.ListSplit)):
             # One access-path ladder serves both (see ``_lower_list_scan``);
@@ -314,41 +311,13 @@ class CostModel:
         # select / apply / flatten: one unit per member.
         return size
 
-    def _columnar_tree_cost(
-        self, size: float, pattern: TreePattern, factor: float = 1.0
-    ) -> float | None:
-        """Columnar-path estimate for an unanchored tree scan, or ``None``.
-
-        Mirrors the lowering decision (:func:`tree_columnar_anchors` +
-        the ``AQUA_COLUMNAR`` gate and size threshold): when the kernel
-        will serve the scan, candidate filtering is a bit probe per node
-        plus per-candidate matching, priced by
-        :func:`tree_pattern_cost` like every other tree scan.
-        """
-        from .anchors import tree_columnar_anchors
-
-        if not config.columnar_enabled():
-            return None
-        if size < config.validated_columnar_threshold():
-            return None
-        anchors = tree_columnar_anchors(pattern)
-        if anchors is None:
-            return None
-        candidates = min(size, size * DEFAULT_SELECTIVITY * len(anchors))
-        return (
-            size * COLUMN_SCAN_COST
-            + candidates * tree_pattern_cost(pattern) * factor
-        )
-
     def _columnar_list_cost(
         self, size: float, pattern: ListPattern, factor: float = 1.0
     ) -> float | None:
         """Columnar shift-AND estimate for a list scan, or ``None``."""
         from .anchors import list_columnar_choice
 
-        if not config.columnar_enabled():
-            return None
-        if size < config.validated_columnar_threshold():
+        if size < COLUMNAR_MIN_LENGTH:
             return None
         choices = list_columnar_choice(pattern)
         if choices is None:

@@ -64,7 +64,7 @@ def default_regions() -> list[Region]:
     Access-path choice is no longer a rewrite region — it happens in the
     lowering pass (:mod:`repro.physical.lower` with
     ``choose_access_paths``), where index anchors, conjunct
-    decomposition and columnar batch operators are picked per plan node.
+    decomposition and the columnar list scan are picked per plan node.
     """
     return [Region("algebraic", list(DEFAULT_RULES), strategy="fixpoint")]
 

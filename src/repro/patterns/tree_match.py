@@ -24,9 +24,9 @@ paper's footnote 3 admits for closure-heavy queries; the optimizer's
 job (§4, "Why Split?") is to narrow the candidate roots so the
 exponential machinery runs on small fragments — and the matcher narrows
 them itself where it can: :func:`_candidate_roots` is the one seam the
-index-probed roots, the columnar filter and the root first-set scan all
-sit behind, so ``match_node`` is entered only for nodes that can root a
-match.
+index-probed roots and the root first-set scan sit behind, so
+``match_node`` is entered only for nodes that can root a match.  The
+matcher reads nothing but the pattern and the tree — no database.
 
 One matcher implements the enumeration.  What varies is how much of
 it consults the packrat tables of :mod:`repro.patterns.tree_memo`, and
@@ -823,33 +823,6 @@ def find_tree_matches(
     return results
 
 
-def _columnar_candidates(
-    pattern: TreePattern, data: AquaTree
-) -> "list[TreeNode] | None":
-    """Matcher-level candidate-root filter via shared predicate columns.
-
-    When a db-armed match scope is active (``PreparedQuery.run`` opens
-    one per evaluation), the pattern's root predicates are
-    column-servable and non-trivial, and the tree clears the columnar
-    gate (``AQUA_COLUMNAR`` + size threshold), the full pre-order
-    candidate walk collapses to the nodes whose predicate-column bits
-    are set — exactly the nodes any match could root at, in pre-order,
-    so the match stream is bit-identical by construction.  ``None``
-    means "no help here": fall back to walking every node.
-    """
-    registry = current_registry()
-    if registry is None or registry.db is None:
-        return None
-    from ..optimizer.anchors import tree_columnar_anchors
-
-    anchors = tree_columnar_anchors(pattern)
-    if anchors is None:
-        return None
-    from ..storage.columnar import columnar_candidate_roots
-
-    return columnar_candidate_roots(registry.db, anchors, data)
-
-
 def _first_set_scan(
     data: AquaTree,
     first_set: RootFirstSet,
@@ -943,8 +916,6 @@ def _candidate_roots(
     * a ``⊤`` pattern has one candidate, the tree root;
     * caller-supplied ``roots`` (an index probe), sorted by layout
       position;
-    * the columnar filter, inside a db-armed query on a tree that clears
-      the kernel's gate (:func:`_columnar_candidates`);
     * the first-set scan, when the pattern's root predicates compile and
       the context is tabled and closure-free (:func:`_first_set_scan`) —
       under a closure, predicates answer from the bitmap at most once
@@ -959,9 +930,6 @@ def _candidate_roots(
     if roots is not None:
         order = data.layout().position
         return sorted(roots, key=lambda n: order.get(id(n), len(order)))
-    filtered = _columnar_candidates(pattern, data)
-    if filtered is not None:
-        return filtered
     context = matcher.context
     if context.tabled and not context.closure:
         first_set = pattern.root_first_set()

@@ -12,9 +12,9 @@ what it consults is this collaborator:
   pattern sub-term is interned to a small integer, every concat-point
   environment to a fingerprint number, and data nodes are keyed by their
   position in the tree's :meth:`~repro.core.aqua_tree.AquaTree.layout`
-  (the one numbering the node index and the columnar extent read too),
-  so memo keys are cheap tuples of ints.  The context owns the **memo
-  tables** (``Shape`` fragments a subpattern yields at a node) and the
+  (the one numbering the node index reads too), so memo keys are cheap
+  tuples of ints.  The context owns the **memo tables** (``Shape``
+  fragments a subpattern yields at a node) and the
   pair's :class:`PredicateBitmap` (each alphabet predicate runs at most
   once per node; nothing else owns one).  Built with ``tabled=False`` it is the
   *null-table* context: same call sites, no tables — the matcher then
@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import TYPE_CHECKING, Any, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from ..core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from .tree_ast import (
@@ -64,7 +64,6 @@ from .tree_ast import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..predicates.alphabet import AlphabetPredicate
-    from ..storage.database import Database
 
 #: The fan-out gate: under a closure-free pattern a child-sequence
 #: derivation is tabled only over a child list at least
@@ -112,15 +111,9 @@ class PredicateBitmap:
     matches that pair.
     """
 
-    def __init__(self, layout: TreeLayout, source: Any | None = None) -> None:
+    def __init__(self, layout: TreeLayout) -> None:
         self._nodes = layout.nodes  # pinned: their ids key ``_position``
         self._position = layout.position
-        #: Optional shared-column source (a
-        #: :class:`repro.storage.columnar.ColumnarExtent`): a plane miss
-        #: consults ``source.outcome_for(predicate, node)`` before
-        #: evaluating, so outcomes another consumer already batch-computed
-        #: for the whole extent are never re-derived per node.
-        self._source = source
         self._planes: dict[int, bytearray] = {}
         self._slots: dict[int, int] = {}
         self._keep: list[AlphabetPredicate] = []  # keeps id() keys stable
@@ -129,8 +122,7 @@ class PredicateBitmap:
         """``(result, filled)`` — evaluate-once semantics per node.
 
         ``filled`` is True when this call actually ran the predicate (a
-        bitmap fill); False means the outcome was served without an
-        evaluation — from the plane, or from a shared predicate column.
+        bitmap fill); False means the plane already held the outcome.
         """
         pre = self._position.get(id(node))
         if pre is None:
@@ -147,11 +139,6 @@ class PredicateBitmap:
         state = plane[pre]
         if state != _UNKNOWN:
             return state == _TRUE, False
-        if self._source is not None:
-            served = self._source.outcome_for(predicate, node)
-            if served is not None:
-                plane[pre] = _TRUE if served else _FALSE
-                return served, False
         result = bool(predicate(node.value))
         plane[pre] = _TRUE if result else _FALSE
         return result, True
@@ -178,12 +165,10 @@ class TreeMatchContext:
         self,
         pattern: TreePattern,
         tree: AquaTree,
-        db: "Database | None" = None,
         tabled: bool = True,
     ) -> None:
         self.pattern = pattern
         self.tree = tree
-        self._db = db
         self.tabled = tabled
         #: The shape gate: only a vertical closure can ask for
         #: the same ``(node, subpattern, environment)`` twice from
@@ -254,15 +239,7 @@ class TreeMatchContext:
         layout = self.tree.layout()
         self._pre = layout.position
         self._children_pre = layout.children_position
-        source = None
-        if self._db is not None:
-            from ..storage.columnar import columnar_source_for
-
-            # The column source (a ColumnarExtent) lets outcomes come
-            # from shared predicate columns: one batch evaluation per
-            # extent instead of one bitmap fill per (predicate, node).
-            source = columnar_source_for(self._db, self.tree)
-        self.bitmap = PredicateBitmap(layout, source=source)
+        self.bitmap = PredicateBitmap(layout)
 
     # -- interning -----------------------------------------------------------
 
@@ -390,8 +367,7 @@ class MatchContextRegistry:
     evaluation then runs on the plain backtracker (the test oracle).
     """
 
-    def __init__(self, db: "Database | None" = None, tabled: bool = True) -> None:
-        self.db = db
+    def __init__(self, tabled: bool = True) -> None:
         self.tabled = tabled
         self._contexts: dict[tuple, TreeMatchContext] = {}
 
@@ -404,7 +380,7 @@ class MatchContextRegistry:
         )
         context = self._contexts.get(key)
         if context is None or context.tree is not tree:
-            context = TreeMatchContext(pattern, tree, db=self.db, tabled=self.tabled)
+            context = TreeMatchContext(pattern, tree, tabled=self.tabled)
             self._contexts[key] = context
         return context
 
@@ -422,14 +398,14 @@ def current_registry() -> MatchContextRegistry | None:
 
 @contextmanager
 def match_scope(
-    db: "Database | None" = None, registry: MatchContextRegistry | None = None
+    registry: MatchContextRegistry | None = None,
 ) -> Iterator[MatchContextRegistry]:
     """Arm a per-query :class:`MatchContextRegistry` for this thread.
 
     The outermost scope wins (mirroring ``guardrails.guarded``):
     ``PreparedQuery.run`` opens one per evaluation, and nested matcher
     entry points reuse it.  Arms ``registry`` when given, else a fresh
-    tabled one over ``db``.  Every context, and so every predicate-
+    tabled one.  Every context, and so every predicate-
     outcome plane, belongs to the scope's registry: two identical runs
     report identical work, and a query on one pool thread can neither
     clobber nor inherit the outcome state of a query running (or
@@ -443,7 +419,7 @@ def match_scope(
         yield active
         return
     if registry is None:
-        registry = MatchContextRegistry(db)
+        registry = MatchContextRegistry()
     _active.registry = registry
     try:
         yield registry

@@ -13,11 +13,11 @@ Pieces:
 * :class:`ShardPlanner` — partitions the staged input into shards
   (``hash`` on root OID or ``range`` on pre-order position, via
   :mod:`repro.storage.sharding`).  Members are never split, so each
-  stored tree's cached :class:`~repro.storage.columnar.ColumnarExtent`
-  cut is reused by whichever worker owns it.
+  stored tree's cached layout and node index are reused by whichever
+  worker owns it.
 * :class:`ExchangeOp` — the fan-out base grafted onto a sequential
   operator (:class:`ParallelSelectFilter`, :class:`ParallelApplyMap`).
-  It *gates itself per execution*, exactly like the columnar operators:
+  It *gates itself per execution*, exactly like the columnar list scan:
   ``AQUA_PARALLEL=off``, an input under ``AQUA_PARALLEL_MIN_ROWS``, or
   an exhausted worker budget all degrade to the inherited
   single-threaded loop bit-identically.
@@ -194,9 +194,9 @@ class ShardPlanner:
     def plan(self, members: list[Any]) -> list[Shard]:
         """Partition the staged members, one shard per granted worker.
 
-        Whole members only — a stored tree's columnar cut
-        (``db.columnar_extent``, cached by tree identity) is therefore
-        built at most once regardless of which worker evaluates it.
+        Whole members only — a stored tree's layout and node index
+        (cached on the tree) are therefore built at most once regardless
+        of which worker evaluates it.
         """
         count = min(self.workers, len(members))
         return plan_shards(members, count, self.strategy)
@@ -495,7 +495,7 @@ class ExchangeOp:
                 if stats_active:
                     scopes.enter_context(ctx.stats.activated())
                 scopes.enter_context(ctx.stats.attribute_to(record))
-                scopes.enter_context(match_scope(ctx.db))
+                scopes.enter_context(match_scope())
                 for position, row in shard:
                     if stop.is_set():
                         break

@@ -131,12 +131,12 @@ def lower(
     anchor analysis and upgrades plain ``sub_select`` / ``split`` /
     extent-``select`` nodes to their index-probing operators on its own;
     without it (the default) the plan mirrors the logical tree, one
-    plain operator per node.  Two choices are made in both modes because
-    they gate themselves per execution: a column-servable list
-    ``sub_select`` / ``split`` lowers to the columnar shift-AND scan
-    (falling back to the plain scan when the kernel is off or the list
-    is under the size threshold), and tree scans get their columnar root
-    filter inside the matcher, with no operator of their own.
+    plain operator per node.  One choice is made in both modes because
+    it gates itself per execution: a column-servable list ``sub_select``
+    / ``split`` lowers to the columnar shift-AND scan (falling back to
+    the plain scan when the list is under ``COLUMNAR_MIN_LENGTH``).
+    Tree scans narrow their candidate roots inside the matcher (the
+    root first-set scan), with no operator of their own.
     """
     return lower_factory(
         expr, db, choose_access_paths=choose_access_paths
@@ -213,9 +213,9 @@ def _lower_list_scan(node, db, choose, function) -> Thunk:
             choose.note(anchor)
             return lambda: P.ListAnchorScan(node, child(), lp, anchor, offsets, function)
     # Index upgrades are the planner's call (``choose_access_paths``
-    # above), but the columnar scan gates itself at execution time —
-    # knob off or an undersized list falls back to the inherited full
-    # scan bit-identically — so any column-servable atom set takes it
+    # above), but the columnar scan gates itself at execution time — an
+    # undersized list falls back to the inherited full scan
+    # bit-identically — so any column-servable atom set takes it
     # unconditionally.
     choices = list_columnar_choice(lp)
     if choices is not None:

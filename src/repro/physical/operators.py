@@ -41,12 +41,12 @@ from ..core.aqua_set import AquaSet
 from ..core.equality import DEFAULT
 from ..core.identity import as_cell
 from ..errors import QueryError
-from ..optimizer.anchors import probe_anchor_roots, tree_columnar_anchors
-from ..storage.columnar import columnar_list_for
+from ..optimizer.anchors import probe_anchor_roots
 from ..patterns.list_match import iter_list_matches
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_match import iter_tree_matches
 from ..patterns.tree_parser import tree_pattern
+from ..storage.columnar import columnar_list_for
 from .base import PhysicalOp, dedup
 
 # -- sources -------------------------------------------------------------------
@@ -213,16 +213,15 @@ class SubSelectPipe(PhysicalOp):
         yield from dedup(map(emit, self._matches(tree, tp)), DEFAULT)
 
     def access_path(self) -> str:
-        # Inside a query the matcher narrows an unrestricted candidate
-        # walk to the nodes whose root-predicate column bits are set
-        # whenever the columnar kernel engages (``AQUA_COLUMNAR`` on,
-        # tree at or above the size threshold); say so when the
-        # pattern's root predicates are column-servable.
-        anchors = tree_columnar_anchors(tree_pattern(self.pattern))
-        if anchors is None:
+        # The matcher tests every node against the pattern's compiled
+        # root predicates and enters itself only for survivors — the
+        # first-set scan of ``_candidate_roots`` — unless a closure has
+        # it answer predicates from its bitmap instead.
+        tp = tree_pattern(self.pattern)
+        if tp.has_vertical_closure() or tp.root_first_set() is None:
             return "full tree scan"
-        columns = ", ".join(anchor.describe() for anchor in anchors)
-        return f"full tree scan; columnar bitset filter on {columns} when the kernel engages"
+        tests = ", ".join(p.describe() for p in tp.root_predicates())
+        return f"full tree scan; root first-set test on {tests}"
 
 
 class IndexAnchorScan(SubSelectPipe):
@@ -352,7 +351,7 @@ class ColumnarListScan(ListSubSelectPipe):
     atom's feasible offsets and the results are AND-ed — one bitwise
     pass yielding exactly the starts any match could begin at.  Charging
     mirrors :class:`ListAnchorScan` (one position per surviving start);
-    falls back to the inherited full scan when the kernel is gated off.
+    a list under ``COLUMNAR_MIN_LENGTH`` takes the inherited full scan.
     """
 
     name = "columnar_list_scan"
@@ -365,10 +364,10 @@ class ColumnarListScan(ListSubSelectPipe):
     def rows(self) -> Iterator[Any]:
         ctx = self.ctx
         aqua_list = self.input_list()
-        columns = columnar_list_for(ctx.db, aqua_list)
+        columns = columnar_list_for(aqua_list)
         if columns is None:
-            # Kernel gated off (knob, threshold): behave exactly like
-            # the plain pipe, charges included.
+            # A short list: behave exactly like the plain pipe, charges
+            # included.
             yield from self._scan_rows(aqua_list)
             return
         lp = list_pattern(self.pattern)

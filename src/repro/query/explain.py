@@ -74,7 +74,7 @@ def explain_physical(
     """Render the lowered physical pipeline for ``expr``.
 
     One line per streaming operator — its physical name plus the access
-    path the lowering chose (full scan, index probe, columnar pass) —
+    path the lowering chose (full scan, index probe, shift-AND pass) —
     indented to mirror the logical tree it was lowered from.  Access
     paths are chosen by default (that is what an optimized execution
     runs); pass ``choose_access_paths=False`` to see the plain

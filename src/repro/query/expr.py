@@ -9,8 +9,8 @@ small immutable value object; the interpreter
 (:mod:`repro.optimizer`) rewrites them.
 
 Every node here is *logical*: plans describe what to compute, never how.
-Access-path choice (index anchors, conjunct decomposition, columnar
-batch operators) lives entirely in the lowering pass
+Access-path choice (index anchors, conjunct decomposition, the columnar
+list scan) lives entirely in the lowering pass
 (:func:`repro.physical.lower.lower` with ``choose_access_paths``) — the
 ``Indexed*`` expression shims that used to make those choices visible as
 plan nodes were removed after their deprecation cycle.

@@ -185,9 +185,7 @@ class PreparedQuery:
             factory = self._factory_for_bindings(view)
             with config.parallel_scope(parallel), config.parallel_workers_scope(
                 parallel_workers
-            ), guardrails.guarded(budget) as guard, stats.activated(), match_scope(
-                view
-            ):
+            ), guardrails.guarded(budget) as guard, stats.activated(), match_scope():
                 ctx = ExecutionContext(
                     db=view, guard=guard, metrics=stats.collector, stats=stats
                 )

@@ -1,36 +1,25 @@
-"""Columnar tree kernel: structure-of-arrays extents + predicate columns.
+"""Columnar list start source: predicate columns + one shift-AND pass.
 
 The paper's alphabet predicates (§3.1) are constant-time unary
-functions — ideal for batch evaluation over whole extents — yet every
-consumer historically walked linked :class:`~repro.core.aqua_tree.TreeNode`
-objects one Python dispatch at a time.  This module re-encodes a stored
-tree (or list) as structure-of-arrays:
+functions — ideal for batch evaluation over a whole list.
+:class:`ColumnarList` evaluates each column-servable atom of a list
+pattern once over the list's value array as a bitset (a numpy bool
+array when numpy — the ``[columnar]`` extra — imports, else a Python
+int, one bit per position), and :meth:`ColumnarList.candidate_starts`
+runs the pattern's required-atom profile over those columns in one
+shift-AND pass: the start positions any match could begin at.
 
-* :class:`ColumnarExtent` — one per stored tree: the pre-order node and
-  label arrays, parent / first-child / next-sibling / depth /
-  subtree-size vectors, lazily extracted attribute columns, and cached
-  **predicate columns**: each alphabet predicate evaluated once over the
-  whole extent as a bitset (a Python int, one bit per pre-order
-  position, or a numpy bool array when the ``[columnar]`` extra is
-  installed).
-* :class:`ColumnarList` — the positional analogue for lists, whose
-  predicate columns feed a batch shift-AND pass (the list-pattern DFA's
-  required-symbol profile run over the whole label array at once).
+It is the list scan's start source beside the position index
+(:class:`~repro.storage.tree_index.ListIndex`): the index probes one
+equality anchor, the columns conjoin every servable atom.  Tree scans
+have no columnar counterpart — the matcher's root first-set scan
+(:func:`repro.patterns.tree_match._candidate_roots`) narrows their
+candidate roots.
 
-Predicate columns generalize the per-query
-:class:`~repro.patterns.tree_memo.PredicateBitmap` (PR 4): a bitmap
-caches outcomes *as individual nodes are tested*, per query; a column is
-computed for the whole extent once and then shared by every consumer of
-every query — index fallback scans, anchor analysis, the tree matcher's
-``TreeAtom`` fast-fail (its bitmap consults columns through the
-``source`` hook) and the batch physical operators.
-
-Gating: the kernel engages only when ``AQUA_COLUMNAR=on`` (the default)
-and the structure has at least ``AQUA_COLUMNAR_THRESHOLD`` elements —
-small structures pay more in column builds than they save, and their
-work counters are pinned by golden tests.  ``AQUA_COLUMNAR_BACKEND``
-picks ``numpy`` or pure-``python`` columns (``auto`` prefers numpy when
-installed).  Column evaluation is semantics-preserving by construction:
+Columns engage on lists of at least :data:`COLUMNAR_MIN_LENGTH`
+elements (shorter ones pay more in column builds than they save) and
+are cached on the list itself (:func:`columnar_list_for`), so they die
+with it.  Column evaluation is semantics-preserving by construction:
 the numpy fast paths only fire for homogeneous native dtypes where the
 vectorized comparison agrees with :class:`Comparison`'s per-object
 semantics, and everything else evaluates the real predicate per element.
@@ -39,11 +28,10 @@ semantics, and everything else evaluates the real predicate per element.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import Any, Sequence
 
-from .. import config
 from ..core.aqua_list import AquaList
-from ..core.aqua_tree import AquaTree, TreeNode
+from ..errors import QueryError
 from ..params import Param
 from ..predicates.alphabet import (
     AlphabetPredicate,
@@ -58,9 +46,12 @@ from ..predicates.alphabet import (
     _read_attribute,
 )
 from . import stats as stats_mod
+from .database import STRUCTURE_LOCK
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy
+#: Minimum element count before a list's predicate columns are built:
+#: below it the shift-AND saves less than the column builds cost, and the
+#: list scan walks every start instead (bit-identical answers).
+COLUMNAR_MIN_LENGTH = 512
 
 
 def _import_numpy():
@@ -76,37 +67,21 @@ def numpy_available() -> bool:
     return _import_numpy() is not None
 
 
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve ``AQUA_COLUMNAR_BACKEND`` to a concrete backend name.
-
-    ``auto`` prefers numpy and silently falls back to the pure-Python
-    bitsets; pinning ``numpy`` without the ``[columnar]`` extra raises
-    the standard one-line knob error instead of an import crash.
-    """
-    chosen = config.validated_columnar_backend(backend)
-    if chosen == "python":
-        return "python"
-    if chosen == "numpy":
-        if not numpy_available():
-            raise config.invalid_knob(
-                config.COLUMNAR_BACKEND_ENV,
-                chosen,
-                "auto | python (numpy is not installed — "
-                "pip install 'repro[columnar]')",
-            )
-        return "numpy"
+def resolve_backend() -> str:
+    """The column backend this process uses: ``numpy`` when it imports,
+    else ``python`` (int bitsets).  Answers are identical either way."""
     return "numpy" if numpy_available() else "python"
 
 
 def column_servable(predicate: AlphabetPredicate) -> bool:
-    """Can ``predicate`` be evaluated once-per-extent as a column?
+    """Can ``predicate`` be evaluated once-per-list as a column?
 
     Servable means the predicate is built from the paper's restricted
     grammar (comparisons, symbol equality, ``?``, AND/OR/NOT) with no
     ``$param`` constants — a parameterized predicate's outcome varies
-    per binding, and columns are cached per extent, not per query.
+    per binding, and columns are cached per list, not per query.
     Opaque :class:`RawPredicate` callables are refused (they may close
-    over mutable state, so eager whole-extent evaluation is unsound).
+    over mutable state, so eager whole-list evaluation is unsound).
     """
     if isinstance(predicate, TruePredicate):
         return True
@@ -121,21 +96,34 @@ def column_servable(predicate: AlphabetPredicate) -> bool:
     return False
 
 
-class _ColumnStore:
-    """Shared machinery: values → predicate bitset columns, per backend.
+class ColumnarList:
+    """Positional predicate columns for one stored list.
 
-    Subclasses provide the positional ``values`` sequence and a
-    ``present`` test; this class owns the per-predicate column cache,
-    the build loop (or vectorized numpy path) and the boolean-algebra
-    combinators over whole columns.
+    The batch analogue of :class:`~repro.storage.tree_index.ListIndex`:
+    instead of hashing equality keys to positions, each atom predicate
+    becomes a bitset over positions, and :meth:`candidate_starts` runs
+    the list pattern's required-symbol profile over those columns in one
+    shift-AND pass — a start survives only if every required atom has a
+    satisfying element at one of its feasible offsets.
+
+    ``backend`` pins ``numpy`` or ``python`` columns (tests run both);
+    by default it is :func:`resolve_backend`'s.
     """
 
-    def __init__(self, values: Sequence[Any], present: Sequence[bool], backend: str) -> None:
-        self._values = values
-        self._present = present
-        self._count = len(values)
-        self.backend = backend
+    def __init__(self, aqua_list: AquaList, backend: str | None = None) -> None:
+        backend = backend or resolve_backend()
+        if backend not in ("numpy", "python"):
+            raise QueryError(f"unknown column backend {backend!r} (numpy | python)")
         self._np = _import_numpy() if backend == "numpy" else None
+        if backend == "numpy" and self._np is None:
+            raise QueryError(
+                "numpy columns need numpy (pip install 'repro[columnar]')"
+            )
+        self.backend = backend
+        # The values, not the list: cached on the list, the columns must
+        # not point back at it (a cycle only the cyclic collector frees).
+        self.values = aqua_list.value_array
+        self.size = len(self.values)
         self._lock = threading.RLock()
         self._pred_columns: dict[AlphabetPredicate, Any] = {}
         self._attr_columns: dict[str, list[Any]] = {}
@@ -143,24 +131,8 @@ class _ColumnStore:
         #: sinks as ``column_builds`` / ``column_rows`` at build time).
         self.column_builds = 0
         self.column_rows = 0
-        if self._np is not None:
-            self._present_mask = self._np.asarray(present, dtype=bool)
-        else:
-            mask = 0
-            for position, flag in enumerate(present):
-                if flag:
-                    mask |= 1 << position
-            self._present_mask = mask
 
     # -- column access ---------------------------------------------------------
-
-    @property
-    def position_count(self) -> int:
-        return self._count
-
-    def has_column(self, predicate: AlphabetPredicate) -> bool:
-        with self._lock:
-            return predicate in self._pred_columns
 
     def predicate_column(self, predicate: AlphabetPredicate):
         """The predicate's bitset column, built (and cached) on demand."""
@@ -170,28 +142,10 @@ class _ColumnStore:
                 column = self._build_column(predicate)
                 self._pred_columns[predicate] = column
                 self.column_builds += 1
-                self.column_rows += self._count
+                self.column_rows += self.size
                 stats_mod.emit("column_builds")
-                stats_mod.emit("column_rows", self._count)
+                stats_mod.emit("column_rows", self.size)
             return column
-
-    def column_value(self, predicate: AlphabetPredicate, position: int) -> bool | None:
-        """Serve one cell from an **already built** column, else ``None``.
-
-        Deliberately never builds: callers probing a handful of nodes
-        (index anchor re-checks) must not trigger a whole-extent
-        evaluation — only the batch consumers build columns.
-        """
-        if position >= self._count or not self._present[position]:
-            return None
-        with self._lock:
-            column = self._pred_columns.get(predicate)
-        if column is None:
-            return None
-        stats_mod.emit("column_hits")
-        if self._np is not None:
-            return bool(column[position])
-        return bool(column >> position & 1)
 
     def positions(self, column) -> list[int]:
         """Set-bit positions of ``column``, ascending."""
@@ -209,47 +163,25 @@ class _ColumnStore:
             position += 64
         return result
 
-    def union(self, columns: Iterable[Any]):
-        columns = list(columns)
-        if self._np is not None:
-            out = self._np.zeros(self._count, dtype=bool)
-            for column in columns:
-                out |= column
-            return out
-        out = 0
-        for column in columns:
-            out |= column
-        return out
-
     # -- column construction ---------------------------------------------------
 
+    def _all(self):
+        """The column every position is in."""
+        if self._np is not None:
+            return self._np.ones(self.size, dtype=bool)
+        return (1 << self.size) - 1
+
     def _build_column(self, predicate: AlphabetPredicate):
-        if isinstance(predicate, And):
+        if isinstance(predicate, (And, Or)):
             parts = [self._build_column(term) for term in predicate.terms]
             out = parts[0]
             for part in parts[1:]:
-                out = out & part
-            return out
-        if isinstance(predicate, Or):
-            parts = [self._build_column(term) for term in predicate.terms]
-            out = parts[0]
-            for part in parts[1:]:
-                out = out | part
+                out = out & part if isinstance(predicate, And) else out | part
             return out
         if isinstance(predicate, Not):
-            inner = self._build_column(predicate.term)
-            # NOT is relative to the present positions: absent slots
-            # (concatenation points) stay outside every column.
-            if self._np is not None:
-                return self._present_mask & ~inner
-            return self._present_mask & ~inner
+            return self._all() ^ self._build_column(predicate.term)
         if isinstance(predicate, TruePredicate):
-            if self._np is not None:
-                return self._present_mask.copy()
-            return self._present_mask
-        return self._leaf_column(predicate)
-
-    def _leaf_column(self, predicate: AlphabetPredicate):
+            return self._all()
         if self._np is not None:
             vectorized = self._vectorized_leaf(predicate)
             if vectorized is not None:
@@ -259,29 +191,24 @@ class _ColumnStore:
     def _loop_column(self, predicate: AlphabetPredicate):
         """The semantics oracle: the real predicate, once per element."""
         predicate = predicate.compile() or predicate  # servable ⇒ param-free
-        values = self._values
-        present = self._present
         if self._np is not None:
-            out = self._np.zeros(self._count, dtype=bool)
-            for position in range(self._count):
-                if present[position] and predicate(values[position]):
+            out = self._np.zeros(self.size, dtype=bool)
+            for position, value in enumerate(self.values):
+                if predicate(value):
                     out[position] = True
             return out
         out = 0
-        for position in range(self._count):
-            if present[position] and predicate(values[position]):
+        for position, value in enumerate(self.values):
+            if predicate(value):
                 out |= 1 << position
         return out
 
     def attribute_column(self, attribute: str) -> list[Any]:
-        """Raw stored-attribute column (``_MISSING`` at absent slots)."""
+        """Raw stored-attribute column (``_MISSING`` where absent)."""
         with self._lock:
             column = self._attr_columns.get(attribute)
             if column is None:
-                column = [
-                    _read_attribute(value, attribute) if flag else _MISSING
-                    for value, flag in zip(self._values, self._present)
-                ]
+                column = [_read_attribute(value, attribute) for value in self.values]
                 self._attr_columns[attribute] = column
             return column
 
@@ -290,9 +217,7 @@ class _ColumnStore:
         diverge (mixed dtypes, missing attributes, exotic constants)."""
         np = self._np
         if isinstance(predicate, SymbolEquals):
-            raw, constant, op = list(self._values), predicate.symbol, "="
-            if not all(self._present):
-                return None
+            raw, constant, op = list(self.values), predicate.symbol, "="
         elif isinstance(predicate, Comparison):
             raw, constant, op = (
                 self.attribute_column(predicate.attribute),
@@ -323,144 +248,11 @@ class _ColumnStore:
             mask = _OPERATORS[op](array, constant)
         except Exception:
             return None
-        if not isinstance(mask, np.ndarray) or mask.shape != (self._count,):
+        if not isinstance(mask, np.ndarray) or mask.shape != (self.size,):
             return None
         return mask.astype(bool)
 
-
-class ColumnarExtent(_ColumnStore):
-    """Structure-of-arrays encoding of one stored tree.
-
-    Positions are the tree's own
-    :meth:`~repro.core.aqua_tree.AquaTree.layout` — the extent numbers
-    nothing itself, so its columns line up with the matcher's bitmap
-    planes and memo keys by construction — with concatenation
-    points present as positions but absent from every predicate column.
-    Built once per tree object and cached by
-    :meth:`repro.storage.database.Database.columnar_extent`; a rebound
-    root is a new tree object, so the identity-keyed cache plus the
-    per-resource version counters give pinned snapshots a consistent
-    columnar cut for free (trees are immutable).
-    """
-
-    def __init__(self, tree: AquaTree, backend: str | None = None) -> None:
-        self.tree = tree
-        self.layout = tree.layout()
-        self.nodes = self.layout.nodes
-        present = [not node.is_concat_point for node in self.nodes]
-        values = [
-            node.value if flag else None for node, flag in zip(self.nodes, present)
-        ]
-        super().__init__(values, present, backend or resolve_backend())
-        self.size = self.layout.element_count
-        self._structure: dict[str, Any] | None = None
-        self._root_lists: dict[tuple, list[TreeNode]] = {}
-
-    # -- structure vectors -----------------------------------------------------
-
-    def structure(self) -> dict[str, Any]:
-        """The parent/first-child/next-sibling/depth/subtree-size vectors.
-
-        Indexed by pre-order position; ``-1`` marks "none".  Subtree
-        sizes count every node (concatenation points included) so
-        ``subtree_size[root] == len(nodes)``.  Derived lazily from the
-        layout's parent and subtree-end arrays in one loop over positions
-        and cached — the navigational complement of the label array for
-        batch consumers that walk positions instead of node objects.
-        """
-        with self._lock:
-            if self._structure is None:
-                parent = self.layout.parent
-                end = self.layout.end
-                count = len(parent)
-                first_child = [-1] * count
-                next_sibling = [-1] * count
-                subtree_size = [0] * count
-                for position, after in enumerate(end):
-                    subtree_size[position] = after - position
-                    if after > position + 1:
-                        first_child[position] = position + 1
-                    # The node right after this subtree is its next
-                    # sibling exactly when the two share a parent.
-                    if after < count and parent[after] == parent[position]:
-                        next_sibling[position] = after
-                vectors = {
-                    "parent": parent,
-                    "depth": self.layout.depth,
-                    "first_child": first_child,
-                    "next_sibling": next_sibling,
-                    "subtree_size": subtree_size,
-                }
-                if self._np is not None:
-                    vectors = {
-                        name: self._np.asarray(column, dtype=self._np.int64)
-                        for name, column in vectors.items()
-                    }
-                self._structure = vectors
-            return self._structure
-
-    # -- consumers -------------------------------------------------------------
-
-    def servable(self, predicate: AlphabetPredicate) -> bool:
-        return column_servable(predicate)
-
-    def position_of(self, node: TreeNode) -> int | None:
-        return self.layout.position.get(id(node))
-
-    def outcome_for(self, predicate: AlphabetPredicate, node: TreeNode) -> bool | None:
-        """Bitmap ``source`` hook: serve an already built column cell.
-
-        ``None`` means "not served" (unknown node, concat point, or no
-        column built yet) — the caller falls back to evaluating the
-        predicate itself.  Never triggers a column build.
-        """
-        position = self.layout.position.get(id(node))
-        if position is None:
-            return None
-        return self.column_value(predicate, position)
-
-    def matching_nodes(self, predicate: AlphabetPredicate) -> list[TreeNode]:
-        """Pre-order nodes whose column bit is set (builds the column)."""
-        return self.candidate_roots((predicate,))
-
-    def candidate_roots(
-        self, anchors: Sequence[AlphabetPredicate]
-    ) -> list[TreeNode]:
-        """Pre-order nodes satisfying **any** anchor — the complete
-        candidate-root set for a pattern with these root predicates.
-
-        Cached per anchor set: repeated queries over a warm extent skip
-        both the predicate pass and the bit-extraction loop.
-        """
-        key = tuple(sorted(anchor.describe() for anchor in anchors))
-        with self._lock:
-            cached = self._root_lists.get(key)
-            if cached is None:
-                mask = self.union(
-                    self.predicate_column(anchor) for anchor in anchors
-                )
-                nodes = self.nodes
-                cached = [nodes[position] for position in self.positions(mask)]
-                self._root_lists[key] = cached
-            return cached
-
-
-class ColumnarList(_ColumnStore):
-    """Positional predicate columns for one stored list.
-
-    The batch analogue of :class:`~repro.storage.tree_index.ListIndex`:
-    instead of hashing equality keys to positions, each atom predicate
-    becomes a bitset over positions, and :meth:`candidate_starts` runs
-    the list pattern's required-symbol profile over those columns in one
-    shift-AND pass — a start survives only if every required atom has a
-    satisfying element at one of its feasible offsets.
-    """
-
-    def __init__(self, aqua_list: AquaList, backend: str | None = None) -> None:
-        self.aqua_list = aqua_list
-        values = aqua_list.value_array
-        super().__init__(values, [True] * len(values), backend or resolve_backend())
-        self.size = len(values)
+    # -- the start source --------------------------------------------------------
 
     def candidate_starts(
         self,
@@ -473,7 +265,7 @@ class ColumnarList(_ColumnStore):
         :func:`repro.optimizer.anchors.anchor_offsets`); the result is
         ascending and a superset of all real match starts.
         """
-        count = self._count
+        count = self.size
         if self._np is not None:
             np = self._np
             mask = np.ones(count + 1, dtype=bool)
@@ -495,56 +287,22 @@ class ColumnarList(_ColumnStore):
         return self.positions(mask)
 
 
-# -- gated access ----------------------------------------------------------------
+def columnar_list_for(aqua_list: AquaList) -> ColumnarList | None:
+    """The list's predicate columns, or ``None`` when it is shorter than
+    :data:`COLUMNAR_MIN_LENGTH` (the caller scans every start instead).
 
-
-def columnar_source_for(db: Any, tree: AquaTree) -> ColumnarExtent | None:
-    """The tree's columnar extent, when the kernel should engage.
-
-    Centralizes the gating every consumer (the match-root filter, the
-    bitmap source, the batch operators) must agree on: the
-    ``AQUA_COLUMNAR`` switch, the size threshold, and a storage object
-    that actually exposes extents (snapshots delegate to their base, so
-    a pinned snapshot sees the same consistent columnar cut).
+    Built on first use and cached on the list, like its layout-free
+    value array: lists are immutable, a rebound root is a new list with
+    its own columns, and a pinned snapshot keeps reading the list it
+    captured — so every reader sees a consistent cut, and the columns
+    are collected with the list.
     """
-    if not config.columnar_enabled():
+    if len(aqua_list) < COLUMNAR_MIN_LENGTH:
         return None
-    provider = getattr(db, "columnar_extent", None)
-    if provider is None:
-        return None
-    return provider(tree, min_size=config.validated_columnar_threshold())
-
-
-def columnar_list_for(db: Any, aqua_list: AquaList) -> ColumnarList | None:
-    """The list analogue of :func:`columnar_source_for`."""
-    if not config.columnar_enabled():
-        return None
-    provider = getattr(db, "columnar_list", None)
-    if provider is None:
-        return None
-    return provider(aqua_list, min_size=config.validated_columnar_threshold())
-
-
-def columnar_candidate_roots(
-    db: Any,
-    anchors: Sequence[AlphabetPredicate],
-    tree: AquaTree,
-) -> list[TreeNode] | None:
-    """Candidate match roots via predicate columns, or ``None`` (no gain).
-
-    The engine-level hook behind the match-root filter: given a
-    pattern's (column-servable, non-trivial) root predicates, return the
-    pre-order nodes any match could root at.  ``None`` leaves the caller
-    on the full pre-order scan.
-    """
-    extent = columnar_source_for(db, tree)
-    if extent is None:
-        return None
-    roots = extent.candidate_roots(anchors)
-    stats_mod.emit_many(
-        {
-            "columnar_roots": len(roots),
-            "columnar_pruned": extent.position_count - len(roots),
-        }
-    )
-    return roots
+    columns = aqua_list._columns
+    if columns is None:
+        with STRUCTURE_LOCK:
+            columns = aqua_list._columns
+            if columns is None:
+                columns = aqua_list._columns = ColumnarList(aqua_list)
+    return columns

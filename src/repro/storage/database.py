@@ -13,7 +13,7 @@ substrate in memory:
   indexes over an extent, and :meth:`Database.candidates` serves a
   predicate from the best index available (reporting whether it could);
 * per-tree/list node indexes are created with :meth:`tree_index` /
-  :meth:`list_index` and cached.
+  :meth:`list_index` and cached on the structure they index.
 
 Everything is instrumented through an :class:`Instrumentation` sink so
 benchmarks can report scans vs probes.
@@ -41,6 +41,11 @@ from .tree_index import ListIndex, TreeIndex
 #: plans that depend on nothing in particular still notice external
 #: invalidation requests.
 GLOBAL_RESOURCE = "db"
+
+#: Serializes building what is cached on a tree or list — its node or
+#: position index (and attribute declarations), its predicate columns —
+#: across every database and snapshot sharing the structure.
+STRUCTURE_LOCK = threading.Lock()
 
 
 def extent_resource(name: str) -> str:
@@ -155,16 +160,11 @@ class Database:
         self._extents: dict[str, list[Any]] = {}
         self._roots: dict[str, Any] = {}
         self._indexes: dict[tuple[str, str], HashIndex | OrderedIndex] = {}
-        self._tree_indexes: dict[int, TreeIndex] = {}
-        self._list_indexes: dict[int, ListIndex] = {}
-        self._columnar_extents: dict[int, Any] = {}
-        self._columnar_lists: dict[int, Any] = {}
         self._histograms: dict[tuple[str, str], Any] = {}
         self._epoch = 0
         self._touch_all = 0
         self._versions: dict[str, int] = {}
         self._lock = threading.RLock()
-        self._structure_lock = threading.Lock()
         self.stats = stats or Instrumentation()
 
     # -- epochs and versions ---------------------------------------------------
@@ -435,71 +435,32 @@ class Database:
     # -- per-structure node indexes ---------------------------------------------------
 
     def tree_index(self, tree: AquaTree, attributes: Iterable[str] = ()) -> TreeIndex:
-        """A (cached) node index for ``tree`` serving ``attributes`` too.
+        """The node index of ``tree``, serving ``attributes`` too.
 
         This only *declares* the attributes — each one's map is built by
-        the first probe that reads it (:class:`TreeIndex`) — so the
-        dedicated lock is held for a dict lookup: concurrent queries
-        over the same tree share one index object.
+        the first probe that reads it (:class:`TreeIndex`).  The index is
+        cached on the tree itself, like its layout: every database and
+        snapshot over the tree shares it, and it is collected with the
+        tree once a rebind supersedes it.
         """
-        from .columnar import columnar_source_for
-
-        with self._structure_lock:
-            cached = self._tree_indexes.get(id(tree))
-            if cached is None or cached.tree is not tree:
-                cached = TreeIndex(tree, (), lambda: columnar_source_for(self, tree))
-                self._tree_indexes[id(tree)] = cached
+        with STRUCTURE_LOCK:
+            index = tree._index
+            if index is None:
+                index = tree._index = TreeIndex(tree)
             for attribute in attributes:
-                cached.add_attribute(attribute)
-            return cached
+                index.add_attribute(attribute)
+            return index
 
     def list_index(self, aqua_list: AquaList, attributes: Iterable[str] = ()) -> ListIndex:
-        with self._structure_lock:
-            cached = self._list_indexes.get(id(aqua_list))
-            if cached is None or cached.aqua_list is not aqua_list:
-                cached = ListIndex(aqua_list, attributes)
-                self._list_indexes[id(aqua_list)] = cached
-            return cached
-
-    def columnar_extent(self, tree: AquaTree, *, min_size: int = 0):
-        """The (cached) columnar encoding of ``tree``, or ``None``.
-
-        Build-once under the same dedicated lock as :meth:`tree_index`;
-        ``min_size`` is the caller's engagement threshold
-        (``AQUA_COLUMNAR_THRESHOLD``) — undersized trees return ``None``
-        without caching anything.  The cache is keyed by object identity
-        and rechecked like the index caches: rebinding a root to a new
-        tree object naturally invalidates (trees are immutable, and the
-        per-resource version counters already gate any cached *plan*
-        that depended on the old binding), while a pinned
-        :class:`DatabaseSnapshot` keeps referencing the old tree object
-        and therefore keeps its consistent columnar cut.
-        """
-        from .columnar import ColumnarExtent
-
-        with self._structure_lock:
-            cached = self._columnar_extents.get(id(tree))
-            if cached is None or cached.tree is not tree:
-                # Only encode structures worth the column builds.  (An
-                # undersized tree is not laid out just to be counted.)
-                if min_size and tree.size() < min_size:
-                    return None
-                cached = ColumnarExtent(tree)
-                self._columnar_extents[id(tree)] = cached
-            return cached if cached.size >= min_size else None
-
-    def columnar_list(self, aqua_list: AquaList, *, min_size: int = 0):
-        """The list analogue of :meth:`columnar_extent`."""
-        from .columnar import ColumnarList
-
-        with self._structure_lock:
-            cached = self._columnar_lists.get(id(aqua_list))
-            if cached is None or cached.aqua_list is not aqua_list:
-                if min_size and len(aqua_list) < min_size:
-                    return None
-                cached = ColumnarList(aqua_list)
-                self._columnar_lists[id(aqua_list)] = cached
-            return cached if cached.size >= min_size else None
+        """The position index of ``aqua_list`` (cached on the list, as
+        :meth:`tree_index` caches on the tree)."""
+        with STRUCTURE_LOCK:
+            index = aqua_list._index
+            if index is None:
+                index = aqua_list._index = ListIndex(aqua_list)
+            for attribute in attributes:
+                index.add_attribute(attribute)
+            return index
 
     def __repr__(self) -> str:
         extents = ", ".join(f"{k}×{len(v)}" for k, v in sorted(self._extents.items()))

@@ -8,10 +8,8 @@ on — and lives here so it can be unit-tested against the storage model
 directly:
 
 * **whole members** — a member (typically a stored tree) is never split
-  across shards, so a tree's cached
-  :class:`~repro.storage.columnar.ColumnarExtent` cut is built once and
-  reused by whichever worker owns it (the cache is keyed by tree
-  identity on the shared database view);
+  across shards, so a tree's layout and node index (cached on the tree
+  itself) are built once and reused by whichever worker owns it;
 * **position-tagged** — every member carries its source position, the
   key the ordered merge re-interleaves by, so the parallel stream is
   bit-identical to the sequential one;

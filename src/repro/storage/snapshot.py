@@ -237,24 +237,12 @@ class DatabaseSnapshot:
     # -- per-structure node indexes --------------------------------------------
 
     def tree_index(self, tree: AquaTree, attributes: Iterable[str] = ()) -> TreeIndex:
-        """Delegates to the base: node indexes key on immutable structures,
-        so sharing them across views is sound (and the base builds them
-        once under its structure lock)."""
+        """Delegates to the base: node indexes are cached on immutable
+        structures, so sharing them across views is sound."""
         return self._base.tree_index(tree, attributes)
 
     def list_index(self, aqua_list: AquaList, attributes: Iterable[str] = ()) -> ListIndex:
         return self._base.list_index(aqua_list, attributes)
-
-    def columnar_extent(self, tree: AquaTree, *, min_size: int = 0):
-        """Delegates to the base: columnar extents key on immutable tree
-        objects, and a pinned snapshot keeps referencing the tree object
-        it captured — post-pin rebinds create *new* tree objects with
-        their own extents, so the snapshot's columnar cut stays
-        consistent by construction."""
-        return self._base.columnar_extent(tree, min_size=min_size)
-
-    def columnar_list(self, aqua_list: AquaList, *, min_size: int = 0):
-        return self._base.columnar_list(aqua_list, min_size=min_size)
 
     def __repr__(self) -> str:
         extents = ", ".join(

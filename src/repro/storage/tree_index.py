@@ -7,8 +7,10 @@ nodes.  Constructing one only *declares* the attributes it may serve;
 each map is built by the first probe that reads it, in one grouped pass
 over the tree's preorder :meth:`~repro.core.aqua_tree.AquaTree.layout`.
 The index numbers nothing itself: ancestor tests and depths read the
-positions of that one layout, the same object the tree's columnar extent
-and match contexts read.
+positions of that one layout, the same object the match contexts read.
+An index is cached on its tree (``AquaTree._index``, see
+:meth:`repro.storage.database.Database.tree_index`), so it lives exactly
+as long as the tree does.
 
 Given an alphabet-predicate it answers :meth:`candidate_nodes`: the
 nodes that *might* match, served from an index when the predicate has an
@@ -23,7 +25,7 @@ saying which happened, so benchmarks can report the narrowing).
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Any, Callable, Iterable
+from typing import Any, Iterable
 
 from .. import guardrails, params
 from ..core.aqua_list import AquaList
@@ -65,23 +67,16 @@ def _built(maps: dict, attribute: str, pairs: Iterable[tuple[Any, Any]]) -> dict
 class TreeIndex:
     """Attribute → node maps over one tree's layout, built on first probe."""
 
-    def __init__(
-        self,
-        tree: AquaTree,
-        attributes: Iterable[str] = (),
-        column_source: Callable[[], Any] | None = None,
-    ) -> None:
-        self.tree = tree
+    def __init__(self, tree: AquaTree, attributes: Iterable[str] = ()) -> None:
+        # The layout, not the tree: cached on the tree, the index must not
+        # point back at it, or tree and index would form a cycle that only
+        # the cyclic collector frees.
         self.layout = tree.layout()
         self.node_count = len(self.layout.nodes)
         #: Every attribute this index may serve (the payload itself sits
         #: under ``VALUE_ATTRIBUTE``) → its key → nodes map, ``None``
         #: until a probe reads it.
         self._maps: dict[str, dict | None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
-        #: Returns the tree's columnar extent or ``None``; called per
-        #: lookup, so a cached index never pins a stale ``AQUA_COLUMNAR*``
-        #: on/off or threshold decision.
-        self._column_source = column_source or (lambda: None)
 
     def _map(self, attribute: str) -> dict[Any, list[TreeNode]]:
         nodes = self.layout.nodes
@@ -165,19 +160,7 @@ class TreeIndex:
             if guard is not None:
                 guard.charge_nodes(len(nodes), "tree-index candidates")
             return nodes, True
-        source = self._column_source()
-        if source is not None and source.servable(predicate):
-            # Fallback-scan fix: instead of handing back every element
-            # node, serve the shared predicate column — one batch
-            # evaluation per extent, exact for the whole predicate.
-            nodes = source.matching_nodes(predicate)
-            if stats is not None:
-                stats.bump("column_scans")
-                stats.bump("index_candidates", len(nodes))
-            if guard is not None:
-                guard.charge_nodes(len(nodes), "columnar candidates")
-            return nodes, True
-        nodes = list(self.tree.element_nodes())
+        nodes = [node for node in self.layout.nodes if not node.is_concat_point]
         if stats is not None:
             stats.bump("full_scans")
             stats.bump("nodes_scanned", len(nodes))
@@ -190,13 +173,16 @@ class ListIndex:
     """Value/attribute → element positions for one list, built on first probe."""
 
     def __init__(self, aqua_list: AquaList, attributes: Iterable[str] = ()) -> None:
-        self.aqua_list = aqua_list
-        self.values = aqua_list.value_array
+        self.values = aqua_list.value_array  # not the list: no cycle through its cache
         #: Declared attribute → key → positions, ``None`` until probed.
         self._maps: dict[str, dict | None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
 
     def _map(self, attribute: str) -> dict[Any, list[int]]:
         return _built(self._maps, attribute, enumerate(self.values))
+
+    def add_attribute(self, attribute: str) -> None:
+        """Declare ``attribute`` servable (its map waits for a probe)."""
+        self._maps.setdefault(attribute, None)
 
     def positions_for(
         self,

@@ -2,9 +2,10 @@
 
 import pytest
 
+from repro.algebra import split
 from repro.core.aqua_tree import AquaTree, TreeNode, subtree_at, tree
 from repro.core.concat import ALPHA, NIL, ConcatPoint, alpha
-from repro.core.identity import Record
+from repro.core.identity import Record, as_cell
 from repro.core.notation import parse_tree
 from repro.errors import ConcatenationError
 
@@ -236,3 +237,36 @@ class TestCloneAndEquality:
         t = parse_tree("a(b(c))")
         sub = subtree_at(t.root.children[0])
         assert sub.to_notation() == "b(c)"
+
+
+class TestDeepChains:
+    """Clone, ``∘α``, ``concat_many``, ``close_points`` and the ``z``
+    pieces of a split are one iterative rebuild: a 10⁴-deep chain
+    completes where a recursive walk would overflow the stack."""
+
+    DEPTH = 10_000
+
+    def pruned_chain(self) -> AquaTree:
+        """``r`` over a 10⁴-deep chain of ``x`` ending in the point ``1``."""
+        node = TreeNode(ConcatPoint("1"))
+        for _ in range(self.DEPTH):
+            node = TreeNode(as_cell("x"), [node])
+        return AquaTree(TreeNode(as_cell("r"), [node]))
+
+    def test_clone_concat_and_close_points_complete(self):
+        chain = self.pruned_chain()
+        point = ConcatPoint("1")
+        assert chain.clone(fresh_cells=True) == chain
+        plugged = chain.concat(point, AquaTree.leaf("y"))
+        assert plugged.size() == self.DEPTH + 2
+        assert plugged.layout().depth[-1] == self.DEPTH + 1
+        many = chain.concat_many([(point, AquaTree.leaf("y")), (ConcatPoint("2"), NIL)])
+        assert many == plugged
+        closed = chain.close_points()
+        assert closed.size() == self.DEPTH + 1
+        assert closed.concat_points() == []
+
+    def test_split_reading_z_completes(self):
+        chain = self.pruned_chain()
+        sizes = split("r(!?)", lambda x, y, z: tuple(piece.size() for piece in z), chain)
+        assert list(sizes) == [(self.DEPTH,)]

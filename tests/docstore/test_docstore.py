@@ -176,7 +176,7 @@ class TestPathQueries:
 
     def test_knobs_pass_through(self):
         doc = Document.from_text(XML, "xml")
-        with untabled_scope(doc.db):
+        with untabled_scope():
             backtrack = sorted(to_xml(t) for t in doc.path("//book", parallel="off"))
         memo = sorted(to_xml(t) for t in doc.path("//book", parallel="on"))
         assert backtrack == memo

@@ -124,7 +124,7 @@ def scan_db(tree: AquaTree | None = None) -> Database:
 def trip(db, query, budget, reference: bool):
     with pytest.raises(ResourceExhaustedError) as info:
         if reference:
-            with untabled_scope(db):
+            with untabled_scope():
                 evaluate(query, db, budget=budget)
         else:
             evaluate(query, db, budget=budget)
@@ -159,7 +159,7 @@ class TestBudgetAndFaultParity:
     def test_unlimited_scan_totals_equal_the_reference(self):
         db, query = scan_db(), scan_query()
         totals = []
-        for scope in (untabled_scope(db, "memo"), untabled_scope(db)):
+        for scope in (untabled_scope("memo"), untabled_scope()):
             with db.stats.scope() as stats, scope:
                 evaluate(query, db)
                 totals.append(

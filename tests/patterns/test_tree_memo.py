@@ -20,7 +20,6 @@ from repro.patterns import (
 )
 from repro.patterns.tree_memo import WIDE_CHILD_LIST, PredicateBitmap
 from repro.predicates import pred, sym
-from repro.storage import Database
 from repro.storage.stats import Instrumentation
 from repro.workloads import (
     by_citizen_or_name,
@@ -335,12 +334,10 @@ class TestContextSharing:
         starts cold, so two identical queries report identical fills."""
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
         tree = chain(4)
-        db = Database()
-        db.bind_root("T", tree)
         fills = []
         for _ in range(2):
             stats = Instrumentation()
-            with match_scope(db), stats.activated():
+            with match_scope(), stats.activated():
                 find_tree_matches(pattern, tree)
             fills.append(stats["bitmap_fills"])
         assert fills[0] == fills[1] > 0

@@ -126,23 +126,24 @@ class TestStructure:
         assert by_path[(0,)].trail == (query.head(), query.input.head())
 
     def test_default_lowering_of_column_servable_pattern_is_the_plain_pipe(self):
-        # The columnar root filter lives in the matcher (gated per
-        # execution by the kernel knobs), not in an operator of its own;
-        # the plain pipe's access path still names the filter predicates.
+        # The root first-set filter lives in the matcher, not in an
+        # operator of its own; the plain pipe's access path names the
+        # root predicates it tests.
         db = labeled_tree_db()
         plan = lower(Q.root("T").sub_select("d(e(h i) j ?*)").build(), db)
         assert type(plan.root) is P.SubSelectPipe
         assert type(plan.root.children[0]) is P.ScanRoot
-        assert "columnar bitset filter on x = 'd'" in plan.render()
+        assert "sub_select_pipe  [full tree scan; root first-set test on x = 'd']" in plan.render()
 
     def test_default_lowering_of_unanchored_pattern_is_full_scan(self):
-        # A bare-? root predicate selects every node — no column to
-        # filter through, so the plain pipe is kept.
+        # A bare-? root predicate accepts every node — no first-set to
+        # test, and neither under a closure (the bitmap answers there).
         db = labeled_tree_db()
-        plan = lower(Q.root("T").sub_select("?(e ?*)").build(), db)
-        assert type(plan.root) is P.SubSelectPipe
-        assert type(plan.root.children[0]) is P.ScanRoot
-        assert "columnar" not in plan.render()
+        for pattern in ("?(e ?*)", "[[d(@ ?*)]]+@ .@ e(h i)"):
+            plan = lower(Q.root("T").sub_select(pattern).build(), db)
+            assert type(plan.root) is P.SubSelectPipe
+            assert type(plan.root.children[0]) is P.ScanRoot
+            assert "sub_select_pipe  [full tree scan]" in plan.render()
 
     def test_render_names_operators_and_access_paths(self):
         db = labeled_tree_db()
@@ -267,10 +268,10 @@ class TestAccessPathChoice:
 
 
 class TestColumnarLowering:
-    """Tree scans keep the plain pipes (the matcher applies the columnar
-    root filter, gated per execution); the list scan has its own
-    self-gating operator, chosen in *both* lowering modes.  Kernel on
-    and kernel off answer bit for bit alike."""
+    """Tree scans keep the plain pipes (the matcher applies the root
+    first-set filter itself); the list scan has its own self-gating
+    columnar operator, chosen in *both* lowering modes.  The first-set
+    scan and the untabled reference answer bit for bit alike."""
 
     def test_column_servable_split_lowers_to_the_plain_pipe(self):
         db = Database()
@@ -283,8 +284,10 @@ class TestColumnarLowering:
         plan = lower(query, db)
         assert type(plan.root) is P.SubSelectPipe
         assert plan.root.name == "split_pipe"
-        assert "columnar bitset filter on" in plan.render()
-        assert "citizen" in plan.render()
+        assert (
+            "split_pipe  [full tree scan; root first-set test on x.citizen = 'Brazil']"
+            in plan.render()
+        )
 
     def test_list_sub_select_lowers_to_columnar_list_scan(self):
         db = Database()
@@ -301,22 +304,36 @@ class TestColumnarLowering:
         assert type(chosen.root) is P.IndexAnchorScan
 
     @pytest.mark.parametrize("mode", ["on", "off"])
-    def test_columnar_operators_match_plain_pipes(self, mode):
-        """Kernel on ≡ kernel off through the same operator."""
-        from repro import Session, config
+    def test_columnar_operators_match_plain_pipes(self, mode, monkeypatch):
+        """First-set scan (``on``) ≡ the untabled reference, which
+        enters the matcher at every node (``off``), through the same
+        operator — rows, order and every counter."""
+        from repro import Session
+        from repro.patterns import tree_match
+
+        from ..reference import untabled_scope
 
         db = labeled_tree_db()
         query = Q.root("T").sub_select("d(e(h i) j ?*)").build()
         assert type(lower(query, db).root) is P.SubSelectPipe
         session = Session(db)
-        with config.columnar_scope(mode), config.columnar_threshold_scope(0):
+        entered = []
+        scan = tree_match._first_set_scan
+
+        def spied(*args):
+            entered.append(True)
+            return scan(*args)
+
+        monkeypatch.setattr(tree_match, "_first_set_scan", spied)
+        with untabled_scope("memo" if mode == "on" else "backtrack"):
             served, metrics = session.query_with_metrics(query)
-        with config.columnar_scope("off"):
-            baseline = session.query(query)
+        with untabled_scope():
+            baseline, reference = session.query_with_metrics(query)
         assert served == baseline
         assert list(served) == list(baseline)
-        # The matcher-level root filter must actually engage when on.
-        assert (metrics.total("columnar_roots") > 0) == (mode == "on")
+        # The first-set scan engages exactly when tabled.
+        assert bool(entered) == (mode == "on")
+        assert metrics.totals() == reference.totals()
         assert metrics.total("nodes_scanned") == db.root("T").size()
 
 

@@ -1,24 +1,28 @@
-"""Columnar-kernel bit-identity properties (PR 8 satellite 3).
+"""Candidate-source bit-identity properties.
 
-The kernel's contract: with the columnar kernel forced on (threshold
-0), every query returns a match stream bit-identical to the kernel
-pinned off — across the three workload families (labeled trees /
-Figure-4 family splits / melody lists), the matcher tabled (``memo``) or
-run whole-query under the null-table reference registry (``backtrack``),
-and every available bitset backend.  Snapshot pins keep
-serving the pinned tree's columnar cut after the live root moves on,
-and rebinding a root between queries invalidates its extent.
+Every tree scan narrows its candidate roots through one seam: the index
+probe, or the root first-set scan.  Its contract: the tabled matcher
+behind the first-set scan (``memo``) and the untabled reference
+(``backtrack``, :func:`tests.reference.untabled_scope`) return the same
+match stream, the probe-optimized plan and the full scan return it too,
+and all equal the reference evaluator — across labeled trees, Figure-4
+family splits and melody lists.  The ``backend`` axis arms the list
+start source's column backend (numpy or python int bitsets, on lists
+of any length): lists answer identically on either, and no tree path
+reads one.  A pinned snapshot keeps serving its own list's columns
+after the live root moves on, and rebinding a root between queries
+never lets the old list's columns answer for the new one.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import config
+from repro import Session
 from repro.core import make_tuple
 from repro.query import Q, evaluate
 from repro.storage import Database
-from repro.storage.columnar import numpy_available
+from repro.storage.columnar import columnar_list_for, numpy_available
 from repro.workloads import (
     by_citizen_or_name,
     by_pitch,
@@ -27,7 +31,7 @@ from repro.workloads import (
     song_with_melody,
 )
 
-from ..reference import untabled_scope
+from ..reference import list_columns, reference_eval, untabled_scope
 
 SETTINGS = settings(max_examples=12, deadline=None)
 
@@ -39,19 +43,25 @@ LABELS = ["d", "e", "h", "i", "j", "u", "v"]
 
 TREE_PATTERNS = ["d(e ?*)", "d(?*)", "e(h i ?*)", "d(e(h i) j ?*)"]
 
+#: Longer than any list these properties build: list columns off.
+NO_COLUMNS = 10**9
 
-def both_legs(query, db, engine, backend):
-    """Evaluate ``query`` kernel-off and kernel-on under one mode."""
-    with untabled_scope(db, engine):
-        with config.columnar_scope("off"):
-            off = evaluate(query, db)
-        with (
-            config.columnar_scope("on"),
-            config.columnar_backend_scope(backend),
-            config.columnar_threshold_scope(0),
-        ):
-            on = evaluate(query, db)
-    return off, on
+
+def all_legs(query, db, engine, backend):
+    """``query`` probe-optimized and fully scanned under one mode, then
+    the reference evaluator's answer."""
+    session = Session(db)
+    with list_columns(backend), untabled_scope(engine):
+        probed = session.query(query, optimize=True)
+        scanned = session.query(query, optimize=False)
+    return probed, scanned, reference_eval(query, db)
+
+
+def assert_agree(query, db, engine, backend):
+    probed, scanned, reference = all_legs(query, db, engine, backend)
+    assert list(probed) == list(scanned)
+    assert probed == scanned == reference
+    return scanned
 
 
 @pytest.mark.parametrize("engine,backend", MODES)
@@ -61,9 +71,7 @@ def test_labeled_sub_select_bit_identical(engine, backend, seed, pattern):
     tree = random_labeled_tree(60, LABELS, seed=seed)
     db = Database()
     db.bind_root("T", tree)
-    query = Q.root("T").sub_select(pattern).build()
-    off, on = both_legs(query, db, engine, backend)
-    assert off == on
+    assert_agree(Q.root("T").sub_select(pattern).build(), db, engine, backend)
 
 
 @pytest.mark.parametrize("engine,backend", MODES)
@@ -78,9 +86,8 @@ def test_family_split_bit_identical(engine, backend, seed, planted):
         .split("Brazil(!?* USA !?*)", make_tuple, resolver=by_citizen_or_name)
         .build()
     )
-    off, on = both_legs(query, db, engine, backend)
-    assert off == on
-    assert len(off) >= planted
+    served = assert_agree(query, db, engine, backend)
+    assert len(served) >= planted
 
 
 @pytest.mark.parametrize("engine,backend", MODES)
@@ -93,33 +100,31 @@ def test_melody_list_bit_identical(engine, backend, seed, occurrences):
     db = Database()
     db.bind_root("song", song)
     query = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
-    off, on = both_legs(query, db, engine, backend)
-    assert off == on
-    assert len(on) >= occurrences
+    served = assert_agree(query, db, engine, backend)
+    with list_columns(backend, NO_COLUMNS):
+        assert Session(db).query(query, optimize=False) == served
+    assert len(served) >= occurrences
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @SETTINGS
 @given(seed=st.integers(0, 10_000))
 def test_snapshot_pin_serves_a_consistent_cut(backend, seed):
-    """A pinned snapshot answers from its own tree's columnar extent
-    even after the live root is rebound and requeried."""
-    old = random_labeled_tree(50, LABELS, seed=seed)
-    new = random_labeled_tree(50, LABELS, seed=seed + 1)
+    """A pinned snapshot answers from its own list's columns even after
+    the live root is rebound and requeried."""
+    old = song_with_melody(48, ["A", "C", "D", "F"], occurrences=2, seed=seed)
+    new = song_with_melody(48, ["A", "C", "D", "F"], occurrences=1, seed=seed + 1)
     db = Database()
-    db.bind_root("T", old)
-    query = Q.root("T").sub_select("d(e ?*)").build()
-    with (
-        config.columnar_scope("on"),
-        config.columnar_backend_scope(backend),
-        config.columnar_threshold_scope(0),
-    ):
+    db.bind_root("song", old)
+    query = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
+    with list_columns(backend):
         snapshot = db.snapshot()
         before = evaluate(query, snapshot)
-        db.rebind_root("T", new)
-        live = evaluate(query, db)  # builds the new tree's extent
+        db.rebind_root("song", new)
+        live = evaluate(query, db)  # builds the new list's columns
         pinned = evaluate(query, snapshot)
-    with config.columnar_scope("off"):
+        assert columnar_list_for(new) is not columnar_list_for(old)
+    with list_columns(backend, NO_COLUMNS):
         assert pinned == evaluate(query, snapshot)
         assert live == evaluate(query, db)
     assert pinned == before
@@ -129,25 +134,20 @@ def test_snapshot_pin_serves_a_consistent_cut(backend, seed):
 @SETTINGS
 @given(seed=st.integers(0, 10_000))
 def test_rebind_between_queries_invalidates(backend, seed):
-    """Partially-built columns for a replaced root never leak into the
-    replacement's answers (mid-build invalidation)."""
-    first = random_labeled_tree(50, LABELS, seed=seed)
-    second = random_labeled_tree(50, LABELS, seed=seed + 7)
+    """Partially-built columns of a replaced root never leak into the
+    replacement's answers."""
+    first = song_with_melody(48, ["A", "C", "D", "F"], occurrences=2, seed=seed)
+    second = song_with_melody(48, ["A", "C", "D", "F"], occurrences=1, seed=seed + 7)
     db = Database()
-    db.bind_root("T", first)
-    query = Q.root("T").sub_select("d(e ?*)").build()
-    with (
-        config.columnar_scope("on"),
-        config.columnar_backend_scope(backend),
-        config.columnar_threshold_scope(0),
-    ):
-        # Build only part of the first extent's column set...
-        from repro.predicates import sym
-
-        extent = db.columnar_extent(first)
-        extent.predicate_column(sym("d"))
-        db.rebind_root("T", second)
+    db.bind_root("song", first)
+    query = Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build()
+    with list_columns(backend):
+        # Build only part of the first list's column set...
+        columns = columnar_list_for(first)
+        columns.predicate_column(by_pitch("A"))
+        db.rebind_root("song", second)
         on = evaluate(query, db)
-    with config.columnar_scope("off"):
+        assert columnar_list_for(second) is not columns
+    with list_columns(backend, NO_COLUMNS):
         off = evaluate(query, db)
     assert on == off

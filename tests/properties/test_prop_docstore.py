@@ -9,10 +9,13 @@ Two families:
   value-identical after one round trip.
 
 * **Path queries are mode-independent.**  A random document queried
-  with a random path yields bit-identical serialized results across
-  matcher tables on/off × columnar backends, all agreeing with the
-  ``naive_path`` reference walk — and querying never mutates the
-  document (it re-serializes identically afterwards).
+  with a random path yields bit-identical serialized results whether
+  the matcher runs tabled with its root first-set scan (``memo``) or as
+  the untabled reference (``backtrack``), whether the first step is a
+  node-index probe or a scan, and whichever list-column backend is
+  armed (no tree path reads one) — all agreeing with the ``naive_path``
+  reference walk; and querying never mutates the document (it
+  re-serializes identically afterwards).
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import config
 from repro.core.aqua_tree import AquaTree
 from repro.docstore import (
     from_html,
@@ -38,7 +40,7 @@ from repro.docstore.model import DocNode, document_node
 from repro.docstore.store import Document
 from repro.storage.columnar import numpy_available
 
-from ..reference import untabled_scope
+from ..reference import list_columns, untabled_scope
 
 SETTINGS = settings(max_examples=40, deadline=None)
 
@@ -189,14 +191,10 @@ def test_path_results_bit_identical_across_modes(engine, backend, tree, path):
     doc = Document(tree, "xml", name="propdoc")
     before = to_xml(doc.tree)
     reference = _rendered(naive_path(doc.tree, path))
-    with (
-        config.columnar_scope("on"),
-        config.columnar_backend_scope(backend),
-        config.columnar_threshold_scope(0),
-    ):
-        with untabled_scope(doc.db, engine):
-            got = _rendered(doc.path(path))
-    assert got == reference
+    with list_columns(backend), untabled_scope(engine):
+        probed = _rendered(doc.path(path))
+        scanned = _rendered(doc.path(path, optimize=False))
+    assert probed == scanned == reference
     # Querying is read-only: the document re-serializes identically.
     assert to_xml(doc.tree) == before
 

@@ -169,7 +169,7 @@ def test_query_rows_and_charged_scan_equal_the_reference(pattern, tree, split):
     runs = []
     for engine in ("memo", "backtrack"):
         session = Session(db)
-        with db.stats.scope() as stats, untabled_scope(db, engine):
+        with db.stats.scope() as stats, untabled_scope(engine):
             rows = list(session.query(query, BINDINGS))
             runs.append((rows, {name: stats[name] for name in COUNTERS}))
     (rows, counters), (want_rows, want_counters) = runs
@@ -237,6 +237,6 @@ def test_the_reference_tests_child_atoms_uncompiled():
     query = Q.root("T").sub_select(pattern).build()
     answers = []
     for engine in ("memo", "backtrack"):
-        with untabled_scope(db, engine):
+        with untabled_scope(engine):
             answers.append([member.to_notation() for member in Session(db).query(query)])
     assert answers == [["a(c)"], ["a(b)"]]

@@ -4,7 +4,7 @@ oracle, and list ``split`` answers alike through every access path."""
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro import Session, config
+from repro import Session
 from repro.algebra.list_ops import split_list
 from repro.core.aqua_list import AquaList
 from repro.core.concat import ALPHA, ConcatPoint
@@ -15,8 +15,9 @@ from repro.patterns.nfa import compile_nfa, nfa_find_spans
 from repro.patterns.regex_bridge import regex_find_spans
 from repro.query import Q
 from repro.storage import Database
+from repro.storage.columnar import resolve_backend
 
-from ..reference import reference_eval
+from ..reference import list_columns, reference_eval
 from .strategies import (
     list_patterns,
     list_patterns_with_prunes,
@@ -102,11 +103,13 @@ def test_list_split_agrees_across_access_paths(pattern, values, other):
         assert x.concat_at(ALPHA, rebuilt) == whole
 
     session = Session(db)
-    with config.columnar_threshold_scope(0):
+    backend = resolve_backend()
+    with list_columns(backend):
         pinned = session.snapshot()
         for optimize in (True, False):
-            for mode in ("on", "off"):
-                with config.columnar_scope(mode):
+            # Columns on (any length) and off (the list is too short).
+            for min_length in (0, len(values) + 1):
+                with list_columns(backend, min_length):
                     served = session.query(query, optimize=optimize)
                 assert list(served) == list(expected)
         db.rebind_root("L", other)

@@ -63,7 +63,7 @@ def assert_matchers_agree(pattern, tree):
 def assert_engines_agree(query, db):
     baseline = reference_eval(query, db)
     for engine in ENGINES:
-        with untabled_scope(db, engine):
+        with untabled_scope(engine):
             value = evaluate(query, db)
         assert value == baseline
         assert ordered(value) == ordered(baseline)

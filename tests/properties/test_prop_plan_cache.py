@@ -85,7 +85,7 @@ def run_measured(prepared, engine):
     """Execute and return ``(result, runtime-counter delta)``."""
     db = prepared.db
     before = dict(db.stats.snapshot())
-    with untabled_scope(db, engine):
+    with untabled_scope(engine):
         result = prepared.run()
     after = db.stats.snapshot()
     delta = {

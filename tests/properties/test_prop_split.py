@@ -94,7 +94,7 @@ def test_four_operators_agree_from_session_to_defining_equation(
         ),
     ]
     for query, algebra, defining in cases:
-        with untabled_scope(db, engine):
+        with untabled_scope(engine):
             answer = Session(db).query(query.build(), optimize=probe)
         assert list(answer) == list(algebra) == list(defining)
 

@@ -4,7 +4,6 @@ import threading
 
 import pytest
 
-from repro import config
 from repro.api import Session
 from repro.core import make_tuple, parse_tree
 from repro.errors import ResourceExhaustedError
@@ -121,8 +120,8 @@ class TestPlanMetricsCollection:
 
         # CLAIM-SPLIT at benchmark scale: a 4 000-node tree whose anchor
         # `d` labels ~1 % of the nodes.  The scan visits every node; the
-        # probe hands the matcher 37 candidates.  (Kernel pinned off: its
-        # bitset filter would narrow the *naive* leg's roots as well.)
+        # probe hands the matcher 37 candidates.  (The naive leg's
+        # first-set scan rejects the rest unentered but charges them.)
         big = Database()
         tree = random_labeled_tree(
             4000, "dehijuvwxy", seed=99, weights=[1.0] + [11.0] * 9, max_arity=4
@@ -131,9 +130,8 @@ class TestPlanMetricsCollection:
         big.tree_index(tree)
         query = Q.root("T").sub_select("d(e(h i) j ?*)").build()
         session = Session(big)
-        with config.columnar_scope("off"):
-            naive, naive_metrics = session.query_with_metrics(query)
-            indexed, indexed_metrics = session.query_with_metrics(query, optimize=True)
+        naive, naive_metrics = session.query_with_metrics(query)
+        indexed, indexed_metrics = session.query_with_metrics(query, optimize=True)
         assert naive == indexed
         counters = ("nodes_scanned", "index_candidates", "predicate_evals")
         assert [naive_metrics.total(name) for name in counters] == [4000, 0, 4018]
@@ -204,9 +202,11 @@ class TestCountersFlushAtHandOver:
         )
         assert len(result) == matches == 6
         assert len(flushes) <= matches + 1  # 323 at one flush per candidate
+        # The scan charges every node the first-set rejected as the
+        # node-at-a-time reference does (322 probed candidates vs 3000).
         assert sum(f["backtrack_steps"] for f in flushes) == metrics[()].counters[
             "backtrack_steps"
-        ] == 1028
+        ] == (1028 if optimize else 3706)
 
     def test_a_list_scan_flushes_once_per_batch(self, monkeypatch):
         db = Database()

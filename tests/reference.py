@@ -9,11 +9,13 @@ match is the plain backtracker's.
 returns — same members, same order, same equality notion.
 
 The null-table collaborator is reachable only by constructing it, which
-is what the two helpers here do for the parity suites.
+is what the two helpers here do for the parity suites; the third,
+:func:`list_columns`, pins the list start source's column backend.
 """
 
-from contextlib import nullcontext
-from typing import Any
+from contextlib import contextmanager, nullcontext
+from typing import Any, Iterator
+from unittest import mock
 
 from repro import params
 from repro.algebra import (
@@ -34,6 +36,7 @@ from repro.core.aqua_tree import AquaTree
 from repro.errors import QueryError
 from repro.patterns import MatchContextRegistry, TreeMatchContext, match_scope
 from repro.query import expr as E
+from repro.storage import columnar
 
 
 def untabled(pattern, tree) -> TreeMatchContext:
@@ -41,7 +44,7 @@ def untabled(pattern, tree) -> TreeMatchContext:
     return TreeMatchContext(pattern, tree, tabled=False)
 
 
-def untabled_scope(db=None, engine: str = "backtrack"):
+def untabled_scope(engine: str = "backtrack"):
     """Arm a registry of null-table contexts around a whole evaluation.
 
     The outermost match scope wins, so every tree match on this thread
@@ -50,7 +53,19 @@ def untabled_scope(db=None, engine: str = "backtrack"):
     """
     if engine == "memo":
         return nullcontext()
-    return match_scope(registry=MatchContextRegistry(db, tabled=False))
+    return match_scope(registry=MatchContextRegistry(tabled=False))
+
+
+@contextmanager
+def list_columns(backend: str, min_length: int = 0) -> Iterator[None]:
+    """Build list predicate columns on ``backend`` (``numpy`` /
+    ``python``) for lists of at least ``min_length`` elements, inside
+    the block — so small generated lists take the shift-AND start
+    source.  Columns are cached on the list, so use fresh lists."""
+    with mock.patch.object(
+        columnar, "numpy_available", lambda: backend == "numpy"
+    ), mock.patch.object(columnar, "COLUMNAR_MIN_LENGTH", min_length):
+        yield
 
 
 def _flatten(collection: AquaSet) -> AquaSet:

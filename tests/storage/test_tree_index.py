@@ -6,7 +6,6 @@ from repro.core.identity import as_cell
 from repro.patterns import TreeMatchContext, parse_tree_pattern
 from repro.predicates.alphabet import attr, pred, sym
 from repro.storage import Database
-from repro.storage.columnar import ColumnarExtent
 from repro.storage.stats import Instrumentation
 from repro.storage.tree_index import ListIndex, TreeIndex
 from repro.workloads.family import BRAZIL, figure3_family_tree
@@ -44,13 +43,13 @@ class TestSharedLayout:
         tree = parse_tree("a(b(a(b)) c)")
         db = Database()
         index = db.tree_index(tree)
-        extent = db.columnar_extent(tree)
         closure = parse_tree_pattern("[[a(b(@))]]+@ .@ a(b)")
         context = TreeMatchContext(closure, tree)
         second = Database().tree_index(tree)
         position = tree.layout().position
         assert index.layout.position is position
-        assert extent.layout.position is position
+        # The index is cached on the tree: every database shares it.
+        assert second is index
         assert context.closure and context._pre is position
         assert second.layout.position is position
         assert context._children_pre is tree.layout().children_position
@@ -65,10 +64,10 @@ class TestSharedLayout:
         leaf = chain.layout().nodes[-1]
         assert index.depth(leaf) == 10_000
         assert index.is_ancestor(chain.root, leaf)
-        structure = ColumnarExtent(chain, backend="python").structure()
-        assert structure["subtree_size"][0] == 10_001
-        assert structure["first_child"][:2] == [1, 2]
-        assert set(structure["next_sibling"]) == {-1}
+        layout = chain.layout()
+        assert layout.end[0] == 10_001
+        assert layout.parent[:3] == [-1, 0, 1]
+        assert layout.depth[-1] == 10_000
 
 
 class TestValueIndex:
@@ -162,6 +161,46 @@ class TestListIndex:
         positions, used = index.positions_for(pred(lambda v: True))
         assert not used
         assert positions == [0, 1]
+
+
+class TestCachedOnTheStructure:
+    """Node and position indexes (and list columns) live on the tree or
+    list they index, so a rebind lets the superseded one be collected."""
+
+    def test_superseded_root_is_collected_after_rebind(self):
+        """A payload reachable only from a superseded root is collected
+        after ``rebind_root`` — no database-side cache pins it."""
+        import gc
+        import weakref
+
+        from repro import Session
+        from repro.core.aqua_list import AquaList
+        from repro.core.identity import Record
+
+        db = Database()
+        session = Session(db)
+        doomed = Record(name="d")
+        tree = AquaTree.build(Record(name="r"), [AquaTree.build(doomed, [Record(name="e")])])
+        notes = AquaList.of(*[Record(pitch=p) for p in "ABC" * 200])
+        db.bind_root("T", tree)
+        db.bind_root("L", notes)
+        for optimize in (True, False):
+            found = session.query('root T | sub_select "d(e)" by name', optimize=optimize)
+            assert len(found) == 1
+            session.query('root L | lsub_select "[A?C]" by pitch', optimize=optimize)
+        tree_payload, list_payload = weakref.ref(doomed), weakref.ref(notes[1])
+        db.rebind_root("T", parse_tree("r(d(e))"))
+        db.rebind_root("L", parse_list("[a b c]"))
+        session.query('root T | sub_select "d(e)" by name', optimize=True)
+        # Nothing cached on a structure points back at it, so reference
+        # counting alone frees the superseded root — no cycle to collect.
+        gc.disable()
+        try:
+            del tree, notes, doomed, found
+            assert tree_payload() is None
+            assert list_payload() is None
+        finally:
+            gc.enable()
 
 
 class TestBuiltOnFirstProbe:

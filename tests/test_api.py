@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Session, default_session
-from repro.config import COLUMNAR_ENV, PARALLEL_ENV
+from repro.config import PARALLEL_ENV
 from repro.core import parse_tree
 from repro.core.identity import Record
 from repro.errors import QueryError
@@ -55,11 +55,11 @@ class TestKnobValidation:
         assert len(result) == 1  # value-equal matches collapse in the set
         assert metrics.totals()["memo_misses"] > 0
 
-    def test_bad_env_value_rejected_on_first_read(self, db, monkeypatch):
-        monkeypatch.setenv(COLUMNAR_ENV, "turbo")
-        session = Session(db)  # env not read yet
-        with pytest.raises(QueryError, match=COLUMNAR_ENV):
-            session.query(Q.root("T").sub_select("d(e j)").node)
+    def test_bad_env_value_rejected_on_first_read(self, wide_db, monkeypatch):
+        monkeypatch.setenv(PARALLEL_ENV, "turbo")
+        session = Session(wide_db)  # env not read yet
+        with pytest.raises(QueryError, match=PARALLEL_ENV):
+            session.query(Q.extent("Person").sselect(attr("age") >= 0).node)
 
     def test_bad_per_call_value_rejected(self, db):
         session = Session(db)

@@ -74,7 +74,6 @@ def test_docstore_group_is_complete() -> None:
 #: The knob census: every ``AQUA_*`` variable there is.  Adding one means
 #: editing this set, the README tables and the CI lint step together.
 KNOBS = {
-    "AQUA_COLUMNAR", "AQUA_COLUMNAR_BACKEND", "AQUA_COLUMNAR_THRESHOLD",
     "AQUA_DEADLINE", "AQUA_DFA_CACHE_LIMIT", "AQUA_FAULTS", "AQUA_FAULT_SEED",
     "AQUA_MAX_BACKTRACK_DEPTH", "AQUA_MAX_NODES_SCANNED", "AQUA_MAX_RESULTS",
     "AQUA_MAX_STEPS", "AQUA_PARALLEL", "AQUA_PARALLEL_MIN_ROWS",
@@ -104,6 +103,25 @@ def test_snapshot_visibility_is_a_position_compare() -> None:
     offenders = [
         f"{path.name}:{number}"
         for path in storage.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if residue.search(line)
+    ]
+    assert offenders == []
+
+
+def test_the_tree_half_of_the_columnar_kernel_is_gone() -> None:
+    """Tree scans narrow their roots through the index probe or the
+    root first-set scan only: no columnar extent, column source or
+    columnar candidate filter survives anywhere in the package (the CI
+    lint job greps for the same), and the matcher reads no database."""
+    residue = re.compile(
+        r"ColumnarExtent|columnar_source_for|column_source|_columnar_candidates"
+        r"|tree_columnar_anchors|columnar_extent"
+    )
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in package.rglob("*.py")
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
         if residue.search(line)
     ]
@@ -191,8 +209,8 @@ def test_tree_nodes_are_numbered_in_one_module_only() -> None:
 
 
 def test_root_predicate_walk_is_defined_once() -> None:
-    """Index anchors, columnar anchors and the matcher's root first-set
-    read one analysis of a pattern's roots: ``tree_ast._root_predicates``
+    """Index anchors, list column choices and the matcher's root
+    first-set read one analysis of a pattern's roots: ``tree_ast._root_predicates``
     (the CI lint job greps for the same thing)."""
     package = Path(repro.__file__).resolve().parent
     definers = [
@@ -223,7 +241,7 @@ LAYERS = (
 #: can only shrink.  Three groups: the counter sink every engine emits to
 #: lives in ``storage``; the plan vocabulary the optimizer and the
 #: operators read lives in ``query``; the rest reach up for a default
-#: session, the columnar filter or the document path compiler.
+#: session or the document path compiler.
 UPWARD_IMPORTS = {
     "guardrails.py -> storage.stats",
     "patterns/dfa.py -> storage.stats",
@@ -238,9 +256,6 @@ UPWARD_IMPORTS = {
     "physical/base.py -> query.metrics",
     "physical/exchange.py -> query.metrics",
     "physical/lower.py -> query.expr",
-    "patterns/tree_match.py -> optimizer.anchors",
-    "patterns/tree_match.py -> storage.columnar",
-    "patterns/tree_memo.py -> storage.columnar",
     "query/aql.py -> docstore.path",
     "query/aql.py -> api",
     "query/builder.py -> api",
