@@ -17,11 +17,17 @@ The preorder text notation of the paper (``b(d(fg)e)``) is implemented in
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import ConcatenationError
 from .concat import NIL, ConcatPoint, Nil, is_concat_point
 from .identity import Cell, as_cell, deref
+
+#: The pseudo-attribute naming a node's payload itself (``x = 'd'``).
+VALUE_ATTRIBUTE = "__value__"
+
+_MISSING = object()
 
 
 class TreeNode:
@@ -127,6 +133,65 @@ class TreeLayout:
         self.element_count = len(nodes) - points
 
 
+class TreePostings:
+    """One attribute's postings over one tree, grouped in one inline
+    preorder walk (no layout, no per-node property): ``buckets`` maps a
+    key to ``(positions, nodes)`` in preorder, positions counting every
+    node as :class:`TreeLayout` does; the payload itself is the key under
+    :data:`VALUE_ATTRIBUTE`; NULLs and nodes without the attribute post
+    nothing.  An unhashable key is filed under its ``repr`` and clears
+    ``exact`` (an equal constant could miss it).  ``nodes`` counts every
+    node, ``points`` lists the NULLs' positions."""
+
+    __slots__ = ("buckets", "nodes", "points", "exact")
+
+    def __init__(self, root: "TreeNode | None", attribute: str) -> None:
+        buckets: dict[Any, list] = {}  # key → [position, node, …] while walking
+        get = buckets.get
+        self.points: list[int] = []
+        self.exact = True
+        payload = attribute == VALUE_ATTRIBUTE
+        position = -1
+        stack = [root] if root is not None else []
+        pop, extend = stack.pop, stack.extend
+        while stack:
+            node = pop()
+            position += 1
+            children = node.children
+            if children:
+                extend(children[::-1])
+            item = node.item
+            if type(item) is Cell:
+                key = item.contents
+            elif isinstance(item, ConcatPoint):
+                self.points.append(position)
+                continue
+            else:
+                key = deref(item)
+            if not payload:
+                if isinstance(key, dict):
+                    key = key.get(attribute, _MISSING)
+                else:
+                    key = getattr(key, attribute, _MISSING)
+                if key is _MISSING:
+                    continue
+            try:
+                bucket = get(key)
+            except TypeError:
+                self.exact = False
+                key = repr(key)
+                bucket = get(key)
+            if bucket is None:
+                buckets[key] = [position, node]
+            else:
+                bucket += (position, node)
+        # Positions in a C array: a kept ``int`` outweighs its posting.
+        self.buckets = {
+            key: (array("i", bucket[0::2]), bucket[1::2]) for key, bucket in buckets.items()
+        }
+        self.nodes = position + 1
+
+
 class AquaTree:
     """An ordered, variable-arity tree of cells; possibly empty.
 
@@ -134,13 +199,15 @@ class AquaTree:
     concatenation closes off a point with :data:`~repro.core.concat.NIL`.
     """
 
-    __slots__ = ("root", "_size", "_hash", "_layout", "_index")
+    __slots__ = ("root", "_size", "_hash", "_layout", "_postings", "_index", "__weakref__")
 
     def __init__(self, root: TreeNode | None = None) -> None:
         self.root = root
         self._size: int | None = None
         self._hash: int | None = None
         self._layout: TreeLayout | None = None
+        #: Attribute → :class:`TreePostings`, each built by its first reader.
+        self._postings: dict[str, TreePostings] | None = None
         #: The tree's node index (:class:`repro.storage.tree_index.TreeIndex`),
         #: set by the storage layer on first request — cached here, like the
         #: layout, so it dies with the tree.
@@ -249,6 +316,24 @@ class AquaTree:
             layout = self._layout = TreeLayout(self.root)
             self._size = layout.element_count
         return layout
+
+    def postings(
+        self, attribute: str, on_build: "Callable[[], object] | None" = None
+    ) -> TreePostings:
+        """``attribute``'s postings, built on first read (``on_build`` is
+        called once per build) and cached under :meth:`layout`'s
+        contract, extended to payloads: no attribute a posting was filed
+        under is edited in place once the tree is published.  Racing
+        first reads build equal maps; the first to publish wins."""
+        maps = self._postings
+        if maps is None:
+            maps = self._postings = {}
+        postings = maps.get(attribute)
+        if postings is None:
+            postings = maps.setdefault(attribute, TreePostings(self.root, attribute))
+            if on_build is not None:
+                on_build()
+        return postings
 
     def height(self) -> int:
         """Length of the longest root-to-leaf path in edges; empty tree = -1."""

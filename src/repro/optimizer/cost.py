@@ -176,8 +176,7 @@ class CostModel:
             terms = index.servable_terms(anchor)
             if terms:
                 attribute, _, constant = terms[0]
-                total = max(1, index.node_count)
-                return index.count(attribute, constant) / total
+                return index.selectivity(attribute, constant)
         if isinstance(value, AquaList):
             index = self.db.list_index(value, anchor.attributes())
             positions, used = index.positions_for(anchor)

@@ -54,11 +54,12 @@ All three produce bit-identical ``Shape`` streams in the same order.
 from __future__ import annotations
 
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
-from .. import guardrails
-from ..core.aqua_tree import AquaTree, TreeNode
+from .. import guardrails, params
+from ..core.aqua_tree import AquaTree, TreeNode, TreePostings
 from ..core.concat import ConcatPoint
 from ..core.identity import Cell, deref
 from ..errors import PatternError, ResourceExhaustedError
@@ -823,11 +824,31 @@ def find_tree_matches(
     return results
 
 
+def _settler(first_set: RootFirstSet, matcher: _TreeMatcher, on_candidate, faulty: bool):
+    """``settle(rejected, points)``: charge unentered nodes, ``points`` of them NULLs."""
+    steps, evals = first_set.steps, first_set.evals
+    guard = matcher.guard
+
+    def settle(rejected: int, points: int) -> None:
+        if faulty:  # batch is 1: once per rejected node, ahead of its charges
+            fault_point("matcher_step")
+        elements = rejected - points
+        if on_candidate is not None and elements:
+            on_candidate(elements)
+        matcher.backtrack_steps += rejected * steps
+        matcher.predicate_evals += elements * evals
+        if guard is not None:
+            guard.tick(rejected * steps, "tree matcher")
+
+    return settle
+
+
 def _first_set_scan(
     data: AquaTree,
     first_set: RootFirstSet,
     matcher: _TreeMatcher,
     on_candidate: "Callable[[int], None] | None",
+    counted: bool,
 ) -> Iterator[TreeNode]:
     """The nodes of ``data`` the pattern's root first-set accepts, in
     preorder — having charged every node it rejected on the way.
@@ -848,28 +869,10 @@ def _first_set_scan(
     Walks ``tree.nodes()`` order inline off ``node.item``: no layout is
     forced on the tree, no property or generator resume paid per node.
     """
-    accepts, steps, evals = first_set
-    guard = matcher.guard
+    accepts = first_set.accepts
     faulty = active_plan() is not None
-    budget = None if guard is None else guard.budget
-    counted = faulty or (
-        budget is not None
-        and (budget.max_steps, budget.max_nodes_scanned) != (None, None)
-    )
-    batch = 1 if counted else max(1, _REJECT_BATCH // steps)
-
-    def settle(rejected: int, points: int) -> None:
-        """Charge ``rejected`` unentered nodes, ``points`` of them NULLs."""
-        if faulty:  # batch is 1: once per rejected node, ahead of its charges
-            fault_point("matcher_step")
-        elements = rejected - points
-        if on_candidate is not None and elements:
-            on_candidate(elements)
-        matcher.backtrack_steps += rejected * steps
-        matcher.predicate_evals += elements * evals
-        if guard is not None:
-            guard.tick(rejected * steps, "tree matcher")
-
+    batch = 1 if counted else max(1, _REJECT_BATCH // first_set.steps)
+    settle = _settler(first_set, matcher, on_candidate, faulty)
     rejected = points = 0
     stack = [data.root]
     pop, extend = stack.pop, stack.extend
@@ -900,6 +903,52 @@ def _first_set_scan(
         settle(rejected, points)
 
 
+def _posting_scan(
+    bucket: tuple, postings: TreePostings, first_set: RootFirstSet, matcher, on_candidate
+) -> Iterator[TreeNode]:
+    """:func:`_first_set_scan`, served from the tree's postings: each
+    node of ``bucket`` (the equality term's) is re-tested with
+    ``accepts``, and the nodes between two survivors — NULLs told by
+    ``postings.points`` — settle in one charge before the later one is
+    handed over, the tail at exhaustion.  Survivors, totals and the
+    charges between hand-overs are the walk's, early stop included."""
+    accepts = first_set.accepts
+    settle = _settler(first_set, matcher, on_candidate, faulty=False)
+    points = postings.points
+
+    def gap(last: int, position: int) -> None:
+        if position - last > 1:
+            nulls = bisect_left(points, position) - bisect_right(points, last) if points else 0
+            settle(position - last - 1, nulls)
+
+    last = -1
+    for position, node in zip(*bucket):
+        item = node.item
+        if accepts(item.contents if type(item) is Cell else deref(item)):
+            gap(last, position)
+            last = position
+            yield node
+    gap(last, postings.nodes)
+
+
+def _posting_key(pattern: TreePattern) -> "tuple[str, Any] | None":
+    """``(attribute, constant)`` of a bound, hashable ``=`` term of the
+    pattern's one root predicate (a ``$param`` is read now), or ``None``."""
+    predicates = pattern.root_predicates()
+    if len(predicates) != 1:
+        return None
+    for attribute, op, constant in predicates[0].indexable_terms():
+        if op != "=":
+            continue
+        constant, bound = params.try_resolve(constant)
+        try:
+            hash(constant)
+        except TypeError:
+            return None
+        return (attribute, constant) if bound else None
+    return None
+
+
 def _candidate_roots(
     pattern: TreePattern,
     data: AquaTree,
@@ -917,10 +966,13 @@ def _candidate_roots(
     * caller-supplied ``roots`` (an index probe), sorted by layout
       position;
     * the first-set scan, when the pattern's root predicates compile and
-      the context is tabled and closure-free (:func:`_first_set_scan`) —
-      under a closure, predicates answer from the bitmap at most once
-      per node, and the null-table context is the reference: no tables,
-      no prefilter;
+      the context is tabled and closure-free — under a closure,
+      predicates answer from the bitmap at most once per node, and the
+      null-table context is the reference: no tables, no prefilter.  It
+      reads the tree's postings for the attribute (:func:`_posting_scan`;
+      the first such scan builds them) when the first-set is one
+      equality (:func:`_posting_key`), nothing counts candidates one by
+      one and every key hashed; else it walks (:func:`_first_set_scan`);
     * otherwise every node.
 
     Whatever the source, the caller runs one loop over the result.
@@ -935,12 +987,22 @@ def _candidate_roots(
         first_set = pattern.root_first_set()
         # Rejecting unentered must not skip a depth trip the walk down
         # to the root atoms (at most ``steps`` deep) would have raised.
-        guard = matcher.guard
-        depth_limit = None if guard is None else guard.budget.max_backtrack_depth
+        budget = None if matcher.guard is None else matcher.guard.budget
+        depth_limit = None if budget is None else budget.max_backtrack_depth
         if first_set is not None and (
             depth_limit is None or first_set.steps <= depth_limit
         ):
-            return _first_set_scan(data, first_set, matcher, on_candidate)
+            # A fault plan or a step / node limit counts candidates one by one.
+            counted = active_plan() is not None or (
+                budget is not None and (budget.max_steps, budget.max_nodes_scanned) != (None, None)
+            )
+            key = None if counted else _posting_key(pattern)
+            if key is not None:
+                postings = data.postings(key[0], lambda: stats_mod.emit("index_builds"))
+                if postings.exact:
+                    bucket = postings.buckets.get(key[1], ((), ()))
+                    return _posting_scan(bucket, postings, first_set, matcher, on_candidate)
+            return _first_set_scan(data, first_set, matcher, on_candidate, counted)
     return data.nodes()
 
 

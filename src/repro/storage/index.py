@@ -20,12 +20,10 @@ import bisect
 import threading
 from typing import Any, Hashable, Iterable
 
+from ..core.aqua_tree import VALUE_ATTRIBUTE
 from ..errors import IndexError_
 from ..faults import fault_point
 from . import stats as stats_mod
-
-#: Pseudo-attribute meaning "the object itself" (see SymbolEquals).
-VALUE_ATTRIBUTE = "__value__"
 
 _MISSING = object()
 
@@ -37,6 +35,27 @@ def read_key(obj: Any, attribute: str) -> Any:
     if isinstance(obj, dict):
         return obj.get(attribute, _MISSING)
     return getattr(obj, attribute, _MISSING)
+
+
+def grouped(maps: dict, attribute: str, pairs: Iterable[tuple[Any, Any]]) -> dict:
+    """``maps[attribute]``, grouped from ``(entry, value)`` pairs by the
+    first probe to read it (a list index's positions): values without
+    the attribute are skipped, an unhashable key is filed under its
+    ``repr``, and racing first probes publish equal maps."""
+    built = maps[attribute]
+    if built is None:
+        built = {}
+        for entry, value in pairs:
+            key = read_key(value, attribute)
+            if key is _MISSING:
+                continue
+            try:
+                built.setdefault(key, []).append(entry)
+            except TypeError:
+                built.setdefault(repr(key), []).append(entry)
+        maps[attribute] = built
+        stats_mod.emit("index_builds")
+    return built
 
 
 class HashIndex:

@@ -4,10 +4,10 @@
 locate all nodes in T that match d".  A :class:`TreeIndex` provides that:
 maps from stored attribute values — and from the payload itself — to
 nodes.  Constructing one only *declares* the attributes it may serve;
-each map is built by the first probe that reads it, in one grouped pass
-over the tree's preorder :meth:`~repro.core.aqua_tree.AquaTree.layout`.
-The index numbers nothing itself: ancestor tests and depths read the
-positions of that one layout, the same object the match contexts read.
+the maps are the tree's own :meth:`~repro.core.aqua_tree.AquaTree.postings`,
+built by the first probe — or root first-set scan — to read them.
+Ancestor tests and depths read the tree's preorder
+:meth:`~repro.core.aqua_tree.AquaTree.layout`, built when they ask.
 An index is cached on its tree (``AquaTree._index``, see
 :meth:`repro.storage.database.Database.tree_index`), so it lives exactly
 as long as the tree does.
@@ -24,64 +24,44 @@ saying which happened, so benchmarks can report the narrowing).
 
 from __future__ import annotations
 
+import weakref
 from contextlib import nullcontext
 from typing import Any, Iterable
 
 from .. import guardrails, params
 from ..core.aqua_list import AquaList
-from ..core.aqua_tree import AquaTree, TreeNode
+from ..core.aqua_tree import VALUE_ATTRIBUTE, AquaTree, TreeLayout, TreeNode, TreePostings
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
 from . import stats as stats_mod
-from .index import _MISSING, VALUE_ATTRIBUTE, read_key
+from .index import grouped
 from .stats import Instrumentation
 
 
-def _built(maps: dict, attribute: str, pairs: Iterable[tuple[Any, Any]]) -> dict:
-    """``maps[attribute]``: the declared attribute's key → entries map,
-    grouped from ``pairs`` — ``(entry, value)`` in order, consumed only
-    then — by the first probe to read it.
-
-    Values without the attribute are skipped; an unhashable key is filed
-    under its ``repr`` (see :func:`_hashable_key`).  Racing first probes
-    are benign under the same contract as :meth:`AquaTree.layout`: each
-    thread groups an equal map from immutable input and one assignment
-    publishes it.
-    """
-    built = maps[attribute]
-    if built is None:
-        built = {}
-        for entry, value in pairs:
-            key = read_key(value, attribute)
-            if key is _MISSING:
-                continue
-            try:
-                built.setdefault(key, []).append(entry)
-            except TypeError:
-                built.setdefault(repr(key), []).append(entry)
-        maps[attribute] = built
-        stats_mod.emit("index_builds")
-    return built
-
-
 class TreeIndex:
-    """Attribute → node maps over one tree's layout, built on first probe."""
+    """Attribute → node maps over one tree: a view of its postings."""
 
     def __init__(self, tree: AquaTree, attributes: Iterable[str] = ()) -> None:
-        # The layout, not the tree: cached on the tree, the index must not
-        # point back at it, or tree and index would form a cycle that only
-        # the cyclic collector frees.
-        self.layout = tree.layout()
-        self.node_count = len(self.layout.nodes)
+        # A weak proxy: cached on the tree, the index must not hold it, or
+        # the two would form a cycle only the cyclic collector frees.
+        self._tree = weakref.proxy(tree)
         #: Every attribute this index may serve (the payload itself sits
-        #: under ``VALUE_ATTRIBUTE``) → its key → nodes map, ``None``
-        #: until a probe reads it.
-        self._maps: dict[str, dict | None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
+        #: under ``VALUE_ATTRIBUTE``), in declaration order.
+        self._attributes: dict[str, None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
 
-    def _map(self, attribute: str) -> dict[Any, list[TreeNode]]:
-        nodes = self.layout.nodes
-        pairs = ((n, n.value) for n in nodes if not n.is_concat_point)
-        return _built(self._maps, attribute, pairs)
+    def _postings(self, attribute: str) -> TreePostings:
+        return self._tree.postings(attribute, lambda: stats_mod.emit("index_builds"))
+
+    def _nodes(self, attribute: str, key: Any) -> list[TreeNode]:
+        return self._postings(attribute).buckets.get(_hashable_key(key), ((), []))[1]
+
+    @property
+    def layout(self) -> TreeLayout:
+        return self._tree.layout()
+
+    @property
+    def node_count(self) -> int:
+        return len(self.layout.nodes)
 
     # -- structural predicates ------------------------------------------------
 
@@ -97,18 +77,22 @@ class TreeIndex:
 
     def add_attribute(self, attribute: str) -> None:
         """Declare ``attribute`` servable (its map waits for a probe)."""
-        self._maps.setdefault(attribute, None)
+        self._attributes.setdefault(attribute, None)
 
     def indexed_attributes(self) -> set[str]:
-        return set(self._maps) - {VALUE_ATTRIBUTE}
+        return set(self._attributes) - {VALUE_ATTRIBUTE}
 
     def probe(self, attribute: str, key: Any) -> list[TreeNode]:
         fault_point("index_probe")
         stats_mod.emit("index_probes")
-        return list(self._map(attribute).get(_hashable_key(key), ()))
+        return list(self._nodes(attribute, key))
 
     def count(self, attribute: str, key: Any) -> int:
-        return len(self._map(attribute).get(_hashable_key(key), ()))
+        return len(self._nodes(attribute, key))
+
+    def selectivity(self, attribute: str, key: Any) -> float:
+        """Fraction of the tree's nodes a probe on ``key`` returns."""
+        return self.count(attribute, key) / max(1, self._postings(attribute).nodes)
 
     def servable_terms(
         self, predicate: AlphabetPredicate
@@ -123,7 +107,7 @@ class TreeIndex:
             return []
         terms: list[tuple[str, str, Any]] = []
         for attribute, op, constant in predicate.indexable_terms():
-            if op != "=" or attribute not in self._maps:
+            if op != "=" or attribute not in self._attributes:
                 continue
             constant, bound = params.try_resolve(constant)
             if not bound:
@@ -178,7 +162,7 @@ class ListIndex:
         self._maps: dict[str, dict | None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
 
     def _map(self, attribute: str) -> dict[Any, list[int]]:
-        return _built(self._maps, attribute, enumerate(self.values))
+        return grouped(self._maps, attribute, enumerate(self.values))
 
     def add_attribute(self, attribute: str) -> None:
         """Declare ``attribute`` servable (its map waits for a probe)."""

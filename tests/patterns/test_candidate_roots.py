@@ -9,6 +9,7 @@ takes no prefilter, so it is the node-at-a-time scan this one replaced.
 
 import gc
 import inspect
+import sys
 
 import pytest
 
@@ -22,6 +23,7 @@ from repro.patterns import tree_match
 from repro.patterns.tree_ast import TreeAtom, TreePattern
 from repro.patterns.tree_match import _TreeMatcher, iter_tree_matches
 from repro.predicates import attr, pred
+from repro.api import Session
 from repro.query import Q, evaluate
 from repro.storage import Database
 from repro.workloads import by_citizen_or_name, random_family_tree
@@ -230,6 +232,122 @@ class TestBudgetAndFaultParity:
 def child_param_pattern():
     """French parents with a child whose citizenship is ``$who``."""
     return parse_tree_pattern("France(!?* {citizen = $who} !?*)", resolver=by_citizen_or_name)
+
+
+def equal_postings(published, fresh) -> bool:
+    return (published.nodes, published.points, published.exact) == (
+        fresh.nodes, fresh.points, fresh.exact
+    ) and {k: (list(p), n) for k, (p, n) in published.buckets.items()} == {
+        k: (list(p), n) for k, (p, n) in fresh.buckets.items()
+    }
+
+
+class TestPostingsSource:
+    """A scan whose root first-set is one equality is served from the
+    tree's postings: built by the first such scan, kept on the tree, and
+    shared with the node index."""
+
+    def test_warm_scan_tests_only_the_posted_nodes(self, monkeypatch):
+        tree, pattern = family(planted=2), figure4()
+        want = [m.key() for m in find_tree_matches(pattern, tree)]  # cold: builds
+        assert tree._postings["citizen"].exact
+        tested = []
+        first_set = pattern.root_first_set()
+        spied = first_set._replace(accepts=lambda v: tested.append(v) or first_set.accepts(v))
+        monkeypatch.setattr(TreePattern, "root_first_set", lambda self: spied)
+        assert [m.key() for m in find_tree_matches(pattern, tree)] == want
+        assert len(tested) == sum(v.citizen == "Brazil" for v in tree.values()) == 2
+
+    def test_a_scan_and_a_probe_share_one_map(self):
+        from repro.storage.stats import Instrumentation
+        from repro.workloads.family import BRAZIL
+
+        tree, pattern = family(), figure4()
+        sink = Instrumentation()
+        with sink.activated():
+            matches = find_tree_matches(pattern, tree)
+            nodes, used = Database().tree_index(tree, ["citizen"]).candidate_nodes(BRAZIL)
+        assert used and nodes == [m.root for m in matches]
+        assert sink["index_builds"] == 1
+        assert tree._layout is None
+
+    def test_racing_first_scans_and_probes_publish_one_equal_map(self):
+        import threading
+
+        from repro.core.aqua_tree import TreePostings
+        from repro.workloads.family import BRAZIL
+
+        tree, pattern = family(planted=3), figure4()
+        want = [m.key() for m in find_tree_matches(pattern, tree, context=untabled(pattern, tree))]
+        brazilians = [n for n in tree.nodes() if n.value.citizen == "Brazil"]
+        index = Database().tree_index(tree, ["citizen"])
+        barrier = threading.Barrier(8)
+        scans, probes = [], []
+
+        def race(turn: int) -> None:
+            barrier.wait()
+            for step in (turn, turn + 1):  # half the threads scan first
+                if step % 2:
+                    scans.append([m.key() for m in find_tree_matches(pattern, tree)])
+                else:
+                    probes.append(index.candidate_nodes(BRAZIL))
+
+        threads = [threading.Thread(target=race, args=(turn,)) for turn in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch often, so builds interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert scans == [want] * 8
+        assert probes == [(brazilians, True)] * 8
+        assert equal_postings(tree._postings["citizen"], TreePostings(tree.root, "citizen"))
+
+    @pytest.mark.parametrize(
+        "budget",
+        [Budget(max_steps=300), Budget(max_nodes_scanned=200)],
+        ids=["max_steps", "max_nodes_scanned"],
+    )
+    def test_counted_limits_trip_at_the_same_node_cold_and_warm(self, budget):
+        db = scan_db(family(planted=3))
+        query = Q.root("T").sub_select(figure4()).build()
+        session = Session(db)
+
+        def tripped():
+            with pytest.raises(ResourceExhaustedError) as info:
+                session.query(query, optimize=False, budget=budget)
+            return info.value
+
+        cold = tripped()
+        tree = db.root("T")
+        assert tree._postings is None  # a counted scan walks and builds nothing
+        session.query(query, optimize=False)
+        assert tree._postings is not None
+        warm = tripped()
+        assert (warm.limit_name, warm.seam, warm.spent) == (cold.limit_name, cold.seam, cold.spent)
+        usage = ("steps", "nodes_scanned")
+        assert [warm.usage[k] for k in usage] == [cold.usage[k] for k in usage]
+
+    def test_seeded_fault_fires_at_the_same_candidate_cold_and_warm(self):
+        tree, pattern = family(planted=3), figure4()
+
+        def fired():
+            plan = faults.FaultPlan(
+                [faults.FaultRule("matcher_step", "error", probability=0.01)], seed=5
+            )
+            with faults.injected(plan), pytest.raises(InjectedFaultError) as info:
+                find_tree_matches(pattern, tree)
+            return info.value.hit, plan.hits["matcher_step"]
+
+        cold = fired()
+        assert tree._postings is None  # an armed plan walks and builds nothing
+        find_tree_matches(pattern, tree)
+        assert tree._postings is not None
+        assert fired() == cold
 
 
 class TestMatchersDieWithTheirScan:

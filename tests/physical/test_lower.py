@@ -307,7 +307,8 @@ class TestColumnarLowering:
     def test_columnar_operators_match_plain_pipes(self, mode, monkeypatch):
         """First-set scan (``on``) ≡ the untabled reference, which
         enters the matcher at every node (``off``), through the same
-        operator — rows, order and every counter."""
+        operator — rows, order and every counter.  The root ``d`` is one
+        equality, so the scan is served from the tree's postings."""
         from repro import Session
         from repro.patterns import tree_match
 
@@ -318,22 +319,26 @@ class TestColumnarLowering:
         assert type(lower(query, db).root) is P.SubSelectPipe
         session = Session(db)
         entered = []
-        scan = tree_match._first_set_scan
+        for source in ("_first_set_scan", "_posting_scan"):
+            scan = getattr(tree_match, source)
 
-        def spied(*args):
-            entered.append(True)
-            return scan(*args)
+            def spied(*args, _scan=scan, _source=source):
+                entered.append(_source)
+                return _scan(*args)
 
-        monkeypatch.setattr(tree_match, "_first_set_scan", spied)
+            monkeypatch.setattr(tree_match, source, spied)
         with untabled_scope("memo" if mode == "on" else "backtrack"):
             served, metrics = session.query_with_metrics(query)
         with untabled_scope():
             baseline, reference = session.query_with_metrics(query)
         assert served == baseline
         assert list(served) == list(baseline)
-        # The first-set scan engages exactly when tabled.
-        assert bool(entered) == (mode == "on")
-        assert metrics.totals() == reference.totals()
+        # The first-set scan engages exactly when tabled, from postings.
+        assert entered == (["_posting_scan"] if mode == "on" else [])
+        # The run that builds the map counts it; nothing else may differ.
+        totals = metrics.totals()
+        assert totals.pop("index_builds", 0) == (mode == "on")
+        assert totals == reference.totals()
         assert metrics.total("nodes_scanned") == db.root("T").size()
 
 

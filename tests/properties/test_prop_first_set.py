@@ -9,6 +9,12 @@ scan, bulk charges) and the null-table reference (``untabled_scope``:
 every node enters the matcher) must yield the same match stream in the
 same order *and* the same ``backtrack_steps`` / ``predicate_evals`` /
 ``nodes_scanned`` totals.
+
+A scan whose root first-set is one equality is served from the tree's
+postings, built by the first scan and kept on the tree: every case also
+runs a warm second scan of the same tree — stopped early, with its
+``$param`` rebound, over unhashable attribute values and labeled NULLs —
+which must equal the cold one and the reference in the same three ways.
 """
 
 from hypothesis import given, settings
@@ -22,6 +28,7 @@ from repro.core.concat import ConcatPoint
 from repro.core.identity import Record
 from repro.params import Param
 from repro.patterns import find_tree_matches
+from repro.patterns.tree_match import _posting_key
 from repro.patterns.tree_ast import (
     ChildSeq,
     ChildStar,
@@ -52,6 +59,7 @@ SETTINGS = settings(max_examples=120, deadline=None)
 
 LABELS = ("a", "b", "c")
 BINDINGS = {"p": 1, "s": "a"}
+REBOUND = {"p": 2, "s": "b"}
 COUNTERS = ("backtrack_steps", "predicate_evals", "nodes_scanned")
 
 #: Attribute values of both types, so ``k > 1`` meets ``k = "a"``.
@@ -63,6 +71,7 @@ payloads = st.one_of(
     attribute_values.map(lambda v: {"k": v}),
     st.just(None).map(lambda _: Record(other=1)),  # attribute missing
     st.just({}),
+    st.sampled_from(([1], ["a"])).map(lambda v: Record(k=list(v))),  # unhashable key
 )
 
 
@@ -102,13 +111,25 @@ predicates = st.recursive(
     max_leaves=3,
 )
 
+#: Root predicates the postings can serve: one bound ``=`` term, alone
+#: or inside an ``AND``.
+equalities = st.one_of(
+    st.one_of(attribute_values, st.just(Param("p"))).map(lambda v: Comparison("k", "=", v)),
+    st.sampled_from((*LABELS, Param("s"))).map(SymbolEquals),
+)
+root_predicates = st.one_of(
+    predicates,
+    equalities,
+    st.tuples(equalities, predicates).map(lambda terms: And(*terms)),
+)
+
 ANY_RUN = ChildStar(TreeAtom(ANY, None))
 POINT = ConcatPoint("9")
 
 
 @st.composite
 def atoms(draw, point: bool = False):
-    predicate = draw(predicates)
+    predicate = draw(root_predicates)
     if point:
         return TreeAtom(predicate, ChildSeq([ANY_RUN, PointAtom(POINT), ANY_RUN]))
     children = draw(
@@ -157,6 +178,44 @@ def test_matcher_stream_and_counters_equal_the_reference(pattern, tree):
     assert tree._layout is None or pattern.has_vertical_closure()
 
 
+def scan_run(pattern, tree, context, bindings, limit):
+    """``matcher_run``, stopped after ``limit`` matches, plus the maps built."""
+    sink = Instrumentation()
+    with sink.activated(), params.bound_params(bindings):
+        matches = find_tree_matches(pattern, tree, limit=limit, context=context)
+        served = not pattern.has_vertical_closure() and pattern.root_first_set() is not None
+        served = served and _posting_key(pattern) is not None
+    keys = [match.key() for match in matches]
+    return keys, {name: sink[name] for name in COUNTERS}, sink["index_builds"], served
+
+
+@SETTINGS
+@given(
+    pattern=rooted_patterns(),
+    tree=trees,
+    limit=st.one_of(st.none(), st.integers(1, 3)),
+    rebind=st.booleans(),
+)
+def test_warm_scan_from_postings_equals_the_cold_scan_and_the_reference(
+    pattern, tree, limit, rebind
+):
+    warm_bindings = REBOUND if rebind else BINDINGS
+    keys, counters, builds, served = scan_run(pattern, tree, None, BINDINGS, limit)
+    warm_keys, warm_counters, warm_builds, _ = scan_run(pattern, tree, None, warm_bindings, limit)
+    reference = untabled(pattern, tree)
+    want = scan_run(pattern, tree, reference, BINDINGS, limit)
+    want_warm = scan_run(pattern, tree, reference, warm_bindings, limit)
+    assert keys == want[0]
+    assert warm_keys == want_warm[0]
+    if not pattern.has_vertical_closure():
+        assert counters == want[1]
+        assert warm_counters == want_warm[1]
+    # The cold scan builds its attribute's map; any binding reuses it.
+    assert builds == served
+    assert warm_builds == 0
+    assert tree._layout is None or pattern.has_vertical_closure()
+
+
 @SETTINGS
 @given(pattern=rooted_patterns(), tree=trees, split=st.booleans())
 def test_query_rows_and_charged_scan_equal_the_reference(pattern, tree, split):
@@ -179,6 +238,35 @@ def test_query_rows_and_charged_scan_equal_the_reference(pattern, tree, split):
     assert counters["nodes_scanned"] == want_counters["nodes_scanned"] == (
         0 if pattern.root_anchor else tree.size()
     )
+
+
+@SETTINGS
+@given(pattern=rooted_patterns(), tree=trees)
+def test_warm_query_rows_and_charges_equal_the_cold_query(pattern, tree):
+    db = Database()
+    db.bind_root("T", tree)
+    query = Q.root("T").sub_select(pattern).build()
+    session = Session(db)
+    runs = []
+    for _ in ("cold", "warm"):
+        with db.stats.scope() as stats:
+            rows = list(session.query(query, BINDINGS))
+            runs.append((rows, {name: stats[name] for name in COUNTERS}))
+        assert stats["index_builds"] <= (len(runs) == 1)
+    assert runs[0] == runs[1]
+
+
+def test_an_unhashable_value_equal_to_the_constant_is_not_missed():
+    """``{1}`` cannot be hashed, so it is filed under its ``repr``, where
+    a lookup by the equal ``frozenset({1})`` would miss it: such a map is
+    not exact, and the scan walks the tree instead of reading it."""
+    tree = _build((Record(k={1}), [Record(k=frozenset({1})), Record(k=[1])]))
+    pattern = TreePattern(TreeAtom(Comparison("k", "=", frozenset({1}))))
+    want = matcher_run(pattern, tree, untabled(pattern, tree))
+    assert len(want[0]) == 2
+    assert matcher_run(pattern, tree, None) == want  # cold: builds, finds it inexact
+    assert not tree._postings["k"].exact
+    assert matcher_run(pattern, tree, None) == want  # warm
 
 
 # -- the compiled closures themselves -------------------------------------------

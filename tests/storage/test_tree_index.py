@@ -6,6 +6,7 @@ from repro.core.identity import as_cell
 from repro.patterns import TreeMatchContext, parse_tree_pattern
 from repro.predicates.alphabet import attr, pred, sym
 from repro.storage import Database
+from repro.storage.index import VALUE_ATTRIBUTE
 from repro.storage.stats import Instrumentation
 from repro.storage.tree_index import ListIndex, TreeIndex
 from repro.workloads.family import BRAZIL, figure3_family_tree
@@ -43,6 +44,7 @@ class TestSharedLayout:
         tree = parse_tree("a(b(a(b)) c)")
         db = Database()
         index = db.tree_index(tree)
+        assert index.probe(VALUE_ATTRIBUTE, "b") and builds == []  # probes lay out nothing
         closure = parse_tree_pattern("[[a(b(@))]]+@ .@ a(b)")
         context = TreeMatchContext(closure, tree)
         second = Database().tree_index(tree)
@@ -271,3 +273,18 @@ class TestBuiltOnFirstProbe:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert answers == [(expected, True)] * 8
+        assert tree._layout is None  # the maps are the tree's postings
+
+    def test_a_scan_builds_the_map_a_later_probe_reads(self):
+        from repro import Session
+
+        db = Database()
+        db.bind_root("T", figure3_family_tree())
+        query = 'root T | sub_select "Brazil(!?* USA !?*)" by citizen'
+        sink = Instrumentation()
+        with sink.activated():
+            scanned = Session(db).query(query, optimize=False)
+            assert sink["index_builds"] == 1  # the first scan leaves postings behind
+            probed = Session(db).query(query)
+        assert probed == scanned
+        assert sink["index_builds"] == 1 and sink["index_probes"] == 1

@@ -208,6 +208,24 @@ def test_tree_nodes_are_numbered_in_one_module_only() -> None:
     assert offenders == []
 
 
+def test_tree_nodes_are_grouped_by_attribute_in_one_module_only() -> None:
+    """``AquaTree.postings()`` is the one place a tree's nodes are grouped
+    by attribute: no other module builds a ``TreePostings``, and the node
+    index, a view over them, has no grouping loop of its own — no key
+    read off a payload, no ``setdefault(key, [])`` (the CI lint job greps
+    for the same things)."""
+    package = Path(repro.__file__).resolve().parent
+    builders = [
+        str(path.relative_to(package))
+        for path in package.rglob("*.py")
+        if "TreePostings(" in path.read_text(encoding="utf-8")
+    ]
+    assert builders == ["core/aqua_tree.py"]
+    grouping = re.compile(r"read_key|_MISSING|setdefault\([^)]*\[\]\)|def _built|\.value\b")
+    tree_index = (package / "storage" / "tree_index.py").read_text(encoding="utf-8")
+    assert [line for line in tree_index.splitlines() if grouping.search(line)] == []
+
+
 def test_root_predicate_walk_is_defined_once() -> None:
     """Index anchors, list column choices and the matcher's root
     first-set read one analysis of a pattern's roots: ``tree_ast._root_predicates``
