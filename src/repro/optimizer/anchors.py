@@ -19,6 +19,8 @@ module holds that analysis in one place so the rewrite rules
 
 from __future__ import annotations
 
+import heapq
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .. import params
@@ -117,29 +119,30 @@ def probe_anchor_roots(
     anchors: Iterable[AlphabetPredicate],
     stats: "Instrumentation | None" = None,
 ) -> "list[TreeNode] | None":
-    """Index-probed candidate match roots, or ``None``.
+    """Index-probed candidate match roots, in preorder, or ``None``.
 
     The runtime companion of :func:`tree_split_anchors`, shared by the
     index-probing ``sub_select`` and ``split`` so both charge identical
-    work.  The roots come in probe order (the matcher sorts its
-    candidate roots itself) and are a superset of the true match roots:
-    a probe serves one equality term, and the matcher's own atom test at
-    each root is the full-predicate check — nothing is evaluated here.
-    ``None`` when some anchor had no servable term — the caller should
-    fall back to the full scan rather than probe twice.
+    work.  Probes answer posting buckets, merged on their preorder
+    positions, so the matcher lays out nothing to sort the roots.  They
+    are a superset of the true match roots: a probe serves one equality
+    term, and the matcher's own atom test at each root is the
+    full-predicate check — nothing is evaluated here.  ``None`` when some
+    anchor had no servable term — the caller should fall back to the
+    full scan rather than probe twice.
     """
     attributes: set[str] = set()
     for anchor in anchors:
         attributes |= anchor.attributes()
     index = db.tree_index(tree, attributes)
-    roots: dict[int, TreeNode] = {}
+    buckets = []
     for anchor in anchors:
-        candidates, used = index.candidate_nodes(anchor, stats)
+        bucket, used = index.candidate_bucket(anchor, stats)
         if not used:
             return None
-        for candidate in candidates:
-            roots[id(candidate)] = candidate
-    return list(roots.values())
+        buckets.append(zip(*bucket))
+    # Keyed by position: a node two anchors post is handed over once.
+    return list(dict(heapq.merge(*buckets, key=itemgetter(0))).values())
 
 
 def anchor_offsets(

@@ -351,7 +351,7 @@ class TreePattern:
       coincide with a data leaf (no implicit descendant pruning).
     """
 
-    __slots__ = ("body", "root_anchor", "leaf_anchor")
+    __slots__ = ("body", "root_anchor", "leaf_anchor", "_facts")
 
     def __init__(
         self,
@@ -362,6 +362,7 @@ class TreePattern:
         self.body = body
         self.root_anchor = root_anchor
         self.leaf_anchor = leaf_anchor
+        self._facts: PatternFacts | None = None
 
     def describe(self) -> str:
         text = self.body.describe()
@@ -381,6 +382,10 @@ class TreePattern:
 
     def __hash__(self) -> int:
         return hash(("TreePattern", self.describe()))
+
+    def __reduce__(self):
+        # The facts hold ids of this process's objects: a copy derives its own.
+        return (TreePattern, (self.body, self.root_anchor, self.leaf_anchor))
 
     def anchored(self) -> "TreePattern":
         """The ``⊤`` version of this pattern (used by the split rewrite)."""
@@ -423,6 +428,26 @@ class TreePattern:
                 result.append(node.predicate)
         return result
 
+    def facts(self) -> "PatternFacts":
+        """Everything the matcher reads off this pattern alone, derived on
+        first use and kept beside the anchors (a compiled pattern is
+        immutable).  Racing first calls derive equal facts; one wins."""
+        facts = self._facts
+        if facts is None:
+            body = self.body
+            # _match_seq keys on a sequence's parts tuple, so it is a term too.
+            terms = [(t, t.parts) if isinstance(t, ChildSeq) else (t,) for t in body.walk()]
+            closure = self.has_vertical_closure()
+            atom = isinstance(body, TreeAtom) and not closure
+            facts = self._facts = PatternFacts(
+                closure,
+                frozenset(id(p) for p in self.atom_predicates() if p.opaque),
+                tuple(term for group in terms for term in group),
+                _root_predicates(body),
+                _required_children(body.children, SIGNATURE_DEPTH) if atom else (),
+            )
+        return facts
+
     def root_predicates(self) -> list[AlphabetPredicate]:
         """Predicates that can match the *root* of an instance.
 
@@ -430,7 +455,17 @@ class TreePattern:
         must satisfy one of these.  Conservative (may return ``[]`` when
         the root is a closure or point, meaning "unknown").
         """
-        return _root_predicates(self.body)[0]
+        return list(self.facts().roots[0])
+
+    def required_children(self) -> tuple:
+        """``((predicate, below), ...)``: the child atoms every match of a
+        closure-free atom body has, each with its own required children
+        ``below``, ``SIGNATURE_DEPTH`` levels down — a node lacking one
+        roots no match.  A child sequence requires the union of its
+        parts, ``tlp+`` its inner pattern's, an alternation the
+        intersection of its branches; ``tlp*``, points, prunes and tree
+        unions require nothing, a bare ``?`` only its own children."""
+        return self.facts().signature
 
     def root_first_set(self) -> "RootFirstSet | None":
         """The cheap test a match root must pass, or ``None`` (no help).
@@ -447,13 +482,29 @@ class TreePattern:
         """
         if self.root_anchor:
             return None
-        predicates, steps = _root_predicates(self.body)
+        predicates, steps = self.facts().roots
         if not predicates or any(isinstance(p, TruePredicate) for p in predicates):
             return None
         accepts = Or(*predicates).compile()
         if accepts is None:
             return None
         return RootFirstSet(accepts, steps, len(predicates))
+
+
+#: How many child levels :meth:`TreePattern.required_children` looks down.
+SIGNATURE_DEPTH = 2
+
+
+class PatternFacts(NamedTuple):
+    """:meth:`TreePattern.facts`: the vertical-closure flag, the opaque
+    atom predicates' ids, the sub-terms (and child-sequence parts) in
+    interning order, ``_root_predicates`` and the child signature."""
+
+    closure: bool
+    opaque: frozenset[int]
+    terms: tuple[object, ...]
+    roots: tuple[list[AlphabetPredicate], int]
+    signature: tuple
 
 
 class RootFirstSet(NamedTuple):
@@ -495,3 +546,21 @@ def _root_predicates(node: TreePatternNode) -> tuple[list[AlphabetPredicate], in
         return [], 0
     sub, below = _root_predicates(inner)
     return (sub, below + 1) if sub else ([], 0)
+
+
+def _required_children(cp: "ChildPatternNode | TreePatternNode", depth: int) -> tuple:
+    """The child atoms a child pattern ``cp`` requires (see
+    :meth:`TreePattern.required_children`), ``depth`` levels down."""
+    if isinstance(cp, TreeAtom):
+        below = _required_children(cp.children, depth - 1) if depth > 1 else ()
+        if isinstance(cp.predicate, TruePredicate) and not below:
+            return ()
+        return ((cp.predicate, below),)
+    if isinstance(cp, ChildSeq):
+        return tuple(dict.fromkeys(e for part in cp.parts for e in _required_children(part, depth)))
+    if isinstance(cp, ChildPlus):
+        return _required_children(cp.inner, depth)
+    if isinstance(cp, ChildAlt):
+        first, *rest = (_required_children(a, depth) for a in cp.alternatives)
+        return tuple(e for e in first if all(e in other for other in rest))
+    return ()

@@ -65,6 +65,7 @@ from ..core.identity import Cell, deref
 from ..errors import PatternError, ResourceExhaustedError
 from ..faults import active_plan, fault_point
 from ..storage import stats as stats_mod
+from .list_ast import atom_text
 from .tree_ast import (
     ChildAlt,
     ChildEpsilon,
@@ -953,6 +954,7 @@ def _candidate_roots(
     pattern: TreePattern,
     data: AquaTree,
     roots: "Sequence[TreeNode] | None",
+    preordered: bool,
     matcher: _TreeMatcher,
     on_candidate: "Callable[[int], None] | None",
 ) -> Iterable[TreeNode]:
@@ -964,7 +966,7 @@ def _candidate_roots(
 
     * a ``⊤`` pattern has one candidate, the tree root;
     * caller-supplied ``roots`` (an index probe), sorted by layout
-      position;
+      position unless ``preordered`` says they already are;
     * the first-set scan, when the pattern's root predicates compile and
       the context is tabled and closure-free — under a closure,
       predicates answer from the bitmap at most once per node, and the
@@ -980,6 +982,8 @@ def _candidate_roots(
     if pattern.root_anchor:
         return [data.root]
     if roots is not None:
+        if preordered:
+            return roots
         order = data.layout().position
         return sorted(roots, key=lambda n: order.get(id(n), len(order)))
     context = matcher.context
@@ -1006,19 +1010,85 @@ def _candidate_roots(
     return data.nodes()
 
 
+def _compile_signature(signature: tuple) -> tuple:
+    """``((test, below), ...)``; an atom whose predicate refuses to
+    compile (opaque, unbound ``$param``) is left to the matcher."""
+    compiled = []
+    for predicate, below in signature:
+        test = predicate.compile()
+        if test is not None:
+            compiled.append((test, _compile_signature(below)))
+    return tuple(compiled)
+
+
+def _child_signature(matcher: _TreeMatcher) -> tuple:
+    """The compiled signature candidates are tested against, or ``()``:
+    only in a tabled, closure-free context (the null-table one is the
+    reference) with no ``max_backtrack_depth`` armed — the walk into a
+    rejected node could trip it at a depth growing with its fan-out.
+    Compiled per scan, so ``$param`` constants are read here."""
+    context, guard = matcher.context, matcher.guard
+    if guard is not None and guard.budget.max_backtrack_depth is not None:
+        return ()
+    return _compile_signature(context.signature) if context.tabled and not context.closure else ()
+
+
+def _signature_holds(signature: tuple, node: TreeNode) -> tuple[bool, int]:
+    """``(held, tests made)``: has ``node`` an element child passing each test, and its own?"""
+    tests = 0
+    for test, below in signature:
+        for child in node.children:
+            item = child.item
+            if isinstance(item, ConcatPoint):
+                continue  # as _match_atom: an atom never matches a NULL
+            tests += 1
+            if test(item.contents if type(item) is Cell else deref(item)):
+                held, made = _signature_holds(below, child)
+                tests += made
+                if held:
+                    break
+        else:
+            return False, tests
+    return True, tests
+
+
+def describe_filters(pattern: TreePattern, probed: bool = False) -> str:
+    """EXPLAIN's suffix naming a scan's candidate tests: the root source
+    (``posting probe`` for one bound equality, else ``root first-set
+    test``) unless the roots are ``probed``, then the child signature."""
+    text = ""
+    if not (probed or pattern.has_vertical_closure() or pattern.root_first_set() is None):
+        source = "root first-set test" if _posting_key(pattern) is None else "posting probe"
+        text = f"; {source} on {', '.join(p.describe() for p in pattern.root_predicates())}"
+    if pattern.required_children():
+        text += f"; child signature {_describe_signature(pattern.required_children())}"
+    return text
+
+
+def _describe_signature(signature: tuple) -> str:
+    return ", ".join(
+        atom_text(predicate) + (f"({_describe_signature(below)})" if below else "")
+        for predicate, below in signature
+    )
+
+
 def iter_tree_matches(
     pattern: TreePattern,
     data: AquaTree,
     roots: Sequence[TreeNode] | None = None,
     on_candidate: "Callable[[int], None] | None" = None,
     context: TreeMatchContext | None = None,
+    preordered: bool = False,
 ) -> Iterator[TreeMatch]:
     """Lazily enumerate distinct matches, in preorder of their roots.
 
     The streaming analogue of :func:`find_tree_matches`: matches are
     produced one at a time, so a consumer that stops early (a tripped
     budget, a ``limit``) never pays for the remaining candidates.  The
-    candidates come from :func:`_candidate_roots`.
+    candidates come from :func:`_candidate_roots` (``preordered``: the
+    ``roots`` are in preorder already, as an index probe's are); one
+    lacking a child the pattern requires (:func:`_child_signature`) is
+    rejected there, unentered, for one matcher step and its child tests.
 
     ``on_candidate(n)`` is invoked as ``n`` element nodes are taken as
     candidates — once per candidate before it is matched, or once for a
@@ -1045,12 +1115,22 @@ def iter_tree_matches(
         return
     with guardrails.guarded():
         pattern, matcher = _matcher_for(pattern, data, context)
+        signature = _child_signature(matcher)
         seen: set[tuple] = set()
         try:
-            for node in _candidate_roots(pattern, data, roots, matcher, on_candidate):
+            candidates = _candidate_roots(pattern, data, roots, preordered, matcher, on_candidate)
+            for node in candidates:
                 fault_point("matcher_step")
                 if on_candidate is not None and not node.is_concat_point:
                     on_candidate(1)
+                if signature:
+                    held, tests = _signature_holds(signature, node)
+                    if not held:  # one matcher step, plus the tests made
+                        matcher.backtrack_steps += 1
+                        matcher.predicate_evals += tests
+                        if matcher.guard is not None:
+                            matcher.guard.tick(1, "tree matcher")
+                        continue
                 for shape in matcher.match_node(pattern.body, node, {}):
                     if isinstance(shape, Pruned):
                         continue

@@ -55,7 +55,6 @@ from typing import TYPE_CHECKING, Iterator, Sequence
 from ..core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from .tree_ast import (
     ChildPatternNode,
-    ChildSeq,
     TreePattern,
     TreePatternNode,
     TreePlus,
@@ -170,20 +169,22 @@ class TreeMatchContext:
         self.pattern = pattern
         self.tree = tree
         self.tabled = tabled
+        facts = pattern.facts()  # derived once per compiled pattern
         #: The shape gate: only a vertical closure can ask for
         #: the same ``(node, subpattern, environment)`` twice from
         #: different places, so only then is every derivation tabled.
-        self.closure = pattern.has_vertical_closure()
+        self.closure = facts.closure
         #: The ``opaque`` predicates (arbitrary callables): the only
         #: ones a closure-free match routes through the outcome bitmap —
         #: a declarative predicate is cheaper to run than to look up.
         #: (The pattern pins the predicate objects, so the ids are
         #: stable.)
-        self.opaque_predicates = frozenset(
-            id(p) for p in pattern.atom_predicates() if p.opaque
-        )
+        self.opaque_predicates = facts.opaque
+        #: ``TreePattern.required_children``, uncompiled.
+        self.signature = facts.signature
         # -- pattern-term interning: id() → small int.  The keepalive
-        # list pins every registered object so ids cannot be recycled.
+        # list pins every registered object so ids cannot be recycled
+        # (the pattern's facts pin its own terms).
         self._nums: dict[int, int] = {}
         self._keep: list[object] = [pattern, tree]
         self._next_num = 0
@@ -217,11 +218,8 @@ class TreeMatchContext:
         self.memo_cells = 0
         if not tabled:
             return
-        for term in pattern.body.walk():
-            self._intern(term)
-            if isinstance(term, ChildSeq):
-                # _match_seq keys on the parts tuple itself.
-                self._intern(term.parts)
+        self._nums = {id(term): num for num, term in enumerate(facts.terms)}
+        self._next_num = len(facts.terms)
         if self.closure:
             self.engage()  # every derivation keys on the positions
 
@@ -242,14 +240,6 @@ class TreeMatchContext:
         self.bitmap = PredicateBitmap(layout)
 
     # -- interning -----------------------------------------------------------
-
-    def _intern(self, obj: object) -> int:
-        num = self._nums.get(id(obj))
-        if num is None:
-            num = self._nums[id(obj)] = self._next_num
-            self._next_num += 1
-            self._keep.append(obj)
-        return num
 
     def register_plus_star(self, plus: TreePlus, star: TreeStar) -> None:
         """Map a fresh ``tp+α`` expansion star to its plus's stable number."""

@@ -44,7 +44,7 @@ from ..errors import QueryError
 from ..optimizer.anchors import probe_anchor_roots
 from ..patterns.list_match import iter_list_matches
 from ..patterns.list_parser import list_pattern
-from ..patterns.tree_match import iter_tree_matches
+from ..patterns.tree_match import describe_filters, iter_tree_matches
 from ..patterns.tree_parser import tree_pattern
 from ..storage.columnar import columnar_list_for
 from .base import PhysicalOp, dedup
@@ -213,15 +213,9 @@ class SubSelectPipe(PhysicalOp):
         yield from dedup(map(emit, self._matches(tree, tp)), DEFAULT)
 
     def access_path(self) -> str:
-        # The matcher tests every node against the pattern's compiled
-        # root predicates and enters itself only for survivors — the
-        # first-set scan of ``_candidate_roots`` — unless a closure has
-        # it answer predicates from its bitmap instead.
-        tp = tree_pattern(self.pattern)
-        if tp.has_vertical_closure() or tp.root_first_set() is None:
-            return "full tree scan"
-        tests = ", ".join(p.describe() for p in tp.root_predicates())
-        return f"full tree scan; root first-set test on {tests}"
+        # The matcher narrows its candidates itself (``_candidate_roots``
+        # and the child signature); EXPLAIN names the tests it makes.
+        return "full tree scan" + describe_filters(tree_pattern(self.pattern))
 
 
 class IndexAnchorScan(SubSelectPipe):
@@ -245,11 +239,12 @@ class IndexAnchorScan(SubSelectPipe):
     def _matches(self, tree, tp) -> Iterator[Any]:
         db = self.ctx.db
         roots = probe_anchor_roots(db, tree, self.anchors, db.stats)
-        return iter_tree_matches(tp, tree, roots=roots)
+        return iter_tree_matches(tp, tree, roots=roots, preordered=True)
 
     def access_path(self) -> str:
         probes = ", ".join(anchor.describe() for anchor in self.anchors)
-        return f"node-index probe on {probes}"
+        filters = describe_filters(tree_pattern(self.pattern), probed=True)
+        return f"node-index probe on {probes}{filters}"
 
 
 # -- list operators ------------------------------------------------------------

@@ -52,8 +52,8 @@ class TreeIndex:
     def _postings(self, attribute: str) -> TreePostings:
         return self._tree.postings(attribute, lambda: stats_mod.emit("index_builds"))
 
-    def _nodes(self, attribute: str, key: Any) -> list[TreeNode]:
-        return self._postings(attribute).buckets.get(_hashable_key(key), ((), []))[1]
+    def _bucket(self, attribute: str, key: Any) -> tuple:
+        return self._postings(attribute).buckets.get(_hashable_key(key), ((), []))
 
     @property
     def layout(self) -> TreeLayout:
@@ -83,12 +83,16 @@ class TreeIndex:
         return set(self._attributes) - {VALUE_ATTRIBUTE}
 
     def probe(self, attribute: str, key: Any) -> list[TreeNode]:
+        return list(self.probe_bucket(attribute, key)[1])
+
+    def probe_bucket(self, attribute: str, key: Any) -> tuple:
+        """:meth:`probe` as the posting bucket ``(positions, nodes)``."""
         fault_point("index_probe")
         stats_mod.emit("index_probes")
-        return list(self._nodes(attribute, key))
+        return self._bucket(attribute, key)
 
     def count(self, attribute: str, key: Any) -> int:
-        return len(self._nodes(attribute, key))
+        return len(self._bucket(attribute, key)[1])
 
     def selectivity(self, attribute: str, key: Any) -> float:
         """Fraction of the tree's nodes a probe on ``key`` returns."""
@@ -123,10 +127,19 @@ class TreeIndex:
         """Nodes that might satisfy ``predicate``; ``(nodes, used_index)``.
 
         With a servable equality term the candidates come from one index
-        probe (a superset: the matcher's own atom test at each candidate
-        is the full-predicate check); with none, every element node is
-        returned and the caller scans.
+        probe, in preorder (a superset: the matcher's own atom test at
+        each candidate is the full-predicate check); with none, every
+        element node is returned and the caller scans.
         """
+        bucket, used = self.candidate_bucket(predicate, stats)
+        return list(bucket[1]), used
+
+    def candidate_bucket(
+        self,
+        predicate: AlphabetPredicate,
+        stats: Instrumentation | None = None,
+    ) -> tuple[tuple, bool]:
+        """:meth:`candidate_nodes`, a probe's ``(positions, nodes)`` bucket in place of nodes."""
         guard = guardrails.current_guard()
         terms = self.servable_terms(predicate)
         if terms:
@@ -138,19 +151,19 @@ class TreeIndex:
                 attribute, _, constant = min(
                     terms, key=lambda term: self.count(term[0], term[2])
                 )
-                nodes = self.probe(attribute, constant)
+                bucket = self.probe_bucket(attribute, constant)
             if stats is not None:
-                stats.bump("index_candidates", len(nodes))
+                stats.bump("index_candidates", len(bucket[1]))
             if guard is not None:
-                guard.charge_nodes(len(nodes), "tree-index candidates")
-            return nodes, True
+                guard.charge_nodes(len(bucket[1]), "tree-index candidates")
+            return bucket, True
         nodes = [node for node in self.layout.nodes if not node.is_concat_point]
         if stats is not None:
             stats.bump("full_scans")
             stats.bump("nodes_scanned", len(nodes))
         if guard is not None:
             guard.charge_nodes(len(nodes), "tree scan")
-        return nodes, False
+        return (None, nodes), False
 
 
 class ListIndex:

@@ -16,17 +16,17 @@ import pytest
 from repro import faults, params
 from repro.core import AquaTree, parse_tree
 from repro.errors import InjectedFaultError, QueryError, ResourceExhaustedError
-from repro.guardrails import Budget
+from repro.guardrails import Budget, guarded
 from repro.params import Param
 from repro.patterns import find_tree_matches, match_scope, parse_tree_pattern, tree_in_language
 from repro.patterns import tree_match
 from repro.patterns.tree_ast import TreeAtom, TreePattern
 from repro.patterns.tree_match import _TreeMatcher, iter_tree_matches
-from repro.predicates import attr, pred
+from repro.predicates import attr, pred, sym
 from repro.api import Session
 from repro.query import Q, evaluate
 from repro.storage import Database
-from repro.workloads import by_citizen_or_name, random_family_tree
+from repro.workloads import by_citizen_or_name, random_family_tree, random_labeled_tree
 
 from ..reference import untabled, untabled_scope
 
@@ -92,7 +92,9 @@ class TestFirstSetScan:
         expected = [m.key() for m in reference]
         entered = root_entries(monkeypatch)
         assert [m.key() for m in find_tree_matches(pattern, tree)] == expected
-        candidates = 1 if pattern.root_anchor else tree.size()
+        # The walk still meets the child signature: ``?(b)`` enters the
+        # matcher only at the two nodes with a ``b`` child.
+        candidates = {"^a(?*)": 1, "?(b)": 2}.get(text, tree.size())
         assert len(entered) == candidates
 
     def test_opaque_root_keeps_its_once_per_node_promise(self):
@@ -111,6 +113,142 @@ class TestFirstSetScan:
         assert parse_tree_pattern("[[a(@1) | b]] .@1 c").root_first_set()[1:] == (4, 2)
         accepts = parse_tree_pattern("a | b(c)").root_first_set().accepts
         assert [accepts(v) for v in "abc"] == [True, True, False]
+
+
+class TestChildSignature:
+    """A candidate without a child the pattern requires is rejected in
+    the candidate loop, before the matcher, whatever supplied it."""
+
+    def test_only_candidates_with_the_required_children_enter(self, monkeypatch):
+        tree = parse_tree("r(d(e(h) x) d(e(x)) d(x e(h)) d(e) e(h))")
+        pattern = parse_tree_pattern("d(?* e(?* h ?*) ?*)")
+        assert pattern.required_children() == ((sym("e"), ((sym("h"), ()),)),)
+        want = [m.key() for m in find_tree_matches(pattern, tree, context=untabled(pattern, tree))]
+        entered = root_entries(monkeypatch)
+        for roots in (None, [n for n in tree.nodes() if n.value == "d"]):
+            entered.clear()
+            assert [m.key() for m in find_tree_matches(pattern, tree, roots=roots)] == want
+            assert [str(n.children[0].value) + str(len(n.children)) for n in entered] == [
+                "e2", "x2"
+            ]
+
+    @pytest.mark.parametrize(
+        "text, signature",
+        [
+            ("a(b ?* c | c b)", "b, c"),  # an alternation keeps what all branches need
+            ("a(b | c(d))", ""),
+            ("a(b+ c+)", "b, c"),
+            ("a(?(c) !d ?*)", "?(c)"),  # a prune requires nothing, a bare ? only its own
+            ("a(b* @1 [[c | d]])", ""),  # star, point, tree union: nothing
+            ("a(b(c(d)))", "b(c)"),  # two levels down
+            ("[[a(b @1)]] .@1 c", ""),  # a root that is not an atom
+            ("[[a(b @1)]]+@1", ""),  # a vertical closure
+        ],
+    )
+    def test_required_children(self, text, signature):
+        from repro.patterns.tree_match import _describe_signature
+
+        assert _describe_signature(parse_tree_pattern(text).required_children()) == signature
+
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_an_armed_depth_limit_trips_as_the_walk_does(self, depth):
+        """Rejecting ``d(x)`` unentered would skip the trip the walk down
+        to its ``e`` child raises: under a depth limit the filter is off."""
+        tree = parse_tree("r(d(x) d(e(h)))")
+        pattern = parse_tree_pattern("d(?* e(?* h ?*) ?*)")
+        errors = []
+        for context in (None, untabled(pattern, tree)):
+            with guarded(Budget(max_backtrack_depth=depth)):
+                with pytest.raises(ResourceExhaustedError) as info:
+                    find_tree_matches(pattern, tree, context=context)
+            error = info.value
+            errors.append((error.limit_name, error.spent, error.usage["steps"]))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "max_backtrack_depth"
+
+    def test_a_wide_rejected_node_trips_a_depth_limit_as_the_walk_does(self):
+        """The walk's depth through ``?*`` grows with the fan-out, so no
+        pattern-only depth makes skipping the walk safe."""
+        tree = AquaTree.build("d", [AquaTree.leaf("x") for _ in range(30)])
+        pattern = parse_tree_pattern("d(?* e ?*)")
+        for context in (None, untabled(pattern, tree)):
+            with guarded(Budget(max_backtrack_depth=20)):
+                with pytest.raises(ResourceExhaustedError):
+                    find_tree_matches(pattern, tree, context=context)
+
+
+class TestProbedRoots:
+    def test_probe_roots_arrive_in_preorder_and_lay_out_nothing(self):
+        """Two anchors' buckets merge on their posted positions: the
+        matcher is handed preordered roots and sorts nothing."""
+        from repro.optimizer.anchors import probe_anchor_roots
+
+        tree = random_labeled_tree(300, "abcdef", seed=4, max_arity=3)
+        pattern = parse_tree_pattern("b(?* c ?*) | c(?* b ?*)")
+        want = [m.key() for m in find_tree_matches(pattern, tree, context=untabled(pattern, tree))]
+        assert len(want) > 1 and tree._layout is None
+        roots = probe_anchor_roots(scan_db(tree), tree, pattern.root_predicates())
+        assert roots == [n for n in tree.nodes() if n.value in ("b", "c")]
+        got = iter_tree_matches(pattern, tree, roots=roots, preordered=True)
+        assert [m.key() for m in got] == want
+        assert tree._layout is None
+        # Caller-supplied roots are still sorted (which lays the tree out).
+        got = find_tree_matches(pattern, tree, roots=roots[::-1])
+        assert [m.key() for m in got] == want
+
+
+class TestPatternFacts:
+    def test_facts_are_derived_once_per_compiled_pattern(self, monkeypatch):
+        from repro.patterns import tree_ast
+
+        tree, pattern = family(planted=2), figure4()
+        want = [m.key() for m in find_tree_matches(pattern, tree)]
+        calls = []
+        for owner, name in (
+            (tree_ast.TreePatternNode, "walk"),
+            (tree_ast.ChildPatternNode, "walk"),
+            (TreePattern, "has_vertical_closure"),
+            (TreePattern, "atom_predicates"),
+        ):
+            original = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, _o=original, _n=name: calls.append(_n) or _o(*a)
+            )
+        for _ in range(300):
+            assert [m.key() for m in find_tree_matches(pattern, tree)] == want
+        assert calls == []
+        fresh = figure4()
+        find_tree_matches(fresh, tree)
+        assert calls  # a fresh pattern derives its facts, once
+        derived = len(calls)
+        for _ in range(3):
+            find_tree_matches(fresh, tree)
+        assert len(calls) == derived
+
+    def test_racing_first_reads_publish_equal_facts(self):
+        import threading
+
+        pattern = parse_tree_pattern("d(?* e(?* h ?*) ?*) | [[a(b @1)]] .@1 c(d e)")
+        barrier = threading.Barrier(8)
+        seen = []
+
+        def race() -> None:
+            barrier.wait()
+            seen.append(pattern.facts())
+
+        threads = [threading.Thread(target=race) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(seen) == 8 and all(facts == seen[0] for facts in seen)
+        assert seen[0] == TreePattern(pattern.body).facts()
+        assert pattern.facts() in seen
 
 
 def scan_query(text: str = "z | y(?*)"):

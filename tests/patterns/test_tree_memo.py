@@ -43,6 +43,13 @@ def fan(width: int) -> AquaTree:
     return AquaTree.build("a", [AquaTree.leaf("bcx"[i % 3]) for i in range(width)])
 
 
+def z_first_fan(width: int) -> AquaTree:
+    """:func:`fan` with a ``z`` first: ``a`` has every child DEAD_END
+    requires, so its child signature passes — yet the one ``z`` precedes
+    every ``b``, so the match still dead-ends after trying each placement."""
+    return AquaTree.build("a", [AquaTree.leaf(c) for c in "z" + ("bcx" * width)[: width - 1]])
+
+
 def chain(depth: int) -> AquaTree:
     """``S(B(S(B(...S(H)...))))`` — the CLAIM-KLEENE ladder workload."""
     tree = AquaTree.build(element("S"), [AquaTree.leaf(element("H"))])
@@ -74,7 +81,7 @@ def fig4_split():
 
 
 def wide_dead_end():
-    pattern, tree = parse_tree_pattern(DEAD_END), fan(80)
+    pattern, tree = parse_tree_pattern(DEAD_END), z_first_fan(80)
     return lambda: [m.key() for m in find_tree_matches(pattern, tree)]
 
 
@@ -121,7 +128,7 @@ class TestEquivalenceAndSpeedup:
             # second request can occur; child-sequence tables at 80 children.
             (closure_ladder, 20029, 7207, (1627, 5009)),
             (fig4_split, 2024, 2024, (0, 0)),
-            (wide_dead_end, 151459, 707, (3055, 1114)),
+            (wide_dead_end, 144151, 701, (2977, 1103)),
         ],
         ids=["closure_ladder", "fig4_split", "wide_dead_end"],
     )
@@ -190,7 +197,7 @@ class TestMemoGate:
 
     def test_wide_child_list_engages_the_sequence_tables(self):
         pattern = parse_tree_pattern(DEAD_END)
-        tree = fan(WIDE_CHILD_LIST)
+        tree = z_first_fan(WIDE_CHILD_LIST)
         stats = Instrumentation()
         with stats.activated():
             assert match_keys(pattern, tree, "memo") == []
@@ -198,15 +205,30 @@ class TestMemoGate:
         assert stats["bitmap_fills"] == 0  # declarative predicates: direct
 
     def test_wide_dead_end_stays_inside_a_memo_sized_budget(self):
-        """80 children: ~22k budget steps tabled, ~314k untabled — the
+        """80 children: ~21k budget steps tabled, ~299k untabled — the
         fan-out gate cannot go without this tripping."""
         pattern = parse_tree_pattern(DEAD_END)
-        tree = fan(80)
+        tree = z_first_fan(80)
         with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
             assert find_tree_matches(pattern, tree) == []
         with pytest.raises(ResourceExhaustedError):
             with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
                 find_tree_matches(pattern, tree, context=untabled(pattern, tree))
+
+    def test_wide_dead_end_without_the_required_child_is_rejected_in_one_step(self):
+        """The twin of the sequence-table tests: under a plain ``fan`` no
+        child is a ``z``, so the child signature rejects ``a`` before the
+        matcher — one step and the 83 child tests it took to find b and
+        c and miss z — where the null-table walk pays 151 459 steps."""
+        pattern, tree = parse_tree_pattern(DEAD_END), fan(80)
+        counters = ("backtrack_steps", "predicate_evals", "memo_hits", "memo_misses")
+        stats = {"backtrack": Instrumentation(), "memo": Instrumentation()}
+        for engine, sink in stats.items():
+            with sink.activated():
+                assert match_keys(pattern, AquaTree(tree.root), engine) == []
+        # The 80 leaves are the first-set's, charged alike on both legs.
+        assert [stats["memo"][name] for name in counters] == [1 + 80, 83 + 80, 0, 0]
+        assert stats["backtrack"]["backtrack_steps"] == 151459
 
     def test_closure_pattern_tables_narrow_lists_too(self):
         pattern = parse_tree_pattern(LADDER, resolver=by_element)

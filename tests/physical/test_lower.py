@@ -128,22 +128,40 @@ class TestStructure:
     def test_default_lowering_of_column_servable_pattern_is_the_plain_pipe(self):
         # The root first-set filter lives in the matcher, not in an
         # operator of its own; the plain pipe's access path names the
-        # root predicates it tests.
+        # root predicates it tests — one equality, so read from the
+        # tree's postings — and the child signature after them.
         db = labeled_tree_db()
         plan = lower(Q.root("T").sub_select("d(e(h i) j ?*)").build(), db)
         assert type(plan.root) is P.SubSelectPipe
         assert type(plan.root.children[0]) is P.ScanRoot
-        assert "sub_select_pipe  [full tree scan; root first-set test on x = 'd']" in plan.render()
+        assert (
+            "sub_select_pipe  [full tree scan; posting probe on x = 'd';"
+            " child signature e(h, i), j]" in plan.render()
+        )
+        probed = lower(
+            Q.root("T").sub_select("d(?* e(?* h ?*) ?*)").build(), db, choose_access_paths=True
+        )
+        assert "index_anchor_scan  [node-index probe on x = 'd'; child signature e(h)]" in (
+            probed.render()
+        )
+        ranged = lower(Q.root("T").sub_select("{x > 'c'}(e ?*)").build(), db)
+        assert "[full tree scan; root first-set test on x.x > 'c'; child signature e]" in (
+            ranged.render()
+        )
 
     def test_default_lowering_of_unanchored_pattern_is_full_scan(self):
         # A bare-? root predicate accepts every node — no first-set to
-        # test, and neither under a closure (the bitmap answers there).
+        # test, only its child signature — and under a closure neither
+        # (the bitmap answers there).
         db = labeled_tree_db()
-        for pattern in ("?(e ?*)", "[[d(@ ?*)]]+@ .@ e(h i)"):
+        for pattern, filters in (
+            ("?(e ?*)", "; child signature e"),
+            ("[[d(@ ?*)]]+@ .@ e(h i)", ""),
+        ):
             plan = lower(Q.root("T").sub_select(pattern).build(), db)
             assert type(plan.root) is P.SubSelectPipe
             assert type(plan.root.children[0]) is P.ScanRoot
-            assert "sub_select_pipe  [full tree scan]" in plan.render()
+            assert f"sub_select_pipe  [full tree scan{filters}]" in plan.render()
 
     def test_render_names_operators_and_access_paths(self):
         db = labeled_tree_db()
@@ -285,8 +303,8 @@ class TestColumnarLowering:
         assert type(plan.root) is P.SubSelectPipe
         assert plan.root.name == "split_pipe"
         assert (
-            "split_pipe  [full tree scan; root first-set test on x.citizen = 'Brazil']"
-            in plan.render()
+            "split_pipe  [full tree scan; posting probe on x.citizen = 'Brazil';"
+            ' child signature {citizen = "USA"}]' in plan.render()
         )
 
     def test_list_sub_select_lowers_to_columnar_list_scan(self):
@@ -307,8 +325,9 @@ class TestColumnarLowering:
     def test_columnar_operators_match_plain_pipes(self, mode, monkeypatch):
         """First-set scan (``on``) ≡ the untabled reference, which
         enters the matcher at every node (``off``), through the same
-        operator — rows, order and every counter.  The root ``d`` is one
-        equality, so the scan is served from the tree's postings."""
+        operator — rows, order and every counter but the two the child
+        signature moves.  The root ``d`` is one equality, so the scan is
+        served from the tree's postings."""
         from repro import Session
         from repro.patterns import tree_match
 
@@ -335,10 +354,16 @@ class TestColumnarLowering:
         assert list(served) == list(baseline)
         # The first-set scan engages exactly when tabled, from postings.
         assert entered == (["_posting_scan"] if mode == "on" else [])
-        # The run that builds the map counts it; nothing else may differ.
+        # The run that builds the map counts it.  None of the tree's four
+        # d nodes has the e and j children the pattern requires: the
+        # tabled scan rejects each at one step plus its child tests (5
+        # in all), where the reference walks 7 steps and 7 evaluations
+        # into them; the other 396 nodes cost one of each on both legs.
         totals = metrics.totals()
         assert totals.pop("index_builds", 0) == (mode == "on")
-        assert totals == reference.totals()
+        moved = {"backtrack_steps": 400, "predicate_evals": 401} if mode == "on" else {}
+        assert totals == {**reference.totals(), **moved}
+        assert reference.total("backtrack_steps") == 403
         assert metrics.total("nodes_scanned") == db.root("T").size()
 
 

@@ -8,7 +8,14 @@ strings, records, dicts and labeled NULLs.  The default path (first-set
 scan, bulk charges) and the null-table reference (``untabled_scope``:
 every node enters the matcher) must yield the same match stream in the
 same order *and* the same ``backtrack_steps`` / ``predicate_evals`` /
-``nodes_scanned`` totals.
+``nodes_scanned`` totals — but for the candidates the tabled scan's
+child signature rejects before the matcher: those are charged one step
+and the child tests made, so the expected counters are the reference's
+over the signature's survivors (handed over as ``roots=``) plus that
+charge per rejected node.  A further property checks the signature is
+necessary: over child patterns with alternations, sibling closures,
+unions, prunes, ``?``, ``$`` and ``$param``, every node the reference
+matches passes it.
 
 A scan whose root first-set is one equality is served from the tree's
 postings, built by the first scan and kept on the tree: every case also
@@ -17,7 +24,9 @@ runs a warm second scan of the same tree — stopped early, with its
 which must equal the cold one and the reference in the same three ways.
 """
 
-from hypothesis import given, settings
+from itertools import islice
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import params
@@ -27,9 +36,16 @@ from repro.core.aqua_tree import AquaTree
 from repro.core.concat import ConcatPoint
 from repro.core.identity import Record
 from repro.params import Param
-from repro.patterns import find_tree_matches
-from repro.patterns.tree_match import _posting_key
+from repro.patterns import find_tree_matches, parse_tree_pattern
+from repro.patterns.tree_match import (
+    _compile_signature,
+    _posting_key,
+    _signature_holds,
+    iter_tree_matches,
+)
 from repro.patterns.tree_ast import (
+    ChildAlt,
+    ChildPlus,
     ChildSeq,
     ChildStar,
     PointAtom,
@@ -37,6 +53,7 @@ from repro.patterns.tree_ast import (
     TreeConcat,
     TreePattern,
     TreePlus,
+    TreePrune,
     TreeUnion,
 )
 from repro.predicates.alphabet import (
@@ -124,6 +141,7 @@ root_predicates = st.one_of(
 )
 
 ANY_RUN = ChildStar(TreeAtom(ANY, None))
+NOT_B = TreeAtom(Not(SymbolEquals("b")))
 POINT = ConcatPoint("9")
 
 
@@ -138,6 +156,7 @@ def atoms(draw, point: bool = False):
                 None,
                 ANY_RUN,
                 ChildSeq([TreeAtom(SymbolEquals("a"), None), ANY_RUN]),
+                ChildSeq([ANY_RUN, TreeAtom(ANY, ChildSeq([ANY_RUN, NOT_B])), ANY_RUN]),
             )
         )
     )
@@ -167,15 +186,133 @@ def matcher_run(pattern, tree, context):
     return keys, {name: sink[name] for name in COUNTERS}
 
 
+def signature_oracle(signature, node) -> tuple[bool, int]:
+    """A child signature read through each predicate's ``__call__``:
+    does ``node`` pass it, and after how many child tests."""
+    tests = 0
+    for predicate, below in signature:
+        for child in node.children:
+            if child.is_concat_point:
+                continue
+            tests += 1
+            if predicate(child.value):
+                held, made = signature_oracle(below, child)
+                tests += made
+                if held:
+                    break
+        else:
+            return False, tests
+    return True, tests
+
+
+def signature_rejections(pattern, tree) -> dict[int, int]:
+    """``id(node) → child tests`` for each candidate the tabled scan's
+    child signature rejects: the nodes the root first-set (if any)
+    accepts, and no closure."""
+    if pattern.has_vertical_closure():
+        return {}
+    roots = pattern.root_predicates()
+    screened = pattern.root_first_set() is not None
+    rejected = {}
+    for node in tree.nodes():
+        if screened and (node.is_concat_point or not any(p(node.value) for p in roots)):
+            continue  # the first-set rejects it before the signature is asked
+        held, tests = signature_oracle(pattern.required_children(), node)
+        if not held:
+            rejected[id(node)] = tests
+    return rejected
+
+
+def filtered_reference(pattern, tree, bindings, limit=None):
+    """The reference's stream and counters over the candidates the child
+    signature lets through (handed over as ``roots=``), plus one step
+    and the child tests made for each rejected one the scan reached —
+    all of them, or those before the last match's root when ``limit``
+    stopped it."""
+    sink = Instrumentation()
+    with params.bound_params(bindings):
+        rejected = signature_rejections(pattern, tree)
+        survivors = [node for node in tree.nodes() if id(node) not in rejected]
+        with sink.activated():
+            stream = iter_tree_matches(
+                pattern, tree, roots=survivors, context=untabled(pattern, tree), preordered=True
+            )
+            matches = list(islice(stream, limit))
+            del stream
+    counters = {name: sink[name] for name in COUNTERS}
+    order = {id(node): position for position, node in enumerate(tree.nodes())}
+    stop = len(order)
+    if limit is not None and len(matches) == limit:
+        stop = order[id(matches[-1].root)]
+    charged = [tests for node, tests in rejected.items() if order[node] < stop]
+    counters["backtrack_steps"] += len(charged)
+    counters["predicate_evals"] += sum(charged)
+    return [match.key() for match in matches], counters
+
+
 @SETTINGS
 @given(pattern=rooted_patterns(), tree=trees)
 def test_matcher_stream_and_counters_equal_the_reference(pattern, tree):
     keys, counters = matcher_run(pattern, tree, None)
-    want_keys, want_counters = matcher_run(pattern, tree, untabled(pattern, tree))
+    want_keys, _ = matcher_run(pattern, tree, untabled(pattern, tree))
     assert keys == want_keys
     if not pattern.has_vertical_closure():  # a closure's tables save steps
-        assert counters == want_counters
+        assert (keys, counters) == filtered_reference(pattern, tree, BINDINGS)
     assert tree._layout is None or pattern.has_vertical_closure()
+
+
+#: Child patterns of every form the signature reads, over labels mostly,
+#: so that alternatives and closures meet child lists they match.
+label_tests = st.one_of(
+    st.sampled_from((*LABELS, Param("s"))).map(SymbolEquals),
+    st.sampled_from(LABELS).map(lambda label: Not(SymbolEquals(label))),
+    predicates,
+    st.just(ANY),
+)
+plain_atoms = label_tests.map(TreeAtom)
+child_patterns = st.recursive(
+    st.one_of(plain_atoms, st.just(PointAtom(ConcatPoint("1")))),
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=1, max_size=3).map(ChildSeq),
+        st.lists(inner, min_size=2, max_size=2).map(ChildAlt),
+        inner.map(ChildPlus),
+        inner.map(ChildStar),
+        st.lists(plain_atoms, min_size=2, max_size=2).map(TreeUnion),
+        plain_atoms.map(TreePrune),
+        st.tuples(label_tests, inner).map(lambda t: TreeAtom(*t)),
+    ),
+    max_leaves=6,
+)
+signature_patterns = st.builds(
+    lambda predicate, children, leaf: TreePattern(TreeAtom(predicate, children), leaf_anchor=leaf),
+    st.one_of(root_predicates, label_tests),
+    st.one_of(child_patterns, child_patterns.map(lambda cp: ChildSeq([ANY_RUN, cp, ANY_RUN]))),
+    st.booleans(),
+)
+#: Trees of labels and labeled NULLs, arity ≤ 3 like :data:`trees`.
+label_trees = st.recursive(
+    st.sampled_from((*LABELS, ConcatPoint("1"))),
+    lambda kids: st.tuples(st.sampled_from(LABELS), st.lists(kids, max_size=3)),
+    max_leaves=14,
+).map(_build)
+
+
+@settings(SETTINGS, max_examples=400)
+@given(pattern=signature_patterns, tree=st.one_of(label_trees, trees))
+@example(parse_tree_pattern("a(b | c)"), _build(("a", ["c"])))  # alternation: ∩
+@example(parse_tree_pattern("a(b* c)"), _build(("a", ["c"])))  # star: nothing
+@example(parse_tree_pattern("a([[b | c]] ?*)"), _build(("a", ["c"])))  # union: nothing
+@example(parse_tree_pattern("a(!b ?*)"), _build(("a", ["b"])))
+@example(parse_tree_pattern("a(b+ ?(c))$"), _build(("a", ["b", "b", ("a", ["c"])])))
+@example(parse_tree_pattern("a(@1 {x = $s})"), _build(("a", [ConcatPoint("1"), "a"])))
+def test_every_match_root_passes_the_child_signature(pattern, tree):
+    with params.bound_params(BINDINGS):
+        signature = _compile_signature(pattern.required_children())
+        reference = find_tree_matches(pattern, tree, context=untabled(pattern, tree))
+        assert all(_signature_holds(signature, match.root)[0] for match in reference)
+    keys, counters = matcher_run(pattern, tree, None)
+    assert keys == [match.key() for match in reference]
+    assert (keys, counters) == filtered_reference(pattern, tree, BINDINGS)
 
 
 def scan_run(pattern, tree, context, bindings, limit):
@@ -208,8 +345,8 @@ def test_warm_scan_from_postings_equals_the_cold_scan_and_the_reference(
     assert keys == want[0]
     assert warm_keys == want_warm[0]
     if not pattern.has_vertical_closure():
-        assert counters == want[1]
-        assert warm_counters == want_warm[1]
+        assert counters == filtered_reference(pattern, tree, BINDINGS, limit)[1]
+        assert warm_counters == filtered_reference(pattern, tree, warm_bindings, limit)[1]
     # The cold scan builds its attribute's map; any binding reuses it.
     assert builds == served
     assert warm_builds == 0
@@ -234,7 +371,12 @@ def test_query_rows_and_charged_scan_equal_the_reference(pattern, tree, split):
     (rows, counters), (want_rows, want_counters) = runs
     assert rows == want_rows
     if not pattern.has_vertical_closure():
-        assert counters == want_counters
+        # The child signature moves the matcher's counters as it does
+        # under find_tree_matches; the scan's nodes_scanned stays put.
+        _, plain = matcher_run(pattern, tree, untabled(pattern, tree))
+        _, filtered = filtered_reference(pattern, tree, BINDINGS)
+        moved = {name: filtered[name] - plain[name] for name in COUNTERS}
+        assert counters == {name: want_counters[name] + moved[name] for name in COUNTERS}
     assert counters["nodes_scanned"] == want_counters["nodes_scanned"] == (
         0 if pattern.root_anchor else tree.size()
     )

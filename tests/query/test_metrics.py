@@ -120,8 +120,11 @@ class TestPlanMetricsCollection:
 
         # CLAIM-SPLIT at benchmark scale: a 4 000-node tree whose anchor
         # `d` labels ~1 % of the nodes.  The scan visits every node; the
-        # probe hands the matcher 37 candidates.  (The naive leg's
-        # first-set scan rejects the rest unentered but charges them.)
+        # probe hands over 37 candidates.  (The naive leg's first-set
+        # scan rejects the rest unentered but charges them.)  None of the
+        # 37 has the e and j children the pattern requires, so both legs
+        # reject each on its child signature — 38 child tests in all —
+        # without entering the matcher.
         big = Database()
         tree = random_labeled_tree(
             4000, "dehijuvwxy", seed=99, weights=[1.0] + [11.0] * 9, max_arity=4
@@ -134,8 +137,8 @@ class TestPlanMetricsCollection:
         indexed, indexed_metrics = session.query_with_metrics(query, optimize=True)
         assert naive == indexed
         counters = ("nodes_scanned", "index_candidates", "predicate_evals")
-        assert [naive_metrics.total(name) for name in counters] == [4000, 0, 4018]
-        assert [indexed_metrics.total(name) for name in counters] == [0, 37, 55]
+        assert [naive_metrics.total(name) for name in counters] == [4000, 0, 4001]
+        assert [indexed_metrics.total(name) for name in counters] == [0, 37, 38]
 
 
 #: The matcher and scan counters EXPLAIN ANALYZE attributes per operator.
@@ -203,10 +206,12 @@ class TestCountersFlushAtHandOver:
         assert len(result) == matches == 6
         assert len(flushes) <= matches + 1  # 323 at one flush per candidate
         # The scan charges every node the first-set rejected as the
-        # node-at-a-time reference does (322 probed candidates vs 3000).
+        # node-at-a-time reference does (322 probed candidates vs 3000);
+        # of the 322, those without an e child with an h child are
+        # rejected on the child signature at one step each.
         assert sum(f["backtrack_steps"] for f in flushes) == metrics[()].counters[
             "backtrack_steps"
-        ] == (1028 if optimize else 3706)
+        ] == (374 if optimize else 3052)
 
     def test_a_list_scan_flushes_once_per_batch(self, monkeypatch):
         db = Database()
@@ -224,7 +229,8 @@ class TestCountersFlushAtHandOver:
         result, metrics = Session(db).query_with_metrics(query, optimize=optimize)
         assert len(result) == 43
         scanned = {"nodes_scanned": 18} if not optimize else {}
-        left, right = ((326, 200), (72, 52)) if not optimize else ((310, 184), (56, 36))
+        # The right scan's a(i j …) has no b child: one step, 7 tests.
+        left, right = ((326, 200), (51, 44)) if not optimize else ((310, 184), (35, 28))
         assert scan_counters(metrics) == {
             (): {},
             (0,): {"backtrack_steps": left[0], "predicate_evals": left[1], **scanned},
@@ -276,8 +282,8 @@ class TestRendering:
         # The cold scan builds the tree's payload postings and serves
         # itself from them; the warm run finds them built.
         assert text == (
-            "sub_select[d(e(h i) j)]  (est rows≈2, cost≈75 | act rows=1, units=39)\n"
-            "  · backtrack_steps=24, index_builds=1, nodes_scanned=15, predicate_evals=24\n"
+            "sub_select[d(e(h i) j)]  (est rows≈2, cost≈75 | act rows=1, units=38)\n"
+            "  · backtrack_steps=23, index_builds=1, nodes_scanned=15, predicate_evals=23\n"
             "  root(T)  (est rows≈15, cost≈1 | act rows=15, units=0)"
         )
         _, metrics = evaluate_with_metrics(query, db)

@@ -239,6 +239,17 @@ def test_root_predicate_walk_is_defined_once() -> None:
     assert definers == ["patterns/tree_ast.py"]
 
 
+def test_match_contexts_read_pattern_facts_without_walking() -> None:
+    """A match context copies its pattern's facts, derived once per
+    compiled pattern (``TreePattern.facts``): ``patterns/tree_memo.py``
+    walks no pattern body and asks no pattern-wide question itself (the
+    CI lint job greps for the same thing)."""
+    package = Path(repro.__file__).resolve().parent
+    source = (package / "patterns" / "tree_memo.py").read_text(encoding="utf-8")
+    walks = re.compile(r"has_vertical_closure\(|atom_predicates\(|\.body\.walk\(")
+    assert [line for line in source.splitlines() if walks.search(line)] == []
+
+
 #: Bottom first.  A module may import from its own layer and any below.
 LAYERS = (
     {"errors", "config", "params", "faults", "guardrails"},
