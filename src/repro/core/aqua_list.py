@@ -19,7 +19,10 @@ index, the columnar start source, the list scan operators and ``split``
 all read those two tuples instead of re-deriving them.  The position
 index and the predicate columns built over them are cached on the list
 too (``_index`` / ``_columns``, set by :mod:`repro.storage`), so they
-live exactly as long as the list does.
+live exactly as long as the list does.  So is its structural hash
+(``_hash``), under :class:`~repro.core.aqua_tree.AquaTree`'s contract: a
+list handed to set operations is not edited in place.  Copies and
+pickles carry the entries alone and derive every cache afresh.
 """
 
 from __future__ import annotations
@@ -29,13 +32,14 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 from ..errors import ConcatenationError, TypeMismatchError
 from .aqua_tree import AquaTree, TreeNode
 from .concat import NIL, ConcatPoint, Nil, is_concat_point
+from .equality import payload_key
 from .identity import Cell, as_cell, deref
 
 
 class AquaList:
     """An ordered sequence of cells, possibly containing labeled NULLs."""
 
-    __slots__ = ("_entries", "_cells", "_values", "_index", "_columns")
+    __slots__ = ("_entries", "_cells", "_values", "_index", "_columns", "_hash")
 
     def __init__(self, entries: Iterable[Cell | ConcatPoint] = ()) -> None:
         self._entries: tuple[Cell | ConcatPoint, ...] = tuple(entries)
@@ -56,6 +60,7 @@ class AquaList:
         self._values: tuple[Any, ...] | None = None
         self._index = None
         self._columns = None
+        self._hash: int | None = None
 
     # -- constructors -----------------------------------------------------
 
@@ -98,6 +103,7 @@ class AquaList:
         adopted._values = None
         adopted._index = None
         adopted._columns = None
+        adopted._hash = None
         return adopted
 
     # -- inspection --------------------------------------------------------
@@ -290,18 +296,14 @@ class AquaList:
         return True
 
     def __hash__(self) -> int:
-        parts = []
-        for entry in self._entries:
-            if is_concat_point(entry):
-                parts.append(("@", entry.label))
-            else:
-                value = deref(entry)
-                try:
-                    hash(value)
-                except TypeError:
-                    value = repr(value)
-                parts.append(("v", value))
-        return hash(("AquaList", tuple(parts)))
+        # Every set stage a result row passes (dedup, the result set, the
+        # exchange merge) hashes it again: compute once, then read the slot.
+        if self._hash is None:
+            self._hash = _structural_hash(self._entries)
+        return self._hash
+
+    def __reduce__(self):
+        return (AquaList, (self._entries,))
 
     def __repr__(self) -> str:
         from .notation import format_list
@@ -312,3 +314,20 @@ class AquaList:
         from .notation import format_list
 
         return format_list(self, label=label)
+
+
+def _structural_hash(entries: Sequence[Cell | ConcatPoint]) -> int:
+    """Hash a list by value: payloads (unhashable ones by their
+    :func:`~repro.core.equality.payload_key`) and labeled NULLs' labels."""
+    parts = []
+    for entry in entries:
+        if is_concat_point(entry):
+            parts.append(("@", entry.label))
+        else:
+            value = deref(entry)
+            try:
+                hash(value)
+            except TypeError:
+                value = payload_key(value)
+            parts.append(("v", value))
+    return hash(("AquaList", tuple(parts)))

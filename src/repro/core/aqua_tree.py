@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from ..errors import ConcatenationError
 from .concat import NIL, ConcatPoint, Nil, is_concat_point
+from .equality import payload_key
 from .identity import Cell, as_cell, deref
 
 #: The pseudo-attribute naming a node's payload itself (``x = 'd'``).
@@ -461,6 +462,11 @@ class AquaTree:
             self._hash = hash(("AquaTree", _node_key(self.root)))
         return self._hash
 
+    def __reduce__(self):
+        # The caches hold this process's ids and string hashes: a copy or
+        # an unpickled tree carries its structure and derives its own.
+        return (AquaTree, (self.root,))
+
     def __repr__(self) -> str:
         from .notation import format_tree
 
@@ -578,7 +584,7 @@ def _node_key(node: TreeNode | None) -> Any:
         try:
             hash(value)
         except TypeError:
-            head: Any = repr(value)
+            head: Any = payload_key(value)
         else:
             head = value
         append((head, len(children)))

@@ -52,7 +52,8 @@ class AquaTuple:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(("AquaTuple", self._items))
+        # Equal to the plain tuple of its items, so hashed as that tuple.
+        return hash(self._items)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(i) for i in self._items)

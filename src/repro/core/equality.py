@@ -75,6 +75,20 @@ def _hashable(value: Any) -> Hashable:
     return value
 
 
+def payload_key(value: Any) -> Hashable:
+    """What a structural hash files an unhashable payload under.
+
+    The canonical form :func:`_hashable` builds (dict items sorted, lists
+    as tuples, sets as frozensets), so payloads that compare equal key
+    equal whatever their dict order; ``repr`` only when that form itself
+    fails (dict keys that do not sort).
+    """
+    try:
+        return _hashable(value)
+    except TypeError:
+        return repr(value)
+
+
 def _shallow_key(value: Any) -> Hashable:
     if isinstance(value, Cell):
         return _shallow_key(value.contents)

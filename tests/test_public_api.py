@@ -250,6 +250,22 @@ def test_match_contexts_read_pattern_facts_without_walking() -> None:
     assert [line for line in source.splitlines() if walks.search(line)] == []
 
 
+def test_bulk_values_key_unhashable_payloads_through_one_helper() -> None:
+    """A list's and a tree's structural hash file an unhashable payload
+    under ``equality.payload_key``'s canonical form, never its ``repr``
+    (the CI lint job greps for the same thing)."""
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{name}:{number}"
+        for name in ("aqua_list.py", "aqua_tree.py")
+        for number, line in enumerate(
+            (package / "core" / name).read_text(encoding="utf-8").splitlines(), 1
+        )
+        if re.search(r"repr\(value\)", line)
+    ]
+    assert offenders == []
+
+
 #: Bottom first.  A module may import from its own layer and any below.
 LAYERS = (
     {"errors", "config", "params", "faults", "guardrails"},
