@@ -5,16 +5,20 @@ Every way of running a query — ``evaluate()``, ``Q.run()``,
 :class:`Session`, which is the *single* place the execution knobs are
 resolved.  Precedence, highest first:
 
-1. a per-call keyword (``session.query(q, parallel="off")``);
-2. the Session's own keyword (``Session(db, parallel="off")``);
-3. the ``AQUA_*`` environment variable (``AQUA_PARALLEL``,
-   ``AQUA_PARALLEL_WORKERS``, budget knobs via
-   :meth:`repro.guardrails.Budget.from_env`);
-4. the built-in default (``on`` / ``auto`` / unlimited).
+1. a per-call keyword (``session.query(q, budget=Budget(max_steps=...))``);
+2. the Session's own keyword (``Session(db, budget=...)``);
+3. the ``AQUA_*`` environment variables (``AQUA_MAX_STEPS`` and the
+   other budget knobs, via :meth:`repro.guardrails.Budget.from_env`);
+4. the built-in default (unlimited).
 
-Values are validated on first read by :mod:`repro.config`; a typo
-raises a one-line :class:`~repro.errors.QueryError` naming the knob and
-the accepted values instead of failing deep in the stack.
+Values are validated by :mod:`repro.config`; a typo raises a one-line
+:class:`~repro.errors.QueryError` naming the knob and the accepted
+values instead of failing deep in the stack.
+
+Each query runs on the calling thread through one sequential pipeline;
+running several queries at once is :class:`SessionPool`'s job alone.
+The ``parallel=`` keyword (``on`` | ``off``) is still accepted and
+validated, for call compatibility only: both values run the same plan.
 
 A Session owns a :class:`~repro.query.plan_cache.PlanCache` (shared
 process-wide by default), so ``session.query(...)`` transparently
@@ -65,33 +69,21 @@ class ResolvedKnobs(NamedTuple):
 
     optimize: bool
     budget: Budget | None
-    parallel: str | None
-    parallel_workers: int | str | None
     cache: Any
-
-    def run_kwargs(self) -> dict:
-        """The keywords :meth:`PreparedQuery.run` accepts, ready to splat."""
-        return dict(
-            budget=self.budget,
-            parallel=self.parallel,
-            parallel_workers=self.parallel_workers,
-        )
 
 
 class Session:
     """A database handle with resolved execution knobs and a plan cache.
 
     Parameters mirror the knobs: ``budget`` (a
-    :class:`~repro.guardrails.Budget`), ``parallel`` (``on`` | ``off``
-    — sharded exchange execution), ``parallel_workers`` (``auto`` or a
-    worker count; all of a process's Sessions draw from one shared
-    worker budget, so pooled serving and per-query fan-out compose
-    without multiplying),
-    ``plan_cache`` (a :class:`~repro.query.plan_cache.PlanCache`; the
-    process-wide default when omitted; ``plan_cache=None`` is replaced
-    by that default — pass ``cache=None`` per call via :meth:`prepare`
-    to bypass caching).  All are optional; ``None`` defers to the
-    environment, then the default.
+    :class:`~repro.guardrails.Budget`), ``plan_cache`` (a
+    :class:`~repro.query.plan_cache.PlanCache`; the process-wide default
+    when omitted; ``plan_cache=None`` is replaced by that default — pass
+    ``cache=None`` per call via :meth:`prepare` to bypass caching).
+    All are optional; ``None`` defers to the environment, then the
+    default.  ``parallel`` (``on`` | ``off``) is validated and has no
+    effect: a Session runs each query on the calling thread, and
+    concurrency is :class:`SessionPool`'s job.
     """
 
     def __init__(
@@ -100,17 +92,11 @@ class Session:
         *,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         plan_cache: PlanCache | None = None,
     ) -> None:
-        if parallel is not None:
-            config.validated_parallel(parallel)
-        if parallel_workers is not None:
-            config.validated_parallel_workers(parallel_workers)
+        config.validated_parallel(parallel)
         self.db = db
         self.budget = budget
-        self.parallel = parallel
-        self.parallel_workers = parallel_workers
         self.plan_cache = plan_cache if plan_cache is not None else DEFAULT_CACHE
 
     # -- knob resolution -------------------------------------------------------
@@ -130,26 +116,21 @@ class Session:
         optimize: bool | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         cache: Any = _UNSET,
     ) -> ResolvedKnobs:
         """Apply the per-call > session precedence once, for every knob.
 
-        (Environment and built-in defaults resolve later, inside
-        :mod:`repro.config`, at the point of use — they are thread-local
-        scopes, not values.)  This is the shared resolver behind
-        :meth:`query`, :meth:`query_with_metrics`, :meth:`explain`,
-        ``run_aql`` and ``Q.run``.
+        (The environment and the built-in default resolve later, at the
+        point of use: an unset budget reads the ``AQUA_*`` budget knobs
+        when the query arms its guard.)  This is the shared resolver
+        behind :meth:`query`, :meth:`query_with_metrics`,
+        :meth:`explain`, ``run_aql`` and ``Q.run``; it also validates
+        the inert ``parallel`` keyword.
         """
+        config.validated_parallel(parallel)
         return ResolvedKnobs(
             optimize=self._default_optimize(source, optimize),
             budget=budget if budget is not None else self.budget,
-            parallel=parallel if parallel is not None else self.parallel,
-            parallel_workers=(
-                parallel_workers
-                if parallel_workers is not None
-                else self.parallel_workers
-            ),
             cache=self.plan_cache if cache is _UNSET else cache,
         )
 
@@ -178,17 +159,11 @@ class Session:
         optimize: bool | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         cache: Any = _UNSET,
     ) -> Any:
         """Prepare (or fetch from cache) and execute in one call."""
         knobs = self.resolve_knobs(
-            source,
-            optimize=optimize,
-            budget=budget,
-            parallel=parallel,
-            parallel_workers=parallel_workers,
-            cache=cache,
+            source, optimize=optimize, budget=budget, parallel=parallel, cache=cache
         )
         prepared = _prepare(
             source, self.db, optimize=knobs.optimize, cache=knobs.cache
@@ -197,7 +172,7 @@ class Session:
         # database (snapshots share its cache identity), so the entry
         # may have been planned against a different view — execute
         # against *this* session's view regardless.
-        return prepared.run(params, db=self.db, **knobs.run_kwargs())
+        return prepared.run(params, db=self.db, budget=knobs.budget)
 
     def query_with_metrics(
         self,
@@ -207,22 +182,17 @@ class Session:
         optimize: bool | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         metrics: PlanMetrics | None = None,
     ) -> tuple[Any, PlanMetrics]:
         """Like :meth:`query`, also collecting per-operator metrics."""
         knobs = self.resolve_knobs(
-            source,
-            optimize=optimize,
-            budget=budget,
-            parallel=parallel,
-            parallel_workers=parallel_workers,
+            source, optimize=optimize, budget=budget, parallel=parallel
         )
         prepared = _prepare(
             source, self.db, optimize=knobs.optimize, cache=knobs.cache
         )
         return prepared.run_with_metrics(
-            params, metrics=metrics, db=self.db, **knobs.run_kwargs()
+            params, metrics=metrics, db=self.db, budget=knobs.budget
         )
 
     def explain(
@@ -258,7 +228,7 @@ class Session:
                 [render_plan(prepared.plan, self.db), render_planning(planning)]
             )
         _, metrics = prepared.run_with_metrics(
-            params, db=self.db, **knobs.run_kwargs()
+            params, db=self.db, budget=knobs.budget
         )
         report = render_analysis(prepared.plan, self.db, metrics)
         return "\n".join([report, render_planning(planning)])
@@ -272,32 +242,22 @@ class Session:
         snapshot re-pins nothing (the view is already immutable).
         """
         return Session(
-            self.db.snapshot(),
-            budget=self.budget,
-            parallel=self.parallel,
-            parallel_workers=self.parallel_workers,
-            plan_cache=self.plan_cache,
+            self.db.snapshot(), budget=self.budget, plan_cache=self.plan_cache
         )
 
     def __repr__(self) -> str:
-        knobs = []
-        if self.budget is not None:
-            knobs.append("budget=set")
-        if self.parallel is not None:
-            knobs.append(f"parallel={self.parallel}")
-        if self.parallel_workers is not None:
-            knobs.append(f"parallel_workers={self.parallel_workers}")
-        suffix = f" ({', '.join(knobs)})" if knobs else ""
+        suffix = " (budget=set)" if self.budget is not None else ""
         return f"Session<{self.db!r}>{suffix}"
 
 
 class SessionPool:
     """A thread-pooled serving front end with snapshot-isolated readers.
 
-    The concurrent counterpart of :class:`Session`: ``submit()`` runs a
-    query on a worker thread against a :meth:`Database.snapshot` pinned
-    at submission time, so every read observes one consistent version
-    cut no matter how many writers commit while it executes.
+    The concurrent counterpart of :class:`Session`, and the engine's only
+    source of concurrency: ``submit()`` runs a query on a worker thread
+    against a :meth:`Database.snapshot` pinned at submission time, so
+    every read observes one consistent version cut no matter how many
+    writers commit while it executes.
     ``submit_update()`` routes writes through
     :func:`repro.algebra.update.apply_update`, whose transaction holds
     the database write lock — writers serialize, readers never block.
@@ -345,7 +305,6 @@ class SessionPool:
         workers: int = 4,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         plan_cache: PlanCache | None = None,
         retry_policy: RetryPolicy | None = None,
         ladder: DegradationLadder | None = DEFAULT_LADDER,
@@ -358,13 +317,10 @@ class SessionPool:
 
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        config.validated_parallel(parallel)
         self.db = db
         self.workers = workers
-        self._session_knobs = dict(
-            budget=budget,
-            parallel=parallel,
-            parallel_workers=parallel_workers,
-        )
+        self.budget = budget
         self.plan_cache = plan_cache if plan_cache is not None else DEFAULT_CACHE
         self.retry_policy = retry_policy
         self.ladder = ladder
@@ -384,7 +340,7 @@ class SessionPool:
     # -- internals -------------------------------------------------------------
 
     def _session(self, view: Database) -> Session:
-        return Session(view, plan_cache=self.plan_cache, **self._session_knobs)
+        return Session(view, budget=self.budget, plan_cache=self.plan_cache)
 
     def _next_key(self) -> str:
         """A stable per-request key for the seeded jitter stream."""
@@ -429,16 +385,15 @@ class SessionPool:
         optimize: bool | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         cache: Any = _UNSET,
         retry_policy: RetryPolicy | None | Any = _UNSET,
     ):
         """Schedule ``source`` on a worker; returns a Future.
 
         The knob keywords (``optimize`` / ``budget`` / ``parallel`` /
-        ``parallel_workers`` / ``cache``)
-        are :meth:`Session.query`'s, with identical precedence — a
-        per-call value beats the pool's, which beats the environment.
+        ``cache``) are :meth:`Session.query`'s, with identical
+        precedence — a per-call value beats the pool's, which beats the
+        environment.  ``parallel`` is validated here and has no effect.
 
         The read is pinned to ``snapshot`` when given (obtain one from
         :meth:`pin`), else to a fresh snapshot taken *now*, at
@@ -449,13 +404,12 @@ class SessionPool:
         shared ``snapshot`` is never re-pinned, a pool-pinned one may
         be when the policy asks for it.
         """
+        config.validated_parallel(parallel)
         self._check_open()
         self._admit()
         view = snapshot if snapshot is not None else self.db.snapshot()
         policy = self.retry_policy if retry_policy is _UNSET else retry_policy
-        effective_budget = (
-            budget if budget is not None else self._session_knobs["budget"]
-        )
+        effective_budget = budget if budget is not None else self.budget
         return self._schedule(
             self._serve_read,
             self._next_key(),
@@ -465,12 +419,7 @@ class SessionPool:
             snapshot is None,  # repinnable only if the pool pinned it
             policy,
             effective_budget,
-            dict(
-                optimize=optimize,
-                parallel=parallel,
-                parallel_workers=parallel_workers,
-                cache=cache,
-            ),
+            dict(optimize=optimize, cache=cache),
         )
 
     def _serve_read(
@@ -529,8 +478,6 @@ class SessionPool:
                 params,
                 optimize=optimize,
                 budget=attempt_budget if attempt_budget is not None else budget,
-                parallel=knobs["parallel"],
-                parallel_workers=knobs["parallel_workers"],
                 cache=cache,
             )
 

@@ -296,8 +296,8 @@ class AquaList:
         return True
 
     def __hash__(self) -> int:
-        # Every set stage a result row passes (dedup, the result set, the
-        # exchange merge) hashes it again: compute once, then read the slot.
+        # Every set stage a result row passes (dedup, the result set)
+        # hashes it again: compute once, then read the slot.
         if self._hash is None:
             self._hash = _structural_hash(self._entries)
         return self._hash

@@ -7,7 +7,7 @@ takes that literally: a JSON / XML / HTML document ingests into a plain
 :class:`~repro.core.aqua_tree.AquaTree` whose payloads are
 :class:`DocNode` objects, and every existing operator — ``sub_select``,
 ``split``, ``select``, the optimizer, the node indexes, the matcher's
-root first-set scan, the parallel exchange — applies unchanged.
+root first-set scan — applies unchanged.
 
 A :class:`DocNode` is a :class:`~repro.core.identity.DatabaseObject`
 (identity equality, like every AQUA payload), with a small fixed schema:

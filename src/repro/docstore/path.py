@@ -25,8 +25,8 @@ translates a path into the existing logical algebra:
   with its pruned descendants put back, i.e. the full subtree rooted at
   each match;
 * every later step is ``flatten(apply(step_fn))`` over those subtrees —
-  set algebra the physical operators, the budget guard, and the
-  parallel exchange already understand.
+  set algebra the physical operators and the budget guard already
+  understand.
 
 A leading child-axis step anchors at the synthetic ``document`` wrapper
 root with a root-anchored (``⊤``) pattern instead, then proceeds with

@@ -103,7 +103,7 @@ class Document:
         """Run a path query; returns the set of matching subtrees.
 
         Accepts every :meth:`repro.api.Session.query` knob keyword
-        (``budget=``, ``parallel=``, ``parallel_workers=``, ...).
+        (``budget=``, ``optimize=``, ``cache=``, ...).
         """
         return self.session.query(self._aql(path_text), params, **knobs)
 

@@ -320,35 +320,6 @@ def nullable_depth_limit() -> int:
 
 
 @contextmanager
-def armed(guard: Guard | None) -> Iterator[Guard | None]:
-    """Install a specific, pre-built :class:`Guard` on this thread.
-
-    This is the worker-entry seam for parallel execution: a bare worker
-    thread has *no* thread-local guard — :func:`guarded` was only ever
-    entered on the query thread — so per-member work running on it
-    would silently escape budget enforcement.  Exchange workers
-    therefore re-arm explicitly with a shard guard (a
-    :class:`~repro.physical.exchange.ShardGuard` sharing the query's
-    cumulative spend ledger) before touching any engine layer.
-
-    Unlike :func:`guarded` this scope *replaces* an already-active
-    guard for its duration (a worker thread borrowed from a pool may
-    still be inside an outer scope); the previous guard is restored on
-    exit.  ``armed(None)`` is a no-op, so callers need not special-case
-    unbudgeted executions.
-    """
-    if guard is None:
-        yield None
-        return
-    previous = getattr(_local, "guard", None)
-    _local.guard = guard
-    try:
-        yield guard
-    finally:
-        _local.guard = previous
-
-
-@contextmanager
 def guarded(budget: Budget | None = None) -> Iterator[Guard | None]:
     """Arm ``budget`` for this thread unless a guard is already active.
 

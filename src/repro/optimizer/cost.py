@@ -63,33 +63,6 @@ COLUMN_SCAN_COST = 0.05
 CLOSURE_BASE = 1.25
 
 
-#: Fixed cost of standing up one exchange worker (thread spawn, scope
-#: re-arming, shard bookkeeping, merge traffic), in predicate-evaluation
-#: units.  With the default two-way fan-out this prices the break-even
-#: input at 256 rows — which is why ``AQUA_PARALLEL_MIN_ROWS`` defaults
-#: to exactly that: the static gate and the runtime gate agree.
-EXCHANGE_WORKER_COST = 64.0
-
-
-def exchange_profitable(
-    rows: float, per_member_cost: float = 1.0, workers: int = 2
-) -> bool:
-    """Is fanning ``rows`` out to ``workers`` cheaper than one thread?
-
-    Sequential work is ``rows × per_member_cost``; the parallel plan
-    pays a fixed :data:`EXCHANGE_WORKER_COST` per worker and then runs
-    the same work at ``1/workers`` the critical-path length.  The
-    lowering asks with the *minimum* useful fan-out (two workers), so a
-    plan priced profitable here stays profitable at any larger worker
-    count the runtime is granted.
-    """
-    if workers < 2:
-        return False
-    sequential = rows * per_member_cost
-    parallel = EXCHANGE_WORKER_COST * workers + sequential / workers
-    return sequential > parallel
-
-
 def anchor_scan_profitable(
     db: Database,
     input_node: E.Expr,
@@ -208,24 +181,6 @@ class CostModel:
     def local_cost(self, node: E.Expr) -> float:
         """Estimated work for ``node`` itself, children excluded."""
         return self._local_cost(node)
-
-    def exchange_cost(self, node: E.Expr, workers: int = 2) -> float:
-        """Cost of running ``node``'s per-member work as an exchange."""
-        size = self.input_size(node)
-        return EXCHANGE_WORKER_COST * workers + size / max(1, workers)
-
-    def exchange_profitable(self, node: E.Expr, workers: int = 2) -> bool:
-        """Should the lowering emit a parallel exchange for ``node``?
-
-        Per-member cost is priced at one unit — select evaluates one
-        predicate per member, apply one function — so the decision
-        reduces to the input size against the fan-out overhead.  Inputs
-        the model cannot size (:data:`DEFAULT_SIZE`) price as
-        parallel-capable; the operator's own runtime gate sees the true
-        row count and degrades undersized streams to the sequential
-        loop bit-identically.
-        """
-        return exchange_profitable(self.input_size(node), 1.0, workers)
 
     # -- cardinality estimation (EXPLAIN ANALYZE's "est rows" column) -------
 

@@ -106,7 +106,10 @@ _COUNTERS = (
 )
 
 #: Matcher steps a first-set scan lets rejected candidates run up before
-#: it charges them — ``ShardGuard`` batches its ticks by the same 64.
+#: it charges them.  Charging in bulk keeps the guard off the per-node
+#: path; a deadline or cancellation is then noticed at most 64 steps
+#: after a node-at-a-time scan would notice it, a quarter of the guard's
+#: own ``TIME_CHECK_INTERVAL``.
 _REJECT_BATCH = 64
 
 

@@ -8,14 +8,13 @@ accounting contract.
 
 from .base import ExecutionContext, PhysicalOp, PhysicalPlan
 from .lower import PipelineFactory, lower, lower_factory
-from . import exchange, operators
+from . import operators
 
 __all__ = [
     "ExecutionContext",
     "PhysicalOp",
     "PhysicalPlan",
     "PipelineFactory",
-    "exchange",
     "lower",
     "lower_factory",
     "operators",

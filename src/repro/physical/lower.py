@@ -41,13 +41,12 @@ from ..optimizer.anchors import (
     list_columnar_choice,
     tree_split_anchors,
 )
-from ..optimizer.cost import CostModel, anchor_scan_profitable, exchange_profitable
+from ..optimizer.cost import anchor_scan_profitable
 from ..params import Param
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_parser import tree_pattern
 from ..query import expr as E
 from .base import PhysicalOp, PhysicalPlan
-from . import exchange as X
 from . import operators as P
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -240,22 +239,7 @@ def _lower_set_select(node: E.SetSelect, db, choose) -> Thunk:
             choose.note(indexed)
             return lambda: P.IndexedSelectFilter(node, None, extent, indexed, residual)
     child = _child(node, db, choose)
-    # Like the columnar list scan, the exchange gates itself per
-    # execution (``AQUA_PARALLEL`` off or an undersized input runs the
-    # inherited sequential loop bit-identically), so the static cost
-    # gate only filters out inputs *known* to be too small to ever
-    # profit — small extents keep the plain operator and its zero
-    # buffering.
-    if exchange_profitable(CostModel(db).input_size(node)):
-        return lambda: X.ParallelSelectFilter(node, (child(),))
     return lambda: P.SelectFilter(node, (child(),))
-
-
-def _lower_set_apply(node: E.SetApply, db, choose) -> Thunk:
-    child = _child(node, db, choose)
-    if exchange_profitable(CostModel(db).input_size(node)):
-        return lambda: X.ParallelApplyMap(node, (child(),))
-    return lambda: P.ApplyMap(node, (child(),))
 
 
 def _lower_unary(cls):
@@ -291,7 +275,7 @@ _LOWERING: dict[type, Callable[[E.Expr, "Database", bool], Thunk]] = {
     E.ListSubSelect: _lower_list_sub_select,
     E.ListSplit: _lower_list_split,
     E.SetSelect: _lower_set_select,
-    E.SetApply: _lower_set_apply,
+    E.SetApply: _lower_unary(P.ApplyMap),
     E.SetFlatten: _lower_unary(P.FlattenPipe),
     E.SetUnion: _lower_binary(P.UnionPipe),
     E.SetIntersection: _lower_binary(P.IntersectPipe),

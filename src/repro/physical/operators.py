@@ -444,12 +444,6 @@ class SelectFilter(PhysicalOp):
     def rows(self) -> Iterator[Any]:
         rows, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        yield from self._member_rows(rows, equality)
-
-    def _member_rows(self, rows: Iterator[Any], equality) -> Iterator[Any]:
-        """The per-member loop, split out so the parallel subclass can
-        run it over an already-started stream (undersized fallback)."""
-        del equality
         counted = self.ctx.stats.counting(self.logical.predicate)
         for row in rows:
             if counted(row):
@@ -514,12 +508,7 @@ class ApplyMap(PhysicalOp):
     def rows(self) -> Iterator[Any]:
         rows, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        yield from self._member_rows(rows, equality)
-
-    def _member_rows(self, rows: Iterator[Any], equality) -> Iterator[Any]:
-        """The per-member loop, split out so the parallel subclass can
-        run it over an already-started stream (undersized fallback)."""
-        return dedup(map(self.logical.function, rows), equality)
+        yield from dedup(map(self.logical.function, rows), equality)
 
 
 class FlattenPipe(PhysicalOp):

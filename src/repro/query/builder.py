@@ -147,7 +147,7 @@ class Q:
         **knobs: Any,
     ) -> Any:
         """Evaluate via the default Session; accepts its knob keywords
-        (``budget=``, ``parallel=``, ``optimize=``, ...)."""
+        (``budget=``, ``optimize=``, ...)."""
         from ..api import default_session
 
         return default_session(db).query(self.node, params, **knobs)

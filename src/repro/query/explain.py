@@ -135,38 +135,6 @@ def _flag(estimated: float, actual: int | None) -> str:
     return ""
 
 
-def _shard_lines(op, indent: str, timings: bool) -> list[str]:
-    """Per-shard rows under a parallel exchange operator.
-
-    One line per worker shard — members it owned, rows it produced, its
-    counters, and a trip marker when the shard hit the budget — so the
-    rolled-up operator line above stays comparable with a sequential
-    run while the fan-out detail remains auditable.
-    """
-    lines: list[str] = []
-    for shard in op.shards or []:
-        parts = [
-            f"members={shard.get('members', '?')}",
-            f"rows={shard.get('rows', '?')}",
-        ]
-        if timings and shard.get("wall_seconds") is not None:
-            parts.append(f"wall={shard['wall_seconds'] * 1e3:.1f}ms")
-        counters = ", ".join(
-            f"{name}={value}"
-            for name, value in sorted((shard.get("counters") or {}).items())
-            if value
-        )
-        if counters:
-            parts.append(counters)
-        if shard.get("tripped"):
-            parts.append(f"⚠ tripped ({shard.get('trip')})")
-        lines.append(
-            f"{indent}  · shard {shard.get('shard')}"
-            f" [{shard.get('mode', 'threads')}]: {', '.join(parts)}"
-        )
-    return lines
-
-
 def render_analysis(
     expr: E.Expr,
     db: Database,
@@ -204,7 +172,7 @@ def render_analysis(
         flag = _flag(estimated_rows, op.rows_out)
         if flag:
             # Persist the observation on the record itself so merges
-            # (per-shard roll-ups, repeated runs) OR it forward.
+            # of repeated runs OR it forward.
             op.flags.add("misestimate")
         lines.append(
             f"{indent}{node.head()}  (est rows≈{estimated_rows:.0f},"
@@ -217,8 +185,6 @@ def render_analysis(
         )
         if counters:
             lines.append(f"{indent}  · {counters}")
-        if op.shards:
-            lines.extend(_shard_lines(op, indent, timings))
     return "\n".join(lines)
 
 

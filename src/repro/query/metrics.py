@@ -70,14 +70,9 @@ class OperatorMetrics:
     peak_buffered: int = 0
     #: Durable observations about this operator ("misestimate" when
     #: EXPLAIN ANALYZE flagged its row estimate).  OR-ed by :meth:`
-    #: PlanMetrics.merge`, so a flag raised by any shard/run survives
+    #: PlanMetrics.merge`, so a flag raised by any run survives
     #: aggregation.
     flags: set = field(default_factory=set)
-    #: Per-shard summaries when this operator ran as a parallel
-    #: exchange: one dict per shard (id, members, rows, counters, wall,
-    #: and ``tripped`` when that shard hit the budget).  ``None`` for
-    #: operators that ran single-threaded.
-    shards: list | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready record (benchmark harness output)."""
@@ -92,8 +87,6 @@ class OperatorMetrics:
         }
         if self.flags:
             record["flags"] = sorted(self.flags)
-        if self.shards is not None:
-            record["shards"] = list(self.shards)
         return record
 
 
@@ -127,30 +120,18 @@ class PlanMetrics:
         if buffered > op.peak_buffered:
             op.peak_buffered = buffered
 
-    def merge(self, other: "PlanMetrics", *, wall: str = "sum") -> "PlanMetrics":
-        """Fold another registry into this one, path by path.
+    def merge(self, other: "PlanMetrics") -> "PlanMetrics":
+        """Fold another registry into this one, path by path, as if the
+        two runs had been one sequential run.
 
-        The exchange operator gives each shard worker its own private
-        registry (attribution frames are thread-local, so a shared one
-        would credit worker bumps to nothing) and folds them together
-        afterwards; the serving layer uses the same fold for sequential
-        re-runs.  The two differ in exactly one respect, the ``wall``
-        semantics:
-
-        * ``wall="sum"`` — sequential runs: wall times accumulate,
-          matching what one thread actually spent;
-        * ``wall="max"`` — parallel shards: the shards overlapped, so
-          the rolled-up wall time is the slowest shard, not the sum —
-          summing would report more time than the query took.
-
-        Counters, ``rows_out`` and ``calls`` always sum (work done is
-        work done, overlapped or not); ``peak_buffered`` takes the max
-        (buffers coexist, but the registry tracks the largest single
-        buffer); ``flags`` OR together so a misestimate observed by any
-        shard survives; per-shard summary rows concatenate.
+        Counters, ``rows_out``, ``calls`` and wall times sum (work done
+        is work done); ``peak_buffered`` takes the max (the registry
+        tracks the largest single buffer, not their total); ``flags`` OR
+        together so a misestimate observed by either run survives.
+        Nothing in the engine folds registries — each execution owns
+        one — so this is a tool for callers that aggregate repeated
+        runs themselves.
         """
-        if wall not in ("sum", "max"):
-            raise ValueError(f"wall must be 'sum' or 'max', got {wall!r}")
         with self._lock:
             for path, theirs in sorted(other.operators.items()):
                 mine = self.operators.get(path)
@@ -161,13 +142,8 @@ class PlanMetrics:
                     mine.rows_out = (mine.rows_out or 0) + theirs.rows_out
                 mine.calls += theirs.calls
                 mine.peak_buffered = max(mine.peak_buffered, theirs.peak_buffered)
-                if wall == "sum":
-                    mine.wall_seconds += theirs.wall_seconds
-                else:
-                    mine.wall_seconds = max(mine.wall_seconds, theirs.wall_seconds)
+                mine.wall_seconds += theirs.wall_seconds
                 mine.flags |= theirs.flags
-                if theirs.shards:
-                    mine.shards = [*(mine.shards or []), *theirs.shards]
         return self
 
     def peak_intermediate(self) -> int:

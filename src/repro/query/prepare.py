@@ -160,32 +160,30 @@ class PreparedQuery:
         *,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         db: Database | None = None,
     ) -> Any:
         """Execute with ``params`` bound; semantics match ``evaluate()``.
 
         The knob keywords are the same set :meth:`repro.api.Session.query`
-        and :meth:`repro.api.SessionPool.submit` take — ``budget`` /
-        ``parallel`` / ``parallel_workers`` override the
-        session/env/default resolution for this run only (see
-        :mod:`repro.config`).  ``db`` overrides the execution
-        *view*: operators resolve roots, extents and indexes at runtime
-        through the context database, so a plan prepared against one
-        view (and served from the shared cache) executes correctly
+        and :meth:`repro.api.SessionPool.submit` take — ``budget``
+        overrides the session/env/default resolution for this run only;
+        ``parallel`` is validated and has no effect (see
+        :func:`repro.config.validated_parallel`).  ``db`` overrides the
+        execution *view*: operators resolve roots, extents and indexes at
+        runtime through the context database, so a plan prepared against
+        one view (and served from the shared cache) executes correctly
         against another — in particular against a pinned
         :class:`~repro.storage.snapshot.DatabaseSnapshot` of the same
         base database.
         """
         from ..physical import ExecutionContext
 
+        config.validated_parallel(parallel)
         view = db if db is not None else self.db
         stats = view.stats
         with bound_params(params):
             factory = self._factory_for_bindings(view)
-            with config.parallel_scope(parallel), config.parallel_workers_scope(
-                parallel_workers
-            ), guardrails.guarded(budget) as guard, stats.activated(), match_scope():
+            with guardrails.guarded(budget) as guard, stats.activated(), match_scope():
                 ctx = ExecutionContext(
                     db=view, guard=guard, metrics=stats.collector, stats=stats
                 )
@@ -198,20 +196,13 @@ class PreparedQuery:
         metrics: PlanMetrics | None = None,
         budget: Budget | None = None,
         parallel: str | None = None,
-        parallel_workers: int | str | None = None,
         db: Database | None = None,
     ) -> tuple[Any, PlanMetrics]:
         """Like :meth:`run`, collecting per-operator runtime metrics."""
         metrics = metrics if metrics is not None else PlanMetrics()
         view = db if db is not None else self.db
         with view.stats.collecting(metrics):
-            result = self.run(
-                params,
-                budget=budget,
-                parallel=parallel,
-                parallel_workers=parallel_workers,
-                db=view,
-            )
+            result = self.run(params, budget=budget, parallel=parallel, db=view)
         return result, metrics
 
     def describe(self) -> str:

@@ -216,18 +216,6 @@ class Instrumentation:
         finally:
             sinks.remove(self)
 
-    @property
-    def is_activated(self) -> bool:
-        """Is this sink receiving :func:`emit` events on this thread?
-
-        The exchange operator checks this at fan-out so worker threads
-        mirror the query thread's activation state: an instrumented run
-        captures engine counters from every worker, while an
-        uninstrumented run stays uninstrumented — parallel execution
-        must not record events the sequential run would have dropped.
-        """
-        return self in _active_sinks()
-
     # -- predicate wrapping -------------------------------------------------
 
     def counting(

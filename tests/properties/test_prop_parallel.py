@@ -1,18 +1,17 @@
-"""Ordered-merge bit-identity properties for parallel execution (PR 9).
+"""Set ``select`` / ``apply`` bit-identity under every ``parallel=`` value.
 
-The exchange contract under randomized inputs: a parallel run is
-indistinguishable from the sequential one — member order, set equality,
-dedup of apply images — across the three workload families (family
-forests / song lists / RNA structures), worker counts {1, 2, 7}, the
-matcher tabled (``memo``) or handed the null-table reference collaborator
-on the query thread (``backtrack`` — shard workers arm their own default
-scopes, so those rows pit an untabled sequential leg against tabled
-shards), and including runs that trip a budget mid-stream (both legs
-must land in the same outcome class).
-
-Forests carry ≥260 members so the static lowering gate (break-even
-≈256 rows) chooses the exchange plan; ``parallel_scope("off")`` is the
-sequential leg, so one lowered shape serves both.
+Set operators run one sequential pipeline; ``parallel=`` (``on`` |
+``off``) is kept for call compatibility and both values — and leaving it
+unset — must run the same plan.  Under randomized inputs, across the
+three workload families (family forests / song lists / RNA structures),
+each leg returns exactly what the direct algebra (``tests/reference.py``)
+returns: member order, set equality, dedup of apply images.  Each leg
+runs twice: on the calling thread, with the matcher tabled (``memo``) or
+handed the null-table reference collaborator (``backtrack``), and through
+a :class:`~repro.api.SessionPool` of 1, 2 or 7 workers — the engine's
+only source of concurrency — whose threads arm their own default scopes.
+Runs that trip a budget mid-stream must land in the same outcome class
+on every leg.
 """
 
 from functools import lru_cache
@@ -21,11 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import config
 from repro.algebra.tree_ops import split_pieces
+from repro.api import Session, SessionPool
 from repro.errors import ResourceExhaustedError
-from repro.guardrails import Budget, guarded
-from repro.physical import ExecutionContext, lower
+from repro.guardrails import Budget
 from repro.query import Q
 from repro.storage import Database
 from repro.workloads import (
@@ -37,7 +35,7 @@ from repro.workloads import (
     random_song,
 )
 
-from ..reference import untabled_scope
+from ..reference import reference_eval, untabled_scope
 
 SETTINGS = settings(max_examples=8, deadline=None)
 
@@ -45,7 +43,10 @@ WORKERS = (1, 2, 7)
 ENGINES = ("memo", "backtrack")
 MODES = [(w, e) for w in WORKERS for e in ENGINES]
 
-#: Members per extent — just past the lowering gate's ~256-row break-even.
+#: The ``parallel=`` values a caller may pass; ``None`` leaves it unset.
+PARALLEL = ("on", "off", None)
+
+#: Members per extent: enough for apply images to collide many times.
 FOREST = 260
 
 
@@ -90,38 +91,41 @@ def hairpin_count(structure):
     return count_elements(structure, "H")
 
 
-def run(query, db, *, max_steps=None):
-    plan = lower(query, db)
-    with guarded(Budget(max_steps=max_steps) if max_steps else None) as guard:
-        return plan.execute(ExecutionContext(db=db, guard=guard))
+def outcome(run):
+    """``("ok", rows, result)`` or ``("tripped", limit, None)``."""
+    try:
+        result = run()
+    except ResourceExhaustedError as exc:
+        return ("tripped", exc.limit_name, None)
+    return ("ok", list(result), result)
 
 
-def both_legs(query, db, workers, engine, *, max_steps=None):
-    """One sequential and one parallel evaluation; outcome per leg is
-    ``("ok", rows)`` or ``("tripped", limit)`` so budget runs compare
-    by class."""
+def legs(query, db, workers, engine, *, max_steps=None):
+    """Every ``parallel=`` value, on the calling thread and through a
+    pool of ``workers`` threads: one outcome per leg."""
+    budget = Budget(max_steps=max_steps) if max_steps else None
+    session = Session(db)
     outcomes = []
     with untabled_scope(engine=engine):
-        legs = (
-            (config.parallel_scope("off"),),
-            (
-                config.parallel_scope("on"),
-                config.parallel_workers_scope(workers),
-            ),
-        )
-        for scopes in legs:
-            try:
-                for scope in scopes:
-                    scope.__enter__()
-                try:
-                    result = run(query, db, max_steps=max_steps)
-                    outcomes.append(("ok", list(result), result))
-                except ResourceExhaustedError as exc:
-                    outcomes.append(("tripped", exc.limit_name, None))
-            finally:
-                for scope in reversed(scopes):
-                    scope.__exit__(None, None, None)
+        for mode in PARALLEL:
+            outcomes.append(
+                outcome(lambda: session.query(query, parallel=mode, budget=budget))
+            )
+    with SessionPool(db, workers=workers) as pool:
+        futures = [
+            pool.submit(query, parallel=mode, budget=budget) for mode in PARALLEL
+        ]
+        outcomes.extend(outcome(future.result) for future in futures)
     return outcomes
+
+
+def assert_matches_reference(query, db, outcomes):
+    expected = reference_eval(query, db)
+    for kind, rows, result in outcomes:
+        assert kind == "ok"
+        assert rows == list(expected)
+        assert result == expected
+        assert type(result.equality) is type(expected.equality)
 
 
 @pytest.mark.parametrize("workers,engine", MODES)
@@ -130,11 +134,7 @@ def both_legs(query, db, workers, engine, *, max_steps=None):
 def test_family_apply_bit_identical(workers, engine, seed):
     db = family_db(seed)
     query = Q.extent("Families").sapply(family_pieces).build()
-    sequential, parallel = both_legs(query, db, workers, engine)
-    assert sequential[0] == "ok" and parallel[0] == "ok"
-    assert sequential[1] == parallel[1]
-    assert sequential[2] == parallel[2]
-    assert type(sequential[2].equality) is type(parallel[2].equality)
+    assert_matches_reference(query, db, legs(query, db, workers, engine))
 
 
 @pytest.mark.parametrize("workers", WORKERS)
@@ -142,13 +142,13 @@ def test_family_apply_bit_identical(workers, engine, seed):
 @given(seed=st.integers(0, 3))
 def test_song_apply_dedups_identically(workers, seed):
     # Three-note songs over seven pitches collide heavily: many members
-    # map to the same pitch string, across shard boundaries — the
-    # global first-seen dedup must match the sequential one exactly.
+    # map to the same pitch string, and the first-seen dedup must keep
+    # the algebra's order exactly.
     db = song_db(seed)
     query = Q.extent("Songs").sapply(pitches_of).build()
-    sequential, parallel = both_legs(query, db, workers, "memo")
-    assert sequential[1] == parallel[1]
-    assert len(parallel[1]) < FOREST  # collisions actually occurred
+    outcomes = legs(query, db, workers, "memo")
+    assert_matches_reference(query, db, outcomes)
+    assert len(outcomes[0][1]) < FOREST  # collisions actually occurred
 
 
 @pytest.mark.parametrize("workers,engine", MODES)
@@ -157,8 +157,7 @@ def test_song_apply_dedups_identically(workers, seed):
 def test_rna_apply_bit_identical(workers, engine, seed):
     db = rna_db(seed)
     query = Q.extent("Structures").sapply(hairpin_count).build()
-    sequential, parallel = both_legs(query, db, workers, engine)
-    assert sequential[1] == parallel[1]
+    assert_matches_reference(query, db, legs(query, db, workers, engine))
 
 
 @pytest.mark.parametrize("workers", (2, 7))
@@ -168,16 +167,14 @@ def test_rna_apply_bit_identical(workers, engine, seed):
     max_steps=st.sampled_from([150, 2500, 10**9]),
 )
 def test_budget_trips_land_in_the_same_outcome_class(workers, seed, max_steps):
-    """A budget that trips the sequential run trips the parallel one
-    too (possibly in a worker, possibly at the checked write-back), and
-    an ample budget passes both with identical rows."""
+    """A budget that trips one leg trips every leg, on the calling
+    thread or a pool worker, and an ample budget passes all of them with
+    the algebra's rows."""
     db = family_db(seed)
     query = Q.extent("Families").sapply(family_pieces).build()
-    sequential, parallel = both_legs(
-        query, db, workers, "memo", max_steps=max_steps
-    )
-    assert sequential[0] == parallel[0]
-    if sequential[0] == "ok":
-        assert sequential[1] == parallel[1]
+    outcomes = legs(query, db, workers, "memo", max_steps=max_steps)
+    assert len({kind for kind, _, _ in outcomes}) == 1
+    if outcomes[0][0] == "ok":
+        assert_matches_reference(query, db, outcomes)
     else:
-        assert sequential[1] == parallel[1] == "max_steps"
+        assert {limit for _, limit, _ in outcomes} == {"max_steps"}

@@ -374,11 +374,12 @@ class TestInstrumentationThreadSafety:
 
 
 class TestPlanMetricsMerge:
-    """The shard-registry fold behind parallel EXPLAIN ANALYZE (PR 9)."""
+    """``PlanMetrics.merge``: two runs folded as if they were one
+    sequential run (every total sums)."""
 
     @staticmethod
     def registry(path=(), head="op", *, counters=None, rows=None, wall=0.0,
-                 buffered=0, flags=(), shards=None):
+                 buffered=0, flags=()):
         metrics = PlanMetrics()
         op = metrics.register(path, head)
         for name, value in (counters or {}).items():
@@ -387,7 +388,6 @@ class TestPlanMetricsMerge:
         op.wall_seconds = wall
         op.peak_buffered = buffered
         op.flags |= set(flags)
-        op.shards = shards
         return metrics
 
     def test_counters_rows_and_calls_sum(self):
@@ -401,37 +401,40 @@ class TestPlanMetricsMerge:
         assert op.calls == 2
 
     def test_zero_row_shard_folds_cleanly(self):
-        # A hash shard can own members yet keep none; its registry must
-        # not perturb the totals or flip rows_out to None.
+        # A run can read members yet keep none; its registry must not
+        # perturb the totals or flip rows_out to None.
         busy = self.registry(counters={"predicate_evals": 7}, rows=7, wall=0.5)
         empty = self.registry(counters={"predicate_evals": 2}, rows=0, wall=0.1)
-        op = busy.merge(empty, wall="max")[()]
+        op = busy.merge(empty)[()]
         assert op.rows_out == 7
         assert op.counters["predicate_evals"] == 9
-        assert op.wall_seconds == 0.5
+        assert op.wall_seconds == 0.6
 
     def test_single_shard_merge_is_identity_shaped(self):
+        # Folding one run into an empty registry copies its record.
         only = self.registry(counters={"nodes_scanned": 4}, rows=3, wall=0.2,
                              buffered=5, flags={"misestimate"})
-        rolled = PlanMetrics().merge(only, wall="max")[()]
+        rolled = PlanMetrics().merge(only)[()]
         assert rolled.counters == {"nodes_scanned": 4}
         assert rolled.rows_out == 3
         assert rolled.wall_seconds == 0.2
         assert rolled.peak_buffered == 5
         assert rolled.flags == {"misestimate"}
+        assert rolled.calls == 1
 
     def test_wall_sum_vs_max(self):
+        # Wall times always sum: the registries are sequential runs.
         slow = self.registry(wall=0.4)
         fast = self.registry(wall=0.1)
         assert slow.merge(fast)[()].wall_seconds == 0.5
-        overlapped = self.registry(wall=0.4).merge(self.registry(wall=0.1), wall="max")
-        assert overlapped[()].wall_seconds == 0.4
+        assert slow.merge(self.registry(wall=0.1))[()].wall_seconds == 0.6
 
     def test_bad_wall_mode_raises(self):
         import pytest
 
-        with pytest.raises(ValueError, match="wall"):
-            self.registry().merge(self.registry(), wall="avg")
+        # There is no wall mode to choose any more.
+        with pytest.raises(TypeError, match="wall"):
+            self.registry().merge(self.registry(), wall="max")
 
     def test_peak_buffered_takes_the_max_not_the_sum(self):
         merged = self.registry(buffered=10).merge(self.registry(buffered=25))
@@ -447,12 +450,13 @@ class TestPlanMetricsMerge:
         assert flagged.merge(self.registry())[()].flags == {"misestimate"}
 
     def test_shard_summaries_concatenate(self):
-        a = self.registry(shards=[{"shard": 0, "rows": 1}])
-        b = self.registry(shards=[{"shard": 1, "rows": 2}])
-        merged = a.merge(b)[()]
-        assert [s["shard"] for s in merged.shards] == [0, 1]
-        untouched = self.registry().merge(self.registry())[()]
-        assert untouched.shards is None
+        # Operator records carry no per-shard summaries: a merged record
+        # has the same fields, and the same JSON keys, as a single run's.
+        merged = self.registry(rows=1).merge(self.registry(rows=2))[()]
+        single = self.registry(rows=3)[()]
+        assert not hasattr(merged, "shards")
+        assert merged.to_dict().keys() == single.to_dict().keys()
+        assert "shards" not in merged.to_dict()
 
     def test_disjoint_paths_union(self):
         left = self.registry(path=(), head="root", rows=1)

@@ -3,10 +3,11 @@
 import pytest
 
 from repro import Session, default_session
-from repro.config import PARALLEL_ENV
+from repro.config import DFA_CACHE_LIMIT_ENV
 from repro.core import parse_tree
 from repro.core.identity import Record
-from repro.errors import QueryError
+from repro.errors import QueryError, ResourceExhaustedError
+from repro.guardrails import ENV_KNOBS, Budget
 from repro.predicates import attr
 from repro.query import Q, PlanCache
 from repro.storage import Database
@@ -22,24 +23,33 @@ def db():
 
 
 @pytest.fixture()
-def wide_db():
-    """An extent past the exchange break-even, so ``parallel`` is observable."""
+def wide_db(monkeypatch):
+    """A 300-member extent, with no budget knob in the environment."""
+    for knob in ENV_KNOBS:
+        monkeypatch.delenv(knob, raising=False)
     database = Database()
     for i in range(300):
         database.insert(Record(name=f"p{i}", age=i), "Person")
     return database
 
 
-def fanouts(session, **knobs):
-    """How many exchange fan-outs one wide select performed."""
+def tripped(session, **knobs):
+    """The limit one wide select trips under the resolved budget, or None."""
     query = Q.extent("Person").sselect(attr("age") >= 0).node
-    _, metrics = session.query_with_metrics(query, parallel_workers=2, **knobs)
-    return metrics.totals().get("exchange_fanouts", 0)
+    try:
+        session.query(query, **knobs)
+    except ResourceExhaustedError as exc:
+        return exc.limit_name
+    return None
 
 
 class TestKnobValidation:
     def test_retired_executor_keyword_is_a_type_error(self, db):
-        for retired in ({"executor": "eager"}, {"engine": "backtrack"}):
+        for retired in (
+            {"executor": "eager"},
+            {"engine": "backtrack"},
+            {"parallel_workers": 2},
+        ):
             with pytest.raises(TypeError):
                 Session(db, **retired)
             with pytest.raises(TypeError):
@@ -55,33 +65,36 @@ class TestKnobValidation:
         assert len(result) == 1  # value-equal matches collapse in the set
         assert metrics.totals()["memo_misses"] > 0
 
-    def test_bad_env_value_rejected_on_first_read(self, wide_db, monkeypatch):
-        monkeypatch.setenv(PARALLEL_ENV, "turbo")
-        session = Session(wide_db)  # env not read yet
-        with pytest.raises(QueryError, match=PARALLEL_ENV):
-            session.query(Q.extent("Person").sselect(attr("age") >= 0).node)
+    def test_bad_env_value_rejected_on_first_read(self, db, monkeypatch):
+        monkeypatch.setenv(DFA_CACHE_LIMIT_ENV, "turbo")
+        session = Session(db, plan_cache=PlanCache())  # env not read yet
+        # Planning compiles the pattern text, and a compile-cache miss
+        # reads the bound.
+        with pytest.raises(QueryError, match=DFA_CACHE_LIMIT_ENV):
+            session.query(Q.root("T").sub_select("s(?* d(x) ?* k)").node)
 
     def test_bad_per_call_value_rejected(self, db):
         session = Session(db)
-        with pytest.raises(QueryError, match=PARALLEL_ENV):
+        with pytest.raises(QueryError, match="parallel"):
             session.query(Q.root("T").sub_select("d(e j)").node, parallel="nope")
 
 
 class TestPrecedence:
     def test_call_kwarg_beats_session_kwarg(self, wide_db, monkeypatch):
-        # the session says off; the call says on; both beat env
-        monkeypatch.setenv(PARALLEL_ENV, "bogus-but-never-read")
-        session = Session(wide_db, parallel="off")
-        assert fanouts(session, parallel="on") == 1
+        # the session says ample steps; the call says one; both beat env
+        monkeypatch.setenv("AQUA_MAX_NODES_SCANNED", "1")
+        session = Session(wide_db, budget=Budget(max_steps=10**9))
+        assert tripped(session, budget=Budget(max_steps=1)) == "max_steps"
+        assert tripped(session) is None
 
     def test_session_kwarg_beats_env(self, wide_db, monkeypatch):
-        monkeypatch.setenv(PARALLEL_ENV, "bogus-but-never-read")
-        assert fanouts(Session(wide_db, parallel="off")) == 0
+        monkeypatch.setenv("AQUA_MAX_STEPS", "1")
+        assert tripped(Session(wide_db, budget=Budget(max_steps=10**9))) is None
 
     def test_env_beats_default(self, wide_db, monkeypatch):
-        assert fanouts(Session(wide_db)) == 1
-        monkeypatch.setenv(PARALLEL_ENV, "off")
-        assert fanouts(Session(wide_db)) == 0
+        assert tripped(Session(wide_db)) is None
+        monkeypatch.setenv("AQUA_MAX_STEPS", "1")
+        assert tripped(Session(wide_db)) == "max_steps"
 
 
 class TestSessionBehavior:
@@ -123,7 +136,7 @@ class TestKnobAlignment:
     """One knob surface: Session.query / SessionPool.submit /
     PreparedQuery.run spell every knob the same way."""
 
-    KNOBS = {"budget", "parallel", "parallel_workers"}
+    KNOBS = {"budget", "parallel"}
 
     @staticmethod
     def _keywords(fn):
@@ -155,17 +168,21 @@ class TestKnobAlignment:
             assert "params" in inspect.signature(fn).parameters
 
     def test_resolver_applies_call_over_session_precedence(self, db):
-        session = Session(db, parallel="off", parallel_workers=2)
-        knobs = session.resolve_knobs(Q.extent("Person").node, parallel="on")
-        assert knobs.parallel == "on"  # per-call wins
-        assert knobs.parallel_workers == 2  # session value survives
+        session_budget, call_budget = Budget(max_steps=10), Budget(max_steps=20)
+        session = Session(db, budget=session_budget, parallel="off")
+        source = Q.extent("Person").node
+        knobs = session.resolve_knobs(source, budget=call_budget, parallel="on")
+        assert knobs.budget is call_budget  # per-call wins
+        assert session.resolve_knobs(source).budget is session_budget
         assert knobs.optimize is False  # Expr default
+        with pytest.raises(QueryError, match="parallel"):
+            session.resolve_knobs(source, parallel="turbo")
 
     def test_q_run_accepts_session_knobs(self, db):
         result = (
             Q.extent("Person")
             .sselect(attr("age") == 25)
-            .run(db, parallel="off", parallel_workers=2)
+            .run(db, parallel="off", budget=Budget(max_steps=10**6))
         )
         assert {p.name for p in result} == {"p5"}
 
@@ -182,8 +199,11 @@ class TestKnobAlignment:
     def test_prepared_run_accepts_parallel_knobs(self, db):
         session = Session(db, plan_cache=PlanCache())
         prepared = session.prepare(Q.extent("Person").sselect(attr("age") == 25).node)
-        result = prepared.run(parallel="off", parallel_workers=2)
+        result = prepared.run(parallel="off", budget=Budget(max_steps=10**6))
         assert {p.name for p in result} == {"p5"}
+        assert prepared.run(parallel="on") == result
+        with pytest.raises(TypeError):
+            prepared.run(parallel_workers=2)
 
     def test_pool_submit_accepts_parallel_and_cache_knobs(self, db):
         from repro.api import SessionPool
@@ -191,7 +211,8 @@ class TestKnobAlignment:
         with SessionPool(db, workers=2, parallel="off") as pool:
             future = pool.submit(
                 Q.extent("Person").sselect(attr("age") == 25).node,
-                parallel_workers=2,
+                parallel="on",
+                budget=Budget(max_steps=10**6),
                 cache=None,
             )
             assert {p.name for p in future.result()} == {"p5"}

@@ -76,8 +76,7 @@ def test_docstore_group_is_complete() -> None:
 KNOBS = {
     "AQUA_DEADLINE", "AQUA_DFA_CACHE_LIMIT", "AQUA_FAULTS", "AQUA_FAULT_SEED",
     "AQUA_MAX_BACKTRACK_DEPTH", "AQUA_MAX_NODES_SCANNED", "AQUA_MAX_RESULTS",
-    "AQUA_MAX_STEPS", "AQUA_PARALLEL", "AQUA_PARALLEL_MIN_ROWS",
-    "AQUA_PARALLEL_MODE", "AQUA_PARALLEL_WORKERS",
+    "AQUA_MAX_STEPS",
 }
 
 
@@ -132,14 +131,35 @@ def test_matchers_flush_at_hand_over_with_no_knob_or_thread_local() -> None:
     """The tree and list matchers flush their counters as they hand a
     match over, so no per-candidate / per-start flush keyword survives
     (the CI lint job greps for the same), and the hot-loop work added no
-    thread-local: the census stays at six ``threading.local()`` sites."""
+    thread-local: the census stays at five ``threading.local()`` sites."""
     residue, local_sites = [], 0
     for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
         residue += [path.name] * len(re.findall(r"flush_per_candidate|flush_per_start", text))
         local_sites += text.count("threading.local()")
     assert residue == []
-    assert local_sites == 6
+    assert local_sites == 5
+
+
+def test_the_exchange_tier_is_gone() -> None:
+    """Set ``select`` / ``apply`` run one sequential pipeline: no exchange
+    operator, shard guard, worker budget or exchange cost term survives,
+    and no parallel knob or ``parallel_workers`` keyword is read (the CI
+    lint job greps for the same)."""
+    residue = re.compile(
+        r"ExchangeOp|ShardGuard|SharedSpend|WorkerBudget|EXCHANGE_WORKER_COST"
+        r"|exchange_profitable|AQUA_PARALLEL|parallel_workers"
+    )
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in package.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if residue.search(line)
+    ]
+    assert offenders == []
+    assert not (package / "physical" / "exchange.py").exists()
+    assert not (package / "storage" / "sharding.py").exists()
 
 
 def test_split_function_contracts_are_read_in_one_function() -> None:
@@ -299,7 +319,6 @@ UPWARD_IMPORTS = {
     "optimizer/engine.py -> query.expr",
     "optimizer/rules.py -> query.expr",
     "physical/base.py -> query.metrics",
-    "physical/exchange.py -> query.metrics",
     "physical/lower.py -> query.expr",
     "query/aql.py -> docstore.path",
     "query/aql.py -> api",

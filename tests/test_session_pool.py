@@ -179,9 +179,10 @@ class TestSessionSnapshot:
     def test_session_snapshot_inherits_knobs(self):
         db = seeded_db()
         cache = PlanCache()
-        session = Session(db, parallel="off", plan_cache=cache)
+        budget = Budget(max_steps=10**6)
+        session = Session(db, budget=budget, plan_cache=cache)
         pinned = session.snapshot()
-        assert pinned.parallel == "off"
+        assert pinned.budget is budget
         assert pinned.plan_cache is cache
         assert pinned.db.readonly
 
