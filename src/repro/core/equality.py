@@ -28,7 +28,11 @@ class Equality:
 
     ``eq(a, b)`` decides equivalence and ``key(a)`` produces a hashable
     canonical key such that ``eq(a, b)`` iff ``key(a) == key(b)``.  The
-    ``key`` contract is what allows linear-time duplicate elimination.
+    ``key`` contract is what allows linear-time duplicate elimination;
+    both are the plain functions given, so a dedup loop calling
+    ``equality.key`` makes one call per row.  The module's notions
+    pickle and copy by name, so a loaded set's notion *is*
+    :data:`IDENTITY` (or :data:`SHALLOW`, :data:`DEEP`) again.
     """
 
     def __init__(
@@ -38,17 +42,17 @@ class Equality:
         key: Callable[[Any], Hashable],
     ) -> None:
         self.name = name
-        self._eq = eq
-        self._key = key
-
-    def eq(self, a: Any, b: Any) -> bool:
-        return self._eq(a, b)
-
-    def key(self, value: Any) -> Hashable:
-        return self._key(value)
+        self.eq = eq
+        self.key = key
 
     def __call__(self, a: Any, b: Any) -> bool:
         return self.eq(a, b)
+
+    def __reduce__(self):
+        constant = self.name.upper()
+        if globals().get(constant) is self:
+            return constant
+        return (Equality, (self.name, self.eq, self.key))
 
     def __repr__(self) -> str:
         return f"Equality({self.name})"
@@ -119,9 +123,21 @@ def _deep_key(value: Any, _depth: int = 0) -> Hashable:
     return ("val", _hashable(value))
 
 
-IDENTITY = Equality("identity", lambda a, b: _identity_key(a) == _identity_key(b), _identity_key)
-SHALLOW = Equality("shallow", lambda a, b: _shallow_key(a) == _shallow_key(b), _shallow_key)
-DEEP = Equality("deep", lambda a, b: _deep_key(a) == _deep_key(b), _deep_key)
+def _identity_eq(a: Any, b: Any) -> bool:
+    return _identity_key(a) == _identity_key(b)
+
+
+def _shallow_eq(a: Any, b: Any) -> bool:
+    return _shallow_key(a) == _shallow_key(b)
+
+
+def _deep_eq(a: Any, b: Any) -> bool:
+    return _deep_key(a) == _deep_key(b)
+
+
+IDENTITY = Equality("identity", _identity_eq, _identity_key)
+SHALLOW = Equality("shallow", _shallow_eq, _shallow_key)
+DEEP = Equality("deep", _deep_eq, _deep_key)
 
 #: The default equality used by operators when none is supplied.
 DEFAULT = IDENTITY

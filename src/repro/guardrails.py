@@ -43,7 +43,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from typing import Iterator
 
-from .errors import QueryCancelledError, ResourceExhaustedError
+from .errors import QueryCancelledError, QueryError, ResourceExhaustedError
 
 #: How many :meth:`Guard.tick` steps pass between wall-clock/cancellation
 #: checks.  Keeps ``time.perf_counter`` and token reads off the per-step
@@ -113,6 +113,14 @@ class Budget:
     max_nodes_scanned: int | None = None
     token: CancellationToken | None = None
 
+    def __post_init__(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.name != "token" and value is not None and value < 0:
+                raise QueryError(
+                    f"{spec.name}: invalid value {value!r} (accepted: a number >= 0)"
+                )
+
     @property
     def is_unlimited(self) -> bool:
         return (
@@ -128,8 +136,9 @@ class Budget:
     def from_env(cls, environ=None) -> "Budget":
         """Build a budget from ``AQUA_*`` environment knobs.
 
-        Unset or malformed knobs are treated as unlimited — a bad value
-        must never make every query fail.
+        Unset or malformed knobs — not a number, or negative — are
+        treated as unlimited: a bad value must never make every query
+        fail.
         """
         environ = os.environ if environ is None else environ
         values: dict[str, float | int] = {}
@@ -138,9 +147,11 @@ class Budget:
             if not raw:
                 continue
             try:
-                values[field_name] = parse(raw)
+                value = parse(raw)
             except ValueError:
                 continue
+            if value >= 0:
+                values[field_name] = value
         return cls(**values)
 
     def with_token(self, token: CancellationToken) -> "Budget":

@@ -33,7 +33,7 @@ from ..predicates.alphabet import AlphabetPredicate, And, TruePredicate
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.database import Database
-    from ..storage.stats import Instrumentation
+    from ..storage.stats import Instrumentation, RunCounters
 
 
 def _index_servable(predicate: AlphabetPredicate) -> bool:
@@ -117,7 +117,7 @@ def probe_anchor_roots(
     db: "Database",
     tree: AquaTree,
     anchors: Iterable[AlphabetPredicate],
-    stats: "Instrumentation | None" = None,
+    stats: "Instrumentation | RunCounters | None" = None,
 ) -> "list[TreeNode] | None":
     """Index-probed candidate match roots, in preorder, or ``None``.
 

@@ -27,7 +27,9 @@ evaluator the pipeline is property-tested against:
   work (the matchers flush their counters at hand-over — as each match
   reaches the operator, and at stream end — and the work between two
   hand-overs runs inside one ``next()``, so mid-stream attribution
-  credits the pulling operator);
+  credits the pulling operator); they are the run's own plain ints
+  (:class:`~repro.storage.stats.RunCounters`), folded into the
+  database's sink once, when the plan closes;
 * the active :class:`~repro.guardrails.Guard` is ticked on every
   ``next()`` pull and storage scans charge it row by row, so budgets
   trip *mid-stream* — before an operator-at-a-time evaluation would even
@@ -45,7 +47,7 @@ buffers; operators that construct a materialized value record it via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -55,6 +57,7 @@ from ..core.aqua_tree import AquaTree
 from ..core.equality import DEFAULT, Equality
 from ..errors import QueryError, ResourceExhaustedError
 from ..query.metrics import cardinality
+from ..storage.stats import RunCounters
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..guardrails import Guard
@@ -72,18 +75,24 @@ class ExecutionContext:
     """Everything one plan execution shares across its operators.
 
     Armed once by the driver (:meth:`repro.query.prepare.PreparedQuery.run`)
-    and handed to every operator at ``open()``, so ``guarded()`` /
-    ``stats.activated()`` are entered once per query, not per node.
+    and handed to every operator at ``open()``, so ``guarded()`` is
+    entered once per query, not per node.  ``counters`` are the run's
+    own plain ints: operators bump them directly, the engines reach them
+    through :func:`~repro.storage.stats.emit` while
+    :meth:`PhysicalPlan.execute` has them activated, and they fold into
+    ``stats`` once, when the plan closes.
     """
 
     db: "Database"
     guard: "Guard | None" = None
     metrics: "PlanMetrics | None" = None
     stats: "Instrumentation | None" = None
+    counters: RunCounters = field(init=False)
 
     def __post_init__(self) -> None:
         if self.stats is None:
             self.stats = self.db.stats
+        self.counters = RunCounters(self.stats)
 
 
 class PhysicalOp:
@@ -92,7 +101,7 @@ class PhysicalOp:
     Subclasses implement :meth:`rows` — a generator producing the
     operator's output rows — and declare :attr:`shape`.  The base class
     wraps each generator resume with the per-pull bookkeeping: guard
-    ticks, counter-attribution frames, wall-time and ``rows_out``
+    ticks, counter attribution, wall-time and ``rows_out``
     accumulation, incremental ``max_results`` checks, and budget-trip
     annotation (innermost operator wins).
 
@@ -156,10 +165,13 @@ class PhysicalOp:
                 except StopIteration:
                     raise
             else:
+                # Credit this pull's events to this operator (the one
+                # whose generator runs), then hand back to the puller's.
+                counters = ctx.counters
+                outer, counters.operator = counters.operator, op.counters
                 started = time.perf_counter()
                 try:
-                    with ctx.stats.attribute_to(op):
-                        row = next(self._gen)
+                    row = next(self._gen)
                 except StopIteration:
                     op.wall_seconds += time.perf_counter() - started
                     op.rows_out = self._count
@@ -167,6 +179,8 @@ class PhysicalOp:
                 except BaseException:
                     op.wall_seconds += time.perf_counter() - started
                     raise
+                finally:
+                    counters.operator = outer
                 op.wall_seconds += time.perf_counter() - started
             self._count += cardinality(row) if self.shape == "value" else 1
             if op is not None:
@@ -327,6 +341,17 @@ class PhysicalPlan:
         pipelined plan cannot avoid; it is charged to the root operator
         so ``PlanMetrics.peak_intermediate()`` reflects it.
         """
+        counters = ctx.counters
+        try:
+            with counters.activated():
+                return self._drive(ctx)
+        finally:
+            # The one fold per run — after the last row, on a budget
+            # trip or any other error alike — so the sink has every
+            # count before the result (or the error) reaches the caller.
+            counters.fold()
+
+    def _drive(self, ctx: ExecutionContext) -> Any:
         root = self.root
         root.open(ctx)
         try:

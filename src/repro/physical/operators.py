@@ -17,12 +17,18 @@ The accounting contract every operator here keeps:
   completed scan's totals do not depend on how many candidates a filter
   skipped;
 * counters are flushed at hand-over: the matchers emit theirs as they
-  hand a match (a list start's batch) to the operator, and a full scan
+  hand a match (a list start's batch) to the operator, a full scan
   bumps ``nodes_scanned`` / ``positions_scanned`` at the same points
-  (:func:`_charged_scan`) — all the work between two hand-overs runs
-  inside one ``next()``, so it is credited to this operator's
-  attribution frame at pull time — while the guard is still charged
-  per candidate, so ``max_nodes_scanned`` trips at the same node;
+  (:func:`_charged_scan`), and the select filters count their
+  ``predicate_evals`` in a local int flushed as each row is handed over
+  (:func:`_counted_filter`) — all the work between two hand-overs runs
+  inside one ``next()``, so it is credited to this operator at pull
+  time — while the guard is still charged per candidate, so
+  ``max_nodes_scanned`` trips at the same node;
+* predicates are tested through their compiled closures
+  (:meth:`~repro.predicates.alphabet.AlphabetPredicate.compile`, made
+  once per execution), falling back to the predicate itself when it
+  does not compile;
 * set-shaped streams are deduplicated at the producer
   (:func:`~repro.physical.base.dedup`) under the equality the
   operator's ``AquaSet`` result carries, in first-seen order.
@@ -46,6 +52,7 @@ from ..patterns.list_match import iter_list_matches
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_match import describe_filters, iter_tree_matches
 from ..patterns.tree_parser import tree_pattern
+from ..predicates.alphabet import Comparison, SymbolEquals
 from ..storage.columnar import columnar_list_for
 from .base import PhysicalOp, dedup
 
@@ -112,7 +119,7 @@ def _charged_scan(ctx, counter: str, seam: str, total: int, scan) -> Iterator[An
     ends.  Exhaustion tops up to ``total``: a completed scan costs every
     node (start position) whether or not a filter skipped some.
     """
-    stats, guard = ctx.stats, ctx.guard
+    counters, guard = ctx.counters, ctx.guard
     charged = bumped = 0
 
     def charge(count: int) -> None:
@@ -124,14 +131,41 @@ def _charged_scan(ctx, counter: str, seam: str, total: int, scan) -> Iterator[An
     try:
         for match in scan(charge):
             if charged > bumped:
-                stats.bump(counter, charged - bumped)
+                counters.bump(counter, charged - bumped)
                 bumped = charged
             yield match
         if total > charged:
             charge(total - charged)
     finally:
         if charged > bumped:
-            stats.bump(counter, charged - bumped)
+            counters.bump(counter, charged - bumped)
+
+
+def _counted_filter(counters, rows, tests, charged: int = 0) -> Iterator[Any]:
+    """The rows passing every test in ``tests`` (in order, stopping at
+    the first that fails), ``predicate_evals`` counted in a local int.
+
+    Each test made counts one evaluation, and every row is charged
+    ``charged`` more (an exact index probe's answered conjunct).  The
+    count is flushed as a row is handed over and when the stream ends,
+    so the pulling operator is credited exactly as if each test had been
+    counted on its own.
+    """
+    evals = 0
+    try:
+        for row in rows:
+            evals += charged
+            for test in tests:
+                evals += 1
+                if not test(row):
+                    break
+            else:
+                counters.bump("predicate_evals", evals)
+                evals = 0
+                yield row
+    finally:
+        if evals:
+            counters.bump("predicate_evals", evals)
 
 
 # -- tree operators ------------------------------------------------------------
@@ -150,7 +184,20 @@ class TreeSelectOp(PhysicalOp):
 
     def rows(self) -> Iterator[Any]:
         tree = self.input_tree()
-        result = select(self.ctx.stats.counting(self.logical.predicate), tree)
+        predicate = self.logical.predicate
+        test = predicate.compile() or predicate
+        evals = 0
+
+        def counted(value: Any) -> bool:
+            nonlocal evals
+            evals += 1
+            return test(value)
+
+        try:
+            result = select(counted, tree)
+        finally:
+            if evals:
+                self.ctx.counters.bump("predicate_evals", evals)
         self.result_equality = result.equality
         self.note_buffered(len(result))
         yield from result
@@ -237,8 +284,8 @@ class IndexAnchorScan(SubSelectPipe):
         self.anchors = tuple(anchors)
 
     def _matches(self, tree, tp) -> Iterator[Any]:
-        db = self.ctx.db
-        roots = probe_anchor_roots(db, tree, self.anchors, db.stats)
+        ctx = self.ctx
+        roots = probe_anchor_roots(ctx.db, tree, self.anchors, ctx.counters)
         return iter_tree_matches(tp, tree, roots=roots, preordered=True)
 
     def access_path(self) -> str:
@@ -258,10 +305,10 @@ class ListSelectPipe(PhysicalOp):
 
     def rows(self) -> Iterator[Any]:
         aqua_list = self.input_list()
-        counted = self.ctx.stats.counting(self.logical.predicate)
-        for cell in aqua_list.cells():
-            if counted(cell.contents):
-                yield cell
+        predicate = self.logical.predicate
+        test = predicate.compile() or predicate
+        tests = (lambda cell: test(cell.contents),)
+        yield from _counted_filter(self.ctx.counters, aqua_list.cells(), tests)
 
 
 class ListApplyPipe(PhysicalOp):
@@ -368,7 +415,7 @@ class ColumnarListScan(ListSubSelectPipe):
         lp = list_pattern(self.pattern)
         self.result_equality = DEFAULT
         starts = columns.candidate_starts(self.choices)
-        ctx.stats.bump("positions_scanned", len(starts))
+        ctx.counters.bump("positions_scanned", len(starts))
         if ctx.guard is not None:
             ctx.guard.charge_nodes(len(starts), "columnar candidates")
         yield from _match_rows(
@@ -410,7 +457,7 @@ class ListAnchorScan(ListSubSelectPipe):
         self.result_equality = DEFAULT
         db = ctx.db
         index = db.list_index(aqua_list, self.anchor.attributes())
-        positions, used = index.positions_for(self.anchor, db.stats)
+        positions, used = index.positions_for(self.anchor, ctx.counters)
         starts = None
         if used:
             # Unordered: the matcher sorts its candidate starts itself.
@@ -420,7 +467,7 @@ class ListAnchorScan(ListSubSelectPipe):
                 for offset in self.offsets
                 if position - offset >= 0
             }
-            ctx.stats.bump("positions_scanned", len(starts))
+            ctx.counters.bump("positions_scanned", len(starts))
         yield from _match_rows(
             aqua_list,
             iter_list_matches(lp, aqua_list.value_array, starts=starts),
@@ -444,10 +491,9 @@ class SelectFilter(PhysicalOp):
     def rows(self) -> Iterator[Any]:
         rows, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        counted = self.ctx.stats.counting(self.logical.predicate)
-        for row in rows:
-            if counted(row):
-                yield row
+        predicate = self.logical.predicate
+        test = predicate.compile() or predicate
+        yield from _counted_filter(self.ctx.counters, rows, (test,))
 
 
 class IndexedSelectFilter(PhysicalOp):
@@ -455,8 +501,16 @@ class IndexedSelectFilter(PhysicalOp):
 
     When the logical input is the extent itself, the extent is never
     scanned as a child operator — the candidates come straight from the
-    attribute index (or one full scan when no index serves), and both
-    conjuncts re-check each candidate.
+    attribute index (or one full scan when no index serves).  An exact
+    probe — a hash or ordered index answering the indexed comparison
+    itself — answers its conjunct (§4's decomposition), so only the
+    residual tests each candidate; the answered conjunct is still charged
+    one ``predicate_evals`` per candidate, so the counts read as if it had
+    been tested.  After a full-scan fallback, or over a child stream,
+    both conjuncts test each row.
+
+    Candidates stay deduplicated: an object inserted into the extent
+    twice is posted twice, so an index bucket is not a set.
     """
 
     name = "indexed_select_filter"
@@ -472,25 +526,21 @@ class IndexedSelectFilter(PhysicalOp):
 
     def rows(self) -> Iterator[Any]:
         ctx = self.ctx
+        answered = False
         if not self.children:
-            candidates, _ = ctx.db.candidates(self.extent, self.indexed)
+            candidates, used = ctx.db.candidates(self.extent, self.indexed, ctx.counters)
             self.note_buffered(len(candidates))
             equality = DEFAULT
             rows: Iterator[Any] = dedup(iter(candidates), DEFAULT)
+            answered = used and isinstance(self.indexed, (Comparison, SymbolEquals))
         else:
             rows, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        stats = ctx.stats
-        counted_indexed = stats.counting(self.indexed)
-        counted_residual = (
-            stats.counting(self.residual) if self.residual is not None else None
-        )
-        for row in rows:
-            if not counted_indexed(row):
-                continue
-            if counted_residual is not None and not counted_residual(row):
-                continue
-            yield row
+        conjuncts = () if answered else (self.indexed,)
+        if self.residual is not None:
+            conjuncts += (self.residual,)
+        tests = tuple(conjunct.compile() or conjunct for conjunct in conjuncts)
+        yield from _counted_filter(ctx.counters, rows, tests, charged=int(answered))
 
     def access_path(self) -> str:
         described = f"extent index on {self.indexed.describe()}"

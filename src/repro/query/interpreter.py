@@ -6,10 +6,11 @@ expression is lowered to a Volcano-style physical plan
 (:mod:`repro.physical`) and rows are pulled through
 ``open()/next()/close()`` pipelines.  Budgets are ticked on every pull,
 so a ``max_nodes_scanned`` or ``max_results`` limit trips mid-stream
-instead of after an operator materialized its whole output, and all
-predicate evaluations run through the database's
-:class:`~repro.storage.Instrumentation` counters, so plans can be
-compared by work as well as by wall-clock.
+instead of after an operator materialized its whole output, and every
+predicate evaluation is counted — in the run's own counters, folded
+into the database's :class:`~repro.storage.Instrumentation` sink when
+the plan closes — so plans can be compared by work as well as by
+wall-clock.
 
 The reference semantics the pipeline is property-tested against is the
 paper's own operator definitions in :mod:`repro.algebra`, composed by
@@ -43,11 +44,10 @@ def evaluate(
     expression is prepared (planned once, served from the process-wide
     plan cache on repeats — lazily invalidated when any of the plan's
     per-resource version counters move) and executed.  The guard, the
-    instrumentation sink and the tree-match registry are armed **once**
-    per run and threaded through the pipeline; when a
-    :class:`~repro.query.metrics.PlanMetrics` collector is installed
-    (see :func:`evaluate_with_metrics`), per-operator metrics are
-    collected by per-pull accounting in ``PhysicalOp.next()``.
+    run's counters and the tree-match registry are armed **once** per
+    run and threaded through the pipeline; :func:`evaluate_with_metrics`
+    also hands the run a :class:`~repro.query.metrics.PlanMetrics`,
+    filled by per-pull accounting in ``PhysicalOp.next()``.
 
     A tripped limit raises
     :class:`~repro.errors.ResourceExhaustedError` annotated with the
@@ -76,7 +76,8 @@ def evaluate_with_metrics(
     :class:`~repro.errors.ResourceExhaustedError` carries the same
     (partial) ``metrics`` object, so callers can render what ran.
     """
-    metrics = metrics if metrics is not None else PlanMetrics()
-    with db.stats.collecting(metrics):
-        result = evaluate(expr, db, budget=budget, params=params)
-    return result, metrics
+    from ..api import default_session
+
+    return default_session(db).query_with_metrics(
+        expr, params, budget=budget, metrics=metrics
+    )

@@ -9,20 +9,19 @@ different places in the plan get separate metrics.
 Each physical operator gets its record from :meth:`PlanMetrics.register`
 at ``open()`` and feeds it per pull (``PhysicalOp.next()``):
 
-* counter bumps on the database's
-  :class:`~repro.storage.stats.Instrumentation` (index probes, predicate
-  evaluations, engine counters flushed via
-  :func:`~repro.storage.stats.emit_many`) are credited to the operator
-  whose generator is running — exclusively, i.e. a parent does not
-  re-count its children's work;
+* the run's counter events (index probes, predicate evaluations, engine
+  counters flushed via :func:`~repro.storage.stats.emit_many`) are added
+  to the :attr:`OperatorMetrics.counters` of the operator whose
+  generator is running — plain ints, through the run's
+  :class:`~repro.storage.stats.RunCounters` — exclusively, i.e. a parent
+  does not re-count its children's work;
 * wall time is measured (inclusive of children; :meth:`self_seconds`
   subtracts them back out);
 * the operator's output cardinality grows with every row it yields.
 
-The registration table is lock-guarded; attribution frames live on the
-:class:`~repro.storage.stats.Instrumentation` (thread-local there), so
-concurrent evaluations against one database do not corrupt each other's
-attribution.
+The registration table is lock-guarded; attribution lives on the run's
+own counters (one execution, one thread), so concurrent evaluations
+against one database do not corrupt each other's attribution.
 """
 
 from __future__ import annotations
@@ -103,9 +102,9 @@ class PlanMetrics:
         """Get-or-create the record for a physical operator at ``path``.
 
         Operators call this once per ``open()`` (each call counts as
-        one ``calls``); counters and wall time are then fed through
-        :meth:`~repro.storage.stats.Instrumentation.attribute_to`
-        frames and explicit accumulation in ``PhysicalOp.next()``.
+        one ``calls``); counters and wall time are then fed by
+        ``PhysicalOp.next()``, which points the run's counters at this
+        record for the length of each pull.
         """
         with self._lock:
             op = self.operators.get(path)

@@ -176,18 +176,8 @@ class PreparedQuery:
         :class:`~repro.storage.snapshot.DatabaseSnapshot` of the same
         base database.
         """
-        from ..physical import ExecutionContext
-
         config.validated_parallel(parallel)
-        view = db if db is not None else self.db
-        stats = view.stats
-        with bound_params(params):
-            factory = self._factory_for_bindings(view)
-            with guardrails.guarded(budget) as guard, stats.activated(), match_scope():
-                ctx = ExecutionContext(
-                    db=view, guard=guard, metrics=stats.collector, stats=stats
-                )
-                return factory.instantiate().execute(ctx)
+        return self._execute(params, budget, db, None)
 
     def run_with_metrics(
         self,
@@ -199,11 +189,27 @@ class PreparedQuery:
         db: Database | None = None,
     ) -> tuple[Any, PlanMetrics]:
         """Like :meth:`run`, collecting per-operator runtime metrics."""
+        config.validated_parallel(parallel)
         metrics = metrics if metrics is not None else PlanMetrics()
+        return self._execute(params, budget, db, metrics), metrics
+
+    def _execute(
+        self,
+        params: Mapping[str, Any] | None,
+        budget: Budget | None,
+        db: Database | None,
+        metrics: PlanMetrics | None,
+    ) -> Any:
+        from ..physical import ExecutionContext
+
         view = db if db is not None else self.db
-        with view.stats.collecting(metrics):
-            result = self.run(params, budget=budget, parallel=parallel, db=view)
-        return result, metrics
+        with bound_params(params):
+            factory = self._factory_for_bindings(view)
+            with guardrails.guarded(budget) as guard, match_scope():
+                ctx = ExecutionContext(
+                    db=view, guard=guard, metrics=metrics, stats=view.stats
+                )
+                return factory.instantiate().execute(ctx)
 
     def describe(self) -> str:
         return self.plan.describe()

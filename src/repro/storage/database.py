@@ -33,7 +33,7 @@ from ..errors import StorageError
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
 from .index import HashIndex, OrderedIndex
-from .stats import Instrumentation
+from .stats import Instrumentation, RunCounters
 from .tree_index import ListIndex, TreeIndex
 
 #: The dependency tag covering "the database as a whole" — bare
@@ -59,7 +59,7 @@ def root_resource(name: str) -> str:
 
 
 def extent_candidates(
-    stats: Instrumentation,
+    stats: "Instrumentation | RunCounters",
     indexes: Mapping[tuple[str, str], HashIndex | OrderedIndex],
     extent: str,
     rows: list[Any],
@@ -72,7 +72,10 @@ def extent_candidates(
     (``watermark=None``) and on a pinned snapshot (its watermark, which
     bounds every probe of the shared live indexes and the scan): serves
     the most selective indexable term that has an index, else returns
-    ``rows[:watermark]`` for a scan.  Callers re-apply the predicate.
+    ``rows[:watermark]`` for a scan.  Callers re-apply the predicate,
+    except that a plan's indexed select lets an exact probe answer a
+    lone comparison (see ``IndexedSelectFilter``).  ``stats`` is where
+    the counts go: the view's sink, or the running plan's counters.
     """
     fault_point("storage_lookup")
     guard = guardrails.current_guard()
@@ -96,6 +99,8 @@ def extent_candidates(
                         continue
                     found = index.lookup(constant, watermark)
                 else:
+                    if op == "!=":
+                        continue  # no range answers it; scan
                     found = index.probe_term(op, constant, watermark)
                 if best is None or len(found) < len(best):
                     best = found
@@ -110,6 +115,26 @@ def extent_candidates(
         if guard is not None:
             guard.charge_nodes(len(rows), "extent scan")
         return rows, False
+
+
+def tested_rows(
+    stats: Instrumentation, rows: list[Any], predicate: AlphabetPredicate
+) -> AquaSet:
+    """The members of ``rows`` satisfying ``predicate``, tested through
+    its compiled closure; the evaluations are counted in a local int
+    and bumped once."""
+    test = predicate.compile() or predicate
+    evals = 0
+    try:
+        kept = []
+        for row in rows:
+            evals += 1
+            if test(row):
+                kept.append(row)
+    finally:
+        if evals:
+            stats.bump("predicate_evals", evals)
+    return AquaSet(kept)
 
 
 class VersionToken:
@@ -401,18 +426,28 @@ class Database:
         return (extent, attribute) in self._indexes
 
     def candidates(
-        self, extent: str, predicate: AlphabetPredicate
+        self,
+        extent: str,
+        predicate: AlphabetPredicate,
+        stats: "Instrumentation | RunCounters | None" = None,
     ) -> tuple[list[Any], bool]:
         """Objects of ``extent`` that might satisfy ``predicate``, from the
-        best index or a scan (see :func:`extent_candidates`)."""
+        best index or a scan (see :func:`extent_candidates`), counted in
+        ``stats`` (default: this database's sink)."""
         rows = self._extents.get(extent, [])
-        return extent_candidates(self.stats, self._indexes, extent, rows, None, predicate)
+        return extent_candidates(
+            stats if stats is not None else self.stats,
+            self._indexes,
+            extent,
+            rows,
+            None,
+            predicate,
+        )
 
     def select(self, extent: str, predicate: AlphabetPredicate) -> AquaSet:
         """Index-assisted extent select (re-checks the full predicate)."""
         rows, _ = self.candidates(extent, predicate)
-        counted = self.stats.counting(predicate)
-        return AquaSet(row for row in rows if counted(row))
+        return tested_rows(self.stats, rows, predicate)
 
     # -- statistics (histograms for the cost model) -----------------------------------
 

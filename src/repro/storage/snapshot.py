@@ -40,9 +40,9 @@ from ..core.aqua_tree import AquaTree
 from ..errors import StorageError
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
-from .database import extent_candidates
+from .database import extent_candidates, tested_rows
 from .index import HashIndex, OrderedIndex
-from .stats import Instrumentation
+from .stats import Instrumentation, RunCounters
 from .tree_index import ListIndex, TreeIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -213,21 +213,28 @@ class DatabaseSnapshot:
         return (extent, attribute) in self._indexes
 
     def candidates(
-        self, extent: str, predicate: AlphabetPredicate
+        self,
+        extent: str,
+        predicate: AlphabetPredicate,
+        stats: "Instrumentation | RunCounters | None" = None,
     ) -> tuple[list[Any], bool]:
         """Pinned-extent candidates for ``predicate``: the database's own
         :func:`~repro.storage.database.extent_candidates`, every probe
         and the scan fallback bounded by this pin's watermark."""
         rows, watermark = self._rows(extent)
         return extent_candidates(
-            self.stats, self._indexes, extent, rows, watermark, predicate
+            stats if stats is not None else self.stats,
+            self._indexes,
+            extent,
+            rows,
+            watermark,
+            predicate,
         )
 
     def select(self, extent: str, predicate: AlphabetPredicate) -> AquaSet:
         """Index-assisted pinned-extent select (re-checks the predicate)."""
         rows, _ = self.candidates(extent, predicate)
-        counted = self.stats.counting(predicate)
-        return AquaSet(row for row in rows if counted(row))
+        return tested_rows(self.stats, rows, predicate)
 
     # -- statistics ------------------------------------------------------------
 

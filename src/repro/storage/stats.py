@@ -13,15 +13,18 @@ Three mechanisms cooperate here:
   isolates a measurement (counters start at zero inside, the previous
   values are restored on exit), replacing the fragile
   ``reset()``-and-hope pattern benchmarks used to rely on.
-* **Attribution frames** — while the interpreter evaluates a plan node
-  it registers that operator's :class:`~repro.query.metrics`
-  sink via :meth:`Instrumentation.attribute_to`; every ``bump`` is then
-  *also* credited to the innermost active operator, which is how
-  ``EXPLAIN ANALYZE`` knows which operator caused which probe.
+* :class:`RunCounters` — the counters one plan execution owns: plain
+  ints in a dict, added to with no lock by the thread running the plan.
+  While ``EXPLAIN ANALYZE`` collects, the operator whose ``next()`` is
+  running also has its own counters credited (:attr:`RunCounters.operator`),
+  which is how it knows which operator caused which probe.  The run folds
+  into its sink once, when the plan closes — after the last row, on a
+  budget trip, before the pool hands the result back — under the sink's
+  lock: one lock take per run, not one per counted event.
 * :func:`emit` / :func:`emit_many` — module-level hooks for layers that
-  have no database handle (the pattern engines).  A sink receives those
-  events only while :meth:`Instrumentation.activated` is in effect,
-  which the interpreter guarantees during plan evaluation.
+  have no database handle (the pattern engines).  They credit whatever
+  is *activated* on the calling thread: a running plan's
+  :class:`RunCounters`, or a sink inside :meth:`Instrumentation.activated`.
 
 Counter vocabulary (see EXPERIMENTS.md for the full glossary):
 ``predicate_evals``, ``nodes_scanned``, ``positions_scanned``,
@@ -35,19 +38,14 @@ from __future__ import annotations
 import threading
 from collections import Counter
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, Mapping, Protocol
-
-
-class CounterSink(Protocol):
-    """Anything counter events can be credited to (duck-typed)."""
-
-    counters: Counter
+from typing import Iterator, Mapping
 
 
 _local = threading.local()
 
 
-def _active_sinks() -> list["Instrumentation"]:
+def _active_sinks() -> list:
+    """The receivers activated on this thread (sinks and runs)."""
     sinks = getattr(_local, "sinks", None)
     if sinks is None:
         sinks = _local.sinks = []
@@ -55,64 +53,68 @@ def _active_sinks() -> list["Instrumentation"]:
 
 
 def emit(name: str, amount: int = 1) -> None:
-    """Credit ``amount`` to every activated instrumentation sink.
+    """Credit ``amount`` to every receiver activated on this thread.
 
     Used by layers with no database handle (pattern engines); a no-op
-    unless some :class:`Instrumentation` is :meth:`~Instrumentation.activated`
-    on this thread.
+    unless a running plan or an :meth:`~Instrumentation.activated` sink
+    is listening on this thread.
     """
     for sink in _active_sinks():
         sink.bump(name, amount)
 
 
 def receiving() -> bool:
-    """Is any sink activated on this thread?  An engine asks before it
-    builds a counter batch, so an unobserved run builds none."""
+    """Is any receiver activated on this thread?  An engine asks before
+    it builds a counter batch, so an unobserved run builds none."""
     return bool(getattr(_local, "sinks", None))
 
 
 def emit_many(counts: Mapping[str, int]) -> None:
-    """Credit a batch of counters to every activated sink.
+    """Credit a batch of counters to every activated receiver.
 
     Engines accumulate plain-int counters in their hot loops and flush
     them here when they hand a match (or a batch) to their consumer,
     keeping per-element overhead at a single integer increment.
     """
-    sinks = _active_sinks()
-    if not sinks:
-        return
-    for name, amount in counts.items():
-        if amount:
-            for sink in sinks:
-                sink.bump(name, amount)
+    for sink in _active_sinks():
+        sink.add_many(counts)
 
 
 class Instrumentation:
-    """A thread-safe bag of named counters with attribution hooks.
+    """A thread-safe bag of named counters.
 
-    Thread model: the counter bag itself is lock-protected and may be
-    bumped from any number of threads concurrently, while attribution
-    frames, collectors and activation are **thread-local** — each worker
-    thread attributes to its own operator stack, so sharing one sink
-    across a thread pool is safe but mixes all workers' totals into one
-    bag.  Workloads that want per-query isolation give each snapshot its
-    own sink (``db.snapshot(stats=Instrumentation())``) and fold the
-    results together afterwards with :meth:`merge`.
+    Thread model: the bag is lock-protected, so any number of threads may
+    bump it or fold into it at once.  Plan executions do not bump it per
+    event: each run counts into its own :class:`RunCounters` (plain ints,
+    owned by the one thread running the plan), and :meth:`merge` folds
+    them in here once, when the plan closes.  Sharing one sink across a pool
+    therefore costs one lock take per query and mixes all workers'
+    totals into one bag; workloads that want per-query isolation give
+    each snapshot its own sink (``db.snapshot(stats=Instrumentation())``)
+    and fold the results together afterwards with :meth:`merge`.
     """
 
     def __init__(self) -> None:
         self.counters: Counter = Counter()
-        self._lock = threading.RLock()
-        self._frames = threading.local()
+        self._lock = threading.Lock()
+
+    @property
+    def sink(self) -> "Instrumentation":
+        """The bag a receiver's counts end up in (itself, for a sink)."""
+        return self
 
     # -- core counting -----------------------------------------------------
 
     def bump(self, name: str, amount: int = 1) -> None:
         with self._lock:
             self.counters[name] += amount
-        frames = getattr(self._frames, "stack", None)
-        if frames:
-            frames[-1].counters[name] += amount
+
+    def add_many(self, counts: Mapping[str, int]) -> None:
+        """Credit a batch under one lock take (zero amounts skipped)."""
+        with self._lock:
+            for name, amount in counts.items():
+                if amount:
+                    self.counters[name] += amount
 
     def reset(self) -> None:
         with self._lock:
@@ -127,14 +129,13 @@ class Instrumentation:
             return dict(self.counters)
 
     def merge(self, other: "Instrumentation | Mapping[str, int]") -> None:
-        """Fold another sink's counters into this one.
+        """Fold another sink's counters (or a run's) into this one.
 
-        The concurrent serving path gives each pinned snapshot its own
-        private sink (so parallel queries never interleave attribution
-        frames); after the futures resolve, a harness merges the
-        per-worker sinks back into the database's own for one combined
-        report.  Thread-safe on both sides — ``other`` is snapshotted
-        first, then folded in under this sink's lock.
+        Every plan execution ends here: its :class:`RunCounters` fold in
+        once, when the plan closes.  A harness that gave each pinned
+        snapshot a private sink merges those back the same way.
+        Thread-safe on both sides — ``other`` is snapshotted first, then
+        folded in under this sink's lock.
         """
         counts = other.snapshot() if isinstance(other, Instrumentation) else other
         with self._lock:
@@ -163,51 +164,15 @@ class Instrumentation:
                 self.counters.update(saved)
 
     @contextmanager
-    def attribute_to(self, sink: CounterSink) -> Iterator[None]:
-        """Credit bumps on this thread to ``sink`` while the block runs.
-
-        Frames nest; only the innermost frame is credited, so operator
-        counters are *exclusive* (a parent does not re-count its
-        children's work).
-        """
-        stack = getattr(self._frames, "stack", None)
-        if stack is None:
-            stack = self._frames.stack = []
-        stack.append(sink)
-        try:
-            yield
-        finally:
-            stack.pop()
-
-    @contextmanager
-    def collecting(self, collector: Any) -> Iterator[None]:
-        """Install a per-operator collector (a
-        :class:`~repro.query.metrics.PlanMetrics`) for this thread.
-
-        The interpreter consults :attr:`collector` on every node it
-        evaluates, so installing one turns a plain ``evaluate`` into an
-        instrumented run without changing any call signatures.
-        """
-        previous = getattr(self._frames, "collector", None)
-        self._frames.collector = collector
-        try:
-            yield
-        finally:
-            self._frames.collector = previous
-
-    @property
-    def collector(self) -> Any:
-        return getattr(self._frames, "collector", None)
-
-    @contextmanager
     def activated(self) -> Iterator["Instrumentation"]:
         """Receive :func:`emit` events from engine layers on this thread.
 
-        Idempotent: re-entering with the same sink already active is a
-        no-op, so recursive plan evaluation costs one list lookup.
+        A no-op when this sink, or a running plan that folds into it, is
+        already listening — so recursive evaluation costs one list scan
+        and no event is counted twice.
         """
         sinks = _active_sinks()
-        if self in sinks:
+        if any(receiver.sink is self for receiver in sinks):
             yield self
             return
         sinks.append(self)
@@ -216,27 +181,78 @@ class Instrumentation:
         finally:
             sinks.remove(self)
 
-    # -- predicate wrapping -------------------------------------------------
-
-    def counting(
-        self, predicate: Callable[[Any], bool], name: str = "predicate_evals"
-    ) -> Callable[[Any], bool]:
-        """Wrap ``predicate`` so each evaluation bumps ``name``."""
-
-        def counted(obj: Any) -> bool:
-            self.bump(name)
-            return predicate(obj)
-
-        # Preserve opacity/decomposition attributes when wrapping an
-        # alphabet-predicate for counting-only purposes.
-        for attribute in ("describe", "conjuncts", "indexable_terms", "attributes"):
-            if hasattr(predicate, attribute):
-                setattr(counted, attribute, getattr(predicate, attribute))
-        return counted
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.snapshot().items()))
         return f"Instrumentation({inner})"
+
+
+class RunCounters:
+    """The counters one plan execution owns: plain ints, no lock.
+
+    Only the thread running the plan adds to them — the operators
+    directly (:meth:`bump`), the engines through :func:`emit` /
+    :func:`emit_many` while the run is :meth:`activated`.  While
+    ``EXPLAIN ANALYZE`` collects, ``PhysicalOp.next()`` points
+    :attr:`operator` at the pulling operator's counters for the length of
+    the pull, so each event is credited to the innermost operator too
+    (exclusive counts: a parent does not re-count its children's work).
+    :meth:`fold` hands the totals to :attr:`sink` in one lock take.
+    """
+
+    __slots__ = ("sink", "counts", "operator")
+
+    def __init__(self, sink: Instrumentation) -> None:
+        self.sink = sink
+        self.counts: Counter = Counter()
+        #: The running operator's counters, or ``None`` when no operator
+        #: is collected (or none is pulling).
+        self.operator: Counter | None = None
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        self.counts[name] += amount
+        operator = self.operator
+        if operator is not None:
+            operator[name] += amount
+
+    def add_many(self, counts: Mapping[str, int]) -> None:
+        own, operator = self.counts, self.operator
+        for name, amount in counts.items():
+            if amount:
+                own[name] += amount
+                if operator is not None:
+                    operator[name] += amount
+
+    @contextmanager
+    def activated(self) -> Iterator["RunCounters"]:
+        """Receive :func:`emit` events on this thread in place of the sink.
+
+        Anything already listening on behalf of the same sink — the sink
+        itself, an enclosing run — steps aside for the block, so each
+        event reaches the sink exactly once, through this run's fold.
+        """
+        sinks = _active_sinks()
+        if self in sinks:
+            yield self
+            return
+        displaced = [receiver for receiver in sinks if receiver.sink is self.sink]
+        for receiver in displaced:
+            sinks.remove(receiver)
+        sinks.append(self)
+        try:
+            yield self
+        finally:
+            sinks.remove(self)
+            sinks.extend(displaced)
+
+    def fold(self) -> None:
+        """Hand the run's counts to the sink and start again from zero."""
+        if self.counts:
+            self.sink.merge(self.counts)
+            self.counts = Counter()
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.counts.items()))
+        return f"RunCounters({inner})"
 
 
 #: A process-wide default instrumentation sink; benchmarks typically make

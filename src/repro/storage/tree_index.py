@@ -35,7 +35,7 @@ from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
 from . import stats as stats_mod
 from .index import grouped
-from .stats import Instrumentation
+from .stats import Instrumentation, RunCounters
 
 
 class TreeIndex:
@@ -122,7 +122,7 @@ class TreeIndex:
     def candidate_nodes(
         self,
         predicate: AlphabetPredicate,
-        stats: Instrumentation | None = None,
+        stats: Instrumentation | RunCounters | None = None,
     ) -> tuple[list[TreeNode], bool]:
         """Nodes that might satisfy ``predicate``; ``(nodes, used_index)``.
 
@@ -137,7 +137,7 @@ class TreeIndex:
     def candidate_bucket(
         self,
         predicate: AlphabetPredicate,
-        stats: Instrumentation | None = None,
+        stats: Instrumentation | RunCounters | None = None,
     ) -> tuple[tuple, bool]:
         """:meth:`candidate_nodes`, a probe's ``(positions, nodes)`` bucket in place of nodes."""
         guard = guardrails.current_guard()
@@ -184,7 +184,7 @@ class ListIndex:
     def positions_for(
         self,
         predicate: AlphabetPredicate,
-        stats: Instrumentation | None = None,
+        stats: Instrumentation | RunCounters | None = None,
     ) -> tuple[list[int], bool]:
         """Positions that might satisfy ``predicate``; ``(positions, used_index)``."""
         guard = guardrails.current_guard()

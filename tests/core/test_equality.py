@@ -1,6 +1,12 @@
 """Tests for parameterized equality (paper §2)."""
 
-from repro.core.equality import DEEP, IDENTITY, SHALLOW
+import copy
+import pickle
+
+import pytest
+
+from repro.core.aqua_set import AquaSet
+from repro.core.equality import DEEP, IDENTITY, SHALLOW, _identity_key
 from repro.core.identity import Cell, Record
 
 
@@ -64,3 +70,39 @@ class TestDeepEquality:
 
     def test_callable_interface(self):
         assert DEEP(Record(x=1), Record(x=1))
+
+
+class TestEqualitiesPickleByName:
+    """The module's notions pickle and copy as themselves, so AQUA sets —
+    query results included — round-trip with their notion intact."""
+
+    @pytest.mark.parametrize("equality", [IDENTITY, SHALLOW, DEEP], ids=lambda e: e.name)
+    @pytest.mark.parametrize("roundtrip", ["pickle", "deepcopy"])
+    def test_a_set_round_trips_with_its_notion(self, equality, roundtrip):
+        original = AquaSet([1, "a", (2, 3), Record(x=1), Record(x=1)], equality)
+        if roundtrip == "pickle":
+            loaded = pickle.loads(pickle.dumps(original))
+        else:
+            loaded = copy.deepcopy(original)
+        assert loaded.equality is equality
+        assert loaded == original and len(loaded) == len(original)
+        assert [equality.key(v) for v in loaded] == [equality.key(v) for v in original]
+
+    def test_a_set_valued_query_result_pickles(self):
+        from repro import Session
+        from repro.storage import Database
+
+        db = Database()
+        db.insert_many([Record(name=f"p{i}", city=f"C{i % 3}") for i in range(9)], "Person")
+        db.create_index("Person", "city")
+        session = Session(db)
+        rows = 'extent Person | sselect {city = "C1"}'
+        for text in (rows, rows + " | project name"):
+            result = session.query(text)
+            loaded = pickle.loads(pickle.dumps(result))
+            assert isinstance(loaded, AquaSet) and loaded.equality is IDENTITY
+            assert loaded == result and len(loaded) == 3
+
+    def test_key_is_the_plain_key_function(self):
+        """A dedup loop calls ``equality.key`` once per row: no wrapper."""
+        assert IDENTITY.key is _identity_key

@@ -123,6 +123,8 @@ class TestGuardrails:
     def test_budget_rejects_bad_knob(self, shell):
         assert shell.execute("\\budget bogus=1").startswith("error:")
         assert shell.execute("\\budget steps=abc").startswith("error:")
+        assert shell.execute("\\budget steps=-1").startswith("error: max_steps")
+        assert shell.execute("\\budget deadline=-0.5").startswith("error: deadline_seconds")
 
     def test_budget_trip_is_one_line_diagnostic(self, shell):
         shell.execute("\\budget steps=5")

@@ -172,6 +172,71 @@ class TestConjunctDecomposition:
             }
 
 
+    def test_an_exact_probe_answers_its_conjunct(self, db, monkeypatch):
+        """§4: the probe on ``city = 'C3'`` answers that conjunct, so only
+        the residual is tested — yet each candidate is still charged the
+        evaluation, so the counts read as before (10 + 10)."""
+        from repro.predicates.alphabet import Comparison
+
+        db.create_index("Person", "city")
+        node = Q.extent("Person").sselect((attr("age") > 40) & (attr("city") == "C3")).build()
+        tested = []
+        compile_ = Comparison.compile
+
+        def spied(self):
+            test = compile_(self)
+            return lambda obj: tested.append(self.attribute) or test(obj)
+
+        monkeypatch.setattr(Comparison, "compile", spied)
+        with db.stats.scope():
+            result = run(chosen(node, db), db)
+            assert db.stats.snapshot() == {
+                "index_probes": 1,
+                "index_candidates": 10,
+                "predicate_evals": 20,
+            }
+        assert tested == ["age"] * 10
+        assert result == Q.extent("Person").sselect(attr("age") > 40).sselect(
+            attr("city") == "C3"
+        ).run(db)
+
+    def test_a_scan_fallback_tests_the_indexed_conjunct(self, db):
+        """An ordered index answers no ``!=``: the filter scans the extent
+        and tests the conjunct the index could not answer on every row."""
+        db.create_index("Person", "age", ordered=True)
+        node = Q.extent("Person").sselect(attr("age") != 3).build()
+        plan = chosen(node, db)
+        assert type(plan.root) is P.IndexedSelectFilter
+        with db.stats.scope():
+            result = run(plan, db)
+            assert db.stats.snapshot() == {
+                "full_scans": 1,
+                "objects_scanned": 100,
+                "predicate_evals": 100,
+            }
+        assert len(result) == 98
+        assert all(row.age != 3 for row in result)
+
+    @pytest.mark.parametrize("pinned", [False, True], ids=["database", "snapshot"])
+    def test_a_row_inserted_twice_comes_back_once(self, db, pinned):
+        """The extent takes the same object twice, so the index posts it
+        twice: its candidates are not known distinct and stay deduplicated."""
+        from repro import Session
+
+        twice = Record(name="twice", age=7, city="C3")
+        db.insert(twice, "Person")
+        db.insert(twice, "Person")
+        db.create_index("Person", "city")
+        view = db.snapshot() if pinned else db
+        rows, used = view.candidates("Person", attr("city") == "C3")
+        assert used and sum(row is twice for row in rows) == 2
+        query = 'extent Person | sselect {city = "C3"}'
+        result, metrics = Session(view).query_with_metrics(query)
+        assert metrics[()].counters["index_probes"] == 1  # the probe served it
+        assert sum(row is twice for row in result) == 1
+        assert len(result) == 11
+
+
 class TestFusion:
     def test_cascaded_selects_fuse(self, db):
         node = (

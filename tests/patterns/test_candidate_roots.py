@@ -380,6 +380,7 @@ def equal_postings(published, fresh) -> bool:
     }
 
 
+@pytest.mark.usefixtures("posting_scans")
 class TestPostingsSource:
     """A scan whose root first-set is one equality is served from the
     tree's postings: built by the first such scan, kept on the tree, and

@@ -321,6 +321,7 @@ class TestColumnarLowering:
         chosen = lower(query, db, choose_access_paths=True)
         assert type(chosen.root) is P.IndexAnchorScan
 
+    @pytest.mark.usefixtures("posting_scans")
     @pytest.mark.parametrize("mode", ["on", "off"])
     def test_columnar_operators_match_plain_pipes(self, mode, monkeypatch):
         """First-set scan (``on``) ≡ the untabled reference, which

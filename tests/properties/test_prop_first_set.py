@@ -26,6 +26,7 @@ which must equal the cold one and the reference in the same three ways.
 
 from itertools import islice
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -326,6 +327,7 @@ def scan_run(pattern, tree, context, bindings, limit):
     return keys, {name: sink[name] for name in COUNTERS}, sink["index_builds"], served
 
 
+@pytest.mark.usefixtures("posting_scans")
 @SETTINGS
 @given(
     pattern=rooted_patterns(),
@@ -398,6 +400,7 @@ def test_warm_query_rows_and_charges_equal_the_cold_query(pattern, tree):
     assert runs[0] == runs[1]
 
 
+@pytest.mark.usefixtures("posting_scans")
 def test_an_unhashable_value_equal_to_the_constant_is_not_missed():
     """``{1}`` cannot be hashed, so it is filed under its ``repr``, where
     a lookup by the equal ``frozenset({1})`` would miss it: such a map is

@@ -273,7 +273,53 @@ class TestCountersFlushAtHandOver:
         ) == totals
 
 
+class TestRunCounters:
+    """A run counts into ints it owns and reaches the sink once, at its
+    fold: never twice, whoever else is listening on the thread."""
+
+    def test_the_sink_sees_a_run_only_at_its_fold(self):
+        sink = Instrumentation()
+        run = stats_mod.RunCounters(sink)
+        with run.activated():
+            stats_mod.emit("index_probes")
+            stats_mod.emit_many({"backtrack_steps": 3, "predicate_evals": 0})
+            assert sink.snapshot() == {}
+        run.fold()
+        run.fold()  # a second fold hands over nothing more
+        assert sink.snapshot() == {"index_probes": 1, "backtrack_steps": 3}
+
+    def test_an_activated_sink_is_not_counted_twice(self):
+        """The run stands in for its sink while the plan runs; the sink
+        itself hears only planning (the plan-cache hit)."""
+        db, query = two_scan_union()
+        session = Session(db)
+        session.query(query, optimize=False)  # builds the postings
+        with db.stats.scope() as stats:
+            session.query(query, optimize=False)
+            alone = stats.snapshot()
+        with db.stats.scope() as stats:
+            with db.stats.activated():
+                session.query(query, optimize=False)
+                assert stats_mod.receiving()
+            assert stats.snapshot() == {**alone, "plan_cache_hits": 1}
+        assert alone["backtrack_steps"] == 326 + 51
+
+    def test_a_nested_run_folds_into_the_sink_once(self):
+        sink = Instrumentation()
+        outer = stats_mod.RunCounters(sink)
+        with outer.activated():
+            inner = stats_mod.RunCounters(sink)
+            with inner.activated():
+                stats_mod.emit("index_probes", 2)
+            inner.fold()
+            stats_mod.emit("index_probes")
+        outer.fold()
+        assert sink["index_probes"] == 3
+        assert not stats_mod.receiving()
+
+
 class TestRendering:
+    @pytest.mark.usefixtures("posting_scans")
     def test_render_analysis_golden(self):
         db = make_db()
         query = Q.root("T").sub_select("d(e(h i) j)").build()

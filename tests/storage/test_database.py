@@ -141,10 +141,14 @@ class TestStructureIndexCaching:
 
 class TestInstrumentation:
     def test_counting_wrapper(self):
-        stats = Instrumentation()
-        counted = stats.counting(lambda v: v > 2)
-        assert counted(3) and not counted(1)
-        assert stats["predicate_evals"] == 2
+        """``select`` tests through the predicate's compiled closure and
+        counts one evaluation per row tested; an opaque predicate, which
+        does not compile, is called itself and counts the same."""
+        db = populated()
+        assert len(db.select("Person", attr("age") > 45)) == 16
+        assert db.stats["predicate_evals"] == 200
+        assert len(db.select("Person", pred(lambda o: o.age > 45))) == 16
+        assert db.stats["predicate_evals"] == 400
 
     def test_reset_and_snapshot(self):
         stats = Instrumentation()
@@ -154,6 +158,13 @@ class TestInstrumentation:
         assert stats["x"] == 0
 
     def test_counting_preserves_predicate_metadata(self):
-        stats = Instrumentation()
-        counted = stats.counting(attr("age") > 5)
-        assert counted.indexable_terms() == [("age", ">", 5)]
+        """The predicate reaches the index unwrapped, so its terms still
+        serve a probe, and only the probed candidates are tested."""
+        db = populated()
+        db.create_index("Person", "age", ordered=True)
+        assert len(db.select("Person", attr("age") > 45)) == 16
+        assert db.stats.snapshot() == {
+            "index_probes": 1,
+            "index_candidates": 16,
+            "predicate_evals": 16,
+        }

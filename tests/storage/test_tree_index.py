@@ -1,5 +1,7 @@
 """Tests for per-structure node indexes and interval labels."""
 
+import pytest
+
 from repro.core import parse_list, parse_tree
 from repro.core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from repro.core.identity import as_cell
@@ -275,6 +277,7 @@ class TestBuiltOnFirstProbe:
         assert answers == [(expected, True)] * 8
         assert tree._layout is None  # the maps are the tree's postings
 
+    @pytest.mark.usefixtures("posting_scans")
     def test_a_scan_builds_the_map_a_later_probe_reads(self):
         from repro import Session
 

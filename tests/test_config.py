@@ -168,10 +168,27 @@ class TestParallelWorkerKindKnob:
         assert "max_steps=100" in shell.execute("\\budget steps=100")
         assert shell.budget.max_steps == 100
 
-    @pytest.mark.parametrize("bogus", ["forks", "THREADS", ""])
+    @pytest.mark.parametrize("bogus", ["forks", "THREADS", "", "-1"])
     def test_rejects_bad_values_naming_the_knob(self, monkeypatch, bogus):
         monkeypatch.delenv(MAX_STEPS_ENV, raising=False)
         shell = Shell()
         reply = shell.execute(f"\\budget steps={bogus}")
         assert reply.startswith("error: max_steps")
         assert shell.budget.max_steps is None
+
+    @pytest.mark.parametrize("bogus", ["lots", "-1"])
+    def test_env_ignores_malformed_values(self, monkeypatch, bogus):
+        """A malformed limit in the environment — not a number, or
+        negative — is unlimited, so it cannot make every query trip."""
+        for knob in ENV_KNOBS:
+            monkeypatch.delenv(knob, raising=False)
+        monkeypatch.setenv(MAX_STEPS_ENV, bogus)
+        assert Budget.from_env().max_steps is None
+        with guarded() as guard:
+            assert guard is None
+
+    @pytest.mark.parametrize("field", sorted(f for f in Budget().to_dict()))
+    def test_budget_rejects_negative_limits_naming_the_field(self, field):
+        with pytest.raises(QueryError, match=f"^{field}: invalid value -1"):
+            Budget(**{field: -1})
+        assert getattr(Budget(**{field: 0}), field) == 0

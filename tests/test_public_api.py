@@ -131,14 +131,30 @@ def test_matchers_flush_at_hand_over_with_no_knob_or_thread_local() -> None:
     """The tree and list matchers flush their counters as they hand a
     match over, so no per-candidate / per-start flush keyword survives
     (the CI lint job greps for the same), and the hot-loop work added no
-    thread-local: the census stays at five ``threading.local()`` sites."""
+    thread-local: the census is four ``threading.local()`` sites, since
+    a run's counters replaced the sink's attribution frames."""
     residue, local_sites = [], 0
     for path in Path(repro.__file__).resolve().parent.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
         residue += [path.name] * len(re.findall(r"flush_per_candidate|flush_per_start", text))
         local_sites += text.count("threading.local()")
     assert residue == []
-    assert local_sites == 5
+    assert local_sites == 4
+
+
+def test_runs_count_into_ints_they_own() -> None:
+    """No predicate is wrapped to bump a shared sink per evaluation and no
+    attribution frame survives: operators count into their run's
+    ``RunCounters`` (the CI lint job greps for the same)."""
+    residue = re.compile(r"\.counting\(|attribute_to|_frames\b|\.collecting\(")
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in package.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if residue.search(line)
+    ]
+    assert offenders == []
 
 
 def test_the_exchange_tier_is_gone() -> None:

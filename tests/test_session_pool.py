@@ -115,6 +115,33 @@ class TestStress:
             serial = sorted(Session(pin, plan_cache=PlanCache()).query(source))
             assert serial == concurrent
 
+    def test_concurrent_runs_fold_every_count_into_the_shared_sink(self):
+        """Each run counts into ints it owns and folds them into the one
+        shared sink under its lock: with more clients than cores and a
+        short switch interval, no fold may lose another's update."""
+        import sys
+
+        db = seeded_db(people=40)
+        db.create_index("Person", "age", ordered=True)
+        query = 'extent Person | sselect {age >= 10 and name != "p12"} | project name'
+        with db.stats.scope() as stats:
+            Session(db, plan_cache=PlanCache()).query(query)
+            one = stats.snapshot()
+        assert one["predicate_evals"] == 60  # 30 candidates, charged + residual
+        clients, runs = 8, 25
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with db.stats.scope() as stats:
+                with SessionPool(db, workers=clients, plan_cache=PlanCache()) as pool:
+                    futures = [pool.submit(query) for _ in range(clients * runs)]
+                    answers = [len(future.result(timeout=60)) for future in futures]
+                totals = stats.snapshot()
+        finally:
+            sys.setswitchinterval(interval)
+        assert answers == [29] * (clients * runs)
+        assert totals == {name: count * clients * runs for name, count in one.items()}
+
     def test_plan_cache_warms_across_workers(self):
         db = seeded_db()
         cache = PlanCache()
@@ -159,6 +186,21 @@ class TestThreadStateLeakage:
             guard, registry = self._pool_thread_state(pool)
             assert guard is None
             assert registry is None
+
+    def test_no_run_keeps_listening_on_the_worker(self):
+        """A run's counters receive engine events only while its plan
+        runs: after a trip or a clean run, nothing listens on the worker,
+        and each run's counts reached the database's sink."""
+        from repro.storage import stats as stats_mod
+
+        db = seeded_db(people=50)
+        with SessionPool(db, workers=1, plan_cache=PlanCache()) as pool:
+            with pytest.raises(ResourceExhaustedError):
+                pool.submit(AQL_ADULTS, budget=Budget(max_results=3)).result()
+            assert db.stats["budget_trips"] == 1
+            assert pool._pool.submit(stats_mod.receiving).result() is False
+            pool.submit(AQL_ADULTS).result()
+            assert pool._pool.submit(stats_mod.receiving).result() is False
 
     def test_spent_budget_does_not_haunt_the_next_query(self):
         """A budget that tripped on one query must not pre-spend the
