@@ -16,8 +16,8 @@ The public API re-exports the pieces a downstream user needs most:
   queries (:func:`prepare`, :class:`PreparedQuery`), the plan cache
   (:class:`PlanCache`) and ``$name`` parameters (:class:`Param`),
 * the fault-tolerant serving layer (:class:`SessionPool` plus
-  :class:`RetryPolicy`, :class:`BreakerBoard`, :class:`PoolStats` and
-  the degradation ladder from :mod:`repro.serving`),
+  :class:`RetryPolicy`, :class:`BreakerBoard` and :class:`PoolStats`
+  from :mod:`repro.serving`),
 * the document store (:class:`Document`, :class:`DocNode`,
   ``from_json/xml/html`` ingestion, ``to_json/xml/html`` round-trip
   serialization, and the ``//a[@x='v']//b`` path-query frontend that
@@ -71,11 +71,9 @@ from .core import (
 from .api import Session, SessionPool, default_session
 from .optimizer import Optimizer, optimize
 from .serving import (
-    DEFAULT_LADDER,
     AdmissionController,
     BreakerBoard,
     CircuitBreaker,
-    DegradationLadder,
     PoolStats,
     RetryPolicy,
 )
@@ -171,8 +169,6 @@ __all__ = [
     "AdmissionController",
     "BreakerBoard",
     "CircuitBreaker",
-    "DEFAULT_LADDER",
-    "DegradationLadder",
     "Param",
     "PlanCache",
     "PoolStats",

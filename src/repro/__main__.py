@@ -45,7 +45,7 @@ import json
 import sys
 from typing import Any
 
-from . import faults, guardrails
+from . import context, faults
 from .api import Session
 from .core import AquaList, AquaSet, AquaTree
 from .errors import AquaError, ResourceExhaustedError
@@ -127,7 +127,7 @@ class Shell:
             return ""
         self.last_error = None
         try:
-            with guardrails.guarded(self.budget):
+            with context.entered(self.budget.arm):
                 if line.startswith("\\"):
                     return self._command(line[1:])
                 upper = line.upper()
@@ -270,7 +270,7 @@ class Shell:
         from .storage.stats import Instrumentation
 
         planning = Instrumentation()
-        with planning.activated():
+        with context.entered(receiver=planning):
             prepared = self.session().prepare(query)
         plan = prepared.plan
         footer = render_planning(planning)

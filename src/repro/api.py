@@ -34,7 +34,7 @@ import threading
 import time
 from typing import Any, Mapping, NamedTuple
 
-from . import config
+from . import config, context
 from .errors import QueryError
 from .guardrails import Budget
 from .query.metrics import PlanMetrics
@@ -43,13 +43,11 @@ from .query.prepare import PreparedQuery, prepare as _prepare
 from .serving import (
     AdmissionController,
     BreakerBoard,
-    DEFAULT_LADDER,
-    DegradationLadder,
-    DegradationStep,
     PoolStats,
     RetryPolicy,
     run_with_policy,
 )
+from .serving.retry import UNOPTIMIZED_PLAN
 from .storage.database import Database
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` for
@@ -143,8 +141,8 @@ class Session:
 
         ``cache`` overrides the Session's plan cache for this call:
         pass ``cache=None`` to plan from scratch without touching the
-        shared cache (the serving layer's degradation ladder uses this
-        so degraded plans are never cached).
+        shared cache (the serving layer's degraded retries use this so
+        degraded plans are never cached).
         """
         knobs = self.resolve_knobs(source, optimize=optimize, cache=cache)
         return _prepare(
@@ -219,7 +217,7 @@ class Session:
 
         knobs = self.resolve_knobs(source, optimize=optimize, budget=budget)
         planning = Instrumentation()
-        with planning.activated():
+        with context.entered(receiver=planning):
             prepared = _prepare(
                 source, self.db, optimize=knobs.optimize, cache=knobs.cache
             )
@@ -277,8 +275,8 @@ class SessionPool:
       deadline pressure, snapshot-pin races), with capped exponential
       backoff under seeded deterministic jitter, each attempt's deadline
       carved out of the caller's overall budget, optional per-attempt
-      snapshot re-pin, and the graceful-degradation ladder
-      (``ladder``, default :data:`~repro.serving.DEFAULT_LADDER`);
+      snapshot re-pin, and graceful degradation (retry 1 bypasses the
+      plan cache, later retries also plan unoptimized);
     * ``breakers`` — a :class:`~repro.serving.BreakerBoard` (created
       automatically when a retry policy is set) opens a per-seam
       circuit after repeated failures so a persistently failing index
@@ -307,7 +305,6 @@ class SessionPool:
         parallel: str | None = None,
         plan_cache: PlanCache | None = None,
         retry_policy: RetryPolicy | None = None,
-        ladder: DegradationLadder | None = DEFAULT_LADDER,
         breakers: BreakerBoard | None = None,
         max_queue_depth: int | None = None,
         max_in_flight: int | None = None,
@@ -323,7 +320,6 @@ class SessionPool:
         self.budget = budget
         self.plan_cache = plan_cache if plan_cache is not None else DEFAULT_CACHE
         self.retry_policy = retry_policy
-        self.ladder = ladder
         self.stats = pool_stats if pool_stats is not None else PoolStats()
         self.breakers = breakers if breakers is not None else BreakerBoard()
         self.breakers.observe(self.stats.note_breaker_transition)
@@ -462,16 +458,13 @@ class SessionPool:
     ) -> Any:
         holder = {"view": view}
 
-        def runner(
-            step: DegradationStep | None, attempt_budget: Budget | None
-        ) -> Any:
+        def runner(rung: str | None, attempt_budget: Budget | None) -> Any:
             optimize = knobs["optimize"]
             cache: Any = knobs["cache"]
-            if step is not None:
-                if step.bypass_cache:
-                    cache = None
-                if step.optimize is not None:
-                    optimize = step.optimize
+            if rung is not None:  # degraded plans are never cached
+                cache = None
+                if rung == UNOPTIMIZED_PLAN:
+                    optimize = False
             session = self._session(holder["view"])
             return session.query(
                 source,
@@ -494,7 +487,6 @@ class SessionPool:
             key=key,
             budget=budget,
             breakers=self.breakers,
-            ladder=self.ladder,
             stats=self.stats,
             repin=repin if repinnable else None,
         )

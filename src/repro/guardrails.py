@@ -23,15 +23,14 @@ Three pieces cooperate:
   :data:`TIME_CHECK_INTERVAL` steps), storage scans call
   :meth:`Guard.charge_nodes`, the interpreter calls
   :meth:`Guard.check_results`.
-* :func:`guarded` / :func:`current_guard` — thread-local installation.
-  The *outermost* scope wins: entry points (the interpreter, the pattern
-  engines' ``find_*`` functions) all open a ``guarded()`` scope, and
-  nested scopes reuse the active guard, so one budget covers a whole
+* :meth:`Budget.arm` / :func:`env_guard` / :func:`current_guard` — the
+  guard lives in the thread's :class:`~repro.context.QueryContext`,
+  where the *outermost* entry's wins, so one budget covers a whole
   query no matter how many engine layers it crosses.
 
 The module deliberately imports nothing from the engine layers (only
-:mod:`repro.errors`), so every layer — storage, patterns, query,
-optimizer — can depend on it without cycles.
+:mod:`repro.errors` and :mod:`repro.context`), so every layer — storage,
+patterns, query, optimizer — can depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
-from typing import Iterator
 
+from . import context
 from .errors import QueryCancelledError, QueryError, ResourceExhaustedError
 
 #: How many :meth:`Guard.tick` steps pass between wall-clock/cancellation
@@ -153,6 +151,11 @@ class Budget:
             if value >= 0:
                 values[field_name] = value
         return cls(**values)
+
+    def arm(self) -> "Guard | None":
+        """A guard spending this budget, or ``None`` when nothing is
+        limited (hot loops then see ``None`` and pay one test)."""
+        return None if self.is_unlimited else Guard(self)
 
     def with_token(self, token: CancellationToken) -> "Budget":
         return replace(self, token=token)
@@ -291,11 +294,7 @@ class Guard:
         seam: str,
         detail: str = "",
     ) -> None:
-        # Function-level import: stats lives in the storage layer, which
-        # itself imports this module — and a trip is a cold path anyway.
-        from .storage import stats as stats_mod
-
-        stats_mod.emit("budget_trips")
+        context.emit("budget_trips")
         where = f" at {seam}" if seam else ""
         extra = f": {detail}" if detail else ""
         raise ResourceExhaustedError(
@@ -312,14 +311,19 @@ class Guard:
         return f"Guard({self.budget.describe()}, spent={self.usage()})"
 
 
-# -- thread-local installation ---------------------------------------------
+# -- the guard in the query context ---------------------------------------------
 
-_local = threading.local()
+
+def env_guard() -> Guard | None:
+    """A guard over the ``AQUA_*`` budget knobs, or ``None`` when none is
+    set: what an entry point with no budget of its own arms."""
+    return Budget.from_env().arm()
 
 
 def current_guard() -> Guard | None:
     """The guard armed on this thread, or ``None`` (no limits active)."""
-    return getattr(_local, "guard", None)
+    guard = getattr(context.current(), "guard", None)
+    return None if guard is context.UNARMED else guard
 
 
 def nullable_depth_limit() -> int:
@@ -328,35 +332,3 @@ def nullable_depth_limit() -> int:
     if guard is not None and guard.budget.max_backtrack_depth is not None:
         return guard.budget.max_backtrack_depth
     return DEFAULT_NULLABLE_DEPTH
-
-
-@contextmanager
-def guarded(budget: Budget | None = None) -> Iterator[Guard | None]:
-    """Arm ``budget`` for this thread unless a guard is already active.
-
-    The outermost scope wins: every engine entry point opens one of
-    these, so a budget armed at the interpreter covers the pattern
-    engines it calls into, while a bare ``find_tree_matches`` call still
-    picks up the environment knobs.  With no limits configured the scope
-    is free (no guard is installed and hot loops see ``None``).
-    """
-    active = getattr(_local, "guard", None)
-    if active is not None:
-        yield active
-        return
-    if budget is None:
-        budget = Budget.from_env()
-    if budget.is_unlimited:
-        yield None
-        return
-    guard = Guard(budget)
-    _local.guard = guard
-    try:
-        yield guard
-    finally:
-        # Restore the pre-scope value (always None here, since a live
-        # guard short-circuits above) rather than assuming it: a budget
-        # trip unwinding through this finally must leave the pool thread
-        # exactly as it found it, or the next query scheduled on the
-        # thread would inherit a spent guard.
-        _local.guard = active

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from ..context import emit
 from ..errors import AquaError, OptimizerError
 from ..faults import fault_point
 from ..query import expr as E
-from ..storage import stats as stats_mod
 from ..storage.database import Database
 from .cost import CostModel
 from .rules import DEFAULT_RULES, Rule
@@ -48,7 +48,7 @@ class Trace:
     final_cost: float = 0.0
 
     def record(self, region: Region, rule: Rule, before: E.Expr, after: E.Expr) -> None:
-        stats_mod.emit("optimizer_rewrites")
+        emit("optimizer_rewrites")
         self.steps.append(
             f"[{region.name}] {rule.name}: {before.describe()} => {after.describe()}"
         )

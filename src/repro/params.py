@@ -10,27 +10,27 @@ appear in three notations that all converge on the same object:
   predicate constant is (``attr("age") > Q.param("limit")``);
 * ``$name`` inside an AQL ``{...}`` predicate.
 
-Bindings are *dynamically scoped*: :func:`bound_params` arms a mapping
-for the current thread, and :func:`resolve` reads the innermost scope.
-The execution drivers arm the scope, so user code only ever supplies a
-plain ``params={...}`` dict.
+Bindings are *dynamically scoped*: a run arms its mapping in the
+thread's :class:`~repro.context.QueryContext` (nested bindings merge
+over the outer ones), and :func:`resolve` reads it.  The execution
+drivers arm it, so user code only ever supplies a plain
+``params={...}`` dict.
 
-The module deliberately imports nothing but :mod:`repro.errors`, so
-every layer (predicates, patterns, storage, query) can depend on it
-without cycles.
+The module deliberately imports nothing but :mod:`repro.errors` and
+:mod:`repro.context`, so every layer (predicates, patterns, storage,
+query) can depend on it without cycles.
 """
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import Any, Iterator, Mapping
+from typing import Any
 
+from . import context
 from .errors import QueryError
 
 
 class Param:
-    """A named parameter slot, bound via :func:`bound_params` at run time.
+    """A named parameter slot, bound when a query runs.
 
     Two params with the same name are the same slot (equality and hash
     follow the name), which is what lets a plan fingerprint treat
@@ -62,28 +62,10 @@ class Param:
         return hash(("Param", self.name))
 
 
-_local = threading.local()
-
-
-def current_bindings() -> Mapping[str, Any] | None:
-    """The parameter bindings armed on this thread, or ``None``."""
-    return getattr(_local, "bindings", None)
-
-
-@contextmanager
-def bound_params(bindings: Mapping[str, Any] | None) -> Iterator[None]:
-    """Arm ``bindings`` for this thread; nested scopes layer over outer ones."""
-    previous = getattr(_local, "bindings", None)
-    if bindings is None:
-        merged = previous
-    else:
-        merged = dict(previous) if previous else {}
-        merged.update(bindings)
-    _local.bindings = merged
-    try:
-        yield
-    finally:
-        _local.bindings = previous
+def _bindings() -> Any:
+    """The bindings armed on this thread, or ``None``."""
+    ctx = context.current()
+    return None if ctx is None else ctx.bindings
 
 
 def resolve(value: Any) -> Any:
@@ -94,7 +76,7 @@ def resolve(value: Any) -> Any:
     parameterized query without ``params={...}``.
     """
     if isinstance(value, Param):
-        bindings = current_bindings()
+        bindings = _bindings()
         if bindings is None or value.name not in bindings:
             raise QueryError(
                 f"unbound query parameter ${value.name}"
@@ -111,7 +93,7 @@ def try_resolve(value: Any) -> tuple[Any, bool]:
     plan-time analyses use this to keep working without bindings.
     """
     if isinstance(value, Param):
-        bindings = current_bindings()
+        bindings = _bindings()
         if bindings is None or value.name not in bindings:
             return None, False
         return bindings[value.name], True

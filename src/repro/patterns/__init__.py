@@ -69,12 +69,7 @@ from .tree_match import (
     iter_tree_matches,
     tree_in_language,
 )
-from .tree_memo import (
-    MatchContextRegistry,
-    TreeMatchContext,
-    current_registry,
-    match_scope,
-)
+from .tree_memo import MatchContextRegistry, TreeMatchContext
 from .tree_parser import parse_tree_pattern, tree_pattern
 
 __all__ = [
@@ -115,7 +110,6 @@ __all__ = [
     "atom",
     "compile_dfa",
     "compile_nfa",
-    "current_registry",
     "deriv_accepts",
     "deriv_find_spans",
     "derivative",
@@ -131,7 +125,6 @@ __all__ = [
     "find_tree_matches",
     "iter_tree_matches",
     "list_pattern",
-    "match_scope",
     "matches_whole",
     "nfa_find_spans",
     "parse_list_pattern",

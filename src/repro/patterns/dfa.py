@@ -18,7 +18,8 @@ entry most-recently-used, a miss at capacity drops exactly the least
 recently used one) so long-running shells matching over high-cardinality
 alphabets cannot grow it without limit, and the matcher keeps warmth
 counters — hits, misses, evictions, predicate evaluations — that it
-flushes to any activated :mod:`~repro.storage.stats` sink, which is how
+flushes through :func:`repro.context.emit_many` to whatever receives
+them on the thread, which is how
 ``EXPLAIN ANALYZE`` charts DFA cache warmth per operator.  The default
 bound honours the ``AQUA_DFA_CACHE_LIMIT`` environment knob.
 """
@@ -30,8 +31,8 @@ from types import FunctionType
 from typing import Any, Callable, Sequence
 
 from .. import config, guardrails
+from .. import context as query_context
 from ..predicates.alphabet import AlphabetPredicate
-from ..storage import stats as stats_mod
 from .list_ast import ListPattern, ListPatternNode
 from .nfa import NFA, compile_nfa
 
@@ -170,7 +171,7 @@ class LazyDFA:
         }
 
     def emit_stats(self) -> None:
-        """Flush counter *deltas* since the last flush to activated sinks.
+        """Flush counter *deltas* since the last flush to the receivers.
 
         Deltas keep a long-lived matcher (a resident shell reusing one
         compiled DFA) from re-reporting old work on every query.
@@ -182,7 +183,7 @@ class LazyDFA:
             for name, value in snapshot.items()
         }
         self._emitted = snapshot
-        stats_mod.emit_many(deltas)
+        query_context.emit_many(deltas)
 
     def outcome_vector(self, value: Any) -> tuple[bool, ...]:
         self.predicate_evals += len(self._atoms)
@@ -221,7 +222,8 @@ class LazyDFA:
         return result
 
     def accepts(self, values: Sequence[Any]) -> bool:
-        with guardrails.guarded() as guard:
+        with query_context.entered(default=guardrails.env_guard):
+            guard = guardrails.current_guard()
             states = self._start
             try:
                 for value in values:
@@ -235,7 +237,8 @@ class LazyDFA:
                 self.emit_stats()
 
     def ends_from(self, values: Sequence[Any], start: int) -> list[int]:
-        with guardrails.guarded() as guard:
+        with query_context.entered(default=guardrails.env_guard):
+            guard = guardrails.current_guard()
             ends: list[int] = []
             states = self._start
             position = start
@@ -264,7 +267,7 @@ def dfa_find_spans(
     starts: Sequence[int] | None = None,
 ) -> list[tuple[int, int]]:
     """All ``(start, end)`` spans via the lazy DFA (anchor-aware)."""
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         return _dfa_find_spans(pattern, values, starts)
 
 

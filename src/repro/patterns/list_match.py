@@ -23,10 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .. import context as query_context
 from .. import guardrails
 from ..errors import PatternError
 from ..faults import fault_point
-from ..storage import stats as stats_mod
 from .list_ast import (
     Atom,
     Concat,
@@ -96,8 +96,8 @@ class _Matcher:
         self.guard = guardrails.current_guard()
 
     def emit_stats(self) -> None:
-        if stats_mod.receiving():
-            stats_mod.emit_many(
+        if query_context.receiving():
+            query_context.emit_many(
                 {
                     "backtrack_steps": self.backtrack_steps,
                     "predicate_evals": self.predicate_evals
@@ -214,7 +214,7 @@ def find_list_matches(
     Results are deduplicated (two derivations with the same span and the
     same kept/pruned structure count once) and ordered by (start, end).
     """
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         return _find_list_matches(pattern, values, limit, starts)
 
 
@@ -252,7 +252,7 @@ def iter_list_matches(
     start's batch is handed over and once when the stream ends, so they
     land in the operator scope attributed at pull time.
     """
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         matcher = _Matcher(values)
         n = len(values)
         if starts is None:
@@ -371,7 +371,7 @@ def find_spans(
     Polynomial (memoized), unlike :func:`find_list_matches` which must
     enumerate derivations to carry prune structure.
     """
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         fault_point("matcher_step")
         matcher = _SpanMatcher(values)
         n = len(values)
@@ -393,7 +393,7 @@ def find_spans(
                         continue
                     spans.append((start, end))
         finally:
-            stats_mod.emit_many({"predicate_evals": matcher.predicate_evals})
+            query_context.emit_many({"predicate_evals": matcher.predicate_evals})
         return sorted(set(spans))
 
 
@@ -403,10 +403,10 @@ def matches_whole(pattern: ListPattern, values: Sequence[Any]) -> bool:
     Anchoring is forced on both ends regardless of the pattern's own
     anchors — this is language membership, the ``I ∈ L(P')`` of §3.4.
     """
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         fault_point("matcher_step")
         matcher = _SpanMatcher(values)
         try:
             return len(values) in matcher.ends(pattern.body, 0)
         finally:
-            stats_mod.emit_many({"predicate_evals": matcher.predicate_evals})
+            query_context.emit_many({"predicate_evals": matcher.predicate_evals})

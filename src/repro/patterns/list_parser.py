@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..context import emit
 from ..errors import NotationError, PatternError
 from ..predicates.alphabet import AlphabetPredicate, SymbolEquals
-from ..storage import stats as stats_mod
 from ..predicates.parser import parse_predicate
 from .dfa import COMPILED
 from .list_ast import (
@@ -57,7 +57,7 @@ def parse_list_pattern(text: str, resolver: SymbolResolver | None = None) -> Lis
     """Parse list-pattern text into a :class:`ListPattern`."""
     # Counts pattern compilations for EXPLAIN ANALYZE and the plan
     # cache's warm-path check (see tree_parser.parse_tree_pattern).
-    stats_mod.emit("pattern_compilations")
+    emit("pattern_compilations")
     resolver = resolver or default_resolver
     stream = PatternTokenStream(tokenize_pattern(text), text)
 

@@ -46,7 +46,8 @@ in front of it — never from a knob:
   tabled=False)``) it tables nothing: the plain backtracker, kept as the
   reference semantics the tabled paths are property-tested against.
   Only a caller that builds such a context (or arms a registry of them
-  with ``match_scope``) runs it — only ``tests/reference.py`` does.
+  with :func:`repro.context.entered`) runs it — only
+  ``tests/reference.py`` does.
 
 All three produce bit-identical ``Shape`` streams in the same order.
 """
@@ -58,13 +59,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Sequence
 
+from .. import context as query_context
 from .. import guardrails, params
 from ..core.aqua_tree import AquaTree, TreeNode, TreePostings
 from ..core.concat import ConcatPoint
 from ..core.identity import Cell, deref
 from ..errors import PatternError, ResourceExhaustedError
 from ..faults import active_plan, fault_point
-from ..storage import stats as stats_mod
 from .list_ast import atom_text
 from .tree_ast import (
     ChildAlt,
@@ -89,7 +90,6 @@ from .tree_memo import (
     TreeMatchContext,
     _Env,
     _StarCont,
-    current_registry,
 )
 
 #: Distinguishes "cached False" from "not cached" in the nullable table.
@@ -305,8 +305,8 @@ class _TreeMatcher:
         return {name: getattr(self, name) for name in _COUNTERS}
 
     def emit_stats(self) -> None:
-        if stats_mod.receiving():
-            stats_mod.emit_many(self.counter_snapshot())
+        if query_context.receiving():
+            query_context.emit_many(self.counter_snapshot())
 
     def flush_stats(self) -> None:
         """Emit the accumulated counters and reset them to zero.
@@ -780,7 +780,8 @@ def _matcher_for(
     interning.
     """
     if context is None:
-        registry = current_registry()
+        run = query_context.current()
+        registry = run.registry if run is not None else None
         if registry is not None:
             context = registry.context_for(pattern, data)
         else:
@@ -1005,7 +1006,7 @@ def _candidate_roots(
             )
             key = None if counted else _posting_key(pattern)
             if key is not None:
-                postings = data.postings(key[0], lambda: stats_mod.emit("index_builds"))
+                postings = data.postings(key[0], lambda: query_context.emit("index_builds"))
                 if postings.exact:
                     bucket = postings.buckets.get(key[1], ((), ()))
                     return _posting_scan(bucket, postings, first_set, matcher, on_candidate)
@@ -1116,7 +1117,7 @@ def iter_tree_matches(
         raise PatternError("a prune marker cannot be the whole pattern")
     if data.root is None:
         return
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         pattern, matcher = _matcher_for(pattern, data, context)
         signature = _child_signature(matcher)
         seen: set[tuple] = set()
@@ -1162,7 +1163,7 @@ def tree_in_language(
     must start at the root and leave nothing pruned (no implicit
     descendants, no ``!`` leftovers), i.e. the paper's ``I ∈ L(P')``.
     """
-    with guardrails.guarded():
+    with query_context.entered(default=guardrails.env_guard):
         fault_point("matcher_step")
         if data.root is None:
             untabled = TreeMatchContext(pattern, data, tabled=False)

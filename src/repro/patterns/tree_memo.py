@@ -20,12 +20,11 @@ what it consults is this collaborator:
   *null-table* context: same call sites, no tables — the matcher then
   runs as the plain backtracker, the reference semantics the tabled
   paths are property-tested against.
-* :class:`MatchContextRegistry` + :func:`match_scope` — per-query,
-  thread-local sharing: ``PreparedQuery.run`` arms a registry around
-  each evaluation so *every* operator matching the same pattern against
-  the same tree reuses one context (the "batched candidate evaluation"
-  of the physical layer), and its outcome planes are private to the
-  query.
+* :class:`MatchContextRegistry` — per-query sharing: ``PreparedQuery``
+  arms one in the run's :class:`~repro.context.QueryContext`, so
+  *every* operator matching the same pattern against the same tree
+  reuses one context (the "batched candidate evaluation" of the
+  physical layer), and its outcome planes are private to the query.
 
 Which derivations consult the tables is the matcher's decision, made
 from the compiled pattern (see ``tree_match``): everything under a
@@ -48,9 +47,7 @@ unbounded memory behind cheap lookups.
 
 from __future__ import annotations
 
-import threading
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from ..core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from .tree_ast import (
@@ -348,13 +345,15 @@ class TreeMatchContext:
 class MatchContextRegistry:
     """Per-query context sharing: one memo table per (pattern, tree) pair.
 
-    ``PreparedQuery.run`` arms one of these (via :func:`match_scope`)
-    around a whole evaluation, so the split/sub_select probing operators
+    ``PreparedQuery.run`` arms one of these in its
+    :class:`~repro.context.QueryContext` around a whole evaluation (the
+    outermost run's wins), so the split/sub_select probing operators
     the physical layer fuses over a candidate stream — and any other
     operator matching the same pattern against the same tree — all hit
-    one context instead of rebuilding tables per ``next()`` pull.
-    ``tabled=False`` hands out null-table contexts instead: the whole
-    evaluation then runs on the plain backtracker (the test oracle).
+    one context instead of rebuilding tables per ``next()`` pull; two
+    identical runs report identical work.  ``tabled=False`` hands out
+    null-table contexts instead: the whole evaluation then runs on the
+    plain backtracker (the test oracle).
     """
 
     def __init__(self, tabled: bool = True) -> None:
@@ -377,41 +376,3 @@ class MatchContextRegistry:
     def memo_cells(self) -> int:
         return sum(context.memo_cells for context in self._contexts.values())
 
-
-_active = threading.local()
-
-
-def current_registry() -> MatchContextRegistry | None:
-    """The registry armed on this thread, or ``None`` (standalone mode)."""
-    return getattr(_active, "registry", None)
-
-
-@contextmanager
-def match_scope(
-    registry: MatchContextRegistry | None = None,
-) -> Iterator[MatchContextRegistry]:
-    """Arm a per-query :class:`MatchContextRegistry` for this thread.
-
-    The outermost scope wins (mirroring ``guardrails.guarded``):
-    ``PreparedQuery.run`` opens one per evaluation, and nested matcher
-    entry points reuse it.  Arms ``registry`` when given, else a fresh
-    tabled one.  Every context, and so every predicate-
-    outcome plane, belongs to the scope's registry: two identical runs
-    report identical work, and a query on one pool thread can neither
-    clobber nor inherit the outcome state of a query running (or
-    previously run) on another.  The previous registry is restored on
-    exit even when the query raises (the ``ResourceExhaustedError``
-    unwind path included), so nothing bleeds into later queries
-    scheduled on the same pool thread.
-    """
-    active = getattr(_active, "registry", None)
-    if active is not None:
-        yield active
-        return
-    if registry is None:
-        registry = MatchContextRegistry()
-    _active.registry = registry
-    try:
-        yield registry
-    finally:
-        _active.registry = None

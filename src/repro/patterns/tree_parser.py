@@ -33,9 +33,9 @@ from __future__ import annotations
 
 from typing import Callable
 
+from ..context import emit
 from ..core.concat import ConcatPoint
 from ..errors import NotationError, PatternError
-from ..storage import stats as stats_mod
 from ..predicates.alphabet import ANY, AlphabetPredicate, SymbolEquals
 from ..predicates.parser import parse_predicate
 from .dfa import COMPILED
@@ -67,10 +67,10 @@ def default_resolver(symbol: str) -> AlphabetPredicate:
 
 def parse_tree_pattern(text: str, resolver: SymbolResolver | None = None) -> TreePattern:
     """Parse tree-pattern text into a :class:`TreePattern`."""
-    # Credited to any activated sink so EXPLAIN ANALYZE (and the plan
+    # Credited to any listening receiver so EXPLAIN ANALYZE (and the plan
     # cache's acceptance check) can count compilations on the cold path
     # and prove the warm path skips them.
-    stats_mod.emit("pattern_compilations")
+    emit("pattern_compilations")
     resolver = resolver or default_resolver
     stream = PatternTokenStream(tokenize_pattern(text), text)
     root_anchor = stream.match("top") is not None

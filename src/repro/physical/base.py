@@ -28,8 +28,9 @@ evaluator the pipeline is property-tested against:
   reaches the operator, and at stream end — and the work between two
   hand-overs runs inside one ``next()``, so mid-stream attribution
   credits the pulling operator); they are the run's own plain ints
-  (:class:`~repro.storage.stats.RunCounters`), folded into the
-  database's sink once, when the plan closes;
+  (:class:`~repro.storage.stats.RunCounters`), which the engines reach
+  through :func:`repro.context.emit` and which fold into the database's
+  sink once, when the plan closes;
 * the active :class:`~repro.guardrails.Guard` is ticked on every
   ``next()`` pull and storage scans charge it row by row, so budgets
   trip *mid-stream* — before an operator-at-a-time evaluation would even
@@ -47,10 +48,11 @@ buffers; operators that construct a materialized value record it via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Iterator
 
+from .. import context
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import AquaTree
@@ -64,7 +66,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..query import expr as E
     from ..query.metrics import OperatorMetrics, PlanMetrics
     from ..storage.database import Database
-    from ..storage.stats import Instrumentation
 
 #: Sentinel distinguishing "stream exhausted" from a legitimate row.
 _EXHAUSTED = object()
@@ -74,25 +75,24 @@ _EXHAUSTED = object()
 class ExecutionContext:
     """Everything one plan execution shares across its operators.
 
-    Armed once by the driver (:meth:`repro.query.prepare.PreparedQuery.run`)
-    and handed to every operator at ``open()``, so ``guarded()`` is
-    entered once per query, not per node.  ``counters`` are the run's
-    own plain ints: operators bump them directly, the engines reach them
-    through :func:`~repro.storage.stats.emit` while
-    :meth:`PhysicalPlan.execute` has them activated, and they fold into
-    ``stats`` once, when the plan closes.
+    Built once by the driver (:meth:`repro.query.prepare.PreparedQuery.run`)
+    and handed to every operator at ``open()``, so the guard is read
+    once per query, not per node.  ``counters`` are the run's own plain
+    ints (by default counting into ``db.stats``): operators bump them
+    directly, the engines reach them through :func:`repro.context.emit`
+    (:meth:`PhysicalPlan.execute` lists them as a receiver of the run's
+    :class:`~repro.context.QueryContext`), and they fold into their sink
+    once, when the plan closes.
     """
 
     db: "Database"
     guard: "Guard | None" = None
     metrics: "PlanMetrics | None" = None
-    stats: "Instrumentation | None" = None
-    counters: RunCounters = field(init=False)
+    counters: RunCounters | None = None
 
     def __post_init__(self) -> None:
-        if self.stats is None:
-            self.stats = self.db.stats
-        self.counters = RunCounters(self.stats)
+        if self.counters is None:
+            self.counters = RunCounters(self.db.stats)
 
 
 class PhysicalOp:
@@ -343,7 +343,7 @@ class PhysicalPlan:
         """
         counters = ctx.counters
         try:
-            with counters.activated():
+            with context.entered(receiver=counters):
                 return self._drive(ctx)
         finally:
             # The one fold per run — after the last row, on a budget

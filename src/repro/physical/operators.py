@@ -52,7 +52,6 @@ from ..patterns.list_match import iter_list_matches
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_match import describe_filters, iter_tree_matches
 from ..patterns.tree_parser import tree_pattern
-from ..predicates.alphabet import Comparison, SymbolEquals
 from ..storage.columnar import columnar_list_for
 from .base import PhysicalOp, dedup
 
@@ -141,20 +140,17 @@ def _charged_scan(ctx, counter: str, seam: str, total: int, scan) -> Iterator[An
             counters.bump(counter, charged - bumped)
 
 
-def _counted_filter(counters, rows, tests, charged: int = 0) -> Iterator[Any]:
+def _counted_filter(counters, rows, tests) -> Iterator[Any]:
     """The rows passing every test in ``tests`` (in order, stopping at
     the first that fails), ``predicate_evals`` counted in a local int.
 
-    Each test made counts one evaluation, and every row is charged
-    ``charged`` more (an exact index probe's answered conjunct).  The
-    count is flushed as a row is handed over and when the stream ends,
-    so the pulling operator is credited exactly as if each test had been
-    counted on its own.
+    Each test made counts one evaluation.  The count is flushed as a row
+    is handed over and when the stream ends, so the pulling operator is
+    credited exactly as if each test had been counted on its own.
     """
     evals = 0
     try:
         for row in rows:
-            evals += charged
             for test in tests:
                 evals += 1
                 if not test(row):
@@ -501,13 +497,11 @@ class IndexedSelectFilter(PhysicalOp):
 
     When the logical input is the extent itself, the extent is never
     scanned as a child operator — the candidates come straight from the
-    attribute index (or one full scan when no index serves).  An exact
-    probe — a hash or ordered index answering the indexed comparison
-    itself — answers its conjunct (§4's decomposition), so only the
-    residual tests each candidate; the answered conjunct is still charged
-    one ``predicate_evals`` per candidate, so the counts read as if it had
-    been tested.  After a full-scan fallback, or over a child stream,
-    both conjuncts test each row.
+    attribute index (or one full scan when no index serves).  Every
+    candidate is tested on the indexed conjunct, then the residual: an
+    index is not told when a stored object's attribute is assigned in
+    place, so its bucket may hold a row that no longer satisfies the
+    probe.
 
     Candidates stay deduplicated: an object inserted into the extent
     twice is posted twice, so an index bucket is not a set.
@@ -526,21 +520,19 @@ class IndexedSelectFilter(PhysicalOp):
 
     def rows(self) -> Iterator[Any]:
         ctx = self.ctx
-        answered = False
         if not self.children:
-            candidates, used = ctx.db.candidates(self.extent, self.indexed, ctx.counters)
+            candidates, _ = ctx.db.candidates(self.extent, self.indexed, ctx.counters)
             self.note_buffered(len(candidates))
             equality = DEFAULT
             rows: Iterator[Any] = dedup(iter(candidates), DEFAULT)
-            answered = used and isinstance(self.indexed, (Comparison, SymbolEquals))
         else:
             rows, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        conjuncts = () if answered else (self.indexed,)
+        conjuncts = (self.indexed,)
         if self.residual is not None:
             conjuncts += (self.residual,)
         tests = tuple(conjunct.compile() or conjunct for conjunct in conjuncts)
-        yield from _counted_filter(ctx.counters, rows, tests, charged=int(answered))
+        yield from _counted_filter(ctx.counters, rows, tests)
 
     def access_path(self) -> str:
         described = f"extent index on {self.indexed.describe()}"

@@ -214,7 +214,7 @@ def render_planning(planning) -> str:
     """The one-line planning footer for EXPLAIN ANALYZE.
 
     ``planning`` is the :class:`~repro.storage.stats.Instrumentation`
-    sink that was activated around ``prepare()`` — a warm plan cache
+    sink credited around ``prepare()`` — a warm plan cache
     renders ``plan_cache_hits=1`` with every other counter at zero.
     """
     parts = " ".join(f"{name}={planning[name]}" for name in PLANNING_COUNTERS)

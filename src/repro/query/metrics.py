@@ -10,7 +10,7 @@ Each physical operator gets its record from :meth:`PlanMetrics.register`
 at ``open()`` and feeds it per pull (``PhysicalOp.next()``):
 
 * the run's counter events (index probes, predicate evaluations, engine
-  counters flushed via :func:`~repro.storage.stats.emit_many`) are added
+  counters flushed via :func:`repro.context.emit_many`) are added
   to the :attr:`OperatorMetrics.counters` of the operator whose
   generator is running — plain ints, through the run's
   :class:`~repro.storage.stats.RunCounters` — exclusively, i.e. a parent

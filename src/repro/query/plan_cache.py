@@ -29,11 +29,11 @@ entry can still be returned.
 
 Counters (``hits`` / ``misses`` / ``invalidations`` / ``replans`` /
 ``evictions``) are kept on the cache object and additionally emitted
-through :func:`repro.storage.stats.emit`, which credits **only sinks the
-caller activated** — never ``db.stats`` implicitly — so parity tests
-comparing full instrumentation snapshots stay unaffected while
-``EXPLAIN ANALYZE`` can activate a private sink and render the planning
-footer.
+through :func:`repro.context.emit`, which credits **only sinks the
+caller passed to** ``repro.context.entered`` — never ``db.stats``
+implicitly — so parity tests comparing full instrumentation snapshots
+stay unaffected while ``EXPLAIN ANALYZE`` can credit a private sink and
+render the planning footer.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Hashable, Iterable
 
+from ..context import emit
 from ..params import Param
 from ..patterns.list_ast import ListPattern
 from ..patterns.tree_ast import TreePattern
 from ..predicates.alphabet import AlphabetPredicate
-from ..storage import stats as stats_mod
 from . import expr as E
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -294,15 +294,15 @@ class PlanCache:
             if prepared is not None and not _is_current(prepared, db):
                 self._drop_entry(key)
                 self.invalidations += 1
-                stats_mod.emit("plan_cache_invalidations")
+                emit("plan_cache_invalidations")
                 prepared = None
             if prepared is None:
                 self.misses += 1
-                stats_mod.emit("plan_cache_misses")
+                emit("plan_cache_misses")
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            stats_mod.emit("plan_cache_hits")
+            emit("plan_cache_hits")
             return prepared
 
     def store(self, db: "Database", fingerprint: Hashable, prepared: "PreparedQuery") -> None:
@@ -314,7 +314,7 @@ class PlanCache:
                 evicted, _ = next(iter(self._entries.items()))
                 self._drop_entry(evicted)
                 self.evictions += 1
-                stats_mod.emit("plan_cache_evictions")
+                emit("plan_cache_evictions")
 
     def lookup_alias(self, db: "Database", text: str, optimize: bool) -> Hashable | None:
         with self._lock:
@@ -343,7 +343,7 @@ class PlanCache:
         """Record a binding-forced re-plan (see ``PreparedQuery.run``)."""
         with self._lock:
             self.replans += 1
-        stats_mod.emit("plan_cache_replans")
+        emit("plan_cache_replans")
 
     # -- introspection ---------------------------------------------------------
 

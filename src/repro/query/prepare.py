@@ -21,7 +21,7 @@ unbound param servable).  The lowering factory records which slots back
 such anchors (``PipelineFactory.anchor_params``), and a binding that
 cannot be an index key (an unhashable value) triggers a **re-plan for
 that run only** — counted as ``plan_cache_replans`` — planned under the
-armed bindings so the binding-aware analysis picks the safe full-scan
+run's bindings so the binding-aware analysis picks the safe full-scan
 shape instead.
 
 Execution semantics are identical to
@@ -34,11 +34,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Hashable, Mapping
 
-from .. import config, guardrails
+from .. import config, context, guardrails
 from ..errors import QueryError
 from ..guardrails import Budget
-from ..params import bound_params, current_bindings, is_bindable
-from ..patterns.tree_memo import match_scope
+from ..params import is_bindable
+from ..patterns.tree_memo import MatchContextRegistry
 from ..storage.database import Database
 from . import expr as E
 from .metrics import PlanMetrics
@@ -77,7 +77,7 @@ def _plan(
     ``optimize`` controls both the algebraic rewrite pass and the
     lowering's access-path choice: an optimized prepare commits to index
     anchors / conjunct decompositions in the factory, an unoptimized one
-    (the degradation ladder's last rung) mirrors the logical tree.
+    (the serving layer's last degraded retry) mirrors the logical tree.
     """
     from ..optimizer.engine import Optimizer
     from ..physical.lower import lower_factory
@@ -131,26 +131,24 @@ class PreparedQuery:
 
     # -- the re-plan guard -----------------------------------------------------
 
-    def _needs_replan(self) -> bool:
-        """Does some armed binding break a recorded anchor assumption?"""
+    def _factory_for_bindings(
+        self, view: Database, params: Mapping[str, Any] | None
+    ) -> "PipelineFactory":
+        """The cached factory, unless a binding of this run breaks a
+        recorded anchor assumption (an unhashable index-probe key)."""
         if not self.anchor_params:
-            return False
-        bindings = current_bindings() or {}
-        return any(
-            name in bindings and not is_bindable(bindings[name])
-            for name in self.anchor_params
-        )
-
-    def _factory_for_bindings(self, view: Database) -> "PipelineFactory":
-        if not self._needs_replan():
             return self.factory
-        # Re-plan under the armed bindings: the binding-aware anchor
-        # analysis now sees the unhashable constant and keeps the scan
-        # shape.  The result serves this run only — the cached entry
-        # stays correct for bindings that honour the assumption.
-        if self.cache is not None:
-            self.cache.note_replan()
-        return _plan(self.expr, view, self.optimize)[1]
+        with context.entered(bindings=params) as bound:
+            bindings = bound.bindings or {}
+            if all(is_bindable(bindings[n]) for n in self.anchor_params if n in bindings):
+                return self.factory
+            # Re-plan under the run's bindings: the binding-aware anchor
+            # analysis now sees the unhashable constant and keeps the
+            # scan shape.  The result serves this run only — the cached
+            # entry stays correct for bindings that honour the assumption.
+            if self.cache is not None:
+                self.cache.note_replan()
+            return _plan(self.expr, view, self.optimize)[1]
 
     # -- execution -------------------------------------------------------------
 
@@ -203,13 +201,18 @@ class PreparedQuery:
         from ..physical import ExecutionContext
 
         view = db if db is not None else self.db
-        with bound_params(params):
-            factory = self._factory_for_bindings(view)
-            with guardrails.guarded(budget) as guard, match_scope():
-                ctx = ExecutionContext(
-                    db=view, guard=guard, metrics=metrics, stats=view.stats
-                )
-                return factory.instantiate().execute(ctx)
+        factory = self._factory_for_bindings(view, params)
+        # One context for the run (joining an outer run's guard and
+        # registry), undone in one ``finally``, a budget trip included;
+        # the plan adds its counters as the run's receiver.
+        with context.entered(
+            budget.arm if budget is not None else None,
+            default=guardrails.env_guard,
+            registry=MatchContextRegistry,
+            bindings=params,
+        ) as run:
+            ctx = ExecutionContext(db=view, guard=run.guard, metrics=metrics)
+            return factory.instantiate().execute(ctx)
 
     def describe(self) -> str:
         return self.plan.describe()
@@ -248,7 +251,7 @@ def prepare(
     prepared against the same database at the current epoch; planned
     from scratch (and stored) otherwise.  Pass ``cache=None`` to bypass
     caching entirely.  Cache traffic is observable via the cache's own
-    counters and, for callers that activated a stats sink, the
+    counters and, for callers that credit a stats sink, the
     ``plan_cache_*`` emissions.
     """
     text: str | None = None

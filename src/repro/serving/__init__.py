@@ -11,14 +11,13 @@ Modules:
 
 * :mod:`~repro.serving.taxonomy` — transient vs permanent failures;
 * :mod:`~repro.serving.retry` — :class:`RetryPolicy` (capped
-  exponential backoff, seeded deterministic jitter, deadline carving)
-  and the :func:`run_with_policy` loop;
+  exponential backoff, seeded deterministic jitter, deadline carving,
+  graceful degradation: retry 1 bypasses the plan cache, later retries
+  also plan unoptimized) and the :func:`run_with_policy` loop;
 * :mod:`~repro.serving.breaker` — per-seam :class:`CircuitBreaker` /
   :class:`BreakerBoard` (closed → open → half-open);
 * :mod:`~repro.serving.admission` — :class:`AdmissionController`
   (bounded queue depth / in-flight caps, structured shedding);
-* :mod:`~repro.serving.degrade` — the graceful-degradation ladder
-  (plan-cache bypass → unoptimized plan);
 * :mod:`~repro.serving.pool_stats` — :class:`PoolStats` observability.
 
 See README "Fault-tolerant serving" for the user-facing story and
@@ -27,7 +26,6 @@ See README "Fault-tolerant serving" for the user-facing story and
 
 from .admission import AdmissionController
 from .breaker import BreakerBoard, CircuitBreaker
-from .degrade import DEFAULT_LADDER, DegradationLadder, DegradationStep
 from .pool_stats import PoolStats
 from .retry import RetryPolicy, run_with_policy
 from .taxonomy import classify, failure_seam, is_transient, register_transient
@@ -36,9 +34,6 @@ __all__ = [
     "AdmissionController",
     "BreakerBoard",
     "CircuitBreaker",
-    "DEFAULT_LADDER",
-    "DegradationLadder",
-    "DegradationStep",
     "PoolStats",
     "RetryPolicy",
     "run_with_policy",

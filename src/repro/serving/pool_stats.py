@@ -4,7 +4,7 @@ One bag per :class:`~repro.api.SessionPool`, answering the operational
 questions the chaos benchmark (and CI) gate on: how many requests were
 admitted vs shed, how many attempts the retry policy spent per request
 (*retry amplification*), how much wall time went to backoff, which
-breakers moved, how far the degradation ladder was walked, and what the
+breakers moved, how many retries ran degraded, and what the
 request latency distribution looks like.
 
 Counters ride on :class:`~repro.storage.stats.Instrumentation` — the
@@ -84,9 +84,9 @@ class PoolStats:
     def note_attempt(self) -> None:
         self.counters.bump("attempts")
 
-    def note_degraded(self, step_name: str) -> None:
+    def note_degraded(self, rung: str) -> None:
         self.counters.bump("degraded_attempts")
-        self.counters.bump(f"degraded_{step_name.replace('-', '_')}")
+        self.counters.bump(f"degraded_{rung.replace('-', '_')}")
 
     def note_repin(self) -> None:
         self.counters.bump("repins")

@@ -20,13 +20,19 @@ pinned snapshot is bit-identical — the only costs are time and load.
 * **optional snapshot re-pin** (``repin=True``) — each retry re-pins a
   fresh snapshot, so snapshot-pin races and faults tied to one version
   cut are dodged rather than replayed.
+* **graceful degradation** (``degrade=True``) — retry 1 re-plans around
+  the shared plan cache (a poisoned or stale entry no longer matters),
+  and every later retry also plans the logical tree as written (no
+  index access path, the fewest storage seams).  Neither changes an
+  answer (optimized ≡ unoptimized is property-tested), and a degraded
+  plan is never cached.
 
 :func:`run_with_policy` is the engine-agnostic retry loop the
 :class:`~repro.api.SessionPool` drives: it owns classification
 (:mod:`~repro.serving.taxonomy`), breaker bookkeeping
-(:mod:`~repro.serving.breaker`), the degradation ladder
-(:mod:`~repro.serving.degrade`) and stats, while the caller supplies a
-``runner(step, attempt_budget)`` callable that performs one attempt.
+(:mod:`~repro.serving.breaker`), degradation and stats, while the caller
+supplies a ``runner(rung, attempt_budget)`` callable that performs one
+attempt.
 """
 
 from __future__ import annotations
@@ -40,12 +46,15 @@ from typing import Any, Callable
 from ..errors import CircuitOpenError
 from ..guardrails import Budget
 from .breaker import BreakerBoard
-from .degrade import DEFAULT_LADDER, DegradationLadder, DegradationStep
 from .pool_stats import PoolStats
 from .taxonomy import failure_seam, is_transient
 
 #: Patchable sleep, so tests can drive the loop without real waiting.
 _sleep = time.sleep
+
+#: The degraded retries, by name (``PoolStats`` counts ``degraded_<name>``).
+BYPASS_PLAN_CACHE = "bypass-plan-cache"
+UNOPTIMIZED_PLAN = "unoptimized-plan"
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,8 @@ class RetryPolicy:
     * ``repin`` — re-pin a fresh snapshot before each retry (only when
       the pool pinned the snapshot itself; an explicitly shared pin is
       never silently replaced);
-    * ``degrade`` — walk the degradation ladder on retries.
+    * ``degrade`` — degrade retries' planning (:data:`BYPASS_PLAN_CACHE`,
+      then :data:`UNOPTIMIZED_PLAN`).
     """
 
     max_attempts: int = 3
@@ -116,21 +126,21 @@ class RetryPolicy:
 
 
 def run_with_policy(
-    runner: Callable[[DegradationStep | None, Budget | None], Any],
+    runner: Callable[[str | None, Budget | None], Any],
     *,
     policy: RetryPolicy,
     key: str = "",
     budget: Budget | None = None,
     breakers: BreakerBoard | None = None,
-    ladder: DegradationLadder | None = DEFAULT_LADDER,
     stats: PoolStats | None = None,
     repin: Callable[[], None] | None = None,
     clock: Callable[[], float] = time.perf_counter,
 ) -> Any:
     """Run ``runner`` under ``policy``; the serving layer's retry loop.
 
-    ``runner(step, attempt_budget)`` performs one attempt: ``step`` is
-    the degradation rung to apply (``None`` on the first attempt), and
+    ``runner(rung, attempt_budget)`` performs one attempt: ``rung`` is
+    the degraded planning to apply (``None`` on the first attempt, or
+    with ``policy.degrade`` off), and
     ``attempt_budget`` is the caller's budget with the deadline carved
     down to what remains.  Failures are classified; permanent ones
     raise immediately, transient ones consult the seam's breaker, back
@@ -151,16 +161,16 @@ def run_with_policy(
         attempt += 1
         if stats is not None:
             stats.note_attempt()
-        step: DegradationStep | None = None
-        if policy.degrade and ladder is not None and attempt > 1:
-            step = ladder.step_for(attempt - 2)
-            if step is not None and stats is not None:
-                stats.note_degraded(step.name)
+        rung: str | None = None
+        if policy.degrade and attempt > 1:
+            rung = BYPASS_PLAN_CACHE if attempt == 2 else UNOPTIMIZED_PLAN
+            if stats is not None:
+                stats.note_degraded(rung)
         attempt_budget = (
             budget.carve(clock() - started) if budget is not None else None
         )
         try:
-            result = runner(step, attempt_budget)
+            result = runner(rung, attempt_budget)
         except Exception as exc:
             if not is_transient(exc):
                 if stats is not None:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Sequence
 
+from ..context import emit
 from ..core.aqua_list import AquaList
 from ..errors import QueryError
 from ..params import Param
@@ -45,7 +46,6 @@ from ..predicates.alphabet import (
     _OPERATORS,
     _read_attribute,
 )
-from . import stats as stats_mod
 from .database import STRUCTURE_LOCK
 
 #: Minimum element count before a list's predicate columns are built:
@@ -143,8 +143,8 @@ class ColumnarList:
                 self._pred_columns[predicate] = column
                 self.column_builds += 1
                 self.column_rows += self.size
-                stats_mod.emit("column_builds")
-                stats_mod.emit("column_rows", self.size)
+                emit("column_builds")
+                emit("column_rows", self.size)
             return column
 
     def positions(self, column) -> list[int]:

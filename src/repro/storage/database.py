@@ -25,7 +25,7 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Iterable, Iterator, Mapping, Sequence
 
-from .. import guardrails, params
+from .. import context, guardrails, params
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import AquaTree
@@ -72,17 +72,17 @@ def extent_candidates(
     (``watermark=None``) and on a pinned snapshot (its watermark, which
     bounds every probe of the shared live indexes and the scan): serves
     the most selective indexable term that has an index, else returns
-    ``rows[:watermark]`` for a scan.  Callers re-apply the predicate,
-    except that a plan's indexed select lets an exact probe answer a
-    lone comparison (see ``IndexedSelectFilter``).  ``stats`` is where
+    ``rows[:watermark]`` for a scan.  Callers re-apply the predicate to
+    every row: an index is not told when a stored object's attribute is
+    assigned in place, so a bucket may hold a stale row.  ``stats`` is where
     the counts go: the view's sink, or the running plan's counters.
     """
     fault_point("storage_lookup")
     guard = guardrails.current_guard()
-    # Activate the sink so the access methods' own ``index_probes``
-    # emissions (see :mod:`repro.storage.index`) are credited here —
+    # Credit the sink so the access methods' own ``index_probes``
+    # emissions (see :mod:`repro.storage.index`) are counted here —
     # and, during an instrumented run, to the operator that probed.
-    with stats.activated():
+    with context.entered(receiver=stats):
         if not predicate.opaque:
             best: list[Any] | None = None
             for attribute, op, constant in predicate.indexable_terms():

@@ -20,10 +20,10 @@ import bisect
 import threading
 from typing import Any, Hashable, Iterable
 
+from ..context import emit
 from ..core.aqua_tree import VALUE_ATTRIBUTE
 from ..errors import IndexError_
 from ..faults import fault_point
-from . import stats as stats_mod
 
 _MISSING = object()
 
@@ -54,7 +54,7 @@ def grouped(maps: dict, attribute: str, pairs: Iterable[tuple[Any, Any]]) -> dic
             except TypeError:
                 built.setdefault(repr(key), []).append(entry)
         maps[attribute] = built
-        stats_mod.emit("index_builds")
+        emit("index_builds")
     return built
 
 
@@ -104,7 +104,7 @@ class HashIndex:
         row sits below it (O(log bucket + result))."""
         fault_point("index_probe")
         self.probes += 1
-        stats_mod.emit("index_probes")
+        emit("index_probes")
         positions, entries = self._buckets.get(key) or ((), [])
         end = None if watermark is None else bisect.bisect_left(positions, watermark)
         return entries[:end]
@@ -187,7 +187,7 @@ class OrderedIndex:
     def lookup(self, key: Any, watermark: int | None = None) -> list[Any]:
         fault_point("index_probe")
         self.probes += 1
-        stats_mod.emit("index_probes")
+        emit("index_probes")
         with self._lock:
             left = bisect.bisect_left(self._keys, key)
             right = bisect.bisect_right(self._keys, key)
@@ -205,7 +205,7 @@ class OrderedIndex:
         restricted to rows below ``watermark`` when one is given."""
         fault_point("index_probe")
         self.probes += 1
-        stats_mod.emit("index_probes")
+        emit("index_probes")
         with self._lock:
             keys = self._keys
             below = bisect.bisect_left if include_low else bisect.bisect_right

@@ -6,7 +6,7 @@ search space".  1995 wall-clocks are gone, but the narrowing itself is
 directly observable: we count predicate evaluations, nodes scanned and
 index probes, and the benchmark harness reports both counters and time.
 
-Three mechanisms cooperate here:
+Two mechanisms live here:
 
 * :class:`Instrumentation` — a thread-safe bag of named counters, the
   sink a :class:`~repro.storage.database.Database` owns.  ``scope()``
@@ -21,10 +21,10 @@ Three mechanisms cooperate here:
   into its sink once, when the plan closes — after the last row, on a
   budget trip, before the pool hands the result back — under the sink's
   lock: one lock take per run, not one per counted event.
-* :func:`emit` / :func:`emit_many` — module-level hooks for layers that
-  have no database handle (the pattern engines).  They credit whatever
-  is *activated* on the calling thread: a running plan's
-  :class:`RunCounters`, or a sink inside :meth:`Instrumentation.activated`.
+
+Layers with no database handle count through :func:`repro.context.emit`,
+which credits the receivers of the thread's query context: a running
+plan's :class:`RunCounters`, or a sink a caller credits.
 
 Counter vocabulary (see EXPERIMENTS.md for the full glossary):
 ``predicate_evals``, ``nodes_scanned``, ``positions_scanned``,
@@ -39,45 +39,6 @@ import threading
 from collections import Counter
 from contextlib import contextmanager
 from typing import Iterator, Mapping
-
-
-_local = threading.local()
-
-
-def _active_sinks() -> list:
-    """The receivers activated on this thread (sinks and runs)."""
-    sinks = getattr(_local, "sinks", None)
-    if sinks is None:
-        sinks = _local.sinks = []
-    return sinks
-
-
-def emit(name: str, amount: int = 1) -> None:
-    """Credit ``amount`` to every receiver activated on this thread.
-
-    Used by layers with no database handle (pattern engines); a no-op
-    unless a running plan or an :meth:`~Instrumentation.activated` sink
-    is listening on this thread.
-    """
-    for sink in _active_sinks():
-        sink.bump(name, amount)
-
-
-def receiving() -> bool:
-    """Is any receiver activated on this thread?  An engine asks before
-    it builds a counter batch, so an unobserved run builds none."""
-    return bool(getattr(_local, "sinks", None))
-
-
-def emit_many(counts: Mapping[str, int]) -> None:
-    """Credit a batch of counters to every activated receiver.
-
-    Engines accumulate plain-int counters in their hot loops and flush
-    them here when they hand a match (or a batch) to their consumer,
-    keeping per-element overhead at a single integer increment.
-    """
-    for sink in _active_sinks():
-        sink.add_many(counts)
 
 
 class Instrumentation:
@@ -163,24 +124,6 @@ class Instrumentation:
                 self.counters.clear()
                 self.counters.update(saved)
 
-    @contextmanager
-    def activated(self) -> Iterator["Instrumentation"]:
-        """Receive :func:`emit` events from engine layers on this thread.
-
-        A no-op when this sink, or a running plan that folds into it, is
-        already listening — so recursive evaluation costs one list scan
-        and no event is counted twice.
-        """
-        sinks = _active_sinks()
-        if any(receiver.sink is self for receiver in sinks):
-            yield self
-            return
-        sinks.append(self)
-        try:
-            yield self
-        finally:
-            sinks.remove(self)
-
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self.snapshot().items()))
         return f"Instrumentation({inner})"
@@ -190,8 +133,9 @@ class RunCounters:
     """The counters one plan execution owns: plain ints, no lock.
 
     Only the thread running the plan adds to them — the operators
-    directly (:meth:`bump`), the engines through :func:`emit` /
-    :func:`emit_many` while the run is :meth:`activated`.  While
+    directly (:meth:`bump`), the engines through
+    :func:`repro.context.emit` while the run's context lists them as a
+    receiver (in place of their sink, so each event reaches it once).  While
     ``EXPLAIN ANALYZE`` collects, ``PhysicalOp.next()`` points
     :attr:`operator` at the pulling operator's counters for the length of
     the pull, so each event is credited to the innermost operator too
@@ -221,28 +165,6 @@ class RunCounters:
                 own[name] += amount
                 if operator is not None:
                     operator[name] += amount
-
-    @contextmanager
-    def activated(self) -> Iterator["RunCounters"]:
-        """Receive :func:`emit` events on this thread in place of the sink.
-
-        Anything already listening on behalf of the same sink — the sink
-        itself, an enclosing run — steps aside for the block, so each
-        event reaches the sink exactly once, through this run's fold.
-        """
-        sinks = _active_sinks()
-        if self in sinks:
-            yield self
-            return
-        displaced = [receiver for receiver in sinks if receiver.sink is self.sink]
-        for receiver in displaced:
-            sinks.remove(receiver)
-        sinks.append(self)
-        try:
-            yield self
-        finally:
-            sinks.remove(self)
-            sinks.extend(displaced)
 
     def fold(self) -> None:
         """Hand the run's counts to the sink and start again from zero."""

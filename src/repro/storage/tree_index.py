@@ -25,15 +25,13 @@ saying which happened, so benchmarks can report the narrowing).
 from __future__ import annotations
 
 import weakref
-from contextlib import nullcontext
 from typing import Any, Iterable
 
-from .. import guardrails, params
+from .. import context, guardrails, params
 from ..core.aqua_list import AquaList
 from ..core.aqua_tree import VALUE_ATTRIBUTE, AquaTree, TreeLayout, TreeNode, TreePostings
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
-from . import stats as stats_mod
 from .index import grouped
 from .stats import Instrumentation, RunCounters
 
@@ -50,7 +48,7 @@ class TreeIndex:
         self._attributes: dict[str, None] = dict.fromkeys((VALUE_ATTRIBUTE, *attributes))
 
     def _postings(self, attribute: str) -> TreePostings:
-        return self._tree.postings(attribute, lambda: stats_mod.emit("index_builds"))
+        return self._tree.postings(attribute, lambda: context.emit("index_builds"))
 
     def _bucket(self, attribute: str, key: Any) -> tuple:
         return self._postings(attribute).buckets.get(_hashable_key(key), ((), []))
@@ -88,7 +86,7 @@ class TreeIndex:
     def probe_bucket(self, attribute: str, key: Any) -> tuple:
         """:meth:`probe` as the posting bucket ``(positions, nodes)``."""
         fault_point("index_probe")
-        stats_mod.emit("index_probes")
+        context.emit("index_probes")
         return self._bucket(attribute, key)
 
     def count(self, attribute: str, key: Any) -> int:
@@ -144,9 +142,9 @@ class TreeIndex:
         terms = self.servable_terms(predicate)
         if terms:
             # The probe — and any map it is first to read — is counted
-            # where it happens; activating the caller's sink credits it
+            # where it happens; crediting the caller's sink counts it
             # there exactly once, whether or not the query already did.
-            with stats.activated() if stats is not None else nullcontext():
+            with context.entered(receiver=stats):
                 # Pick the most selective servable term.
                 attribute, _, constant = min(
                     terms, key=lambda term: self.count(term[0], term[2])
@@ -198,7 +196,7 @@ class ListIndex:
                 fault_point("index_probe")
                 if stats is not None:
                     stats.bump("index_probes")
-                with stats.activated() if stats is not None else nullcontext():
+                with context.entered(receiver=stats):
                     mapping = self._map(attribute)
                 positions = list(mapping.get(_hashable_key(constant), ()))
                 if guard is not None:

@@ -173,9 +173,10 @@ class TestConjunctDecomposition:
 
 
     def test_an_exact_probe_answers_its_conjunct(self, db, monkeypatch):
-        """§4: the probe on ``city = 'C3'`` answers that conjunct, so only
-        the residual is tested — yet each candidate is still charged the
-        evaluation, so the counts read as before (10 + 10)."""
+        """§4: the probe on ``city = 'C3'`` narrows the extent to its
+        bucket, and each candidate is tested on the indexed conjunct, then
+        on the residual (10 + 10): an index bucket may hold a row whose
+        attribute was assigned after insert."""
         from repro.predicates.alphabet import Comparison
 
         db.create_index("Person", "city")
@@ -195,7 +196,7 @@ class TestConjunctDecomposition:
                 "index_candidates": 10,
                 "predicate_evals": 20,
             }
-        assert tested == ["age"] * 10
+        assert tested == ["city", "age"] * 10
         assert result == Q.extent("Person").sselect(attr("age") > 40).sselect(
             attr("city") == "C3"
         ).run(db)
@@ -216,6 +217,24 @@ class TestConjunctDecomposition:
             }
         assert len(result) == 98
         assert all(row.age != 3 for row in result)
+
+    def test_a_row_assigned_out_of_its_bucket_is_not_returned(self):
+        """An extent index is not told when a stored object's indexed
+        attribute is assigned in place, so the probe's bucket still holds
+        the row; the filter's test of the indexed conjunct drops it."""
+        from repro import Session
+
+        db = Database()
+        rows = [Record(name=f"p{i}", city=f"C{i % 3}") for i in range(9)]
+        db.insert_many(rows, "Person")
+        db.create_index("Person", "city")
+        rows[1].city = "ZZ"
+        query = 'extent Person | sselect {city = "C1"}'
+        assert sorted(row.name for row in Session(db).query(query)) == ["p4", "p7"]
+        assert sorted(row.name for row in db.select("Person", attr("city") == "C1")) == [
+            "p4",
+            "p7",
+        ]
 
     @pytest.mark.parametrize("pinned", [False, True], ids=["database", "snapshot"])
     def test_a_row_inserted_twice_comes_back_once(self, db, pinned):

@@ -13,12 +13,18 @@ import sys
 
 import pytest
 
-from repro import faults, params
+from repro import context as query_context
+from repro import faults
 from repro.core import AquaTree, parse_tree
 from repro.errors import InjectedFaultError, QueryError, ResourceExhaustedError
-from repro.guardrails import Budget, guarded
+from repro.guardrails import Budget
 from repro.params import Param
-from repro.patterns import find_tree_matches, match_scope, parse_tree_pattern, tree_in_language
+from repro.patterns import (
+    MatchContextRegistry,
+    find_tree_matches,
+    parse_tree_pattern,
+    tree_in_language,
+)
 from repro.patterns import tree_match
 from repro.patterns.tree_ast import TreeAtom, TreePattern
 from repro.patterns.tree_match import _TreeMatcher, iter_tree_matches
@@ -158,7 +164,7 @@ class TestChildSignature:
         pattern = parse_tree_pattern("d(?* e(?* h ?*) ?*)")
         errors = []
         for context in (None, untabled(pattern, tree)):
-            with guarded(Budget(max_backtrack_depth=depth)):
+            with query_context.entered(Budget(max_backtrack_depth=depth).arm):
                 with pytest.raises(ResourceExhaustedError) as info:
                     find_tree_matches(pattern, tree, context=context)
             error = info.value
@@ -172,7 +178,7 @@ class TestChildSignature:
         tree = AquaTree.build("d", [AquaTree.leaf("x") for _ in range(30)])
         pattern = parse_tree_pattern("d(?* e ?*)")
         for context in (None, untabled(pattern, tree)):
-            with guarded(Budget(max_backtrack_depth=20)):
+            with query_context.entered(Budget(max_backtrack_depth=20).arm):
                 with pytest.raises(ResourceExhaustedError):
                     find_tree_matches(pattern, tree, context=context)
 
@@ -338,7 +344,7 @@ class TestBudgetAndFaultParity:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
         assert "unbound query parameter $who" in messages[0]
-        with params.bound_params({"who": "Brazil"}):
+        with query_context.entered(bindings={"who": "Brazil"}):
             assert len(find_tree_matches(pattern, tree)) == 1
 
     def test_unbound_param_in_a_child_atom_raises_the_same_error(self):
@@ -356,9 +362,9 @@ class TestBudgetAndFaultParity:
         so one match scope — one shared context — serves two bindings."""
         pattern, tree = child_param_pattern(), family()
         answers = {}
-        with match_scope():
+        with query_context.entered(registry=MatchContextRegistry):
             for who in ("Chile", "Peru"):
-                with params.bound_params({"who": who}):
+                with query_context.entered(bindings={"who": who}):
                     got = [m.key() for m in find_tree_matches(pattern, tree)]
                     want = find_tree_matches(pattern, tree, context=untabled(pattern, tree))
                 assert got == [m.key() for m in want]
@@ -403,7 +409,7 @@ class TestPostingsSource:
 
         tree, pattern = family(), figure4()
         sink = Instrumentation()
-        with sink.activated():
+        with query_context.entered(receiver=sink):
             matches = find_tree_matches(pattern, tree)
             nodes, used = Database().tree_index(tree, ["citizen"]).candidate_nodes(BRAZIL)
         assert used and nodes == [m.root for m in matches]
@@ -510,7 +516,7 @@ class TestMatchersDieWithTheirScan:
         gc.collect()
         gc.disable()
         try:
-            with params.bound_params({"who": "Chile"}):
+            with query_context.entered(bindings={"who": "Chile"}):
                 assert find_tree_matches(child_param_pattern(), family())
                 assert find_tree_matches(child_param_pattern(), family(), limit=1)
             alive = [o for o in gc.get_objects() if isinstance(o, _TreeMatcher)]

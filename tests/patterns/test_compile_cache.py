@@ -10,6 +10,7 @@ import threading
 
 import pytest
 
+from repro import context
 from repro.algebra import split_pieces, sub_select_list
 from repro.core import AquaList, parse_tree
 from repro.patterns import parse_list_pattern, parse_tree_pattern
@@ -49,7 +50,7 @@ def test_algebra_calls_compile_their_text_once():
     tree = parse_tree("a(b(a c) a(b))")
     notes = AquaList.from_values("abcabc")
     sink = Instrumentation()
-    with sink.activated():
+    with context.entered(receiver=sink):
         for _ in range(5):
             assert len(split_pieces("a(?*)", tree)) == 3
             assert len(sub_select_list("[b c]", notes)) == 1  # two matches, equal as values

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import context
 from repro.errors import QueryError
 from repro.patterns import compile_dfa, parse_list_pattern
 from repro.patterns.dfa import DFA_CACHE_LIMIT_ENV, DEFAULT_CACHE_LIMIT
@@ -85,12 +86,12 @@ def test_hits_and_misses_counted():
 def test_counters_flush_to_activated_sink_as_deltas():
     stats = Instrumentation()
     dfa = compile_dfa(PATTERN)
-    with stats.activated():
+    with context.entered(receiver=stats):
         dfa.accepts(list("abcf"))
     assert stats["dfa_cache_misses"] == dfa.cache_misses
     assert stats["predicate_evals"] == dfa.predicate_evals
     first_total = dfa.cache_misses
-    with stats.activated():
+    with context.entered(receiver=stats):
         dfa.accepts(list("abcf"))
     # Second run re-reports only the delta, not the lifetime total.
     assert stats["dfa_cache_misses"] == dfa.cache_misses == first_total

@@ -10,7 +10,7 @@ structured :class:`ResourceExhaustedError`, never a raw
 
 import pytest
 
-from repro import Session, faults, guardrails
+from repro import Session, context, faults, guardrails
 from repro.core import make_tuple
 from repro.core.aqua_tree import AquaTree, TreeNode
 from repro.core.concat import ALPHA
@@ -23,7 +23,7 @@ from repro.errors import (
     QueryError,
     ResourceExhaustedError,
 )
-from repro.guardrails import Budget, CancellationToken, Guard, guarded
+from repro.guardrails import Budget, CancellationToken, Guard
 from repro.patterns.list_match import find_list_matches
 from repro.patterns.list_parser import parse_list_pattern
 from repro.patterns.tree_match import find_tree_matches, tree_in_language
@@ -51,7 +51,7 @@ class TestStepBudget:
     def test_catastrophic_list_pattern_trips(self):
         pattern = parse_list_pattern(CATASTROPHIC)
         with pytest.raises(ResourceExhaustedError) as info:
-            with guarded(Budget(max_steps=20_000)):
+            with context.entered(Budget(max_steps=20_000).arm):
                 find_list_matches(pattern, list("a" * 40))
         exc = info.value
         assert exc.limit_name == "max_steps"
@@ -65,7 +65,7 @@ class TestStepBudget:
         pattern = parse_tree_pattern("[[x(@)]]*@ .@ y")
         tree = deep_chain(1500)
         with pytest.raises(ResourceExhaustedError):
-            with guarded(Budget(max_steps=300)):
+            with context.entered(Budget(max_steps=300).arm):
                 tree_in_language(pattern, tree)
         # With no budget armed the stack does run out — and that, too, is
         # the typed error, converted once at the matcher entry points.
@@ -75,7 +75,7 @@ class TestStepBudget:
             assert info.value.limit_name == "max_backtrack_depth"
             assert info.value.seam == "tree matcher"
         with pytest.raises(ResourceExhaustedError) as info:
-            with guarded(Budget(max_steps=10**9)):
+            with context.entered(Budget(max_steps=10**9).arm):
                 find_tree_matches(pattern, tree)
         assert info.value.usage["steps"] > 0
 
@@ -113,7 +113,7 @@ class TestStepBudget:
         pattern = parse_list_pattern("[A??F]")
         values = list("GAXYFBACDFE")
         unbudgeted = find_list_matches(pattern, values)
-        with guarded(Budget(max_steps=1_000_000)):
+        with context.entered(Budget(max_steps=1_000_000).arm):
             budgeted = find_list_matches(pattern, values)
         assert [m.span for m in budgeted] == [m.span for m in unbudgeted]
 
@@ -122,7 +122,7 @@ class TestDepthBudget:
     def test_backtrack_depth_trips_list_matcher(self):
         pattern = parse_list_pattern(CATASTROPHIC)
         with pytest.raises(ResourceExhaustedError) as info:
-            with guarded(Budget(max_backtrack_depth=5)):
+            with context.entered(Budget(max_backtrack_depth=5).arm):
                 find_list_matches(pattern, list("a" * 40))
         assert info.value.limit_name == "max_backtrack_depth"
 
@@ -142,7 +142,7 @@ class TestDepthBudget:
     def test_budget_overrides_nullable_depth(self):
         pattern = parse_tree_pattern("[[a(@)]]*@ .@ @")
         with pytest.raises(ResourceExhaustedError) as info:
-            with guarded(Budget(max_backtrack_depth=7)):
+            with context.entered(Budget(max_backtrack_depth=7).arm):
                 tree_in_language(pattern, parse_tree("a(a(b))"))
         assert info.value.limit == 7
 
@@ -155,7 +155,7 @@ class TestDeadlineAndCancellation:
     def test_deadline_trips(self):
         pattern = parse_list_pattern(CATASTROPHIC)
         with pytest.raises(ResourceExhaustedError) as info:
-            with guarded(Budget(deadline_seconds=0.02)):
+            with context.entered(Budget(deadline_seconds=0.02).arm):
                 find_list_matches(pattern, list("a" * 60))
         exc = info.value
         assert exc.limit_name == "deadline_seconds"
@@ -166,13 +166,13 @@ class TestDeadlineAndCancellation:
         token.cancel()
         pattern = parse_list_pattern(CATASTROPHIC)
         with pytest.raises(QueryCancelledError):
-            with guarded(Budget(token=token)):
+            with context.entered(Budget(token=token).arm):
                 find_list_matches(pattern, list("a" * 60))
 
     def test_uncancelled_token_is_harmless(self):
         token = CancellationToken()
         pattern = parse_list_pattern("[A??F]")
-        with guarded(Budget(token=token)):
+        with context.entered(Budget(token=token).arm):
             assert find_list_matches(pattern, list("GAXYF")) != []
         assert not token.cancelled
 
@@ -338,14 +338,18 @@ class TestBudgetConfig:
         assert budget.to_dict()["max_steps"] == 5
 
     def test_unlimited_budget_installs_no_guard(self):
-        with guarded(Budget()) as guard:
-            assert guard is None
+        with context.entered(Budget().arm) as run:
+            assert run.guard is None  # nothing to arm: no context installed
+            assert context.current() is None
             assert guardrails.current_guard() is None
 
     def test_nested_guarded_reuses_outer_guard(self):
-        with guarded(Budget(max_steps=100)) as outer:
-            with guarded(Budget(max_steps=1)) as inner:
+        with context.entered(Budget(max_steps=100).arm) as outer:
+            guard = outer.guard
+            with context.entered(Budget(max_steps=1).arm) as inner:
                 assert inner is outer  # outermost scope wins
+                assert guardrails.current_guard() is guard
+                assert guard.budget.max_steps == 100
 
     def test_guard_usage_snapshot(self):
         guard = Guard(Budget(max_steps=100))

@@ -6,15 +6,15 @@ handed a null-table context.
 
 import pytest
 
+from repro import context as query_context
 from repro import guardrails
 from repro.algebra import split_pieces
 from repro.core import AquaTree
 from repro.errors import ResourceExhaustedError
 from repro.patterns import (
+    MatchContextRegistry,
     TreeMatchContext,
-    current_registry,
     find_tree_matches,
-    match_scope,
     parse_tree_pattern,
     tree_in_language,
 )
@@ -91,7 +91,7 @@ class TestEngineKnob:
         whatever the retired variable holds."""
         monkeypatch.setenv("AQUA_TREE_ENGINE", "backtrack")
         stats = Instrumentation()
-        with stats.activated():
+        with query_context.entered(receiver=stats):
             find_tree_matches(parse_tree_pattern(LADDER, resolver=by_element), chain(8))
         assert stats["memo_misses"] > 0 and stats["bitmap_fills"] > 0
 
@@ -115,7 +115,7 @@ class TestEquivalenceAndSpeedup:
         keys = {}
         for engine in ("memo", "backtrack"):
             stats = Instrumentation()
-            with stats.activated():
+            with query_context.entered(receiver=stats):
                 keys[engine] = match_keys(pattern, tree, engine)
             steps[engine] = stats["backtrack_steps"]
         assert keys["memo"] == keys["backtrack"]
@@ -143,7 +143,7 @@ class TestEquivalenceAndSpeedup:
         stats = {"backtrack": Instrumentation(), "memo": Instrumentation()}
         answers = {}
         for engine, sink in stats.items():
-            with untabled_scope(engine=engine), sink.activated():
+            with untabled_scope(engine=engine), query_context.entered(receiver=sink):
                 answers[engine] = run()
         assert answers["memo"] == answers["backtrack"]
         assert stats["backtrack"]["backtrack_steps"] == untabled_steps
@@ -185,7 +185,7 @@ class TestMemoGate:
         context = TreeMatchContext(pattern, tree)
         assert not context.closure
         stats = Instrumentation()
-        with stats.activated():
+        with query_context.entered(receiver=stats):
             keys = [m.key() for m in find_tree_matches(pattern, tree, context=context)]
         assert keys == match_keys(pattern, tree, "backtrack")
         assert stats["backtrack_steps"] > 0
@@ -199,7 +199,7 @@ class TestMemoGate:
         pattern = parse_tree_pattern(DEAD_END)
         tree = z_first_fan(WIDE_CHILD_LIST)
         stats = Instrumentation()
-        with stats.activated():
+        with query_context.entered(receiver=stats):
             assert match_keys(pattern, tree, "memo") == []
         assert stats["memo_misses"] > 0 and stats["memo_hits"] > 0
         assert stats["bitmap_fills"] == 0  # declarative predicates: direct
@@ -209,10 +209,10 @@ class TestMemoGate:
         fan-out gate cannot go without this tripping."""
         pattern = parse_tree_pattern(DEAD_END)
         tree = z_first_fan(80)
-        with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
+        with query_context.entered(guardrails.Budget(max_steps=40_000).arm):
             assert find_tree_matches(pattern, tree) == []
         with pytest.raises(ResourceExhaustedError):
-            with guardrails.guarded(guardrails.Budget(max_steps=40_000)):
+            with query_context.entered(guardrails.Budget(max_steps=40_000).arm):
                 find_tree_matches(pattern, tree, context=untabled(pattern, tree))
 
     def test_wide_dead_end_without_the_required_child_is_rejected_in_one_step(self):
@@ -224,7 +224,7 @@ class TestMemoGate:
         counters = ("backtrack_steps", "predicate_evals", "memo_hits", "memo_misses")
         stats = {"backtrack": Instrumentation(), "memo": Instrumentation()}
         for engine, sink in stats.items():
-            with sink.activated():
+            with query_context.entered(receiver=sink):
                 assert match_keys(pattern, AquaTree(tree.root), engine) == []
         # The 80 leaves are the first-set's, charged alike on both legs.
         assert [stats["memo"][name] for name in counters] == [1 + 80, 83 + 80, 0, 0]
@@ -235,7 +235,7 @@ class TestMemoGate:
         context = TreeMatchContext(pattern, chain(4))
         assert context.closure
         stats = Instrumentation()
-        with stats.activated():
+        with query_context.entered(receiver=stats):
             find_tree_matches(pattern, context.tree, context=context)
         assert stats["memo_misses"] > 0 and stats["bitmap_fills"] > 0
 
@@ -319,7 +319,7 @@ class TestContextSharing:
         context = TreeMatchContext(pattern, tree)
         first = [m.key() for m in find_tree_matches(pattern, tree, context=context)]
         stats = Instrumentation()
-        with stats.activated():
+        with query_context.entered(receiver=stats):
             second = [
                 m.key() for m in find_tree_matches(pattern, tree, context=context)
             ]
@@ -333,23 +333,25 @@ class TestContextSharing:
     def test_match_scope_shares_one_context_per_pair(self):
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
         tree = chain(12)
-        assert current_registry() is None
-        with match_scope() as registry:
-            assert current_registry() is registry
+        assert query_context.current() is None
+        with query_context.entered(registry=MatchContextRegistry) as run:
+            registry = run.registry
+            assert isinstance(registry, MatchContextRegistry)
             find_tree_matches(pattern, tree)
             cells = registry.memo_cells()
             assert cells > 0
             stats = Instrumentation()
-            with stats.activated():
+            with query_context.entered(receiver=stats):
                 find_tree_matches(pattern, tree)
             assert stats["memo_misses"] == 0  # served by the shared context
             assert registry.memo_cells() == cells
-        assert current_registry() is None
+        assert query_context.current() is None
 
     def test_nested_scopes_reuse_the_outer_registry(self):
-        with match_scope() as outer:
-            with match_scope() as inner:
-                assert inner is outer
+        with query_context.entered(registry=MatchContextRegistry) as outer:
+            registry = outer.registry
+            with query_context.entered(registry=MatchContextRegistry) as inner:
+                assert inner is outer and inner.registry is registry
 
     def test_match_scope_resets_database_bitmaps(self):
         """Outcome planes belong to the scope's registry: a second scope
@@ -359,7 +361,7 @@ class TestContextSharing:
         fills = []
         for _ in range(2):
             stats = Instrumentation()
-            with match_scope(), stats.activated():
+            with query_context.entered(registry=MatchContextRegistry, receiver=stats):
                 find_tree_matches(pattern, tree)
             fills.append(stats["bitmap_fills"])
         assert fills[0] == fills[1] > 0
@@ -380,12 +382,12 @@ class TestBudgets:
         tree = chain(32)
         budget = guardrails.Budget(max_steps=40)
         with pytest.raises(ResourceExhaustedError):
-            with guardrails.guarded(budget):
+            with query_context.entered(budget.arm):
                 find_tree_matches(pattern, tree)
 
     def test_generous_budget_unaffected(self):
         pattern = parse_tree_pattern(LADDER, resolver=by_element)
         tree = chain(8)
-        with guardrails.guarded(guardrails.Budget(max_steps=100_000)):
+        with query_context.entered(guardrails.Budget(max_steps=100_000).arm):
             matches = find_tree_matches(pattern, tree)
         assert len(matches) == 8

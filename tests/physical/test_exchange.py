@@ -21,7 +21,8 @@ import pytest
 from repro.api import Session, SessionPool
 from repro.core.identity import Record
 from repro.errors import QueryCancelledError, QueryError, ResourceExhaustedError
-from repro.guardrails import Budget, CancellationToken, current_guard, guarded
+from repro import context
+from repro.guardrails import Budget, CancellationToken, current_guard, env_guard
 from repro.physical import ExecutionContext, lower
 from repro.physical import operators as P
 from repro.predicates import attr
@@ -54,9 +55,9 @@ def family_db(count: int = 300, nodes: int = 14) -> Database:
 
 def run_plan(expr, db, *, budget=None, metrics=None):
     plan = lower(expr, db)
-    with guarded(budget) as guard:
-        ctx = ExecutionContext(db=db, guard=guard, metrics=metrics)
-        return plan.execute(ctx)
+    arm = budget.arm if budget is not None else None
+    with context.entered(arm, default=env_guard) as run:
+        return plan.execute(ExecutionContext(db=db, guard=run.guard, metrics=metrics))
 
 
 def run_session(expr, db, mode, *, metrics=None):
@@ -264,7 +265,7 @@ class TestBudgetPropagation:
 
     def test_bare_thread_has_no_guard_documenting_the_gap(self):
         seen = {}
-        with guarded(Budget(max_steps=5)):
+        with context.entered(Budget(max_steps=5).arm):
 
             def worker():
                 seen["guard"] = current_guard()
@@ -273,7 +274,7 @@ class TestBudgetPropagation:
             t.start()
             t.join(timeout=30)
             assert not t.is_alive()
-        # guarded() is thread-local: a bare thread runs with NO guard,
+        # The query context is thread-local: a bare thread runs with NO guard,
         # which is why set operators do their per-member work on the
         # query thread and never hand it to one.
         assert seen["guard"] is None
@@ -283,16 +284,17 @@ class TestBudgetPropagation:
 
         for knob in ENV_KNOBS:
             monkeypatch.delenv(knob, raising=False)
-        with guarded(Budget(max_steps=100)) as outer:
-            assert current_guard() is outer
+        with context.entered(Budget(max_steps=100).arm) as outer:
+            guard = outer.guard
+            assert current_guard() is guard
             # The outermost scope wins: a nested one reuses its guard.
-            with guarded(Budget(max_steps=5)) as inner:
+            with context.entered(Budget(max_steps=5).arm) as inner:
                 assert inner is outer
-                assert current_guard() is outer
-            assert current_guard() is outer
+                assert current_guard() is guard
+            assert current_guard() is guard
         assert current_guard() is None
-        with guarded(None) as none:
-            assert none is None
+        with context.entered():
+            assert context.current() is None
             assert current_guard() is None
 
     def test_armed_worker_thread_honors_the_budget(self):
@@ -301,10 +303,10 @@ class TestBudgetPropagation:
         outcome = {}
 
         def worker():
-            with guarded(Budget(max_steps=5)) as guard:
+            with context.entered(Budget(max_steps=5).arm) as run:
                 try:
                     for _ in range(10):
-                        guard.tick(1, "worker step")
+                        run.guard.tick(1, "worker step")
                     outcome["tripped"] = False
                 except ResourceExhaustedError as exc:
                     outcome["tripped"] = True
@@ -397,10 +399,10 @@ class TestBudgetPropagation:
 
         expr = Q.extent("Person").sapply(hot).build()
         plan = lower(expr, db)
-        with guarded(Budget(max_steps=10**9)) as guard:
-            plan.execute(ExecutionContext(db=db, guard=guard, metrics=PlanMetrics()))
+        with context.entered(Budget(max_steps=10**9).arm) as run:
+            plan.execute(ExecutionContext(db=db, guard=run.guard, metrics=PlanMetrics()))
             # 300 members x 10 ticks each, all on the one query guard.
-            assert guard.steps >= 3000
+            assert run.guard.steps >= 3000
 
     def test_unbudgeted_parallel_run_works(self):
         db = person_db()

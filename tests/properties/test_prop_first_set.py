@@ -30,7 +30,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro import params
+from repro import context as query_context
 from repro.api import Session
 from repro.core import make_tuple
 from repro.core.aqua_tree import AquaTree
@@ -182,7 +182,7 @@ def rooted_patterns(draw):
 
 def matcher_run(pattern, tree, context):
     sink = Instrumentation()
-    with sink.activated(), params.bound_params(BINDINGS):
+    with query_context.entered(receiver=sink), query_context.entered(bindings=BINDINGS):
         keys = [match.key() for match in find_tree_matches(pattern, tree, context=context)]
     return keys, {name: sink[name] for name in COUNTERS}
 
@@ -231,10 +231,10 @@ def filtered_reference(pattern, tree, bindings, limit=None):
     all of them, or those before the last match's root when ``limit``
     stopped it."""
     sink = Instrumentation()
-    with params.bound_params(bindings):
+    with query_context.entered(bindings=bindings):
         rejected = signature_rejections(pattern, tree)
         survivors = [node for node in tree.nodes() if id(node) not in rejected]
-        with sink.activated():
+        with query_context.entered(receiver=sink):
             stream = iter_tree_matches(
                 pattern, tree, roots=survivors, context=untabled(pattern, tree), preordered=True
             )
@@ -307,7 +307,7 @@ label_trees = st.recursive(
 @example(parse_tree_pattern("a(b+ ?(c))$"), _build(("a", ["b", "b", ("a", ["c"])])))
 @example(parse_tree_pattern("a(@1 {x = $s})"), _build(("a", [ConcatPoint("1"), "a"])))
 def test_every_match_root_passes_the_child_signature(pattern, tree):
-    with params.bound_params(BINDINGS):
+    with query_context.entered(bindings=BINDINGS):
         signature = _compile_signature(pattern.required_children())
         reference = find_tree_matches(pattern, tree, context=untabled(pattern, tree))
         assert all(_signature_holds(signature, match.root)[0] for match in reference)
@@ -319,7 +319,7 @@ def test_every_match_root_passes_the_child_signature(pattern, tree):
 def scan_run(pattern, tree, context, bindings, limit):
     """``matcher_run``, stopped after ``limit`` matches, plus the maps built."""
     sink = Instrumentation()
-    with sink.activated(), params.bound_params(bindings):
+    with query_context.entered(receiver=sink), query_context.entered(bindings=bindings):
         matches = find_tree_matches(pattern, tree, limit=limit, context=context)
         served = not pattern.has_vertical_closure() and pattern.root_first_set() is not None
         served = served and _posting_key(pattern) is not None
@@ -420,7 +420,7 @@ def test_an_unhashable_value_equal_to_the_constant_is_not_missed():
 @SETTINGS
 @given(predicate=predicates, payload=st.one_of(payloads, st.integers(), st.none()))
 def test_compiled_closure_agrees_with_the_predicate(predicate, payload):
-    with params.bound_params(BINDINGS):
+    with query_context.entered(bindings=BINDINGS):
         test = predicate.compile()
         assert test is not None
         assert test(payload) is predicate(payload)
@@ -434,7 +434,7 @@ def test_compile_refuses_what_it_cannot_reproduce(predicate):
     parameterised = "$" in predicate.describe()
     assert (predicate.compile() is None) == parameterised
     opaque = And(predicate, pred(lambda value: True, "anything"))
-    with params.bound_params(BINDINGS):
+    with query_context.entered(bindings=BINDINGS):
         assert opaque.compile() is None
         assert Not(opaque).compile() is None
         assert Or(predicate, opaque).compile() is None

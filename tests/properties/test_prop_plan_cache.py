@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import context
 from repro.algebra import update
 from repro.core.aqua_list import AquaList
 from repro.core.aqua_set import AquaSet
@@ -116,7 +117,7 @@ def test_cache_hit_is_bit_identical_to_cold_run(engine, domain, seed):
     cache = PlanCache()
     prepare(query, db_warm, cache=cache)
     sink = Instrumentation()
-    with sink.activated():
+    with context.entered(receiver=sink):
         warm_prepared = prepare(query, db_warm, cache=cache)
     assert cache.hits == 1
     assert sink["plan_cache_hits"] == 1

@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro import context
 from repro.api import Session
 from repro.core import make_tuple, parse_tree
 from repro.errors import ResourceExhaustedError
@@ -163,14 +164,14 @@ def scan_counters(metrics) -> dict:
 def counted_flushes(monkeypatch) -> list:
     """Spy on ``emit_many``: the matcher flushes (batches with steps)."""
     flushes: list = []
-    emit_many = stats_mod.emit_many
+    emit_many = context.emit_many
 
     def spy(counts):
         if "backtrack_steps" in counts:
             flushes.append(dict(counts))
         emit_many(counts)
 
-    monkeypatch.setattr(stats_mod, "emit_many", spy)
+    monkeypatch.setattr(context, "emit_many", spy)
     return flushes
 
 
@@ -280,9 +281,9 @@ class TestRunCounters:
     def test_the_sink_sees_a_run_only_at_its_fold(self):
         sink = Instrumentation()
         run = stats_mod.RunCounters(sink)
-        with run.activated():
-            stats_mod.emit("index_probes")
-            stats_mod.emit_many({"backtrack_steps": 3, "predicate_evals": 0})
+        with context.entered(receiver=run):
+            context.emit("index_probes")
+            context.emit_many({"backtrack_steps": 3, "predicate_evals": 0})
             assert sink.snapshot() == {}
         run.fold()
         run.fold()  # a second fold hands over nothing more
@@ -298,24 +299,24 @@ class TestRunCounters:
             session.query(query, optimize=False)
             alone = stats.snapshot()
         with db.stats.scope() as stats:
-            with db.stats.activated():
+            with context.entered(receiver=db.stats):
                 session.query(query, optimize=False)
-                assert stats_mod.receiving()
+                assert context.receiving()
             assert stats.snapshot() == {**alone, "plan_cache_hits": 1}
         assert alone["backtrack_steps"] == 326 + 51
 
     def test_a_nested_run_folds_into_the_sink_once(self):
         sink = Instrumentation()
         outer = stats_mod.RunCounters(sink)
-        with outer.activated():
+        with context.entered(receiver=outer):
             inner = stats_mod.RunCounters(sink)
-            with inner.activated():
-                stats_mod.emit("index_probes", 2)
+            with context.entered(receiver=inner):
+                context.emit("index_probes", 2)
             inner.fold()
-            stats_mod.emit("index_probes")
+            context.emit("index_probes")
         outer.fold()
         assert sink["index_probes"] == 3
-        assert not stats_mod.receiving()
+        assert not context.receiving()
 
 
 class TestRendering:

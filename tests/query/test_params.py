@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro import params
+from repro import context, params
 from repro.errors import QueryError
-from repro.params import Param, bound_params, current_bindings
+from repro.params import Param
 from repro.predicates import attr, parse_predicate
 from repro.query import Q, evaluate
 from repro.query import expr as E
@@ -43,14 +43,14 @@ class TestBindings:
             params.resolve(Param("limit"))
 
     def test_bindings_are_scoped_and_nested(self):
-        with bound_params({"a": 1}):
+        with context.entered(bindings={"a": 1}):
             assert params.resolve(Param("a")) == 1
-            with bound_params({"b": 2}):
+            with context.entered(bindings={"b": 2}):
                 # inner scope merges over the outer one
                 assert params.resolve(Param("a")) == 1
                 assert params.resolve(Param("b")) == 2
-            assert current_bindings() == {"a": 1}
-        assert not current_bindings()
+            assert context.current().bindings == {"a": 1}
+        assert context.current() is None
 
     def test_non_param_values_resolve_to_themselves(self):
         assert params.resolve(42) == 42

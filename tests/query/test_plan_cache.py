@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import context
 from repro.core import parse_tree
 from repro.core.identity import Record
 from repro.errors import QueryError
@@ -109,10 +110,10 @@ class TestCacheMechanics:
         cache = PlanCache(capacity=4)
         text = 'root T | sub_select "d(e j)"'
         cold = Instrumentation()
-        with cold.activated():
+        with context.entered(receiver=cold):
             first = prepare(text, db, cache=cache)
         sink = Instrumentation()
-        with sink.activated():
+        with context.entered(receiver=sink):
             assert prepare(text, db, cache=cache) is first
         assert cache.hits == 1
         # the warm textual path does not even parse the pattern
@@ -233,7 +234,7 @@ class TestAliasConsistency:
         prepare(self.TEXT, db, cache=cache)
         db.insert(Record(name="dog"), "Animal")
         sink = Instrumentation()
-        with sink.activated():
+        with context.entered(receiver=sink):
             prepare(self.TEXT, db, cache=cache)
         assert sink["pattern_compilations"] == 0  # alias skipped the parse
         assert cache.invalidations == 0

@@ -14,10 +14,11 @@ is what the two helpers here do for the parity suites; the third,
 """
 
 from contextlib import contextmanager, nullcontext
+from functools import partial
 from typing import Any, Iterator
 from unittest import mock
 
-from repro import params
+from repro import context, params
 from repro.algebra import (
     all_anc,
     all_desc,
@@ -34,7 +35,7 @@ from repro.core.aqua_list import AquaList
 from repro.core.aqua_set import AquaSet
 from repro.core.aqua_tree import AquaTree
 from repro.errors import QueryError
-from repro.patterns import MatchContextRegistry, TreeMatchContext, match_scope
+from repro.patterns import MatchContextRegistry, TreeMatchContext
 from repro.query import expr as E
 from repro.storage import columnar
 
@@ -47,13 +48,13 @@ def untabled(pattern, tree) -> TreeMatchContext:
 def untabled_scope(engine: str = "backtrack"):
     """Arm a registry of null-table contexts around a whole evaluation.
 
-    The outermost match scope wins, so every tree match on this thread
+    The outermost registry wins, so every tree match on this thread
     inside the block — a ``Session.query`` included — runs untabled.
     ``engine="memo"`` arms nothing (the parity suites' other leg).
     """
     if engine == "memo":
         return nullcontext()
-    return match_scope(registry=MatchContextRegistry(tabled=False))
+    return context.entered(registry=partial(MatchContextRegistry, tabled=False))
 
 
 @contextmanager
@@ -113,7 +114,7 @@ def _typed(value: Any, expected: type, node: E.Expr) -> Any:
 
 def reference_eval(node: E.Expr, db, bindings: "dict[str, Any] | None" = None) -> Any:
     """Evaluate ``node`` against ``db`` by direct recursion."""
-    with params.bound_params(bindings), untabled_scope():
+    with context.entered(bindings=bindings), untabled_scope():
         return _eval(node, db)
 
 

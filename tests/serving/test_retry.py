@@ -12,7 +12,6 @@ from repro.errors import (
 from repro.guardrails import Budget
 from repro.serving import (
     BreakerBoard,
-    DEFAULT_LADDER,
     PoolStats,
     RetryPolicy,
     run_with_policy,
@@ -132,40 +131,46 @@ class TestRunWithPolicy:
         assert stats.counters["retries_exhausted"] == 1
 
     def test_degradation_ladder_walked_in_order(self, no_sleep):
-        steps = []
+        """Retry 1 bypasses the plan cache; every later retry also plans
+        unoptimized, and each degraded attempt is counted by name."""
+        rungs = []
+        stats = PoolStats()
 
-        def runner(step, budget):
-            steps.append(None if step is None else step.name)
+        def runner(rung, budget):
+            rungs.append(rung)
             raise transient()
 
         with pytest.raises(InjectedFaultError):
-            run_with_policy(
-                runner,
-                policy=RetryPolicy(max_attempts=6),
-                ladder=DEFAULT_LADDER,
-            )
-        assert steps == [
+            run_with_policy(runner, policy=RetryPolicy(max_attempts=6), stats=stats)
+        assert rungs == [
             None,
-            "bypass-plan-cache",
-            "unoptimized-plan",
-            "unoptimized-plan",  # clamps at the last rung
-            "unoptimized-plan",  # ... for as long as the policy retries
-            "unoptimized-plan",
+            retry_module.BYPASS_PLAN_CACHE,
+            retry_module.UNOPTIMIZED_PLAN,
+            retry_module.UNOPTIMIZED_PLAN,  # the last rung repeats
+            retry_module.UNOPTIMIZED_PLAN,  # ... for as long as the policy retries
+            retry_module.UNOPTIMIZED_PLAN,
         ]
+        assert rungs[1:3] == ["bypass-plan-cache", "unoptimized-plan"]
+        assert stats.counters["degraded_attempts"] == 5
+        assert stats.counters["degraded_bypass_plan_cache"] == 1
+        assert stats.counters["degraded_unoptimized_plan"] == 4
 
     def test_degrade_false_never_walks_the_ladder(self, no_sleep):
-        steps = []
+        rungs = []
+        stats = PoolStats()
 
-        def runner(step, budget):
-            steps.append(step)
+        def runner(rung, budget):
+            rungs.append(rung)
             raise transient()
 
         with pytest.raises(InjectedFaultError):
             run_with_policy(
                 runner,
                 policy=RetryPolicy(max_attempts=3, degrade=False),
+                stats=stats,
             )
-        assert steps == [None, None, None]
+        assert rungs == [None, None, None]
+        assert stats.counters["degraded_attempts"] == 0
 
     def test_budget_deadline_carved_per_attempt(self, no_sleep):
         clock = {"now": 0.0}

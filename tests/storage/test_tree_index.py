@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import context as query_context
 from repro.core import parse_list, parse_tree
 from repro.core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from repro.core.identity import as_cell
@@ -105,7 +106,7 @@ class TestValueIndex:
         tree = parse_tree("a(b)")
         index = TreeIndex(tree)
         stats = Instrumentation()
-        with stats.activated():
+        with query_context.entered(receiver=stats):
             index.candidate_nodes(sym("b"), stats)
         assert stats["index_probes"] == 1
         assert stats["index_candidates"] == 1
@@ -220,7 +221,7 @@ class TestBuiltOnFirstProbe:
         from repro.docstore import Document
 
         sink = Instrumentation()
-        with sink.activated():
+        with query_context.entered(receiver=sink):
             document = Document.from_text(self.HTML, "html")
         assert sink["index_builds"] == 0
         index = document.db.tree_index(document.tree)
@@ -229,14 +230,14 @@ class TestBuiltOnFirstProbe:
 
     def test_a_tag_path_builds_tag_only(self):
         document, sink = self._document()
-        with sink.activated():  # planning's cost model may be the first reader
+        with query_context.entered(receiver=sink):  # planning's cost model may be the first reader
             assert len(document.path("//p")) == 3
             assert len(document.path("//article")) == 2
         assert sink["index_builds"] == 1
 
     def test_an_attribute_path_builds_tag_and_lang_never_kind_or_payload(self):
         document, sink = self._document()
-        with sink.activated():
+        with query_context.entered(receiver=sink):
             assert len(document.path("//article[@lang='en']//p")) == 2
         assert sink["index_builds"] == 2
         assert sink["index_probes"] == 1
@@ -249,7 +250,7 @@ class TestBuiltOnFirstProbe:
         song = random_song(64, seed=3)
         db.bind_root("song", song)
         sink = Instrumentation()
-        with sink.activated():
+        with query_context.entered(receiver=sink):
             db.list_index(song, ["pitch"])
             assert sink["index_builds"] == 0
             Session(db).query('root song | lsub_select "[A??F]" by pitch')
@@ -285,7 +286,7 @@ class TestBuiltOnFirstProbe:
         db.bind_root("T", figure3_family_tree())
         query = 'root T | sub_select "Brazil(!?* USA !?*)" by citizen'
         sink = Instrumentation()
-        with sink.activated():
+        with query_context.entered(receiver=sink):
             scanned = Session(db).query(query, optimize=False)
             assert sink["index_builds"] == 1  # the first scan leaves postings behind
             probed = Session(db).query(query)

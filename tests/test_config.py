@@ -9,10 +9,10 @@ keyword kept for call compatibility).
 
 import pytest
 
-from repro import config
+from repro import config, context, guardrails
 from repro.__main__ import Shell
 from repro.errors import QueryError, ResourceExhaustedError
-from repro.guardrails import ENV_KNOBS, Budget, guarded
+from repro.guardrails import ENV_KNOBS, Budget
 from repro.patterns.dfa import CompileCache, compile_dfa
 from repro.patterns.list_parser import parse_list_pattern
 from repro.patterns.tree_parser import parse_tree_pattern
@@ -148,21 +148,22 @@ class TestParallelWorkerKindKnob:
         for knob in ENV_KNOBS:
             monkeypatch.delenv(knob, raising=False)
         assert Budget.from_env().max_steps is None
-        with guarded() as guard:
-            assert guard is None  # unlimited: nothing armed
+        with context.entered(default=guardrails.env_guard) as run:
+            assert run.guard is None  # unlimited: nothing armed
+            assert context.current() is None
 
     def test_env(self, monkeypatch):
         monkeypatch.setenv(MAX_STEPS_ENV, "4")
         assert Budget.from_env().max_steps == 4
-        with guarded() as guard:
+        with context.entered(default=guardrails.env_guard) as run:
             with pytest.raises(ResourceExhaustedError) as excinfo:
-                guard.tick(5, "test step")
+                run.guard.tick(5, "test step")
         assert excinfo.value.limit_name == "max_steps"
 
     def test_scope_beats_env(self, monkeypatch):
         monkeypatch.setenv(MAX_STEPS_ENV, "4")
-        with guarded(Budget(max_steps=100)) as guard:
-            assert guard.budget.max_steps == 100
+        with context.entered(Budget(max_steps=100).arm) as run:
+            assert run.guard.budget.max_steps == 100
         shell = Shell()
         assert shell.budget.max_steps == 4
         assert "max_steps=100" in shell.execute("\\budget steps=100")
@@ -184,8 +185,8 @@ class TestParallelWorkerKindKnob:
             monkeypatch.delenv(knob, raising=False)
         monkeypatch.setenv(MAX_STEPS_ENV, bogus)
         assert Budget.from_env().max_steps is None
-        with guarded() as guard:
-            assert guard is None
+        with context.entered(default=guardrails.env_guard) as run:
+            assert run.guard is None
 
     @pytest.mark.parametrize("field", sorted(f for f in Budget().to_dict()))
     def test_budget_rejects_negative_limits_naming_the_field(self, field):

@@ -5,12 +5,11 @@ import time
 
 import pytest
 
-from repro import Database, Record, Session, SessionPool
+from repro import Database, Q, Record, Session, SessionPool, attr, context
 from repro.algebra.update import insert_at, replace_at
 from repro.core.aqua_list import AquaList
 from repro.errors import ResourceExhaustedError
 from repro.guardrails import Budget, current_guard
-from repro.patterns.tree_memo import current_registry
 from repro.query.plan_cache import PlanCache
 
 AQL_ADULTS = "extent Person | sselect {age >= 18} | project name"
@@ -160,7 +159,7 @@ class TestThreadStateLeakage:
     def _pool_thread_state(self, pool):
         """Run on the (single) worker: what per-query state lingers?"""
         return pool._pool.submit(
-            lambda: (current_guard(), current_registry())
+            lambda: (current_guard(), context.current())
         ).result()
 
     def test_budget_trip_leaves_worker_thread_clean(self):
@@ -191,16 +190,42 @@ class TestThreadStateLeakage:
         """A run's counters receive engine events only while its plan
         runs: after a trip or a clean run, nothing listens on the worker,
         and each run's counts reached the database's sink."""
-        from repro.storage import stats as stats_mod
-
         db = seeded_db(people=50)
         with SessionPool(db, workers=1, plan_cache=PlanCache()) as pool:
             with pytest.raises(ResourceExhaustedError):
                 pool.submit(AQL_ADULTS, budget=Budget(max_results=3)).result()
             assert db.stats["budget_trips"] == 1
-            assert pool._pool.submit(stats_mod.receiving).result() is False
+            assert pool._pool.submit(context.receiving).result() is False
             pool.submit(AQL_ADULTS).result()
-            assert pool._pool.submit(stats_mod.receiving).result() is False
+            assert pool._pool.submit(context.receiving).result() is False
+
+    def test_a_bound_trip_leaves_no_context_for_the_next_query(self):
+        """A ``max_steps`` trip with ``params=`` set unwinds its whole
+        context: the worker thread holds none afterwards, and the next
+        query on it sees its own guard, bindings, registry and counters
+        only — nothing of the tripped run's."""
+        db = seeded_db(people=50)
+        seen = []
+
+        def probe(person):
+            run = context.current()
+            seen.append((run.guard, run.bindings, run.registry, run.receivers))
+            return person.name
+
+        bound = "extent Person | sselect {age >= $min} | project name"
+        unbound = Q.extent("Person").sselect(attr("age") >= 48).sapply(probe).build()
+        with SessionPool(db, workers=1, plan_cache=PlanCache()) as pool:
+            with pytest.raises(ResourceExhaustedError) as info:
+                pool.submit(bound, {"min": 18}, budget=Budget(max_steps=5)).result()
+            assert info.value.limit_name == "max_steps"
+            assert pool._pool.submit(context.current).result() is None
+            names = pool.submit(unbound, budget=Budget()).result()
+            assert sorted(names) == ["p48", "p49"]
+            assert pool._pool.submit(context.current).result() is None
+        (guard, bindings, registry, receivers), _ = seen
+        assert guard is None and bindings is None
+        assert registry is not None and registry.memo_cells() == 0
+        assert len(receivers) == 1 and receivers[0].sink is db.stats
 
     def test_spent_budget_does_not_haunt_the_next_query(self):
         """A budget that tripped on one query must not pre-spend the
