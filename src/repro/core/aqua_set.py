@@ -37,23 +37,40 @@ class AquaSet:
     def __init__(self, items: Iterable[Any] = (), equality: Equality = DEFAULT) -> None:
         self.equality = equality
         self._items: list[Any] = []
-        self._keys: set[Hashable] = set()
+        self._keys: set[Hashable] | None = set()
         for item in items:
             self.add(item)
+
+    @classmethod
+    def distinct(cls, items: list[Any], equality: Equality = DEFAULT) -> "AquaSet":
+        """The set of ``items`` (owned from now on), no two equal under
+        ``equality``: keyed on the first ``add``, ``in``, ``==`` or ``hash``,
+        so a deduplicated stream's rows, only iterated, are keyed once."""
+        result = cls.__new__(cls)
+        result.equality, result._items, result._keys = equality, items, None
+        return result
+
+    def _key_set(self) -> set[Hashable]:
+        keys = self._keys
+        if keys is None:
+            key = self.equality.key
+            keys = self._keys = {key(item) for item in self._items}
+        return keys
 
     # -- basic protocol ---------------------------------------------------
 
     def add(self, item: Any) -> bool:
         """Insert ``item``; return True if it was new under this equality."""
         key = self.equality.key(item)
-        if key in self._keys:
+        keys = self._keys if self._keys is not None else self._key_set()
+        if key in keys:
             return False
-        self._keys.add(key)
+        keys.add(key)
         self._items.append(item)
         return True
 
     def __contains__(self, item: Any) -> bool:
-        return self.equality.key(item) in self._keys
+        return self.equality.key(item) in self._key_set()
 
     def __iter__(self) -> Iterator[Any]:
         return iter(self._items)
@@ -66,11 +83,11 @@ class AquaSet:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AquaSet):
-            return self._keys == other._keys
+            return self._key_set() == other._key_set()
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._keys))
+        return hash(frozenset(self._key_set()))
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(i) for i in self._items)

@@ -41,7 +41,7 @@ class TreeNode:
     __slots__ = ("item", "children")
 
     def __init__(self, item: Cell | ConcatPoint, children: Sequence["TreeNode"] = ()) -> None:
-        if is_concat_point(item) and children:
+        if children and isinstance(item, ConcatPoint):
             raise ConcatenationError("a concatenation point must be a leaf")
         self.item = item
         self.children = list(children)
@@ -298,7 +298,12 @@ class AquaTree:
         the tree out — the contract this cache leans on.
         """
         if self._size is None:
-            self._size = sum(1 for _ in self.element_nodes())
+            size, stack = 0, [self.root] if self.root is not None else []
+            while stack:  # one inline walk, in no particular order
+                node = stack.pop()
+                stack.extend(node.children)
+                size += not isinstance(node.item, ConcatPoint)
+            self._size = size
         return self._size
 
     def layout(self) -> TreeLayout:

@@ -4,7 +4,8 @@ Each ``from_*`` parser (stdlib only: :mod:`json`, :mod:`xml.etree`,
 :mod:`html.parser`) produces a plain :class:`~repro.core.aqua_tree.AquaTree`
 of :class:`~repro.docstore.model.DocNode` payloads under a synthetic
 ``document`` wrapper root; each ``to_*`` serializer walks such a tree
-back to text.
+back to text.  A parser builds the tree's nodes — each a cell over its
+payload (§2), nothing more — and wraps the root alone in an ``AquaTree``.
 
 Round-trip fidelity is defined over the **canonical form**: the
 serializers are normalizing (attribute quoting, entity escaping, JSON
@@ -32,6 +33,8 @@ from xml.sax.saxutils import escape as _xml_escape
 from xml.sax.saxutils import quoteattr as _xml_quoteattr
 
 from ..core.aqua_tree import AquaTree, TreeNode
+from ..core.concat import ConcatPoint
+from ..core.identity import Cell
 from ..errors import QueryError
 from .model import DocNode, document_node
 
@@ -47,7 +50,8 @@ __all__ = [
 
 
 def _doc_value(node: TreeNode) -> DocNode:
-    value = node.value
+    item = node.item
+    value = item.contents if type(item) is Cell else node.value
     if not isinstance(value, DocNode):
         raise QueryError(
             f"expected a document tree of DocNode payloads, found {value!r}"
@@ -56,7 +60,7 @@ def _doc_value(node: TreeNode) -> DocNode:
 
 
 def _element_children(node: TreeNode) -> list[TreeNode]:
-    return [child for child in node.children if not child.is_concat_point]
+    return [child for child in node.children if not isinstance(child.item, ConcatPoint)]
 
 
 def _content_root(tree: AquaTree) -> TreeNode:
@@ -88,21 +92,20 @@ def from_json(text: str) -> AquaTree:
     scalars become ``value`` nodes.  Path queries address members by
     key: ``//price`` finds every member named ``price`` at any depth.
     """
-    return AquaTree.build(document_node(), [_json_subtree(json.loads(text), None)])
+    return AquaTree(TreeNode(Cell(document_node()), [_json_node(json.loads(text), None)]))
 
 
-def _json_subtree(value: Any, key: str | None) -> AquaTree:
+def _json_node(value: Any, key: str | None) -> TreeNode:
     if isinstance(value, dict):
-        return AquaTree.build(
-            DocNode("object", tag=key),
-            [_json_subtree(member, name) for name, member in value.items()],
+        return TreeNode(
+            Cell(DocNode("object", tag=key)),
+            [_json_node(member, name) for name, member in value.items()],
         )
     if isinstance(value, list):
-        return AquaTree.build(
-            DocNode("array", tag=key),
-            [_json_subtree(item, None) for item in value],
+        return TreeNode(
+            Cell(DocNode("array", tag=key)), [_json_node(item, None) for item in value]
         )
-    return AquaTree.leaf(DocNode("value", tag=key, value=value))
+    return TreeNode(Cell(DocNode("value", tag=key, value=value)))
 
 
 def to_json(tree: AquaTree) -> str:
@@ -139,22 +142,18 @@ def from_xml(text: str) -> AquaTree:
     trip.  Comments, processing instructions, and the XML declaration
     are outside the canonical form and dropped.
     """
-    return AquaTree.build(
-        document_node(), [_xml_subtree(ElementTree.fromstring(text))]
-    )
+    return AquaTree(TreeNode(Cell(document_node()), [_xml_node(ElementTree.fromstring(text))]))
 
 
-def _xml_subtree(element: ElementTree.Element) -> AquaTree:
-    children: list[AquaTree] = []
+def _xml_node(element: ElementTree.Element) -> TreeNode:
+    children: list[TreeNode] = []
     if element.text:
-        children.append(AquaTree.leaf(DocNode("text", text=element.text)))
+        children.append(TreeNode(Cell(DocNode("text", text=element.text))))
     for child in element:
-        children.append(_xml_subtree(child))
+        children.append(_xml_node(child))
         if child.tail:
-            children.append(AquaTree.leaf(DocNode("text", text=child.tail)))
-    return AquaTree.build(
-        DocNode("element", tag=element.tag, attrs=dict(element.attrib)), children
-    )
+            children.append(TreeNode(Cell(DocNode("text", text=child.tail))))
+    return TreeNode(Cell(DocNode("element", tag=element.tag, attrs=element.attrib)), children)
 
 
 def to_xml(tree: AquaTree) -> str:
@@ -211,7 +210,7 @@ class _HtmlBuilder(HTMLParser):
 
     def __init__(self) -> None:
         super().__init__(convert_charrefs=True)
-        self._stack: list[tuple[DocNode, list[AquaTree]]] = [
+        self._stack: list[tuple[DocNode, list[TreeNode]]] = [
             (document_node(), [])
         ]
 
@@ -222,16 +221,14 @@ class _HtmlBuilder(HTMLParser):
             attrs={name: value for name, value in attrs},
         )
         if tag in VOID_ELEMENTS:
-            self._stack[-1][1].append(AquaTree.leaf(node))
+            self._stack[-1][1].append(TreeNode(Cell(node)))
         else:
             self._stack.append((node, []))
 
     def handle_startendtag(self, tag: str, attrs: list[tuple[str, str | None]]) -> None:
         # ``<tag/>`` XML-style self-closing — canonicalized as void-like.
         self._stack[-1][1].append(
-            AquaTree.leaf(
-                DocNode("element", tag=tag, attrs={n: v for n, v in attrs})
-            )
+            TreeNode(Cell(DocNode("element", tag=tag, attrs={n: v for n, v in attrs})))
         )
 
     def handle_endtag(self, tag: str) -> None:
@@ -242,20 +239,20 @@ class _HtmlBuilder(HTMLParser):
             return  # stray end tag: ignore (browser-style leniency)
         while True:
             payload, children = self._stack.pop()
-            self._stack[-1][1].append(AquaTree.build(payload, children))
+            self._stack[-1][1].append(TreeNode(Cell(payload), children))
             if payload.tag == tag:
                 break
 
     def handle_data(self, data: str) -> None:
         if data:
-            self._stack[-1][1].append(AquaTree.leaf(DocNode("text", text=data)))
+            self._stack[-1][1].append(TreeNode(Cell(DocNode("text", text=data))))
 
     def finish(self) -> AquaTree:
         while len(self._stack) > 1:  # unclosed elements at EOF
             payload, children = self._stack.pop()
-            self._stack[-1][1].append(AquaTree.build(payload, children))
+            self._stack[-1][1].append(TreeNode(Cell(payload), children))
         wrapper, children = self._stack[0]
-        return AquaTree.build(wrapper, children)
+        return AquaTree(TreeNode(Cell(wrapper), children))
 
 
 def from_html(text: str) -> AquaTree:

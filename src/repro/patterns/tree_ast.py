@@ -445,6 +445,7 @@ class TreePattern:
                 tuple(term for group in terms for term in group),
                 _root_predicates(body),
                 _required_children(body.children, SIGNATURE_DEPTH) if atom else (),
+                self.describe(),
             )
         return facts
 
@@ -498,13 +499,15 @@ SIGNATURE_DEPTH = 2
 class PatternFacts(NamedTuple):
     """:meth:`TreePattern.facts`: the vertical-closure flag, the opaque
     atom predicates' ids, the sub-terms (and child-sequence parts) in
-    interning order, ``_root_predicates`` and the child signature."""
+    interning order, ``_root_predicates``, the child signature and the
+    pattern's text (anchors included: equal patterns share it)."""
 
     closure: bool
     opaque: frozenset[int]
     terms: tuple[object, ...]
     roots: tuple[list[AlphabetPredicate], int]
     signature: tuple
+    text: str
 
 
 class RootFirstSet(NamedTuple):

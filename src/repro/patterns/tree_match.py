@@ -148,14 +148,27 @@ def _shape_key(part: "Shape | Pruned") -> tuple:
 
 
 class TreeMatch:
-    """One instance of a tree pattern in a data tree."""
+    """One instance of a tree pattern in a data tree.  A lone childless
+    atom's match (:meth:`at`) builds its shape — the root kept, every
+    child pruned — only if something reads it."""
+
+    __slots__ = ("root", "_shape")
 
     def __init__(self, shape: Shape) -> None:
-        self.shape = shape
+        self.root: TreeNode = shape.node
+        self._shape: Shape | None = shape
+
+    @classmethod
+    def at(cls, node: TreeNode) -> "TreeMatch":
+        match = cls.__new__(cls)
+        match.root, match._shape = node, None
+        return match
 
     @property
-    def root(self) -> TreeNode:
-        return self.shape.node
+    def shape(self) -> Shape:
+        if self._shape is None:
+            self._shape = Shape(self.root, tuple(Pruned(c) for c in self.root.children))
+        return self._shape
 
     def key(self) -> tuple:
         return _shape_key(self.shape)
@@ -1076,6 +1089,15 @@ def _describe_signature(signature: tuple) -> str:
     )
 
 
+def _lone_atom(pattern: TreePattern, matcher: _TreeMatcher) -> Any:
+    """The predicate of a body that is one childless atom, when a node
+    passing it is the match (a tabled context, no ``⊥``), else ``None``:
+    the null-table context keeps the matcher, as the reference."""
+    body = pattern.body
+    lone = type(body) is TreeAtom and body.children is None and not matcher.leaf_anchor
+    return body.predicate if lone and matcher.context.tabled else None
+
+
 def iter_tree_matches(
     pattern: TreePattern,
     data: AquaTree,
@@ -1120,7 +1142,8 @@ def iter_tree_matches(
     with query_context.entered(default=guardrails.env_guard):
         pattern, matcher = _matcher_for(pattern, data, context)
         signature = _child_signature(matcher)
-        seen: set[tuple] = set()
+        lone, test = _lone_atom(pattern, matcher), matcher.eval_predicate
+        seen: set = set()
         try:
             candidates = _candidate_roots(pattern, data, roots, preordered, matcher, on_candidate)
             for node in candidates:
@@ -1135,6 +1158,18 @@ def iter_tree_matches(
                         if matcher.guard is not None:
                             matcher.guard.tick(1, "tree matcher")
                         continue
+                if lone is not None:  # a node passing the test *is* the match,
+                    matcher.backtrack_steps += 1  # charged as match_node charges it
+                    if matcher.guard is not None:
+                        matcher.guard.tick(1, "tree matcher", 0)
+                    if isinstance(node.item, ConcatPoint) or not test(lone, node):
+                        continue
+                    if id(node) in seen:
+                        continue
+                    seen.add(id(node))
+                    matcher.flush_stats()
+                    yield TreeMatch.at(node)
+                    continue
                 for shape in matcher.match_node(pattern.body, node, {}):
                     if isinstance(shape, Pruned):
                         continue

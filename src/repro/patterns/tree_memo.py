@@ -361,12 +361,7 @@ class MatchContextRegistry:
         self._contexts: dict[tuple, TreeMatchContext] = {}
 
     def context_for(self, pattern: TreePattern, tree: AquaTree) -> TreeMatchContext:
-        key = (
-            id(tree),
-            pattern.root_anchor,
-            pattern.leaf_anchor,
-            pattern.body.describe(),
-        )
+        key = (id(tree), pattern.facts().text)
         context = self._contexts.get(key)
         if context is None or context.tree is not tree:
             context = TreeMatchContext(pattern, tree, tabled=self.tabled)

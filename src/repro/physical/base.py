@@ -121,7 +121,8 @@ class PhysicalOp:
         self.logical = logical
         self.children = tuple(children)
         self.path: tuple[int, ...] = ()
-        self.trail: tuple[str, ...] = (logical.head(),)
+        #: Logical nodes from the plan root down; rendered only for an error.
+        self.lineage: tuple["E.Expr", ...] = (logical,)
         self.ctx: ExecutionContext | None = None
         self.op_metrics: "OperatorMetrics | None" = None
         self.result_equality: Equality = DEFAULT
@@ -131,13 +132,13 @@ class PhysicalOp:
     # -- plan wiring --------------------------------------------------------
 
     def assign_positions(
-        self, path: tuple[int, ...] = (), trail: tuple[str, ...] = ()
+        self, path: tuple[int, ...] = (), lineage: tuple["E.Expr", ...] = ()
     ) -> None:
-        """Derive each operator's plan path and head-chain from the root."""
+        """Derive each operator's plan path and lineage from the root."""
         self.path = path
-        self.trail = (*trail, self.logical.head())
+        self.lineage = (*lineage, self.logical)
         for index, child in enumerate(self.children):
-            child.assign_positions((*path, index), self.trail)
+            child.assign_positions((*path, index), self.lineage)
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -226,8 +227,7 @@ class PhysicalOp:
             return rows[0]
         if self.shape == "list":
             return AquaList(list(self.stream()))
-        rows = list(self.stream())
-        return AquaSet(rows, self.result_equality)
+        return AquaSet.distinct(list(self.stream()), self.result_equality)
 
     def set_source(self, child: "PhysicalOp") -> tuple[Iterator[Any], Equality]:
         """``child`` as a deduplicated member stream plus its equality.
@@ -251,7 +251,7 @@ class PhysicalOp:
     # -- input coercion (satellite: errors carry the plan path) --------------
 
     def _trail_text(self) -> str:
-        return " → ".join(self.trail)
+        return " → ".join(node.head() for node in self.lineage)
 
     def _coerce_error(self, expected: str, value: Any) -> QueryError:
         return QueryError(
@@ -368,7 +368,8 @@ class PhysicalPlan:
                 root.note_buffered(len(collected))
             if root.shape == "list":
                 return AquaList(collected)
-            return AquaSet(collected, root.result_equality)
+            # Deduplicated by the root (the set-shaped contract above).
+            return AquaSet.distinct(collected, root.result_equality)
         finally:
             root.close()
 

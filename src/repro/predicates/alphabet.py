@@ -179,9 +179,10 @@ class Comparison(AlphabetPredicate):
             return None
         attribute = self.attribute
         compare = _OPERATORS[self.op]
+        equal = {"=": True, "!=": False}.get(self.op)
 
         def test(obj: Any) -> bool:
-            # ``_read_attribute``, inlined: this runs once per scanned node.
+            # Inlined reads and ``=`` / ``!=``: this runs once per scanned node.
             if isinstance(obj, dict):
                 value = obj.get(attribute, _MISSING)
             else:
@@ -189,7 +190,13 @@ class Comparison(AlphabetPredicate):
             if value is _MISSING:
                 return False
             try:
-                return bool(compare(value, constant))
+                if equal:
+                    outcome = value == constant
+                elif equal is None:
+                    outcome = compare(value, constant)
+                else:
+                    outcome = value != constant
+                return outcome if outcome is True or outcome is False else bool(outcome)
             except TypeError:
                 return False
 

@@ -1,10 +1,12 @@
 """Tests for AQUA sets and multisets (paper §2)."""
 
+import pickle
+
 import pytest
 
 from repro.core.aqua_set import AquaMultiset, AquaSet
 from repro.core.aqua_tuple import AquaTuple
-from repro.core.equality import IDENTITY, SHALLOW
+from repro.core.equality import DEFAULT, IDENTITY, SHALLOW
 from repro.core.identity import Record
 from repro.errors import TypeMismatchError
 
@@ -75,6 +77,35 @@ class TestAquaSet:
     def test_bool(self):
         assert not AquaSet()
         assert AquaSet([1])
+
+
+class TestDistinctAquaSet:
+    """``AquaSet.distinct`` keys its members only when a lookup needs it."""
+
+    def members(self):
+        return [Record(x=1), Record(x=2), (1, [2]), "a"]
+
+    @pytest.mark.parametrize("equality", [DEFAULT, IDENTITY, SHALLOW])
+    def test_equals_an_eagerly_built_set(self, equality):
+        rows = self.members()
+        eager, lazy = AquaSet(rows, equality), AquaSet.distinct(list(rows), equality)
+        assert lazy._keys is None
+        assert lazy == eager and eager == lazy
+        assert hash(lazy) == hash(eager)
+        assert list(lazy) == list(eager) and len(lazy) == len(eager)
+        assert all(row in lazy for row in rows) and "b" not in lazy
+        assert not lazy.add(rows[0]) and lazy.add("b") and list(lazy)[-1] == "b"
+        assert pickle.loads(pickle.dumps(AquaSet.distinct(list(rows), equality))) == pickle.loads(
+            pickle.dumps(eager)
+        )
+
+    def test_an_only_iterated_set_is_never_keyed(self, monkeypatch):
+        keyed = []
+        monkeypatch.setattr(DEFAULT, "key", lambda row: keyed.append(row) or row)
+        lazy = AquaSet.distinct([1, 2, 3])
+        assert list(lazy) == [1, 2, 3] and len(lazy) == 3 and lazy
+        assert keyed == []
+        assert 2 in lazy and sorted(keyed) == [1, 2, 2, 3]
 
 
 class TestAquaMultiset:

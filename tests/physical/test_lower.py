@@ -122,8 +122,10 @@ class TestStructure:
         query = Q.root("T").sub_select("d(e ?*)").build()
         plan = lower(query, db)
         by_path = {op.path: op for op in plan.operators()}
-        assert by_path[()].trail == (query.head(),)
-        assert by_path[(0,)].trail == (query.head(), query.input.head())
+        # Instantiation renders no head: an operator keeps the logical
+        # nodes, rendered into the plan path only when an error names it.
+        assert by_path[()].lineage == (query,)
+        assert by_path[(0,)].lineage == (query, query.input)
 
     def test_default_lowering_of_column_servable_pattern_is_the_plain_pipe(self):
         # The root first-set filter lives in the matcher, not in an

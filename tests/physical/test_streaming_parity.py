@@ -16,6 +16,7 @@ from repro.core.aqua_list import AquaList
 from repro.core.aqua_set import AquaSet
 from repro.core.identity import Record
 from repro.errors import QueryError
+from repro.physical import ExecutionContext, lower
 from repro.predicates import attr
 from repro.query import Q, evaluate
 from repro.query.interpreter import evaluate_with_metrics
@@ -129,6 +130,10 @@ CASES = {
         music_db(),
         Q.root("song").lsub_select("[A??F]", resolver=by_pitch).build(),
     ),
+    "list-sub-select-unanchored": lambda: (
+        music_db(),
+        Q.root("song").lsub_select("[[[A|C]] ?]", resolver=by_pitch).build(),
+    ),
     "extent-select": lambda: (
         person_db(),
         Q.extent("Person")
@@ -237,3 +242,70 @@ class TestCoercionDiagnostics:
         # The chain runs from the plan root down to the offending operator.
         assert "sapply" in message
         assert "sub_select[a]" in message
+
+
+def docstore_case():
+    """A path query: ``index_anchor_split`` plus ``flatten(apply(step))``."""
+    from repro.docstore import Document
+
+    doc = Document.from_text(
+        "<html><body><article lang='en'><p>a</p><p>a</p></article>"
+        "<article lang='de'><p>b</p></article></body></html>",
+        "html",
+    )
+    return doc, "//article//p"
+
+
+class TestSetStreams:
+    """Every set-shaped operator deduplicates its own stream, so the
+    result sink keys nothing again."""
+
+    def test_every_set_shaped_stream_is_duplicate_free(self, monkeypatch):
+        from repro.physical import operators
+        from repro.physical.base import PhysicalOp
+
+        streams: dict = {}
+        original = PhysicalOp.next
+
+        def recorded(self):
+            row = original(self)
+            if self.shape == "set":
+                streams.setdefault(self, []).append(row)
+            return row
+
+        monkeypatch.setattr(PhysicalOp, "next", recorded)
+        for case in sorted(CASES):
+            db, query = CASES[case]()
+            if "song" in db.roots():
+                db.list_index(db.root("song"), ["pitch"])
+            for choose in (True, False):
+                lower(query, db, choose_access_paths=choose).execute(ExecutionContext(db=db))
+        doc, path = docstore_case()
+        doc.path(path)
+        for op, rows in streams.items():
+            keys = [op.result_equality.key(row) for row in rows]
+            assert len(set(keys)) == len(keys), op.name
+        set_shaped = {
+            cls
+            for cls in vars(operators).values()
+            if isinstance(cls, type) and issubclass(cls, PhysicalOp) and cls.shape == "set"
+            and cls.__module__ == operators.__name__
+        }
+        assert {type(op) for op in streams} == set_shaped
+
+    @pytest.mark.parametrize("case", ["sub-select", "docstore"])
+    def test_a_query_result_keys_each_row_exactly_once(self, monkeypatch, case):
+        from collections import Counter
+
+        from repro.core.equality import DEFAULT
+
+        keyed: Counter = Counter()
+        original = DEFAULT.key
+        monkeypatch.setattr(DEFAULT, "key", lambda row: keyed.update([id(row)]) or original(row))
+        if case == "docstore":
+            doc, _ = docstore_case()
+            result = doc.path("//p")
+        else:
+            result = evaluate(*reversed(CASES[case]()))
+        assert len(result) > 1
+        assert [keyed[id(row)] for row in result] == [1] * len(result)

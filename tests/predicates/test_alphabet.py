@@ -59,6 +59,34 @@ class TestComparison:
         assert p.attributes() == {"citizen"}
         assert p.indexable_terms() == [("citizen", "=", "Brazil")]
 
+    @pytest.mark.parametrize("op", ["=", "!=", "<", "<=", ">", ">="])
+    def test_compiled_test_answers_as_the_call(self, op):
+        """``=`` / ``!=`` compare inline and ``bool`` is called only on a
+        non-bool outcome; every answer is still ``__call__``'s, a bool."""
+
+        class Raises:
+            def __eq__(self, other):
+                raise TypeError("incomparable")
+
+            __ne__ = __lt__ = __le__ = __gt__ = __ge__ = __eq__
+
+        class Truthy:  # outcomes that are not bools: a list, an int
+            def __eq__(self, other):
+                return [other]
+
+            def __ne__(self, other):
+                return 0
+
+            __lt__ = __le__ = __gt__ = __ge__ = __eq__
+
+        objects = [MAT, ANA, {"age": 40}, {"name": "x"}, Record(name="y"), 40,
+                   {"age": Raises()}, Record(age=Truthy()), {"age": "tall"}]
+        for constant in (40, "tall", Raises(), Truthy()):
+            predicate = Comparison("age", op, constant)
+            test = predicate.compile()
+            for obj in objects:
+                assert test(obj) is predicate(obj), (op, constant, obj)
+
 
 class TestCombinators:
     def test_and(self):

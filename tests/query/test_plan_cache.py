@@ -280,3 +280,26 @@ class TestPreparedQuery:
     def test_expr_param_slots_recorded(self, db):
         prepared = prepare(E.Param("answer"), db, optimize=False)
         assert prepared.param_slots == frozenset({"answer"})
+
+
+class TestWarmRunRendersNothing:
+    def test_a_warm_tree_sub_select_renders_no_pattern(self, db, monkeypatch):
+        """Instantiating a cached plan renders no operator head (the plan
+        path is rendered only when an error names it) and the match
+        registry keys on the compiled pattern's text, made once."""
+        from repro.api import Session
+        from repro.patterns.tree_ast import TreePattern
+
+        session = Session(db)
+        query = 'root T | sub_select "d(e(h ?*) ?*)"'
+        cold = session.query(query)
+        rendered = []
+        original = TreePattern.describe
+        monkeypatch.setattr(
+            TreePattern, "describe", lambda self: rendered.append(self) or original(self)
+        )
+        hits = session.plan_cache.hits
+        warm = session.query(query)
+        assert session.plan_cache.hits == hits + 1
+        assert list(warm) == list(cold) and len(cold) == 1
+        assert rendered == []

@@ -265,6 +265,16 @@ def test_tree_nodes_are_grouped_by_attribute_in_one_module_only() -> None:
     assert [line for line in tree_index.splitlines() if grouping.search(line)] == []
 
 
+def test_docstore_ingest_builds_nodes_not_a_tree_per_element() -> None:
+    """A parser makes each element a ``TreeNode`` over its cell and wraps
+    the document root alone in an ``AquaTree`` (the CI lint job greps
+    for the same thing)."""
+    package = Path(repro.__file__).resolve().parent
+    source = (package / "docstore" / "ingest.py").read_text(encoding="utf-8")
+    per_element = re.compile(r"AquaTree\.(build|leaf)\(")
+    assert [line for line in source.splitlines() if per_element.search(line)] == []
+
+
 def test_root_predicate_walk_is_defined_once() -> None:
     """Index anchors, list column choices and the matcher's root
     first-set read one analysis of a pattern's roots: ``tree_ast._root_predicates``
