@@ -262,10 +262,11 @@ class SessionPool:
 
     All workers share the pool's plan cache (snapshots share the base
     database's cache identity), so a shape warmed by one client is warm
-    for every client.  Per-query state — parameter bindings, guards,
-    match scopes, predicate bitmaps — is thread-local *and* reset on
-    scope exit, so nothing bleeds between queries that happen to reuse
-    a worker thread (see the PR-6 regression tests).
+    for every client.  Per-query state — the guard, parameter bindings,
+    match tables and counter receivers of one
+    :class:`~repro.context.QueryContext` — is thread-local *and* reset
+    on scope exit, so nothing bleeds between queries that happen to
+    reuse a worker thread (see the PR-6 regression tests).
 
     **Fault tolerance** (PR 7, all opt-in, see README "Fault-tolerant
     serving"):

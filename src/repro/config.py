@@ -17,13 +17,7 @@ Precedence (documented in the README table):
 
 from __future__ import annotations
 
-import os
-
 from .errors import QueryError
-
-#: Environment knob overriding the default DFA transition-cache bound.
-DFA_CACHE_LIMIT_ENV = "AQUA_DFA_CACHE_LIMIT"
-DEFAULT_DFA_CACHE_LIMIT = 4096
 
 #: The values the ``parallel=`` keyword accepts (see
 #: :func:`validated_parallel`).
@@ -57,21 +51,3 @@ def validated_parallel(mode: str | None) -> None:
     """
     if mode is not None and mode not in PARALLEL_MODES:
         raise invalid_knob("parallel", mode, " | ".join(PARALLEL_MODES))
-
-
-def validated_dfa_cache_limit(limit: int | None = None) -> int:
-    """Resolve the DFA cache bound: argument > env > default (≥ 1)."""
-    if limit is not None:
-        if limit < 1:
-            raise invalid_knob(DFA_CACHE_LIMIT_ENV, limit, "an integer >= 1")
-        return limit
-    raw = os.environ.get(DFA_CACHE_LIMIT_ENV)
-    if raw is None:
-        return DEFAULT_DFA_CACHE_LIMIT
-    try:
-        parsed = int(raw)
-    except ValueError:
-        raise invalid_knob(DFA_CACHE_LIMIT_ENV, raw, "an integer >= 1") from None
-    if parsed < 1:
-        raise invalid_knob(DFA_CACHE_LIMIT_ENV, parsed, "an integer >= 1")
-    return parsed

@@ -95,10 +95,11 @@ class Budget:
     * ``deadline_seconds`` — wall-clock budget, measured from the moment
       the guard is armed;
     * ``max_steps`` — matcher/engine steps (backtracking derivation
-      steps, DFA element steps, interpreter dispatches);
+      steps, interpreter dispatches);
     * ``max_backtrack_depth`` — recursion depth of the backtracking
       matchers and of nullability analysis;
-    * ``max_results`` — output cardinality of any single plan operator;
+    * ``max_results`` — rows any single plan operator outputs (a value
+      such as a root's tree is one row);
     * ``max_nodes_scanned`` — total nodes/objects/positions read by
       storage scans;
     * ``token`` — optional cooperative cancellation handle.

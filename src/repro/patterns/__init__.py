@@ -1,9 +1,8 @@
 """Pattern languages for lists and trees (paper §3).
 
-* List patterns: regular expressions over alphabet-predicates, with four
-  interchangeable engines (backtracking with prune capture, ε-NFA, lazy
-  DFA, Brzozowski derivatives) plus the §3.4 ``P → P'`` translation and
-  a Python ``re`` oracle bridge.
+* List patterns: regular expressions over alphabet-predicates, with one
+  engine — a backtracker with prune capture, plus a span enumerator for
+  prune-free patterns (:mod:`.list_match`).
 * Tree patterns: tree regular expressions with concatenation points,
   subscripted closures, ⊤/⊥ anchors and ``!`` pruning — one matcher,
   which tables its derivations where the pattern's shape says a repeat
@@ -11,14 +10,6 @@
   backtracker the tests use as reference).
 """
 
-from .derivatives import deriv_accepts, deriv_find_spans, derivative
-from .equivalence import (
-    distinguishing_vector,
-    pattern_language_empty,
-    pattern_subsumes,
-    patterns_equivalent,
-)
-from .dfa import LazyDFA, compile_dfa, dfa_find_spans
 from .list_ast import (
     EPSILON,
     Atom,
@@ -37,13 +28,6 @@ from .list_ast import (
 )
 from .list_match import ListMatch, find_list_matches, find_spans, matches_whole
 from .list_parser import parse_list_pattern, list_pattern
-from .nfa import NFA, compile_nfa, nfa_find_spans
-from .regex_bridge import (
-    encode_sequence,
-    expand_alphabet,
-    regex_find_spans,
-    to_python_regex,
-)
 from .tree_ast import (
     CHILD_EPSILON,
     ChildAlt,
@@ -83,12 +67,10 @@ __all__ = [
     "Concat",
     "EPSILON",
     "Epsilon",
-    "LazyDFA",
     "ListMatch",
     "MatchContextRegistry",
     "ListPattern",
     "ListPatternNode",
-    "NFA",
     "Plus",
     "PointAtom",
     "Prune",
@@ -108,30 +90,15 @@ __all__ = [
     "Union",
     "any_element",
     "atom",
-    "compile_dfa",
-    "compile_nfa",
-    "deriv_accepts",
-    "deriv_find_spans",
-    "derivative",
-    "dfa_find_spans",
-    "distinguishing_vector",
-    "pattern_language_empty",
-    "pattern_subsumes",
-    "patterns_equivalent",
-    "encode_sequence",
-    "expand_alphabet",
     "find_list_matches",
     "find_spans",
     "find_tree_matches",
     "iter_tree_matches",
     "list_pattern",
     "matches_whole",
-    "nfa_find_spans",
     "parse_list_pattern",
     "parse_tree_pattern",
-    "regex_find_spans",
     "seq",
-    "to_python_regex",
     "tree_in_language",
     "tree_pattern",
     "union",

@@ -1,12 +1,10 @@
 """List-pattern matching with prune capture (paper §3.2, §3.4).
 
-This is the reference engine: a backtracking interpreter over the pattern
-AST that enumerates **every** matching sublist, tracking which elements a
-``!`` prune marker removes from the returned piece.  The automaton engines
-(:mod:`repro.patterns.nfa`, :mod:`repro.patterns.dfa`,
-:mod:`repro.patterns.derivatives`) are faster for boolean and span
-queries but do not carry prune structure; the property-test suite checks
-that all engines agree on spans.
+This is the one list-pattern engine every query runs: a backtracking
+interpreter over the pattern AST that enumerates **every** matching
+sublist, tracking which elements a ``!`` prune marker removes from the
+returned piece.  The tests check its spans against three independent
+oracles (ε-NFA simulation, Brzozowski derivatives and Python ``re``).
 
 A match is reported as a :class:`ListMatch`:
 

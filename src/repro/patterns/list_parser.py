@@ -31,7 +31,6 @@ from ..context import emit
 from ..errors import NotationError, PatternError
 from ..predicates.alphabet import AlphabetPredicate, SymbolEquals
 from ..predicates.parser import parse_predicate
-from .dfa import COMPILED
 from .list_ast import (
     EPSILON,
     Atom,
@@ -44,7 +43,7 @@ from .list_ast import (
     Union,
     any_element,
 )
-from .pattern_tokens import PatternTokenStream, tokenize_pattern
+from .pattern_tokens import COMPILED, PatternTokenStream, tokenize_pattern
 
 SymbolResolver = Callable[[str], AlphabetPredicate]
 
@@ -161,7 +160,7 @@ def list_pattern(
     Accepts pattern text, a ready pattern, a bare AST node, or a single
     alphabet-predicate (which becomes a one-element pattern).  Text is
     compiled once per (text, resolver) and shared — see
-    :class:`~repro.patterns.dfa.CompileCache`; call
+    :class:`~repro.patterns.pattern_tokens.CompileCache`; call
     :func:`parse_list_pattern` for a private copy.
     """
     if isinstance(source, ListPattern):

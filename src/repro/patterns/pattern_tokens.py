@@ -25,11 +25,17 @@ Symbols follow the compact/word-mode convention of
 :mod:`repro.core.notation`: with no whitespace anywhere, all-lowercase
 alphabetic runs split into single-character symbols (``[abc]``); any
 whitespace or comma switches to whole-word symbols (``[A B C]``).
+
+Both parsers also share :data:`COMPILED`, the process-wide cache of
+patterns compiled from text.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
+from types import FunctionType
+from typing import Any, Callable
 
 from ..core.notation import use_word_mode
 from ..errors import NotationError
@@ -276,3 +282,62 @@ class PatternTokenStream:
     @property
     def text(self) -> str:
         return self._text
+
+
+#: How many compiled patterns :data:`COMPILED` keeps.
+COMPILE_CACHE_LIMIT = 4096
+
+
+class CompileCache:
+    """Bounded LRU of compiled patterns, keyed by text and resolver.
+
+    What :func:`~repro.patterns.tree_parser.tree_pattern` and
+    :func:`~repro.patterns.list_parser.list_pattern` consult when handed
+    a string, so an algebra call that spells its pattern as text inside
+    a per-member function (``split_pieces("Brazil(!?* USA !?*)", tree)``
+    once per tree of an extent) parses it once per process, not once per
+    call.  A hit moves the entry to the back of the dict; a miss at
+    capacity (:data:`COMPILE_CACHE_LIMIT`) drops the front.
+
+    A pattern is a function of its text *and* of what the resolver makes
+    of each bare symbol, so only a visibly stateless resolver is served:
+    ``None`` (the default) or a plain function with no closure cells.  A
+    closure, a bound method, a ``partial`` or any other callable object
+    may answer differently next time and always parses afresh.  Compiled
+    patterns are immutable, so every caller may share one.
+    """
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, Any] = {}
+        self._lock = threading.Lock()
+
+    def get(self, parse: Callable[..., Any], text: str, resolver: Any) -> Any:
+        """``parse(text, resolver)``, from the cache when it may be."""
+        if resolver is not None and (
+            type(resolver) is not FunctionType or resolver.__closure__ is not None
+        ):
+            return parse(text, resolver)
+        key = (parse, text, resolver)
+        with self._lock:
+            pattern = self._entries.pop(key, None)
+            if pattern is not None:
+                self._entries[key] = pattern
+                return pattern
+        pattern = parse(text, resolver)
+        with self._lock:
+            self._entries[key] = pattern
+            while len(self._entries) > COMPILE_CACHE_LIMIT:
+                del self._entries[next(iter(self._entries))]
+        return pattern
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._entries)
+
+
+#: The process-wide compile cache (the ``re`` module keeps one likewise).
+COMPILED = CompileCache()

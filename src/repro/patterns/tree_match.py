@@ -854,9 +854,9 @@ def _settler(first_set: RootFirstSet, matcher: _TreeMatcher, on_candidate, fault
         if on_candidate is not None and elements:
             on_candidate(elements)
         matcher.backtrack_steps += rejected * steps
-        matcher.predicate_evals += elements * evals
-        if guard is not None:
+        if guard is not None:  # the matcher ticks its step before it tests
             guard.tick(rejected * steps, "tree matcher")
+        matcher.predicate_evals += elements * evals
 
     return settle
 
@@ -881,8 +881,8 @@ def _first_set_scan(
     of where that scan would have noticed it.  When something counts
     candidates one by one — a fault plan, a ``max_steps`` or
     ``max_nodes_scanned`` limit — every node settles on its own, in the
-    original order (fault point, node charge, steps): the fault fires at
-    the same candidate, the limit trips at the same node.
+    matcher's order (fault point, candidate, steps, tests): the fault
+    fires at the same candidate, the limit trips at the same node.
 
     Walks ``tree.nodes()`` order inline off ``node.item``: no layout is
     forced on the tree, no property or generator resume paid per node.

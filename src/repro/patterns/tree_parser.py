@@ -38,8 +38,12 @@ from ..core.concat import ConcatPoint
 from ..errors import NotationError, PatternError
 from ..predicates.alphabet import ANY, AlphabetPredicate, SymbolEquals
 from ..predicates.parser import parse_predicate
-from .dfa import COMPILED
-from .pattern_tokens import PatternToken, PatternTokenStream, tokenize_pattern
+from .pattern_tokens import (
+    COMPILED,
+    PatternToken,
+    PatternTokenStream,
+    tokenize_pattern,
+)
 from .tree_ast import (
     CHILD_EPSILON,
     ChildAlt,
@@ -239,7 +243,7 @@ def tree_pattern(
     Accepts pattern text, a ready pattern, a bare AST node, or a single
     alphabet-predicate (which becomes a bare single-node pattern).  Text
     is compiled once per (text, resolver) and shared — see
-    :class:`~repro.patterns.dfa.CompileCache`; call
+    :class:`~repro.patterns.pattern_tokens.CompileCache`; call
     :func:`parse_tree_pattern` for a private copy.
     """
     if isinstance(source, TreePattern):

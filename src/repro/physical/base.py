@@ -175,7 +175,8 @@ class PhysicalOp:
                     row = next(self._gen)
                 except StopIteration:
                     op.wall_seconds += time.perf_counter() - started
-                    op.rows_out = self._count
+                    if not self._count:
+                        op.rows_out = 0
                     raise
                 except BaseException:
                     op.wall_seconds += time.perf_counter() - started
@@ -183,9 +184,9 @@ class PhysicalOp:
                 finally:
                     counters.operator = outer
                 op.wall_seconds += time.perf_counter() - started
-            self._count += cardinality(row) if self.shape == "value" else 1
-            if op is not None:
-                op.rows_out = self._count
+            self._count += 1
+            if op is not None:  # EXPLAIN counts a value's nodes, a budget its rows
+                op.rows_out = cardinality(row) if self.shape == "value" else self._count
             guard = ctx.guard
             if guard is not None and guard.budget.max_results is not None:
                 guard.check_results(self._count, self.logical.head())

@@ -29,8 +29,7 @@ plan's :class:`RunCounters`, or a sink a caller credits.
 Counter vocabulary (see EXPERIMENTS.md for the full glossary):
 ``predicate_evals``, ``nodes_scanned``, ``positions_scanned``,
 ``objects_scanned``, ``index_probes``, ``index_candidates``,
-``index_builds``, ``full_scans``, ``backtrack_steps``,
-``dfa_cache_hits``, ``dfa_cache_misses``, ``dfa_cache_evictions``.
+``index_builds``, ``full_scans``, ``backtrack_steps``.
 """
 
 from __future__ import annotations

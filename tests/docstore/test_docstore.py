@@ -21,7 +21,8 @@ from repro.docstore import (
 )
 from repro.docstore.corpus import corpus_document, corpus_html, corpus_tree
 from repro.docstore.path import PathStepFn, step_predicate
-from repro.errors import QueryError
+from repro.errors import QueryError, ResourceExhaustedError
+from repro.guardrails import Budget
 from repro.query import expr as E
 
 from ..reference import untabled_scope
@@ -142,6 +143,25 @@ class TestPathQueries:
         # CLAIM-DOCSTORE's corpus: 159 paragraphs under the 8 English
         # articles of a 9 524-node page.
         assert (doc.tree.size(), len(got)) == (9524, 159)
+
+    @pytest.mark.parametrize(
+        "path,operator",
+        [
+            ("//article[@lang='en']//p", "flatten"),
+            ("//nav//a", "flatten"),
+            ("//p", 'split[{tag = "p"}]'),
+        ],
+    )
+    def test_max_results_counts_rows_not_the_document_tree(self, path, operator):
+        """``root(doc)`` is one row however many nodes the page has, so a
+        trajectory path under ``max_results=2`` trips at the operator
+        that produced the third row, not at the source."""
+        doc = corpus_document()
+        assert len(doc.path(path)) > 2
+        with pytest.raises(ResourceExhaustedError) as info:
+            doc.path(path, budget=Budget(max_results=2))
+        error = info.value
+        assert (error.limit_name, error.spent, error.operator) == ("max_results", 3, operator)
 
     def test_compiles_to_split_head(self):
         plan = compile_path(E.Root("doc"), "//article[@lang='en']//p")

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from ..errors import PatternError
-from .list_ast import (
+from repro.errors import PatternError
+from repro.patterns.list_ast import (
     EPSILON,
     Atom,
     Concat,

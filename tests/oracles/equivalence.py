@@ -28,9 +28,10 @@ from __future__ import annotations
 from itertools import product as cartesian_product
 from typing import Sequence
 
-from ..errors import PatternError
-from ..predicates.alphabet import AlphabetPredicate
-from .list_ast import ListPattern, ListPatternNode
+from repro.errors import PatternError
+from repro.patterns.list_ast import ListPattern, ListPatternNode
+from repro.predicates.alphabet import AlphabetPredicate
+
 from .nfa import NFA, compile_nfa
 
 
@@ -94,7 +95,7 @@ def _vectors(atoms: Sequence[AlphabetPredicate]) -> list[tuple[bool, ...]]:
     even when mutually exclusive in practice — see the module note on
     conservative strictness.
     """
-    from ..predicates.alphabet import TruePredicate
+    from repro.predicates.alphabet import TruePredicate
 
     choices = [
         ((True,) if isinstance(atom, TruePredicate) else (False, True))

@@ -15,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from ..errors import PatternError
-from ..predicates.alphabet import AlphabetPredicate
-from .list_ast import (
+from repro.errors import PatternError
+from repro.patterns.list_ast import (
     Atom,
     Concat,
     Epsilon,
@@ -28,6 +27,7 @@ from .list_ast import (
     Star,
     Union,
 )
+from repro.predicates.alphabet import AlphabetPredicate
 
 
 @dataclass

@@ -24,9 +24,8 @@ from __future__ import annotations
 import re
 from typing import Any, Sequence
 
-from ..errors import PatternError
-from ..predicates.alphabet import AlphabetPredicate, SymbolEquals
-from .list_ast import (
+from repro.errors import PatternError
+from repro.patterns.list_ast import (
     EPSILON,
     Atom,
     Concat,
@@ -38,6 +37,7 @@ from .list_ast import (
     Star,
     Union,
 )
+from repro.predicates.alphabet import AlphabetPredicate, SymbolEquals
 
 
 def expand_alphabet(

@@ -1,7 +1,7 @@
-"""The text → pattern compile cache beside the lazy-DFA cache (ISSUE 21).
+"""The text → pattern compile cache.
 
 ``tree_pattern`` / ``list_pattern`` serve pattern *text* from one
-bounded LRU (``AQUA_DFA_CACHE_LIMIT``), keyed by text and resolver, so
+bounded LRU (``COMPILE_CACHE_LIMIT``), keyed by text and resolver, so
 algebra calls that spell their pattern as a string stop re-parsing it.
 """
 
@@ -13,8 +13,8 @@ import pytest
 from repro import context
 from repro.algebra import split_pieces, sub_select_list
 from repro.core import AquaList, parse_tree
-from repro.patterns import parse_list_pattern, parse_tree_pattern
-from repro.patterns.dfa import COMPILED, DFA_CACHE_LIMIT_ENV, CompileCache
+from repro.patterns import parse_list_pattern, parse_tree_pattern, pattern_tokens
+from repro.patterns.pattern_tokens import COMPILED, CompileCache
 from repro.patterns.list_parser import list_pattern
 from repro.patterns.tree_parser import tree_pattern
 from repro.predicates import attr
@@ -81,7 +81,9 @@ def test_stateful_resolvers_are_never_served_stale():
 
 
 def test_lru_bound_follows_the_dfa_cache_knob(monkeypatch):
-    monkeypatch.setenv(DFA_CACHE_LIMIT_ENV, "3")
+    # The retired AQUA_DFA_CACHE_LIMIT is ignored: the constant bounds.
+    monkeypatch.setenv("AQUA_DFA_CACHE_LIMIT", "100")
+    monkeypatch.setattr(pattern_tokens, "COMPILE_CACHE_LIMIT", 3)
     kept = tree_pattern("p0")
     for index in range(1, 3):
         tree_pattern(f"p{index}")
@@ -96,7 +98,7 @@ def test_lru_bound_follows_the_dfa_cache_knob(monkeypatch):
 
 
 def test_concurrent_callers_share_one_bounded_cache(monkeypatch):
-    monkeypatch.setenv(DFA_CACHE_LIMIT_ENV, "4")
+    monkeypatch.setattr(pattern_tokens, "COMPILE_CACHE_LIMIT", 4)
     texts = [f"s{index}(?* t{index})" for index in range(9)]
     expected = {text: parse_tree_pattern(text) for text in texts}
     cache = CompileCache()

@@ -1,18 +1,18 @@
-"""Cross-checks of the four list-pattern engines plus the ``re`` oracle.
+"""Cross-checks of the list-pattern engine against three oracles.
 
 The same pattern/input pairs run through the backtracking matcher, the
-ε-NFA, the lazy DFA, Brzozowski derivatives and the Python ``re``
-encoding of §3.4 — all five must agree on the span sets.
+ε-NFA, Brzozowski derivatives and the Python ``re`` encoding of §3.4 —
+all four must agree on the span sets.
 """
 
 import pytest
 
-from repro.patterns.derivatives import EMPTY, deriv_accepts, deriv_find_spans, derivative
-from repro.patterns.dfa import compile_dfa, dfa_find_spans
 from repro.patterns.list_match import find_spans, matches_whole
 from repro.patterns.list_parser import parse_list_pattern
-from repro.patterns.nfa import compile_nfa, nfa_find_spans
-from repro.patterns.regex_bridge import (
+
+from ..oracles.derivatives import EMPTY, deriv_accepts, deriv_find_spans, derivative
+from ..oracles.nfa import compile_nfa, nfa_find_spans
+from ..oracles.regex_bridge import (
     encode_sequence,
     expand_alphabet,
     regex_find_spans,
@@ -42,7 +42,6 @@ def test_all_engines_agree(pattern_text, values):
     seq = list(values)
     reference = find_spans(pattern, seq)
     assert nfa_find_spans(pattern, seq) == reference
-    assert dfa_find_spans(pattern, seq) == reference
     assert deriv_find_spans(pattern, seq) == reference
     assert regex_find_spans(pattern, seq) == reference
 
@@ -53,7 +52,6 @@ def test_acceptance_engines_agree(pattern_text, values):
     seq = list(values)
     expected = matches_whole(pattern, seq)
     assert compile_nfa(pattern).accepts(seq) is expected
-    assert compile_dfa(pattern).accepts(seq) is expected
     assert deriv_accepts(pattern, seq) is expected
 
 
@@ -69,20 +67,6 @@ class TestNFA:
     def test_ends_from(self):
         nfa = compile_nfa(parse_list_pattern("[a+]"))
         assert nfa.ends_from(list("aab"), 0) == [1, 2]
-
-
-class TestDFA:
-    def test_transition_cache_reused(self):
-        dfa = compile_dfa(parse_list_pattern("[[[a|b]]*]"))
-        seq = list("abababab")
-        dfa.accepts(seq)
-        first = dfa.cached_transitions
-        dfa.accepts(seq)
-        assert dfa.cached_transitions == first  # warm cache, no growth
-
-    def test_outcome_vector(self):
-        dfa = compile_dfa(parse_list_pattern("[ab]"))
-        assert dfa.outcome_vector("a") == (True, False)
 
 
 class TestDerivatives:

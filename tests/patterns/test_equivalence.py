@@ -3,13 +3,14 @@
 import pytest
 
 from repro.errors import PatternError
-from repro.patterns.equivalence import (
+from repro.patterns.list_parser import parse_list_pattern
+
+from ..oracles.equivalence import (
     distinguishing_vector,
     pattern_language_empty,
     pattern_subsumes,
     patterns_equivalent,
 )
-from repro.patterns.list_parser import parse_list_pattern
 
 
 def p(text):
@@ -88,7 +89,7 @@ class TestEmptiness:
 
     def test_translated_unsatisfiable_atom_is_empty(self):
         from repro.patterns.list_ast import ListPattern
-        from repro.patterns.regex_bridge import expand_alphabet
+        from ..oracles.regex_bridge import expand_alphabet
 
         expanded = expand_alphabet(p("[z]"), ["x", "y"])
         # The unsatisfiable atom still has *abstract* outcomes; check the

@@ -259,8 +259,8 @@ class TestInterpreterBudgets:
 
     @pytest.mark.parametrize("operator", ["all_anc", "all_desc"])
     def test_max_results_trips_all_anc_and_all_desc_mid_stream(self, operator):
-        """66 distinct rows from a 13-node tree: the limit the root's 13
-        nodes pass trips the operator at its 14th row, with nothing
+        """66 distinct rows from a 13-node tree: the root is one row, and
+        a limit of 13 trips the operator at its 14th row, with nothing
         buffered — the full result never exists."""
         tree_db = Database()
         tree_db.bind_root("T", parse_tree("a(" + " ".join(f"b{i}" for i in range(12)) + ")"))

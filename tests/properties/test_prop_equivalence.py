@@ -2,10 +2,10 @@
 
 from hypothesis import assume, given, settings
 
-from repro.patterns.equivalence import pattern_subsumes, patterns_equivalent
 from repro.patterns.list_ast import Concat, ListPattern, Plus, Star, Union
 from repro.patterns.list_match import matches_whole
 
+from ..oracles.equivalence import pattern_subsumes, patterns_equivalent
 from .strategies import list_pattern_nodes, sequences
 
 SETTINGS = settings(max_examples=40, deadline=None)

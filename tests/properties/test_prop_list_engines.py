@@ -1,5 +1,6 @@
-"""Properties: all four list engines agree with the Python ``re``
-oracle, and list ``split`` answers alike through every access path."""
+"""Properties: the list engine and the NFA and derivative oracles agree
+with the Python ``re`` oracle, and list ``split`` answers alike through
+every access path."""
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -8,15 +9,14 @@ from repro import Session
 from repro.algebra.list_ops import split_list
 from repro.core.aqua_list import AquaList
 from repro.core.concat import ALPHA, ConcatPoint
-from repro.patterns.derivatives import deriv_accepts, deriv_find_spans
-from repro.patterns.dfa import compile_dfa, dfa_find_spans
 from repro.patterns.list_match import find_spans, matches_whole
-from repro.patterns.nfa import compile_nfa, nfa_find_spans
-from repro.patterns.regex_bridge import regex_find_spans
 from repro.query import Q
 from repro.storage import Database
 from repro.storage.columnar import resolve_backend
 
+from ..oracles.derivatives import deriv_accepts, deriv_find_spans
+from ..oracles.nfa import compile_nfa, nfa_find_spans
+from ..oracles.regex_bridge import expand_alphabet, regex_find_spans
 from ..reference import list_columns, reference_eval
 from .strategies import (
     list_patterns,
@@ -39,7 +39,6 @@ def test_span_engines_agree_with_re_oracle(pattern, values):
     oracle = regex_find_spans(pattern, values)
     assert find_spans(pattern, values) == oracle
     assert nfa_find_spans(pattern, values) == oracle
-    assert dfa_find_spans(pattern, values) == oracle
     assert deriv_find_spans(pattern, values) == oracle
 
 
@@ -48,7 +47,6 @@ def test_span_engines_agree_with_re_oracle(pattern, values):
 def test_membership_engines_agree(pattern, values):
     expected = matches_whole(pattern, values)
     assert compile_nfa(pattern).accepts(values) is expected
-    assert compile_dfa(pattern).accepts(values) is expected
     assert deriv_accepts(pattern, values) is expected
 
 
@@ -57,7 +55,6 @@ def test_membership_engines_agree(pattern, values):
 def test_expand_alphabet_preserves_language(pattern, values):
     """The §3.4 P→P' translation preserves membership over the universe."""
     from repro.patterns.list_ast import ListPattern
-    from repro.patterns.regex_bridge import expand_alphabet
 
     universe = sorted(set(values) | {"a"})
     expanded = ListPattern(expand_alphabet(pattern, universe))

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import Session, default_session
-from repro.config import DFA_CACHE_LIMIT_ENV
+from repro import Session, default_session, faults
+from repro.config import FAULTS_ENV
 from repro.core import parse_tree
 from repro.core.identity import Record
 from repro.errors import QueryError, ResourceExhaustedError
@@ -66,12 +66,19 @@ class TestKnobValidation:
         assert metrics.totals()["memo_misses"] > 0
 
     def test_bad_env_value_rejected_on_first_read(self, db, monkeypatch):
-        monkeypatch.setenv(DFA_CACHE_LIMIT_ENV, "turbo")
-        session = Session(db, plan_cache=PlanCache())  # env not read yet
-        # Planning compiles the pattern text, and a compile-cache miss
-        # reads the bound.
-        with pytest.raises(QueryError, match=DFA_CACHE_LIMIT_ENV):
-            session.query(Q.root("T").sub_select("s(?* d(x) ?* k)").node)
+        query = Q.root("T").sub_select("s(?* d(e j) ?* k)").node
+        # The retired compile-cache variable is never read at all.
+        monkeypatch.setenv("AQUA_DFA_CACHE_LIMIT", "turbo")
+        assert len(Session(db, plan_cache=PlanCache()).query(query)) == 1
+        # A malformed AQUA_FAULTS is read at import and raised at the
+        # first fault point a query reaches, naming the knob.
+        monkeypatch.setenv(FAULTS_ENV, "turbo")
+        _, error = faults._initial_state()
+        monkeypatch.setattr(faults, "_env_error", error)
+        monkeypatch.setattr(faults, "_active", None)
+        session = Session(db, plan_cache=PlanCache())
+        with pytest.raises(QueryError, match=FAULTS_ENV):
+            session.query(query)
 
     def test_bad_per_call_value_rejected(self, db):
         session = Session(db)

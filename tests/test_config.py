@@ -1,10 +1,11 @@
 """Knob validation: every ``AQUA_*`` value is checked on first read.
 
-The eight ``AQUA_*`` knobs are the budget limits, the DFA cache bound and
-the fault-injection pair.  ``TestParallel*`` are historical class names:
-the parallel knobs they once covered are gone, and each class now pins a
-surviving knob (or, for ``TestParallelKnob``, the inert ``parallel=``
-keyword kept for call compatibility).
+The seven ``AQUA_*`` knobs are the budget limits and the fault-injection
+pair.  ``TestParallel*`` and ``TestDfaCacheLimitKnob`` are historical
+class names: the knobs they once covered are gone, and each class now
+pins a surviving knob (or, for ``TestParallelKnob``, the inert
+``parallel=`` keyword kept for call compatibility), or that a retired
+variable is ignored.
 """
 
 import pytest
@@ -13,31 +14,46 @@ from repro import config, context, guardrails
 from repro.__main__ import Shell
 from repro.errors import QueryError, ResourceExhaustedError
 from repro.guardrails import ENV_KNOBS, Budget
-from repro.patterns.dfa import CompileCache, compile_dfa
-from repro.patterns.list_parser import parse_list_pattern
+from repro.patterns import find_spans, pattern_tokens
+from repro.patterns.list_parser import list_pattern, parse_list_pattern
+from repro.patterns.pattern_tokens import COMPILED, CompileCache
 from repro.patterns.tree_parser import parse_tree_pattern
 
 MAX_STEPS_ENV = "AQUA_MAX_STEPS"
 
+#: The compile-cache bound's variable before the bound became a constant.
+RETIRED_CACHE_ENV = "AQUA_DFA_CACHE_LIMIT"
 
-def small_dfa(cache_limit=None):
-    return compile_dfa(parse_list_pattern("[a b]"), cache_limit=cache_limit)
+
+def melody_spans():
+    """``[a b]`` over a fixed melody, compiled through ``COMPILED``."""
+    COMPILED.clear()
+    return find_spans(list_pattern("[a b]"), list("xabab"))
 
 
 class TestDfaCacheLimitKnob:
+    """``AQUA_DFA_CACHE_LIMIT`` is retired: no value of it is read."""
+
     def test_default(self, monkeypatch):
-        monkeypatch.delenv(config.DFA_CACHE_LIMIT_ENV, raising=False)
-        assert config.validated_dfa_cache_limit() == config.DEFAULT_DFA_CACHE_LIMIT
+        monkeypatch.delenv(RETIRED_CACHE_ENV, raising=False)
+        assert pattern_tokens.COMPILE_CACHE_LIMIT == 4096
+        for name in ("DFA_CACHE_LIMIT_ENV", "DEFAULT_DFA_CACHE_LIMIT", "validated_dfa_cache_limit"):
+            assert not hasattr(config, name)
 
     def test_env(self, monkeypatch):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "16")
-        assert config.validated_dfa_cache_limit() == 16
+        monkeypatch.setenv(RETIRED_CACHE_ENV, "16")
+        cache = CompileCache()
+        for index in range(20):
+            cache.get(parse_tree_pattern, f"e{index}", None)
+        assert len(cache) == 20
 
     @pytest.mark.parametrize("bogus", ["lots", "0", "-3", "1.5"])
     def test_rejects_bad_values_naming_the_knob(self, monkeypatch, bogus):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, bogus)
-        with pytest.raises(QueryError, match=config.DFA_CACHE_LIMIT_ENV):
-            config.validated_dfa_cache_limit()
+        # Each value the variable once refused now changes nothing.
+        monkeypatch.delenv(RETIRED_CACHE_ENV, raising=False)
+        expected = melody_spans()
+        monkeypatch.setenv(RETIRED_CACHE_ENV, bogus)
+        assert melody_spans() == expected == [(1, 3), (3, 5)]
 
 
 class TestParallelKnob:
@@ -66,78 +82,91 @@ class TestParallelKnob:
 
 
 class TestParallelWorkersKnob:
-    """``AQUA_DFA_CACHE_LIMIT`` as the lazy-DFA transition cache reads it."""
+    """The compile cache's bound: a module constant, no argument, no
+    environment."""
 
     def test_default_auto_resolves_to_a_positive_count(self, monkeypatch):
-        monkeypatch.delenv(config.DFA_CACHE_LIMIT_ENV, raising=False)
-        assert small_dfa().cache_limit == config.DEFAULT_DFA_CACHE_LIMIT >= 1
+        monkeypatch.delenv(RETIRED_CACHE_ENV, raising=False)
+        assert pattern_tokens.COMPILE_CACHE_LIMIT >= 1
 
     def test_env_pins_the_pool(self, monkeypatch):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "3")
-        assert small_dfa().cache_limit == 3
+        monkeypatch.setenv(RETIRED_CACHE_ENV, "3")
+        cache = CompileCache()
+        for index in range(5):
+            cache.get(parse_list_pattern, f"[a{'b' * index}]", None)
+        assert len(cache) == 5
 
     def test_argument_beats_scope_beats_env(self, monkeypatch):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "3")
-        assert small_dfa(cache_limit=5).cache_limit == 5
-        assert config.validated_dfa_cache_limit(2) == 2
-        assert small_dfa().cache_limit == 3
+        # No constructor option exists to override the constant.
+        monkeypatch.setenv(RETIRED_CACHE_ENV, "3")
+        with pytest.raises(TypeError):
+            CompileCache(5)
+        with pytest.raises(TypeError):
+            CompileCache(cache_limit=5)
 
     def test_explicit_auto_still_resolves(self, monkeypatch):
-        # An explicit ``None`` resolves exactly like an omitted argument.
-        monkeypatch.delenv(config.DFA_CACHE_LIMIT_ENV, raising=False)
-        assert small_dfa(cache_limit=None).cache_limit == config.DEFAULT_DFA_CACHE_LIMIT
+        # The bound in force is the constant's value at each miss.
+        monkeypatch.delenv(RETIRED_CACHE_ENV, raising=False)
+        cache = CompileCache()
+        for index in range(4):
+            cache.get(parse_tree_pattern, f"x{index}", None)
+        monkeypatch.setattr(pattern_tokens, "COMPILE_CACHE_LIMIT", 2)
+        cache.get(parse_tree_pattern, "x4", None)  # the next miss trims
+        assert len(cache) == 2
 
     @pytest.mark.parametrize("bogus", ["many", "0", "-2", "1.5", ""])
     def test_rejects_bad_values_naming_the_knob(self, monkeypatch, bogus):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, bogus)
-        with pytest.raises(QueryError, match=config.DFA_CACHE_LIMIT_ENV):
-            small_dfa()
+        monkeypatch.setenv(RETIRED_CACHE_ENV, bogus)
+        assert melody_spans() == [(1, 3), (3, 5)]
+        assert len(COMPILED) == 1
 
     def test_scope_validates_eagerly(self, monkeypatch):
-        monkeypatch.delenv(config.DFA_CACHE_LIMIT_ENV, raising=False)
-        with pytest.raises(QueryError, match=config.DFA_CACHE_LIMIT_ENV):
-            config.validated_dfa_cache_limit(0)
+        # Nothing is validated because nothing is read, not even at a miss.
+        monkeypatch.setenv(RETIRED_CACHE_ENV, "0")
+        cache = CompileCache()
+        cache.get(parse_tree_pattern, "v(?*)", None)
+        assert len(cache) == 1
 
 
 class TestParallelMinRowsKnob:
-    """``AQUA_DFA_CACHE_LIMIT`` as the pattern compile cache reads it:
-    once per miss, so the bound in force is the environment's now."""
+    """The compile cache under a patched bound, with the retired
+    variable set against it."""
 
     def test_default(self, monkeypatch):
-        monkeypatch.delenv(config.DFA_CACHE_LIMIT_ENV, raising=False)
+        monkeypatch.delenv(RETIRED_CACHE_ENV, raising=False)
         cache = CompileCache()
         for index in range(5):
             cache.get(parse_tree_pattern, f"d{index}", None)
         assert len(cache) == 5
 
     def test_env_and_zero_engages_always(self, monkeypatch):
-        # A bound of one evicts on every miss; a bound of zero is refused.
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "1")
+        # A bound of one evicts on every miss; the variable at zero is
+        # not refused.
+        monkeypatch.setattr(pattern_tokens, "COMPILE_CACHE_LIMIT", 1)
         cache = CompileCache()
         for index in range(3):
             cache.get(parse_tree_pattern, f"z{index}", None)
             assert len(cache) == 1
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "0")
-        with pytest.raises(QueryError, match=config.DFA_CACHE_LIMIT_ENV):
-            cache.get(parse_tree_pattern, "z9", None)
+        monkeypatch.setenv(RETIRED_CACHE_ENV, "0")
+        cache.get(parse_tree_pattern, "z9", None)
+        assert len(cache) == 1
 
     def test_scope_beats_env(self, monkeypatch):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "64")
+        monkeypatch.setattr(pattern_tokens, "COMPILE_CACHE_LIMIT", 64)
         cache = CompileCache()
         for index in range(8):
             cache.get(parse_tree_pattern, f"s{index}", None)
         assert len(cache) == 8
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, "2")
-        cache.get(parse_tree_pattern, "s8", None)  # the next miss trims
-        assert len(cache) == 2
+        monkeypatch.setenv(RETIRED_CACHE_ENV, "2")
+        cache.get(parse_tree_pattern, "s8", None)  # the next miss trims nothing
+        assert len(cache) == 9
 
     @pytest.mark.parametrize("bogus", ["lots", "-1", "2.5"])
     def test_rejects_bad_values_naming_the_knob(self, monkeypatch, bogus):
-        monkeypatch.setenv(config.DFA_CACHE_LIMIT_ENV, bogus)
+        monkeypatch.setenv(RETIRED_CACHE_ENV, bogus)
         cache = CompileCache()
-        with pytest.raises(QueryError, match=config.DFA_CACHE_LIMIT_ENV):
-            cache.get(parse_tree_pattern, "r(?*)", None)
-        assert len(cache) == 0
+        cache.get(parse_tree_pattern, "r(?*)", None)
+        assert len(cache) == 1
 
 
 class TestParallelWorkerKindKnob:

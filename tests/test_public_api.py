@@ -74,9 +74,8 @@ def test_docstore_group_is_complete() -> None:
 #: The knob census: every ``AQUA_*`` variable there is.  Adding one means
 #: editing this set, the README tables and the CI lint step together.
 KNOBS = {
-    "AQUA_DEADLINE", "AQUA_DFA_CACHE_LIMIT", "AQUA_FAULTS", "AQUA_FAULT_SEED",
-    "AQUA_MAX_BACKTRACK_DEPTH", "AQUA_MAX_NODES_SCANNED", "AQUA_MAX_RESULTS",
-    "AQUA_MAX_STEPS",
+    "AQUA_DEADLINE", "AQUA_FAULTS", "AQUA_FAULT_SEED", "AQUA_MAX_BACKTRACK_DEPTH",
+    "AQUA_MAX_NODES_SCANNED", "AQUA_MAX_RESULTS", "AQUA_MAX_STEPS",
 }
 
 
@@ -179,6 +178,30 @@ def test_the_exchange_tier_is_gone() -> None:
     assert offenders == []
     assert not (package / "physical" / "exchange.py").exists()
     assert not (package / "storage" / "sharding.py").exists()
+
+
+def test_one_list_pattern_engine_in_the_package() -> None:
+    """``patterns/list_match.py`` is the package's one list-pattern
+    engine: the lazy DFA is gone, the automaton oracles live under
+    ``tests/oracles/``, and no package module imports the tests (the CI
+    lint job greps for the same three things)."""
+    residue = re.compile(
+        r"LazyDFA|compile_dfa|compile_nfa|deriv_find_spans|regex_find_spans"
+        r"|patterns_equivalent|^\s*(from|import) tests\b"
+    )
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in package.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if residue.search(line)
+    ]
+    assert offenders == []
+    for module in ("dfa", "nfa", "derivatives", "regex_bridge", "equivalence"):
+        assert not (package / "patterns" / f"{module}.py").exists()
+    from repro import patterns
+
+    assert len(patterns.__all__) == 45
 
 
 def test_split_function_contracts_are_read_in_one_function() -> None:
