@@ -37,7 +37,9 @@ class AquaSet:
     def __init__(self, items: Iterable[Any] = (), equality: Equality = DEFAULT) -> None:
         self.equality = equality
         self._items: list[Any] = []
-        self._keys: set[Hashable] | None = set()
+        #: Member keys in member order (a dict, so it stays aligned with
+        #: ``_items``), or ``None`` until first needed.
+        self._keys: dict[Hashable, None] | None = {}
         for item in items:
             self.add(item)
 
@@ -50,12 +52,18 @@ class AquaSet:
         result.equality, result._items, result._keys = equality, items, None
         return result
 
-    def _key_set(self) -> set[Hashable]:
+    def _key_set(self) -> dict[Hashable, None]:
         keys = self._keys
         if keys is None:
-            key = self.equality.key
-            keys = self._keys = {key(item) for item in self._items}
+            keys = self._keys = dict.fromkeys(map(self.equality.key, self._items))
         return keys
+
+    def keyed(self, equality: Equality) -> Iterator[tuple[Any, Hashable]]:
+        """``(member, key under equality)`` in member order — the set's
+        own keys, made at most once, when ``equality`` is its notion."""
+        if equality is self.equality:
+            return zip(self._items, self._key_set())
+        return ((item, equality.key(item)) for item in self._items)
 
     # -- basic protocol ---------------------------------------------------
 
@@ -65,7 +73,7 @@ class AquaSet:
         keys = self._keys if self._keys is not None else self._key_set()
         if key in keys:
             return False
-        keys.add(key)
+        keys[key] = None
         self._items.append(item)
         return True
 

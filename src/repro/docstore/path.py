@@ -260,7 +260,9 @@ class PathStepFn:
             for node in _step_candidates(subtree.root, self.step.axis):
                 if self.predicate(node.value):
                     results.append(subtree_at(node))
-        return AquaSet(results)
+        # Each node is visited once and its payload is its own: the
+        # subtrees are distinct, and the flatten above keys them anyway.
+        return AquaSet.distinct(results)
 
     def __repr__(self) -> str:
         return f"PathStepFn<{self.step.text()}>"

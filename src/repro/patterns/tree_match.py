@@ -326,7 +326,7 @@ class _TreeMatcher:
 
         :func:`iter_tree_matches` flushes as it hands each match over:
         everything since the last hand-over ran inside the consumer's
-        current ``next()``, so the counts land in the operator scope
+        current ``next_batch()``, so the counts land in the operator scope
         attributed at pull time — one flush per match, not per candidate.
         """
         self.emit_stats()
@@ -1121,7 +1121,7 @@ def iter_tree_matches(
     run of candidates the first-set scan rejected (the scan operators'
     node-charging hook).  Matcher counters are flushed as each match is
     handed over and once when the stream ends: all the work between two
-    hand-overs runs inside one ``next()``, so it is credited to whichever
+    hand-overs runs inside one ``next_batch()``, so it is credited to whichever
     operator scope is attributed at pull time, at one flush per match.
 
     ``context`` supplies a shared

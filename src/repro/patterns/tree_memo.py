@@ -350,7 +350,7 @@ class MatchContextRegistry:
     outermost run's wins), so the split/sub_select probing operators
     the physical layer fuses over a candidate stream — and any other
     operator matching the same pattern against the same tree — all hit
-    one context instead of rebuilding tables per ``next()`` pull; two
+    one context instead of rebuilding tables per ``next_batch()`` pull; two
     identical runs report identical work.  ``tabled=False`` hands out
     null-table contexts instead: the whole evaluation then runs on the
     plain backtracker (the test oracle).

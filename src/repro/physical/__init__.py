@@ -1,7 +1,7 @@
 """Volcano-style streaming physical layer (logical → physical split).
 
 ``lower()`` turns a logical expression into a :class:`PhysicalPlan` of
-``open()/next()/close()`` operators; every query runs by driving that
+``open()/next_batch()/close()`` operators; every query runs by driving that
 plan.  See :mod:`repro.physical.base` for the execution model and the
 accounting contract.
 """

@@ -3,8 +3,9 @@
 The logical algebra (:mod:`repro.query.expr`) says *what* a query means;
 this layer says *how* it runs.  Each logical node lowers
 (:mod:`repro.physical.lower`) to one :class:`PhysicalOp` — an iterator
-with the classic ``open() / next() / close()`` lifecycle, backed by a
-Python generator — and the driver pulls rows from the plan root.  The
+with the classic ``open() / next_batch() / close()`` lifecycle, backed
+by a Python generator of row batches — and execution pulls batches
+from the plan root.  The
 payoff is the paper's §4 pipelining argument made concrete: a
 ``sub_select`` no longer materializes its full result set before its
 parent sees the first subtree, so peak intermediate cardinality drops
@@ -26,15 +27,23 @@ evaluator the pipeline is property-tested against:
 * instrumentation counters are credited to the operator that did the
   work (the matchers flush their counters at hand-over — as each match
   reaches the operator, and at stream end — and the work between two
-  hand-overs runs inside one ``next()``, so mid-stream attribution
+  hand-overs runs inside one ``next_batch()``, so mid-stream attribution
   credits the pulling operator); they are the run's own plain ints
   (:class:`~repro.storage.stats.RunCounters`), which the engines reach
   through :func:`repro.context.emit` and which fold into the database's
   sink once, when the plan closes;
-* the active :class:`~repro.guardrails.Guard` is ticked on every
-  ``next()`` pull and storage scans charge it row by row, so budgets
-  trip *mid-stream* — before an operator-at-a-time evaluation would even
-  have finished materializing the operator's input.
+* rows are handed over in batches of up to :data:`BATCH`, and the
+  per-pull bookkeeping (guard tick, row count, ``max_results`` check,
+  EXPLAIN ANALYZE timer, counter attribution) runs once per batch with
+  its totals — the block-at-a-time cure for per-tuple interpretation
+  cost;
+* the active :class:`~repro.guardrails.Guard` is ticked one step per
+  row handed over (plus one for the exhausting pull) and storage scans
+  charge it row by row.  While the guard arms a limit a row can trip
+  (anything but the deadline and the cancellation token), a batch is
+  one row and its pull is charged before it runs, so budgets trip
+  *mid-stream* on the same row, spent value and operator as a
+  row-at-a-time pull would.
 
 Shapes: every operator declares how its rows relate to its AQUA value —
 ``"set"`` streams members (reassembled as ``AquaSet(rows, equality)``),
@@ -48,9 +57,9 @@ buffers; operators that construct a materialized value record it via
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from itertools import chain
-from typing import TYPE_CHECKING, Any, Iterator
+from dataclasses import dataclass, field
+from itertools import chain, islice
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 from .. import context
 from ..core.aqua_list import AquaList
@@ -67,8 +76,35 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..query.metrics import OperatorMetrics, PlanMetrics
     from ..storage.database import Database
 
-#: Sentinel distinguishing "stream exhausted" from a legitimate row.
-_EXHAUSTED = object()
+#: Rows an operator hands over per pull (a module constant, not a knob).
+BATCH = 256
+
+
+def batch_size(guard: "Guard | None") -> int:
+    """:data:`BATCH`, or 1 while ``guard`` arms a limit a row can trip.
+
+    Under ``max_steps``, ``max_results``, ``max_nodes_scanned`` or
+    ``max_backtrack_depth`` every row is its own pull, so a trip lands
+    where the row-at-a-time pull put it; a deadline or a cancellation
+    token is noticed within a batch.
+    """
+    if guard is None:
+        return BATCH
+    budget = guard.budget
+    limits = (
+        budget.max_steps,
+        budget.max_results,
+        budget.max_nodes_scanned,
+        budget.max_backtrack_depth,
+    )
+    return 1 if any(limit is not None for limit in limits) else BATCH
+
+
+def chunked(rows: Iterable[Any], size: int) -> Iterator[list[Any]]:
+    """``rows`` in lists of ``size`` (the last one shorter), none empty."""
+    rows = iter(rows)
+    while batch := list(islice(rows, size)):
+        yield batch
 
 
 @dataclass
@@ -82,30 +118,35 @@ class ExecutionContext:
     directly, the engines reach them through :func:`repro.context.emit`
     (:meth:`PhysicalPlan.execute` lists them as a receiver of the run's
     :class:`~repro.context.QueryContext`), and they fold into their sink
-    once, when the plan closes.
+    once, when the plan closes.  ``batch`` is the run's batch size
+    (:func:`batch_size` of the guard).
     """
 
     db: "Database"
     guard: "Guard | None" = None
     metrics: "PlanMetrics | None" = None
     counters: RunCounters | None = None
+    batch: int = field(init=False)
 
     def __post_init__(self) -> None:
         if self.counters is None:
             self.counters = RunCounters(self.db.stats)
+        self.batch = batch_size(self.guard)
 
 
 class PhysicalOp:
-    """One streaming operator: ``open() / next() / close()``.
+    """One streaming operator: ``open() / next_batch() / close()``.
 
-    Subclasses implement :meth:`rows` — a generator producing the
-    operator's output rows — and declare :attr:`shape`.  The base class
-    wraps each generator resume with the per-pull bookkeeping: guard
-    ticks, counter attribution, wall-time and ``rows_out``
-    accumulation, incremental ``max_results`` checks, and budget-trip
-    annotation (innermost operator wins).
+    Subclasses implement :meth:`batches` — a generator producing the
+    operator's output as non-empty lists of rows — or :meth:`rows`, one
+    row at a time, which the default :meth:`batches` chunks; either way
+    they declare :attr:`shape`.  The base class wraps each generator
+    resume with the per-pull bookkeeping, once per batch: guard ticks,
+    counter attribution, wall-time and ``rows_out`` accumulation,
+    incremental ``max_results`` checks, and budget-trip annotation
+    (innermost operator wins).
 
-    **Contract for set-shaped subclasses**: ``rows()`` must assign
+    **Contract for set-shaped subclasses**: the generator must assign
     ``self.result_equality`` before its first ``yield`` (and before
     returning when it yields nothing), and must deduplicate its own
     output under that notion — consumers rely on set streams being
@@ -126,7 +167,7 @@ class PhysicalOp:
         self.ctx: ExecutionContext | None = None
         self.op_metrics: "OperatorMetrics | None" = None
         self.result_equality: Equality = DEFAULT
-        self._gen: Iterator[Any] | None = None
+        self._gen: Iterator[list[Any]] | None = None
         self._count = 0
 
     # -- plan wiring --------------------------------------------------------
@@ -150,21 +191,26 @@ class PhysicalOp:
             self.op_metrics = ctx.metrics.register(self.path, self.logical.head())
         for child in self.children:
             child.open(ctx)
-        self._gen = self.rows()
+        self._gen = self.batches()
 
-    def next(self) -> Any:
-        """Pull one row; raises ``StopIteration`` when exhausted."""
+    def next_batch(self) -> list[Any]:
+        """Pull the next batch of rows; an empty list once exhausted.
+
+        The guard is ticked one step per row handed over, or one for the
+        exhausting pull — before the pull, when the run's batch is one
+        row, so a step trip lands on the operator it always did.
+        """
         ctx = self.ctx
-        assert ctx is not None and self._gen is not None, "next() before open()"
+        assert ctx is not None and self._gen is not None, "next_batch() before open()"
+        guard = ctx.guard
         try:
-            if ctx.guard is not None:
-                ctx.guard.tick(1, "executor pull")
+            if guard is not None and ctx.batch == 1:
+                # A limit is armed and the batch is one row: charge it
+                # before the pull runs, as the row-at-a-time pull did.
+                guard.tick(ctx.batch, "executor pull")
             op = self.op_metrics
             if op is None:
-                try:
-                    row = next(self._gen)
-                except StopIteration:
-                    raise
+                batch = next(self._gen, [])
             else:
                 # Credit this pull's events to this operator (the one
                 # whose generator runs), then hand back to the puller's.
@@ -172,25 +218,22 @@ class PhysicalOp:
                 outer, counters.operator = counters.operator, op.counters
                 started = time.perf_counter()
                 try:
-                    row = next(self._gen)
-                except StopIteration:
-                    op.wall_seconds += time.perf_counter() - started
-                    if not self._count:
-                        op.rows_out = 0
-                    raise
-                except BaseException:
-                    op.wall_seconds += time.perf_counter() - started
-                    raise
+                    batch = next(self._gen, [])
                 finally:
                     counters.operator = outer
-                op.wall_seconds += time.perf_counter() - started
-            self._count += 1
+                    op.wall_seconds += time.perf_counter() - started
+            if guard is not None and ctx.batch > 1:
+                guard.tick(len(batch) or 1, "executor pull")
+            if not batch:
+                if op is not None and not self._count:
+                    op.rows_out = 0
+                return batch
+            self._count += len(batch)
             if op is not None:  # EXPLAIN counts a value's nodes, a budget its rows
-                op.rows_out = cardinality(row) if self.shape == "value" else self._count
-            guard = ctx.guard
+                op.rows_out = cardinality(batch[-1]) if self.shape == "value" else self._count
             if guard is not None and guard.budget.max_results is not None:
                 guard.check_results(self._count, self.logical.head())
-            return row
+            return batch
         except ResourceExhaustedError as exc:
             self._annotate_trip(exc)
             raise
@@ -202,19 +245,20 @@ class PhysicalOp:
         for child in self.children:
             child.close()
 
+    def batches(self) -> Iterator[list[Any]]:
+        """The output in non-empty batches: by default :meth:`rows` in
+        chunks of the run's batch size."""
+        return chunked(self.rows(), self.ctx.batch)
+
     def rows(self) -> Iterator[Any]:
         raise NotImplementedError
 
     # -- pulling helpers (for subclasses) ------------------------------------
 
     def stream(self) -> Iterator[Any]:
-        """Iterate this operator's rows through the instrumented ``next()``."""
-        while True:
-            try:
-                row = self.next()
-            except StopIteration:
-                return
-            yield row
+        """Iterate this operator's rows, pulled a batch at a time."""
+        for batch in iter(self.next_batch, []):
+            yield from batch
 
     def collect(self) -> Any:
         """Fully drain this operator into its natural AQUA value."""
@@ -230,24 +274,23 @@ class PhysicalOp:
             return AquaList(list(self.stream()))
         return AquaSet.distinct(list(self.stream()), self.result_equality)
 
-    def set_source(self, child: "PhysicalOp") -> tuple[Iterator[Any], Equality]:
-        """``child`` as a deduplicated member stream plus its equality.
+    def set_source(self, child: "PhysicalOp") -> tuple[Iterator[list[Any]], Equality]:
+        """``child`` as batches of a deduplicated member stream plus its
+        equality.
 
-        A set-shaped child streams directly (its first row is primed so
+        A set-shaped child streams directly (its first batch is primed so
         the equality notion — assigned by the child's setup — is known
         even for empty streams).  A value- or list-shaped child is fully
         collected and coerced (a non-set raises the plan-path error).
         """
         if child.shape == "set":
-            rows = child.stream()
-            first = next(rows, _EXHAUSTED)
+            first = child.next_batch()
             equality = child.result_equality
-            if first is _EXHAUSTED:
+            if not first:
                 return iter(()), equality
-            return chain((first,), rows), equality
-        value = child.collect()
-        collection = self.as_set(value)
-        return iter(collection), collection.equality
+            return chain((first,), iter(child.next_batch, [])), equality
+        collection = self.as_set(child.collect())
+        return chunked(collection, self.ctx.batch), collection.equality
 
     # -- input coercion (satellite: errors carry the plan path) --------------
 
@@ -311,20 +354,21 @@ class PhysicalOp:
         return f"<{type(self).__name__} {self.logical.head()}>"
 
 
-def dedup(rows: Iterator[Any], equality: Equality) -> Iterator[Any]:
-    """Stream ``rows`` keeping the first occurrence under ``equality``.
+def dedup(batches: Iterable[list[Any]], equality: Equality) -> Iterator[list[Any]]:
+    """Stream ``batches`` keeping the first occurrence under ``equality``.
 
     This is ``AquaSet.add`` as a pipeline stage: set-shaped producers run
     their output through it so consumers see exactly the members the
-    algebra function's result set would hold, in the same order.
+    algebra function's result set would hold, in the same order.  Each
+    row is keyed once; a batch left empty is not handed on.
     """
     seen: set[Any] = set()
-    for row in rows:
-        key = equality.key(row)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield row
+    key, add = equality.key, seen.add
+    for batch in batches:
+        # ``add`` returns None: a row is kept iff its key was unseen.
+        kept = [row for row in batch if (k := key(row)) not in seen and not add(k)]
+        if kept:
+            yield kept
 
 
 class PhysicalPlan:
@@ -364,8 +408,8 @@ class PhysicalPlan:
                     )
                 return rows[0]
             collected: list[Any] = []
-            for row in root.stream():
-                collected.append(row)
+            for batch in iter(root.next_batch, []):
+                collected.extend(batch)
                 root.note_buffered(len(collected))
             if root.shape == "list":
                 return AquaList(collected)

@@ -1,8 +1,13 @@
 """The physical operators: one streaming implementation per logical node.
 
 Each class realizes one logical operator from :mod:`repro.query.expr`
-as a generator over rows (see :class:`~repro.physical.base.PhysicalOp`
-for the pull protocol).  The mapping is chosen by
+as a generator over row batches (see
+:class:`~repro.physical.base.PhysicalOp` for the pull protocol): the
+set half — extent scan, select filters, ``apply``, ``flatten``,
+``union`` — filters, maps and deduplicates whole batches, the pattern
+operators cut their match streams into batches (:func:`chunked`) before
+deduplicating them, and the rest yield rows that the base class cuts.
+The mapping is chosen by
 :func:`repro.physical.lower.lower`; operators that need more than the
 logical node carries (anchors, conjunct splits) take it as constructor
 configuration, decided at lowering time.
@@ -19,19 +24,21 @@ The accounting contract every operator here keeps:
 * counters are flushed at hand-over: the matchers emit theirs as they
   hand a match (a list start's batch) to the operator, a full scan
   bumps ``nodes_scanned`` / ``positions_scanned`` at the same points
-  (:func:`_charged_scan`), and the select filters count their
-  ``predicate_evals`` in a local int flushed as each row is handed over
-  (:func:`_counted_filter`) — all the work between two hand-overs runs
-  inside one ``next()``, so it is credited to this operator at pull
-  time — while the guard is still charged per candidate, so
-  ``max_nodes_scanned`` trips at the same node;
+  (:func:`_charged_scan`), and the select filters count a batch's
+  ``predicate_evals`` in one bump (:func:`_counted_filter`) — all the
+  work between two hand-overs runs inside one ``next_batch()``, so it
+  is credited to this operator at pull time — while the guard is still
+  charged per candidate, so ``max_nodes_scanned`` trips at the same
+  node;
 * predicates are tested through their compiled closures
   (:meth:`~repro.predicates.alphabet.AlphabetPredicate.compile`, made
   once per execution), falling back to the predicate itself when it
   does not compile;
 * set-shaped streams are deduplicated at the producer
   (:func:`~repro.physical.base.dedup`) under the equality the
-  operator's ``AquaSet`` result carries, in first-seen order.
+  operator's ``AquaSet`` result carries, in first-seen order;
+* no batch is longer than the run's batch size, so under a limit every
+  row is its own pull.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from ..patterns.list_parser import list_pattern
 from ..patterns.tree_match import describe_filters, iter_tree_matches
 from ..patterns.tree_parser import tree_pattern
 from ..storage.columnar import columnar_list_for
-from .base import PhysicalOp, dedup
+from .base import PhysicalOp, chunked, dedup
 
 # -- sources -------------------------------------------------------------------
 
@@ -77,9 +84,10 @@ class ScanExtent(PhysicalOp):
     name = "scan_extent"
     shape = "set"
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         self.result_equality = DEFAULT
-        yield from dedup(self.ctx.db.iter_extent(self.logical.name), DEFAULT)
+        rows = self.ctx.db.iter_extent(self.logical.name)
+        yield from dedup(chunked(rows, self.ctx.batch), DEFAULT)
 
     def access_path(self) -> str:
         return f"lazy scan of extent {self.logical.name!r}"
@@ -140,28 +148,23 @@ def _charged_scan(ctx, counter: str, seam: str, total: int, scan) -> Iterator[An
             counters.bump(counter, charged - bumped)
 
 
-def _counted_filter(counters, rows, tests) -> Iterator[Any]:
-    """The rows passing every test in ``tests`` (in order, stopping at
-    the first that fails), ``predicate_evals`` counted in a local int.
-
-    Each test made counts one evaluation.  The count is flushed as a row
-    is handed over and when the stream ends, so the pulling operator is
-    credited exactly as if each test had been counted on its own.
-    """
-    evals = 0
-    try:
-        for row in rows:
-            for test in tests:
-                evals += 1
-                if not test(row):
-                    break
-            else:
-                counters.bump("predicate_evals", evals)
-                evals = 0
-                yield row
-    finally:
-        if evals:
-            counters.bump("predicate_evals", evals)
+def _counted_filter(counters, batches, test, then=None) -> Iterator[list[Any]]:
+    """Each batch's rows passing ``test`` and then ``then`` (made only on
+    the rows ``test`` passes, row by row), ``predicate_evals`` counted in
+    one bump per batch — one evaluation per test made, so the pulling
+    operator is credited exactly as if each test had been counted on
+    its own."""
+    for batch in batches:
+        if then is None:
+            kept = [row for row in batch if test(row)]
+            evals = len(batch)
+        else:
+            passed = 0  # rows ``then`` was made on
+            kept = [row for row in batch if test(row) and (passed := passed + 1) and then(row)]
+            evals = len(batch) + passed
+        counters.bump("predicate_evals", evals)
+        if kept:
+            yield kept
 
 
 # -- tree operators ------------------------------------------------------------
@@ -248,12 +251,13 @@ class SubSelectPipe(PhysicalOp):
             lambda charge: iter_tree_matches(tp, tree, on_candidate=charge),
         )
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         tree = self.input_tree()
         tp = tree_pattern(self.pattern)
         self.result_equality = DEFAULT
         emit = split_emitter(self.function, tree)
-        yield from dedup(map(emit, self._matches(tree, tp)), DEFAULT)
+        rows = map(emit, self._matches(tree, tp))
+        yield from dedup(chunked(rows, self.ctx.batch), DEFAULT)
 
     def access_path(self) -> str:
         # The matcher narrows its candidates itself (``_candidate_roots``
@@ -299,12 +303,12 @@ class ListSelectPipe(PhysicalOp):
     name = "list_select_pipe"
     shape = "list"
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         aqua_list = self.input_list()
         predicate = self.logical.predicate
         test = predicate.compile() or predicate
-        tests = (lambda cell: test(cell.contents),)
-        yield from _counted_filter(self.ctx.counters, aqua_list.cells(), tests)
+        cells = chunked(aqua_list.cells(), self.ctx.batch)
+        yield from _counted_filter(self.ctx.counters, cells, lambda cell: test(cell.contents))
 
 
 class ListApplyPipe(PhysicalOp):
@@ -320,8 +324,9 @@ class ListApplyPipe(PhysicalOp):
             yield as_cell(function(cell.contents))
 
 
-def _match_rows(aqua_list: AquaList, matches, function) -> Iterator[Any]:
-    """Each list match as its operator's row, deduplicated.
+def _match_rows(aqua_list: AquaList, matches, function, size: int) -> Iterator[list[Any]]:
+    """Each list match as its operator's row, deduplicated, in batches
+    of ``size``.
 
     ``sub_select`` (no ``function``) emits the ``AquaList`` of the kept
     cells; ``split`` emits ``function(x, y, z)`` over the match's pieces.
@@ -332,7 +337,7 @@ def _match_rows(aqua_list: AquaList, matches, function) -> Iterator[Any]:
     else:
         pieces = (build_pieces(aqua_list, match) for match in matches)
         rows = (function(p.context, p.match, p.descendants) for p in pieces)
-    return dedup(rows, DEFAULT)
+    return dedup(chunked(rows, size), DEFAULT)
 
 
 class ListSubSelectPipe(PhysicalOp):
@@ -356,10 +361,10 @@ class ListSubSelectPipe(PhysicalOp):
         if function is not None:
             self.name = self.split_name
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         yield from self._scan_rows(self.input_list())
 
-    def _scan_rows(self, aqua_list: AquaList) -> Iterator[Any]:
+    def _scan_rows(self, aqua_list: AquaList) -> Iterator[list[Any]]:
         lp = list_pattern(self.pattern)
         self.result_equality = DEFAULT
         values = aqua_list.value_array
@@ -372,7 +377,7 @@ class ListSubSelectPipe(PhysicalOp):
                 lp, values, on_start=lambda start: charge(1)
             ),
         )
-        return _match_rows(aqua_list, matches, self.function)
+        return _match_rows(aqua_list, matches, self.function, self.ctx.batch)
 
     def access_path(self) -> str:
         return "scan of all start positions"
@@ -399,7 +404,7 @@ class ColumnarListScan(ListSubSelectPipe):
         super().__init__(logical, child, pattern, function)
         self.choices = tuple(choices)
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         ctx = self.ctx
         aqua_list = self.input_list()
         columns = columnar_list_for(aqua_list)
@@ -418,6 +423,7 @@ class ColumnarListScan(ListSubSelectPipe):
             aqua_list,
             iter_list_matches(lp, aqua_list.value_array, starts=starts),
             self.function,
+            ctx.batch,
         )
 
     def access_path(self) -> str:
@@ -446,7 +452,7 @@ class ListAnchorScan(ListSubSelectPipe):
         self.anchor = anchor
         self.offsets = tuple(offsets)
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         ctx = self.ctx
         aqua_list = self.input_list()
         lp = list_pattern(self.pattern)
@@ -468,6 +474,7 @@ class ListAnchorScan(ListSubSelectPipe):
             aqua_list,
             iter_list_matches(lp, aqua_list.value_array, starts=starts),
             self.function,
+            ctx.batch,
         )
 
     def access_path(self) -> str:
@@ -484,12 +491,12 @@ class SelectFilter(PhysicalOp):
     name = "select_filter"
     shape = "set"
 
-    def rows(self) -> Iterator[Any]:
-        rows, equality = self.set_source(self.children[0])
+    def batches(self) -> Iterator[list[Any]]:
+        source, equality = self.set_source(self.children[0])
         self.result_equality = equality
         predicate = self.logical.predicate
         test = predicate.compile() or predicate
-        yield from _counted_filter(self.ctx.counters, rows, (test,))
+        yield from _counted_filter(self.ctx.counters, source, test)
 
 
 class IndexedSelectFilter(PhysicalOp):
@@ -518,21 +525,19 @@ class IndexedSelectFilter(PhysicalOp):
         self.indexed = indexed
         self.residual = residual
 
-    def rows(self) -> Iterator[Any]:
+    def batches(self) -> Iterator[list[Any]]:
         ctx = self.ctx
         if not self.children:
             candidates, _ = ctx.db.candidates(self.extent, self.indexed, ctx.counters)
             self.note_buffered(len(candidates))
             equality = DEFAULT
-            rows: Iterator[Any] = dedup(iter(candidates), DEFAULT)
+            source = dedup(chunked(candidates, ctx.batch), DEFAULT)
         else:
-            rows, equality = self.set_source(self.children[0])
+            source, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        conjuncts = (self.indexed,)
-        if self.residual is not None:
-            conjuncts += (self.residual,)
-        tests = tuple(conjunct.compile() or conjunct for conjunct in conjuncts)
-        yield from _counted_filter(ctx.counters, rows, tests)
+        indexed, residual = self.indexed, self.residual
+        then = None if residual is None else residual.compile() or residual
+        yield from _counted_filter(ctx.counters, source, indexed.compile() or indexed, then)
 
     def access_path(self) -> str:
         described = f"extent index on {self.indexed.describe()}"
@@ -547,10 +552,11 @@ class ApplyMap(PhysicalOp):
     name = "apply_map"
     shape = "set"
 
-    def rows(self) -> Iterator[Any]:
-        rows, equality = self.set_source(self.children[0])
+    def batches(self) -> Iterator[list[Any]]:
+        source, equality = self.set_source(self.children[0])
         self.result_equality = equality
-        yield from dedup(map(self.logical.function, rows), equality)
+        function = self.logical.function
+        yield from dedup((list(map(function, batch)) for batch in source), equality)
 
 
 class FlattenPipe(PhysicalOp):
@@ -559,19 +565,24 @@ class FlattenPipe(PhysicalOp):
     name = "flatten_pipe"
     shape = "set"
 
-    def rows(self) -> Iterator[Any]:
-        rows, _equality = self.set_source(self.children[0])
+    def batches(self) -> Iterator[list[Any]]:
+        """Each batch's members' unseen members, re-cut to the run's
+        batch size; a member set keyed under ``DEFAULT`` lends its keys."""
+        source, _equality = self.set_source(self.children[0])
         self.result_equality = DEFAULT
-        yield from dedup(self._items(rows), DEFAULT)
-
-    def _items(self, rows: Iterator[Any]) -> Iterator[Any]:
-        for member in rows:
-            if not isinstance(member, AquaSet):
-                raise QueryError(
-                    "flatten expects a set of sets"
-                    f" (plan path: {self._trail_text()})"
-                )
-            yield from member
+        seen: set[Any] = set()
+        add = seen.add
+        for batch in source:
+            kept: list[Any] = []
+            for member in batch:
+                if not isinstance(member, AquaSet):
+                    raise QueryError(
+                        "flatten expects a set of sets"
+                        f" (plan path: {self._trail_text()})"
+                    )
+                pairs = member.keyed(DEFAULT)
+                kept += [row for row, key in pairs if key not in seen and not add(key)]
+            yield from chunked(kept, self.ctx.batch)
 
 
 class UnionPipe(PhysicalOp):
@@ -584,15 +595,15 @@ class UnionPipe(PhysicalOp):
     name = "union_pipe"
     shape = "set"
 
-    def rows(self) -> Iterator[Any]:
-        left_rows, left_equality = self.set_source(self.children[0])
+    def batches(self) -> Iterator[list[Any]]:
+        left, left_equality = self.set_source(self.children[0])
         self.result_equality = left_equality
 
-        def right_rows() -> Iterator[Any]:
+        def right() -> Iterator[list[Any]]:
             # Opened only once the left stream is exhausted.
             yield from self.set_source(self.children[1])[0]
 
-        yield from dedup(itertools.chain(left_rows, right_rows()), left_equality)
+        yield from dedup(itertools.chain(left, right()), left_equality)
 
 
 class IntersectPipe(PhysicalOp):
@@ -607,16 +618,16 @@ class IntersectPipe(PhysicalOp):
     _keep_matches = True
 
     def rows(self) -> Iterator[Any]:
-        left_rows, left_equality = self.set_source(self.children[0])
+        left, left_equality = self.set_source(self.children[0])
         buffered: list[Any] = []
-        for row in left_rows:
-            buffered.append(row)
+        for batch in left:
+            buffered.extend(batch)
             self.note_buffered(len(buffered))
         self.result_equality = left_equality
-        right_rows, _ = self.set_source(self.children[1])
+        right, _ = self.set_source(self.children[1])
         right_keys: set[Any] = set()
-        for row in right_rows:
-            right_keys.add(left_equality.key(row))
+        for batch in right:
+            right_keys.update(map(left_equality.key, batch))
             self.note_buffered(len(buffered) + len(right_keys))
         for row in buffered:
             if (left_equality.key(row) in right_keys) == self._keep_matches:

@@ -4,7 +4,7 @@ Gives semantics to :mod:`repro.query.expr` nodes against a
 :class:`~repro.storage.Database`.  There is one execution path: the
 expression is lowered to a Volcano-style physical plan
 (:mod:`repro.physical`) and rows are pulled through
-``open()/next()/close()`` pipelines.  Budgets are ticked on every pull,
+``open()/next_batch()/close()`` pipelines.  Budgets are ticked on every pull,
 so a ``max_nodes_scanned`` or ``max_results`` limit trips mid-stream
 instead of after an operator materialized its whole output, and every
 predicate evaluation is counted — in the run's own counters, folded
@@ -47,7 +47,7 @@ def evaluate(
     run's counters and the tree-match registry are armed **once** per
     run and threaded through the pipeline; :func:`evaluate_with_metrics`
     also hands the run a :class:`~repro.query.metrics.PlanMetrics`,
-    filled by per-pull accounting in ``PhysicalOp.next()``.
+    filled by per-pull accounting in ``PhysicalOp.next_batch()``.
 
     A tripped limit raises
     :class:`~repro.errors.ResourceExhaustedError` annotated with the

@@ -7,7 +7,7 @@ identify operators positionally, so two structurally equal nodes at
 different places in the plan get separate metrics.
 
 Each physical operator gets its record from :meth:`PlanMetrics.register`
-at ``open()`` and feeds it per pull (``PhysicalOp.next()``):
+at ``open()`` and feeds it per pull (``PhysicalOp.next_batch()``):
 
 * the run's counter events (index probes, predicate evaluations, engine
   counters flushed via :func:`repro.context.emit_many`) are added
@@ -103,7 +103,7 @@ class PlanMetrics:
 
         Operators call this once per ``open()`` (each call counts as
         one ``calls``); counters and wall time are then fed by
-        ``PhysicalOp.next()``, which points the run's counters at this
+        ``PhysicalOp.next_batch()``, which points the run's counters at this
         record for the length of each pull.
         """
         with self._lock:

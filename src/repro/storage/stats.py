@@ -15,7 +15,7 @@ Two mechanisms live here:
   ``reset()``-and-hope pattern benchmarks used to rely on.
 * :class:`RunCounters` — the counters one plan execution owns: plain
   ints in a dict, added to with no lock by the thread running the plan.
-  While ``EXPLAIN ANALYZE`` collects, the operator whose ``next()`` is
+  While ``EXPLAIN ANALYZE`` collects, the operator whose ``next_batch()`` is
   running also has its own counters credited (:attr:`RunCounters.operator`),
   which is how it knows which operator caused which probe.  The run folds
   into its sink once, when the plan closes — after the last row, on a
@@ -135,7 +135,7 @@ class RunCounters:
     directly (:meth:`bump`), the engines through
     :func:`repro.context.emit` while the run's context lists them as a
     receiver (in place of their sink, so each event reaches it once).  While
-    ``EXPLAIN ANALYZE`` collects, ``PhysicalOp.next()`` points
+    ``EXPLAIN ANALYZE`` collects, ``PhysicalOp.next_batch()`` points
     :attr:`operator` at the pulling operator's counters for the length of
     the pull, so each event is credited to the innermost operator too
     (exclusive counts: a parent does not re-count its children's work).

@@ -16,7 +16,7 @@ pattern carries no ``⊥``.  Two oracles pin that it changes nothing:
 from collections import Counter
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro import context as query_context
@@ -74,6 +74,21 @@ def lone_atom(kind: str, tag: str) -> TreePattern:
 KINDS = ("posting", "residual", "walk", "every-node", "top", "probe", "opaque")
 
 
+@st.composite
+def scan_cases(draw) -> tuple:
+    """A tree, a lone-atom kind and tag, and a step limit (or none) drawn
+    within the tree's candidate count, so a limit trips inside the scan —
+    often in the first-set walk's rejections."""
+    tree = draw(documents())
+    steps = draw(st.one_of(st.none(), st.integers(1, tree.size())))
+    return tree, draw(st.sampled_from(KINDS)), draw(st.sampled_from(TAGS)), steps
+
+
+def two_rejected_nodes() -> AquaTree:
+    """Two ``p`` nodes: a ``{tag = 'q'}`` walk rejects both."""
+    return AquaTree(TreeNode(Cell(Record(tag="p")), [TreeNode(Cell(Record(tag="p")))]))
+
+
 def scan(pattern, tree, context=None, budget=None, roots=None):
     """``(match keys, candidate charges, counters, trip)`` of one scan."""
     sink, charged, keys, trip = Instrumentation(), [], [], None
@@ -105,13 +120,10 @@ def probe_roots(kind, pattern, tree):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(
-    tree=documents(),
-    kind=st.sampled_from(KINDS),
-    tag=st.sampled_from(TAGS),
-    steps=st.one_of(st.none(), st.integers(1, 40)),
-)
-def test_hand_over_equals_the_matcher(monkeypatch, tree, kind, tag, steps):
+@given(case=scan_cases())
+@example(case=(two_rejected_nodes(), "posting", "q", 1))
+def test_hand_over_equals_the_matcher(monkeypatch, case):
+    tree, kind, tag, steps = case
     pattern = lone_atom(kind, tag)
     roots = probe_roots(kind, pattern, tree)
     budget = None if steps is None else Budget(max_steps=steps)
@@ -130,7 +142,7 @@ def test_a_step_trip_in_the_first_set_walk_counts_what_the_matcher_counts():
     """The walk ticks a rejected node's step before it charges its test,
     as the matcher does, so a trip there reads the same counters."""
     pattern = parse_tree_pattern("{tag = 'q'}")
-    tree = AquaTree(TreeNode(Cell(Record(tag="p")), [TreeNode(Cell(Record(tag="p")))]))
+    tree = two_rejected_nodes()
     budget = Budget(max_steps=1)
     got = scan(pattern, tree, budget=budget)
     want = scan(pattern, tree, untabled(pattern, tree), budget=budget)

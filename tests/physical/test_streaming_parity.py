@@ -265,15 +265,15 @@ class TestSetStreams:
         from repro.physical.base import PhysicalOp
 
         streams: dict = {}
-        original = PhysicalOp.next
+        original = PhysicalOp.next_batch
 
         def recorded(self):
-            row = original(self)
+            batch = original(self)
             if self.shape == "set":
-                streams.setdefault(self, []).append(row)
-            return row
+                streams.setdefault(self, []).extend(batch)
+            return batch
 
-        monkeypatch.setattr(PhysicalOp, "next", recorded)
+        monkeypatch.setattr(PhysicalOp, "next_batch", recorded)
         for case in sorted(CASES):
             db, query = CASES[case]()
             if "song" in db.roots():
@@ -293,8 +293,14 @@ class TestSetStreams:
         }
         assert {type(op) for op in streams} == set_shaped
 
-    @pytest.mark.parametrize("case", ["sub-select", "docstore"])
-    def test_a_query_result_keys_each_row_exactly_once(self, monkeypatch, case):
+    @pytest.mark.parametrize(
+        "case, path",
+        [("sub-select", None), ("docstore", "//p"), ("docstore-step", "//article[@lang='en']//p")],
+        ids=["sub-select", "docstore", "docstore-step"],
+    )
+    def test_a_query_result_keys_each_row_exactly_once(self, monkeypatch, case, path):
+        """A path step's selected subtrees are keyed by the flatten above
+        it, not a second time by the step's own result set."""
         from collections import Counter
 
         from repro.core.equality import DEFAULT
@@ -302,10 +308,115 @@ class TestSetStreams:
         keyed: Counter = Counter()
         original = DEFAULT.key
         monkeypatch.setattr(DEFAULT, "key", lambda row: keyed.update([id(row)]) or original(row))
-        if case == "docstore":
+        if path is not None:
             doc, _ = docstore_case()
-            result = doc.path("//p")
+            result = doc.path(path)
         else:
             result = evaluate(*reversed(CASES[case]()))
         assert len(result) > 1
         assert [keyed[id(row)] for row in result] == [1] * len(result)
+
+
+def batch_leg(db, query, optimize, budget):
+    """One run under ``budget``: its answers (or its trip), every
+    operator's ``rows_out`` / ``calls`` / counters, the sink's totals and
+    the guard's spend."""
+    from repro import context as query_context
+    from repro.api import Session
+    from repro.errors import ResourceExhaustedError
+    from repro.query.plan_cache import PlanCache
+
+    db.stats.reset()
+    session = Session(db, plan_cache=PlanCache())
+    with query_context.entered(budget.arm) as run:
+        guard = run.guard
+        try:
+            result, metrics = session.query_with_metrics(query, optimize=optimize)
+            outcome = (type(result), ordered(result))
+        except ResourceExhaustedError as error:
+            metrics = error.metrics
+            outcome = (error.limit_name, error.limit, error.spent, error.plan_path, error.operator)
+    operators = {
+        path: (op.rows_out, op.calls, dict(op.counters)) for path, op in metrics.operators.items()
+    }
+    spend = (guard.steps, guard.nodes_scanned)
+    return outcome, operators, db.stats.snapshot(), spend
+
+
+@pytest.mark.parametrize("optimize", [True, False], ids=["chosen", "plain"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batches_hand_over_what_rows_do(monkeypatch, case, optimize):
+    """Full batches ≡ batch size 1 (the row-at-a-time pull): answers and
+    their order, per-operator counters, sink totals and guard spend under
+    a deadline-only budget; and under each row-tripped limit, the trip's
+    limit, spent value, plan path and operator."""
+    from repro.guardrails import Budget
+    from repro.physical import base
+
+    db, query = CASES[case]()
+    if "song" in db.roots():
+        db.list_index(db.root("song"), ["pitch"])
+    budgets = [Budget(deadline_seconds=60)] + [
+        Budget(**{knob: limit})
+        for knob in ("max_results", "max_steps", "max_nodes_scanned")
+        for limit in (1, 3, 7)
+    ]
+    batch_leg(db, query, optimize, budgets[0])  # builds what a first read builds
+    for budget in budgets:
+        batched = batch_leg(db, query, optimize, budget)
+        with monkeypatch.context() as patch:
+            patch.setattr(base, "BATCH", 1)
+            assert batch_leg(db, query, optimize, budget) == batched, budget
+
+
+def test_a_deadline_only_read_ticks_once_per_batch(monkeypatch):
+    """An unlimited read hands over batches: each operator's pulls tick
+    the guard once per batch, ⌈rows / BATCH⌉ + 1 times at most, and the
+    steps still total one per row handed over plus one per exhausting
+    pull."""
+    from repro.api import Session
+    from repro.guardrails import Budget, Guard
+    from repro.physical.base import BATCH
+    from repro.query.plan_cache import PlanCache
+
+    db = Database()
+    db.insert_many(
+        [
+            Record(name=f"p{i}", age=i % 60, city=f"C{i % 10}", salary=i * 7 % 2000)
+            for i in range(5000)
+        ],
+        "Person",
+    )
+    db.create_index("Person", "city")
+    ticks: list[int] = []
+    original = Guard.tick
+
+    def spied(self, amount=1, seam="matcher step", depth=None):
+        if seam == "executor pull":
+            ticks.append(amount)
+        return original(self, amount, seam, depth)
+
+    monkeypatch.setattr(Guard, "tick", spied)
+    text = 'extent Person | sselect {age > 30 and city = "C3" and salary > 1000} | project name'
+    result, metrics = Session(db, plan_cache=PlanCache()).query_with_metrics(
+        text, budget=Budget(deadline_seconds=60)
+    )
+    operators = list(metrics.operators.values())
+    candidates = metrics.total("index_candidates")
+    assert len(operators) == 2 and candidates == 500 and len(result) > 1
+    assert len(ticks) <= len(operators) * (-(-candidates // BATCH) + 1)
+    assert sum(ticks) == sum(op.rows_out for op in operators) + len(operators)
+
+
+def test_a_limited_pull_is_charged_before_it_runs():
+    """Under a limit each pull ticks before its generator runs, as the
+    row-at-a-time pull did, so the second step is the select's pull and
+    the trip names the select, not the extent scan below it."""
+    from repro.errors import ResourceExhaustedError
+    from repro.guardrails import Budget
+
+    db, query = CASES["extent-apply"]()
+    with pytest.raises(ResourceExhaustedError) as info:
+        evaluate(query, db, budget=Budget(max_steps=1))
+    assert (info.value.spent, info.value.plan_path) == (2, (0,))
+    assert info.value.operator == query.children()[0].head()

@@ -159,6 +159,21 @@ def test_runs_count_into_ints_they_own() -> None:
     assert offenders == []
 
 
+def test_operators_hand_over_batches() -> None:
+    """``PhysicalOp.next_batch`` is the one pull: no per-row ``next()``
+    and no one-step ``executor pull`` tick survive in the physical layer
+    (the CI lint job greps for the same)."""
+    per_row = re.compile(r'tick\(1, "executor pull"\)|def next\(self\)')
+    package = Path(repro.__file__).resolve().parent / "physical"
+    offenders = [
+        f"{path.name}:{number}"
+        for path in package.rglob("*.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if per_row.search(line)
+    ]
+    assert offenders == []
+
+
 def test_the_exchange_tier_is_gone() -> None:
     """Set ``select`` / ``apply`` run one sequential pipeline: no exchange
     operator, shard guard, worker budget or exchange cost term survives,
