@@ -60,7 +60,10 @@ class Equality:
 
 def _identity_key(value: Any) -> Hashable:
     if isinstance(value, DatabaseObject):
-        return ("oid", value.oid)
+        try:  # the slot itself: a drawn OID costs no property call
+            return ("oid", value._oid)
+        except AttributeError:
+            return ("oid", value.oid)
     return ("val", _hashable(value))
 
 

@@ -12,16 +12,22 @@ representable while node sets remain sets.
 Query operators "implicitly dereference the contents of the cell" (§2);
 in this library that dereferencing is performed by the algebra layer via
 :func:`deref`.
+
+Identity needs no number: an object's OID is drawn on its first read,
+and a copy or a pickle carries its original's.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import Any, Iterator
 
 #: Module-level monotonically increasing OID source.  A plain counter is
 #: sufficient for a single-process, in-memory OODB substrate.
 _OID_COUNTER: Iterator[int] = itertools.count(1)
+#: Taken on a first ``oid`` read only: racing first reads see one number.
+_OID_LOCK = threading.Lock()
 
 
 def fresh_oid() -> int:
@@ -32,22 +38,31 @@ def fresh_oid() -> int:
 class DatabaseObject:
     """Base class for objects with AQUA identity.
 
-    Subclasses get an ``oid`` assigned at construction time.  Equality and
-    hashing default to *identity* equality (the strictest of the equality
-    notions in §2); value-based equality is provided separately by
-    :mod:`repro.core.equality` so operators can be parameterized by it.
+    Equality and hashing are ``object``'s: *identity* equality (the
+    strictest of the equality notions in §2); value-based equality is
+    provided separately by :mod:`repro.core.equality` so operators can be
+    parameterized by it.  Identity needs no number to compare by, so
+    construction draws none: the ``oid`` is drawn on first read, and a
+    copy or a pickle carries its original's.
     """
 
-    __slots__ = ("oid",)
+    __slots__ = ("_oid",)
 
-    def __init__(self) -> None:
-        self.oid = fresh_oid()
+    @property
+    def oid(self) -> int:
+        try:
+            return self._oid
+        except AttributeError:
+            with _OID_LOCK:
+                try:
+                    return self._oid
+                except AttributeError:
+                    self._oid = oid = fresh_oid()
+                    return oid
 
-    def __eq__(self, other: object) -> bool:
-        return self is other
-
-    def __hash__(self) -> int:
-        return object.__hash__(self)
+    def __reduce_ex__(self, protocol: Any) -> Any:
+        self.oid  # drawn before the state is taken, so the copy carries it
+        return super().__reduce_ex__(protocol)
 
     def stored_attributes(self) -> dict[str, Any]:
         """Return the stored (non-computed) attributes of this object.
@@ -60,7 +75,7 @@ class DatabaseObject:
         attrs: dict[str, Any] = {}
         for klass in type(self).__mro__:
             for name in getattr(klass, "__slots__", ()):
-                if name != "oid" and hasattr(self, name):
+                if name != "_oid" and hasattr(self, name):
                     attrs[name] = getattr(self, name)
         attrs.update(getattr(self, "__dict__", {}))
         return attrs
@@ -78,7 +93,6 @@ class Record(DatabaseObject):
     """
 
     def __init__(self, **attributes: Any) -> None:
-        super().__init__()
         for name, value in attributes.items():
             setattr(self, name, value)
 
@@ -97,7 +111,6 @@ class Cell(DatabaseObject):
     __slots__ = ("contents",)
 
     def __init__(self, contents: Any) -> None:
-        super().__init__()
         self.contents = contents
 
     def __repr__(self) -> str:

@@ -20,10 +20,15 @@ untabled matcher).  Information outside the canonical form — comments,
 doctypes, insignificant attribute quoting — is dropped at ingestion;
 element order, text (whitespace included), attributes, and JSON member
 order are preserved exactly.
+
+Malformed text, and a document nested deeper than the parser's or the
+serializer's recursion reaches, raise :class:`~repro.errors.QueryError`
+naming the format (and the parser's line and column, if it gives them).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from html import escape as _html_escape
 from html.parser import HTMLParser
@@ -47,6 +52,24 @@ __all__ = [
     "to_html",
     "VOID_ELEMENTS",
 ]
+
+
+def _reported(fmt: str, verb: str) -> Any:
+    """Wrap a parser / serializer so each of its failures raises ``QueryError``."""
+
+    def decorate(function: Any) -> Any:
+        @functools.wraps(function)
+        def wrapped(argument: Any) -> Any:
+            try:
+                return function(argument)
+            except RecursionError:
+                raise QueryError(f"cannot {verb} {fmt}: the document nests too deeply") from None
+            except (ElementTree.ParseError, json.JSONDecodeError) as exc:
+                raise QueryError(f"cannot {verb} {fmt}: {exc}") from None
+
+        return wrapped
+
+    return decorate
 
 
 def _doc_value(node: TreeNode) -> DocNode:
@@ -84,6 +107,7 @@ def _content_root(tree: AquaTree) -> TreeNode:
 # ---------------------------------------------------------------------------
 
 
+@_reported("JSON", "parse")
 def from_json(text: str) -> AquaTree:
     """Parse JSON text into a document tree.
 
@@ -108,6 +132,7 @@ def _json_node(value: Any, key: str | None) -> TreeNode:
     return TreeNode(Cell(DocNode("value", tag=key, value=value)))
 
 
+@_reported("JSON", "serialize")
 def to_json(tree: AquaTree) -> str:
     """Serialize a document tree (or subtree) back to canonical JSON."""
     return json.dumps(
@@ -134,6 +159,7 @@ def _json_value(node: TreeNode) -> Any:
 # ---------------------------------------------------------------------------
 
 
+@_reported("XML", "parse")
 def from_xml(text: str) -> AquaTree:
     """Parse XML text into a document tree.
 
@@ -156,6 +182,7 @@ def _xml_node(element: ElementTree.Element) -> TreeNode:
     return TreeNode(Cell(DocNode("element", tag=element.tag, attrs=element.attrib)), children)
 
 
+@_reported("XML", "serialize")
 def to_xml(tree: AquaTree) -> str:
     """Serialize a document tree (or subtree) back to canonical XML."""
     parts: list[str] = []
@@ -255,6 +282,7 @@ class _HtmlBuilder(HTMLParser):
         return AquaTree(TreeNode(Cell(wrapper), children))
 
 
+@_reported("HTML", "parse")
 def from_html(text: str) -> AquaTree:
     """Parse HTML text into a document tree.
 
@@ -270,6 +298,7 @@ def from_html(text: str) -> AquaTree:
     return builder.finish()
 
 
+@_reported("HTML", "serialize")
 def to_html(tree: AquaTree) -> str:
     """Serialize a document tree (or subtree) back to canonical HTML."""
     parts: list[str] = []

@@ -61,7 +61,6 @@ class DocNode(DatabaseObject):
         value: Any = None,
         attrs: Mapping[str, str] | None = None,
     ) -> None:
-        super().__init__()
         self.kind = kind
         self.tag = tag
         self.text = text
@@ -76,7 +75,7 @@ class DocNode(DatabaseObject):
             attrs = object.__getattribute__(self, "attrs")
         except AttributeError:  # during construction
             raise AttributeError(name) from None
-        if name in attrs:
+        if name in attrs and name != "_oid":  # the identity slot shadows, unread too
             return attrs[name]
         raise AttributeError(name)
 

@@ -235,6 +235,7 @@ def iter_list_matches(
     values: Sequence[Any],
     starts: Iterable[int] | None = None,
     on_start: "Callable[[int], None] | None" = None,
+    batch: int = 1,
 ) -> Iterator[ListMatch]:
     """Lazily enumerate distinct matches in ``(start, end)`` order.
 
@@ -246,9 +247,10 @@ def iter_list_matches(
     ``starts`` may come in any order, duplicates included (they are
     sorted and deduplicated here, once).  ``on_start`` is invoked once
     per candidate start before matching there (the scan operators'
-    position-charging hook).  Matcher counters are flushed as each
-    start's batch is handed over and once when the stream ends, so they
-    land in the operator scope attributed at pull time.
+    position-charging hook).  Matcher counters are flushed once per
+    ``batch`` matches handed over (the pulling operator passes its run's
+    batch size) — before the start's matches that reach it — and once
+    when the stream ends, so they land in the pulling operator's scope.
     """
     with query_context.entered(default=guardrails.env_guard):
         matcher = _Matcher(values)
@@ -263,6 +265,7 @@ def iter_list_matches(
                 candidate_starts = [s for s in candidate_starts if s == 0]
 
         seen: set[tuple[Any, ...]] = set()
+        pending = 0
         try:
             for start in candidate_starts:
                 if start > n:
@@ -270,7 +273,7 @@ def iter_list_matches(
                 fault_point("matcher_step")
                 if on_start is not None:
                     on_start(start)
-                batch: list[ListMatch] = []
+                found: list[ListMatch] = []
                 for end, events in matcher.match(pattern.body, start):
                     if pattern.anchor_end and end != n:
                         continue
@@ -279,11 +282,13 @@ def iter_list_matches(
                     if key in seen:
                         continue
                     seen.add(key)
-                    batch.append(match)
-                if batch:
-                    batch.sort(key=lambda m: (m.start, m.end))
-                    matcher.flush_stats()
-                    yield from batch
+                    found.append(match)
+                if found:
+                    found.sort(key=lambda m: (m.start, m.end))
+                    if (pending := pending + len(found)) >= batch:
+                        matcher.flush_stats()
+                        pending = 0
+                    yield from found
         finally:
             matcher.emit_stats()
 

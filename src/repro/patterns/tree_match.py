@@ -324,10 +324,10 @@ class _TreeMatcher:
     def flush_stats(self) -> None:
         """Emit the accumulated counters and reset them to zero.
 
-        :func:`iter_tree_matches` flushes as it hands each match over:
-        everything since the last hand-over ran inside the consumer's
-        current ``next_batch()``, so the counts land in the operator scope
-        attributed at pull time — one flush per match, not per candidate.
+        :func:`iter_tree_matches` flushes as it hands every batch-th
+        match over: everything since the last flush ran inside the
+        pulling operator's ``next_batch()`` calls, so the counts land in
+        its scope — one flush per batch, not per match or candidate.
         """
         self.emit_stats()
         for name in _COUNTERS:
@@ -1105,6 +1105,7 @@ def iter_tree_matches(
     on_candidate: "Callable[[int], None] | None" = None,
     context: TreeMatchContext | None = None,
     preordered: bool = False,
+    batch: int = 1,
 ) -> Iterator[TreeMatch]:
     """Lazily enumerate distinct matches, in preorder of their roots.
 
@@ -1119,10 +1120,11 @@ def iter_tree_matches(
     ``on_candidate(n)`` is invoked as ``n`` element nodes are taken as
     candidates — once per candidate before it is matched, or once for a
     run of candidates the first-set scan rejected (the scan operators'
-    node-charging hook).  Matcher counters are flushed as each match is
-    handed over and once when the stream ends: all the work between two
-    hand-overs runs inside one ``next_batch()``, so it is credited to whichever
-    operator scope is attributed at pull time, at one flush per match.
+    node-charging hook).  Matcher counters are flushed as every
+    ``batch``-th match is handed over (the pulling operator passes its
+    run's batch size) and once when the stream ends: one operator pulls
+    the stream, so the work is credited to it whichever of its
+    ``next_batch()`` calls it ran in.
 
     ``context`` supplies a shared
     :class:`~repro.patterns.tree_memo.TreeMatchContext` so one memo
@@ -1144,6 +1146,7 @@ def iter_tree_matches(
         signature = _child_signature(matcher)
         lone, test = _lone_atom(pattern, matcher), matcher.eval_predicate
         seen: set = set()
+        handed = 0
         try:
             candidates = _candidate_roots(pattern, data, roots, preordered, matcher, on_candidate)
             for node in candidates:
@@ -1167,7 +1170,8 @@ def iter_tree_matches(
                     if id(node) in seen:
                         continue
                     seen.add(id(node))
-                    matcher.flush_stats()
+                    if (handed := handed + 1) % batch == 0:
+                        matcher.flush_stats()
                     yield TreeMatch.at(node)
                     continue
                 for shape in matcher.match_node(pattern.body, node, {}):
@@ -1178,7 +1182,8 @@ def iter_tree_matches(
                     if key in seen:
                         continue
                     seen.add(key)
-                    matcher.flush_stats()
+                    if (handed := handed + 1) % batch == 0:
+                        matcher.flush_stats()
                     yield match
         except RecursionError:
             raise _stack_exhausted(matcher) from None

@@ -25,9 +25,9 @@ evaluator the pipeline is property-tested against:
   ``AquaSet`` result carries, and the notion is threaded through
   select/apply/union/… with the same inheritance rules;
 * instrumentation counters are credited to the operator that did the
-  work (the matchers flush their counters at hand-over — as each match
-  reaches the operator, and at stream end — and the work between two
-  hand-overs runs inside one ``next_batch()``, so mid-stream attribution
+  work (the matchers flush their counters once per batch of matches
+  handed to the operator, and at stream end, and a match stream runs
+  only inside its operator's ``next_batch()``, so mid-stream attribution
   credits the pulling operator); they are the run's own plain ints
   (:class:`~repro.storage.stats.RunCounters`), which the engines reach
   through :func:`repro.context.emit` and which fold into the database's

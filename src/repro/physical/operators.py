@@ -21,13 +21,13 @@ The accounting contract every operator here keeps:
   charge nothing beyond their probes — so a budget trips mid-scan while a
   completed scan's totals do not depend on how many candidates a filter
   skipped;
-* counters are flushed at hand-over: the matchers emit theirs as they
-  hand a match (a list start's batch) to the operator, a full scan
-  bumps ``nodes_scanned`` / ``positions_scanned`` at the same points
-  (:func:`_charged_scan`), and the select filters count a batch's
-  ``predicate_evals`` in one bump (:func:`_counted_filter`) — all the
-  work between two hand-overs runs inside one ``next_batch()``, so it
-  is credited to this operator at pull time — while the guard is still
+* counters are flushed at hand-over: the matchers emit theirs once per
+  run's batch of matches handed to the operator and at stream end, a
+  full scan bumps ``nodes_scanned`` / ``positions_scanned`` as each
+  match is handed over (:func:`_charged_scan`), and the select filters
+  count a batch's ``predicate_evals`` in one bump
+  (:func:`_counted_filter`) — a stream runs only inside its operator's
+  ``next_batch()``, so it is credited to this operator — while the guard is still
   charged per candidate, so ``max_nodes_scanned`` trips at the same
   node;
 * predicates are tested through their compiled closures
@@ -248,7 +248,7 @@ class SubSelectPipe(PhysicalOp):
             "nodes_scanned",
             "tree scan",
             tree.size(),
-            lambda charge: iter_tree_matches(tp, tree, on_candidate=charge),
+            lambda charge: iter_tree_matches(tp, tree, on_candidate=charge, batch=self.ctx.batch),
         )
 
     def batches(self) -> Iterator[list[Any]]:
@@ -286,7 +286,7 @@ class IndexAnchorScan(SubSelectPipe):
     def _matches(self, tree, tp) -> Iterator[Any]:
         ctx = self.ctx
         roots = probe_anchor_roots(ctx.db, tree, self.anchors, ctx.counters)
-        return iter_tree_matches(tp, tree, roots=roots, preordered=True)
+        return iter_tree_matches(tp, tree, roots=roots, preordered=True, batch=ctx.batch)
 
     def access_path(self) -> str:
         probes = ", ".join(anchor.describe() for anchor in self.anchors)
@@ -374,7 +374,7 @@ class ListSubSelectPipe(PhysicalOp):
             "list scan",
             len(values) + 1,
             lambda charge: iter_list_matches(
-                lp, values, on_start=lambda start: charge(1)
+                lp, values, on_start=lambda start: charge(1), batch=self.ctx.batch
             ),
         )
         return _match_rows(aqua_list, matches, self.function, self.ctx.batch)
@@ -421,7 +421,7 @@ class ColumnarListScan(ListSubSelectPipe):
             ctx.guard.charge_nodes(len(starts), "columnar candidates")
         yield from _match_rows(
             aqua_list,
-            iter_list_matches(lp, aqua_list.value_array, starts=starts),
+            iter_list_matches(lp, aqua_list.value_array, starts=starts, batch=ctx.batch),
             self.function,
             ctx.batch,
         )
@@ -472,7 +472,7 @@ class ListAnchorScan(ListSubSelectPipe):
             ctx.counters.bump("positions_scanned", len(starts))
         yield from _match_rows(
             aqua_list,
-            iter_list_matches(lp, aqua_list.value_array, starts=starts),
+            iter_list_matches(lp, aqua_list.value_array, starts=starts, batch=ctx.batch),
             self.function,
             ctx.batch,
         )

@@ -145,9 +145,13 @@ class TreeIndex:
             # where it happens; crediting the caller's sink counts it
             # there exactly once, whether or not the query already did.
             with context.entered(receiver=stats):
-                # Pick the most selective servable term.
+                # The smallest bucket among built maps, else the first term
+                # (as ``ListIndex``): no map is built only to compare sizes.
+                built = self._tree._postings or {}
                 attribute, _, constant = min(
-                    terms, key=lambda term: self.count(term[0], term[2])
+                    (term for term in terms if term[0] in built),
+                    key=lambda term: self.count(term[0], term[2]),
+                    default=terms[0],
                 )
                 bucket = self.probe_bucket(attribute, constant)
             if stats is not None:

@@ -258,3 +258,63 @@ class TestCorpusAndLoading:
         result = shell.execute('root site | path "//book[@lang=\'en\']"')
         assert "2 result(s)" in result
         assert shell.execute("\\doc").startswith("error:")
+
+
+#: Nested past Python's default recursion limit.
+DEEP = 3000
+
+
+class TestHostileDocuments:
+    """Malformed or too-deep text raises ``QueryError`` naming the format
+    (and, for a parse error, the position); the shell prints it and goes on."""
+
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (from_xml, "<a><b></a>", r"cannot parse XML: mismatched tag: line 1, column 8"),
+            (from_json, '{"a":', r"cannot parse JSON: Expecting value: line 1 column 6"),
+            (from_xml, "<a>" * DEEP + "</a>" * DEEP, "cannot parse XML: .* nests too deeply"),
+            (from_json, "[" * DEEP + "]" * DEEP, "cannot parse JSON: .* nests too deeply"),
+        ],
+        ids=["xml-malformed", "json-malformed", "xml-deep", "json-deep"],
+    )
+    def test_a_parser_raises_query_error(self, parse, text, message):
+        with pytest.raises(QueryError, match=message):
+            parse(text)
+
+    def test_a_deep_html_document_ingests_but_does_not_serialize(self):
+        tree = from_html("<b>" * DEEP + "</b>" * DEEP)
+        assert tree.size() == DEEP + 1
+        with pytest.raises(QueryError, match="cannot serialize HTML: .* nests too deeply"):
+            to_html(tree)
+
+    def test_deep_serializers_raise_query_error(self):
+        from repro.core.aqua_tree import AquaTree, TreeNode
+        from repro.core.identity import Cell
+        from repro.docstore.model import DocNode, document_node
+
+        with pytest.raises(QueryError, match="cannot serialize XML: .* nests too deeply"):
+            to_xml(from_html("<b>" * DEEP + "</b>" * DEEP))
+        node = TreeNode(Cell(DocNode("value", value=1)))
+        for _ in range(DEEP):
+            node = TreeNode(Cell(DocNode("array")), [node])
+        deep_json = AquaTree(TreeNode(Cell(document_node()), [node]))
+        with pytest.raises(QueryError, match="cannot serialize JSON: .* nests too deeply"):
+            to_json(deep_json)
+
+    def test_the_shell_reports_a_bad_document_and_continues(self, tmp_path):
+        from repro.__main__ import Shell
+
+        shell = Shell()
+        for name, text in [
+            ("bad.xml", "<a><b></a>"),
+            ("bad.json", '{"a":'),
+            ("deep.xml", "<a>" * DEEP + "</a>" * DEEP),
+        ]:
+            target = tmp_path / name
+            target.write_text(text, encoding="utf-8")
+            assert shell.execute(f"\\doc {target} bad").startswith("error: cannot parse")
+        good = tmp_path / "site.xml"
+        good.write_text(XML, encoding="utf-8")
+        assert "as root 'site'" in shell.execute(f"\\doc {good} site")
+        assert "2 result(s)" in shell.execute('root site | path "//book[@lang=\'en\']"')

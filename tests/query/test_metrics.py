@@ -11,6 +11,7 @@ from repro.errors import ResourceExhaustedError
 from repro.guardrails import Budget
 from repro.patterns import find_list_matches, find_tree_matches, parse_tree_pattern
 from repro.patterns.list_parser import list_pattern
+from repro.physical.base import BATCH
 from repro.query import (
     PlanMetrics,
     Q,
@@ -188,9 +189,20 @@ def two_scan_union():
     return db, query
 
 
+#: A deadline-only budget hands over full batches, a step limit one row
+#: per pull — whatever the suite's environment arms.
+BATCHES = {"full": Budget(deadline_seconds=60), "one": Budget(max_steps=10**9)}
+
+
+def flush_bound(matches: int, batch: str) -> int:
+    """One flush per batch of matches handed over, plus the stream end's."""
+    return -(-matches // BATCH) + 1 if batch == "full" else matches + 1
+
+
 class TestCountersFlushAtHandOver:
-    """Matchers emit their counters as they hand a match over, not once
-    per candidate, and every operator is still credited its own work."""
+    """Matchers emit their counters once per batch of matches handed
+    over (per match at batch size one), not once per candidate or per
+    match, and every operator is still credited its own work."""
 
     @pytest.mark.parametrize("optimize", [True, False], ids=["probe", "scan"])
     def test_a_tree_scan_flushes_once_per_match(self, monkeypatch, optimize):
@@ -201,18 +213,20 @@ class TestCountersFlushAtHandOver:
         pattern = "d(?* e(?* h ?*) ?*)"
         matches = len(find_tree_matches(parse_tree_pattern(pattern), tree))
         flushes = counted_flushes(monkeypatch)
-        result, metrics = Session(db).query_with_metrics(
-            Q.root("T").sub_select(pattern).build(), optimize=optimize
-        )
-        assert len(result) == matches == 6
-        assert len(flushes) <= matches + 1  # 323 at one flush per candidate
-        # The scan charges every node the first-set rejected as the
-        # node-at-a-time reference does (322 probed candidates vs 3000);
-        # of the 322, those without an e child with an h child are
-        # rejected on the child signature at one step each.
-        assert sum(f["backtrack_steps"] for f in flushes) == metrics[()].counters[
-            "backtrack_steps"
-        ] == (374 if optimize else 3052)
+        for batch, budget in BATCHES.items():
+            flushes.clear()
+            result, metrics = Session(db).query_with_metrics(
+                Q.root("T").sub_select(pattern).build(), optimize=optimize, budget=budget
+            )
+            assert len(result) == matches == 6
+            assert len(flushes) <= flush_bound(matches, batch)  # 323 at one per candidate
+            # The scan charges every node the first-set rejected as the
+            # node-at-a-time reference does (322 probed candidates vs 3000);
+            # of the 322, those without an e child with an h child are
+            # rejected on the child signature at one step each.
+            assert sum(f["backtrack_steps"] for f in flushes) == metrics[()].counters[
+                "backtrack_steps"
+            ] == (374 if optimize else 3052)
 
     def test_a_list_scan_flushes_once_per_batch(self, monkeypatch):
         db = Database()
@@ -220,9 +234,26 @@ class TestCountersFlushAtHandOver:
         db.bind_root("L", song)
         matches = len(find_list_matches(list_pattern("[a?c]"), song.value_array))
         flushes = counted_flushes(monkeypatch)
-        result = Session(db).query(Q.root("L").lsub_select("[a?c]").build(), optimize=False)
-        assert (len(result), matches) == (3, 31)
-        assert len(flushes) <= matches + 1  # 302 at one flush per start
+        for batch, budget in BATCHES.items():
+            flushes.clear()
+            query = Q.root("L").lsub_select("[a?c]").build()
+            result = Session(db).query(query, optimize=False, budget=budget)
+            assert (len(result), matches) == (3, 31)
+            assert len(flushes) <= flush_bound(matches, batch)  # 302 at one per start
+
+    @pytest.mark.parametrize("batch", BATCHES)
+    def test_a_docstore_path_flushes_once_per_batch(self, monkeypatch, batch):
+        """``//p`` hands every ``p`` over from the lone-atom path of an
+        index-probed split: 2,974 flushes at one per match."""
+        from repro.docstore.corpus import corpus_document
+
+        document = corpus_document()
+        flushes = counted_flushes(monkeypatch)
+        matches = len(document.path("//p", budget=BATCHES[batch]))
+        assert matches == 2974
+        assert len(flushes) <= flush_bound(matches, batch)
+        # One step per probed candidate, each of them a match.
+        assert sum(f["backtrack_steps"] for f in flushes) == matches
 
     @pytest.mark.parametrize("optimize", [False, True], ids=["scan", "probe"])
     def test_two_scans_under_one_parent_keep_their_counters(self, optimize):

@@ -128,12 +128,27 @@ class TestAttributeIndex:
         assert index.servable_terms(BRAZIL) == [("citizen", "=", "Brazil")]
 
     def test_most_selective_term_chosen(self):
+        """Among terms whose maps are built, the smallest bucket wins."""
         family = figure3_family_tree()
         index = TreeIndex(family, attributes=["citizen", "name"])
         predicate = BRAZIL & (attr("name") == "Mat")
+        assert (index.count("citizen", "Brazil"), index.count("name", "Mat")) == (5, 1)
         nodes, used = index.candidate_nodes(predicate)
         assert used
         assert len(nodes) == 1  # probed name, not citizenship
+
+    def test_a_fresh_index_probes_the_first_term_and_builds_one_map(self):
+        """With no map built, the first servable term is probed — as
+        ``ListIndex`` and the cost model take it — and no other map is
+        built only to compare its size."""
+        family = figure3_family_tree()
+        index = TreeIndex(family, attributes=["citizen", "name"])
+        sink = Instrumentation()
+        with query_context.entered(receiver=sink):
+            nodes, used = index.candidate_nodes(BRAZIL & (attr("name") == "Mat"))
+        assert used
+        assert len(nodes) == 5  # the citizen bucket; the matcher tests the name
+        assert sink["index_builds"] == 1
 
     def test_concat_points_not_indexed(self):
         tree = parse_tree("a(@1 b)")
@@ -236,11 +251,15 @@ class TestBuiltOnFirstProbe:
         assert sink["index_builds"] == 1
 
     def test_an_attribute_path_builds_tag_and_lang_never_kind_or_payload(self):
+        """(The name is historical: the probe takes ``tag``, the first
+        servable term, and tests ``lang`` on the articles, so only the
+        ``tag`` map is built.)"""
         document, sink = self._document()
         with query_context.entered(receiver=sink):
             assert len(document.path("//article[@lang='en']//p")) == 2
-        assert sink["index_builds"] == 2
+        assert sink["index_builds"] == 1
         assert sink["index_probes"] == 1
+        assert set(document.tree._postings) == {"tag"}
 
     def test_a_by_pitch_query_builds_pitch_only(self):
         from repro import Session

@@ -144,6 +144,31 @@ def test_matchers_flush_at_hand_over_with_no_knob_or_thread_local() -> None:
     assert local_sites == ["context.py"]
 
 
+def test_identity_is_drawn_on_first_read() -> None:
+    """Construction draws no OID: nothing assigns ``self.oid =
+    fresh_oid()`` and no ``Cell`` / ``DocNode`` / ``Record`` constructor
+    chains to a ``DatabaseObject`` one (the CI lint job greps for the
+    same)."""
+    import inspect
+
+    from repro.core.identity import Cell, DatabaseObject, Record
+    from repro.docstore.model import DocNode
+
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        path.relative_to(package).as_posix()
+        for path in package.rglob("*.py")
+        if "self.oid = fresh_oid()" in path.read_text(encoding="utf-8")
+    ]
+    offenders += [
+        kind.__name__
+        for kind in (Cell, DocNode, Record)
+        if "super().__init__()" in inspect.getsource(kind.__init__)
+    ]
+    assert offenders == []
+    assert "__init__" not in vars(DatabaseObject)
+
+
 def test_runs_count_into_ints_they_own() -> None:
     """No predicate is wrapped to bump a shared sink per evaluation and no
     attribution frame survives: operators count into their run's
