@@ -21,8 +21,9 @@ doctypes, insignificant attribute quoting — is dropped at ingestion;
 element order, text (whitespace included), attributes, and JSON member
 order are preserved exactly.
 
-Malformed text, and a document nested deeper than the parser's or the
-serializer's recursion reaches, raise :class:`~repro.errors.QueryError`
+XML and HTML are read and written off explicit stacks, so depth alone
+refuses neither; :func:`json.loads` / :func:`json.dumps` recurse in C.
+Malformed text, and JSON nested past them, raise :class:`~repro.errors.QueryError`
 naming the format (and the parser's line and column, if it gives them).
 """
 
@@ -171,14 +172,21 @@ def from_xml(text: str) -> AquaTree:
     return AquaTree(TreeNode(Cell(document_node()), [_xml_node(ElementTree.fromstring(text))]))
 
 
-def _xml_node(element: ElementTree.Element) -> TreeNode:
-    children: list[TreeNode] = []
-    if element.text:
-        children.append(TreeNode(Cell(DocNode("text", text=element.text))))
-    for child in element:
-        children.append(_xml_node(child))
-        if child.tail:
-            children.append(TreeNode(Cell(DocNode("text", text=child.tail))))
+def _xml_node(root: ElementTree.Element) -> TreeNode:
+    """``root``'s subtree: one node per element (``iter`` walks them in C,
+    with no recursion here), then each element's children wired in —
+    its leading text, then each child element and that child's tail."""
+    nodes = {element: _xml_element(element) for element in root.iter()}
+    for element, node in nodes.items():
+        for child in element:
+            node.children.append(nodes[child])
+            if child.tail:
+                node.children.append(TreeNode(Cell(DocNode("text", text=child.tail))))
+    return nodes[root]
+
+
+def _xml_element(element: ElementTree.Element) -> TreeNode:
+    children = [TreeNode(Cell(DocNode("text", text=element.text)))] if element.text else []
     return TreeNode(Cell(DocNode("element", tag=element.tag, attrs=element.attrib)), children)
 
 
@@ -190,29 +198,37 @@ def to_xml(tree: AquaTree) -> str:
     return "".join(parts)
 
 
-def _write_xml(node: TreeNode, parts: list[str]) -> None:
-    payload = _doc_value(node)
-    if payload.kind == "text":
-        parts.append(_xml_escape(payload.text or ""))
-        return
-    if payload.kind != "element":
-        raise QueryError(f"cannot serialize {payload.kind!r} node as XML")
-    attrs = "".join(
-        f" {name}={_xml_quoteattr(value)}" for name, value in payload.attrs.items()
-    )
-    inner: list[str] = []
-    for child in _element_children(node):
-        _write_xml(child, inner)
-    content = "".join(inner)
-    # The empty-tag form keys off serialized *content*, not child count:
-    # children that render to nothing (an empty text node) would
-    # otherwise break serialize→parse→serialize idempotence.
-    if not content:
-        parts.append(f"<{payload.tag}{attrs} />")
-        return
-    parts.append(f"<{payload.tag}{attrs}>")
-    parts.append(content)
-    parts.append(f"</{payload.tag}>")
+def _write_xml(root: TreeNode, parts: list[str]) -> None:
+    """Append ``root``'s canonical XML to ``parts`` off an explicit stack
+    of nodes still to write and ``(start index, head, tag)`` elements
+    still to close."""
+    stack: list[Any] = [root]
+    while stack:
+        node = stack.pop()
+        if type(node) is tuple:
+            start, head, tag = node
+            # The empty-tag form keys off serialized *content*, not child
+            # count: children that render to nothing (an empty text node)
+            # would otherwise break serialize→parse→serialize idempotence.
+            if len(parts) == start + 1:
+                parts[start] = f"{head} />"
+            else:
+                parts.append(f"</{tag}>")
+            continue
+        payload = _doc_value(node)
+        if payload.kind == "text":
+            if payload.text:
+                parts.append(_xml_escape(payload.text))
+            continue
+        if payload.kind != "element":
+            raise QueryError(f"cannot serialize {payload.kind!r} node as XML")
+        attrs = "".join(
+            f" {name}={_xml_quoteattr(value)}" for name, value in payload.attrs.items()
+        )
+        head = f"<{payload.tag}{attrs}"
+        stack.append((len(parts), head, payload.tag))
+        parts.append(f"{head}>")
+        stack.extend(reversed(_element_children(node)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,21 +331,30 @@ def to_html(tree: AquaTree) -> str:
     return "".join(parts)
 
 
-def _write_html(node: TreeNode, parts: list[str], raw: bool = False) -> None:
-    payload = _doc_value(node)
-    if payload.kind == "text":
-        text = payload.text or ""
-        parts.append(text if raw else _html_escape(text, quote=False))
-        return
-    if payload.kind != "element":
-        raise QueryError(f"cannot serialize {payload.kind!r} node as HTML")
-    attrs = "".join(
-        f" {name}" if value is None else f' {name}="{_html_escape(value, quote=True)}"'
-        for name, value in payload.attrs.items()
-    )
-    parts.append(f"<{payload.tag}{attrs}>")
-    if payload.tag in VOID_ELEMENTS:
-        return
-    for child in _element_children(node):
-        _write_html(child, parts, raw=payload.tag in _RAWTEXT_ELEMENTS)
-    parts.append(f"</{payload.tag}>")
+def _write_html(root: TreeNode, parts: list[str]) -> None:
+    """Append ``root``'s canonical HTML to ``parts`` off an explicit stack
+    of end tags and (node, inside a raw-text element) pairs still to write."""
+    stack: list[Any] = [(root, False)]
+    while stack:
+        item = stack.pop()
+        if type(item) is str:
+            parts.append(item)
+            continue
+        node, raw = item
+        payload = _doc_value(node)
+        if payload.kind == "text":
+            text = payload.text or ""
+            parts.append(text if raw else _html_escape(text, quote=False))
+            continue
+        if payload.kind != "element":
+            raise QueryError(f"cannot serialize {payload.kind!r} node as HTML")
+        attrs = "".join(
+            f" {name}" if value is None else f' {name}="{_html_escape(value, quote=True)}"'
+            for name, value in payload.attrs.items()
+        )
+        parts.append(f"<{payload.tag}{attrs}>")
+        if payload.tag in VOID_ELEMENTS:
+            continue
+        stack.append(f"</{payload.tag}>")
+        raw = payload.tag in _RAWTEXT_ELEMENTS
+        stack.extend((child, raw) for child in reversed(_element_children(node)))

@@ -6,10 +6,10 @@ behind the first-set scan (``memo``) and the untabled reference
 (``backtrack``, :func:`tests.reference.untabled_scope`) return the same
 match stream, the probe-optimized plan and the full scan return it too,
 and all equal the reference evaluator — across labeled trees, Figure-4
-family splits and melody lists.  The ``backend`` axis arms the list
-start source's column backend (numpy or python int bitsets, on lists
-of any length): lists answer identically on either, and no tree path
-reads one.  A pinned snapshot keeps serving its own list's columns
+family splits and melody lists.  The ``backend`` axis names the oracle
+every list column built is checked against (the element loop, or
+numpy's vectorized comparison), on lists of any length; no tree path
+builds one.  A pinned snapshot keeps serving its own list's columns
 after the live root moves on, and rebinding a root between queries
 never lets the old list's columns answer for the new one.
 """
@@ -22,7 +22,7 @@ from repro import Session
 from repro.core import make_tuple
 from repro.query import Q, evaluate
 from repro.storage import Database
-from repro.storage.columnar import columnar_list_for, numpy_available
+from repro.storage.columnar import columnar_list_for
 from repro.workloads import (
     by_citizen_or_name,
     by_pitch,
@@ -31,11 +31,9 @@ from repro.workloads import (
     song_with_melody,
 )
 
-from ..reference import list_columns, reference_eval, untabled_scope
+from ..reference import BACKENDS, list_columns, reference_eval, untabled_scope
 
 SETTINGS = settings(max_examples=12, deadline=None)
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 MODES = [(engine, backend) for engine in ("memo", "backtrack") for backend in BACKENDS]
 

@@ -12,8 +12,8 @@ Two families:
   with a random path yields bit-identical serialized results whether
   the matcher runs tabled with its root first-set scan (``memo``) or as
   the untabled reference (``backtrack``), whether the first step is a
-  node-index probe or a scan, and whichever list-column backend is
-  armed (no tree path reads one) — all agreeing with the ``naive_path``
+  node-index probe or a scan, and whichever list-column oracle is
+  armed (no tree path builds a column) — all agreeing with the ``naive_path``
   reference walk; and querying never mutates the document (it
   re-serializes identically afterwards).
 """
@@ -38,13 +38,10 @@ from repro.docstore import (
 )
 from repro.docstore.model import DocNode, document_node
 from repro.docstore.store import Document
-from repro.storage.columnar import numpy_available
 
-from ..reference import list_columns, untabled_scope
+from ..reference import BACKENDS, list_columns, untabled_scope
 
 SETTINGS = settings(max_examples=40, deadline=None)
-
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
 
 MODES = [(engine, backend) for engine in ("memo", "backtrack") for backend in BACKENDS]
 

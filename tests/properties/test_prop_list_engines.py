@@ -12,7 +12,6 @@ from repro.core.concat import ALPHA, ConcatPoint
 from repro.patterns.list_match import find_spans, matches_whole
 from repro.query import Q
 from repro.storage import Database
-from repro.storage.columnar import resolve_backend
 
 from ..oracles.derivatives import deriv_accepts, deriv_find_spans
 from ..oracles.nfa import compile_nfa, nfa_find_spans
@@ -100,13 +99,12 @@ def test_list_split_agrees_across_access_paths(pattern, values, other):
         assert x.concat_at(ALPHA, rebuilt) == whole
 
     session = Session(db)
-    backend = resolve_backend()
-    with list_columns(backend):
+    with list_columns("python"):
         pinned = session.snapshot()
         for optimize in (True, False):
             # Columns on (any length) and off (the list is too short).
             for min_length in (0, len(values) + 1):
-                with list_columns(backend, min_length):
+                with list_columns("python", min_length):
                     served = session.query(query, optimize=optimize)
                 assert list(served) == list(expected)
         db.rebind_root("L", other)

@@ -10,9 +10,11 @@ returns — same members, same order, same equality notion.
 
 The null-table collaborator is reachable only by constructing it, which
 is what the two helpers here do for the parity suites; the third,
-:func:`list_columns`, pins the list start source's column backend.
+:func:`list_columns`, checks every list predicate column built inside
+it against an oracle named in :data:`BACKENDS`.
 """
 
+import importlib.util
 from contextlib import contextmanager, nullcontext
 from functools import partial
 from typing import Any, Iterator
@@ -57,15 +59,46 @@ def untabled_scope(engine: str = "backtrack"):
     return context.entered(registry=partial(MatchContextRegistry, tabled=False))
 
 
+#: The oracles :func:`list_columns` checks columns against: the element
+#: loop always, numpy's vectorized comparison when numpy imports.
+BACKENDS = ["python"] + (["numpy"] if importlib.util.find_spec("numpy") else [])
+
+
+def _column_oracle(backend: str):
+    """``(values, predicate) -> list[bool] | None`` for ``backend``."""
+    if backend == "python":
+        return lambda values, predicate: [bool(predicate(value)) for value in values]
+    if backend == "numpy":
+        from .oracles.numpy_columns import numpy_column
+
+        return numpy_column
+    raise ValueError(f"unknown column oracle {backend!r} (one of {BACKENDS})")
+
+
 @contextmanager
 def list_columns(backend: str, min_length: int = 0) -> Iterator[None]:
-    """Build list predicate columns on ``backend`` (``numpy`` /
-    ``python``) for lists of at least ``min_length`` elements, inside
-    the block — so small generated lists take the shift-AND start
-    source.  Columns are cached on the list, so use fresh lists."""
-    with mock.patch.object(
-        columnar, "numpy_available", lambda: backend == "numpy"
-    ), mock.patch.object(columnar, "COLUMNAR_MIN_LENGTH", min_length):
+    """Build list predicate columns for lists of at least ``min_length``
+    elements inside the block — so small generated lists take the
+    shift-AND start source — and check every column built, down to each
+    ``AND`` / ``OR`` / ``NOT`` term, against the ``backend`` oracle:
+    ``python``, the element-at-a-time ``predicate(value)`` loop, or
+    ``numpy``, the vectorized comparison (skipped where it declines).
+    Columns are cached on the list, so use fresh lists."""
+    oracle = _column_oracle(backend)
+    build = columnar.ColumnarList._build_column
+
+    def checked(self, predicate):
+        column = build(self, predicate)
+        want = oracle(self.values, predicate)
+        if want is not None:
+            assert column >= 0 and column >> self.size == 0, (predicate, column)
+            got = bin(column)[2:].zfill(self.size)[::-1] if self.size else ""
+            assert got == "".join("1" if bit else "0" for bit in want), predicate
+        return column
+
+    with mock.patch.object(columnar.ColumnarList, "_build_column", checked), mock.patch.object(
+        columnar, "COLUMNAR_MIN_LENGTH", min_length
+    ):
         yield
 
 

@@ -2,25 +2,34 @@
 that need no columns.
 
 Covers predicate-column semantics of :class:`ColumnarList` against the
-element-at-a-time oracle under both backends (missing attributes,
-negation, mixed payloads, ordering comparisons, Params), the shift-AND
-start set, the length gate and the per-list cache, backend resolution
-(numpy when it imports, with no knob), and — for trees — the
+element-at-a-time and the numpy oracle (:func:`tests.reference.list_columns`
+checks every column built; missing attributes, negation, mixed payloads,
+ordering comparisons, Params), a property over random lists and atoms,
+the shift-AND start set, the length gate and the per-list cache, that
+columns need no numpy and take no backend, and — for trees — the
 :class:`~repro.core.aqua_tree.TreeLayout` arrays that hold the
 structure vectors, the node index's scan fallback and the matcher's
 outcome bitmap, none of which builds a column.
 """
 
+import os
+import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core import AquaList, AquaTree
 from repro.core.aqua_tree import TreeNode
 from repro.core.concat import ConcatPoint
 from repro.core.identity import Record
-from repro.errors import QueryError
 from repro.params import Param
 from repro.predicates import attr, sym
-from repro.predicates.alphabet import TruePredicate
+from repro.predicates.alphabet import And, Comparison, Not, Or, SymbolEquals, TruePredicate
 from repro.query import Q, evaluate
 from repro.storage import Database
 from repro.storage import columnar as C
@@ -29,16 +38,20 @@ from repro.storage.columnar import (
     ColumnarList,
     column_servable,
     columnar_list_for,
-    numpy_available,
-    resolve_backend,
 )
 from repro.storage.stats import Instrumentation
 
-from ..reference import list_columns
+from ..reference import BACKENDS, list_columns
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+SRC = Path(C.__file__).resolve().parents[2]
 
-backend_param = pytest.mark.parametrize("backend", BACKENDS)
+
+@pytest.fixture(params=BACKENDS)
+def backend(request):
+    """The oracle every column built during the test is checked against."""
+    with list_columns(request.param):
+        yield request.param
+
 
 RETIRED_KNOBS = ("AQUA_COLUMNAR", "AQUA_COLUMNAR_BACKEND", "AQUA_COLUMNAR_THRESHOLD")
 
@@ -79,12 +92,10 @@ def long_list(length: int = COLUMNAR_MIN_LENGTH) -> AquaList:
 # -- tree structure: the layout's arrays ---------------------------------------
 
 
-@backend_param
 def test_structure_vectors(backend):
     """Parent / depth / subtree-end are the layout's arrays; first child
-    and next sibling follow from them.  No column backend is read."""
-    with list_columns(backend):
-        layout = labeled_tree().layout()
+    and next sibling follow from them.  No column is built."""
+    layout = labeled_tree().layout()
     # Preorder: a b d b c d
     assert [n.value for n in layout.nodes] == list("abdbcd")
     assert layout.parent == [-1, 0, 1, 1, 0, 4]
@@ -100,12 +111,10 @@ def test_structure_vectors(backend):
     assert next_sibling == [-1, 4, 3, -1, -1, -1]
 
 
-@backend_param
 def test_structure_counts_concat_points(backend):
     tree = AquaTree.build("a", ["b"])
     tree.root.children.append(TreeNode(ConcatPoint("1")))
-    with list_columns(backend):
-        layout = tree.layout()
+    layout = tree.layout()
     assert layout.element_count == 2  # elements only
     assert len(layout.nodes) == 3  # positions include the labeled NULL
     assert layout.end[0] == 3
@@ -114,16 +123,13 @@ def test_structure_counts_concat_points(backend):
 # -- predicate columns over a list ---------------------------------------------
 
 
-@backend_param
 def test_symbol_column_matches_oracle(backend):
-    columns = ColumnarList(AquaList.of(*"abdbcd"), backend=backend)
-    assert columns.backend == backend
+    columns = ColumnarList(AquaList.of(*"abdbcd"))
     assert columns.positions(columns.predicate_column(sym("b"))) == [1, 3]
 
 
-@backend_param
 def test_missing_attribute_is_false_and_not_respects_presence(backend):
-    columns = ColumnarList(people(), backend=backend)
+    columns = ColumnarList(people())
     brazilian = attr("citizen") == "Brazil"
     assert [r.name for r in matching(columns, brazilian)] == ["Ana"]
     # NOT(citizen = Brazil) holds for everyone else — including Cleo,
@@ -131,20 +137,18 @@ def test_missing_attribute_is_false_and_not_respects_presence(backend):
     assert [r.name for r in matching(columns, ~brazilian)] == ["Bo", "Cleo"]
 
 
-@backend_param
 def test_or_and_true_predicate_columns(backend):
-    columns = ColumnarList(AquaList.of(*"abdbcd"), backend=backend)
+    columns = ColumnarList(AquaList.of(*"abdbcd"))
     assert matching(columns, sym("b") | sym("c")) == ["b", "b", "c"]
     assert matching(columns, sym("b") & ~sym("b")) == []
     assert len(matching(columns, TruePredicate())) == columns.size == 6
 
 
-@backend_param
 def test_concat_points_never_match(backend):
     """Labeled NULLs are not elements: no column has a position for
     them, so no start the shift-AND yields can point at one."""
     aqua_list = AquaList.of("a", ConcatPoint("1"), "b")
-    columns = ColumnarList(aqua_list, backend=backend)
+    columns = ColumnarList(aqua_list)
     assert columns.size == 2
     assert matching(columns, TruePredicate()) == ["a", "b"]
     assert columns.candidate_starts(((sym("b"), (0,)),)) == [1]
@@ -156,19 +160,17 @@ def test_param_predicates_are_not_servable():
     assert column_servable(sym("b") | (attr("age") > 3))
 
 
-@backend_param
 def test_ordering_comparison_column(backend):
     ages = AquaList.of(Record(age=50), Record(age=10), Record(age=30))
-    columns = ColumnarList(ages, backend=backend)
+    columns = ColumnarList(ages)
     assert [r.age for r in matching(columns, attr("age") > 20)] == [50, 30]
 
 
-@backend_param
 def test_mixed_payload_types_match_oracle(backend):
-    # Strings mixed with records: the vectorized leaf path must bail to
-    # the per-element oracle without changing outcomes.
+    # Strings mixed with records: the numpy oracle declines both leaves
+    # (missing attributes, a mixed array), the element loop checks them.
     aged = Record(age=7)
-    columns = ColumnarList(AquaList.of("a", aged, "b", 3), backend=backend)
+    columns = ColumnarList(AquaList.of("a", aged, "b", 3))
     assert matching(columns, attr("age") == 7) == [aged]
     assert matching(columns, sym("b")) == ["b"]
 
@@ -176,11 +178,10 @@ def test_mixed_payload_types_match_oracle(backend):
 # -- building and caching --------------------------------------------------------
 
 
-@backend_param
 def test_outcome_for_never_builds(backend):
     """A column is built once per predicate, and the shift-AND builds
     only the columns its atoms name."""
-    columns = ColumnarList(AquaList.of(*"abcabca"), backend=backend)
+    columns = ColumnarList(AquaList.of(*"abcabca"))
     assert columns.column_builds == 0
     columns.candidate_starts(((sym("a"), (0,)),))
     assert columns.column_builds == 1
@@ -189,35 +190,54 @@ def test_outcome_for_never_builds(backend):
     assert columns.column_rows == 2 * columns.size
 
 
-@backend_param
 def test_candidate_roots_cached_by_anchor_set(backend):
-    columns = ColumnarList(AquaList.of(*"abcabca"), backend=backend)
+    columns = ColumnarList(AquaList.of(*"abcabca"))
     first = columns.predicate_column(sym("b"))
     # Cached by predicate equality, not object identity.
     assert columns.predicate_column(sym("b")) is first
 
 
-# -- backend resolution: numpy when it imports, no knob ---------------------------
+# -- one representation: int bitsets, no backend to pick -------------------------
 
 
-def test_resolve_backend_auto(monkeypatch):
-    expected = "numpy" if numpy_available() else "python"
-    assert resolve_backend() == expected
-    # The retired backend variable is read by nobody.
-    monkeypatch.setenv("AQUA_COLUMNAR_BACKEND", "python")
-    assert resolve_backend() == expected
-    monkeypatch.setattr(C, "numpy_available", lambda: False)
-    assert resolve_backend() == "python"
-    assert ColumnarList(AquaList.of("a")).backend == "python"
+def test_resolve_backend_auto():
+    """Columns need no numpy: a long-list columnar query in a fresh
+    interpreter builds its columns and never imports ``numpy``, and the
+    retired backend variable, set to ``numpy``, changes nothing."""
+    script = textwrap.dedent(
+        """
+        import sys
+        from repro.core import AquaList
+        from repro.query import Q, evaluate
+        from repro.storage import Database
+        from repro.storage.columnar import COLUMNAR_MIN_LENGTH
+
+        db = Database()
+        db.bind_root("L", AquaList.of(*("abc" * COLUMNAR_MIN_LENGTH)[:COLUMNAR_MIN_LENGTH]))
+        with db.stats.scope():
+            result = evaluate(Q.root("L").lsub_select("[a?c]").build(), db)
+            builds = db.stats["column_builds"]
+        print(len(result), builds, "numpy" in sys.modules)
+        """
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "AQUA_COLUMNAR_BACKEND": "numpy"}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.split() == ["1", "2", "False"]
 
 
-def test_pinned_numpy_without_numpy_is_an_error(monkeypatch):
-    monkeypatch.setattr(C, "_import_numpy", lambda: None)
-    with pytest.raises(QueryError):
-        ColumnarList(AquaList.of("a"), backend="numpy")
-    with pytest.raises(QueryError):
-        ColumnarList(AquaList.of("a"), backend="rust")
-    assert resolve_backend() == "python"
+def test_pinned_numpy_without_numpy_is_an_error():
+    """There is no backend to pin: ``backend=`` is a ``TypeError``
+    whatever it names (as ``parallel_workers=`` became), and nothing
+    resolves or reports one."""
+    for backend in ("numpy", "python", "rust"):
+        with pytest.raises(TypeError):
+            ColumnarList(AquaList.of("a"), backend=backend)
+    assert not hasattr(ColumnarList(AquaList.of("a")), "backend")
+    for retired in ("resolve_backend", "numpy_available", "attribute_column"):
+        assert not hasattr(C, retired) and not hasattr(ColumnarList, retired)
 
 
 def test_knob_validation(monkeypatch):
@@ -294,10 +314,9 @@ def test_snapshot_serves_consistent_cut():
 # -- the shift-AND start set ----------------------------------------------------
 
 
-@backend_param
 def test_list_candidate_starts(backend):
     values = list("abcabca")
-    columns = ColumnarList(AquaList.of(*values), backend=backend)
+    columns = ColumnarList(AquaList.of(*values))
     # 'a' at offset 0 and 'c' at offset 2 — the shape of "[a?c]".
     choices = ((sym("a"), (0,)), (sym("c"), (2,)))
     starts = columns.candidate_starts(choices)
@@ -307,6 +326,84 @@ def test_list_candidate_starts(backend):
         if values[i] == "a" and i + 2 < len(values) and values[i + 2] == "c"
     ]
     assert starts == brute == [0, 3]
+
+
+#: Element kinds a random list draws from: bare symbols, records with a
+#: numeric or a string ``pitch``, and records without one.
+VOCABULARY = ["a", "b", "c", 3] + [Record(pitch=k) for k in range(5)] + [
+    Record(pitch="high"),
+    Record(name="rest"),
+]
+
+#: Sizes on and around the int bitsets' old 64-bit chunk edges and the
+#: 512-element gate, besides any size up to 1,500.
+list_sizes = st.one_of(
+    st.integers(0, 1500), st.sampled_from([0, 1, 63, 64, 65, 511, 512, 513, 1500])
+)
+
+leaves = st.one_of(
+    st.sampled_from(["a", "b", "c", 3, "z"]).map(SymbolEquals),
+    st.builds(
+        Comparison,
+        st.just("pitch"),
+        st.sampled_from(["=", "!=", "<", "<=", ">", ">="]),
+        st.one_of(st.integers(-1, 5), st.just("high")),
+    ),
+    st.just(TruePredicate()),
+)
+
+atoms = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, min_size=2, max_size=3).map(lambda terms: And(*terms)),
+        st.lists(inner, min_size=2, max_size=3).map(lambda terms: Or(*terms)),
+        inner.map(Not),
+    ),
+    max_leaves=5,
+)
+
+
+@st.composite
+def random_lists(draw) -> list:
+    """A list of a drawn size, its elements drawn by a seeded generator
+    from a drawn share of the vocabulary (so columns run dense or sparse)."""
+    size = draw(list_sizes)
+    kinds = draw(st.lists(st.sampled_from(VOCABULARY), min_size=1, max_size=4))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return [rng.choice(kinds) for _ in range(size)]
+
+
+@settings(max_examples=60, deadline=None)
+@example(values=["a"], choices=[(SymbolEquals("a"), [0])])
+@example(values=[], choices=[(Not(SymbolEquals("a")), [0, 1])])
+@given(
+    values=random_lists(),
+    choices=st.lists(
+        st.tuples(atoms, st.lists(st.integers(0, 1600), min_size=1, max_size=3)),
+        max_size=3,
+    ),
+)
+def test_columns_and_starts_equal_the_element_loop(values, choices):
+    """Every column is the element loop's bit for bit, and the shift-AND
+    start set is the brute-force one: a start (``0 .. size``) survives
+    iff each required atom holds at one of its offsets, offsets past the
+    list's end holding nowhere."""
+    columns = ColumnarList(AquaList.of(*values))
+    size = len(values)
+    for predicate, _ in choices:
+        column = columns.predicate_column(predicate)
+        want = [position for position, value in enumerate(values) if predicate(value)]
+        assert column == sum(1 << position for position in want)
+        assert columns.positions(column) == want
+    brute = [
+        start
+        for start in range(size + 1)
+        if all(
+            any(start + offset < size and predicate(values[start + offset]) for offset in offsets)
+            for predicate, offsets in choices
+        )
+    ]
+    assert columns.candidate_starts(choices) == brute
 
 
 # -- trees build no columns -----------------------------------------------------

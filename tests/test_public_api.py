@@ -244,6 +244,27 @@ def test_one_list_pattern_engine_in_the_package() -> None:
     assert len(patterns.__all__) == 45
 
 
+def test_one_list_column_representation() -> None:
+    """``storage/columnar.py`` keeps each list predicate column as a
+    Python int bitset: nothing under the package mentions numpy, resolves
+    a backend or keeps a vectorized leaf, and the packaging offers no
+    ``[columnar]`` extra (the CI lint job greps for the same)."""
+    residue = re.compile(r"numpy|resolve_backend|numpy_available|_vectorized_leaf")
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{path.relative_to(package)}:{number}"
+        for path in package.rglob("*")
+        if path.is_file() and "__pycache__" not in path.parts
+        for number, line in enumerate(
+            path.read_text(encoding="utf-8", errors="replace").splitlines(), 1
+        )
+        if residue.search(line)
+    ]
+    assert offenders == []
+    pyproject = README.parent / "pyproject.toml"
+    assert "columnar" not in pyproject.read_text(encoding="utf-8")
+
+
 def test_split_function_contracts_are_read_in_one_function() -> None:
     """``split`` is the only tree-pattern operator the engine runs: what a
     split function declares about the pieces it reads is resolved by
