@@ -10,6 +10,12 @@ appear in three notations that all converge on the same object:
   predicate constant is (``attr("age") > Q.param("limit")``);
 * ``$name`` inside an AQL ``{...}`` predicate.
 
+AQL text also gets *hidden* slots: :class:`Literals` lifts a text's
+constants into ``$0``, ``$1``, …, so texts that differ only in their
+constants share one cached plan.  A user slot name
+starts with a letter or ``_`` — as the AQL lexer spells ``$name`` — so
+no user slot can ever collide with a lifted one.
+
 Bindings are *dynamically scoped*: a run arms its mapping in the
 thread's :class:`~repro.context.QueryContext` (nested bindings merge
 over the outer ones), and :func:`resolve` reads it.  The execution
@@ -41,11 +47,21 @@ class Param:
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        if not name or not all(c.isalnum() or c == "_" for c in name):
+        if (
+            not name
+            or not (name[0].isalpha() or name[0] == "_")
+            or not all(c.isalnum() or c == "_" for c in name)
+        ):
             raise QueryError(
-                f"invalid parameter name {name!r} (use letters, digits, '_')"
+                f"invalid parameter name {name!r}"
+                " (letters, digits and '_', not starting with a digit)"
             )
         self.name = name
+
+    @property
+    def lifted(self) -> bool:
+        """Is this a hidden slot holding an AQL text's own constant?"""
+        return self.name[0].isdigit()
 
     def describe(self) -> str:
         return f"${self.name}"
@@ -60,6 +76,27 @@ class Param:
 
     def __hash__(self) -> int:
         return hash(("Param", self.name))
+
+
+class Literals:
+    """The constants one AQL text lifts into hidden slots, in text order.
+
+    :meth:`slot` hands out ``$0``, ``$1``, … — one per occurrence — and
+    records each slot's value in :attr:`values`, the bindings every run
+    of the text arms.
+    """
+
+    __slots__ = ("values",)
+
+    def __init__(self) -> None:
+        self.values: dict[str, Any] = {}
+
+    def slot(self, value: Any) -> Param:
+        # Built past the name check, which keeps users from spelling one.
+        slot = object.__new__(Param)
+        slot.name = str(len(self.values))
+        self.values[slot.name] = value
+        return slot
 
 
 def _bindings() -> Any:

@@ -140,7 +140,8 @@ class _Matcher:
         elif isinstance(node, Atom):
             if pos < len(self.values):
                 self.predicate_evals += 1
-                if node.predicate(self.values[pos]):
+                test = self._spans.tests.get(id(node)) or self._spans.compile(node)
+                if test(self.values[pos]):
                     yield pos + 1, ((pos, None),)
         elif isinstance(node, Concat):
             yield from self._match_concat(node.parts, 0, pos, depth + 1)
@@ -309,6 +310,15 @@ class _SpanMatcher:
         self._memo: dict[tuple[int, int], frozenset[int]] = {}
         self.predicate_evals = 0
         self.guard = guardrails.current_guard()
+        #: Compiled atom tests by atom id (shared with the backtracking
+        #: matcher that owns this one), made on first use: a ``$param``
+        #: is read once per matcher, i.e. once per run, not per element.
+        self.tests: dict[int, Callable[[Any], bool]] = {}
+
+    def compile(self, atom: Atom) -> Callable[[Any], bool]:
+        predicate = atom.predicate
+        test = self.tests[id(atom)] = predicate.compile() or predicate
+        return test
 
     def ends(self, node: ListPatternNode, pos: int) -> frozenset[int]:
         key = (id(node), pos)
@@ -327,7 +337,8 @@ class _SpanMatcher:
         if isinstance(node, Atom):
             if pos < len(self.values):
                 self.predicate_evals += 1
-                if node.predicate(self.values[pos]):
+                test = self.tests.get(id(node)) or self.compile(node)
+                if test(self.values[pos]):
                     return frozenset((pos + 1,))
             return frozenset()
         if isinstance(node, Concat):

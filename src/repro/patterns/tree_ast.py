@@ -439,13 +439,15 @@ class TreePattern:
             terms = [(t, t.parts) if isinstance(t, ChildSeq) else (t,) for t in body.walk()]
             closure = self.has_vertical_closure()
             atom = isinstance(body, TreeAtom) and not closure
+            predicates = self.atom_predicates()
             facts = self._facts = PatternFacts(
                 closure,
-                frozenset(id(p) for p in self.atom_predicates() if p.opaque),
+                frozenset(id(p) for p in predicates if p.opaque),
                 tuple(term for group in terms for term in group),
                 _root_predicates(body),
                 _required_children(body.children, SIGNATURE_DEPTH) if atom else (),
                 self.describe(),
+                tuple(dict.fromkeys(slot for p in predicates for slot in p.params())),
             )
         return facts
 
@@ -499,8 +501,9 @@ SIGNATURE_DEPTH = 2
 class PatternFacts(NamedTuple):
     """:meth:`TreePattern.facts`: the vertical-closure flag, the opaque
     atom predicates' ids, the sub-terms (and child-sequence parts) in
-    interning order, ``_root_predicates``, the child signature and the
-    pattern's text (anchors included: equal patterns share it)."""
+    interning order, ``_root_predicates``, the child signature, the
+    pattern's text (anchors included: equal patterns share it) and the
+    ``$param`` slots its atoms read."""
 
     closure: bool
     opaque: frozenset[int]
@@ -508,6 +511,7 @@ class PatternFacts(NamedTuple):
     roots: tuple[list[AlphabetPredicate], int]
     signature: tuple
     text: str
+    params: tuple
 
 
 class RootFirstSet(NamedTuple):

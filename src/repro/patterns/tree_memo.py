@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Sequence
 
+from .. import params
 from ..core.aqua_tree import AquaTree, TreeLayout, TreeNode
 from .tree_ast import (
     ChildPatternNode,
@@ -342,6 +343,18 @@ class TreeMatchContext:
         return (fp, env_num)
 
 
+def _binding_key(slots: tuple) -> tuple:
+    """What a pattern's ``$param`` slots are bound to now: two texts of one
+    shape (or two bindings of one user slot) matched in one run — a query
+    nested in another's ``sapply`` joins its registry — get a context
+    each, since tables hold outcomes under the bindings that made them."""
+    key = []
+    for slot in slots:
+        value, _ = params.try_resolve(slot)
+        key.append((type(value), value if params.is_bindable(value) else id(value)))
+    return tuple(key)
+
+
 class MatchContextRegistry:
     """Per-query context sharing: one memo table per (pattern, tree) pair.
 
@@ -361,7 +374,8 @@ class MatchContextRegistry:
         self._contexts: dict[tuple, TreeMatchContext] = {}
 
     def context_for(self, pattern: TreePattern, tree: AquaTree) -> TreeMatchContext:
-        key = (id(tree), pattern.facts().text)
+        facts = pattern.facts()
+        key = (id(tree), facts.text, _binding_key(facts.params))
         context = self._contexts.get(key)
         if context is None or context.tree is not tree:
             context = TreeMatchContext(pattern, tree, tabled=self.tabled)

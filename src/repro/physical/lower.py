@@ -32,7 +32,7 @@ executions skip straight to ``instantiate()``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from ..errors import QueryError
 from ..optimizer.anchors import (
@@ -67,17 +67,39 @@ class _AccessPaths:
 
     def __init__(self) -> None:
         self.param_slots: set[str] = set()
+        self.gates: list[Gate] = []
 
     def __bool__(self) -> bool:
         return True
 
     def note(self, *predicates) -> None:
+        # A lifted AQL constant is always hashable: only user slots can
+        # break an index-probe assumption.
         for predicate in predicates:
             if predicate is None or predicate.opaque:
                 continue
             for _, op, constant in predicate.indexable_terms():
-                if op == "=" and isinstance(constant, Param):
+                if op == "=" and isinstance(constant, Param) and not constant.lifted:
                     self.param_slots.add(constant.name)
+
+    def priced(self, source, anchors, pattern, db: "Database") -> bool:
+        """``anchor_scan_profitable``, recorded as a gate when it read a
+        lifted AQL constant (the prices of other texts of the shape may
+        differ)."""
+        chosen = anchor_scan_profitable(db, source, anchors, pattern)
+        if any(slot.lifted for anchor in anchors for slot in anchor.params()):
+            self.gates.append(Gate(source, anchors, pattern, chosen))
+        return chosen
+
+
+class Gate(NamedTuple):
+    """A cost-gated access-path choice made on a lifted constant's price:
+    probe ``anchors`` (``chosen``) or scan ``source`` in full."""
+
+    source: E.Expr
+    anchors: tuple
+    pattern: object
+    chosen: bool
 
 
 class PipelineFactory:
@@ -87,8 +109,9 @@ class PipelineFactory:
     :meth:`instantiate` call builds a fresh
     :class:`~repro.physical.base.PhysicalPlan` (fresh operators, shared
     compiled patterns and anchor decisions).  ``anchor_params`` is the
-    set of ``$param`` slots whose bindings the lowering's access-path
-    commitments assumed index-servable (empty without
+    set of user ``$param`` slots whose bindings the lowering's access-path
+    commitments assumed index-servable, and ``gates`` the choices it
+    priced on lifted AQL constants (both empty without
     ``choose_access_paths``).
     """
 
@@ -97,13 +120,25 @@ class PipelineFactory:
         expr: E.Expr,
         build_root: Thunk,
         anchor_params: frozenset[str] = frozenset(),
+        gates: tuple[Gate, ...] = (),
     ) -> None:
         self.expr = expr
         self._build_root = build_root
         self.anchor_params = anchor_params
+        self.gates = gates
 
     def instantiate(self) -> PhysicalPlan:
         return PhysicalPlan(self._build_root(), self.expr)
+
+    def gates_hold(self, db: "Database") -> bool:
+        """Do the priced choices come out the same under the bindings
+        armed now?  A text of the shape whose constants flip one needs a
+        plan of its own (see :func:`repro.query.prepare.prepare`)."""
+        return all(
+            anchor_scan_profitable(db, gate.source, gate.anchors, gate.pattern)
+            == gate.chosen
+            for gate in self.gates
+        )
 
 
 def lower_factory(
@@ -117,8 +152,11 @@ def lower_factory(
     """
     choice = _AccessPaths() if choose_access_paths else False
     root = _lower_node(expr, db, choice)
-    slots = frozenset(choice.param_slots) if choice else frozenset()
-    return PipelineFactory(expr, root, slots)
+    if not choice:
+        return PipelineFactory(expr, root)
+    return PipelineFactory(
+        expr, root, frozenset(choice.param_slots), tuple(choice.gates)
+    )
 
 
 def lower(
@@ -193,7 +231,7 @@ def _lower_tree_scan(node: E._SplitShaped, db, choose) -> Thunk:
     tp = tree_pattern(node.pattern)
     if choose:
         anchors = tree_split_anchors(tp)
-        if anchors is not None and anchor_scan_profitable(db, node.input, anchors, tp):
+        if anchors is not None and choose.priced(node.input, anchors, tp, db):
             choose.note(*anchors)
             return lambda: P.IndexAnchorScan(node, child(), tp, anchors, function)
     return lambda: P.SubSelectPipe(node, child(), tp, function)

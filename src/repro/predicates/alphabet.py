@@ -72,6 +72,17 @@ class AlphabetPredicate:
         """
         return None
 
+    def params(self) -> "tuple[Param, ...]":
+        """The ``$param`` slots this predicate's constants read."""
+        return ()
+
+    def bound(self) -> "AlphabetPredicate":
+        """This predicate with each ``$param`` constant replaced by its
+        current binding (itself when it reads none) — the key a per-list
+        column is cached under.  An unbound slot raises as evaluation
+        does."""
+        return self
+
     def __and__(self, other: "AlphabetPredicate") -> "AlphabetPredicate":
         return And(self, _coerce(other))
 
@@ -123,6 +134,18 @@ def _coerce(value: Any) -> AlphabetPredicate:
     if callable(value):
         return RawPredicate(value)
     raise PredicateError(f"cannot interpret {value!r} as an alphabet-predicate")
+
+
+def _terms_params(terms: Iterable[AlphabetPredicate]) -> "tuple[Param, ...]":
+    return tuple(dict.fromkeys(param for term in terms for param in term.params()))
+
+
+def _bound_terms(
+    terms: "tuple[AlphabetPredicate, ...]",
+) -> "tuple[AlphabetPredicate, ...] | None":
+    """Every term bound, or ``None`` when no term reads a ``$param``."""
+    bound = tuple(term.bound() for term in terms)
+    return None if all(new is old for new, old in zip(bound, terms)) else bound
 
 
 def _compile_terms(
@@ -205,6 +228,14 @@ class Comparison(AlphabetPredicate):
     def attributes(self) -> set[str]:
         return {self.attribute}
 
+    def params(self) -> "tuple[Param, ...]":
+        return (self.constant,) if isinstance(self.constant, Param) else ()
+
+    def bound(self) -> AlphabetPredicate:
+        if isinstance(self.constant, Param):
+            return Comparison(self.attribute, self.op, _resolve_param(self.constant))
+        return self
+
     def indexable_terms(self) -> list[tuple[str, str, Any]]:
         return [(self.attribute, self.op, self.constant)]
 
@@ -244,6 +275,14 @@ class SymbolEquals(AlphabetPredicate):
             return None
         return lambda obj: bool(obj == symbol)
 
+    def params(self) -> "tuple[Param, ...]":
+        return (self.symbol,) if isinstance(self.symbol, Param) else ()
+
+    def bound(self) -> AlphabetPredicate:
+        if isinstance(self.symbol, Param):
+            return SymbolEquals(_resolve_param(self.symbol))
+        return self
+
     def indexable_terms(self) -> list[tuple[str, str, Any]]:
         # The payload itself acts as the "value" pseudo-attribute.
         return [("__value__", "=", self.symbol)]
@@ -276,6 +315,13 @@ class And(AlphabetPredicate):
 
     def attributes(self) -> set[str]:
         return set().union(*(t.attributes() for t in self.terms))
+
+    def params(self) -> "tuple[Param, ...]":
+        return _terms_params(self.terms)
+
+    def bound(self) -> AlphabetPredicate:
+        terms = _bound_terms(self.terms)
+        return self if terms is None else And(*terms)
 
     def conjuncts(self) -> list[AlphabetPredicate]:
         result: list[AlphabetPredicate] = []
@@ -327,6 +373,13 @@ class Or(AlphabetPredicate):
     def attributes(self) -> set[str]:
         return set().union(*(t.attributes() for t in self.terms))
 
+    def params(self) -> "tuple[Param, ...]":
+        return _terms_params(self.terms)
+
+    def bound(self) -> AlphabetPredicate:
+        terms = _bound_terms(self.terms)
+        return self if terms is None else Or(*terms)
+
     def describe(self) -> str:
         return "(" + " OR ".join(t.describe() for t in self.terms) + ")"
 
@@ -353,6 +406,13 @@ class Not(AlphabetPredicate):
 
     def attributes(self) -> set[str]:
         return self.term.attributes()
+
+    def params(self) -> "tuple[Param, ...]":
+        return self.term.params()
+
+    def bound(self) -> AlphabetPredicate:
+        term = self.term.bound()
+        return self if term is self.term else Not(term)
 
     def describe(self) -> str:
         return f"(NOT {self.term.describe()})"

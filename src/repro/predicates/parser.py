@@ -28,7 +28,7 @@ import re
 from typing import Any
 
 from ..errors import PredicateError
-from ..params import Param
+from ..params import Literals, Param
 from .alphabet import (
     AlphabetPredicate,
     And,
@@ -50,6 +50,7 @@ _TOKEN_RE = re.compile(
   | (?P<string>"[^"]*"|'[^']*')
   | (?P<param>\$[A-Za-z_][A-Za-z0-9_]*)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<error>[\s\S])
     """,
     re.VERBOSE,
 )
@@ -58,30 +59,35 @@ _KEYWORDS = {"and", "or", "not", "lambda", "true", "false"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """One scan over ``text``: the last alternative takes any character
+    no token starts with, so the tokens tile the text and the first
+    ``error`` marks where tokenizing stops."""
     tokens: list[tuple[str, str]] = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise PredicateError(f"cannot tokenize predicate at {text[index:]!r}")
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            value = match.group()
-            if kind == "ident" and value.lower() in _KEYWORDS:
-                tokens.append((value.lower(), value))
-            else:
-                tokens.append((kind, value))
-        index = match.end()
+        if kind == "ws":
+            continue
+        value = match.group()
+        if kind == "ident" and value.lower() in _KEYWORDS:
+            tokens.append((value.lower(), value))
+        elif kind == "error":
+            raise PredicateError(
+                f"cannot tokenize predicate at {text[match.start():]!r}"
+            )
+        else:
+            tokens.append((kind, value))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]], text: str) -> None:
+    def __init__(
+        self, tokens: list[tuple[str, str]], text: str, literals: Literals | None
+    ) -> None:
         self._tokens = tokens
         self._text = text
         self._index = 0
         self._variable: str | None = None
+        self._literals = literals
 
     def peek(self) -> tuple[str, str] | None:
         if self._index < len(self._tokens):
@@ -181,6 +187,12 @@ class _Parser:
         token = self.next()
         if token[0] == "param":
             return Param(token[1][1:])
+        constant = self._constant(token)
+        if self._literals is not None:
+            return self._literals.slot(constant)
+        return constant
+
+    def _constant(self, token: tuple[str, str]) -> Any:
         if token[0] == "number":
             text = token[1]
             return float(text) if "." in text else int(text)
@@ -196,9 +208,14 @@ class _Parser:
         raise PredicateError(f"expected a literal, found {token[1]!r} in {self._text!r}")
 
 
-def parse_predicate(text: str) -> AlphabetPredicate:
-    """Parse predicate text into an :class:`AlphabetPredicate` AST."""
+def parse_predicate(text: str, literals: Literals | None = None) -> AlphabetPredicate:
+    """Parse predicate text into an :class:`AlphabetPredicate` AST.
+
+    With ``literals`` every constant is lifted into a hidden slot
+    (:class:`~repro.params.Literals`) instead of being kept in place:
+    the shape AQL caches plans by.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise PredicateError("empty predicate")
-    return _Parser(tokens, text).parse()
+    return _Parser(tokens, text, literals).parse()

@@ -33,6 +33,12 @@ Examples::
 
 ``parse_aql`` returns the :class:`~repro.query.expr.Expr`; ``run_aql``
 optimizes and evaluates it in one call.
+
+Literals are plan parameters.  The plan cache reads a text through
+:func:`parse_aql_shape`, which lifts its constants into hidden slots, so
+``sselect {age > 30}`` and ``sselect {age > 41}`` share one optimized,
+lowered plan and differ only in the bindings a run arms.  EXPLAIN and a
+prepared query's ``describe()`` still show the text's own constants.
 """
 
 from __future__ import annotations
@@ -44,7 +50,8 @@ from ..core.aqua_tuple import make_tuple
 from ..errors import QueryError
 from ..patterns.list_parser import parse_list_pattern
 from ..patterns.tree_parser import parse_tree_pattern
-from ..predicates.alphabet import AlphabetPredicate, Comparison
+from ..params import Literals
+from ..predicates.alphabet import AlphabetPredicate, Comparison, SymbolEquals
 from ..predicates.parser import parse_predicate
 from ..storage.database import Database
 from . import expr as E
@@ -53,26 +60,28 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
   | (?P<pipe>\|)
-  | (?P<pred>\{[^}]*\})
+  | (?P<pred>\{(?:[^}"']|"[^"]*"|'[^']*')*\})
   | (?P<pattern>"[^"]*"|'[^']*')
   | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<error>[\s\S])
     """,
     re.VERBOSE,
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
+    """One scan over ``text``: the last alternative takes any character
+    no token starts with, so the tokens tile the text and the first
+    ``error`` marks where tokenizing stops.  A predicate ends at the
+    first ``}`` outside quotes."""
     tokens: list[tuple[str, str]] = []
-    index = 0
-    while index < len(text):
-        match = _TOKEN_RE.match(text, index)
-        if match is None:
-            raise QueryError(f"cannot tokenize AQL at {text[index:]!r}")
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        assert kind is not None
-        if kind != "ws":
-            tokens.append((kind, match.group()))
-        index = match.end()
+        if kind == "ws":
+            continue
+        if kind == "error":
+            raise QueryError(f"cannot tokenize AQL at {text[match.start():]!r}")
+        tokens.append((kind, match.group()))
     return tokens
 
 
@@ -85,11 +94,22 @@ def attribute_resolver(attribute: str) -> Callable[[str], AlphabetPredicate]:
     return resolve
 
 
+def _lifting_resolver(
+    literals: Literals, attribute: str | None
+) -> Callable[[str], AlphabetPredicate]:
+    """A pattern symbol as a hidden slot: ``ATTR = $k`` with ``by ATTR``,
+    else ``x = $k`` (the default resolver's :class:`SymbolEquals`)."""
+    if attribute is None:
+        return lambda symbol: SymbolEquals(literals.slot(symbol))
+    return lambda symbol: Comparison(attribute, "=", literals.slot(symbol))
+
+
 class _Parser:
-    def __init__(self, text: str) -> None:
+    def __init__(self, text: str, literals: Literals | None = None) -> None:
         self._text = text
         self._tokens = _tokenize(text)
         self._index = 0
+        self._literals = literals
 
     def _peek(self) -> tuple[str, str] | None:
         if self._index < len(self._tokens):
@@ -170,7 +190,7 @@ class _Parser:
         kind, text = self._next()
         if kind != "pred":
             raise QueryError(f"expected a {{predicate}}, found {text!r}")
-        return parse_predicate(text[1:-1])
+        return parse_predicate(text[1:-1], self._literals)
 
     def _pattern_text(self) -> str:
         kind, text = self._next()
@@ -179,16 +199,34 @@ class _Parser:
         return text[1:-1]
 
     def _optional_resolver(self) -> Callable[[str], AlphabetPredicate] | None:
+        attribute = None
         token = self._peek()
         if token is not None and token == ("word", "by"):
             self._next()
-            return attribute_resolver(self._expect_word())
-        return None
+            attribute = self._expect_word()
+        if self._literals is not None:
+            return _lifting_resolver(self._literals, attribute)
+        return None if attribute is None else attribute_resolver(attribute)
 
 
 def parse_aql(text: str) -> E.Expr:
     """Parse AQL text into a logical query expression."""
     return _Parser(text).parse()
+
+
+def parse_aql_shape(text: str) -> tuple[E.Expr, dict[str, Any]]:
+    """Parse AQL text into its *shape* and the constants lifted out of it.
+
+    Every constant of a ``{...}`` predicate and every bare pattern symbol
+    of ``sub_select`` / ``lsub_select`` / ``all_anc`` / ``all_desc``
+    becomes a hidden slot ``$0``, ``$1``, … (numbered in text order; see
+    :class:`~repro.params.Literals`); names, ``path`` texts and ``{...}``
+    predicates inside pattern text stay as written.  Texts that differ
+    only in constants have one shape, so the plan cache plans it once;
+    running the shape with the returned bindings is running the text.
+    """
+    literals = Literals()
+    return _Parser(text, literals).parse(), literals.values
 
 
 def run_aql(

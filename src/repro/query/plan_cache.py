@@ -8,6 +8,13 @@ planned against.  Two queries with the same shape share one cached
 :class:`~repro.query.prepare.PreparedQuery`; a ``$param`` appears in the
 fingerprint as its slot name, so one plan serves every binding.
 
+AQL text is fingerprinted by its *shape*: the parser lifts the text's
+constants into hidden slots (``$0``, ``$1``, …; see
+:func:`~repro.query.aql.parse_aql_shape`), which render as slots here
+like any ``$param``.  So texts that differ only in constants share one
+entry, and the alias table maps each text to its **bound view** — the
+entry's plan and factory plus that text's literals.
+
 Entries are validated **lazily against per-resource version counters**
 (:meth:`repro.storage.database.Database.versions`): storage stamps the
 touched extent/root on inserts, root (re)binds, index create/drop and
@@ -234,11 +241,13 @@ class PlanCache:
 
     Thread-safe; entries are keyed by ``(cache_identity(db),
     fingerprint)`` and validated against the plan's dependency versions
-    on lookup.  The side table ``alias`` maps AQL source text to
-    fingerprints so a warm textual query skips parsing entirely; aliases
-    are LRU-bounded by the same capacity and dropped eagerly whenever
-    their target entry is invalidated or evicted, so the table can never
-    outgrow — or outlive — the entries it points at.
+    on lookup.  The side table ``alias`` maps AQL source text to its
+    **bound view** — the entry's plan and factory plus that text's own
+    literals (:meth:`~repro.query.prepare.PreparedQuery.bound`) — so a
+    warm textual query skips parsing entirely and gets the same object
+    each time; aliases are LRU-bounded by the same capacity and dropped
+    eagerly whenever their target entry is invalidated or evicted, so
+    the table can never outgrow — or outlive — the entries it points at.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -247,7 +256,7 @@ class PlanCache:
         self.capacity = capacity
         self._lock = threading.RLock()
         self._entries: "OrderedDict[Hashable, PreparedQuery]" = OrderedDict()
-        self._aliases: "OrderedDict[Hashable, Hashable]" = OrderedDict()
+        self._aliases: "OrderedDict[Hashable, PreparedQuery]" = OrderedDict()
         #: entry key → alias keys pointing at it (invalidation cleanup).
         self._alias_index: dict[Hashable, set[Hashable]] = {}
         self.hits = 0
@@ -316,28 +325,35 @@ class PlanCache:
                 self.evictions += 1
                 emit("plan_cache_evictions")
 
-    def lookup_alias(self, db: "Database", text: str, optimize: bool) -> Hashable | None:
+    def lookup_alias(
+        self, db: "Database", text: str, optimize: bool
+    ) -> "PreparedQuery | None":
+        """The bound view last prepared for ``text`` (validate its entry
+        with :meth:`lookup` before serving it)."""
         with self._lock:
             key = self.alias_key(db, text, optimize)
-            fingerprint = self._aliases.get(key)
-            if fingerprint is not None:
+            view = self._aliases.get(key)
+            if view is not None:
                 self._aliases.move_to_end(key)
-            return fingerprint
+            return view
 
-    def store_alias(self, db: "Database", text: str, optimize: bool, fingerprint: Hashable) -> None:
+    def store_alias(
+        self, db: "Database", text: str, optimize: bool, view: "PreparedQuery"
+    ) -> None:
+        fingerprint = view.fingerprint
         with self._lock:
             key = self.alias_key(db, text, optimize)
             previous = self._aliases.get(key)
-            if previous is not None and previous != fingerprint:
-                self._unlink_alias(key, previous)
-            self._aliases[key] = fingerprint
+            if previous is not None and previous.fingerprint != fingerprint:
+                self._unlink_alias(key, previous.fingerprint)
+            self._aliases[key] = view
             self._aliases.move_to_end(key)
             self._alias_index.setdefault(
                 self.entry_key(db, fingerprint), set()
             ).add(key)
             while len(self._aliases) > self.capacity:
                 stale, target = self._aliases.popitem(last=False)
-                self._unlink_alias(stale, target)
+                self._unlink_alias(stale, target.fingerprint)
 
     def note_replan(self) -> None:
         """Record a binding-forced re-plan (see ``PreparedQuery.run``)."""

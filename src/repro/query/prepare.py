@@ -11,6 +11,19 @@ structural fingerprint, so repeated ``prepare`` calls for the same shape
 (including repeated AQL text, via the cache's alias table) skip
 everything.
 
+AQL literals are plan parameters.  A text is parsed into its shape —
+every constant lifted into a hidden slot ``$0``, ``$1``, … — and the
+shape is planned once, with the first text's literals armed as
+bindings, so the cost model, the anchor analysis and the columnar
+choice read real constants.  The alias table maps each text to its
+**bound view** (:meth:`PreparedQuery.bound`): the shared entry's plan
+and factory plus the text's own literals, which every run merges with
+the user's ``$params``.  The one choice priced on a constant — probe an
+anchor's index or scan the tree (``PipelineFactory.gates``) — is
+re-priced for each new text of a shape; a text whose constants flip it
+is planned on its own (one ``plan_cache_replans``), so every text runs
+the plan it would have got alone.
+
 Parameterized queries make the cache earn its keep: ``$name`` slots
 (:mod:`repro.params`) are part of the plan's *structure*, and the bound
 values arrive at :meth:`PreparedQuery.run` — one plan, many bindings.
@@ -96,6 +109,12 @@ class PreparedQuery:
     each time.  Instances are immutable from the caller's perspective
     and safe to share across threads (each run instantiates its own
     operator tree).
+
+    An AQL text is prepared as a **bound view**: the plan and factory of
+    its shape's cached entry (:func:`~repro.query.aql.parse_aql_shape`)
+    plus the text's own ``literals``, armed as bindings by every run.
+    ``expr``, ``plan``, ``describe()`` and ``repr`` show the text's own
+    constants, never a hidden slot.
     """
 
     def __init__(
@@ -112,8 +131,8 @@ class PreparedQuery:
         deps: tuple[str, ...] | None = None,
         dep_versions: tuple[int, ...] | None = None,
     ) -> None:
-        self.expr = expr
-        self.plan = plan
+        self._expr = expr
+        self._plan = plan
         self.factory = factory
         self.db = db
         self.epoch = epoch
@@ -128,6 +147,49 @@ class PreparedQuery:
         self.param_slots = frozenset(
             node.name for node in expr.walk() if isinstance(node, E.Param)
         )
+        #: The cache entry this query is a view of (itself for an entry).
+        self.shared = self
+        #: The AQL text and its lifted constants, by hidden slot name.
+        self.text: str | None = None
+        self.literals: Mapping[str, Any] = {}
+        self._shown: tuple[E.Expr, E.Expr] | None = None
+
+    def bound(self, text: str | None, literals: Mapping[str, Any]) -> "PreparedQuery":
+        """This entry's view for ``text``: same plan, ``literals`` armed."""
+        if not literals:
+            return self
+        view = object.__new__(PreparedQuery)
+        view.__dict__.update(self.__dict__)
+        view.text = text
+        view.literals = literals
+        return view
+
+    # -- what the query shows --------------------------------------------------
+
+    def _with_constants(self) -> tuple[E.Expr, E.Expr]:
+        """The text's own ``(expr, plan)``: its constants where the shape
+        holds slots.  Built on first display, off the run path — the
+        optimizer's choices never read a constant, so this is the
+        cached plan's structure, operator for operator."""
+        shown = self._shown
+        if shown is None:
+            from ..optimizer.engine import Optimizer
+            from .aql import parse_aql
+
+            expr = parse_aql(self.text)
+            plan = Optimizer(self.db).optimize(expr)[0] if self.optimize else expr
+            shown = self._shown = (expr, plan)
+        return shown
+
+    @property
+    def expr(self) -> E.Expr:
+        """The logical query, as written."""
+        return self._with_constants()[0] if self.literals else self._expr
+
+    @property
+    def plan(self) -> E.Expr:
+        """The optimized logical plan, with the query's own constants."""
+        return self._with_constants()[1] if self.literals else self._plan
 
     # -- the re-plan guard -----------------------------------------------------
 
@@ -135,7 +197,8 @@ class PreparedQuery:
         self, view: Database, params: Mapping[str, Any] | None
     ) -> "PipelineFactory":
         """The cached factory, unless a binding of this run breaks a
-        recorded anchor assumption (an unhashable index-probe key)."""
+        recorded anchor assumption (an unhashable index-probe key).
+        Lifted literals are never watched: they are always hashable."""
         if not self.anchor_params:
             return self.factory
         with context.entered(bindings=params) as bound:
@@ -148,7 +211,7 @@ class PreparedQuery:
             # entry stays correct for bindings that honour the assumption.
             if self.cache is not None:
                 self.cache.note_replan()
-            return _plan(self.expr, view, self.optimize)[1]
+            return _plan(self._expr, view, self.optimize)[1]
 
     # -- execution -------------------------------------------------------------
 
@@ -201,7 +264,13 @@ class PreparedQuery:
         from ..physical import ExecutionContext
 
         view = db if db is not None else self.db
-        factory = self._factory_for_bindings(view, params)
+        # The text's own constants are laid over the user's bindings: no
+        # ``$name`` is spelled like a lifted slot, and a stray ``"0"`` key
+        # cannot stand in for a constant.
+        bindings = params
+        if self.literals:
+            bindings = {**params, **self.literals} if params else self.literals
+        factory = self._factory_for_bindings(view, bindings)
         # One context for the run (joining an outer run's guard and
         # registry), undone in one ``finally``, a budget trip included;
         # the plan adds its counters as the run's receiver.
@@ -209,7 +278,7 @@ class PreparedQuery:
             budget.arm if budget is not None else None,
             default=guardrails.env_guard,
             registry=MatchContextRegistry,
-            bindings=params,
+            bindings=bindings,
         ) as run:
             ctx = ExecutionContext(db=view, guard=run.guard, metrics=metrics)
             return factory.instantiate().execute(ctx)
@@ -218,6 +287,8 @@ class PreparedQuery:
         return self.plan.describe()
 
     def __repr__(self) -> str:
+        # ``param_slots`` holds user slots only: lifted literals live in
+        # predicates and patterns, never as ``E.Param`` nodes.
         slots = ", ".join(sorted(self.param_slots)) or "none"
         return (
             f"PreparedQuery<{self.plan.describe()};"
@@ -249,47 +320,68 @@ def prepare(
 
     Served from ``cache`` when a structurally identical query was
     prepared against the same database at the current epoch; planned
-    from scratch (and stored) otherwise.  Pass ``cache=None`` to bypass
-    caching entirely.  Cache traffic is observable via the cache's own
-    counters and, for callers that credit a stats sink, the
-    ``plan_cache_*`` emissions.
+    from scratch (and stored) otherwise.  AQL text is keyed by its
+    shape, so texts differing only in constants share one entry, each
+    served as a bound view.  Pass ``cache=None`` to bypass caching
+    entirely.  Cache traffic is observable via the cache's own counters
+    and, for callers that credit a stats sink, the ``plan_cache_*``
+    emissions.
     """
     text: str | None = None
-    expr: E.Expr | None = None
-    missed: Hashable | None = None
+    literals: Mapping[str, Any] = {}
+    entry: PreparedQuery | None = None
+    looked_up: Hashable | None = None
     if isinstance(source, str):
         text = source
         # The alias table lets warm AQL text skip even the parse (and
         # therefore every pattern compilation the parse would do).
         if cache is not None:
-            fingerprint = cache.lookup_alias(db, text, optimize)
-            if fingerprint is not None:
-                prepared = cache.lookup(db, fingerprint)
-                if prepared is not None:
-                    return prepared
-                missed = fingerprint
-        from .aql import parse_aql
+            view = cache.lookup_alias(db, text, optimize)
+            if view is not None:
+                entry = cache.lookup(db, view.fingerprint)
+                if entry is view.shared:
+                    return view
+                looked_up = view.fingerprint
+        from .aql import parse_aql_shape
 
-        expr = parse_aql(text)
+        expr, literals = parse_aql_shape(text)
     else:
         expr = _as_expr(source)
 
     fingerprint = plan_fingerprint(expr, optimize=optimize)
-    if cache is not None and fingerprint != missed:
-        prepared = cache.lookup(db, fingerprint)
-        if prepared is not None:
-            if text is not None:
-                cache.store_alias(db, text, optimize, fingerprint)
-            return prepared
+    if cache is not None and fingerprint != looked_up:
+        entry = cache.lookup(db, fingerprint)
+    if entry is None:
+        entry = _planned(expr, db, optimize, fingerprint, cache, literals)
+        if cache is not None:
+            cache.store(db, fingerprint, entry)
+        view = entry.bound(text, literals)
+    else:
+        view = _view(entry, expr, text, literals, db, cache)
+    if cache is not None and text is not None:
+        cache.store_alias(db, text, optimize, view)
+    return view
 
+
+def _planned(
+    expr: E.Expr,
+    db: Database,
+    optimize: bool,
+    fingerprint: Hashable,
+    cache: PlanCache | None,
+    literals: Mapping[str, Any],
+) -> PreparedQuery:
+    """Plan ``expr`` with ``literals`` armed, so the cost model, the
+    anchor analysis and the columnar choice read the text's constants."""
     # Capture the version cut BEFORE planning: a write that lands while
     # the optimizer runs then makes this entry immediately stale (it
     # re-plans on next lookup) instead of being served as current — the
     # conservative side of the race.
     token = db.version_token()
-    plan, factory = _plan(expr, db, optimize)
+    with context.entered(bindings=literals):
+        plan, factory = _plan(expr, db, optimize)
     deps = _plan_dependencies(expr, plan)
-    prepared = PreparedQuery(
+    return PreparedQuery(
         expr=expr,
         plan=plan,
         factory=factory,
@@ -301,8 +393,28 @@ def prepare(
         deps=deps,
         dep_versions=token.versions(deps),
     )
-    if cache is not None:
-        cache.store(db, fingerprint, prepared)
-        if text is not None:
-            cache.store_alias(db, text, optimize, fingerprint)
-    return prepared
+
+
+def _view(
+    entry: PreparedQuery,
+    expr: E.Expr,
+    text: str | None,
+    literals: Mapping[str, Any],
+    db: Database,
+    cache: PlanCache | None,
+) -> PreparedQuery:
+    """``entry`` bound to ``text``'s literals — unless those constants
+    price one of the shape's access-path choices the other way (an index
+    probe for one text is a full scan for another): then the text gets a
+    plan of its own, counted as a re-plan, kept by its alias."""
+    factory = entry.factory
+    if literals and factory.gates:
+        with context.entered(bindings=literals):
+            holds = factory.gates_hold(db)
+        if not holds:
+            if cache is not None:
+                cache.note_replan()
+            own = _planned(expr, db, entry.optimize, entry.fingerprint, cache, literals)
+            own.shared = entry
+            return own.bound(text, literals)
+    return entry.bound(text, literals)

@@ -34,7 +34,7 @@ from typing import Sequence
 
 from ..context import emit
 from ..core.aqua_list import AquaList
-from ..params import Param
+from ..params import Param, try_resolve
 from ..predicates.alphabet import (
     AlphabetPredicate,
     And,
@@ -56,23 +56,30 @@ def column_servable(predicate: AlphabetPredicate) -> bool:
     """Can ``predicate`` be evaluated once-per-list as a column?
 
     Servable means the predicate is built from the paper's restricted
-    grammar (comparisons, symbol equality, ``?``, AND/OR/NOT) with no
-    ``$param`` constants — a parameterized predicate's outcome varies
-    per binding, and columns are cached per list, not per query.
-    Opaque :class:`RawPredicate` callables are refused (they may close
-    over mutable state, so eager whole-list evaluation is unsound).
+    grammar (comparisons, symbol equality, ``?``, AND/OR/NOT) and every
+    ``$param`` constant it reads is bound now — an AQL text's lifted
+    constants always are.  Columns are cached per list under the
+    predicate with the run's bindings substituted
+    (:meth:`ColumnarList.predicate_column`), so each binding gets its
+    own column and an unbound slot is refused.  Opaque
+    :class:`RawPredicate` callables are refused (they may close over
+    mutable state, so eager whole-list evaluation is unsound).
     """
     if isinstance(predicate, TruePredicate):
         return True
     if isinstance(predicate, Comparison):
-        return not isinstance(predicate.constant, Param)
+        return _bound(predicate.constant)
     if isinstance(predicate, SymbolEquals):
-        return not isinstance(predicate.symbol, Param)
+        return _bound(predicate.symbol)
     if isinstance(predicate, (And, Or)):
         return all(column_servable(term) for term in predicate.terms)
     if isinstance(predicate, Not):
         return column_servable(predicate.term)
     return False
+
+
+def _bound(constant: object) -> bool:
+    return not isinstance(constant, Param) or try_resolve(constant)[1]
 
 
 class ColumnarList:
@@ -102,7 +109,10 @@ class ColumnarList:
     # -- column access ---------------------------------------------------------
 
     def predicate_column(self, predicate: AlphabetPredicate) -> int:
-        """The predicate's bitset column, built (and cached) on demand."""
+        """The predicate's bitset column, built (and cached) on demand,
+        keyed by the predicate with the run's ``$param`` bindings
+        substituted."""
+        predicate = predicate.bound()
         with self._lock:
             column = self._pred_columns.get(predicate)
             if column is None:
@@ -147,7 +157,7 @@ class ColumnarList:
     def _loop_column(self, predicate: AlphabetPredicate) -> int:
         """The real predicate, once per element, into one base-2 digit
         string (position ``p`` is digit ``size-1-p``) parsed once."""
-        predicate = predicate.compile() or predicate  # servable ⇒ param-free
+        predicate = predicate.compile() or predicate  # bound ⇒ param-free
         if not self.size:
             return 0
         top = self.size - 1

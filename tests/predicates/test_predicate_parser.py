@@ -35,6 +35,11 @@ class TestLambdaForms:
         with pytest.raises(PredicateError):
             parse_predicate('lambda(n) n > 3')
 
+    def test_tokenize_error_names_where_it_stops(self):
+        with pytest.raises(PredicateError) as caught:
+            parse_predicate("age > 3 and # name = 'x'")
+        assert str(caught.value) == "cannot tokenize predicate at \"# name = 'x'\""
+
     def test_wrong_variable_rejected(self):
         with pytest.raises(PredicateError):
             parse_predicate('lambda(p) q.age > 3')

@@ -3,9 +3,12 @@
 import pytest
 
 from repro.core import Record, parse_tree
+from repro.core.aqua_set import AquaSet
 from repro.errors import QueryError
+from repro.predicates import attr
+from repro.query import Q
 from repro.query import expr as E
-from repro.query.aql import attribute_resolver, parse_aql, run_aql
+from repro.query.aql import attribute_resolver, parse_aql, parse_aql_shape, run_aql
 from repro.storage import Database
 from repro.workloads import figure3_family_tree, song_with_melody
 
@@ -72,6 +75,55 @@ class TestParsing:
         with pytest.raises(QueryError):
             parse_aql(bad)
 
+    def test_tokenize_error_names_where_it_stops(self):
+        with pytest.raises(QueryError) as caught:
+            parse_aql("root T | & project name")
+        assert str(caught.value) == "cannot tokenize AQL at '& project name'"
+
+    def test_a_brace_inside_quotes_does_not_end_the_predicate(self):
+        node = parse_aql('extent Person | sselect {name = "a}b" or name = \'{c}\'}')
+        assert node.predicate.describe() == "(x.name = 'a}b' OR x.name = '{c}')"
+
+
+class TestShape:
+    """``parse_aql_shape``: the text's constants become hidden slots."""
+
+    def test_predicate_constants_are_slots_in_text_order(self):
+        expr, literals = parse_aql_shape(
+            'extent Person | sselect {age > 30 and city = "C3" or ok = true'
+            " and w < -1.5 and city = C3} | project name"
+        )
+        assert expr.input.predicate.describe() == (
+            "((x.age > $0 AND x.city = $1) OR (x.ok = $2 AND x.w < $3 AND x.city = $4))"
+        )
+        assert literals == {"0": 30, "1": "C3", "2": True, "3": -1.5, "4": "C3"}
+
+    def test_pattern_symbols_are_slots(self):
+        expr, literals = parse_aql_shape(
+            'root family | sub_select "Brazil(!?* USA !?*)" by citizen'
+        )
+        assert expr.pattern.describe() == "{citizen = $0}(!?* {citizen = $1} !?*)"
+        assert literals == {"0": "Brazil", "1": "USA"}
+        expr, literals = parse_aql_shape('root T | all_desc "d(e {x = 3})"')
+        assert expr.pattern.describe() == "{x = $0}({x = $1} {x = 3})"
+        assert literals == {"0": "d", "1": "e"}
+
+    def test_names_and_path_texts_stay(self):
+        expr, literals = parse_aql_shape(
+            'root site | path "//article[@lang=\'en\']//p" | project tag'
+        )
+        assert literals == {}
+        assert expr.describe() == parse_aql(
+            'root site | path "//article[@lang=\'en\']//p" | project tag'
+        ).describe()
+
+    def test_texts_differing_in_constants_share_a_shape(self):
+        shapes = {
+            parse_aql_shape(f'root song | lsub_select "[{a} [[C|D]]+ {b}]" by pitch')[0].describe()
+            for a, b in ("AF", "BG", "AA")
+        }
+        assert len(shapes) == 1
+
 
 class TestExecution:
     def test_figure4_query(self, db):
@@ -108,6 +160,14 @@ class TestExecution:
     def test_tree_select(self, db):
         result = run_aql('root family | select {citizen = "USA"}', db)
         assert len(result) == 1
+
+    def test_a_brace_inside_a_quoted_string(self, db):
+        db.insert_many([Record(name="a}b", age=1, city="C1")], "Person")
+        text = 'extent Person | sselect {name = "a}b"} | project name'
+        spelled = Q.extent("Person").sselect(attr("name") == "a}b").sapply(
+            lambda person: person.name
+        )
+        assert run_aql(text, db) == spelled.run(db) == AquaSet(["a}b"])
 
     def test_attribute_resolver_helper(self):
         resolve = attribute_resolver("pitch")

@@ -5,10 +5,11 @@ import pytest
 from repro import context
 from repro.core import parse_tree
 from repro.core.identity import Record
-from repro.errors import QueryError
+from repro.errors import PredicateError, QueryError
 from repro.predicates import attr
 from repro.query import Q, PlanCache, plan_fingerprint, prepare
 from repro.query import expr as E
+from repro.query.aql import parse_aql
 from repro.storage import Database
 from repro.storage.stats import Instrumentation
 
@@ -303,3 +304,126 @@ class TestWarmRunRendersNothing:
         assert session.plan_cache.hits == hits + 1
         assert list(warm) == list(cold) and len(cold) == 1
         assert rendered == []
+
+
+class TestLiteralsAreParameters:
+    """An AQL text's constants are hidden slots of its shape's plan."""
+
+    PEOPLE = 'extent Person | sselect {age > %d and name != "p3"} | project name'
+
+    def test_texts_of_one_shape_share_one_entry(self, db):
+        cache = PlanCache(capacity=8)
+        first = prepare(self.PEOPLE % 25, db, cache=cache)
+        second = prepare(self.PEOPLE % 29, db, cache=cache)
+        assert (cache.misses, cache.hits, len(cache)) == (1, 1, 1)
+        assert second.factory is first.factory
+        assert sorted(first.run()) == ["p10", "p11", "p6", "p7", "p8", "p9"]
+        assert sorted(second.run()) == ["p10", "p11"]
+        # each text keeps its own bound view: a warm text, the same object
+        assert prepare(self.PEOPLE % 29, db, cache=cache) is second
+        assert first.literals == {"0": 25, "1": "p3"}
+
+    def test_a_prepared_text_shows_its_own_constants(self, db):
+        cache = PlanCache(capacity=8)
+        prepare(self.PEOPLE % 25, db, cache=cache)
+        view = prepare(self.PEOPLE % 29, db, cache=cache)
+        assert "$" not in view.describe() and "$" not in repr(view)
+        assert "x.age > 29" in view.describe()
+        oracle = prepare(parse_aql(self.PEOPLE % 29), db, cache=None)
+        assert view.describe() == oracle.describe()
+        assert repr(view).endswith(f"params: none; epoch {view.epoch}>")
+
+    def test_explain_shows_the_constants(self, db):
+        from repro.api import Session
+
+        session = Session(db, plan_cache=PlanCache())
+        session.prepare('root T | sub_select "d(e j)"')
+        out = session.explain('root T | sub_select "s(d k)"')
+        assert "sub_select[s(d k)]" in out and "$" not in out
+        assert "plan_cache_hits=1" in out
+
+    def test_user_params_bind_beside_the_literals(self, db):
+        text = "extent Person | sselect {age > 25 and age < $cap} | project name"
+        prepared = prepare(text, db, cache=PlanCache())
+        assert sorted(prepared.run({"cap": 28})) == ["p6", "p7"]
+        # a user binding cannot stand in for the text's own constant
+        assert sorted(prepared.run({"cap": 28, "0": 0})) == ["p6", "p7"]
+
+    def test_no_user_slot_is_named_like_a_lifted_one(self, db):
+        with pytest.raises(QueryError):
+            Q.param("0")
+        with pytest.raises(PredicateError):
+            parse_aql("extent Person | sselect {age > $0}")
+
+    def test_lifted_slots_are_not_watched_by_the_replan_guard(self, db):
+        prepared = prepare("extent Person | sselect {age = 25}", db, cache=PlanCache())
+        assert prepared.factory.anchor_params == frozenset()
+        assert {p.name for p in prepared.run()} == {"p5"}
+
+    def test_a_text_that_prices_the_anchor_the_other_way_plans_alone(self):
+        db = Database()
+        db.bind_root("T", parse_tree("r(a a a a a a a a b)"))
+        cache = PlanCache(capacity=8)
+        # ``a`` is on 8 of 10 nodes: its probe prices out, the tree is scanned
+        scan = prepare('root T | sub_select "a"', db, cache=cache)
+        probe = prepare('root T | sub_select "b"', db, cache=cache)
+        assert cache.replans == 1 and len(cache) == 1
+        assert probe.factory is not scan.factory
+        assert prepare('root T | sub_select "b"', db, cache=cache) is probe
+        for text, view in (("a", scan), ("b", probe)):
+            oracle = prepare(parse_aql(f'root T | sub_select "{text}"'), db, cache=None)
+            got, got_metrics = view.run_with_metrics()
+            want, want_metrics = oracle.run_with_metrics()
+            assert got == want
+            assert got_metrics.totals() == want_metrics.totals()
+        assert probe.run_with_metrics()[1].total("index_probes") == 1
+
+    def test_two_texts_of_one_shape_in_one_run_keep_their_tables(self):
+        """A query nested in another's ``sapply`` joins its match registry;
+        two texts of one shape must still get a context each."""
+        from repro.query import evaluate
+        from repro.query.aql import run_aql
+
+        db = Database()
+        db.bind_root("T", parse_tree("r(a(a(b)) c(c(b) a) a(c(b)))"))
+        db.insert_many([Record(label=label) for label in "ac"], "Labels")
+        text = 'root T | sub_select "[[{}(@)]]*@ .@ b"'
+
+        def count(record):
+            return (record.label, len(run_aql(text.format(record.label), db)))
+
+        nested = evaluate(Q.extent("Labels").sapply(count).build(), db)
+        assert sorted(nested) == [("a", 3), ("c", 2)]
+
+    def test_list_atoms_test_through_compiled_predicates(self, db, monkeypatch):
+        from repro.predicates.alphabet import Comparison
+        from repro.workloads import song_with_melody
+
+        db.bind_root("song", song_with_melody(60, ["A", "C", "D", "F"], 2, seed=3))
+        text = 'root song | lsub_select "[A [[C|D]]+ F]" by pitch'
+        want = prepare(text, db, cache=PlanCache()).run()
+
+        def evaluated(self, obj):
+            raise AssertionError("a list atom resolved its $param per element")
+
+        monkeypatch.setattr(Comparison, "__call__", evaluated)
+        assert prepare(text, db, cache=PlanCache()).run() == want
+
+    def test_an_unoptimized_melody_scan_stays_columnar(self, db):
+        from repro.storage.columnar import COLUMNAR_MIN_LENGTH
+        from repro.workloads import song_with_melody
+
+        db.bind_root(
+            "song",
+            song_with_melody(COLUMNAR_MIN_LENGTH, ["A", "C", "D", "F"], 3, seed=1),
+        )
+        cache = PlanCache(capacity=8)
+        text = 'root song | lsub_select "[%s [[C|D]]+ %s]" by pitch'
+        for ends in (("A", "F"), ("B", "G"), ("A", "F")):
+            view = prepare(text % ends, db, optimize=False, cache=cache)
+            assert type(view.factory.instantiate().root).__name__ == "ColumnarListScan"
+            got, metrics = view.run_with_metrics()
+            oracle = prepare(parse_aql(text % ends), db, optimize=False, cache=None)
+            assert got == oracle.run()
+        assert len(got) == 3 and metrics.total("positions_scanned") == 3
+        assert cache.misses == 1

@@ -383,6 +383,23 @@ def test_match_contexts_read_pattern_facts_without_walking() -> None:
     assert [line for line in source.splitlines() if walks.search(line)] == []
 
 
+def test_aql_and_predicate_text_tokenize_in_one_pass() -> None:
+    """``query/aql.py`` and ``predicates/parser.py`` each scan a text
+    with one ``finditer`` over their token alternation, never one
+    ``match`` call per token from a Python loop (the CI lint job greps
+    for the same thing)."""
+    package = Path(repro.__file__).resolve().parent
+    offenders = [
+        f"{name}:{number}"
+        for name in ("query/aql.py", "predicates/parser.py")
+        for number, line in enumerate(
+            (package / name).read_text(encoding="utf-8").splitlines(), 1
+        )
+        if "_TOKEN_RE.match(text, index)" in line
+    ]
+    assert offenders == []
+
+
 def test_bulk_values_key_unhashable_payloads_through_one_helper() -> None:
     """A list's and a tree's structural hash file an unhashable payload
     under ``equality.payload_key``'s canonical form, never its ``repr``
