@@ -6,133 +6,25 @@
 * Concatenation points (labeled NULLs): ``@`` for the anonymous ``α``,
   ``@1``/``@2``/... for subscripted points (``α1``, ``α2``...).
 
-Tokenization follows the paper's two writing styles:
-
-* **compact** (no whitespace/commas anywhere, as in ``b(d(fg)e)`` and
-  ``[abc]``): every lowercase letter is its own single-character symbol,
-  so ``fg`` denotes the two nodes ``f`` and ``g``.  Runs containing an
-  uppercase letter, a digit or an underscore stay whole (``Mat``).
-* **word** (any whitespace or comma present, as in ``Mat(Ann Tom)``):
-  every run is one symbol.
-
-Quoted symbols (``'two words'`` or ``"x(y)"``) are never split and may
-contain structural characters.
+The tokens are :data:`repro.lexer.NOTATION`'s, which also defines the
+paper's two writing styles (:func:`use_word_mode`): *compact*
+(``b(d(fg)e)``, ``[abc]`` — every lowercase letter its own symbol) and
+*word* (``Mat(Ann Tom)`` — whitespace or a comma anywhere keeps runs
+whole).  Quoted symbols (``'two words'`` or ``"x(y)"``) are never split
+and may contain structural characters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable
 
-from ..errors import NotationError
+from ..lexer import NOTATION, Cursor, compacts, is_word, use_word_mode
 from .aqua_list import AquaList
 from .aqua_tree import AquaTree, TreeNode
 from .concat import ConcatPoint
 from .identity import as_cell
 
-_STRUCTURAL = "()[]"
-_QUOTES = "'\""
-
-
-@dataclass(frozen=True)
-class Token:
-    """One lexical token: ``kind`` is a structural char, 'sym' or 'alpha'."""
-
-    kind: str
-    text: str
-    position: int
-
-
-def use_word_mode(text: str) -> bool:
-    """Decide between the paper's compact and word tokenization styles.
-
-    Word mode (runs stay whole) applies when the text contains any
-    whitespace or comma, or when it contains no structural characters at
-    all — a bare ``figure`` is one symbol.  Otherwise (structure present,
-    no whitespace — the figures' style, e.g. ``b(d(fg)e)`` or ``[abc]``)
-    compact mode splits all-lowercase runs into single-character
-    symbols.  Multi-character lowercase symbols used *with* structure
-    must therefore be space-separated or quoted: ``section( figure )``.
-    """
-    if any(c.isspace() or c == "," for c in text):
-        return True
-    return not any(c in "()[]{}@" for c in text)
-
-
-def tokenize(text: str) -> list[Token]:
-    """Tokenize list/tree notation into structural and symbol tokens."""
-    word_mode = use_word_mode(text)
-    tokens: list[Token] = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace() or c == ",":
-            i += 1
-            continue
-        if c in _STRUCTURAL:
-            tokens.append(Token(c, c, i))
-            i += 1
-            continue
-        if c in _QUOTES:
-            end = text.find(c, i + 1)
-            if end == -1:
-                raise NotationError("unterminated quote", text, i)
-            tokens.append(Token("sym", text[i + 1 : end], i))
-            i = end + 1
-            continue
-        if c == "@":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(Token("alpha", text[i + 1 : j], i))
-            i = j
-            continue
-        if c.isalnum() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            run = text[i:j]
-            if not word_mode and len(run) > 1 and run.isalpha() and run.islower():
-                for offset, char in enumerate(run):
-                    tokens.append(Token("sym", char, i + offset))
-            else:
-                tokens.append(Token("sym", run, i))
-            i = j
-            continue
-        raise NotationError(f"unexpected character {c!r}", text, i)
-    return tokens
-
-
-class _TokenStream:
-    def __init__(self, tokens: list[Token], text: str) -> None:
-        self._tokens = tokens
-        self._text = text
-        self._index = 0
-
-    def peek(self) -> Token | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def next(self) -> Token:
-        token = self.peek()
-        if token is None:
-            raise NotationError("unexpected end of input", self._text, len(self._text))
-        self._index += 1
-        return token
-
-    def expect(self, kind: str) -> Token:
-        token = self.next()
-        if token.kind != kind:
-            raise NotationError(
-                f"expected {kind!r} but found {token.text!r}", self._text, token.position
-            )
-        return token
-
-    @property
-    def exhausted(self) -> bool:
-        return self._index >= len(self._tokens)
+__all__ = ["format_list", "format_tree", "parse_list", "parse_tree", "use_word_mode"]
 
 
 def parse_tree(text: str) -> AquaTree:
@@ -141,63 +33,49 @@ def parse_tree(text: str) -> AquaTree:
     Symbols become string payloads wrapped in fresh cells; ``@label``
     becomes a concatenation-point leaf.
     """
-    stream = _TokenStream(tokenize(text), text)
-    if stream.exhausted:
+    cursor = Cursor(NOTATION, text)
+    if cursor.at_end:
         return AquaTree.empty()
-    node = _parse_tree_node(stream, text)
-    if not stream.exhausted:
-        leftover = stream.peek()
-        assert leftover is not None
-        raise NotationError("trailing input after tree", text, leftover.position)
+    node = cursor.parse(_tree_node)
+    if not cursor.at_end:
+        raise cursor.error("trailing input after tree", cursor.peek().position)
     return AquaTree(node)
 
 
-def _parse_tree_node(stream: _TokenStream, text: str) -> TreeNode:
-    token = stream.next()
+def _tree_node(cursor: Cursor) -> TreeNode:
+    token = cursor.next()
     if token.kind == "alpha":
         return TreeNode(ConcatPoint(token.text))
     if token.kind != "sym":
-        raise NotationError(f"expected a node symbol, found {token.text!r}", text, token.position)
+        raise cursor.error(f"expected a node symbol, found {token.text!r}", token.position)
     children: list[TreeNode] = []
-    nxt = stream.peek()
-    if nxt is not None and nxt.kind == "(":
-        stream.next()
-        while True:
-            nxt = stream.peek()
-            if nxt is None:
-                raise NotationError("unterminated '('", text, token.position)
-            if nxt.kind == ")":
-                stream.next()
-                break
-            children.append(_parse_tree_node(stream, text))
+    if cursor.match("lparen"):
+        while not cursor.match("rparen"):
+            if cursor.at_end:
+                raise cursor.error("unterminated '('", token.position)
+            children.append(_tree_node(cursor))
     return TreeNode(as_cell(token.text), children)
 
 
 def parse_list(text: str) -> AquaList:
     """Parse list notation like ``[abc]``, ``[A B C]`` or ``[ab@1]``."""
-    stream = _TokenStream(tokenize(text), text)
-    stream.expect("[")
+    cursor = Cursor(NOTATION, text)
+    token = cursor.next()
+    if token.kind != "lbracket":
+        raise cursor.error(f"expected '[' but found {token.text!r}", token.position)
     entries: list[Any] = []
-    while True:
-        token = stream.peek()
-        if token is None:
-            raise NotationError("unterminated '['", text, 0)
-        if token.kind == "]":
-            stream.next()
-            break
-        token = stream.next()
+    while not cursor.match("rbracket"):
+        if cursor.at_end:
+            raise cursor.error("unterminated '['", 0)
+        token = cursor.next()
         if token.kind == "alpha":
             entries.append(ConcatPoint(token.text))
         elif token.kind == "sym":
             entries.append(token.text)
         else:
-            raise NotationError(
-                f"unexpected {token.text!r} inside list", text, token.position
-            )
-    if not stream.exhausted:
-        leftover = stream.peek()
-        assert leftover is not None
-        raise NotationError("trailing input after list", text, leftover.position)
+            raise cursor.error(f"unexpected {token.text!r} inside list", token.position)
+    if not cursor.at_end:
+        raise cursor.error("trailing input after list", cursor.peek().position)
     return AquaList.from_values(entries)
 
 
@@ -206,17 +84,11 @@ def _default_label(value: Any) -> str:
     return text
 
 
-def _needs_quoting(text: str) -> bool:
-    if text == "":
-        return True
-    return any(c.isspace() or c in _STRUCTURAL or c in "@,'\"" for c in text)
-
-
 def _format_symbol(value: Any, label: Callable[[Any], str]) -> str:
     if isinstance(value, ConcatPoint):
         return str(value)
     text = label(value)
-    if _needs_quoting(text):
+    if not is_word(text):
         return f"'{text}'"
     return text
 
@@ -263,20 +135,4 @@ def _compact_if_possible(text: str) -> str:
     ``b(d(fg)e)`` only when unambiguous, i.e. no multi-char symbols, no
     quotes and no concatenation points).
     """
-    stripped = text.replace(" ", "")
-    runs: list[str] = []
-    current: list[str] = []
-    for c in stripped:
-        if c.isalnum() or c == "_":
-            current.append(c)
-        else:
-            if current:
-                runs.append("".join(current))
-                current = []
-            if c in "@'\"":
-                return text
-    if current:
-        runs.append("".join(current))
-    if all(run.isalpha() and run.islower() for run in runs):
-        return stripped
-    return text
+    return text.replace(" ", "") if compacts(text) else text

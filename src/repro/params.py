@@ -22,8 +22,8 @@ over the outer ones), and :func:`resolve` reads it.  The execution
 drivers arm it, so user code only ever supplies a plain
 ``params={...}`` dict.
 
-The module deliberately imports nothing but :mod:`repro.errors` and
-:mod:`repro.context`, so every layer (predicates, patterns, storage,
+The module deliberately imports nothing but :mod:`repro.errors`,
+:mod:`repro.context` and :mod:`repro.lexer`, so every layer (predicates, patterns, storage,
 query) can depend on it without cycles.
 """
 
@@ -33,6 +33,7 @@ from typing import Any
 
 from . import context
 from .errors import QueryError
+from .lexer import is_word
 
 
 class Param:
@@ -47,11 +48,7 @@ class Param:
     __slots__ = ("name",)
 
     def __init__(self, name: str) -> None:
-        if (
-            not name
-            or not (name[0].isalpha() or name[0] == "_")
-            or not all(c.isalnum() or c == "_" for c in name)
-        ):
+        if not is_word(name) or not (name[0].isalpha() or name[0] == "_"):
             raise QueryError(
                 f"invalid parameter name {name!r}"
                 " (letters, digits and '_', not starting with a digit)"

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import PatternError
+from ..lexer import is_word
 from ..predicates.alphabet import ANY, AlphabetPredicate, SymbolEquals, TruePredicate
 
 
@@ -42,7 +43,7 @@ def atom_text(predicate: AlphabetPredicate) -> str:
         return "?"
     if isinstance(predicate, SymbolEquals) and isinstance(predicate.symbol, str):
         symbol = predicate.symbol
-        if symbol and all(c.isalnum() or c == "_" for c in symbol):
+        if is_word(symbol):
             return symbol
         return f"'{symbol}'"
     return "{" + predicate.embed_text() + "}"

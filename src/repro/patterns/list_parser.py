@@ -25,11 +25,10 @@ code typically passes a resolver like ``lambda s: attr("pitch") == s``.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..context import emit
-from ..errors import NotationError, PatternError
-from ..predicates.alphabet import AlphabetPredicate, SymbolEquals
+from ..errors import PatternError
+from ..lexer import PATTERN, Cursor
+from ..predicates.alphabet import AlphabetPredicate
 from ..predicates.parser import parse_predicate
 from .list_ast import (
     EPSILON,
@@ -43,13 +42,14 @@ from .list_ast import (
     Union,
     any_element,
 )
-from .pattern_tokens import COMPILED, PatternTokenStream, tokenize_pattern
-
-SymbolResolver = Callable[[str], AlphabetPredicate]
-
-
-def default_resolver(symbol: str) -> AlphabetPredicate:
-    return SymbolEquals(symbol)
+from .pattern_tokens import (
+    COMPILED,
+    SymbolResolver,
+    at_group_open,
+    default_resolver,
+    expect_group_close,
+    match_group_open,
+)
 
 
 def parse_list_pattern(text: str, resolver: SymbolResolver | None = None) -> ListPattern:
@@ -57,44 +57,39 @@ def parse_list_pattern(text: str, resolver: SymbolResolver | None = None) -> Lis
     # Counts pattern compilations for EXPLAIN ANALYZE and the plan
     # cache's warm-path check (see tree_parser.parse_tree_pattern).
     emit("pattern_compilations")
-    resolver = resolver or default_resolver
-    stream = PatternTokenStream(tokenize_pattern(text), text)
+    return Cursor(PATTERN, text).parse(_pattern, resolver or default_resolver)
 
-    anchor_start = stream.match("top") is not None
+
+def _pattern(cursor: Cursor, resolver: SymbolResolver) -> ListPattern:
+    anchor_start = cursor.match("top") is not None
     # An odd total of '[' characters means a single outer pattern bracket
     # wraps the body (groups always contribute balanced pairs).
-    bracketed = stream.open_bracket_count() % 2 == 1
-    if bracketed and not stream.match_single_open():
-        leftover = stream.peek()
-        raise NotationError(
-            "expected '[' to open the pattern",
-            text,
-            leftover.position if leftover else 0,
-        )
+    bracketed = sum(token.kind == "lbracket" for token in cursor.tokens) % 2 == 1
+    if bracketed and not cursor.match("lbracket"):
+        position = 0 if cursor.at_end else cursor.peek().position
+        raise cursor.error("expected '[' to open the pattern", position)
 
-    body = _alternation(stream, resolver)
+    body = _alternation(cursor, resolver)
 
     anchor_end = False
     if bracketed:
         # `$` may sit just inside the closing bracket: [abc$]
-        if stream.match("bottom") is not None:
+        if cursor.match("bottom") is not None:
             anchor_end = True
-        stream.expect_single_close()
-    if stream.match("bottom") is not None:
+        cursor.expect("rbracket")
+    if cursor.match("bottom") is not None:
         anchor_end = True
     # `^` may also sit just inside the opening bracket; handled by grammar
     # only at the very front, so reject anything left over.
-    if not stream.exhausted:
-        leftover = stream.peek()
-        assert leftover is not None
-        raise NotationError("trailing input after pattern", text, leftover.position)
+    if not cursor.at_end:
+        raise cursor.error("trailing input after pattern", cursor.peek().position)
     return ListPattern(body, anchor_start=anchor_start, anchor_end=anchor_end)
 
 
-def _alternation(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPatternNode:
-    alternatives = [_sequence(stream, resolver)]
-    while stream.match("pipe") is not None:
-        alternatives.append(_sequence(stream, resolver))
+def _alternation(cursor: Cursor, resolver: SymbolResolver) -> ListPatternNode:
+    alternatives = [_sequence(cursor, resolver)]
+    while cursor.match("pipe") is not None:
+        alternatives.append(_sequence(cursor, resolver))
     if len(alternatives) == 1:
         return alternatives[0]
     return Union(alternatives)
@@ -103,15 +98,10 @@ def _alternation(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPa
 _SEQUENCE_STARTS = {"any", "sym", "pred", "bang"}
 
 
-def _sequence(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPatternNode:
+def _sequence(cursor: Cursor, resolver: SymbolResolver) -> ListPatternNode:
     parts: list[ListPatternNode] = []
-    while True:
-        token = stream.peek()
-        if token is None:
-            break
-        if token.kind not in _SEQUENCE_STARTS and not stream.at_group_open():
-            break
-        parts.append(_item(stream, resolver))
+    while cursor.peek().kind in _SEQUENCE_STARTS or at_group_open(cursor):
+        parts.append(_item(cursor, resolver))
     if not parts:
         return EPSILON
     if len(parts) == 1:
@@ -119,13 +109,13 @@ def _sequence(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPatte
     return Concat(parts)
 
 
-def _item(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPatternNode:
-    pruned = stream.match("bang") is not None
-    node = _base(stream, resolver)
+def _item(cursor: Cursor, resolver: SymbolResolver) -> ListPatternNode:
+    pruned = cursor.match("bang") is not None
+    node = _base(cursor, resolver)
     while True:
-        if stream.match("star") is not None:
+        if cursor.match("star") is not None:
             node = Star(node)
-        elif stream.match("plus") is not None:
+        elif cursor.match("plus") is not None:
             node = Plus(node)
         else:
             break
@@ -134,21 +124,19 @@ def _item(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPatternNo
     return node
 
 
-def _base(stream: PatternTokenStream, resolver: SymbolResolver) -> ListPatternNode:
-    if stream.match_group_open():
-        inner = _alternation(stream, resolver)
-        stream.expect_group_close()
+def _base(cursor: Cursor, resolver: SymbolResolver) -> ListPatternNode:
+    if match_group_open(cursor):
+        inner = _alternation(cursor, resolver)
+        expect_group_close(cursor)
         return inner
-    token = stream.next()
+    token = cursor.next()
     if token.kind == "any":
         return any_element()
     if token.kind == "sym":
         return Atom(resolver(token.text))
     if token.kind == "pred":
         return Atom(parse_predicate(token.text))
-    raise NotationError(
-        f"unexpected {token.text!r} in list pattern", stream.text, token.position
-    )
+    raise cursor.error(f"unexpected {token.text!r} in list pattern", token.position)
 
 
 def list_pattern(

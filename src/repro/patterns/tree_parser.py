@@ -31,18 +31,19 @@ and implicitly prunes its children (§4's ``split(d, ...)``).
 
 from __future__ import annotations
 
-from typing import Callable
-
 from ..context import emit
 from ..core.concat import ConcatPoint
-from ..errors import NotationError, PatternError
-from ..predicates.alphabet import ANY, AlphabetPredicate, SymbolEquals
+from ..errors import PatternError
+from ..lexer import PATTERN, Cursor
+from ..predicates.alphabet import ANY, AlphabetPredicate
 from ..predicates.parser import parse_predicate
 from .pattern_tokens import (
     COMPILED,
-    PatternToken,
-    PatternTokenStream,
-    tokenize_pattern,
+    SymbolResolver,
+    at_group_open,
+    default_resolver,
+    expect_group_close,
+    match_group_open,
 )
 from .tree_ast import (
     CHILD_EPSILON,
@@ -62,12 +63,6 @@ from .tree_ast import (
     TreeUnion,
 )
 
-SymbolResolver = Callable[[str], AlphabetPredicate]
-
-
-def default_resolver(symbol: str) -> AlphabetPredicate:
-    return SymbolEquals(symbol)
-
 
 def parse_tree_pattern(text: str, resolver: SymbolResolver | None = None) -> TreePattern:
     """Parse tree-pattern text into a :class:`TreePattern`."""
@@ -75,82 +70,71 @@ def parse_tree_pattern(text: str, resolver: SymbolResolver | None = None) -> Tre
     # cache's acceptance check) can count compilations on the cold path
     # and prove the warm path skips them.
     emit("pattern_compilations")
-    resolver = resolver or default_resolver
-    stream = PatternTokenStream(tokenize_pattern(text), text)
-    root_anchor = stream.match("top") is not None
-    body = _alternation(stream, resolver)
-    leaf_anchor = stream.match("bottom") is not None
-    if not stream.exhausted:
-        leftover = stream.peek()
-        assert leftover is not None
-        raise NotationError("trailing input after tree pattern", text, leftover.position)
+    return Cursor(PATTERN, text).parse(_pattern, resolver or default_resolver)
+
+
+def _pattern(cursor: Cursor, resolver: SymbolResolver) -> TreePattern:
+    root_anchor = cursor.match("top") is not None
+    body = _alternation(cursor, resolver)
+    leaf_anchor = cursor.match("bottom") is not None
+    if not cursor.at_end:
+        raise cursor.error("trailing input after tree pattern", cursor.peek().position)
     return TreePattern(body, root_anchor=root_anchor, leaf_anchor=leaf_anchor)
 
 
-def _alternation(stream: PatternTokenStream, resolver: SymbolResolver) -> TreePatternNode:
-    alternatives = [_chain(stream, resolver)]
-    while stream.match("pipe") is not None:
-        alternatives.append(_chain(stream, resolver))
+def _alternation(cursor: Cursor, resolver: SymbolResolver) -> TreePatternNode:
+    alternatives = [_chain(cursor, resolver)]
+    while cursor.match("pipe") is not None:
+        alternatives.append(_chain(cursor, resolver))
     if len(alternatives) == 1:
         return alternatives[0]
     return TreeUnion(alternatives)
 
 
-def _chain(stream: PatternTokenStream, resolver: SymbolResolver) -> TreePatternNode:
-    node = _unit(stream, resolver)
-    while stream.match("compose") is not None:
-        point_token = stream.expect("alpha")
-        right = _unit(stream, resolver)
+def _chain(cursor: Cursor, resolver: SymbolResolver) -> TreePatternNode:
+    node = _unit(cursor, resolver)
+    while cursor.match("compose") is not None:
+        point_token = cursor.expect("alpha")
+        right = _unit(cursor, resolver)
         node = TreeConcat(node, ConcatPoint(point_token.text), right)
     return node
 
 
-def _tree_postfixes(
-    stream: PatternTokenStream, node: TreePatternNode
-) -> TreePatternNode:
+def _tree_postfixes(cursor: Cursor, node: TreePatternNode) -> TreePatternNode:
     """Apply subscripted closures ``*@lbl`` / ``+@lbl`` (adjacency-checked)."""
     while True:
-        token = stream.peek()
-        if token is None or token.kind not in ("star", "plus"):
+        token = cursor.peek()
+        if token.kind not in ("star", "plus") or not _adjacent_alpha(cursor):
             return node
-        if not _adjacent_alpha(stream):
-            return node
-        stream.next()
-        point_token = stream.expect("alpha")
-        point = ConcatPoint(point_token.text)
+        cursor.next()
+        point = ConcatPoint(cursor.expect("alpha").text)
         if token.kind == "star":
             node = TreeStar(node, point)
         else:
             node = TreePlus(node, point)
 
 
-def _adjacent_alpha(stream: PatternTokenStream) -> bool:
+def _adjacent_alpha(cursor: Cursor) -> bool:
     """Is the star/plus at the cursor immediately followed by ``@``?"""
-    star = stream.peek()
-    assert star is not None
-    after = stream.peek_at(1)
-    return (
-        after is not None
-        and after.kind == "alpha"
-        and after.position == star.position + 1
-    )
+    after = cursor.peek(1)
+    return after.kind == "alpha" and after.position == cursor.peek().position + 1
 
 
-def _unit(stream: PatternTokenStream, resolver: SymbolResolver) -> TreePatternNode:
-    pruned = stream.match("bang") is not None
-    node = _primary(stream, resolver)
-    node = _tree_postfixes(stream, node)
+def _unit(cursor: Cursor, resolver: SymbolResolver) -> TreePatternNode:
+    pruned = cursor.match("bang") is not None
+    node = _primary(cursor, resolver)
+    node = _tree_postfixes(cursor, node)
     if pruned:
         node = TreePrune(node)
     return node
 
 
-def _primary(stream: PatternTokenStream, resolver: SymbolResolver) -> TreePatternNode:
-    if stream.match_group_open():
-        inner = _alternation(stream, resolver)
-        stream.expect_group_close()
+def _primary(cursor: Cursor, resolver: SymbolResolver) -> TreePatternNode:
+    if match_group_open(cursor):
+        inner = _alternation(cursor, resolver)
+        expect_group_close(cursor)
         return inner
-    token = stream.next()
+    token = cursor.next()
     if token.kind == "alpha":
         return PointAtom(ConcatPoint(token.text))
     if token.kind == "any":
@@ -160,22 +144,20 @@ def _primary(stream: PatternTokenStream, resolver: SymbolResolver) -> TreePatter
     elif token.kind == "pred":
         predicate = parse_predicate(token.text)
     else:
-        raise NotationError(
-            f"unexpected {token.text!r} in tree pattern", stream.text, token.position
-        )
+        raise cursor.error(f"unexpected {token.text!r} in tree pattern", token.position)
     children: ChildPatternNode | TreePatternNode | None = None
-    if stream.match("lparen") is not None:
-        children = _children(stream, resolver)
-        stream.expect("rparen")
+    if cursor.match("lparen") is not None:
+        children = _children(cursor, resolver)
+        cursor.expect("rparen")
     return TreeAtom(predicate, children)
 
 
 def _children(
-    stream: PatternTokenStream, resolver: SymbolResolver
+    cursor: Cursor, resolver: SymbolResolver
 ) -> ChildPatternNode | TreePatternNode:
-    alternatives = [_cseq(stream, resolver)]
-    while stream.match("pipe") is not None:
-        alternatives.append(_cseq(stream, resolver))
+    alternatives = [_cseq(cursor, resolver)]
+    while cursor.match("pipe") is not None:
+        alternatives.append(_cseq(cursor, resolver))
     if len(alternatives) == 1:
         return alternatives[0]
     return ChildAlt(alternatives)
@@ -185,16 +167,11 @@ _CITEM_STARTS = {"any", "sym", "pred", "alpha", "bang"}
 
 
 def _cseq(
-    stream: PatternTokenStream, resolver: SymbolResolver
+    cursor: Cursor, resolver: SymbolResolver
 ) -> ChildPatternNode | TreePatternNode:
     items: list[ChildPatternNode | TreePatternNode] = []
-    while True:
-        token = stream.peek()
-        if token is None:
-            break
-        if token.kind not in _CITEM_STARTS and not stream.at_group_open():
-            break
-        items.append(_citem(stream, resolver))
+    while cursor.peek().kind in _CITEM_STARTS or at_group_open(cursor):
+        items.append(_citem(cursor, resolver))
     if not items:
         return CHILD_EPSILON
     if len(items) == 1:
@@ -203,30 +180,25 @@ def _cseq(
 
 
 def _citem(
-    stream: PatternTokenStream, resolver: SymbolResolver
+    cursor: Cursor, resolver: SymbolResolver
 ) -> ChildPatternNode | TreePatternNode:
-    pruned = stream.match("bang") is not None
-    node: ChildPatternNode | TreePatternNode = _primary(stream, resolver)
-    node = _tree_postfixes(stream, node)  # type: ignore[arg-type]
+    pruned = cursor.match("bang") is not None
+    node: ChildPatternNode | TreePatternNode = _primary(cursor, resolver)
+    node = _tree_postfixes(cursor, node)  # type: ignore[arg-type]
     # Concatenation chains are valid wherever a tree pattern is —
     # including as a child-list atom: x([[y(@2)]]*@2 .@2 @1).
-    while stream.match("compose") is not None:
-        point_token = stream.expect("alpha")
-        right = _unit(stream, resolver)
+    while cursor.match("compose") is not None:
+        point_token = cursor.expect("alpha")
+        right = _unit(cursor, resolver)
         node = TreeConcat(node, ConcatPoint(point_token.text), right)  # type: ignore[arg-type]
     if pruned:
         node = TreePrune(node)  # type: ignore[arg-type]
-    while True:
-        token = stream.peek()
-        if token is None or token.kind not in ("star", "plus"):
-            break
-        if _adjacent_alpha(stream):
-            raise NotationError(
-                "tree closure *@ must precede the prune/list postfixes",
-                stream.text,
-                token.position,
+    while (token := cursor.peek()).kind in ("star", "plus"):
+        if _adjacent_alpha(cursor):
+            raise cursor.error(
+                "tree closure *@ must precede the prune/list postfixes", token.position
             )
-        stream.next()
+        cursor.next()
         if token.kind == "star":
             node = ChildStar(node)
         else:

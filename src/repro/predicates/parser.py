@@ -24,188 +24,17 @@ directly — handy for the figure-style single-letter trees.
 
 from __future__ import annotations
 
-import re
-from typing import Any
+from typing import Any, NamedTuple
 
 from ..errors import PredicateError
+from ..lexer import PREDICATE, Cursor, Lexeme
 from ..params import Literals, Param
-from .alphabet import (
-    AlphabetPredicate,
-    And,
-    Comparison,
-    Not,
-    Or,
-    SymbolEquals,
-    TruePredicate,
-)
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<op><=|>=|!=|=|<|>)
-  | (?P<lparen>\()
-  | (?P<rparen>\))
-  | (?P<dot>\.)
-  | (?P<number>-?\d+(?:\.\d+)?)
-  | (?P<string>"[^"]*"|'[^']*')
-  | (?P<param>\$[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<error>[\s\S])
-    """,
-    re.VERBOSE,
-)
-
-_KEYWORDS = {"and", "or", "not", "lambda", "true", "false"}
+from .alphabet import AlphabetPredicate, And, Comparison, Not, Or, SymbolEquals
 
 
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """One scan over ``text``: the last alternative takes any character
-    no token starts with, so the tokens tile the text and the first
-    ``error`` marks where tokenizing stops."""
-    tokens: list[tuple[str, str]] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        value = match.group()
-        if kind == "ident" and value.lower() in _KEYWORDS:
-            tokens.append((value.lower(), value))
-        elif kind == "error":
-            raise PredicateError(
-                f"cannot tokenize predicate at {text[match.start():]!r}"
-            )
-        else:
-            tokens.append((kind, value))
-    return tokens
-
-
-class _Parser:
-    def __init__(
-        self, tokens: list[tuple[str, str]], text: str, literals: Literals | None
-    ) -> None:
-        self._tokens = tokens
-        self._text = text
-        self._index = 0
-        self._variable: str | None = None
-        self._literals = literals
-
-    def peek(self) -> tuple[str, str] | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
-
-    def next(self) -> tuple[str, str]:
-        token = self.peek()
-        if token is None:
-            raise PredicateError(f"unexpected end of predicate {self._text!r}")
-        self._index += 1
-        return token
-
-    def expect(self, kind: str) -> tuple[str, str]:
-        token = self.next()
-        if token[0] != kind:
-            raise PredicateError(
-                f"expected {kind} but found {token[1]!r} in {self._text!r}"
-            )
-        return token
-
-    def parse(self) -> AlphabetPredicate:
-        token = self.peek()
-        if token is not None and token[0] == "lambda":
-            self.next()
-            self.expect("lparen")
-            self._variable = self.expect("ident")[1]
-            self.expect("rparen")
-        result = self._or_expr()
-        trailing = self.peek()
-        if trailing is not None:
-            raise PredicateError(
-                f"trailing input {trailing[1]!r} in predicate {self._text!r}"
-            )
-        return result
-
-    def _or_expr(self) -> AlphabetPredicate:
-        terms = [self._and_expr()]
-        while (token := self.peek()) is not None and token[0] == "or":
-            self.next()
-            terms.append(self._and_expr())
-        if len(terms) == 1:
-            return terms[0]
-        return Or(*terms)
-
-    def _and_expr(self) -> AlphabetPredicate:
-        terms = [self._not_expr()]
-        while (token := self.peek()) is not None and token[0] == "and":
-            self.next()
-            terms.append(self._not_expr())
-        if len(terms) == 1:
-            return terms[0]
-        return And(*terms)
-
-    def _not_expr(self) -> AlphabetPredicate:
-        token = self.peek()
-        if token is not None and token[0] == "not":
-            self.next()
-            return Not(self._not_expr())
-        if token is not None and token[0] == "lparen":
-            self.next()
-            inner = self._or_expr()
-            self.expect("rparen")
-            return inner
-        return self._comparison()
-
-    def _comparison(self) -> AlphabetPredicate:
-        token = self.next()
-        if token[0] == "op" and token[1] == "?":  # pragma: no cover - defensive
-            return TruePredicate()
-        if token[0] != "ident":
-            raise PredicateError(
-                f"expected an attribute reference, found {token[1]!r} in {self._text!r}"
-            )
-        name = token[1]
-        is_variable = self._variable is not None and name == self._variable
-        nxt = self.peek()
-        if nxt is not None and nxt[0] == "dot":
-            self.next()
-            attribute = self.expect("ident")[1]
-            if not is_variable:
-                raise PredicateError(
-                    f"{name!r} is not the lambda variable in {self._text!r}"
-                )
-            op = self.expect("op")[1]
-            constant = self._literal()
-            return Comparison(attribute, op, constant)
-        op = self.expect("op")[1]
-        constant = self._literal()
-        if is_variable:
-            if op != "=":
-                raise PredicateError("only '=' may compare the variable itself")
-            return SymbolEquals(constant)
-        return Comparison(name, op, constant)
-
-    def _literal(self) -> Any:
-        token = self.next()
-        if token[0] == "param":
-            return Param(token[1][1:])
-        constant = self._constant(token)
-        if self._literals is not None:
-            return self._literals.slot(constant)
-        return constant
-
-    def _constant(self, token: tuple[str, str]) -> Any:
-        if token[0] == "number":
-            text = token[1]
-            return float(text) if "." in text else int(text)
-        if token[0] == "string":
-            return token[1][1:-1]
-        if token[0] == "true":
-            return True
-        if token[0] == "false":
-            return False
-        if token[0] == "ident":
-            # Bare word on the right-hand side reads as a string constant.
-            return token[1]
-        raise PredicateError(f"expected a literal, found {token[1]!r} in {self._text!r}")
+class _Scope(NamedTuple):
+    variable: str | None
+    literals: Literals | None
 
 
 def parse_predicate(text: str, literals: Literals | None = None) -> AlphabetPredicate:
@@ -215,7 +44,97 @@ def parse_predicate(text: str, literals: Literals | None = None) -> AlphabetPred
     (:class:`~repro.params.Literals`) instead of being kept in place:
     the shape AQL caches plans by.
     """
-    tokens = _tokenize(text)
-    if not tokens:
+    cursor = Cursor(PREDICATE, text)
+    if cursor.at_end:
         raise PredicateError("empty predicate")
-    return _Parser(tokens, text, literals).parse()
+    return cursor.parse(_predicate, literals)
+
+
+def _predicate(cursor: Cursor, literals: Literals | None) -> AlphabetPredicate:
+    variable = None
+    if cursor.match("lambda"):
+        cursor.expect("lparen")
+        variable = cursor.expect("ident").text
+        cursor.expect("rparen")
+    result = _or_expr(cursor, _Scope(variable, literals))
+    if not cursor.at_end:
+        raise PredicateError(
+            f"trailing input {cursor.peek().text!r} in predicate {cursor.text!r}"
+        )
+    return result
+
+
+def _or_expr(cursor: Cursor, scope: _Scope) -> AlphabetPredicate:
+    terms = [_and_expr(cursor, scope)]
+    while cursor.match("or"):
+        terms.append(_and_expr(cursor, scope))
+    if len(terms) == 1:
+        return terms[0]
+    return Or(*terms)
+
+
+def _and_expr(cursor: Cursor, scope: _Scope) -> AlphabetPredicate:
+    terms = [_not_expr(cursor, scope)]
+    while cursor.match("and"):
+        terms.append(_not_expr(cursor, scope))
+    if len(terms) == 1:
+        return terms[0]
+    return And(*terms)
+
+
+def _not_expr(cursor: Cursor, scope: _Scope) -> AlphabetPredicate:
+    if cursor.match("not"):
+        return Not(_not_expr(cursor, scope))
+    if cursor.match("lparen"):
+        inner = _or_expr(cursor, scope)
+        cursor.expect("rparen")
+        return inner
+    return _comparison(cursor, scope)
+
+
+def _comparison(cursor: Cursor, scope: _Scope) -> AlphabetPredicate:
+    token = cursor.next()
+    if token.kind != "ident":
+        raise PredicateError(
+            f"expected an attribute reference, found {token.text!r} in {cursor.text!r}"
+        )
+    name = token.text
+    is_variable = scope.variable is not None and name == scope.variable
+    if cursor.match("dot"):
+        attribute = cursor.expect("ident").text
+        if not is_variable:
+            raise PredicateError(f"{name!r} is not the lambda variable in {cursor.text!r}")
+        op = cursor.expect("op").text
+        return Comparison(attribute, op, _literal(cursor, scope))
+    op = cursor.expect("op").text
+    constant = _literal(cursor, scope)
+    if is_variable:
+        if op != "=":
+            raise PredicateError("only '=' may compare the variable itself")
+        return SymbolEquals(constant)
+    return Comparison(name, op, constant)
+
+
+def _literal(cursor: Cursor, scope: _Scope) -> Any:
+    token = cursor.next()
+    if token.kind == "param":
+        return Param(token.text[1:])
+    constant = _constant(cursor, token)
+    if scope.literals is not None:
+        return scope.literals.slot(constant)
+    return constant
+
+
+def _constant(cursor: Cursor, token: Lexeme) -> Any:
+    if token.kind == "number":
+        return float(token.text) if "." in token.text else int(token.text)
+    if token.kind == "string":
+        return token.text[1:-1]
+    if token.kind == "true":
+        return True
+    if token.kind == "false":
+        return False
+    if token.kind == "ident":
+        # Bare word on the right-hand side reads as a string constant.
+        return token.text
+    raise PredicateError(f"expected a literal, found {token.text!r} in {cursor.text!r}")

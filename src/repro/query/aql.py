@@ -43,11 +43,11 @@ prepared query's ``describe()`` still show the text's own constants.
 
 from __future__ import annotations
 
-import re
 from typing import Any, Callable, Mapping
 
 from ..core.aqua_tuple import make_tuple
 from ..errors import QueryError
+from ..lexer import AQL, Cursor
 from ..patterns.list_parser import parse_list_pattern
 from ..patterns.tree_parser import parse_tree_pattern
 from ..params import Literals
@@ -55,34 +55,6 @@ from ..predicates.alphabet import AlphabetPredicate, Comparison, SymbolEquals
 from ..predicates.parser import parse_predicate
 from ..storage.database import Database
 from . import expr as E
-
-_TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<pipe>\|)
-  | (?P<pred>\{(?:[^}"']|"[^"]*"|'[^']*')*\})
-  | (?P<pattern>"[^"]*"|'[^']*')
-  | (?P<word>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<error>[\s\S])
-    """,
-    re.VERBOSE,
-)
-
-
-def _tokenize(text: str) -> list[tuple[str, str]]:
-    """One scan over ``text``: the last alternative takes any character
-    no token starts with, so the tokens tile the text and the first
-    ``error`` marks where tokenizing stops.  A predicate ends at the
-    first ``}`` outside quotes."""
-    tokens: list[tuple[str, str]] = []
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "error":
-            raise QueryError(f"cannot tokenize AQL at {text[match.start():]!r}")
-        tokens.append((kind, match.group()))
-    return tokens
 
 
 def attribute_resolver(attribute: str) -> Callable[[str], AlphabetPredicate]:
@@ -104,114 +76,100 @@ def _lifting_resolver(
     return lambda symbol: Comparison(attribute, "=", literals.slot(symbol))
 
 
-class _Parser:
-    def __init__(self, text: str, literals: Literals | None = None) -> None:
-        self._text = text
-        self._tokens = _tokenize(text)
-        self._index = 0
-        self._literals = literals
+def _query(cursor: Cursor, literals: Literals | None) -> E.Expr:
+    node = _source(cursor)
+    while not cursor.at_end:
+        if cursor.next().kind != "pipe":
+            raise QueryError(f"expected '|' between stages in {cursor.text!r}")
+        node = _stage(cursor, node, literals)
+    return node
 
-    def _peek(self) -> tuple[str, str] | None:
-        if self._index < len(self._tokens):
-            return self._tokens[self._index]
-        return None
 
-    def _next(self) -> tuple[str, str]:
-        token = self._peek()
-        if token is None:
-            raise QueryError(f"unexpected end of AQL query {self._text!r}")
-        self._index += 1
-        return token
+def _expect_word(cursor: Cursor, *allowed: str) -> str:
+    token = cursor.next()
+    if token.kind != "word" or (allowed and token.text not in allowed):
+        raise QueryError(
+            f"expected {' or '.join(allowed) or 'a word'},"
+            f" found {token.text!r} in {cursor.text!r}"
+        )
+    return token.text
 
-    def _expect_word(self, *allowed: str) -> str:
-        kind, text = self._next()
-        if kind != "word" or (allowed and text not in allowed):
-            raise QueryError(
-                f"expected {' or '.join(allowed) or 'a word'},"
-                f" found {text!r} in {self._text!r}"
-            )
-        return text
 
-    def parse(self) -> E.Expr:
-        node = self._source()
-        while self._peek() is not None:
-            kind, _ = self._next()
-            if kind != "pipe":
-                raise QueryError(f"expected '|' between stages in {self._text!r}")
-            node = self._stage(node)
-        return node
+def _source(cursor: Cursor) -> E.Expr:
+    keyword = _expect_word(cursor, "root", "extent")
+    name = _expect_word(cursor)
+    if keyword == "root":
+        return E.Root(name)
+    return E.Extent(name)
 
-    def _source(self) -> E.Expr:
-        keyword = self._expect_word("root", "extent")
-        name = self._expect_word()
-        if keyword == "root":
-            return E.Root(name)
-        return E.Extent(name)
 
-    def _stage(self, node: E.Expr) -> E.Expr:
-        op = self._expect_word()
-        if op in ("select", "sselect", "lselect"):
-            predicate = self._predicate()
-            if op == "select":
-                return E.TreeSelect(node, predicate=predicate)
-            if op == "sselect":
-                return E.SetSelect(node, predicate=predicate)
-            return E.ListSelect(node, predicate=predicate)
-        if op in ("sub_select", "lsub_select", "all_anc", "all_desc"):
-            pattern_text = self._pattern_text()
-            resolver = self._optional_resolver()
-            if op == "lsub_select":
-                return E.ListSubSelect(
-                    node, pattern=parse_list_pattern(pattern_text, resolver)
-                )
-            pattern = parse_tree_pattern(pattern_text, resolver)
-            if op == "sub_select":
-                return E.SubSelect(node, pattern=pattern)
-            pairs = E.AllAnc if op == "all_anc" else E.AllDesc
-            return pairs(node, pattern=pattern, function=make_tuple)
-        if op == "path":
-            # Document path queries: the docstore compiles the quoted
-            # path text into stock split/apply/flatten algebra, so the
-            # stage slots into any pipeline position a tree flows out of.
-            from ..docstore.path import compile_path
+def _stage(cursor: Cursor, node: E.Expr, literals: Literals | None) -> E.Expr:
+    op = _expect_word(cursor)
+    if op in ("select", "sselect", "lselect"):
+        predicate = _predicate(cursor, literals)
+        if op == "select":
+            return E.TreeSelect(node, predicate=predicate)
+        if op == "sselect":
+            return E.SetSelect(node, predicate=predicate)
+        return E.ListSelect(node, predicate=predicate)
+    if op in ("sub_select", "lsub_select", "all_anc", "all_desc"):
+        pattern_text = _pattern_text(cursor)
+        resolver = _optional_resolver(cursor, literals)
+        if op == "lsub_select":
+            return E.ListSubSelect(node, pattern=parse_list_pattern(pattern_text, resolver))
+        pattern = parse_tree_pattern(pattern_text, resolver)
+        if op == "sub_select":
+            return E.SubSelect(node, pattern=pattern)
+        pairs = E.AllAnc if op == "all_anc" else E.AllDesc
+        return pairs(node, pattern=pattern, function=make_tuple)
+    if op == "path":
+        # Document path queries: the docstore compiles the quoted
+        # path text into stock split/apply/flatten algebra, so the
+        # stage slots into any pipeline position a tree flows out of.
+        from ..docstore.path import compile_path
 
-            return compile_path(node, self._pattern_text())
-        if op == "project":
-            attribute = self._expect_word()
+        return compile_path(node, _pattern_text(cursor))
+    if op == "project":
+        attribute = _expect_word(cursor)
 
-            def projector(obj: Any, _attribute: str = attribute) -> Any:
-                return getattr(obj, _attribute)
+        def projector(obj: Any, _attribute: str = attribute) -> Any:
+            return getattr(obj, _attribute)
 
-            projector.__name__ = f"project_{attribute}"
-            return E.SetApply(node, function=projector)
-        raise QueryError(f"unknown AQL operator {op!r}")
+        projector.__name__ = f"project_{attribute}"
+        return E.SetApply(node, function=projector)
+    raise QueryError(f"unknown AQL operator {op!r}")
 
-    def _predicate(self) -> AlphabetPredicate:
-        kind, text = self._next()
-        if kind != "pred":
-            raise QueryError(f"expected a {{predicate}}, found {text!r}")
-        return parse_predicate(text[1:-1], self._literals)
 
-    def _pattern_text(self) -> str:
-        kind, text = self._next()
-        if kind != "pattern":
-            raise QueryError(f"expected a quoted pattern, found {text!r}")
-        return text[1:-1]
+def _predicate(cursor: Cursor, literals: Literals | None) -> AlphabetPredicate:
+    token = cursor.next()
+    if token.kind != "pred":
+        raise QueryError(f"expected a {{predicate}}, found {token.text!r}")
+    return parse_predicate(token.text[1:-1], literals)
 
-    def _optional_resolver(self) -> Callable[[str], AlphabetPredicate] | None:
-        attribute = None
-        token = self._peek()
-        if token is not None and token == ("word", "by"):
-            self._next()
-            attribute = self._expect_word()
-        if self._literals is not None:
-            return _lifting_resolver(self._literals, attribute)
-        return None if attribute is None else attribute_resolver(attribute)
+
+def _pattern_text(cursor: Cursor) -> str:
+    token = cursor.next()
+    if token.kind != "pattern":
+        raise QueryError(f"expected a quoted pattern, found {token.text!r}")
+    return token.text[1:-1]
+
+
+def _optional_resolver(
+    cursor: Cursor, literals: Literals | None
+) -> Callable[[str], AlphabetPredicate] | None:
+    attribute = None
+    token = cursor.peek()
+    if token.kind == "word" and token.text == "by":
+        cursor.next()
+        attribute = _expect_word(cursor)
+    if literals is not None:
+        return _lifting_resolver(literals, attribute)
+    return None if attribute is None else attribute_resolver(attribute)
 
 
 def parse_aql(text: str) -> E.Expr:
     """Parse AQL text into a logical query expression."""
-    return _Parser(text).parse()
+    return _query(Cursor(AQL, text), None)
 
 
 def parse_aql_shape(text: str) -> tuple[E.Expr, dict[str, Any]]:
@@ -226,7 +184,7 @@ def parse_aql_shape(text: str) -> tuple[E.Expr, dict[str, Any]]:
     running the shape with the returned bindings is running the text.
     """
     literals = Literals()
-    return _Parser(text, literals).parse(), literals.values
+    return _query(Cursor(AQL, text), literals), literals.values
 
 
 def run_aql(

@@ -56,6 +56,10 @@ class TestTreeParsing:
         with pytest.raises(NotationError):
             parse_tree("'oops")
 
+    def test_deep_nesting_raises_a_notation_error(self):
+        with pytest.raises(NotationError, match="tree nests too deeply"):
+            parse_tree("a(" * 3000 + "b" + ")" * 3000)
+
 
 class TestListParsing:
     def test_compact(self):
@@ -85,7 +89,10 @@ class TestListParsing:
 class TestFormatting:
     @pytest.mark.parametrize(
         "text",
-        ["a", "a(bc)", "b(d(fg)e)", "a(@1 @2)", "Mat(Ann Tom)", "a(b(c)d(e))"],
+        [
+            "a", "a(bc)", "b(d(fg)e)", "a(@1 @2)", "Mat(Ann Tom)", "a(b(c)d(e))",
+            "x(ab c)", "x('a-b' c)",
+        ],
     )
     def test_tree_round_trip(self, text):
         t = parse_tree(text)

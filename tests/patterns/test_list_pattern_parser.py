@@ -38,6 +38,25 @@ class TestBasicForms:
         p = parse_list_pattern('[{age > 25} ?]')
         assert p.body.parts[0].predicate(type("O", (), {"age": 30})())
 
+    def test_a_brace_inside_a_quoted_string(self):
+        """A ``{`` inside quotes neither opens nor closes a predicate."""
+        p = parse_list_pattern('[{name = "{"} b]')
+        first, second = p.body.parts
+        assert first.predicate(type("O", (), {"name": "{"})())
+        assert second.predicate == SymbolEquals("b")
+
+    def test_deep_nesting_raises_a_notation_error(self):
+        with pytest.raises(NotationError, match="pattern nests too deeply"):
+            parse_list_pattern("[[" * 3000 + "a")
+
+    def test_an_outer_bracket_around_nested_groups(self):
+        """``[[`` is two brackets side by side: the outer ``[`` may be
+        followed by any number of group openers, and ``⟦`` is never half
+        of a bracket."""
+        assert parse_list_pattern("[[[[[a]]]]]") == parse_list_pattern("[a]")
+        with pytest.raises(NotationError, match="expected '\\[' to open"):
+            parse_list_pattern("⟦ [a]]]")
+
     def test_unbracketed_body_allowed(self):
         assert parse_list_pattern("a b") == parse_list_pattern("[a b]")
 

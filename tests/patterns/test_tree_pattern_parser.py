@@ -55,6 +55,17 @@ class TestAtoms:
         p = parse_tree_pattern('{citizen = "Brazil"}(?*)')
         assert p.body.predicate(type("P", (), {"citizen": "Brazil"})())
 
+    def test_a_brace_inside_a_quoted_string(self):
+        """A ``}`` inside quotes does not end a ``{...}`` predicate."""
+        p = parse_tree_pattern('a({name = "}"})')
+        child = p.body.children
+        assert child.predicate(type("P", (), {"name": "}"})())
+        assert not child.predicate(type("P", (), {"name": "{"})())
+
+    def test_deep_nesting_raises_a_notation_error(self):
+        with pytest.raises(NotationError, match="pattern nests too deeply"):
+            parse_tree_pattern("a(" * 300 + "b" + ")" * 300)
+
     def test_point_atom(self):
         p = parse_tree_pattern("a(@1 @2)")
         parts = p.body.children.parts

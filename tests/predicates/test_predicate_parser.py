@@ -101,3 +101,7 @@ class TestErrors:
     def test_untokenizable_rejected(self):
         with pytest.raises(PredicateError):
             parse_predicate("age # 3")
+
+    def test_deep_nesting_raises_a_predicate_error(self):
+        with pytest.raises(PredicateError, match="predicate nests too deeply"):
+            parse_predicate("(" * 400 + "a = 1" + ")" * 400)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import Record, parse_tree
 from repro.core.aqua_set import AquaSet
-from repro.errors import QueryError
+from repro.errors import NotationError, PredicateError, QueryError
 from repro.predicates import attr
 from repro.query import Q
 from repro.query import expr as E
@@ -83,6 +83,16 @@ class TestParsing:
     def test_a_brace_inside_quotes_does_not_end_the_predicate(self):
         node = parse_aql('extent Person | sselect {name = "a}b" or name = \'{c}\'}')
         assert node.predicate.describe() == "(x.name = 'a}b' OR x.name = '{c}')"
+
+    def test_deep_nesting_raises_the_nested_language_error(self, db):
+        """A ``{...}`` predicate or a pattern nested past the stack raises
+        its own language's error through AQL, not a ``RecursionError``."""
+        predicate = "(" * 2000 + "a = 1" + ")" * 2000
+        with pytest.raises(PredicateError, match="nests too deeply"):
+            run_aql("root T | select {" + predicate + "}", db)
+        pattern = "a(" * 400 + "b" + ")" * 400
+        with pytest.raises(NotationError, match="nests too deeply"):
+            run_aql(f'root T | sub_select "{pattern}"', db)
 
 
 class TestShape:

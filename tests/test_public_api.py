@@ -13,6 +13,8 @@ import ast
 import re
 from pathlib import Path
 
+import yaml
+
 import repro
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -383,21 +385,33 @@ def test_match_contexts_read_pattern_facts_without_walking() -> None:
     assert [line for line in source.splitlines() if walks.search(line)] == []
 
 
+#: What lexing looks like: a token table (alternatives in named groups)
+#: or a walk over a text one character at a time (an index stepped
+#: through it, a per-character class test).
+_LEXING = re.compile(r"\(\?P<|while \w+ < n\b|\btext\[[ij]\b|\.is(?:alnum|space)\(\)")
+
+
 def test_aql_and_predicate_text_tokenize_in_one_pass() -> None:
-    """``query/aql.py`` and ``predicates/parser.py`` each scan a text
-    with one ``finditer`` over their token alternation, never one
-    ``match`` call per token from a Python loop (the CI lint job greps
-    for the same thing)."""
+    """Every text the system reads is lexed by ``lexer.py``: no other
+    module compiles a token table or walks a text one character at a
+    time.  ``docstore/path.py`` is excepted: its path text is to be
+    reworked along with the docstore's path plans."""
     package = Path(repro.__file__).resolve().parent
     offenders = [
-        f"{name}:{number}"
-        for name in ("query/aql.py", "predicates/parser.py")
-        for number, line in enumerate(
-            (package / name).read_text(encoding="utf-8").splitlines(), 1
-        )
-        if "_TOKEN_RE.match(text, index)" in line
+        f"{path.relative_to(package).as_posix()}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        if path.relative_to(package).as_posix() not in ("lexer.py", "docstore/path.py")
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if _LEXING.search(line)
     ]
     assert offenders == []
+
+
+def test_ci_workflow_is_valid_yaml() -> None:
+    """The CI workflow parses, and names the jobs tier-1 relies on."""
+    workflow = README.parent / ".github" / "workflows" / "ci.yml"
+    jobs = yaml.safe_load(workflow.read_text(encoding="utf-8"))["jobs"]
+    assert {"test", "fault-smoke"} <= set(jobs)
 
 
 def test_bulk_values_key_unhashable_payloads_through_one_helper() -> None:
@@ -418,7 +432,7 @@ def test_bulk_values_key_unhashable_payloads_through_one_helper() -> None:
 
 #: Bottom first.  A module may import from its own layer and any below.
 LAYERS = (
-    {"errors", "context", "config", "params", "faults", "guardrails"},
+    {"errors", "context", "config", "params", "faults", "guardrails", "lexer"},
     {"core"},
     {"predicates", "patterns"},
     {"algebra"},
