@@ -48,8 +48,10 @@ from typing import Any
 from . import context, faults
 from .api import Session
 from .core import AquaList, AquaSet, AquaTree
+from .docstore import load_document
 from .errors import AquaError, ResourceExhaustedError
 from .guardrails import Budget
+from .plan.metrics import PlanMetrics
 from .query import (
     PlanCache,
     evaluate,
@@ -59,9 +61,9 @@ from .query import (
     render_analysis,
     render_planning,
 )
-from .query.metrics import PlanMetrics
 from .storage import Database
 from .storage.serialize import dump_database, load_database
+from .storage.stats import Instrumentation
 from .workloads import figure3_family_tree, figure5_parse_tree, song_with_melody
 
 #: ``\budget`` accepts both the Budget field names and these short forms.
@@ -218,8 +220,6 @@ class Shell:
         and indexed over ``(tag, kind)``, so path queries against it are
         ordinary AQL: ``root doc | path "//article[@lang='en']//p"``.
         """
-        from .docstore import load_document
-
         if not argument:
             return "error: \\doc needs a file (.json/.xml/.html), optionally a root name"
         parts = argument.split()
@@ -267,8 +267,6 @@ class Shell:
         partial metrics collected so far are still rendered, so the user
         sees *where* in the plan the limit hit.
         """
-        from .storage.stats import Instrumentation
-
         planning = Instrumentation()
         with context.entered(receiver=planning):
             prepared = self.session().prepare(query)

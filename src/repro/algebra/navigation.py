@@ -22,6 +22,7 @@ from typing import Any, Callable, Iterator
 from ..core.aqua_list import AquaList
 from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import AquaTree, TreeNode
+from ..core.aqua_tuple import make_tuple
 from ..errors import QueryError
 
 Path = tuple[int, ...]
@@ -70,8 +71,6 @@ def reverse(aqua_list: AquaList) -> AquaList:
 
 def zip_lists(left: AquaList, right: AquaList) -> AquaList:
     """Pairwise zip into a list of 2-tuples (shorter length wins)."""
-    from ..core.aqua_tuple import make_tuple
-
     return AquaList.from_values(make_tuple(a, b) for a, b in zip(left, right))
 
 

@@ -10,7 +10,7 @@ values, whether it arrived via the environment or an explicit argument.
 Precedence (documented in the README table):
 
 1. an explicit per-call argument (``budget=``, ...);
-2. the :class:`~repro.api.Session`'s own keyword;
+2. the :class:`~repro.query.session.Session`'s own keyword;
 3. the ``AQUA_*`` environment variable;
 4. the built-in default.
 """

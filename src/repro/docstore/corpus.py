@@ -23,6 +23,7 @@ import random
 from ..core.aqua_tree import AquaTree
 from .ingest import to_html
 from .model import DocNode, document_node
+from .store import Document
 
 __all__ = ["corpus_tree", "corpus_html", "corpus_document"]
 
@@ -128,6 +129,4 @@ def corpus_html(**kwargs: object) -> str:
 
 def corpus_document(**kwargs: object):
     """The corpus wrapped as a ready-to-query :class:`Document`."""
-    from .store import Document
-
     return Document(corpus_tree(**kwargs), "html", name="site")  # type: ignore[arg-type]

@@ -3,7 +3,7 @@
 :class:`Document` binds an ingested tree into a
 :class:`~repro.storage.database.Database` root, builds the node index
 over ``(tag, kind)`` that anchors path queries, and owns a
-:class:`~repro.api.Session` so ``doc.path("//a//b")`` goes through the
+:class:`~repro.query.session.Session` so ``doc.path("//a//b")`` goes through the
 *same* pipeline as every other query in the system: AQL text → alias
 table → plan cache → optimizer → cost-gated lowering → executor.  The
 path text is embedded in an AQL query string, so repeated paths are
@@ -20,6 +20,10 @@ from typing import Any, Mapping
 
 from ..core.aqua_tree import AquaTree
 from ..errors import QueryError
+from ..query.explain import explain_physical
+from ..query.plan_cache import PlanCache
+from ..query.session import Session
+from ..storage.database import Database
 from .ingest import from_html, from_json, from_xml, to_html, to_json, to_xml
 from .model import INDEXED_ATTRIBUTES
 
@@ -52,10 +56,6 @@ class Document:
         db: Any = None,
         session: Any = None,
     ) -> None:
-        from ..api import Session
-        from ..query import PlanCache
-        from ..storage import Database
-
         if format not in _SERIALIZERS:
             raise QueryError(
                 f"unknown document format {format!r};"
@@ -102,7 +102,7 @@ class Document:
     ) -> Any:
         """Run a path query; returns the set of matching subtrees.
 
-        Accepts every :meth:`repro.api.Session.query` knob keyword
+        Accepts every :meth:`repro.query.session.Session.query` knob keyword
         (``budget=``, ``optimize=``, ``cache=``, ...).
         """
         return self.session.query(self._aql(path_text), params, **knobs)
@@ -115,8 +115,6 @@ class Document:
         cost gate serves the first step from the ``(tag, kind)`` node
         index — is visible in one call.
         """
-        from ..query.explain import explain_physical
-
         story = self.session.explain(self._aql(path_text), **knobs)
         prepared = self.session.prepare(self._aql(path_text))
         pipeline = explain_physical(prepared.plan, self.db, indent=1)

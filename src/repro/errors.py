@@ -13,13 +13,18 @@ class AquaError(Exception):
 
 
 class NotationError(AquaError):
-    """A textual list/tree/pattern notation could not be parsed."""
+    """A textual list/tree/pattern notation could not be parsed.
+
+    ``text`` is the whole text; the message quotes at most 40 characters
+    on each side of ``position``, with ``…`` where it cuts the text."""
 
     def __init__(self, message: str, text: str = "", position: int | None = None):
         self.text = text
         self.position = position
         if position is not None:
-            message = f"{message} (at position {position} in {text!r})"
+            start, end = max(0, position - 40), position + 40
+            excerpt = "…" * (start > 0) + repr(text[start:end]) + "…" * (end < len(text))
+            message = f"{message} (at position {position} in {excerpt})"
         super().__init__(message)
 
 
@@ -82,7 +87,7 @@ class ResourceExhaustedError(AquaError):
       step"``, ``"storage scan"``);
     * ``usage`` — the guard's resource snapshot at trip time;
     * ``metrics`` — the partial
-      :class:`~repro.query.metrics.PlanMetrics` collected so far when the
+      :class:`~repro.plan.metrics.PlanMetrics` collected so far when the
       trip happened inside an instrumented run (attached by the
       interpreter, ``None`` otherwise);
     * ``plan_path``/``operator`` — the plan node being evaluated when the

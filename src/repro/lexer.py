@@ -206,6 +206,13 @@ def is_word(text: str) -> bool:
     return _WORD.fullmatch(text) is not None
 
 
+def reads_bare(text: str) -> bool:
+    """Does ``text`` read back bare as one symbol in either style: one
+    run that compact style keeps whole (not two or more lowercase
+    letters)?  A pattern prints any other symbol quoted."""
+    return is_word(text) and not (len(text) > 1 and text.isalpha() and text.islower())
+
+
 def compacts(text: str) -> bool:
     """Does ``text`` read back as written in compact style: no ``@`` or
     quote, and every run a single lowercase letter?"""

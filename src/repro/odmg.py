@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Iterator
 
+from .algebra.list_ops import sub_select_list
 from .core.aqua_list import AquaList
 from .core.aqua_set import AquaMultiset, AquaSet
 from .core.equality import DEFAULT, Equality
@@ -204,8 +205,6 @@ class OdmgArray:
     def sub_select(self, pattern: Any, resolver=None) -> AquaSet:
         """AQUA's pattern predicates, "significantly more powerful" than
         the ODMG view of collections (§8) — one call away."""
-        from .algebra.list_ops import sub_select_list
-
         return sub_select_list(pattern, self._list, resolver=resolver)
 
     def __iter__(self) -> Iterator[Any]:

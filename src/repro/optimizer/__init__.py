@@ -1,10 +1,8 @@
 """EPOQ-flavored rewrite optimizer: rules, cost model, engine.
 
-The logical→physical lowering pass (``lower``) also hangs off this
-package: it shares the anchor analysis in :mod:`repro.optimizer.anchors`
-with the rewrite rules and is where access paths are chosen.  It is
-re-exported lazily (PEP 562) because the physical layer imports this
-package for that same analysis.
+The logical→physical lowering pass (:func:`repro.physical.lower`) reads
+the anchor analysis in :mod:`repro.optimizer.anchors` that the rewrite
+rules share; it lives one layer up, in :mod:`repro.physical`.
 """
 
 from .anchors import extent_conjunct_split, list_anchor_choice, tree_split_anchors
@@ -29,17 +27,8 @@ __all__ = [
     "extent_conjunct_split",
     "list_anchor_choice",
     "list_pattern_cost",
-    "lower",
     "optimize",
     "paper_split_rewrite",
     "tree_pattern_cost",
     "tree_split_anchors",
 ]
-
-
-def __getattr__(name):
-    if name == "lower":
-        from ..physical import lower
-
-        return lower
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

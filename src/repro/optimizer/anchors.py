@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import heapq
 from operator import itemgetter
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .. import params
 from ..core.aqua_tree import AquaTree, TreeNode
@@ -30,10 +30,9 @@ from ..patterns.list_ast import Concat as ListConcat
 from ..patterns.list_ast import ListPattern, ListPatternNode
 from ..patterns.tree_ast import TreePattern
 from ..predicates.alphabet import AlphabetPredicate, And, TruePredicate
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..storage.database import Database
-    from ..storage.stats import Instrumentation, RunCounters
+from ..storage.columnar import column_servable
+from ..storage.database import Database
+from ..storage.stats import Instrumentation, RunCounters
 
 
 def _index_servable(predicate: AlphabetPredicate) -> bool:
@@ -91,8 +90,6 @@ def list_columnar_choice(
     with trivially-true predicates are skipped (their column is all
     ones); ``None`` when no usable pair remains.
     """
-    from ..storage.columnar import column_servable
-
     body = pattern.body
     parts: Sequence[ListPatternNode]
     if isinstance(body, ListConcat):
@@ -114,10 +111,10 @@ def list_columnar_choice(
 
 
 def probe_anchor_roots(
-    db: "Database",
+    db: Database,
     tree: AquaTree,
     anchors: Iterable[AlphabetPredicate],
-    stats: "Instrumentation | RunCounters | None" = None,
+    stats: Instrumentation | RunCounters | None = None,
 ) -> "list[TreeNode] | None":
     """Index-probed candidate match roots, in preorder, or ``None``.
 
@@ -192,7 +189,7 @@ def list_anchor_choice(
 
 
 def extent_conjunct_split(
-    predicate: AlphabetPredicate, extent: str, db: "Database"
+    predicate: AlphabetPredicate, extent: str, db: Database
 ) -> tuple[AlphabetPredicate, AlphabetPredicate | None] | None:
     """Split a conjunction into ``(indexed, residual)`` for ``extent``.
 

@@ -20,19 +20,18 @@ suite confirms the model's *ordering* matches measured time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import Any, Mapping
 
 from ..core.aqua_list import AquaList
 from ..core.aqua_tree import AquaTree
 from ..patterns.list_ast import ListPattern, Star as ListStar, Plus as ListPlus
 from ..patterns.tree_ast import TreePattern, TreeStar, TreePlus, ChildStar, ChildPlus, TreeAtom
+from ..plan import expr as E
+from ..plan.metrics import PlanMetrics, cardinality
 from ..predicates.alphabet import AlphabetPredicate
-from ..query import expr as E
 from ..storage.columnar import COLUMNAR_MIN_LENGTH
 from ..storage.database import Database
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..query.metrics import PlanMetrics
+from .anchors import list_columnar_choice
 
 #: Fallback size when a source cannot be resolved at planning time.
 DEFAULT_SIZE = 1000.0
@@ -190,8 +189,6 @@ class CostModel:
         if isinstance(node, (E.Root, E.Literal)):
             value = self.source_value(node)
             if value is not None:
-                from ..query.metrics import cardinality
-
                 return float(cardinality(value))
             return DEFAULT_SIZE
         if isinstance(node, E.Extent):
@@ -212,7 +209,7 @@ class CostModel:
 
     # -- calibration against runtime metrics --------------------------------
 
-    def calibrate(self, expr: E.Expr, metrics: "PlanMetrics") -> list["CalibrationRecord"]:
+    def calibrate(self, expr: E.Expr, metrics: PlanMetrics) -> list["CalibrationRecord"]:
         """Compare this model's estimates against a plan's actual metrics.
 
         Walks ``expr`` and, for every operator the instrumented executor
@@ -269,8 +266,6 @@ class CostModel:
         self, size: float, pattern: ListPattern, factor: float = 1.0
     ) -> float | None:
         """Columnar shift-AND estimate for a list scan, or ``None``."""
-        from .anchors import list_columnar_choice
-
         if size < COLUMNAR_MIN_LENGTH:
             return None
         choices = list_columnar_choice(pattern)

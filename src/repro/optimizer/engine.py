@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from ..context import emit
 from ..errors import AquaError, OptimizerError
 from ..faults import fault_point
-from ..query import expr as E
+from ..plan import expr as E
 from ..storage.database import Database
 from .cost import CostModel
 from .rules import DEFAULT_RULES, Rule

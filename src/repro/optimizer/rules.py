@@ -14,8 +14,10 @@ gating and tracing.
 
 from __future__ import annotations
 
+from ..algebra.tree_ops import reassemble, sub_select as run_sub_select
+from ..patterns.tree_ast import TreeAtom, TreePattern
+from ..plan import expr as E
 from ..predicates.alphabet import And
-from ..query import expr as E
 from ..storage.database import Database
 
 
@@ -63,9 +65,6 @@ def paper_split_rewrite(node: E.SubSelect) -> E.Expr | None:
     an index probe plus a roots-restricted match.  ``None`` when the
     pattern exposes no usable single root predicate.
     """
-    from ..algebra.tree_ops import reassemble, sub_select as run_sub_select
-    from ..patterns.tree_ast import TreeAtom, TreePattern
-
     anchors = node.pattern.root_predicates()
     if len(anchors) != 1 or anchors[0].opaque:
         return None

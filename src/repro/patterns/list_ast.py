@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import PatternError
-from ..lexer import is_word
+from ..lexer import reads_bare
 from ..predicates.alphabet import ANY, AlphabetPredicate, SymbolEquals, TruePredicate
 
 
@@ -43,7 +43,7 @@ def atom_text(predicate: AlphabetPredicate) -> str:
         return "?"
     if isinstance(predicate, SymbolEquals) and isinstance(predicate.symbol, str):
         symbol = predicate.symbol
-        if is_word(symbol):
+        if reads_bare(symbol):
             return symbol
         return f"'{symbol}'"
     return "{" + predicate.embed_text() + "}"

@@ -1,6 +1,6 @@
 """The physical-operator substrate: Volcano-style streaming execution.
 
-The logical algebra (:mod:`repro.query.expr`) says *what* a query means;
+The logical algebra (:mod:`repro.plan.expr`) says *what* a query means;
 this layer says *how* it runs.  Each logical node lowers
 (:mod:`repro.physical.lower`) to one :class:`PhysicalOp` — an iterator
 with the classic ``open() / next_batch() / close()`` lifecycle, backed
@@ -51,7 +51,7 @@ Shapes: every operator declares how its rows relate to its AQUA value —
 ``"value"`` yields exactly one row (trees, roots, literals).  Sources
 yield *references* to stored values, which is why they do not count as
 buffers; operators that construct a materialized value record it via
-:meth:`~repro.query.metrics.PlanMetrics.note_buffered`.
+:meth:`~repro.plan.metrics.PlanMetrics.note_buffered`.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import TYPE_CHECKING, Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator
 
 from .. import context
 from ..core.aqua_list import AquaList
@@ -67,20 +67,17 @@ from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import AquaTree
 from ..core.equality import DEFAULT, Equality
 from ..errors import QueryError, ResourceExhaustedError
-from ..query.metrics import cardinality
+from ..guardrails import Guard
+from ..plan import expr as E
+from ..plan.metrics import OperatorMetrics, PlanMetrics, cardinality
+from ..storage.database import Database
 from ..storage.stats import RunCounters
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guards
-    from ..guardrails import Guard
-    from ..query import expr as E
-    from ..query.metrics import OperatorMetrics, PlanMetrics
-    from ..storage.database import Database
 
 #: Rows an operator hands over per pull (a module constant, not a knob).
 BATCH = 256
 
 
-def batch_size(guard: "Guard | None") -> int:
+def batch_size(guard: Guard | None) -> int:
     """:data:`BATCH`, or 1 while ``guard`` arms a limit a row can trip.
 
     Under ``max_steps``, ``max_results``, ``max_nodes_scanned`` or
@@ -122,9 +119,9 @@ class ExecutionContext:
     (:func:`batch_size` of the guard).
     """
 
-    db: "Database"
-    guard: "Guard | None" = None
-    metrics: "PlanMetrics | None" = None
+    db: Database
+    guard: Guard | None = None
+    metrics: PlanMetrics | None = None
     counters: RunCounters | None = None
     batch: int = field(init=False)
 
@@ -158,14 +155,14 @@ class PhysicalOp:
     #: "set" | "list" | "value" — how rows relate to the AQUA value.
     shape = "set"
 
-    def __init__(self, logical: "E.Expr", children: tuple["PhysicalOp", ...] = ()) -> None:
+    def __init__(self, logical: E.Expr, children: tuple["PhysicalOp", ...] = ()) -> None:
         self.logical = logical
         self.children = tuple(children)
         self.path: tuple[int, ...] = ()
         #: Logical nodes from the plan root down; rendered only for an error.
-        self.lineage: tuple["E.Expr", ...] = (logical,)
+        self.lineage: tuple[E.Expr, ...] = (logical,)
         self.ctx: ExecutionContext | None = None
-        self.op_metrics: "OperatorMetrics | None" = None
+        self.op_metrics: OperatorMetrics | None = None
         self.result_equality: Equality = DEFAULT
         self._gen: Iterator[list[Any]] | None = None
         self._count = 0
@@ -173,7 +170,7 @@ class PhysicalOp:
     # -- plan wiring --------------------------------------------------------
 
     def assign_positions(
-        self, path: tuple[int, ...] = (), lineage: tuple["E.Expr", ...] = ()
+        self, path: tuple[int, ...] = (), lineage: tuple[E.Expr, ...] = ()
     ) -> None:
         """Derive each operator's plan path and lineage from the root."""
         self.path = path
@@ -374,7 +371,7 @@ def dedup(batches: Iterable[list[Any]], equality: Equality) -> Iterator[list[Any
 class PhysicalPlan:
     """A lowered plan: the physical operator tree plus its logical source."""
 
-    def __init__(self, root: PhysicalOp, logical: "E.Expr") -> None:
+    def __init__(self, root: PhysicalOp, logical: E.Expr) -> None:
         self.root = root
         self.logical = logical
         root.assign_positions()

@@ -1,6 +1,6 @@
 """Logical → physical lowering: pick one streaming operator per node.
 
-:func:`lower` walks a logical expression (:mod:`repro.query.expr`) and
+:func:`lower` walks a logical expression (:mod:`repro.plan.expr`) and
 produces a :class:`~repro.physical.base.PhysicalPlan` of
 :mod:`~repro.physical.operators`.  The default mapping is structure
 preserving — one physical operator per logical node, at the same plan
@@ -32,7 +32,7 @@ executions skip straight to ``instantiate()``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, NamedTuple
+from typing import Callable, NamedTuple
 
 from ..errors import QueryError
 from ..optimizer.anchors import (
@@ -45,12 +45,10 @@ from ..optimizer.cost import anchor_scan_profitable
 from ..params import Param
 from ..patterns.list_parser import list_pattern
 from ..patterns.tree_parser import tree_pattern
-from ..query import expr as E
+from ..plan import expr as E
+from ..storage.database import Database
 from .base import PhysicalOp, PhysicalPlan
 from . import operators as P
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..storage.database import Database
 
 #: A zero-argument constructor for one operator subtree.
 Thunk = Callable[[], PhysicalOp]
@@ -82,7 +80,7 @@ class _AccessPaths:
                 if op == "=" and isinstance(constant, Param) and not constant.lifted:
                     self.param_slots.add(constant.name)
 
-    def priced(self, source, anchors, pattern, db: "Database") -> bool:
+    def priced(self, source, anchors, pattern, db: Database) -> bool:
         """``anchor_scan_profitable``, recorded as a gate when it read a
         lifted AQL constant (the prices of other texts of the shape may
         differ)."""
@@ -130,7 +128,7 @@ class PipelineFactory:
     def instantiate(self) -> PhysicalPlan:
         return PhysicalPlan(self._build_root(), self.expr)
 
-    def gates_hold(self, db: "Database") -> bool:
+    def gates_hold(self, db: Database) -> bool:
         """Do the priced choices come out the same under the bindings
         armed now?  A text of the shape whose constants flip one needs a
         plan of its own (see :func:`repro.query.prepare.prepare`)."""
@@ -142,7 +140,7 @@ class PipelineFactory:
 
 
 def lower_factory(
-    expr: E.Expr, db: "Database", *, choose_access_paths: bool = False
+    expr: E.Expr, db: Database, *, choose_access_paths: bool = False
 ) -> PipelineFactory:
     """Run the per-plan lowering analysis once; defer operator creation.
 
@@ -160,7 +158,7 @@ def lower_factory(
 
 
 def lower(
-    expr: E.Expr, db: "Database", *, choose_access_paths: bool = False
+    expr: E.Expr, db: Database, *, choose_access_paths: bool = False
 ) -> PhysicalPlan:
     """Lower ``expr`` to a physical plan against ``db``.
 
@@ -180,14 +178,14 @@ def lower(
     ).instantiate()
 
 
-def _lower_node(node: E.Expr, db: "Database", choose: bool) -> Thunk:
+def _lower_node(node: E.Expr, db: Database, choose: bool) -> Thunk:
     build = _LOWERING.get(type(node))
     if build is None:
         raise QueryError(f"no lowering rule for {type(node).__name__}")
     return build(node, db, choose)
 
 
-def _child(node: E.Expr, db: "Database", choose: bool) -> Thunk:
+def _child(node: E.Expr, db: Database, choose: bool) -> Thunk:
     return _lower_node(node.input, db, choose)
 
 
@@ -297,7 +295,7 @@ def _lower_binary(cls):
     return build
 
 
-_LOWERING: dict[type, Callable[[E.Expr, "Database", bool], Thunk]] = {
+_LOWERING: dict[type, Callable[[E.Expr, Database, bool], Thunk]] = {
     E.Root: _lower_root,
     E.Extent: _lower_extent,
     E.Literal: _lower_literal,

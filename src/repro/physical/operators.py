@@ -1,6 +1,6 @@
 """The physical operators: one streaming implementation per logical node.
 
-Each class realizes one logical operator from :mod:`repro.query.expr`
+Each class realizes one logical operator from :mod:`repro.plan.expr`
 as a generator over row batches (see
 :class:`~repro.physical.base.PhysicalOp` for the pull protocol): the
 set half — extent scan, select filters, ``apply``, ``flatten``,

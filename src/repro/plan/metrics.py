@@ -31,6 +31,10 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.aqua_list import AquaList
+from ..core.aqua_set import AquaMultiset, AquaSet
+from ..core.aqua_tree import AquaTree
+
 #: Path of a plan node: child indexes from the root (root = ``()``).
 Path = tuple[int, ...]
 
@@ -41,10 +45,6 @@ def cardinality(value: Any) -> int:
     Sets and lists count members, trees count nodes (the unit the §4
     narrowing argument is about), everything else is one row.
     """
-    from ..core.aqua_list import AquaList
-    from ..core.aqua_set import AquaMultiset, AquaSet
-    from ..core.aqua_tree import AquaTree
-
     if isinstance(value, AquaTree):
         return value.size()
     if isinstance(value, (AquaSet, AquaMultiset, AquaList)):

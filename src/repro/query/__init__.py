@@ -1,8 +1,12 @@
-"""Logical query expressions, their evaluator, EXPLAIN / EXPLAIN
-ANALYZE, prepared queries with a plan cache, and the AQL user-level
-text language."""
+"""Sessions, prepared queries with a plan cache, the evaluator,
+EXPLAIN / EXPLAIN ANALYZE, and the AQL and path text front ends.
 
-from . import expr
+The logical plan they build and read lives one layer down, in
+:mod:`repro.plan`; ``expr`` and the metrics types are re-exported here.
+"""
+
+from ..plan import expr
+from ..plan.metrics import OperatorMetrics, PlanMetrics
 from .aql import parse_aql, run_aql
 from .builder import Q
 from .explain import (
@@ -14,7 +18,6 @@ from .explain import (
     render_planning,
 )
 from .interpreter import evaluate, evaluate_with_metrics
-from .metrics import OperatorMetrics, PlanMetrics
 from .plan_cache import DEFAULT_CACHE, PlanCache, plan_fingerprint
 from .prepare import PreparedQuery, prepare
 

@@ -31,7 +31,7 @@ Examples::
     root site   | path "//article[@lang='en']//p"
     extent Person | sselect {age > 30 and city = "C3"} | project name
 
-``parse_aql`` returns the :class:`~repro.query.expr.Expr`; ``run_aql``
+``parse_aql`` returns the :class:`~repro.plan.expr.Expr`; ``run_aql``
 optimizes and evaluates it in one call.
 
 Literals are plan parameters.  The plan cache reads a text through
@@ -51,10 +51,11 @@ from ..lexer import AQL, Cursor
 from ..patterns.list_parser import parse_list_pattern
 from ..patterns.tree_parser import parse_tree_pattern
 from ..params import Literals
+from ..plan import expr as E
 from ..predicates.alphabet import AlphabetPredicate, Comparison, SymbolEquals
 from ..predicates.parser import parse_predicate
 from ..storage.database import Database
-from . import expr as E
+from .path import compile_path
 
 
 def attribute_resolver(attribute: str) -> Callable[[str], AlphabetPredicate]:
@@ -123,11 +124,9 @@ def _stage(cursor: Cursor, node: E.Expr, literals: Literals | None) -> E.Expr:
         pairs = E.AllAnc if op == "all_anc" else E.AllDesc
         return pairs(node, pattern=pattern, function=make_tuple)
     if op == "path":
-        # Document path queries: the docstore compiles the quoted
+        # Document path queries: ``query.path`` compiles the quoted
         # path text into stock split/apply/flatten algebra, so the
         # stage slots into any pipeline position a tree flows out of.
-        from ..docstore.path import compile_path
-
         return compile_path(node, _pattern_text(cursor))
     if op == "project":
         attribute = _expect_word(cursor)
@@ -196,13 +195,15 @@ def run_aql(
 ) -> Any:
     """Parse, (optionally) optimize, and evaluate an AQL query.
 
-    A thin wrapper over the default :class:`repro.api.Session`: repeated
-    text is served from the plan cache's alias table without even being
-    re-parsed.  ``$name`` slots inside ``{...}`` predicates bind through
-    ``params``.  Any :meth:`repro.api.Session.query` knob keyword
-    (``budget=``, ``cache=``, ...) passes through to the shared
-    resolver, same names and precedence as everywhere else.
+    A thin wrapper over the default :class:`~repro.query.session.Session`:
+    repeated text is served from the plan cache's alias table without
+    even being re-parsed.  ``$name`` slots inside ``{...}`` predicates
+    bind through ``params``.  Any
+    :meth:`~repro.query.session.Session.query` knob keyword (``budget=``,
+    ``cache=``, ...) passes through to the shared resolver, same names
+    and precedence as everywhere else.
     """
-    from ..api import default_session
+    # aql ↔ session: a session prepares through this parser.
+    from .session import default_session
 
     return default_session(db).query(text, params, optimize=optimize, **knobs)

@@ -18,13 +18,14 @@ from typing import Any, Callable, Mapping
 from ..params import Param
 from ..patterns.list_parser import SymbolResolver, list_pattern
 from ..patterns.tree_parser import tree_pattern
+from ..plan import expr as E
 from ..predicates.alphabet import AlphabetPredicate
 from ..storage.database import Database
-from . import expr as E
+from .session import default_session
 
 
 class Q:
-    """Wrapper around an :class:`~repro.query.expr.Expr` under construction."""
+    """Wrapper around an :class:`~repro.plan.expr.Expr` under construction."""
 
     def __init__(self, node: E.Expr) -> None:
         self.node = node
@@ -148,8 +149,6 @@ class Q:
     ) -> Any:
         """Evaluate via the default Session; accepts its knob keywords
         (``budget=``, ``optimize=``, ...)."""
-        from ..api import default_session
-
         return default_session(db).query(self.node, params, **knobs)
 
     def run_optimized(
@@ -158,8 +157,6 @@ class Q:
         params: "Mapping[str, Any] | None" = None,
         **knobs: Any,
     ) -> Any:
-        from ..api import default_session
-
         knobs.setdefault("optimize", True)
         return default_session(db).query(self.node, params, **knobs)
 

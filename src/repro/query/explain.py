@@ -20,7 +20,7 @@ cost units and wall time — plus the counters each operator caused
 whose row estimate is off by more than ``MISESTIMATE_FACTOR`` are
 flagged, which is how a mispriced rewrite shows itself at runtime.
 
-Plan lines render each node's :meth:`~repro.query.expr.Expr.head` —
+Plan lines render each node's :meth:`~repro.plan.expr.Expr.head` —
 built structurally from the node's own fields, never by excising child
 text from ``describe()`` strings (the old string surgery silently
 corrupted lines whenever a child's rendering occurred inside a pattern
@@ -31,9 +31,12 @@ from __future__ import annotations
 
 from typing import Iterator
 
+from ..optimizer.cost import CostModel, actual_cost_units
+from ..optimizer.engine import Optimizer
+from ..physical import lower
+from ..plan import expr as E
+from ..plan.metrics import PlanMetrics
 from ..storage.database import Database
-from . import expr as E
-from .metrics import PlanMetrics
 
 #: Estimate/actual row ratio beyond which an operator is flagged.
 MISESTIMATE_FACTOR = 10.0
@@ -50,8 +53,6 @@ def _node_line(node: E.Expr, model) -> str:
 
 def explain(expr: E.Expr, db: Database, indent: int = 0) -> str:
     """Render ``expr`` as an indented plan tree with cost annotations."""
-    from ..optimizer.cost import CostModel
-
     model = CostModel(db)
     lines: list[str] = []
 
@@ -80,8 +81,6 @@ def explain_physical(
     runs); pass ``choose_access_paths=False`` to see the plain
     structure-mirroring lowering instead.
     """
-    from ..physical import lower
-
     plan = lower(expr, db, choose_access_paths=choose_access_paths)
     pad = "  " * indent
     return "\n".join(pad + line for line in plan.render().splitlines())
@@ -89,8 +88,6 @@ def explain_physical(
 
 def explain_optimization(expr: E.Expr, db: Database) -> str:
     """The full before/after story: logical plan, rewrites, physical plan."""
-    from ..optimizer.engine import Optimizer
-
     plan, trace = Optimizer(db).optimize(expr)
     parts = [
         "Logical plan:",
@@ -149,8 +146,6 @@ def render_analysis(
     so callers that already ran :func:`~repro.query.interpreter
     .evaluate_with_metrics` need not evaluate twice.
     """
-    from ..optimizer.cost import CostModel, actual_cost_units
-
     model = CostModel(db)
     lines: list[str] = []
     for path, node in _walk_paths(expr):
@@ -193,6 +188,7 @@ def explain_analyze(
 ) -> str:
     """Run ``expr`` through the instrumented executor and render the plan
     with estimated vs. actual rows, cost units and per-operator time."""
+    # explain ↔ session: a session renders its EXPLAIN with this module.
     from .interpreter import evaluate_with_metrics
 
     _, metrics = evaluate_with_metrics(expr, db)

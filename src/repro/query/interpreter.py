@@ -1,6 +1,6 @@
 """Query evaluation: the function-style entry points.
 
-Gives semantics to :mod:`repro.query.expr` nodes against a
+Gives semantics to :mod:`repro.plan.expr` nodes against a
 :class:`~repro.storage.Database`.  There is one execution path: the
 expression is lowered to a Volcano-style physical plan
 (:mod:`repro.physical`) and rows are pulled through
@@ -22,9 +22,10 @@ from __future__ import annotations
 from typing import Any, Mapping
 
 from ..guardrails import Budget
+from ..plan import expr as E
+from ..plan.metrics import PlanMetrics
 from ..storage.database import Database
-from . import expr as E
-from .metrics import PlanMetrics
+from .session import default_session
 
 
 def evaluate(
@@ -40,22 +41,20 @@ def evaluate(
     roots, extents and indexes through the view at runtime, so a snapshot
     evaluates exactly as the base did at pin time.
 
-    A thin wrapper over the default :class:`repro.api.Session`: the
+    A thin wrapper over the default :class:`~repro.query.session.Session`: the
     expression is prepared (planned once, served from the process-wide
     plan cache on repeats — lazily invalidated when any of the plan's
     per-resource version counters move) and executed.  The guard, the
     run's counters and the tree-match registry are armed **once** per
     run and threaded through the pipeline; :func:`evaluate_with_metrics`
-    also hands the run a :class:`~repro.query.metrics.PlanMetrics`,
+    also hands the run a :class:`~repro.plan.metrics.PlanMetrics`,
     filled by per-pull accounting in ``PhysicalOp.next_batch()``.
 
     A tripped limit raises
     :class:`~repro.errors.ResourceExhaustedError` annotated with the
     operator being evaluated and, during an instrumented run, the
-    partial :class:`~repro.query.metrics.PlanMetrics`.
+    partial :class:`~repro.plan.metrics.PlanMetrics`.
     """
-    from ..api import default_session
-
     return default_session(db).query(node, params, budget=budget)
 
 
@@ -69,15 +68,13 @@ def evaluate_with_metrics(
     """Evaluate ``expr`` collecting per-operator runtime metrics.
 
     Returns ``(result, metrics)`` where ``metrics`` holds one
-    :class:`~repro.query.metrics.OperatorMetrics` record per plan node:
+    :class:`~repro.plan.metrics.OperatorMetrics` record per plan node:
     output cardinality, wall time, and the counters (index probes,
     predicate evaluations, pattern-engine work) attributable to that
     operator alone.  On a budget trip the raised
     :class:`~repro.errors.ResourceExhaustedError` carries the same
     (partial) ``metrics`` object, so callers can render what ran.
     """
-    from ..api import default_session
-
     return default_session(db).query_with_metrics(
         expr, params, budget=budget, metrics=metrics
     )

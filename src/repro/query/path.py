@@ -53,8 +53,8 @@ from ..core.aqua_set import AquaSet
 from ..core.aqua_tree import AquaTree, TreeNode, subtree_at
 from ..errors import QueryError
 from ..patterns.tree_ast import TreeAtom, TreePattern
+from ..plan import expr as E
 from ..predicates.alphabet import AlphabetPredicate, And, Comparison
-from ..query import expr as E
 
 __all__ = [
     "PathStep",

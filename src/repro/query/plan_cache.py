@@ -53,11 +53,11 @@ from ..context import emit
 from ..params import Param
 from ..patterns.list_ast import ListPattern
 from ..patterns.tree_ast import TreePattern
+from ..plan import expr as E
 from ..predicates.alphabet import AlphabetPredicate
-from . import expr as E
+from ..storage.database import Database
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..storage.database import Database
     from .prepare import PreparedQuery
 
 #: Default number of prepared plans a cache retains.
@@ -397,5 +397,5 @@ class PlanCache:
 
 
 #: The process-wide cache behind :func:`repro.query.prepare.prepare` and
-#: the default :class:`repro.api.Session`.
+#: the default :class:`~repro.query.session.Session`.
 DEFAULT_CACHE = PlanCache()

@@ -45,20 +45,21 @@ results and counters, which the plan-cache property suite asserts.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Hashable, Mapping
+from typing import Any, Hashable, Mapping
 
 from .. import config, context, guardrails
 from ..errors import QueryError
 from ..guardrails import Budget
+from ..optimizer.engine import Optimizer
 from ..params import is_bindable
 from ..patterns.tree_memo import MatchContextRegistry
-from ..storage.database import Database
-from . import expr as E
-from .metrics import PlanMetrics
+from ..physical import ExecutionContext
+from ..physical.lower import PipelineFactory, lower_factory
+from ..plan import expr as E
+from ..plan.metrics import PlanMetrics
+from ..storage.database import GLOBAL_RESOURCE, Database, extent_resource, root_resource
+from .aql import parse_aql, parse_aql_shape
 from .plan_cache import DEFAULT_CACHE, PlanCache, plan_fingerprint
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..physical.lower import PipelineFactory
 
 
 def _plan_dependencies(expr: E.Expr, plan: E.Expr) -> tuple[str, ...]:
@@ -71,8 +72,6 @@ def _plan_dependencies(expr: E.Expr, plan: E.Expr) -> tuple[str, ...]:
     covered.  A query that touches no stored resource depends only on
     the blanket tag, which moves on bare ``bump_epoch()`` calls.
     """
-    from ..storage.database import GLOBAL_RESOURCE, extent_resource, root_resource
-
     tags: set[str] = {GLOBAL_RESOURCE}
     for node in list(expr.walk()) + list(plan.walk()):
         if isinstance(node, E.Root):
@@ -84,7 +83,7 @@ def _plan_dependencies(expr: E.Expr, plan: E.Expr) -> tuple[str, ...]:
 
 def _plan(
     expr: E.Expr, db: Database, optimize: bool
-) -> tuple[E.Expr, "PipelineFactory"]:
+) -> tuple[E.Expr, PipelineFactory]:
     """The planning pipeline shared by cold prepares and re-plans.
 
     ``optimize`` controls both the algebraic rewrite pass and the
@@ -92,9 +91,6 @@ def _plan(
     anchors / conjunct decompositions in the factory, an unoptimized one
     (the serving layer's last degraded retry) mirrors the logical tree.
     """
-    from ..optimizer.engine import Optimizer
-    from ..physical.lower import lower_factory
-
     plan = expr
     if optimize:
         plan, _ = Optimizer(db).optimize(expr)
@@ -122,7 +118,7 @@ class PreparedQuery:
         *,
         expr: E.Expr,
         plan: E.Expr,
-        factory: "PipelineFactory",
+        factory: PipelineFactory,
         db: Database,
         epoch: int,
         optimize: bool,
@@ -173,9 +169,6 @@ class PreparedQuery:
         cached plan's structure, operator for operator."""
         shown = self._shown
         if shown is None:
-            from ..optimizer.engine import Optimizer
-            from .aql import parse_aql
-
             expr = parse_aql(self.text)
             plan = Optimizer(self.db).optimize(expr)[0] if self.optimize else expr
             shown = self._shown = (expr, plan)
@@ -195,7 +188,7 @@ class PreparedQuery:
 
     def _factory_for_bindings(
         self, view: Database, params: Mapping[str, Any] | None
-    ) -> "PipelineFactory":
+    ) -> PipelineFactory:
         """The cached factory, unless a binding of this run breaks a
         recorded anchor assumption (an unhashable index-probe key).
         Lifted literals are never watched: they are always hashable."""
@@ -225,7 +218,7 @@ class PreparedQuery:
     ) -> Any:
         """Execute with ``params`` bound; semantics match ``evaluate()``.
 
-        The knob keywords are the same set :meth:`repro.api.Session.query`
+        The knob keywords are the same set :meth:`repro.query.session.Session.query`
         and :meth:`repro.api.SessionPool.submit` take — ``budget``
         overrides the session/env/default resolution for this run only;
         ``parallel`` is validated and has no effect (see
@@ -261,8 +254,6 @@ class PreparedQuery:
         db: Database | None,
         metrics: PlanMetrics | None,
     ) -> Any:
-        from ..physical import ExecutionContext
-
         view = db if db is not None else self.db
         # The text's own constants are laid over the user's bindings: no
         # ``$name`` is spelled like a lifted slot, and a stray ``"0"`` key
@@ -342,8 +333,6 @@ def prepare(
                 if entry is view.shared:
                     return view
                 looked_up = view.fingerprint
-        from .aql import parse_aql_shape
-
         expr, literals = parse_aql_shape(text)
     else:
         expr = _as_expr(source)

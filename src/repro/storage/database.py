@@ -33,6 +33,7 @@ from ..errors import StorageError
 from ..faults import fault_point
 from ..predicates.alphabet import AlphabetPredicate
 from .index import HashIndex, OrderedIndex
+from .statistics import AttributeHistogram
 from .stats import Instrumentation, RunCounters
 from .tree_index import ListIndex, TreeIndex
 
@@ -453,8 +454,6 @@ class Database:
 
     def analyze(self, extent: str, attribute: str, buckets: int = 32):
         """Build (or refresh) a histogram on ``extent.attribute``."""
-        from .statistics import AttributeHistogram
-
         with self._lock:
             histogram = AttributeHistogram.build(
                 attribute, self._extents.get(extent, ()), buckets

@@ -20,6 +20,7 @@ import random
 
 from ..core.aqua_list import AquaList
 from ..core.aqua_tree import AquaTree, TreeNode
+from ..core.concat import ALPHA
 from ..core.identity import Cell, Record
 from ..predicates.alphabet import AlphabetPredicate, Comparison
 from .generators import rng_from
@@ -131,8 +132,6 @@ def section5_rebuild(x: AquaTree, y: AquaTree, z: AquaList) -> AquaTree:
     )
     for point, subtree in zip((point_b, point_d, point_e), z.values()):
         rebuilt = rebuilt.concat(point, subtree)
-    from ..core.concat import ALPHA
-
     return x.concat(ALPHA, rebuilt)
 
 

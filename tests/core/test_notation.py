@@ -60,6 +60,18 @@ class TestTreeParsing:
         with pytest.raises(NotationError, match="tree nests too deeply"):
             parse_tree("a(" * 3000 + "b" + ")" * 3000)
 
+    def test_an_error_quotes_only_the_text_around_its_position(self):
+        text = "a(" * 3000
+        with pytest.raises(NotationError, match="tree nests too deeply") as caught:
+            parse_tree(text)
+        error = caught.value
+        assert error.text == text
+        assert 0 < error.position < len(text)
+        message = str(error)
+        assert len(message) < 200
+        assert f"at position {error.position} in …'" in message
+        assert message.endswith("'…)")
+
 
 class TestListParsing:
     def test_compact(self):

@@ -20,7 +20,7 @@ from repro.docstore import (
     to_xml,
 )
 from repro.docstore.corpus import corpus_document, corpus_html, corpus_tree
-from repro.docstore.path import PathStepFn, step_predicate
+from repro.query.path import PathStepFn, step_predicate
 from repro.errors import QueryError, ResourceExhaustedError
 from repro.guardrails import Budget
 from repro.query import expr as E

@@ -527,7 +527,7 @@ class TestMatchersDieWithTheirScan:
 
 def test_one_match_loop_behind_the_seam() -> None:
     """Three candidate sources, one ``match_node(pattern.body`` call site
-    in ``iter_tree_matches`` (the CI lint job greps for the same)."""
+    in ``iter_tree_matches``."""
     assert inspect.getsource(iter_tree_matches).count("match_node(pattern.body") == 1
     for source in (tree_match._first_set_scan, tree_match._candidate_roots):
         assert "match_node(" not in inspect.getsource(source)

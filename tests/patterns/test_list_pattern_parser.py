@@ -117,7 +117,7 @@ class TestAnchors:
         assert p.anchor_start and p.anchor_end
 
     def test_describe_round_trip(self):
-        for text in ["[A??F]", "^[ab]$", "[a|b]", "[x !?* y]", "[d[[ac]]*b]"]:
+        for text in ["[A??F]", "^[ab]$", "[a|b]", "[x !?* y]", "[d[[ac]]*b]", "['ab']"]:
             p = parse_list_pattern(text)
             assert parse_list_pattern(p.describe()) == p
 

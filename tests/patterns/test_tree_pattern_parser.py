@@ -186,6 +186,7 @@ class TestMetadata:
             "x(a | b)",
             'printf(?* LargeData ?* LargeData ?*)',
             "x([[y(@2)]]*@2 .@2 @1)",
+            "x('ab')",
         ]:
             p = parse_tree_pattern(text)
             assert parse_tree_pattern(p.describe()) == p

@@ -28,7 +28,7 @@ from repro.physical import operators as P
 from repro.predicates import attr
 from repro.query import Q
 from repro.query.explain import render_analysis
-from repro.query.metrics import PlanMetrics
+from repro.plan.metrics import PlanMetrics
 from repro.storage import Database
 from repro.workloads import by_citizen_or_name, random_family_tree
 

@@ -20,7 +20,7 @@ from repro.physical import ExecutionContext, lower
 from repro.predicates import attr
 from repro.query import Q, evaluate
 from repro.query.interpreter import evaluate_with_metrics
-from repro.query.metrics import cardinality
+from repro.plan.metrics import cardinality
 from repro.storage import Database
 from repro.workloads import (
     BRAZIL,
